@@ -6,7 +6,8 @@ detuning from +-w/2 and their edge weight, for the first example parameter
 set (topologically nontrivial) and the second (trivial). The detuning should
 fall exponentially with N in the nontrivial phase.
 
-Usage: python3 scripts/edge_mode_scaling.py [N1 N2 ...]  (default: 20 40 60 80)
+Usage: python3 scripts/edge_mode_scaling.py [N1 N2 ...]
+(default: 20 40 80 160 400)
 """
 
 import sys
@@ -18,7 +19,7 @@ from floquet_dqpt.lattice import obc_floquet_spectrum
 
 
 def main(argv):
-    sizes = [int(a) for a in argv[1:]] or [20, 40, 60, 80]
+    sizes = [int(a) for a in argv[1:]] or [20, 40, 80, 160, 400]
     for name in ("example1", "example2"):
         p = PRESETS[name]
         print(f"{name}: omega={p.omega_drive:.4f} delta1={p.delta1:.4f} "

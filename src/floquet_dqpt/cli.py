@@ -5,7 +5,8 @@ rows sorted by k then t, 17 significant digits, non-finite values spelled
 "nan"/"inf"/"-inf". A declarative INI-style config file can pre-set any
 option; command-line flags win over the file.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-guard error.
+Exit codes: 0 success, 2 configuration or output-file error, 3 numerical
+guard error.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ class RunConfig:
             raise ConfigError("k_points and t_points must be >= 2")
         if self.t_max is not None and self.t_max <= 0:
             raise ConfigError("t_max must be positive")
+        if not 2 <= self.sites <= lattice.MAX_SITES:
+            raise ConfigError(f"sites must be in [2, {lattice.MAX_SITES}], "
+                              f"got {self.sites}")
         if self.band not in ("minus", "plus"):
             raise ConfigError(f"band must be minus or plus, got {self.band!r}")
         if self.fmt not in ("csv", "json"):
@@ -179,9 +183,7 @@ def cmd_topo(cfg: RunConfig):
 
 
 def cmd_spectrum(cfg: RunConfig):
-    spec = lattice.obc_floquet_spectrum(cfg.params, cfg.sites,
-                                        max(cfg.steps,
-                                            lattice.MIN_SPECTRUM_STEPS))
+    spec = lattice.obc_floquet_spectrum(cfg.params, cfg.sites)
     rows = [[str(i), e, w, str(int(flag))]
             for i, (e, w, flag) in enumerate(zip(spec.quasienergies,
                                                  spec.edge_weights,
@@ -340,6 +342,9 @@ def main(argv=None) -> int:
     except NumericalGuardError as exc:
         sys.stderr.write(f"numerical guard: {type(exc).__name__}: {exc}\n")
         return 3
+    except OSError as exc:
+        sys.stderr.write(f"output error: {exc}\n")
+        return 2
     return 0
 
 

@@ -169,10 +169,11 @@ def geometric_phase_from_tomography(params: ModelParams, k: float, t: float,
     parameters, vartheta and phi for the evolved state, with the phi quadrant
     fixed by the sign of <sy>), form the overlap of initial and evolved
     modes, and subtract the analytically integrated dynamical contribution
-    (<sz> is constant in the rotating frame).
+    (<sz> is constant in the rotating frame). The initial lower-band mode is
+    (sin(theta/2), -s cos(theta/2)) with s the sign of h_xy(k), the same
+    convention as `floquet_solution`, so the overlap's second term carries s.
 
-    Only the lower band is supported; the overlap formula also assumes
-    h_xy(k) >= 0, the regime in which the pipeline is used.
+    Only the lower band is supported.
     """
     if band != "minus":
         raise BandUnsupported("tomography reconstruction defined for band "
@@ -188,6 +189,7 @@ def geometric_phase_from_tomography(params: ModelParams, k: float, t: float,
     zcomp = d1 * math.cos(k) + d2 - w
     xcomp = amp * math.sin(k)
     theta = math.acos(zcomp / math.hypot(zcomp, xcomp))
+    s = 1.0 if xcomp >= 0 else -1.0
 
     norm = math.sqrt(sx * sx + sy * sy + sz * sz)
     cos_vt = max(-1.0, min(1.0, sz / norm))
@@ -200,7 +202,7 @@ def geometric_phase_from_tomography(params: ModelParams, k: float, t: float,
         phi = 0.0
 
     overlap = (math.sin(0.5 * theta) * math.sqrt(0.5 * (1.0 + cos_vt))
-               - cmath.exp(1j * phi) * math.cos(0.5 * theta)
+               - s * cmath.exp(1j * phi) * math.cos(0.5 * theta)
                * math.sqrt(0.5 * (1.0 - cos_vt)))
     return principal_branch(cmath.phase(overlap) + 0.5 * w * sz * t
                             - 0.5 * w * t)

@@ -3,17 +3,18 @@
 The chain couples N spinless fermions with nearest-neighbour hopping
 delta1/2, onsite potential delta2 and a periodically modulated pairing
 Omega/(2i) e^{-i w t} on the bonds. In the Nambu basis
-(f_1 .. f_N, f_1^dag .. f_N^dag) the Hamiltonian reads
-H = (1/2) Psi^dag H_bdg(t) Psi + const with
+(f_1 .. f_N, f_1^dag .. f_N^dag), H = (1/2) Psi^dag H_bdg(t) Psi + const with
 
-    H_bdg = [[A, B], [B^dag, -A^T]],
+    H_bdg(t) = [[A, B e^{-i w t}], [B^dag e^{i w t}, -A^T]],
 
 A carrying hopping and onsite terms and B the (antisymmetric) pairing.
-
-Because the Nambu description double-counts each mode, the momentum blocks
-of H_bdg equal twice the two-level Bloch Hamiltonian; the undoubled blocks
-H_bdg/2 are what the per-k qubit picture evolves under, and they generate
-the one-period propagator whose folded spectrum carries the pi edge modes.
+Nambu doubling makes the momentum blocks of H_bdg twice the Bloch
+Hamiltonian; the undoubled H_bdg/2 generates the one-period propagator U(T),
+whose folded spectrum carries the pi edge modes. Only the pairing depends on
+t, so R(t) = diag(e^{-i w t/2} I, e^{i w t/2} I) makes the chain static, as
+U_R(t) does per k: R^dag H_bdg(t) R = H_bdg(0), and psi = R phi turns
+i d_t psi = (H_bdg/2) psi into i d_t phi = H_eff phi with
+H_eff = H_bdg(0)/2 - (w/2) tau_z. As R(T) = -I, U(T) = -exp(-i H_eff T).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import BoundaryMismatch, InvalidSize, StepCountTooSmall
 from .model import ModelParams, bloch_components
 
 MIN_SPECTRUM_STEPS = 1024
-DEFAULT_SPECTRUM_STEPS = 2048
+MAX_SITES = 1000
 
 # pi-mode criterion: folded quasienergy within this fraction of w from
 # +-w/2 and at least half the weight on the outer tenth of the sites.
@@ -137,11 +138,11 @@ def _bloch_matrix(params: ModelParams, k: float, t: float) -> np.ndarray:
 
 
 def one_period_propagator(chain: BdgChain, steps: int) -> np.ndarray:
-    """RK4 time-ordered propagator over one period of the undoubled matrix."""
-    p = chain.params
-    n2 = 2 * chain.n_sites
-    h = p.period / steps
-    u = np.eye(n2, dtype=complex)
+    """RK4 time-ordered U(T) of the undoubled matrix; the spectrum's oracle."""
+    if steps < MIN_SPECTRUM_STEPS:
+        raise StepCountTooSmall(f"steps={steps} < {MIN_SPECTRUM_STEPS}")
+    h = chain.params.period / steps
+    u = np.eye(2 * chain.n_sites, dtype=complex)
 
     def gen(t):
         return -0.5j * chain.hamiltonian_at(t)
@@ -159,33 +160,30 @@ def one_period_propagator(chain: BdgChain, steps: int) -> np.ndarray:
     return u
 
 
-def obc_floquet_spectrum(params: ModelParams, n_sites: int,
-                         steps: int = DEFAULT_SPECTRUM_STEPS
-                         ) -> FloquetSpectrum:
+def obc_floquet_spectrum(params: ModelParams, n_sites: int) -> FloquetSpectrum:
     """Folded quasienergy spectrum of the open chain with edge diagnostics.
 
-    Quasienergies come from the phases of the one-period propagator's
-    eigenvalues, folded to [-w/2, w/2). Each eigenvector is scored by its
-    weight on the outer tenth of the sites (particle and hole components of
-    a site counted together); modes within 0.02 w of +-w/2 with edge weight
-    >= 0.5 are flagged as pi modes.
+    Exact via the static frame (module docstring): U(T) = -exp(-i H_eff T),
+    so one eigh of H_eff gives orthonormal modes and eigenvalues e, and the
+    principal angle of e^{-i eps T} = -e^{-i e T} folds eps = e + w/2 into
+    [-w/2, w/2). Each mode is scored by its weight on the outer tenth of the
+    sites (particle and hole components of a site counted together); modes
+    within 0.02 w of +-w/2 with edge weight >= 0.5 are pi modes.
     """
-    if steps < MIN_SPECTRUM_STEPS:
-        raise StepCountTooSmall(f"steps={steps} < {MIN_SPECTRUM_STEPS}")
     chain = build_chain(params, n_sites, "open")
-    u = one_period_propagator(chain, steps)
-    evals, evecs = np.linalg.eig(u)
-    # lambda = e^{-i eps T}; principal angle maps eps into [-w/2, w/2)
-    eps = -np.angle(evals) / chain.params.period
-
     n = n_sites
+    w = params.omega_drive
+    h_eff = 0.5 * chain.hamiltonian_at(0.0)
+    h_eff -= np.diag(0.5 * w * np.repeat([1.0, -1.0], n))
+    e, evecs = np.linalg.eigh(h_eff)
+    eps = -np.angle(-np.exp(-1j * e * params.period)) / params.period
+
     n_edge = max(1, math.ceil(EDGE_FRACTION * n))
     site_weight = np.abs(evecs[:n, :]) ** 2 + np.abs(evecs[n:, :]) ** 2
     site_weight /= site_weight.sum(axis=0)
     edge = (site_weight[:n_edge, :].sum(axis=0)
             + site_weight[n - n_edge:, :].sum(axis=0))
 
-    w = params.omega_drive
     pi_flag = ((0.5 * w - np.abs(eps)) < PI_MODE_ENERGY_TOL * w) \
         & (edge >= PI_MODE_EDGE_WEIGHT)
 

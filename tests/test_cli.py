@@ -190,7 +190,17 @@ def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[model]\npreset = nope\n", encoding="utf-8")
     assert run_cli(["rate", "--config", str(bad)]) == 2
+    for sites in ("1", "1001"):
+        assert run_cli(["spectrum", "--preset", "example1",
+                        "--sites", sites]) == 2
     capsys.readouterr()
+    # 2: unwritable output path, reported on one line
+    for cmd in (["spectrum", "--sites", "4"], ["topo"]):
+        for out in (tmp_path / "missing" / "a.csv", tmp_path):
+            assert run_cli(cmd + ["--preset", "example1",
+                                  "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("output error:") and err.count("\n") == 1
     # 3: numerical guard tripped (gap closes at k = 0 for these parameters)
     gapless = tmp_path / "gapless.ini"
     gapless.write_text("[model]\nomega_drive = 2.0\ndelta1 = 1.0\n"

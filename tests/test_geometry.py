@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -184,21 +185,25 @@ def test_bloch_expectations_against_oracle():
 
 
 def test_tomography_matches_direct_phase():
+    # omega_amp < 0 makes h_xy < 0, which flips the relative sign of the
+    # initial mode's components
     rng = np.random.default_rng(37)
-    checked = 0
-    while checked < 50:
-        p = random_params(rng, positive_amp=True)
-        k = rng.uniform(0.05, math.pi - 0.05)
-        t = rng.uniform(0.0, 2.0 * p.period)
-        try:
-            if return_probability(p, "minus", k, t) < 0.01:
+    for sign in (1.0, -1.0):
+        checked = 0
+        while checked < 50:
+            p = random_params(rng, positive_amp=True)
+            p = replace(p, omega_amp=sign * p.omega_amp)
+            k = rng.uniform(0.05, math.pi - 0.05)
+            t = rng.uniform(0.0, 2.0 * p.period)
+            try:
+                if return_probability(p, "minus", k, t) < 0.01:
+                    continue
+                direct = geometric_phase(p, "minus", k, t)
+                tomo = geometric_phase_from_tomography(p, k, t)
+            except GaplessPoint:
                 continue
-            direct = geometric_phase(p, "minus", k, t)
-            tomo = geometric_phase_from_tomography(p, k, t)
-        except GaplessPoint:
-            continue
-        assert abs(principal_branch(tomo - direct)) < 1e-8
-        checked += 1
+            assert abs(principal_branch(tomo - direct)) < 1e-8
+            checked += 1
 
 
 def test_tomography_band_guard(ex1):

@@ -9,7 +9,7 @@ from floquet_dqpt.model import ModelParams, floquet_solution, fold_quasienergy
 from floquet_dqpt.lattice import (build_chain, momentum_consistency_check,
                                   obc_floquet_spectrum, one_period_propagator)
 
-from conftest import EXAMPLE1, random_params
+from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3, random_params
 
 
 def test_build_chain_validation(ex1):
@@ -110,7 +110,27 @@ def test_obc_spectrum_structure(ex1):
 
 def test_obc_step_guard(ex1):
     with pytest.raises(StepCountTooSmall):
-        obc_floquet_spectrum(ex1, 10, steps=512)
+        one_period_propagator(build_chain(ex1, 10, "open"), 512)
+
+
+def test_obc_spectrum_matches_rk4_oracle():
+    # exact static-frame spectrum vs the time-ordered RK4 propagator; compare
+    # on the unit circle so modes near the fold boundary +-w/2 cannot flip
+    rng = np.random.default_rng(2048)
+    draws = [EXAMPLE1, EXAMPLE2, EXAMPLE3] + [random_params(rng)
+                                              for _ in range(3)]
+    n = 12
+    for p in draws:
+        spec = obc_floquet_spectrum(p, n)
+        u = one_period_propagator(build_chain(p, n, "open"), 8192)
+        lam = np.exp(-1j * spec.quasienergies * p.period)
+        oracle = np.linalg.eigvals(u)
+        dist = np.abs(lam[:, None] - oracle[None, :])
+        assert dist.min(axis=1).max() < 1e-9
+        assert dist.min(axis=0).max() < 1e-9
+        v = spec.modes
+        assert np.linalg.norm(u @ v - v * lam, axis=0).max() < 1e-9
+        assert np.abs(v.conj().T @ v - np.eye(2 * n)).max() < 1e-12
 
 
 def test_bulk_boundary_correspondence(ex1, ex2, ex3):
