@@ -18,8 +18,8 @@ from .dynamics import (ReturnAmplitude, propagator_analytic, propagator_oracle,
                        return_amplitude, return_probability)
 from .dqpt import (CriticalSet, FisherLine, dqpt_condition, fisher_tau,
                    fisher_lines, rate_function)
-from .geometry import (PhaseRecord, total_phase, dynamical_phase,
-                       geometric_phase, winding_number, bloch_expectations,
+from .geometry import (total_phase, dynamical_phase, geometric_phase,
+                       winding_number, bloch_expectations,
                        geometric_phase_from_tomography)
 from .topology import (ChiralInvariants, symmetric_frame_operators,
                        chiral_winding_numbers, encircling_condition)

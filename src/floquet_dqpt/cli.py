@@ -16,12 +16,12 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dqpt, dynamics, geometry, lattice, topology
-from .errors import ConfigError, NumericalGuardError
+from .errors import ConfigError, NearCriticalTime, NumericalGuardError
 from .model import ModelParams, floquet_solution
 
 TWO_PI = 2.0 * math.pi
@@ -86,6 +86,14 @@ def fmt_num(x) -> str:
     return f"{x:.17g}"
 
 
+def _write_text(cfg: RunConfig, text: str):
+    if cfg.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+
+
 def write_dataset(cfg: RunConfig, header, rows):
     rows = [[fmt_num(v) if not isinstance(v, str) else v for v in row]
             for row in rows]
@@ -95,11 +103,7 @@ def write_dataset(cfg: RunConfig, header, rows):
     else:
         text = json.dumps({"columns": list(header), "rows": rows},
                           indent=None, separators=(",", ":")) + "\n"
-    if cfg.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write_text(cfg, text)
 
 
 def k_grid(cfg: RunConfig) -> np.ndarray:
@@ -110,14 +114,18 @@ def t_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(0.0, cfg.resolved_t_max, cfg.t_points)
 
 
+def grid_rows(ks, ts, values) -> list:
+    """(k, t, value) rows, k-major, from a (len(ks), len(ts)) array."""
+    ts = ts.tolist()
+    return [[k, t, v] for k, row in zip(ks.tolist(), values.tolist())
+            for t, v in zip(ts, row)]
+
+
 def cmd_retprob(cfg: RunConfig):
     ks, ts = k_grid(cfg), t_grid(cfg)
-    rows = []
-    for k in ks:
-        probs = np.abs(dynamics.micromotion_overlap(
-            cfg.params, cfg.band, k, ts)) ** 2
-        rows.extend([k, t, p] for t, p in zip(ts, probs))
-    write_dataset(cfg, ("k", "t", "retprob"), rows)
+    probs = dynamics.return_probability_grid(cfg.params, cfg.band,
+                                             ks[:, None], ts)
+    write_dataset(cfg, ("k", "t", "retprob"), grid_rows(ks, ts, probs))
 
 
 def cmd_rate(cfg: RunConfig):
@@ -137,26 +145,22 @@ def cmd_fisher(cfg: RunConfig):
 
 def cmd_geo(cfg: RunConfig):
     ks, ts = k_grid(cfg), t_grid(cfg)
-    rows = []
-    grid = np.stack([geometry.geometric_phase_grid(cfg.params, cfg.band, ks, t)
-                     for t in ts], axis=1)
-    for i, k in enumerate(ks):
-        rows.extend([k, t, grid[i, j]] for j, t in enumerate(ts))
-    write_dataset(cfg, ("k", "t", "phase"), rows)
+    phases = geometry.geometric_phase_grid(cfg.params, cfg.band,
+                                           ks[:, None], ts)
+    write_dataset(cfg, ("k", "t", "phase"), grid_rows(ks, ts, phases))
 
 
 def cmd_winding(cfg: RunConfig):
-    ts = t_grid(cfg)
-    guard = geometry.T_GUARD_FRACTION * cfg.params.period
-    crit = dqpt.dqpt_condition(cfg.params, cfg.resolved_t_max).critical_times
+    dqpt.dqpt_condition(cfg.params)  # DegenerateDelta1 before any t
     rows = []
-    for t in ts:
-        if any(abs(t - tc) < guard for tc in crit):
+    for t in t_grid(cfg):
+        try:
+            nu, raw = geometry.winding_number(cfg.params, cfg.band, t,
+                                              max(cfg.k_points,
+                                                  geometry.MIN_WINDING_GRID),
+                                              return_raw=True)
+        except NearCriticalTime:
             continue  # guard windows are emitted as gaps
-        nu, raw = geometry.winding_number(cfg.params, cfg.band, t,
-                                          max(cfg.k_points,
-                                              geometry.MIN_WINDING_GRID),
-                                          return_raw=True)
         rows.append([t, str(nu), raw])
     write_dataset(cfg, ("t", "nu", "raw"), rows)
 
@@ -175,11 +179,7 @@ def cmd_topo(cfg: RunConfig):
         text = json.dumps(report) + "\n"
     else:
         text = "".join(f"{key} = {val}\n" for key, val in report.items())
-    if cfg.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write_text(cfg, text)
 
 
 def cmd_spectrum(cfg: RunConfig):

@@ -52,12 +52,8 @@ class CriticalSet:
 def critical_times(params: ModelParams, t_max: float) -> list:
     """All t_c = (2n-1) T/2 up to and including t_max."""
     half = 0.5 * params.period
-    out = []
-    n = 1
-    while (2 * n - 1) * half <= t_max + 1e-12 * params.period:
-        out.append((2 * n - 1) * half)
-        n += 1
-    return out
+    count = math.floor((t_max + 1e-12 * params.period) / params.period + 0.5)
+    return [(2 * n - 1) * half for n in range(1, count + 1)]
 
 
 def dqpt_condition(params: ModelParams, t_max: float | None = None) -> CriticalSet:
@@ -98,21 +94,19 @@ def fisher_tau(params: ModelParams, band: str, k: float) -> float:
         raise UndefinedTau("h_xy = 0: tau -> -inf")
     if e == b.h_z:
         raise UndefinedTau("E = h_z: tau -> +inf")
-    return (2.0 / params.omega_drive) * (math.log(abs(b.h_xy))
-                                         - math.log(abs(e - b.h_z)))
+    return float(fisher_tau_grid(params, band, k))
 
 
 def fisher_tau_grid(params: ModelParams, band: str, k_grid) -> np.ndarray:
-    """tau over a k array with +-inf markers at the divergent points."""
+    """tau over k (any shape) with +-inf markers at the divergent points."""
     k_grid = np.asarray(k_grid, dtype=float)
     b = bloch_components(params, k_grid)
     e = band_energy(params, band, k_grid)
     num = np.abs(b.h_xy)
     den = np.abs(e - b.h_z)
     out = np.full_like(k_grid, np.nan)
-    both = (num == 0) & (den == 0)
-    out[(num == 0) & ~both] = -np.inf
-    out[(den == 0) & ~both] = np.inf
+    out[(num == 0) & (den > 0)] = -np.inf
+    out[(den == 0) & (num > 0)] = np.inf
     ok = (num > 0) & (den > 0)
     out[ok] = (2.0 / params.omega_drive) * (np.log(num[ok]) - np.log(den[ok]))
     return out

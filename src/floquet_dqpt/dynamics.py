@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepCountTooSmall
-from .model import ModelParams, band_energy, band_weights, bloch_components, \
+from .model import ModelParams, band_weights, bloch_components, \
     floquet_solution, micromotion
 
 MIN_ORACLE_STEPS = 256
@@ -116,7 +116,7 @@ def reunitarize(u: np.ndarray):
 
 
 def micromotion_overlap(params: ModelParams, band: str, k, t):
-    """<chi| U_R(t) |chi> = |a|^2 + e^{i w t} |b|^2, vectorized over k or t."""
+    """<chi| U_R(t) |chi> = |a|^2 + e^{i w t} |b|^2, broadcast over k and t."""
     wa, wb = band_weights(params, band, k)
     return wa + np.exp(1j * params.omega_drive * np.asarray(t)) * wb
 
@@ -128,8 +128,8 @@ def return_amplitude(params: ModelParams, band: str, k: float,
     G = e^{-i E t} <chi| U_R(t) |chi>; the micromotion overlap carries the
     whole modulus, the quasienergy only a phase.
     """
-    floquet_solution(params, k)  # gap guard
-    e = band_energy(params, band, k)
+    fs = floquet_solution(params, k)  # gap guard
+    e = fs.e_plus if band == "plus" else fs.e_minus
     value = cmath.exp(-1j * e * t) * complex(
         micromotion_overlap(params, band, k, t))
     return ReturnAmplitude(value=value, band=band, k=float(k), t=float(t))
@@ -138,10 +138,11 @@ def return_amplitude(params: ModelParams, band: str, k: float,
 def return_probability(params: ModelParams, band: str, k: float,
                        t: float) -> float:
     """|G_band(k, t)|^2; independent of the quasienergy phase."""
-    return float(abs(return_amplitude(params, band, k, t).value) ** 2)
+    floquet_solution(params, k)  # gap guard
+    return float(return_probability_grid(params, band, k, t))
 
 
 def return_probability_grid(params: ModelParams, band: str, k_grid,
                             t) -> np.ndarray:
-    """Vectorized |G|^2 over a k array at fixed t (or broadcastable t)."""
+    """|G|^2 = |<chi| U_R(t) |chi>|^2, broadcast over k and t."""
     return np.abs(micromotion_overlap(params, band, np.asarray(k_grid), t)) ** 2

@@ -1,10 +1,11 @@
 """Pancharatnam phases and the dynamical topological invariant.
 
 The total phase is the argument of the return amplitude; subtracting the
-dynamical phase -<chi| H_R |chi> t (exact and linear in t, since H_R is
-static in the rotating frame) leaves the non-adiabatic, non-cyclic geometric
-phase. Its winding along k in [0, pi] is the integer invariant nu(t), which
-jumps by one at every critical time.
+dynamical phase -<chi| H_R |chi> t leaves the non-adiabatic, non-cyclic
+geometric phase. H_R = H_F + (w/2)(sz - I) is static in the rotating frame, so
+the dynamical phase is -(E - (w/2)(1 - <sz>)) t in closed form, with
+<sz> = |a|^2 - |b|^2 from the band weights. Its winding along k in [0, pi] is
+the integer invariant nu(t), which jumps by one at every critical time.
 
 All reported phases live on the principal branch (-pi, pi].
 """
@@ -13,14 +14,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (BandUnsupported, GridTooCoarse, NearCriticalTime,
                      PhaseUndefined, WindingNotQuantized)
-from .model import (ModelParams, band_energy, band_weights, bloch_components,
-                    floquet_solution, micromotion)
+from .model import (ModelParams, band_energy, band_weights, floquet_solution,
+                    micromotion)
 from .dynamics import micromotion_overlap, return_amplitude
 from .dqpt import dqpt_condition
 
@@ -34,22 +34,9 @@ MIN_WINDING_GRID = 401
 WINDING_INT_TOL = 0.05
 
 
-@dataclass(frozen=True)
-class PhaseRecord:
-    """Branch-resolved phase decomposition at one (k, t)."""
-
-    total: float
-    dynamical: float
-    geometric: float
-    band: str
-    k: float
-    t: float
-
-
 def principal_branch(x):
     """Reduce an angle (or array of angles) to (-pi, pi]."""
-    return np.angle(np.exp(1j * np.asarray(x))) if np.ndim(x) else \
-        cmath.phase(cmath.exp(1j * x))
+    return np.angle(np.exp(1j * np.asarray(x)))
 
 
 def total_phase(params: ModelParams, band: str, k: float, t: float) -> float:
@@ -62,51 +49,44 @@ def total_phase(params: ModelParams, band: str, k: float, t: float) -> float:
 
 def dynamical_phase(params: ModelParams, band: str, k: float,
                     t: float) -> float:
-    """-<chi| H_R(k) |chi> t with H_R = h_xy sx + h_z sz.
-
-    Closed form, no quadrature: the rotating-frame Hamiltonian is static and
-    the expectation is taken in the band's t = 0 mode.
-    """
-    fs = floquet_solution(params, k)
-    chi = fs.chi_minus if band == "minus" else fs.chi_plus
-    b = bloch_components(params, k)
-    h_r = np.array([[b.h_z, b.h_xy], [b.h_xy, -b.h_z]], dtype=complex)
-    return float(-(chi.conj() @ h_r @ chi).real * t)
+    """-<chi| H_R |chi> t = -(E - (w/2)(1 - <sz>)) t; exact, linear in t."""
+    floquet_solution(params, k)  # gap guard
+    wa, wb = band_weights(params, band, k)
+    e = band_energy(params, band, k)
+    return float(-(e - 0.5 * params.omega_drive * (1.0 - (wa - wb))) * t)
 
 
 def geometric_phase(params: ModelParams, band: str, k: float,
                     t: float) -> float:
-    """total - dynamical, reduced to (-pi, pi]."""
-    return principal_branch(total_phase(params, band, k, t)
-                            - dynamical_phase(params, band, k, t))
-
-
-def phase_record(params: ModelParams, band: str, k: float,
-                 t: float) -> PhaseRecord:
-    tot = total_phase(params, band, k, t)
-    dyn = dynamical_phase(params, band, k, t)
-    return PhaseRecord(total=tot, dynamical=dyn,
-                       geometric=principal_branch(tot - dyn),
-                       band=band, k=float(k), t=float(t))
+    """total - dynamical at one (k, t), reduced to (-pi, pi]."""
+    floquet_solution(params, k)  # gap guard
+    g = abs(complex(micromotion_overlap(params, band, k, t)))
+    if g < AMP_FLOOR:
+        raise PhaseUndefined(f"|G| = {g:.3e} < {AMP_FLOOR}")
+    return float(geometric_phase_grid(params, band, k, t))
 
 
 def geometric_phase_grid(params: ModelParams, band: str, k_grid,
-                         t: float) -> np.ndarray:
-    """Geometric phase over a k array at fixed t; NaN where undefined.
+                         t) -> np.ndarray:
+    """Geometric phase broadcast over k and t; NaN where undefined.
 
     Uses the quasienergy-free form arg<chi|U_R|chi> + (w/2)<sz> t - w t/2,
     identical (mod 2 pi) to total - dynamical.
     """
+    return _phase_and_drift(params, band, k_grid, t)[0]
+
+
+def _phase_and_drift(params, band, k_grid, t):
+    # the geometric phase and its t-linear part (w t/2)<sz>, from one
+    # evaluation of the band weights
     k_grid = np.asarray(k_grid, dtype=float)
     wa, wb = band_weights(params, band, k_grid)
     overlap = wa + np.exp(1j * params.omega_drive * t) * wb
-    sz = wa - wb
-    raw = (np.angle(overlap)
-           + 0.5 * params.omega_drive * t * sz
-           - 0.5 * params.omega_drive * t)
+    drift = 0.5 * params.omega_drive * t * (wa - wb)
+    raw = np.angle(overlap) + drift - 0.5 * params.omega_drive * t
     out = np.asarray(principal_branch(raw), dtype=float)
     out[np.abs(overlap) < AMP_FLOOR] = np.nan
-    return out
+    return out, drift
 
 
 def winding_number(params: ModelParams, band: str, t: float,
@@ -124,19 +104,22 @@ def winding_number(params: ModelParams, band: str, t: float,
         raise ValueError(f"k_grid_size must be >= {MIN_WINDING_GRID}")
     guard = T_GUARD_FRACTION * params.period
     half = 0.5 * params.period
-    # distance to the nearest (2n-1) T/2 for t > 0
-    if t > 0:
-        n_near = max(1, round((t / half + 1) / 2))
-        for n in (n_near - 1, n_near, n_near + 1):
-            if n >= 1 and abs(t - (2 * n - 1) * half) < guard:
-                if dqpt_condition(params).has_dqpt:
-                    raise NearCriticalTime(
-                        f"t = {t} within {guard} of a critical time")
+    # nearest critical time (2n-1) T/2; the others are at least T/2 away
+    n = max(1, round((t / half + 1) / 2)) if t > 0 else 1
+    near = abs(t - (2 * n - 1) * half) < guard
+    if near and dqpt_condition(params).has_dqpt:
+        raise NearCriticalTime(f"t = {t} within {guard} of a critical time")
 
     k = np.linspace(0.0, math.pi, k_grid_size)
-    phi = geometric_phase_grid(params, band, k, t)
+    phi, drift = _phase_and_drift(params, band, k, t)
     if np.isnan(phi).any():
         raise PhaseUndefined("geometric phase undefined on the winding grid")
+    # the t-linear part (w t/2)<sz> must change slowly in k, or the wrapped
+    # differences alias while their sum still lands on an integer
+    jump = np.abs(np.diff(drift)).max()
+    if jump >= 0.5 * math.pi:
+        raise GridTooCoarse(f"(w t/2)<sz> changes by {jump:.3g} rad between "
+                            "adjacent k samples")
     steps = np.asarray(principal_branch(np.diff(phi)))
     big = np.abs(steps) > math.pi * (1.0 - 1e-6)
     if np.any(big[:-1] & big[1:]):

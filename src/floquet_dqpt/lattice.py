@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryMismatch, InvalidSize, StepCountTooSmall
-from .model import ModelParams, bloch_components
+from .model import ModelParams, hamiltonian_lab
 
 MIN_SPECTRUM_STEPS = 1024
 MAX_SITES = 1000
@@ -124,17 +124,9 @@ def momentum_consistency_check(params: ModelParams, n_sites: int,
             rows[0, :n] = c
             rows[1, n:] = c
             block = 0.5 * (rows @ h @ rows.conj().T)
-            ref = _bloch_matrix(params, k, t)
+            ref = hamiltonian_lab(params, k, t)
             worst = max(worst, float(np.max(np.abs(block - ref))))
     return worst
-
-
-def _bloch_matrix(params: ModelParams, k: float, t: float) -> np.ndarray:
-    # H(k, t) for any real k (the lab-frame builder's [0, pi] domain is a
-    # convention; the formula itself is 2 pi periodic)
-    b = bloch_components(params, k)
-    off = b.h_xy * np.exp(-1j * params.omega_drive * t)
-    return np.array([[b.h_z, off], [np.conj(off), -b.h_z]])
 
 
 def one_period_propagator(chain: BdgChain, steps: int) -> np.ndarray:

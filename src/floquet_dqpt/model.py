@@ -169,9 +169,8 @@ def band_weights(params: ModelParams, band: str, k):
     b = bloch_components(params, k)
     dz = b.h_z - 0.5 * params.omega_drive
     half_gap = np.hypot(b.h_xy, dz)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        zt = np.where(half_gap > 0, dz / np.where(half_gap > 0, half_gap, 1.0),
-                      np.nan)
+    zt = np.where(half_gap > 0, dz / np.where(half_gap > 0, half_gap, 1.0),
+                  np.nan)
     if band == "plus":
         wa = 0.5 * (1.0 + zt)
     else:

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from floquet_dqpt import dqpt
 from floquet_dqpt.cli import PRESETS, fmt_num, main
+from floquet_dqpt.dynamics import return_probability_grid
+from floquet_dqpt.geometry import geometric_phase_grid
 
 
 def run_cli(args):
@@ -182,7 +185,7 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(rows) == 3 * 4
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     # 2: configuration problems
     assert run_cli(["rate", "--preset", "example1", "--k-points", "1"]) == 2
     assert run_cli(["rate"]) == 2
@@ -208,6 +211,48 @@ def test_exit_codes(tmp_path, capsys):
     assert run_cli(["winding", "--config", str(gapless),
                     "--t-max", "2.0"]) == 3
     capsys.readouterr()
+    # 3: delta1 = 0 with omega = delta2 keeps its own error in winding
+    degenerate = tmp_path / "degenerate.ini"
+    degenerate.write_text("[model]\nomega_drive = 2.0\ndelta1 = 0.0\n"
+                          "delta2 = 2.0\nomega_amp = 1.0\n", encoding="utf-8")
+    assert run_cli(["winding", "--config", str(degenerate)]) == 3
+    err = capsys.readouterr().err
+    assert "DegenerateDelta1" in err and err.count("\n") == 1
+    # 3: t_c = 1, 3, 5, ... up to 1e9 would be 5e8 list entries; winding
+    # refuses the too-coarse k grid instead and lists no critical time past
+    # three periods
+    asked = []
+
+    def spy(params, t_max):
+        asked.append(t_max)
+        return real(params, min(t_max, 3.0 * params.period))
+
+    real = dqpt.critical_times
+    monkeypatch.setattr(dqpt, "critical_times", spy)
+    assert run_cli(["winding", "--preset", "example1", "--t-max", "1e9",
+                    "--t-points", "13"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical guard: GridTooCoarse")
+    assert captured.err.count("\n") == 1
+    assert all(t_max <= 3.0 * PRESETS["example1"].period for t_max in asked)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_grid_kernels_broadcast_bit_identical(preset):
+    # retprob and geo evaluate one (k, t) broadcast; their bytes equal the
+    # per-k and per-t evaluations only if the kernels agree bit for bit
+    # (default CLI grids: 181 k points, 241 t points over three periods)
+    p = PRESETS[preset]
+    ks = np.linspace(0.0, math.pi, 181)
+    ts = np.linspace(0.0, 3.0 * p.period, 241)
+    for band in ("minus", "plus"):
+        for kernel in (return_probability_grid, geometric_phase_grid):
+            grid = kernel(p, band, ks[:, None], ts)
+            per_t = np.stack([kernel(p, band, ks, t) for t in ts], axis=1)
+            per_k = np.stack([kernel(p, band, k, ts) for k in ks])
+            assert np.array_equal(grid, per_t, equal_nan=True)
+            assert np.array_equal(grid, per_k, equal_nan=True)
 
 
 def test_oracle_check_pass_and_step_guard(capsys):

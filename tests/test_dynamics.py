@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from floquet_dqpt import dynamics, lattice
 from floquet_dqpt.errors import GaplessPoint, StepCountTooSmall
-from floquet_dqpt.model import SIGMA_X, SIGMA_Z, bloch_components
+from floquet_dqpt.model import (SIGMA_X, SIGMA_Z, bloch_components,
+                                floquet_solution)
 from floquet_dqpt.dynamics import (propagator_analytic, propagator_oracle,
                                    return_amplitude, return_probability,
                                    return_probability_grid, reunitarize)
@@ -143,11 +145,34 @@ def test_micromotion_periodicity_and_band_symmetry(k, t):
 
 
 def test_return_probability_grid_matches_scalar(ex1):
+    # per-k reference |chi^dag U_oracle chi|^2, independent of the kernel
     ks = np.linspace(0.1, 3.0, 11)
-    probs = return_probability_grid(ex1, "minus", ks, 1.3)
+    t = 1.3
+    probs = return_probability_grid(ex1, "minus", ks, t)
     for k, pr in zip(ks, probs):
-        assert pr == pytest.approx(return_probability(ex1, "minus", k, 1.3),
-                                   abs=1e-13)
+        chi = floquet_solution(ex1, k).chi_minus
+        u = propagator_oracle(ex1, k, t, steps=2048)
+        assert pr == pytest.approx(abs(chi.conj() @ u @ chi) ** 2, abs=1e-9)
+
+
+ANALYTIC_ROUTE = {"floquet_solution", "band_weights", "band_energy",
+                  "micromotion", "micromotion_overlap", "propagator_analytic",
+                  "obc_floquet_spectrum"}
+
+
+def code_names(code) -> set:
+    """Global and attribute names used by a code object and its nested ones."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= code_names(const)
+    return names
+
+
+def test_oracles_share_no_code_with_analytic_route():
+    for oracle in (dynamics.propagator_oracle, lattice.one_period_propagator):
+        assert not code_names(oracle.__code__) & ANALYTIC_ROUTE, \
+            oracle.__name__
 
 
 def test_nv_experiment_values():

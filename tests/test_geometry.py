@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import replace
 
@@ -5,18 +6,36 @@ import numpy as np
 import pytest
 
 from floquet_dqpt.errors import (BandUnsupported, GaplessPoint,
-                                 NearCriticalTime, PhaseUndefined)
-from floquet_dqpt.model import band_energy, floquet_solution
+                                 GridTooCoarse, NearCriticalTime,
+                                 PhaseUndefined)
+from floquet_dqpt.model import (band_energy, bloch_components,
+                                floquet_solution, micromotion)
 from floquet_dqpt.dynamics import propagator_oracle, return_probability
 from floquet_dqpt.geometry import (bloch_expectations, dynamical_phase,
                                    geometric_phase, geometric_phase_grid,
                                    geometric_phase_from_tomography,
-                                   phase_record, principal_branch,
-                                   total_phase, winding_number)
+                                   principal_branch, total_phase,
+                                   winding_number)
 
 from conftest import EXAMPLE1, random_params
 
 K_C1 = math.pi / 3  # critical momentum of the first example set
+
+
+def eigenvector_phases(p, k, t):
+    """(total, dynamical) phases of the lower band from its eigenvector.
+
+    total = arg(<chi| U_R(t) |chi> e^{-i E t}) and dynamical =
+    -<chi| H_R |chi> t with H_R = h_xy sx + h_z sz built as a matrix; the
+    reference for the band-weight closed forms of the library.
+    """
+    fs = floquet_solution(p, k)
+    chi = fs.chi_minus
+    b = bloch_components(p, k)
+    h_r = np.array([[b.h_z, b.h_xy], [b.h_xy, -b.h_z]], dtype=complex)
+    overlap = chi.conj() @ micromotion(p, t) @ chi
+    total = cmath.phase(overlap * cmath.exp(-1j * fs.e_minus * t))
+    return total, -float((chi.conj() @ h_r @ chi).real) * t
 
 
 def test_principal_branch():
@@ -34,11 +53,14 @@ def test_phase_decomposition(ex1):
         t = rng.uniform(0.0, 4.0)
         if return_probability(ex1, "minus", k, t) < 1e-6:
             continue
-        rec = phase_record(ex1, "minus", k, t)
-        assert rec.geometric == pytest.approx(
-            principal_branch(rec.total - rec.dynamical), abs=1e-12)
-        assert rec.geometric == pytest.approx(
-            geometric_phase(ex1, "minus", k, t), abs=1e-12)
+        total = total_phase(ex1, "minus", k, t)
+        dynamical = dynamical_phase(ex1, "minus", k, t)
+        geometric = geometric_phase(ex1, "minus", k, t)
+        assert geometric == pytest.approx(
+            principal_branch(total - dynamical), abs=1e-12)
+        ref_total, ref_dynamical = eigenvector_phases(ex1, k, t)
+        assert dynamical == pytest.approx(ref_dynamical, abs=1e-12)
+        assert abs(principal_branch(total - ref_total)) < 1e-12
 
 
 def test_total_phase_closed_form_at_critical_momentum(ex1):
@@ -105,12 +127,13 @@ def test_phase_undefined_at_amplitude_zero(ex1):
 
 
 def test_geometric_phase_grid_matches_scalar(ex1):
+    # per-k reference from the eigenvector route, not from the grid kernel
     ks = np.linspace(0.15, math.pi - 0.15, 25)
     t = 0.8
     grid = geometric_phase_grid(ex1, "minus", ks, t)
     for k, val in zip(ks, grid):
-        assert val == pytest.approx(geometric_phase(ex1, "minus", k, t),
-                                    abs=1e-10)
+        total, dynamical = eigenvector_phases(ex1, k, t)
+        assert abs(principal_branch(val - (total - dynamical))) < 1e-10
 
 
 def test_geometric_phase_grid_nan_at_zero(ex1):
@@ -131,6 +154,15 @@ def test_winding_jumps_at_critical_times(ex1):
     for n, t_c in enumerate((1.0, 3.0, 5.0)):
         assert winding_number(ex1, "minus", t_c - eps) == n
         assert winding_number(ex1, "minus", t_c + eps) == n + 1
+
+
+def test_winding_long_time_grid_guard(ex1):
+    # at 400 periods (w t/2)<sz> moves by about 6.2 rad between adjacent k
+    # samples of the default grid; the wrapped sum aliases to an integer
+    # (81 instead of 400), so the guard must refuse
+    with pytest.raises(GridTooCoarse):
+        winding_number(ex1, "minus", 800.0)
+    assert winding_number(ex1, "minus", 20.0) == 10
 
 
 def test_winding_zero_without_transition(ex2):
