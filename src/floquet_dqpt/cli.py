@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import sys
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dqpt, dynamics, geometry, lattice, topology
-from .errors import ConfigError, NearCriticalTime, NumericalGuardError
+from .errors import (ConfigError, GridTooCoarse, NearCriticalTime,
+                     NumericalGuardError)
 from .model import ModelParams, floquet_solution
 
 TWO_PI = 2.0 * math.pi
@@ -40,6 +42,14 @@ PRESETS = {
     "nv-minus": ModelParams(omega_drive=TWO_PI * 5.0, delta1=TWO_PI * 5.0,
                             delta2=-TWO_PI * 5.0, omega_amp=TWO_PI * 10.0),
 }
+
+# Resource limits, checked in RunConfig before any work: (k, t) grid points
+# (rate and the grids hold k_points x t_points values, and the whole dataset
+# text is built in memory) and Fisher lines.
+MAX_GRID_POINTS = 2_000_000
+MAX_N_LINES = 100
+# Largest k grid `winding` refines to when a long time needs a finer one.
+MAX_WINDING_K_POINTS = 65537
 
 COMMANDS = ("retprob", "rate", "fisher", "geo", "winding", "topo",
             "spectrum", "oracle-check")
@@ -61,6 +71,13 @@ class RunConfig:
     def __post_init__(self):
         if self.k_points < 2 or self.t_points < 2:
             raise ConfigError("k_points and t_points must be >= 2")
+        if self.k_points * self.t_points > MAX_GRID_POINTS:
+            raise ConfigError(f"k_points x t_points must be <= "
+                              f"{MAX_GRID_POINTS}, got {self.k_points} x "
+                              f"{self.t_points}")
+        if not 1 <= self.n_lines <= MAX_N_LINES:
+            raise ConfigError(f"n_lines must be in [1, {MAX_N_LINES}], "
+                              f"got {self.n_lines}")
         if self.t_max is not None and self.t_max <= 0:
             raise ConfigError("t_max must be positive")
         if not 2 <= self.sites <= lattice.MAX_SITES:
@@ -77,13 +94,8 @@ class RunConfig:
 
 
 def fmt_num(x) -> str:
-    """17-significant-digit serialization with fixed non-finite tokens."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.17g}"
+    """17 significant digits; %g already spells nan, inf and -inf."""
+    return "%.17g" % float(x)
 
 
 def _write_text(cfg: RunConfig, text: str):
@@ -94,15 +106,52 @@ def _write_text(cfg: RunConfig, text: str):
             fh.write(text)
 
 
-def write_dataset(cfg: RunConfig, header, rows):
-    rows = [[fmt_num(v) if not isinstance(v, str) else v for v in row]
-            for row in rows]
-    if cfg.fmt == "csv":
-        text = "\n".join([",".join(header)]
-                         + [",".join(r) for r in rows]) + "\n"
+# Row open, cell separator, row close and row separator. JSON rows are lists
+# of the same number strings the CSV holds.
+LAYOUTS = {"csv": ("", ",", "\n", ""), "json": ('["', '","', '"]', ",")}
+
+
+def _table_body(layout, columns) -> str:
+    # one row template repeated n times and filled by a single %
+    row_open, sep, row_close, between = layout
+    columns = [np.asarray(c) for c in columns]
+    row = row_open + sep.join("%d" if c.dtype.kind in "biu" else "%.17g"
+                              for c in columns) + row_close
+    cells = [v for r in zip(*(c.tolist() for c in columns)) for v in r]
+    return between.join([row] * len(columns[0])) % tuple(cells)
+
+
+def _grid_body(layout, ks, ts, values) -> str:
+    # each k and t formatted once into a per-k template; only the values
+    # go through % per cell
+    row_open, sep, row_close, between = layout
+    cells = [("%.17g" % t) + sep + "%.17g" for t in ts.tolist()]
+    blocks = []
+    for k in ks.tolist():
+        lead = row_open + ("%.17g" % k) + sep
+        blocks.append(lead + (row_close + between + lead).join(cells)
+                      + row_close)
+    return between.join(blocks) % tuple(values.ravel().tolist())
+
+
+def write_dataset(cfg: RunConfig, header, columns):
+    """Write a table as CSV or JSON, one row per index of the columns.
+
+    `columns` are equal-length 1-D arrays; integer and boolean ones are
+    written as integers, the rest with 17 significant digits. A (k, t) grid
+    is passed as its axes and a (len(ks), len(ts)) array of values, and
+    written as k-major (k, t, value) rows.
+    """
+    layout = LAYOUTS[cfg.fmt]
+    if np.ndim(columns[-1]) == 2:
+        body = _grid_body(layout, *columns)
     else:
-        text = json.dumps({"columns": list(header), "rows": rows},
-                          indent=None, separators=(",", ":")) + "\n"
+        body = _table_body(layout, columns)
+    if cfg.fmt == "csv":
+        text = ",".join(header) + "\n" + body
+    else:
+        text = ('{"columns":' + json.dumps(list(header), separators=(",", ":"))
+                + ',"rows":[' + body + "]}\n")
     _write_text(cfg, text)
 
 
@@ -114,55 +163,70 @@ def t_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(0.0, cfg.resolved_t_max, cfg.t_points)
 
 
-def grid_rows(ks, ts, values) -> list:
-    """(k, t, value) rows, k-major, from a (len(ks), len(ts)) array."""
-    ts = ts.tolist()
-    return [[k, t, v] for k, row in zip(ks.tolist(), values.tolist())
-            for t, v in zip(ts, row)]
-
-
 def cmd_retprob(cfg: RunConfig):
     ks, ts = k_grid(cfg), t_grid(cfg)
     probs = dynamics.return_probability_grid(cfg.params, cfg.band,
                                              ks[:, None], ts)
-    write_dataset(cfg, ("k", "t", "retprob"), grid_rows(ks, ts, probs))
+    write_dataset(cfg, ("k", "t", "retprob"), (ks, ts, probs))
 
 
 def cmd_rate(cfg: RunConfig):
     ts = t_grid(cfg)
-    rows = [[t, dqpt.rate_function(cfg.params, cfg.band, t, cfg.k_points)]
-            for t in ts]
-    write_dataset(cfg, ("t", "g"), rows)
+    g = [dqpt.rate_function(cfg.params, cfg.band, t, cfg.k_points)
+         for t in ts]
+    write_dataset(cfg, ("t", "g"), (ts, g))
 
 
 def cmd_fisher(cfg: RunConfig):
     ks = k_grid(cfg)
     lines = dqpt.fisher_lines(cfg.params, cfg.band, ks, cfg.n_lines)
-    rows = [[str(line.n), k, tau, line.t_imag]
-            for line in lines for k, tau in zip(line.k_grid, line.tau_of_k)]
-    write_dataset(cfg, ("n", "k", "tau", "t_imag"), rows)
+    write_dataset(cfg, ("n", "k", "tau", "t_imag"),
+                  (np.repeat([line.n for line in lines], ks.size),
+                   np.ravel([line.k_grid for line in lines]),
+                   np.ravel([line.tau_of_k for line in lines]),
+                   np.repeat([line.t_imag for line in lines], ks.size)))
 
 
 def cmd_geo(cfg: RunConfig):
     ks, ts = k_grid(cfg), t_grid(cfg)
     phases = geometry.geometric_phase_grid(cfg.params, cfg.band,
                                            ks[:, None], ts)
-    write_dataset(cfg, ("k", "t", "phase"), grid_rows(ks, ts, phases))
+    write_dataset(cfg, ("k", "t", "phase"), (ks, ts, phases))
+
+
+def _winding_at(cfg: RunConfig, t: float):
+    """(nu, raw) at t on the smallest k grid that resolves it.
+
+    The step of (w t/2)<sz> between adjacent k samples grows like t over the
+    grid size, so on GridTooCoarse the grid is refined (2n - 1 points, nested)
+    up to MAX_WINDING_K_POINTS, where the guard is final. The first grid is
+    max(k_points, MIN_WINDING_GRID), so a t it resolves gets the same row as
+    without refinement.
+    """
+    n = max(cfg.k_points, geometry.MIN_WINDING_GRID)
+    while True:
+        try:
+            return geometry.winding_number(cfg.params, cfg.band, t, n,
+                                           return_raw=True)
+        except GridTooCoarse:
+            if n >= MAX_WINDING_K_POINTS:
+                raise
+            n = min(2 * n - 1, MAX_WINDING_K_POINTS)
 
 
 def cmd_winding(cfg: RunConfig):
     dqpt.dqpt_condition(cfg.params)  # DegenerateDelta1 before any t
-    rows = []
-    for t in t_grid(cfg):
+    ts, nus, raws = [], [], []
+    for t in t_grid(cfg).tolist():
         try:
-            nu, raw = geometry.winding_number(cfg.params, cfg.band, t,
-                                              max(cfg.k_points,
-                                                  geometry.MIN_WINDING_GRID),
-                                              return_raw=True)
+            nu, raw = _winding_at(cfg, t)
         except NearCriticalTime:
             continue  # guard windows are emitted as gaps
-        rows.append([t, str(nu), raw])
-    write_dataset(cfg, ("t", "nu", "raw"), rows)
+        ts.append(t)
+        nus.append(nu)
+        raws.append(raw)
+    write_dataset(cfg, ("t", "nu", "raw"),
+                  (ts, np.array(nus, dtype=int), raws))
 
 
 def cmd_topo(cfg: RunConfig):
@@ -184,12 +248,9 @@ def cmd_topo(cfg: RunConfig):
 
 def cmd_spectrum(cfg: RunConfig):
     spec = lattice.obc_floquet_spectrum(cfg.params, cfg.sites)
-    rows = [[str(i), e, w, str(int(flag))]
-            for i, (e, w, flag) in enumerate(zip(spec.quasienergies,
-                                                 spec.edge_weights,
-                                                 spec.pi_mode))]
     write_dataset(cfg, ("index", "quasienergy", "edge_weight", "pi_mode"),
-                  rows)
+                  (np.arange(spec.quasienergies.size), spec.quasienergies,
+                   spec.edge_weights, spec.pi_mode))
 
 
 def cmd_oracle_check(cfg: RunConfig, tol: float = 1e-7, draws: int = 20):
@@ -294,7 +355,9 @@ def build_config(args) -> RunConfig:
     return RunConfig(params=params, **kwargs)
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="fdqpt",
         description="Datasets for driven-chain return amplitudes, rate "

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import StepCountTooSmall
 from .model import ModelParams, band_weights, bloch_components, \
-    floquet_solution, micromotion
+    floquet_solution, gap_guard, micromotion
 
 MIN_ORACLE_STEPS = 256
 DEFAULT_ORACLE_STEPS = 4096
@@ -138,7 +138,7 @@ def return_amplitude(params: ModelParams, band: str, k: float,
 def return_probability(params: ModelParams, band: str, k: float,
                        t: float) -> float:
     """|G_band(k, t)|^2; independent of the quasienergy phase."""
-    floquet_solution(params, k)  # gap guard
+    gap_guard(params, k)
     return float(return_probability_grid(params, band, k, t))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (BandUnsupported, GridTooCoarse, NearCriticalTime,
                      PhaseUndefined, WindingNotQuantized)
 from .model import (ModelParams, band_energy, band_weights, floquet_solution,
-                    micromotion)
+                    gap_guard, micromotion)
 from .dynamics import micromotion_overlap, return_amplitude
 from .dqpt import dqpt_condition
 
@@ -50,7 +50,7 @@ def total_phase(params: ModelParams, band: str, k: float, t: float) -> float:
 def dynamical_phase(params: ModelParams, band: str, k: float,
                     t: float) -> float:
     """-<chi| H_R |chi> t = -(E - (w/2)(1 - <sz>)) t; exact, linear in t."""
-    floquet_solution(params, k)  # gap guard
+    gap_guard(params, k)
     wa, wb = band_weights(params, band, k)
     e = band_energy(params, band, k)
     return float(-(e - 0.5 * params.omega_drive * (1.0 - (wa - wb))) * t)
@@ -59,7 +59,7 @@ def dynamical_phase(params: ModelParams, band: str, k: float,
 def geometric_phase(params: ModelParams, band: str, k: float,
                     t: float) -> float:
     """total - dynamical at one (k, t), reduced to (-pi, pi]."""
-    floquet_solution(params, k)  # gap guard
+    gap_guard(params, k)
     g = abs(complex(micromotion_overlap(params, band, k, t)))
     if g < AMP_FLOOR:
         raise PhaseUndefined(f"|G| = {g:.3e} < {AMP_FLOOR}")

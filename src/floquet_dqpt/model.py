@@ -129,6 +129,22 @@ def _fix_phase(chi: np.ndarray) -> np.ndarray:
     return chi
 
 
+def gap_guard(params: ModelParams, k: float):
+    """(Bloch components, h_z - w/2, Delta/2) at k.
+
+    Raises GaplessPoint when the gap Delta is at or below the relative floor:
+    the guard of floquet_solution, for callers that need no eigenvectors.
+    """
+    b = bloch_components(params, k)
+    dz = b.h_z - 0.5 * params.omega_drive
+    half_gap = math.hypot(b.h_xy, dz)
+    gap = 2.0 * half_gap
+    if gap <= params.gap_floor:
+        raise GaplessPoint(f"gap {gap:.3e} at k={k} below floor "
+                           f"{params.gap_floor:.3e}")
+    return b, dz, half_gap
+
+
 def floquet_solution(params: ModelParams, k: float) -> FloquetSolution:
     """Exact quasienergies and eigenmodes of H_F(k).
 
@@ -139,14 +155,7 @@ def floquet_solution(params: ModelParams, k: float) -> FloquetSolution:
     Raises GaplessPoint when the gap falls below the relative floor.
     """
     w = params.omega_drive
-    b = bloch_components(params, k)
-    dz = b.h_z - 0.5 * w
-    half_gap = math.hypot(b.h_xy, dz)
-    gap = 2.0 * half_gap
-    if gap <= params.gap_floor:
-        raise GaplessPoint(f"gap {gap:.3e} at k={k} below floor "
-                           f"{params.gap_floor:.3e}")
-
+    b, dz, half_gap = gap_guard(params, k)
     zt = dz / half_gap  # (2 h_z - w) / Delta
     up = math.sqrt(max(0.0, 0.5 * (1.0 + zt)))
     um = math.sqrt(max(0.0, 0.5 * (1.0 - zt)))
@@ -155,7 +164,8 @@ def floquet_solution(params: ModelParams, k: float) -> FloquetSolution:
     chi_minus = _fix_phase(np.array([s * um, -up], dtype=complex))
     return FloquetSolution(e_minus=0.5 * w - half_gap,
                            e_plus=0.5 * w + half_gap,
-                           chi_minus=chi_minus, chi_plus=chi_plus, gap=gap)
+                           chi_minus=chi_minus, chi_plus=chi_plus,
+                           gap=2.0 * half_gap)
 
 
 def band_weights(params: ModelParams, band: str, k):

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from floquet_dqpt import dqpt
-from floquet_dqpt.cli import PRESETS, fmt_num, main
+from floquet_dqpt import dqpt, geometry
+from floquet_dqpt.cli import (MAX_GRID_POINTS, MAX_N_LINES, PRESETS,
+                              RunConfig, fmt_num, main, make_parser)
+from floquet_dqpt.errors import GridTooCoarse
 from floquet_dqpt.dynamics import return_probability_grid
 from floquet_dqpt.geometry import geometric_phase_grid
 
@@ -129,6 +134,22 @@ def test_winding_output_with_guard_gaps(tmp_path):
     assert got[0.5] == 0 and got[1.5] == 1 and got[3.5] == 2 and got[5.5] == 3
 
 
+def test_winding_grid_grows_with_t(tmp_path):
+    # the 401-point grid resolves example1 up to about t = 40 (at t = 50,
+    # (w t/2)<sz> moves 1.95 rad between adjacent k samples); past that
+    # winding refines the grid instead of exiting 3
+    p = PRESETS["example1"]
+    with pytest.raises(GridTooCoarse):
+        geometry.winding_number(p, "minus", 60.0, 401)
+    out = tmp_path / "w.csv"
+    assert run_cli(["winding", "--preset", "example1", "--t-max", "60",
+                    "--t-points", "7", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [(float(r[0]), int(r[1])) for r in rows] \
+        == [(10.0 * i, 5 * i) for i in range(7)]
+    assert all(abs(float(r[2]) - int(r[1])) < 1e-9 for r in rows)
+
+
 def test_topo_report_text_and_json(tmp_path, capsys):
     assert run_cli(["topo", "--preset", "example1"]) == 0
     text = capsys.readouterr().out
@@ -197,6 +218,25 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         assert run_cli(["spectrum", "--preset", "example1",
                         "--sites", sites]) == 2
     capsys.readouterr()
+    # 2: resource limits, refused before any grid is built; the limits
+    # themselves are checked by value, without running at them
+    p = PRESETS["example1"]
+    assert RunConfig(params=p, k_points=MAX_GRID_POINTS // 241,
+                     t_points=241).k_points == MAX_GRID_POINTS // 241
+    assert RunConfig(params=p, n_lines=MAX_N_LINES).n_lines == MAX_N_LINES
+    assert 2001 * 241 <= MAX_GRID_POINTS  # the largest bundled grid
+    for cmd in ("retprob", "rate", "geo", "winding", "fisher"):
+        assert run_cli([cmd, "--preset", "example1", "--t-points", "241",
+                        "--k-points", str(MAX_GRID_POINTS // 241 + 1)]) == 2
+        assert run_cli([cmd, "--preset", "example1", "--k-points", "2",
+                        "--t-points", str(10 ** 30)]) == 2
+    for n_lines in ("0", "-1", str(MAX_N_LINES + 1), str(10 ** 30)):
+        assert run_cli(["fisher", "--preset", "example1",
+                        "--n-lines", n_lines]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert all(line.startswith("config error:")
+               for line in captured.err.splitlines())
     # 2: unwritable output path, reported on one line
     for cmd in (["spectrum", "--sites", "4"], ["topo"]):
         for out in (tmp_path / "missing" / "a.csv", tmp_path):
@@ -262,6 +302,16 @@ def test_oracle_check_pass_and_step_guard(capsys):
     assert float(out.split("max_deviation = ")[1].splitlines()[0]) < 1e-7
     assert run_cli(["oracle-check", "--preset", "example1",
                     "--steps", "128"]) == 3
+
+
+def test_parser_built_once_and_not_at_import():
+    assert make_parser() is make_parser()
+    code = ("import floquet_dqpt.cli as c; "
+            "print(c.make_parser.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "0\n"
 
 
 def test_presets_available():

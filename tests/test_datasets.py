@@ -1,0 +1,130 @@
+"""Dataset bytes: golden hashes and the writer's edge cases.
+
+`golden_datasets.json` holds the SHA-256 of every bundled dataset as the
+per-cell serializer wrote it; the columnar writer must reproduce those bytes.
+The edge cases compare `write_dataset` with that per-cell reference, kept
+here, on cells the bundled datasets never hold.
+"""
+
+import hashlib
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from floquet_dqpt import dqpt
+from floquet_dqpt.cli import PRESETS, RunConfig, main, write_dataset
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = json.loads((Path(__file__).parent / "golden_datasets.json")
+                    .read_text(encoding="utf-8"))["sha256"]
+JSON_GRIDS = {
+    "retprob": ["--t-max", "6.0"],
+    "rate": ["--k-points", "2001", "--t-points", "241", "--t-max", "6.0"],
+    "fisher": ["--k-points", "401"],
+    "geo": ["--t-max", "6.0"],
+    "winding": ["--t-points", "121", "--t-max", "6.0"],
+}
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_datasets_match_golden_hashes(tmp_path, capsys):
+    load_script("make_figure_datasets").main_script(["", str(tmp_path)])
+    for cmd, extra in JSON_GRIDS.items():
+        assert main([cmd, "--preset", "example1", "--format", "json", *extra,
+                     "--out", str(tmp_path / f"example1_{cmd}.json")]) == 0
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in tmp_path.iterdir()}
+    assert sorted(got) == sorted(GOLDEN)
+    assert {name for name in got if got[name] != GOLDEN[name]} == set()
+
+
+# -- the per-cell reference serializer ---------------------------------------
+
+def ref_num(x) -> str:
+    x = float(x)
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return f"{x:.17g}"
+
+
+def ref_text(fmt, header, rows) -> str:
+    rows = [[v if isinstance(v, str) else ref_num(v) for v in row]
+            for row in rows]
+    if fmt == "csv":
+        return "\n".join([",".join(header)]
+                         + [",".join(r) for r in rows]) + "\n"
+    return json.dumps({"columns": list(header), "rows": rows},
+                      indent=None, separators=(",", ":")) + "\n"
+
+
+def written(tmp_path, fmt, header, columns) -> str:
+    out = tmp_path / f"d.{fmt}"
+    write_dataset(RunConfig(params=PRESETS["example1"], fmt=fmt,
+                            out=str(out)), header, columns)
+    return out.read_text(encoding="utf-8")
+
+
+SPECIAL = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+           2.2250738585072014e-308, 1e300, -math.pi, 1.0, 0.1]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_table_edge_cases(tmp_path, fmt):
+    n = len(SPECIAL)
+    ints = np.arange(-3, n - 3)
+    flags = np.arange(n) % 2 == 0
+    floats32 = np.linspace(0.1, 1.0, n, dtype=np.float32)
+    header = ("i", "x", "flag", "y")
+    rows = [[str(i), x, str(int(f)), y]
+            for i, x, f, y in zip(ints.tolist(), SPECIAL, flags, floats32)]
+    assert written(tmp_path, fmt, header,
+                   (ints, SPECIAL, flags, floats32)) \
+        == ref_text(fmt, header, rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_empty_table(tmp_path, fmt):
+    header = ("t", "nu", "raw")
+    text = written(tmp_path, fmt, header, ([], np.array([], dtype=int), []))
+    assert text == ref_text(fmt, header, [])
+    assert text == ("t,nu,raw\n" if fmt == "csv"
+                    else '{"columns":["t","nu","raw"],"rows":[]}\n')
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_grid_edge_cases(tmp_path, fmt):
+    ks = np.array([0.0, 1e-310, math.pi])
+    ts = np.array([-0.0, 0.25, 1e20, 6.0])
+    values = np.array(SPECIAL).reshape(len(ks), len(ts))
+    rows = [[k, t, values[i, j]] for i, k in enumerate(ks)
+            for j, t in enumerate(ts)]
+    assert written(tmp_path, fmt, ("k", "t", "phase"), (ks, ts, values)) \
+        == ref_text(fmt, ("k", "t", "phase"), rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fisher_infinities_match_reference(tmp_path, fmt):
+    # tau is -inf at k = 0 and pi (h_xy = 0); --n-lines 2 repeats the k grid
+    out = tmp_path / f"f.{fmt}"
+    assert main(["fisher", "--preset", "example1", "--k-points", "5",
+                 "--n-lines", "2", "--format", fmt, "--out", str(out)]) == 0
+    lines = dqpt.fisher_lines(PRESETS["example1"], "minus",
+                              np.linspace(0.0, math.pi, 5), 2)
+    rows = [[str(line.n), k, tau, line.t_imag] for line in lines
+            for k, tau in zip(line.k_grid, line.tau_of_k)]
+    assert np.isinf(lines[0].tau_of_k[[0, -1]]).all()
+    assert out.read_text(encoding="utf-8") \
+        == ref_text(fmt, ("n", "k", "tau", "t_imag"), rows)

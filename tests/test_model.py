@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from floquet_dqpt.dynamics import return_probability
 from floquet_dqpt.errors import GaplessPoint
+from floquet_dqpt.geometry import dynamical_phase, geometric_phase
 from floquet_dqpt.model import (ModelParams, SIGMA_X, SIGMA_Y, SIGMA_Z,
                                 bloch_components, band_energy, band_weights,
-                                floquet_solution, fold_quasienergy,
+                                floquet_solution, fold_quasienergy, gap_guard,
                                 hamiltonian_lab, micromotion,
                                 rotating_frame_hamiltonian)
 
@@ -145,6 +147,28 @@ def test_gapless_point_raised():
     p = ModelParams(omega_drive=2.0, delta1=1.0, delta2=1.0, omega_amp=1.0)
     with pytest.raises(GaplessPoint):
         floquet_solution(p, 0.0)
+
+
+def test_gap_guard_is_the_floquet_solution_guard():
+    # the scalar phases and return probability take the guard alone; it
+    # raises the same error with the same message before any other guard
+    p = ModelParams(omega_drive=2.0, delta1=1.0, delta2=1.0, omega_amp=1.0)
+    with pytest.raises(GaplessPoint) as want:
+        floquet_solution(p, 0.0)
+    for fn in (gap_guard, lambda p, k: return_probability(p, "minus", k, 1.0),
+               lambda p, k: dynamical_phase(p, "plus", k, 1.0),
+               lambda p, k: geometric_phase(p, "minus", k, 1.0)):
+        with pytest.raises(GaplessPoint) as got:
+            fn(p, 0.0)
+        assert str(got.value) == str(want.value)
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        q, k = random_params(rng), rng.uniform(0.0, math.pi)
+        b, dz, half_gap = gap_guard(q, k)
+        fs = floquet_solution(q, k)
+        assert fs.gap == 2.0 * half_gap
+        assert fs.e_plus - fs.e_minus == pytest.approx(2.0 * half_gap)
+        assert dz == b.h_z - 0.5 * q.omega_drive
 
 
 def test_micromotion_special_times(ex1):
