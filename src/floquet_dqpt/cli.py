@@ -2,8 +2,9 @@
 
 Subcommands sweep (k, t) grids and serialize CSV (or JSON) deterministically:
 rows sorted by k then t, 17 significant digits, non-finite values spelled
-"nan"/"inf"/"-inf". A declarative INI-style config file can pre-set any
-option; command-line flags win over the file.
+"nan"/"inf"/"-inf". Each subcommand takes only the flags it reads. An
+INI-style config file can pre-set them: its keys are the flag names, parsed
+by the same parser, and command-line flags win over the file.
 
 Exit codes: 0 success, 2 configuration or output-file error, 3 numerical
 guard error.
@@ -43,50 +44,55 @@ PRESETS = {
                             delta2=-TWO_PI * 5.0, omega_amp=TWO_PI * 10.0),
 }
 
-# Resource limits, checked in RunConfig before any work: (k, t) grid points
-# (rate and the grids hold k_points x t_points values, and the whole dataset
-# text is built in memory) and Fisher lines.
+# Resource limits, checked in RunConfig before any work: values a subcommand
+# holds (k_points x t_points, or n_lines x k_points for fisher; the dataset
+# text is built in memory), Fisher lines and oracle steps per period.
 MAX_GRID_POINTS = 2_000_000
 MAX_N_LINES = 100
+MAX_STEPS = 16 * dynamics.DEFAULT_ORACLE_STEPS
 # Largest k grid `winding` refines to when a long time needs a finer one.
 MAX_WINDING_K_POINTS = 65537
 
-COMMANDS = ("retprob", "rate", "fisher", "geo", "winding", "topo",
-            "spectrum", "oracle-check")
+
+def _check_range(name: str, value, lo, hi):
+    if value is not None and not lo <= value <= hi:
+        raise ConfigError(f"{name} must be in [{lo}, {hi}], got {value}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The validated settings of one run; options it does not read are None."""
+
     params: ModelParams
-    band: str = "minus"
-    k_points: int = 181
-    t_points: int = 241
-    t_max: float | None = None   # defaults to three periods
-    sites: int = 40
-    steps: int = dynamics.DEFAULT_ORACLE_STEPS
-    n_lines: int = 3
-    out: str | None = None       # None = stdout
-    fmt: str = "csv"
+    band: str | None = None
+    k_points: int | None = None
+    t_points: int | None = None
+    t_max: float | None = None   # None: three periods
+    sites: int | None = None
+    steps: int | None = None
+    n_lines: int | None = None
+    out: str | None = None       # None: stdout
+    fmt: str | None = None
 
     def __post_init__(self):
-        if self.k_points < 2 or self.t_points < 2:
-            raise ConfigError("k_points and t_points must be >= 2")
-        if self.k_points * self.t_points > MAX_GRID_POINTS:
-            raise ConfigError(f"k_points x t_points must be <= "
-                              f"{MAX_GRID_POINTS}, got {self.k_points} x "
-                              f"{self.t_points}")
-        if not 1 <= self.n_lines <= MAX_N_LINES:
-            raise ConfigError(f"n_lines must be in [1, {MAX_N_LINES}], "
-                              f"got {self.n_lines}")
-        if self.t_max is not None and self.t_max <= 0:
-            raise ConfigError("t_max must be positive")
-        if not 2 <= self.sites <= lattice.MAX_SITES:
-            raise ConfigError(f"sites must be in [2, {lattice.MAX_SITES}], "
-                              f"got {self.sites}")
-        if self.band not in ("minus", "plus"):
-            raise ConfigError(f"band must be minus or plus, got {self.band!r}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
+        _check_range("k_points", self.k_points, 2, MAX_GRID_POINTS)
+        _check_range("t_points", self.t_points, 2, MAX_GRID_POINTS)
+        _check_range("n_lines", self.n_lines, 1, MAX_N_LINES)
+        axes = [n for n in (self.k_points, self.t_points, self.n_lines)
+                if n is not None]
+        if math.prod(axes) > MAX_GRID_POINTS:
+            raise ConfigError(f"grid of {' x '.join(map(str, axes))} values "
+                              f"exceeds {MAX_GRID_POINTS}")
+        if self.t_max is not None and not 0 < self.t_max < math.inf:
+            raise ConfigError(f"t_max must be positive and finite, "
+                              f"got {self.t_max}")
+        _check_range("sites", self.sites, 2, lattice.MAX_SITES)
+        if self.out is not None and "\0" in self.out:  # from an INI value
+            raise ConfigError("out must not contain a NUL character")
+        # the lower bound is the oracle's own StepCountTooSmall guard
+        if self.steps is not None and self.steps > MAX_STEPS:
+            raise ConfigError(f"steps must be <= {MAX_STEPS}, "
+                              f"got {self.steps}")
 
     @property
     def resolved_t_max(self) -> float:
@@ -282,104 +288,6 @@ def cmd_oracle_check(cfg: RunConfig, tol: float = 1e-7, draws: int = 20):
     return 0 if ok else 1
 
 
-def load_config_file(path: str, command: str) -> dict:
-    """Read [model] and per-command sections from an INI-style file."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    values: dict = {}
-    if parser.has_section("model"):
-        sec = parser["model"]
-        if "preset" in sec:
-            name = sec["preset"]
-            if name not in PRESETS:
-                raise ConfigError(f"unknown preset {name!r} in {path}")
-            values["preset"] = name
-        else:
-            try:
-                values["model"] = {key: sec.getfloat(key) for key in sec}
-            except ValueError as exc:
-                raise ConfigError(f"bad numeric value in [model]: {exc}")
-    if parser.has_section(command):
-        for key, raw in parser[command].items():
-            values[key.replace("-", "_")] = raw
-    return values
-
-
-def _coerce(key: str, raw):
-    ints = {"k_points", "t_points", "sites", "steps", "n_lines"}
-    floats = {"t_max"}
-    if isinstance(raw, str):
-        try:
-            if key in ints:
-                return int(raw)
-            if key in floats:
-                return float(raw)
-        except ValueError:
-            raise ConfigError(f"bad value for {key}: {raw!r}")
-    return raw
-
-
-def build_config(args) -> RunConfig:
-    file_vals = {}
-    if args.config:
-        file_vals = load_config_file(args.config, args.command)
-
-    preset = args.preset or file_vals.get("preset")
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}")
-        params = PRESETS[preset]
-    elif "model" in file_vals:
-        m = file_vals["model"]
-        missing = {"omega_drive", "delta1", "delta2", "omega_amp"} - set(m)
-        if missing:
-            raise ConfigError(f"[model] missing keys: {sorted(missing)}")
-        try:
-            params = ModelParams(**m)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc))
-    else:
-        raise ConfigError("no model parameters: use --preset or a config "
-                          "file with a [model] section")
-
-    kwargs = {}
-    for key in ("band", "k_points", "t_points", "t_max", "sites", "steps",
-                "n_lines", "out", "fmt"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            kwargs[key] = flag
-        elif key in file_vals:
-            kwargs[key] = _coerce(key, file_vals[key])
-    return RunConfig(params=params, **kwargs)
-
-
-@functools.cache
-def make_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and kept for the process."""
-    parser = argparse.ArgumentParser(
-        prog="fdqpt",
-        description="Datasets for driven-chain return amplitudes, rate "
-                    "functions, Fisher zeros, geometric phases, winding "
-                    "numbers and open-chain Floquet spectra.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--preset", choices=sorted(PRESETS))
-        p.add_argument("--config", metavar="PATH")
-        p.add_argument("--out", metavar="PATH")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"))
-        p.add_argument("--band", choices=("minus", "plus"))
-        p.add_argument("--k-points", dest="k_points", type=int)
-        p.add_argument("--t-points", dest="t_points", type=int)
-        p.add_argument("--t-max", dest="t_max", type=float)
-        p.add_argument("--sites", type=int)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--n-lines", dest="n_lines", type=int)
-    return parser
-
-
 DISPATCH = {
     "retprob": cmd_retprob,
     "rate": cmd_rate,
@@ -388,27 +296,138 @@ DISPATCH = {
     "winding": cmd_winding,
     "topo": cmd_topo,
     "spectrum": cmd_spectrum,
+    "oracle-check": cmd_oracle_check,
+}
+
+# Every option, declared once: flag name -> argparse keywords. A default
+# applies only to the subcommands that read the option.
+OPTIONS = {
+    "preset": dict(choices=sorted(PRESETS)),
+    "config": dict(metavar="PATH"),
+    "band": dict(choices=("minus", "plus"), default="minus"),
+    "k-points": dict(type=int, default=181),
+    "t-points": dict(type=int, default=241),
+    "t-max": dict(type=float),  # three periods when not given
+    "n-lines": dict(type=int, default=3),
+    "sites": dict(type=int, default=40),
+    "steps": dict(type=int, default=dynamics.DEFAULT_ORACLE_STEPS),
+    "out": dict(metavar="PATH"),  # stdout when not given
+    "format": dict(dest="fmt", choices=("csv", "json"), default="csv"),
+}
+
+# The flags each subcommand reads, besides --preset and --config.
+GRID_FLAGS = ("band", "k-points", "t-points", "t-max", "out", "format")
+COMMAND_FLAGS = {
+    "retprob": GRID_FLAGS,
+    "rate": GRID_FLAGS,
+    "fisher": ("band", "k-points", "n-lines", "out", "format"),
+    "geo": GRID_FLAGS,
+    "winding": GRID_FLAGS,
+    "topo": ("out", "format"),
+    "spectrum": ("sites", "out", "format"),
+    "oracle-check": ("steps",),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ConfigError on a bad argument instead of exiting."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+@functools.cache
+def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
+    parser = _Parser(
+        prog="fdqpt",
+        description="Datasets for driven-chain return amplitudes, rate "
+                    "functions, Fisher zeros, geometric phases, winding "
+                    "numbers and open-chain Floquet spectra.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in DISPATCH:
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag in ("preset", "config") + COMMAND_FLAGS[name]:
+            p.add_argument("--" + flag, **OPTIONS[flag])
+    return parser
+
+
+def load_config_file(path: str, command: str) -> tuple[dict | None, list]:
+    """Read an INI file into ([model] parameters or None, flag tokens).
+
+    [model] holds either `preset = NAME` or the four model parameters. Each
+    key of the [command] section names one of the subcommand's flags (`_`
+    reads as `-`) and becomes the token `--key=value`, so the subcommand's
+    parser checks it like a flag. Values are read literally.
+    """
+    ini = configparser.ConfigParser(interpolation=None)
+    try:
+        read = ini.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}")
+    if not read:
+        raise ConfigError(f"cannot read config file {path}")
+    model, tokens = None, []
+    if ini.has_section("model"):
+        sec = ini["model"]
+        if "preset" in sec:
+            tokens.append("--preset=" + sec["preset"])
+        else:
+            try:
+                model = {key: sec.getfloat(key) for key in sec}
+            except ValueError as exc:
+                raise ConfigError(f"bad numeric value in [model]: {exc}")
+    if ini.has_section(command):
+        tokens += [f"--{key.replace('_', '-')}={value}"
+                   for key, value in ini[command].items()]
+    return model, tokens
+
+
+def build_config(argv: list) -> tuple[str, RunConfig]:
+    """Parse argv into (subcommand, RunConfig); flags win over --config."""
+    parser = make_parser()
+    args = parser.parse_args(argv)
+    model = None
+    if args.config is not None:
+        model, tokens = load_config_file(args.config, args.command)
+        try:
+            # the file's tokens go before the flags, so the flags win; argv
+            # alone parsed, so an error here comes from the file
+            args = parser.parse_args([args.command, *tokens, *argv[1:]])
+        except ConfigError as exc:
+            raise ConfigError(f"{args.config}: {exc}") from None
+    opts = vars(args)
+    command, preset = opts.pop("command"), opts.pop("preset")
+    del opts["config"]
+    if preset is not None:
+        params = PRESETS[preset]
+    elif model is not None:
+        try:
+            params = ModelParams(**model)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"[model]: {exc}")
+    else:
+        raise ConfigError("no model parameters: use --preset or a config "
+                          "file with a [model] section")
+    return command, RunConfig(params=params, **opts)
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cfg = build_config(args)
+        command, cfg = build_config(argv)
+        # oracle-check returns 1 when the propagators disagree
+        return DISPATCH[command](cfg) or 0
     except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
+        message = " ".join(str(exc).split())  # one line
+        sys.stderr.write(f"config error: {message}\n")
         return 2
-    try:
-        if args.command == "oracle-check":
-            return cmd_oracle_check(cfg)
-        DISPATCH[args.command](cfg)
     except NumericalGuardError as exc:
         sys.stderr.write(f"numerical guard: {type(exc).__name__}: {exc}\n")
         return 3
     except OSError as exc:
         sys.stderr.write(f"output error: {exc}\n")
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -225,11 +225,16 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                      t_points=241).k_points == MAX_GRID_POINTS // 241
     assert RunConfig(params=p, n_lines=MAX_N_LINES).n_lines == MAX_N_LINES
     assert 2001 * 241 <= MAX_GRID_POINTS  # the largest bundled grid
-    for cmd in ("retprob", "rate", "geo", "winding", "fisher"):
+    for cmd in ("retprob", "rate", "geo", "winding"):
         assert run_cli([cmd, "--preset", "example1", "--t-points", "241",
                         "--k-points", str(MAX_GRID_POINTS // 241 + 1)]) == 2
         assert run_cli([cmd, "--preset", "example1", "--k-points", "2",
                         "--t-points", str(10 ** 30)]) == 2
+    # fisher holds n_lines x k_points values and reads no t grid
+    assert run_cli(["fisher", "--preset", "example1", "--n-lines", "100",
+                    "--k-points", "20001"]) == 2
+    assert run_cli(["fisher", "--preset", "example1", "--k-points", "10001",
+                    "--out", str(tmp_path / "fisher.csv")]) == 0
     for n_lines in ("0", "-1", str(MAX_N_LINES + 1), str(10 ** 30)):
         assert run_cli(["fisher", "--preset", "example1",
                         "--n-lines", n_lines]) == 2
