@@ -63,7 +63,7 @@ def _check_range(name: str, value, lo, hi):
 class RunConfig:
     """The validated settings of one run; options it does not read are None."""
 
-    params: ModelParams
+    params: ModelParams | None   # None only for oracle-check
     band: str | None = None
     k_points: int | None = None
     t_points: int | None = None
@@ -370,6 +370,10 @@ def load_config_file(path: str, command: str) -> tuple[dict | None, list]:
     model, tokens = None, []
     if ini.has_section("model"):
         sec = ini["model"]
+        if "preset" in sec and len(sec) > 1:
+            raise ConfigError(f"{path}: [model] holds either preset or the "
+                              f"model parameters, not both: "
+                              f"{', '.join(sec)}")
         if "preset" in sec:
             tokens.append("--preset=" + sec["preset"])
         else:
@@ -406,6 +410,8 @@ def build_config(argv: list) -> tuple[str, RunConfig]:
             params = ModelParams(**model)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"[model]: {exc}")
+    elif command == "oracle-check":  # draws its own parameters
+        params = None
     else:
         raise ConfigError("no model parameters: use --preset or a config "
                           "file with a [model] section")

@@ -8,9 +8,13 @@ Two routes to the time evolution operator are kept deliberately separate:
   fixed-step 4th-order scheme and knows nothing about the rotating frame.
 
 The oracle is the independent check for everything built on the analytic
-route, so it must never share code with it. It is re-unitarized at most once,
-at the end, so that the raw integrator error stays visible in convergence
-tests.
+route, so it must never share code with it. It takes the lab-frame H(k, t)
+as given: each RK4 step is the 2x2 matrix the scheme applies to U, built from
+H at the step's three times, and the steps are multiplied in time order in
+blocks of numpy arrays. Nothing in it factors out the drive, so the rotating
+frame stays what it checks, not what it uses. It is re-unitarized at most
+once, at the end, so that the raw integrator error stays visible in
+convergence tests.
 """
 
 from __future__ import annotations
@@ -27,6 +31,10 @@ from .model import ModelParams, band_weights, bloch_components, \
 
 MIN_ORACLE_STEPS = 256
 DEFAULT_ORACLE_STEPS = 4096
+# RK4 steps whose step matrices the oracle holds at once. It bounds the
+# oracle's peak allocation (about 0.4 MB) whatever t is; the 8192 steps of
+# two periods held at once take 3.2 MB, and the number grows with t.
+ORACLE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -57,8 +65,12 @@ def propagator_oracle(params: ModelParams, k: float, t: float,
     """Brute-force time-ordered propagator.
 
     Fixed-step RK4 on dU/dt = -i H(k, t) U with at least `steps` uniform
-    substeps per drive period, implemented in scalar complex arithmetic for
-    speed. A single polar-like re-unitarization is applied at the end; pass
+    substeps per drive period, H the lab-frame Hamiltonian. The equation is
+    linear in U, so RK4 step n is a fixed 2x2 map U -> M_n U. The M_n are
+    built as numpy arrays, ORACLE_BLOCK steps at a time (so memory does not
+    grow with t), each block is reduced to its ordered product by pairwise
+    products, and the block products are applied to U in time order. A
+    single polar-like re-unitarization is applied at the end; pass
     return_correction=True to also get the norm of that correction.
     """
     if steps < MIN_ORACLE_STEPS:
@@ -71,39 +83,61 @@ def propagator_oracle(params: ModelParams, k: float, t: float,
         return (u, 0.0) if return_correction else u
 
     b = bloch_components(params, k)
-    # plain floats keep the loop in Python complex arithmetic; numpy scalars
-    # give the same numbers about four times slower
     hz = float(b.h_z)
     hxy = float(b.h_xy)
     w = params.omega_drive
     n = max(1, math.ceil(t / (params.period / steps)))
     h = t / n
 
-    def deriv(time, u00, u01, u10, u11):
-        # -i H U with H = [[hz, p], [conj(p), -hz]], p = hxy e^{-i w t}
-        p = hxy * cmath.exp(-1j * w * time)
-        q = p.conjugate()
-        return (-1j * (hz * u00 + p * u10), -1j * (hz * u01 + p * u11),
-                -1j * (q * u00 - hz * u10), -1j * (q * u01 - hz * u11))
+    # A 2x2 matrix is the sequence of its entries (m00, m01, m10, m11), each
+    # a scalar or an array over steps, so products are entry-wise arithmetic.
+    # Step maps M and products of them are held as M - I: M_n is nearly the
+    # same matrix at every step, and rounding I + (M_n - I) would add the
+    # same error n times, pulling U off the unitary group by about n ulp.
+    def mul(x, y):
+        a, b, c, d = x
+        e, f, g, s = y
+        return (a * e + b * g, a * f + b * s, c * e + d * g, c * f + d * s)
 
-    u00, u01, u10, u11 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
-    for i in range(n):
-        t0 = i * h
-        a0, a1, a2, a3 = deriv(t0, u00, u01, u10, u11)
-        b0, b1, b2, b3 = deriv(t0 + 0.5 * h, u00 + 0.5 * h * a0,
-                               u01 + 0.5 * h * a1, u10 + 0.5 * h * a2,
-                               u11 + 0.5 * h * a3)
-        c0, c1, c2, c3 = deriv(t0 + 0.5 * h, u00 + 0.5 * h * b0,
-                               u01 + 0.5 * h * b1, u10 + 0.5 * h * b2,
-                               u11 + 0.5 * h * b3)
-        d0, d1, d2, d3 = deriv(t0 + h, u00 + h * c0, u01 + h * c1,
-                               u10 + h * c2, u11 + h * c3)
-        u00 += h / 6.0 * (a0 + 2.0 * (b0 + c0) + d0)
-        u01 += h / 6.0 * (a1 + 2.0 * (b1 + c1) + d1)
-        u10 += h / 6.0 * (a2 + 2.0 * (b2 + c2) + d2)
-        u11 += h / 6.0 * (a3 + 2.0 * (b3 + c3) + d3)
+    def compose(x, y):
+        # (I + x)(I + y) - I
+        return [p + q + r for p, q, r in zip(x, y, mul(x, y))]
 
-    u = np.array([[u00, u01], [u10, u11]], dtype=complex)
+    def eye_plus(scale, x):
+        return (1.0 + scale * x[0], scale * x[1], scale * x[2],
+                1.0 + scale * x[3])
+
+    def generator(time):
+        # A = -i H with H = [[hz, p], [conj(p), -hz]], p = hxy e^{-i w t}
+        p = hxy * np.exp(-1j * w * time)
+        return (-1j * hz, -1j * p, -1j * p.conj(), 1j * hz)
+
+    def step_maps(t0):
+        # M - I = (h/6)(K1 + 2 K2 + 2 K3 + K4), where RK4's k_i = K_i U
+        am = generator(t0 + 0.5 * h)
+        k1 = generator(t0)
+        k2 = mul(am, eye_plus(0.5 * h, k1))
+        k3 = mul(am, eye_plus(0.5 * h, k2))
+        k4 = mul(generator(t0 + h), eye_plus(h, k3))
+        return [h / 6.0 * (p + 2.0 * (q + r) + s)
+                for p, q, r, s in zip(k1, k2, k3, k4)]
+
+    def ordered_product(m):
+        # pairwise M_{2j+1} M_{2j}; an odd leftover is the latest step and
+        # stays last
+        while m[0].size > 1:
+            even = m[0].size // 2 * 2
+            later = [x[1:even:2] for x in m]
+            pairs = compose(later, [x[0:even:2] for x in m])
+            m = [np.concatenate((p, x[even:])) for p, x in zip(pairs, m)]
+        return [x[0] for x in m]
+
+    v = (0j, 0j, 0j, 0j)  # U - I
+    for first in range(0, n, ORACLE_BLOCK):
+        t0 = np.arange(first, min(first + ORACLE_BLOCK, n)) * h
+        v = compose(ordered_product(step_maps(t0)), v)
+
+    u = np.eye(2) + np.reshape(v, (2, 2))
     u_unitary, correction = reunitarize(u)
     return (u_unitary, correction) if return_correction else u_unitary
 

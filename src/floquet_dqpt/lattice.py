@@ -19,6 +19,7 @@ H_eff = H_bdg(0)/2 - (w/2) tau_z. As R(T) = -I, U(T) = -exp(-i H_eff T).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -134,10 +135,21 @@ def one_period_propagator(chain: BdgChain, steps: int) -> np.ndarray:
     if steps < MIN_SPECTRUM_STEPS:
         raise StepCountTooSmall(f"steps={steps} < {MIN_SPECTRUM_STEPS}")
     h = chain.params.period / steps
-    u = np.eye(2 * chain.n_sites, dtype=complex)
+    n = chain.n_sites
+    u = np.eye(2 * n, dtype=complex)
+    # Only the pairing blocks depend on t: H(t) = H_s + e^{-i w t} P
+    # + e^{i w t} P^dag, P the upper-right block of H(0). The generator
+    # -i H(t)/2 is split that way once.
+    g = -0.5j * chain.hamiltonian_at(0.0)
+    g_plus, g_minus = np.zeros_like(g), np.zeros_like(g)
+    g_plus[:n, n:] = g[:n, n:]      # -i P / 2
+    g_minus[n:, :n] = g[n:, :n]     # -i P^dag / 2
+    g_static = g - g_plus - g_minus
+    w = chain.params.omega_drive
 
     def gen(t):
-        return -0.5j * chain.hamiltonian_at(t)
+        phase = cmath.exp(-1j * w * t)
+        return g_static + phase * g_plus + phase.conjugate() * g_minus
 
     for i in range(steps):
         t0 = i * h

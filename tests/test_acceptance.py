@@ -131,7 +131,7 @@ def test_acceptance_5_oracle_equivalence():
         done += 1
     elapsed = time.perf_counter() - t0
     assert worst < 1e-7
-    assert elapsed < 10.0
+    assert elapsed < 2.0
     report(5, f"100 gapped draws, max |U_analytic - U_oracle| = "
               f"{worst:.2e} < 1e-7; {elapsed:.2f} s")
 

@@ -305,6 +305,9 @@ def test_oracle_check_pass_and_step_guard(capsys):
     out = capsys.readouterr().out
     assert "status = pass" in out
     assert float(out.split("max_deviation = ")[1].splitlines()[0]) < 1e-7
+    # oracle-check draws its own parameters, so it needs no model
+    assert run_cli(["oracle-check"]) == 0
+    assert capsys.readouterr().out == out
     assert run_cli(["oracle-check", "--preset", "example1",
                     "--steps", "128"]) == 3
 

@@ -95,6 +95,13 @@ def test_unknown_ini_keys_are_refused(tmp_path, section):
     assert_refused([command, "--config", path], path, "unrecognized")
 
 
+def test_ini_model_mixing_preset_and_parameters_is_refused(tmp_path):
+    # the preset would silently shadow omega_drive
+    path = write_ini(tmp_path / "run.ini", "[model]\npreset = example1\n"
+                     "omega_drive = 9\n")
+    assert_refused(["topo", "--config", path], path, "preset", "omega_drive")
+
+
 def test_t_max_must_be_finite(tmp_path):
     for value in ("nan", "inf", "-inf", "0"):
         assert_refused(["retprob", "--preset", "example1",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from floquet_dqpt.dynamics import (propagator_analytic, propagator_oracle,
                                    return_probability_grid, reunitarize)
 
 from conftest import EXAMPLE1, random_params
+from oracles import scalar_rk4_propagator
 
 
 def test_propagators_identity_at_t0(ex1):
@@ -72,6 +74,42 @@ def test_oracle_equivalence_random_draws():
         u_o = propagator_oracle(p, k, t, steps=4096)
         assert np.abs(u_a - u_o).max() < 1e-7
         done += 1
+
+
+BLOCK = dynamics.ORACLE_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, BLOCK - 1, BLOCK, BLOCK + 1,
+                               2 * BLOCK + 3])
+def test_oracle_block_product_matches_scalar_loop(n):
+    # n steps: odd counts leave a step over at some level of the pairwise
+    # product, and past one block the block products are folded in order
+    rng = np.random.default_rng(n)
+    p = random_params(rng)
+    k = rng.uniform(0.0, math.pi)
+    steps = dynamics.MIN_ORACLE_STEPS
+    t = (n - 0.5) * p.period / steps
+    assert math.ceil(t / (p.period / steps)) == n
+    u, corr = propagator_oracle(p, k, t, steps, return_correction=True)
+    u_ref, corr_ref = scalar_rk4_propagator(p, k, t, steps)
+    assert np.abs(u - u_ref).max() < 1e-13
+    assert abs(corr - corr_ref) < 1e-13
+
+
+def test_oracle_long_run_memory_and_rounding(ex1):
+    # 50 periods are 204,800 steps; their step matrices held at once would
+    # take more than 10 MB
+    tracemalloc.start()
+    try:
+        _, corr = propagator_oracle(ex1, 0.8, 50 * ex1.period,
+                                    return_correction=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # the scalar loop gives 5e-15; storing each step map with its identity
+    # part rounds the same way at every step and gives 2e-12
+    assert corr < 1e-13
 
 
 def test_unitarity():
