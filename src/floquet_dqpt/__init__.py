@@ -6,7 +6,7 @@ model     : Bloch Hamiltonian, rotating frame, exact quasienergies and modes
 dynamics  : analytic propagator, brute-force oracle, return amplitudes
 dqpt      : rate function, Fisher zeros, critical condition
 geometry  : Pancharatnam phases, dynamical winding number, tomography route
-topology  : chiral time frames and the (W0, Wpi) invariants
+topology  : chiral time frames and the closed-form (W0, Wpi) invariants
 lattice   : real-space BdG chain, momentum consistency, edge-mode spectra
 cli       : dataset-producing command-line front end (`fdqpt`)
 """
@@ -19,10 +19,9 @@ from .dynamics import (ReturnAmplitude, propagator_analytic, propagator_oracle,
 from .dqpt import (CriticalSet, FisherLine, dqpt_condition, fisher_tau,
                    fisher_lines, rate_function)
 from .geometry import (total_phase, dynamical_phase, geometric_phase,
-                       winding_number, bloch_expectations,
+                       exact_winding, winding_number, bloch_expectations,
                        geometric_phase_from_tomography)
-from .topology import (ChiralInvariants, symmetric_frame_operators,
-                       chiral_winding_numbers, encircling_condition)
+from .topology import ChiralInvariants, chiral_winding_numbers
 from .lattice import (BdgChain, FloquetSpectrum, build_chain,
                       momentum_consistency_check, obc_floquet_spectrum)
 

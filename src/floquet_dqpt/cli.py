@@ -17,6 +17,7 @@ import configparser
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import dqpt, dynamics, geometry, lattice, topology
 from .errors import (ConfigError, GridTooCoarse, NearCriticalTime,
-                     NumericalGuardError)
+                     NumericalGuardError, WindingMismatch)
 from .model import ModelParams, floquet_solution
 
 TWO_PI = 2.0 * math.pi
@@ -50,8 +51,6 @@ PRESETS = {
 MAX_GRID_POINTS = 2_000_000
 MAX_N_LINES = 100
 MAX_STEPS = 16 * dynamics.DEFAULT_ORACLE_STEPS
-# Largest k grid `winding` refines to when a long time needs a finer one.
-MAX_WINDING_K_POINTS = 65537
 
 
 def _check_range(name: str, value, lo, hi):
@@ -105,11 +104,29 @@ def fmt_num(x) -> str:
 
 
 def _write_text(cfg: RunConfig, text: str):
+    """Write to --out, or to stdout when it is None.
+
+    A new or regular file is written to a temporary sibling renamed over it,
+    so a failed run leaves no partial file; a link, device or pipe is
+    written through.
+    """
     if cfg.out is None:
         sys.stdout.write(text)
-    else:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
+        return
+    path = cfg.out
+    if not (os.path.islink(path)
+            or os.path.exists(path) and not os.path.isfile(path)):
+        head, tail = os.path.split(path)
+        path = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        if path != cfg.out:
+            os.replace(path, cfg.out)
+    except BaseException:
+        if path != cfg.out and os.path.exists(path):
+            os.unlink(path)
+        raise
 
 
 # Row open, cell separator, row close and row separator. JSON rows are lists
@@ -200,50 +217,41 @@ def cmd_geo(cfg: RunConfig):
     write_dataset(cfg, ("k", "t", "phase"), (ks, ts, phases))
 
 
-def _winding_at(cfg: RunConfig, t: float):
-    """(nu, raw) at t on the smallest k grid that resolves it.
-
-    The step of (w t/2)<sz> between adjacent k samples grows like t over the
-    grid size, so on GridTooCoarse the grid is refined (2n - 1 points, nested)
-    up to MAX_WINDING_K_POINTS, where the guard is final. The first grid is
-    max(k_points, MIN_WINDING_GRID), so a t it resolves gets the same row as
-    without refinement.
-    """
-    n = max(cfg.k_points, geometry.MIN_WINDING_GRID)
-    while True:
-        try:
-            return geometry.winding_number(cfg.params, cfg.band, t, n,
-                                           return_raw=True)
-        except GridTooCoarse:
-            if n >= MAX_WINDING_K_POINTS:
-                raise
-            n = min(2 * n - 1, MAX_WINDING_K_POINTS)
-
-
 def cmd_winding(cfg: RunConfig):
+    """nu in closed form; raw from the oracle winding_number on
+    max(k_points, MIN_WINDING_GRID) k points, NaN where that grid cannot
+    resolve t, and an error where it rounds to another integer than nu."""
     dqpt.dqpt_condition(cfg.params)  # DegenerateDelta1 before any t
-    ts, nus, raws = [], [], []
+    n_k = max(cfg.k_points, geometry.MIN_WINDING_GRID)
+    ts, raws = [], []
     for t in t_grid(cfg).tolist():
         try:
-            nu, raw = _winding_at(cfg, t)
+            raws.append(geometry.winding_number(cfg.params, cfg.band, t, n_k,
+                                                return_raw=True)[1])
         except NearCriticalTime:
             continue  # guard windows are emitted as gaps
+        except GridTooCoarse:
+            raws.append(math.nan)
         ts.append(t)
-        nus.append(nu)
-        raws.append(raw)
+    # after the oracle, so its guard errors come first
+    nus = geometry.exact_winding_grid(cfg.params, cfg.band, ts).tolist()
+    for t, nu, raw in zip(ts, nus, raws):
+        if math.isfinite(raw) and round(raw) != nu:
+            raise WindingMismatch(f"at t = {t} the closed form gives nu = "
+                                  f"{nu:.0f}, the {n_k}-point k grid {raw}")
     write_dataset(cfg, ("t", "nu", "raw"),
-                  (ts, np.array(nus, dtype=int), raws))
+                  (ts, [int(nu) for nu in nus], raws))
 
 
 def cmd_topo(cfg: RunConfig):
     inv = topology.chiral_winding_numbers(cfg.params)
-    crit = dqpt.dqpt_condition(cfg.params, 3.0 * cfg.params.period)
+    crit = dqpt.dqpt_condition(cfg.params)
     report = {
-        "encircling": topology.encircling_condition(cfg.params),
+        "encircling": inv.wpi != 0,
         "w1": inv.w1, "w2": inv.w2, "w0": inv.w0, "wpi": inv.wpi,
         "has_dqpt": crit.has_dqpt,
         "k_c": crit.k_c,
-        "critical_times": crit.critical_times[:3],
+        "critical_times": crit.critical_times,
     }
     if cfg.fmt == "json":
         text = json.dumps(report) + "\n"

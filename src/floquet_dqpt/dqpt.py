@@ -29,6 +29,9 @@ PROB_FLOOR = 1e-14
 
 DEFAULT_K_GRID = 2001
 
+# Most critical times `critical_times` lists, checked before building it.
+MAX_CRITICAL_TIMES = 100_000
+
 
 @dataclass(frozen=True)
 class FisherLine:
@@ -50,18 +53,25 @@ class CriticalSet:
 
 
 def critical_times(params: ModelParams, t_max: float) -> list:
-    """All t_c = (2n-1) T/2 up to and including t_max."""
+    """All t_c = (2n-1) T/2 up to and including t_max.
+
+    Raises ValueError when there are more than MAX_CRITICAL_TIMES of them.
+    """
     half = 0.5 * params.period
-    count = math.floor((t_max + 1e-12 * params.period) / params.period + 0.5)
-    return [(2 * n - 1) * half for n in range(1, count + 1)]
+    bound = (t_max + 1e-12 * params.period) / params.period + 0.5
+    if not bound < MAX_CRITICAL_TIMES + 1:  # NaN and inf too
+        raise ValueError(f"the critical times up to t_max = {t_max} "
+                         f"exceed {MAX_CRITICAL_TIMES}")
+    return [(2 * n - 1) * half for n in range(1, math.floor(bound) + 1)]
 
 
-def dqpt_condition(params: ModelParams, t_max: float | None = None) -> CriticalSet:
+def dqpt_condition(params: ModelParams) -> CriticalSet:
     """Critical momentum and times, or the verdict that none exist.
 
     has_dqpt iff |w - delta2| <= |delta1| (boundary included); then
-    k_c = arccos((w - delta2) / delta1). Critical times are listed up to
-    t_max (default: three drive periods).
+    k_c = arccos((w - delta2) / delta1). The library's one statement of the
+    condition (topology reads it). Critical times are listed over the first
+    three periods; `critical_times` gives other horizons.
     """
     w, d1, d2 = params.omega_drive, params.delta1, params.delta2
     if d1 == 0.0:
@@ -75,10 +85,9 @@ def dqpt_condition(params: ModelParams, t_max: float | None = None) -> CriticalS
     if not has:
         return CriticalSet(has_dqpt=False, k_c=None)
     k_c = math.acos(max(-1.0, min(1.0, ratio)))
-    if t_max is None:
-        t_max = 3.0 * params.period
     return CriticalSet(has_dqpt=True, k_c=k_c,
-                       critical_times=critical_times(params, t_max))
+                       critical_times=critical_times(params,
+                                                     3.0 * params.period))
 
 
 def fisher_tau(params: ModelParams, band: str, k: float) -> float:

@@ -43,8 +43,12 @@ class WindingNotQuantized(NumericalGuardError):
     """Raw winding number is farther than the tolerance from any integer."""
 
 
+class WindingMismatch(NumericalGuardError):
+    """Numerical winding rounds to another integer than the closed form."""
+
+
 class GapClosure(NumericalGuardError):
-    """Chiral-symmetric vector passes through the origin on the grid."""
+    """Chiral-symmetric vector passes within the floor of the origin."""
 
 
 class BandUnsupported(ValueError):

@@ -6,6 +6,8 @@ geometric phase. H_R = H_F + (w/2)(sz - I) is static in the rotating frame, so
 the dynamical phase is -(E - (w/2)(1 - <sz>)) t in closed form, with
 <sz> = |a|^2 - |b|^2 from the band weights. Its winding along k in [0, pi] is
 the integer invariant nu(t), which jumps by one at every critical time.
+`exact_winding` gives nu in closed form; `winding_number`, the wrapped sum
+over a k grid, is its numerical oracle.
 
 All reported phases live on the principal branch (-pi, pi].
 """
@@ -17,10 +19,10 @@ import math
 
 import numpy as np
 
-from .errors import (BandUnsupported, GridTooCoarse, NearCriticalTime,
-                     PhaseUndefined, WindingNotQuantized)
+from .errors import (BandUnsupported, GaplessPoint, GridTooCoarse,
+                     NearCriticalTime, PhaseUndefined, WindingNotQuantized)
 from .model import (ModelParams, band_energy, band_weights, floquet_solution,
-                    gap_guard, micromotion)
+                    gap_guard, micromotion, min_half_gap)
 from .dynamics import micromotion_overlap, return_amplitude
 from .dqpt import dqpt_condition
 
@@ -89,6 +91,48 @@ def _phase_and_drift(params, band, k_grid, t):
     return out, drift
 
 
+def _critical_time_guard(params: ModelParams, t: float):
+    # NearCriticalTime within the guard window of a critical time, if the
+    # drive has any
+    guard = T_GUARD_FRACTION * params.period
+    half = 0.5 * params.period
+    # nearest critical time (2n-1) T/2; the others are at least T/2 away
+    n = max(1, round((t / half + 1) / 2)) if t > 0 else 1
+    near = abs(t - (2 * n - 1) * half) < guard
+    if near and dqpt_condition(params).has_dqpt:
+        raise NearCriticalTime(f"t = {t} within {guard} of a critical time")
+
+
+def exact_winding_grid(params: ModelParams, band: str, t) -> np.ndarray:
+    """Closed-form nu_band(t), broadcast over t.
+
+    The overlap |a|^2 + e^{iwt}|b|^2 runs along the chord from 1 to e^{iwt},
+    and at k = 0 and pi (h_xy = 0) |a|^2 is 0 or 1. So along k the lift of
+    the geometric phase changes by m (wt - principal(wt)) = 2 pi m round(t/T),
+    with m = |a|^2(pi) - |a|^2(0), nonzero iff |w - delta2| < |delta1|.
+    Raises GaplessPoint when the gap closes anywhere in the zone, where the
+    band labels swap.
+    """
+    gap = 2.0 * min_half_gap(params)
+    if gap <= params.gap_floor:
+        raise GaplessPoint(f"gap closes to {gap:.3e} in the zone, below "
+                           f"floor {params.gap_floor:.3e}")
+    wa, _ = band_weights(params, band, np.array([0.0, math.pi]))
+    m = np.rint(wa[1] - wa[0])
+    return m * np.rint(np.asarray(t, dtype=float) / params.period)
+
+
+def exact_winding(params: ModelParams, band: str, t: float) -> int:
+    """Dynamical invariant nu_band(t) in closed form (exact_winding_grid).
+
+    Raises DegenerateDelta1 and NearCriticalTime like winding_number, and
+    GaplessPoint.
+    """
+    dqpt_condition(params)  # DegenerateDelta1 at any t
+    _critical_time_guard(params, t)
+    return int(exact_winding_grid(params, band, t))
+
+
 def winding_number(params: ModelParams, band: str, t: float,
                    k_grid_size: int = 2001,
                    return_raw: bool = False):
@@ -102,13 +146,7 @@ def winding_number(params: ModelParams, band: str, t: float,
     """
     if k_grid_size < MIN_WINDING_GRID:
         raise ValueError(f"k_grid_size must be >= {MIN_WINDING_GRID}")
-    guard = T_GUARD_FRACTION * params.period
-    half = 0.5 * params.period
-    # nearest critical time (2n-1) T/2; the others are at least T/2 away
-    n = max(1, round((t / half + 1) / 2)) if t > 0 else 1
-    near = abs(t - (2 * n - 1) * half) < guard
-    if near and dqpt_condition(params).has_dqpt:
-        raise NearCriticalTime(f"t = {t} within {guard} of a critical time")
+    _critical_time_guard(params, t)
 
     k = np.linspace(0.0, math.pi, k_grid_size)
     phi, drift = _phase_and_drift(params, band, k, t)

@@ -19,16 +19,14 @@ H_eff = H_bdg(0)/2 - (w/2) tau_z. As R(T) = -I, U(T) = -exp(-i H_eff T).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryMismatch, InvalidSize, StepCountTooSmall
+from .errors import BoundaryMismatch, InvalidSize
 from .model import ModelParams, hamiltonian_lab
 
-MIN_SPECTRUM_STEPS = 1024
 MAX_SITES = 1000
 
 # pi-mode criterion: folded quasienergy within this fraction of w from
@@ -128,40 +126,6 @@ def momentum_consistency_check(params: ModelParams, n_sites: int,
             ref = hamiltonian_lab(params, k, t)
             worst = max(worst, float(np.max(np.abs(block - ref))))
     return worst
-
-
-def one_period_propagator(chain: BdgChain, steps: int) -> np.ndarray:
-    """RK4 time-ordered U(T) of the undoubled matrix; the spectrum's oracle."""
-    if steps < MIN_SPECTRUM_STEPS:
-        raise StepCountTooSmall(f"steps={steps} < {MIN_SPECTRUM_STEPS}")
-    h = chain.params.period / steps
-    n = chain.n_sites
-    u = np.eye(2 * n, dtype=complex)
-    # Only the pairing blocks depend on t: H(t) = H_s + e^{-i w t} P
-    # + e^{i w t} P^dag, P the upper-right block of H(0). The generator
-    # -i H(t)/2 is split that way once.
-    g = -0.5j * chain.hamiltonian_at(0.0)
-    g_plus, g_minus = np.zeros_like(g), np.zeros_like(g)
-    g_plus[:n, n:] = g[:n, n:]      # -i P / 2
-    g_minus[n:, :n] = g[n:, :n]     # -i P^dag / 2
-    g_static = g - g_plus - g_minus
-    w = chain.params.omega_drive
-
-    def gen(t):
-        phase = cmath.exp(-1j * w * t)
-        return g_static + phase * g_plus + phase.conjugate() * g_minus
-
-    for i in range(steps):
-        t0 = i * h
-        g0 = gen(t0)
-        gm = gen(t0 + 0.5 * h)
-        g1 = gen(t0 + h)
-        k1 = g0 @ u
-        k2 = gm @ (u + 0.5 * h * k1)
-        k3 = gm @ (u + 0.5 * h * k2)
-        k4 = g1 @ (u + h * k3)
-        u = u + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    return u
 
 
 def obc_floquet_spectrum(params: ModelParams, n_sites: int) -> FloquetSpectrum:

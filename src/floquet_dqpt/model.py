@@ -108,13 +108,6 @@ def hamiltonian_lab(params: ModelParams, k: float, t: float) -> np.ndarray:
             + b.h_z * SIGMA_Z)
 
 
-def rotating_frame_hamiltonian(params: ModelParams, k: float) -> np.ndarray:
-    """Static H_F(k) = h_xy sx + (h_z - w/2) sz + (w/2) I."""
-    b = bloch_components(params, k)
-    return (b.h_xy * SIGMA_X + (b.h_z - 0.5 * params.omega_drive) * SIGMA_Z
-            + 0.5 * params.omega_drive * SIGMA_0)
-
-
 def micromotion(params: ModelParams, t: float) -> np.ndarray:
     """Micromotion operator U_R(t) = diag(1, e^{i w t})."""
     return np.array([[1.0, 0.0], [0.0, np.exp(1j * params.omega_drive * t)]],
@@ -143,6 +136,26 @@ def gap_guard(params: ModelParams, k: float):
         raise GaplessPoint(f"gap {gap:.3e} at k={k} below floor "
                            f"{params.gap_floor:.3e}")
     return b, dz, half_gap
+
+
+def min_half_gap(params: ModelParams) -> float:
+    """Exact minimum over the zone of Delta/2 = |(h_z - w/2, h_xy)|.
+
+    With c = cos k and d = delta2 - w its square is the quadratic
+    [(delta1^2 - Omega^2) c^2 + 2 delta1 d c + d^2 + Omega^2] / 4 on [-1, 1],
+    least at an endpoint, |d +- delta1|/2, or at the vertex when convex
+    (there is none when delta1^2 = Omega^2).
+    """
+    d, d1, amp = (params.delta2 - params.omega_drive, params.delta1,
+                  params.omega_amp)
+    lengths = [0.5 * abs(d + d1), 0.5 * abs(d - d1)]
+    curvature = d1 * d1 - amp * amp
+    if curvature > 0:
+        c = -d1 * d / curvature
+        if -1.0 < c < 1.0:
+            lengths.append(0.5 * math.hypot(d1 * c + d,
+                                            amp * math.sqrt(1.0 - c * c)))
+    return min(lengths)
 
 
 def floquet_solution(params: ModelParams, k: float) -> FloquetSolution:

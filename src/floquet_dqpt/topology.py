@@ -1,15 +1,18 @@
-"""Chiral-symmetric time frames and the (W0, Wpi) invariant pair.
+"""Chiral-symmetric time frames and the (W0, Wpi) invariant pair, exactly.
 
-The one-period propagator factorizes as a z rotation times the exponential
-of the traceless part of the rotating-frame Hamiltonian. Recentring the
-period in two symmetric ways yields Floquet operators
+Recentring the period in two symmetric ways gives Floquet operators
+U_1,2(k) = -exp(-i [(h_z - w/2) sz +- h_xy sx] T), both obeying
+sy U sy = U^dagger, with planar effective Hamiltonians. Over the zone the
+vector (h_z - w/2, h_xy) traces an ellipse centred at ((delta2 - w)/2, 0)
+with semi-axes |delta1|/2, |Omega|/2. For Omega != 0 it winds once around
+the origin, with orientation sign(delta1 Omega), iff |w - delta2| < |delta1|,
+the condition of `dqpt.dqpt_condition`. That gives W1 in closed form, and
+the flipped h_xy of U_2 gives W2 = -W1.
 
-    U_1(k) = -exp(-i [ (h_z - w/2) sz + h_xy sx ] T),
-    U_2(k) = -exp(-i [ (h_z - w/2) sz - h_xy sx ] T),
-
-both obeying sy U sy = U^dagger. Their effective Hamiltonians are planar,
-so each has an ordinary winding number; the pair (W0, Wpi) built from
-(W1 + W2)/2 and (W1 - W2)/2 counts zero and pi edge modes of the open chain.
+W0 = (W1 + W2)/2 = 0 and Wpi = (W1 - W2)/2 = W1 are structural. In the
+static frame U(T) = -exp(-i H_eff T) with H_eff time-independent (see
+lattice): a chiral edge mode of H_eff sits at e = 0, and the sign
+-1 = e^{-i pi} folds it to quasienergy pi. No edge mode sits at 0.
 """
 
 from __future__ import annotations
@@ -17,13 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from .dqpt import dqpt_condition
 from .errors import GapClosure
-from .model import ModelParams, SIGMA_0, SIGMA_X, SIGMA_Z, bloch_components
+from .model import ModelParams, min_half_gap
 
 WINDING_FLOOR_REL = 1e-8
-DEFAULT_WINDING_GRID = 4001
 
 
 @dataclass(frozen=True)
@@ -35,71 +36,18 @@ class ChiralInvariants:
     raw_w1: float
 
 
-def su2_exponential(nx: float, nz: float) -> np.ndarray:
-    """exp(-i (nx sx + nz sz)) via the closed-form Pauli identity."""
-    angle = math.hypot(nx, nz)
-    if angle == 0.0:
-        return SIGMA_0.copy()
-    return (math.cos(angle) * SIGMA_0
-            - 1j * math.sin(angle) / angle * (nx * SIGMA_X + nz * SIGMA_Z))
+def chiral_winding_numbers(params: ModelParams) -> ChiralInvariants:
+    """(W1, W2, W0, Wpi): W1 = sign(delta1 Omega) where the DQPT condition
+    holds, else 0 (module docstring).
 
-
-def symmetric_frame_operators(params: ModelParams, k: float):
-    """(U1(k), U2(k)) Floquet operators in the two symmetric time frames."""
-    b = bloch_components(params, k)
-    tt = params.period
-    dz = (b.h_z - 0.5 * params.omega_drive) * tt
-    u1 = -su2_exponential(b.h_xy * tt, dz)
-    u2 = -su2_exponential(-b.h_xy * tt, dz)
-    return u1, u2
-
-
-def encircling_condition(params: ModelParams) -> bool:
-    """True iff (w - d2 - d1)(w - d2 + d1) < 0.
-
-    Equivalent to |w - d2| < |d1|: the planar vector traced by the chiral
-    effective Hamiltonian encircles the origin.
+    Raises GapClosure if the vector, of length Delta/2, passes within the
+    floor of the origin, where the winding is undefined; outside it, the
+    condition's boundary decides nothing.
     """
-    w, d1, d2 = params.omega_drive, params.delta1, params.delta2
-    return (w - d2 - d1) * (w - d2 + d1) < 0
-
-
-def chiral_winding_numbers(params: ModelParams,
-                           k_grid_size: int = DEFAULT_WINDING_GRID
-                           ) -> ChiralInvariants:
-    """W1 by accumulated wrapped angle of (h_z - w/2, h_xy) over the zone.
-
-    The winding is read off the planar vector directly (quadrature-free);
-    W2 = -W1 follows from the sign-flipped transverse component. Raises
-    GapClosure if the vector passes within the floor of the origin, where
-    the winding number is undefined.
-    """
-    k = np.linspace(-math.pi, math.pi, k_grid_size)
-    b = bloch_components(params, k)
-    z = b.h_z - 0.5 * params.omega_drive
-    x = b.h_xy
-    floor = WINDING_FLOOR_REL * params.scale
-    if np.min(np.hypot(x, z)) < floor:
+    if min_half_gap(params) < WINDING_FLOOR_REL * params.scale:
         raise GapClosure("chiral vector passes through the origin; "
                          "winding undefined")
-    ang = np.unwrap(np.arctan2(x, z))
-    raw = float((ang[-1] - ang[0]) / (2.0 * math.pi))
-    w1 = int(round(raw))
-    return ChiralInvariants(w1=w1, w2=-w1, w0=0, wpi=w1, raw_w1=raw)
-
-
-def winding_integral(params: ModelParams, n_points: int = 10_000) -> float:
-    """Midpoint-rule evaluation of the W1 winding integrand (cross-check).
-
-    Integrates [z x' - x z'] / (z^2 + x^2) / 2 pi over the full zone with
-    analytic derivatives; kept separate from the angle-accumulation route
-    so the two can be compared before rounding.
-    """
-    k = (np.arange(n_points) + 0.5) * (2.0 * math.pi / n_points) - math.pi
-    b = bloch_components(params, k)
-    z = b.h_z - 0.5 * params.omega_drive
-    x = b.h_xy
-    dx = 0.5 * params.omega_amp * np.cos(k)
-    dz = -0.5 * params.delta1 * np.sin(k)
-    integrand = (z * dx - x * dz) / (z * z + x * x)
-    return float(integrand.sum() * (2.0 * math.pi / n_points) / (2.0 * math.pi))
+    w1 = 0
+    if dqpt_condition(params).has_dqpt:
+        w1 = int(math.copysign(1.0, params.delta1 * params.omega_amp))
+    return ChiralInvariants(w1=w1, w2=-w1, w0=0, wpi=w1, raw_w1=float(w1))

@@ -1,9 +1,19 @@
-"""Reference implementations the library's own oracles are checked against.
+"""Reference implementations the library's closed forms and oracles are
+checked against.
 
+`rotating_frame_hamiltonian` builds the static H_F(k) as a matrix.
+`one_period_propagator` is the time-ordered RK4 U(T) of the open or
+antiperiodic chain, the oracle of `lattice.obc_floquet_spectrum`.
 `scalar_rk4_propagator` is the per-step Python loop that
 `dynamics.propagator_oracle` replaced with a block product of RK4 step
 matrices: the same scheme, step count, step times and single final
 re-unitarization, with the steps applied to U one after the other.
+
+The W1/W2 references for `topology.chiral_winding_numbers` work on a k grid:
+`brute_winding` accumulates the angle of the planar vector
+(h_z - w/2, +-h_xy), `winding_integral` integrates its winding density, and
+`symmetric_frame_operators` builds the two chiral-symmetric Floquet
+operators whose effective Hamiltonians that vector describes.
 """
 
 import cmath
@@ -12,7 +22,100 @@ import math
 import numpy as np
 
 from floquet_dqpt.dynamics import reunitarize
-from floquet_dqpt.model import ModelParams, bloch_components
+from floquet_dqpt.errors import StepCountTooSmall
+from floquet_dqpt.lattice import BdgChain
+from floquet_dqpt.model import (ModelParams, SIGMA_0, SIGMA_X, SIGMA_Z,
+                                bloch_components)
+
+DEFAULT_WINDING_GRID = 4001
+MIN_SPECTRUM_STEPS = 1024
+
+
+def rotating_frame_hamiltonian(params: ModelParams, k: float) -> np.ndarray:
+    """Static H_F(k) = h_xy sx + (h_z - w/2) sz + (w/2) I."""
+    b = bloch_components(params, k)
+    return (b.h_xy * SIGMA_X + (b.h_z - 0.5 * params.omega_drive) * SIGMA_Z
+            + 0.5 * params.omega_drive * SIGMA_0)
+
+
+def one_period_propagator(chain: BdgChain, steps: int) -> np.ndarray:
+    """RK4 time-ordered U(T) of the undoubled matrix; the spectrum's oracle."""
+    if steps < MIN_SPECTRUM_STEPS:
+        raise StepCountTooSmall(f"steps={steps} < {MIN_SPECTRUM_STEPS}")
+    h = chain.params.period / steps
+    n = chain.n_sites
+    u = np.eye(2 * n, dtype=complex)
+    # Only the pairing blocks depend on t: H(t) = H_s + e^{-i w t} P
+    # + e^{i w t} P^dag, P the upper-right block of H(0). The generator
+    # -i H(t)/2 is split that way once.
+    g = -0.5j * chain.hamiltonian_at(0.0)
+    g_plus, g_minus = np.zeros_like(g), np.zeros_like(g)
+    g_plus[:n, n:] = g[:n, n:]      # -i P / 2
+    g_minus[n:, :n] = g[n:, :n]     # -i P^dag / 2
+    g_static = g - g_plus - g_minus
+    w = chain.params.omega_drive
+
+    def gen(t):
+        phase = cmath.exp(-1j * w * t)
+        return g_static + phase * g_plus + phase.conjugate() * g_minus
+
+    for i in range(steps):
+        t0 = i * h
+        g0 = gen(t0)
+        gm = gen(t0 + 0.5 * h)
+        g1 = gen(t0 + h)
+        k1 = g0 @ u
+        k2 = gm @ (u + 0.5 * h * k1)
+        k3 = gm @ (u + 0.5 * h * k2)
+        k4 = g1 @ (u + h * k3)
+        u = u + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return u
+
+
+def su2_exponential(nx: float, nz: float) -> np.ndarray:
+    """exp(-i (nx sx + nz sz)) via the closed-form Pauli identity."""
+    angle = math.hypot(nx, nz)
+    if angle == 0.0:
+        return SIGMA_0.copy()
+    return (math.cos(angle) * SIGMA_0
+            - 1j * math.sin(angle) / angle * (nx * SIGMA_X + nz * SIGMA_Z))
+
+
+def symmetric_frame_operators(params: ModelParams, k: float):
+    """(U1(k), U2(k)) Floquet operators in the two symmetric time frames."""
+    b = bloch_components(params, k)
+    tt = params.period
+    dz = (b.h_z - 0.5 * params.omega_drive) * tt
+    u1 = -su2_exponential(b.h_xy * tt, dz)
+    u2 = -su2_exponential(-b.h_xy * tt, dz)
+    return u1, u2
+
+
+def brute_winding(params, flip_x=False, n=DEFAULT_WINDING_GRID):
+    """Raw W1 (W2 with flip_x) by accumulated atan2 angle over the zone."""
+    k = np.linspace(-math.pi, math.pi, n)
+    b = bloch_components(params, k)
+    z = b.h_z - 0.5 * params.omega_drive
+    x = -b.h_xy if flip_x else b.h_xy
+    ang = np.unwrap(np.arctan2(x, z))
+    return (ang[-1] - ang[0]) / (2.0 * math.pi)
+
+
+def winding_integral(params: ModelParams, n_points: int = 10_000) -> float:
+    """Midpoint-rule evaluation of the W1 winding integrand.
+
+    Integrates [z x' - x z'] / (z^2 + x^2) / 2 pi over the full zone with
+    analytic derivatives; kept separate from the angle-accumulation route
+    so the two can be compared before rounding.
+    """
+    k = (np.arange(n_points) + 0.5) * (2.0 * math.pi / n_points) - math.pi
+    b = bloch_components(params, k)
+    z = b.h_z - 0.5 * params.omega_drive
+    x = b.h_xy
+    dx = 0.5 * params.omega_amp * np.cos(k)
+    dz = -0.5 * params.delta1 * np.sin(k)
+    integrand = (z * dx - x * dz) / (z * z + x * x)
+    return float(integrand.sum() * (2.0 * math.pi / n_points) / (2.0 * math.pi))
 
 
 def scalar_rk4_propagator(params: ModelParams, k: float, t: float,

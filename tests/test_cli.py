@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from floquet_dqpt import dqpt, geometry
+from floquet_dqpt import cli, dqpt, geometry
 from floquet_dqpt.cli import (MAX_GRID_POINTS, MAX_N_LINES, PRESETS,
                               RunConfig, fmt_num, main, make_parser)
 from floquet_dqpt.errors import GridTooCoarse
@@ -136,8 +137,8 @@ def test_winding_output_with_guard_gaps(tmp_path):
 
 def test_winding_grid_grows_with_t(tmp_path):
     # the 401-point grid resolves example1 up to about t = 40 (at t = 50,
-    # (w t/2)<sz> moves 1.95 rad between adjacent k samples); past that
-    # winding refines the grid instead of exiting 3
+    # (w t/2)<sz> moves 1.95 rad between adjacent k samples); past that nu
+    # still comes from the closed form, and raw is nan
     p = PRESETS["example1"]
     with pytest.raises(GridTooCoarse):
         geometry.winding_number(p, "minus", 60.0, 401)
@@ -147,7 +148,51 @@ def test_winding_grid_grows_with_t(tmp_path):
     _, rows = read_csv(out)
     assert [(float(r[0]), int(r[1])) for r in rows] \
         == [(10.0 * i, 5 * i) for i in range(7)]
-    assert all(abs(float(r[2]) - int(r[1])) < 1e-9 for r in rows)
+    assert [r[2] for r in rows[5:]] == ["nan", "nan"]
+    assert all(abs(float(r[2]) - int(r[1])) < 1e-9 for r in rows[:5])
+
+
+def test_winding_raw_disagreeing_with_closed_form(monkeypatch, capsys):
+    # a finite raw that rounds to another integer than nu is a guard error
+    exact = geometry.exact_winding_grid
+    monkeypatch.setattr(geometry, "exact_winding_grid",
+                        lambda *args: exact(*args) + 1)
+    assert run_cli(["winding", "--preset", "example1", "--t-points", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical guard: WindingMismatch")
+    assert err.count("\n") == 1
+
+
+def test_failed_write_keeps_earlier_output(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "r.csv"
+    args = ["retprob", "--preset", "example1", "--t-points", "4",
+            "--out", str(out)]
+    assert run_cli(args + ["--k-points", "5"]) == 0
+    before = out.read_bytes()
+
+    class HalfWriter:
+        # writes half the text, then fails like a full disk
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "open",
+                        lambda *args, **kw: HalfWriter(open(*args, **kw)),
+                        raising=False)
+    assert run_cli(args + ["--k-points", "7"]) == 2
+    assert capsys.readouterr().err.startswith("output error:")
+    assert out.read_bytes() == before
+    assert os.listdir(tmp_path) == ["r.csv"]
 
 
 def test_topo_report_text_and_json(tmp_path, capsys):
@@ -256,6 +301,12 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert run_cli(["winding", "--config", str(gapless),
                     "--t-max", "2.0"]) == 3
     capsys.readouterr()
+    # 3: Omega = 0 closes the gap at the interior k_c, between k samples
+    interior = tmp_path / "interior.ini"
+    interior.write_text("[model]\nomega_drive = 2.0\ndelta1 = 1.0\n"
+                        "delta2 = 1.5\nomega_amp = 0.0\n", encoding="utf-8")
+    assert run_cli(["winding", "--config", str(interior)]) == 3
+    assert "GaplessPoint" in capsys.readouterr().err
     # 3: delta1 = 0 with omega = delta2 keeps its own error in winding
     degenerate = tmp_path / "degenerate.ini"
     degenerate.write_text("[model]\nomega_drive = 2.0\ndelta1 = 0.0\n"
@@ -263,9 +314,9 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert run_cli(["winding", "--config", str(degenerate)]) == 3
     err = capsys.readouterr().err
     assert "DegenerateDelta1" in err and err.count("\n") == 1
-    # 3: t_c = 1, 3, 5, ... up to 1e9 would be 5e8 list entries; winding
-    # refuses the too-coarse k grid instead and lists no critical time past
-    # three periods
+    # t_c = 1, 3, 5, ... up to 1e9 would be 5e8 list entries; winding lists
+    # no critical time past three periods, and where its 401-point k grid
+    # cannot resolve t, prints the closed-form nu with raw = nan
     asked = []
 
     def spy(params, t_max):
@@ -275,11 +326,15 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     real = dqpt.critical_times
     monkeypatch.setattr(dqpt, "critical_times", spy)
     assert run_cli(["winding", "--preset", "example1", "--t-max", "1e9",
-                    "--t-points", "13"]) == 3
+                    "--t-points", "13"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("numerical guard: GridTooCoarse")
-    assert captured.err.count("\n") == 1
+    assert captured.err == ""
+    rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+    assert [int(r[1]) for r in rows] \
+        == [round(float(r[0]) / 2.0) for r in rows]
+    assert rows[0] == ["0", "0", "0"]
+    assert all(r[2] == "nan" for r in rows[1:])
+    assert len(rows) == 13
     assert all(t_max <= 3.0 * PRESETS["example1"].period for t_max in asked)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floquet_dqpt import dynamics, lattice
+from floquet_dqpt import dynamics
 from floquet_dqpt.errors import GaplessPoint, StepCountTooSmall
 from floquet_dqpt.model import (SIGMA_X, SIGMA_Z, bloch_components,
                                 floquet_solution)
@@ -14,7 +14,7 @@ from floquet_dqpt.dynamics import (propagator_analytic, propagator_oracle,
                                    return_probability_grid, reunitarize)
 
 from conftest import EXAMPLE1, random_params
-from oracles import scalar_rk4_propagator
+from oracles import one_period_propagator, scalar_rk4_propagator
 
 
 def test_propagators_identity_at_t0(ex1):
@@ -208,7 +208,7 @@ def code_names(code) -> set:
 
 
 def test_oracles_share_no_code_with_analytic_route():
-    for oracle in (dynamics.propagator_oracle, lattice.one_period_propagator):
+    for oracle in (dynamics.propagator_oracle, one_period_propagator):
         assert not code_names(oracle.__code__) & ANALYTIC_ROUTE, \
             oracle.__name__
 

@@ -5,13 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from floquet_dqpt.errors import (BandUnsupported, GaplessPoint,
-                                 GridTooCoarse, NearCriticalTime,
+from floquet_dqpt.errors import (BandUnsupported, DegenerateDelta1,
+                                 GaplessPoint, GridTooCoarse,
+                                 NearCriticalTime, NumericalGuardError,
                                  PhaseUndefined)
 from floquet_dqpt.model import (band_energy, bloch_components,
                                 floquet_solution, micromotion)
 from floquet_dqpt.dynamics import propagator_oracle, return_probability
 from floquet_dqpt.geometry import (bloch_expectations, dynamical_phase,
+                                   exact_winding, exact_winding_grid,
                                    geometric_phase, geometric_phase_grid,
                                    geometric_phase_from_tomography,
                                    principal_branch, total_phase,
@@ -183,6 +185,48 @@ def test_winding_guards(ex1, ex2):
     assert winding_number(ex2, "minus", 1.0 + 1e-5) == 0
     with pytest.raises(ValueError):
         winding_number(ex1, "minus", 0.5, k_grid_size=100)
+
+
+def test_exact_winding_matches_grid_oracle():
+    # closed form against the wrapped sum over k: random draws, both bands,
+    # t up to 30 T, at every t where the grid route returns
+    rng = np.random.default_rng(89)
+    checked, nonzero = 0, 0
+    for _ in range(60):
+        p = random_params(rng)
+        ts = rng.uniform(0.0, 30.0 * p.period, 10)
+        for band in ("minus", "plus"):
+            nus = exact_winding_grid(p, band, ts)
+            for t, nu in zip(ts.tolist(), nus.tolist()):
+                try:
+                    expected = winding_number(p, band, t)
+                except NumericalGuardError:
+                    continue
+                assert exact_winding(p, band, t) == expected == nu
+                checked += 1
+                nonzero += expected != 0
+    assert checked > 1000 and nonzero > 300
+
+
+def test_exact_winding_values_and_guards(ex1, ex2):
+    # example1: nu = round(t/T) for the lower band, -round(t/T) for the upper
+    for t in (0.5, 2.0, 5.5, 60.0, 1e9):
+        assert exact_winding(ex1, "minus", t) == round(t / 2.0)
+        assert exact_winding(ex1, "plus", t) == -round(t / 2.0)
+    assert exact_winding(ex2, "minus", 1e9) == 0
+    assert exact_winding(ex2, "minus", 1.0 + 1e-5) == 0
+    with pytest.raises(NearCriticalTime):
+        exact_winding(ex1, "minus", 1.0 + 1e-5)
+    with pytest.raises(DegenerateDelta1):
+        exact_winding(replace(ex1, delta1=0.0, delta2=ex1.omega_drive),
+                      "minus", 0.5)
+    # the gap closes at k = 0 when delta1 + delta2 = omega, and at the
+    # interior k_c when Omega = 0 inside the DQPT region
+    for p in (replace(ex1, delta2=0.0), replace(ex1, omega_amp=0.0)):
+        with pytest.raises(GaplessPoint):
+            exact_winding(p, "minus", 0.5)
+        with pytest.raises(GaplessPoint):
+            exact_winding_grid(p, "minus", [0.5, 2.0])
 
 
 def test_bloch_expectations_unit_norm_and_initial_values(ex1):

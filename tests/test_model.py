@@ -10,10 +10,10 @@ from floquet_dqpt.geometry import dynamical_phase, geometric_phase
 from floquet_dqpt.model import (ModelParams, SIGMA_X, SIGMA_Y, SIGMA_Z,
                                 bloch_components, band_energy, band_weights,
                                 floquet_solution, fold_quasienergy, gap_guard,
-                                hamiltonian_lab, micromotion,
-                                rotating_frame_hamiltonian)
+                                hamiltonian_lab, micromotion, min_half_gap)
 
 from conftest import EXAMPLE1, random_params
+from oracles import rotating_frame_hamiltonian
 
 param_floats = st.floats(-5.0, 5.0, allow_nan=False)
 k_floats = st.floats(0.0, math.pi, allow_nan=False)
@@ -249,3 +249,22 @@ def test_fold_quasienergy(ex1):
     assert fold_quasienergy(ex1, -0.5 * w) == pytest.approx(-0.5 * w)
     assert fold_quasienergy(ex1, 0.5 * w) == pytest.approx(-0.5 * w)
     assert np.allclose(fold_quasienergy(ex1, np.array([0.0, w])), 0.0)
+
+
+def test_min_half_gap_against_dense_grid():
+    # exact minimum of Delta/2 = |(h_z - w/2, h_xy)| over the zone: never
+    # above the sampled minimum, and within the grid's resolution of it; half
+    # the draws have delta1^2 = Omega^2, where the quadratic in cos k is
+    # linear
+    rng = np.random.default_rng(73)
+    k = np.linspace(-math.pi, math.pi, 200_001)
+    for i in range(40):
+        p = random_params(rng)
+        if i % 2:
+            p = ModelParams(p.omega_drive, p.delta1, p.delta2,
+                            math.copysign(p.delta1, p.omega_amp))
+        b = bloch_components(p, k)
+        sampled = np.hypot(b.h_z - 0.5 * p.omega_drive, b.h_xy).min()
+        exact = min_half_gap(p)
+        assert exact <= sampled + 1e-15
+        assert sampled - exact < 1e-8 * p.scale

@@ -4,26 +4,16 @@ import numpy as np
 import pytest
 
 from floquet_dqpt.errors import DegenerateDelta1, GapClosure
-from floquet_dqpt.model import ModelParams, SIGMA_Y, bloch_components
+from floquet_dqpt.model import ModelParams, SIGMA_Y
 from floquet_dqpt.dynamics import propagator_analytic
 from floquet_dqpt.dqpt import dqpt_condition
-from floquet_dqpt.topology import (chiral_winding_numbers,
-                                   encircling_condition,
-                                   su2_exponential,
-                                   symmetric_frame_operators,
-                                   winding_integral)
+from floquet_dqpt.geometry import exact_winding, winding_number
+from floquet_dqpt.lattice import MAX_SITES, obc_floquet_spectrum
+from floquet_dqpt.topology import chiral_winding_numbers
 
 from conftest import random_params
-
-
-def brute_winding(params, flip_x=False, n=4001):
-    """Independent angle-accumulation oracle for the planar winding."""
-    k = np.linspace(-math.pi, math.pi, n)
-    b = bloch_components(params, k)
-    z = b.h_z - 0.5 * params.omega_drive
-    x = -b.h_xy if flip_x else b.h_xy
-    ang = np.unwrap(np.arctan2(x, z))
-    return (ang[-1] - ang[0]) / (2.0 * math.pi)
+from oracles import (brute_winding, su2_exponential,
+                     symmetric_frame_operators, winding_integral)
 
 
 def test_su2_exponential_against_expm():
@@ -84,7 +74,8 @@ def test_winding_pair_against_brute_oracle():
         assert c.w2 == -c.w1
         assert c.w1 == round(brute_winding(p))
         assert c.w2 == round(brute_winding(p, flip_x=True))
-        assert abs(c.raw_w1 - c.w1) < 0.02
+        assert abs(brute_winding(p) - c.w1) < 0.02
+        assert c.raw_w1 == c.w1
         done += 1
 
 
@@ -102,11 +93,14 @@ def test_integral_cross_check():
 
 
 def test_encircling_condition_closed_form():
+    # the atan2 oracle encircles the origin iff |w - d2| < |d1| (strict), and
+    # so does the closed form's Wpi, which topo reports as "encircling"
     rng = np.random.default_rng(67)
     for _ in range(200):
         p = random_params(rng)
-        assert encircling_condition(p) == \
-            (abs(p.omega_drive - p.delta2) < abs(p.delta1))
+        strict = abs(p.omega_drive - p.delta2) < abs(p.delta1)
+        assert (round(brute_winding(p)) != 0) == strict
+        assert (chiral_winding_numbers(p).wpi != 0) == strict
 
 
 def test_wpi_iff_encircling_iff_transition():
@@ -119,13 +113,68 @@ def test_wpi_iff_encircling_iff_transition():
             has = dqpt_condition(p).has_dqpt
         except (GapClosure, DegenerateDelta1):
             continue
-        assert (c.wpi != 0) == encircling_condition(p)
+        assert (c.wpi != 0) == \
+            (abs(p.omega_drive - p.delta2) < abs(p.delta1))
         assert (c.wpi != 0) == has
         done += 1
 
 
 def test_gap_closure_raised():
-    # z and x both vanish at k = 0 when delta1 + delta2 = omega
+    # z and x both vanish at k = 0 when delta1 + delta2 = omega (here also
+    # delta1^2 = Omega^2: no vertex)
     p = ModelParams(omega_drive=2.0, delta1=1.0, delta2=1.0, omega_amp=1.0)
     with pytest.raises(GapClosure):
         chiral_winding_numbers(p)
+    # Omega = 0 inside the ellipse: the vector crosses the origin at k_c,
+    # the vertex of the quadratic in cos k
+    p = ModelParams(omega_drive=2.0, delta1=1.0, delta2=1.5, omega_amp=0.0)
+    with pytest.raises(GapClosure):
+        chiral_winding_numbers(p)
+    # a small Omega lifts the vertex minimum to about 0.43 Omega, above the
+    # floor
+    p = ModelParams(omega_drive=2.0, delta1=1.0, delta2=1.5, omega_amp=1e-3)
+    assert chiral_winding_numbers(p).wpi == 1
+
+
+def gapped_draw(rng, coupling):
+    """Parameters at least 0.2 from the DQPT boundary, with |Omega| >= 0.5."""
+    while True:
+        p = ModelParams(omega_drive=rng.uniform(0.5, 6.0),
+                        delta1=rng.uniform(-coupling, coupling),
+                        delta2=rng.uniform(-coupling, coupling),
+                        omega_amp=rng.uniform(-coupling, coupling))
+        margin = abs(abs(p.omega_drive - p.delta2) - abs(p.delta1))
+        if margin >= 0.2 and abs(p.omega_amp) >= 0.5:
+            return p
+
+
+def settled_pi_mode_count(p):
+    # the flagged count of the open chain once it is the same at three
+    # successive sizes N, 2N, 4N (or at MAX_SITES): an edge pair with a long
+    # localization length is flagged only from a few hundred sites on
+    n, counts = 40, []
+    while True:
+        counts.append(int(obc_floquet_spectrum(p, n).pi_mode.sum()))
+        if n == MAX_SITES or counts[-3:] == [counts[-1]] * 3:
+            return counts[-1]
+        n = min(2 * n, MAX_SITES)
+
+
+def test_dqpt_iff_nontrivial_floquet_phase():
+    # the paper's claim on random gapped draws, half of them with couplings
+    # up to 15 (bulk bands wrapping the zone many times): four routes agree
+    rng = np.random.default_rng(97)
+    for i in range(20):
+        p = gapped_draw(rng, 15.0 if i % 2 else 5.0)
+        has = dqpt_condition(p).has_dqpt
+        wpi = chiral_winding_numbers(p).wpi
+        assert wpi == round(brute_winding(p))
+        assert (wpi != 0) == has
+        band = ("minus", "plus")[i % 3 == 0]
+        before, after = 0.25 * p.period, 0.75 * p.period
+        assert exact_winding(p, band, before) == 0 \
+            == winding_number(p, band, before)
+        nu = exact_winding(p, band, after)
+        assert nu == winding_number(p, band, after)
+        assert (nu != 0) == has
+        assert settled_pi_mode_count(p) == 2 * abs(wpi)
