@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDelta1, UndefinedTau
-from .model import ModelParams, band_energy, bloch_components
-from .dynamics import return_probability_grid
+from .model import (ModelParams, _uniform_band_weights, band_energy,
+                    bloch_components)
 
 # Clamp on |G|^2 before the log: the integrand has an integrable log
 # singularity exactly at (k_c, t_c); clamping bounds the trapezoid sum
@@ -141,11 +141,16 @@ def rate_function(params: ModelParams, band: str, t: float,
 
     Trapezoidal rule on a uniform k grid including both endpoints (which
     contribute ln 1 = 0 exactly); |G|^2 is clamped below at PROB_FLOOR. The
-    1/pi measure makes g intensive and grid-size comparable.
+    1/pi measure makes g intensive and grid-size comparable. The k grid and
+    band weights are computed once per (params, band, k_grid_size), so each
+    t costs only |G|^2 = ||a|^2 + e^{iwt}|b|^2|^2 and the sum.
     """
     if k_grid_size < 2:
         raise ValueError("k_grid_size must be >= 2")
-    k = np.linspace(0.0, math.pi, k_grid_size)
-    prob = return_probability_grid(params, band, k, t)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    k, wa, wb = _uniform_band_weights(params, band, k_grid_size)
+    prob = np.abs(wa + np.exp(1j * params.omega_drive * np.asarray(t))
+                  * wb) ** 2
     logp = np.log(np.maximum(prob, PROB_FLOOR))
     return float(-np.trapezoid(logp, k) / math.pi)

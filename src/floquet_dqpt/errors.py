@@ -39,6 +39,10 @@ class NearCriticalTime(NumericalGuardError):
     """Winding evaluation requested inside the critical-time guard window."""
 
 
+class TimeUnresolved(NumericalGuardError):
+    """Doubles near t are spaced wider than the critical-time guard window."""
+
+
 class WindingNotQuantized(NumericalGuardError):
     """Raw winding number is farther than the tolerance from any integer."""
 

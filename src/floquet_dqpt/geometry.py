@@ -20,9 +20,11 @@ import math
 import numpy as np
 
 from .errors import (BandUnsupported, GaplessPoint, GridTooCoarse,
-                     NearCriticalTime, PhaseUndefined, WindingNotQuantized)
-from .model import (ModelParams, band_energy, band_weights, floquet_solution,
-                    gap_guard, micromotion, min_half_gap)
+                     NearCriticalTime, PhaseUndefined, TimeUnresolved,
+                     WindingNotQuantized)
+from .model import (ModelParams, _uniform_band_weights, band_energy,
+                    band_weights, floquet_solution, gap_guard, micromotion,
+                    min_half_gap)
 from .dynamics import micromotion_overlap, return_amplitude
 from .dqpt import dqpt_condition
 
@@ -75,14 +77,13 @@ def geometric_phase_grid(params: ModelParams, band: str, k_grid,
     Uses the quasienergy-free form arg<chi|U_R|chi> + (w/2)<sz> t - w t/2,
     identical (mod 2 pi) to total - dynamical.
     """
-    return _phase_and_drift(params, band, k_grid, t)[0]
+    wa, wb = band_weights(params, band, np.asarray(k_grid, dtype=float))
+    return _phase_and_drift(params, wa, wb, t)[0]
 
 
-def _phase_and_drift(params, band, k_grid, t):
-    # the geometric phase and its t-linear part (w t/2)<sz>, from one
-    # evaluation of the band weights
-    k_grid = np.asarray(k_grid, dtype=float)
-    wa, wb = band_weights(params, band, k_grid)
+def _phase_and_drift(params, wa, wb, t):
+    # the geometric phase and its t-linear part (w t/2)<sz> from the band
+    # weights
     overlap = wa + np.exp(1j * params.omega_drive * t) * wb
     drift = 0.5 * params.omega_drive * t * (wa - wb)
     raw = np.angle(overlap) + drift - 0.5 * params.omega_drive * t
@@ -92,9 +93,17 @@ def _phase_and_drift(params, band, k_grid, t):
 
 
 def _critical_time_guard(params: ModelParams, t: float):
-    # NearCriticalTime within the guard window of a critical time, if the
-    # drive has any
+    # NearCriticalTime within the guard window of a critical time, and
+    # TimeUnresolved where doubles near t are spaced that window or wider,
+    # if the drive has any critical time
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     guard = T_GUARD_FRACTION * params.period
+    if math.ulp(t) >= guard:
+        if dqpt_condition(params).has_dqpt:
+            raise TimeUnresolved(f"t = {t} is resolved only to {math.ulp(t)}"
+                                 f", not to the {guard} critical-time window")
+        return
     half = 0.5 * params.period
     # nearest critical time (2n-1) T/2; the others are at least T/2 away
     n = max(1, round((t / half + 1) / 2)) if t > 0 else 1
@@ -125,11 +134,12 @@ def exact_winding_grid(params: ModelParams, band: str, t) -> np.ndarray:
 def exact_winding(params: ModelParams, band: str, t: float) -> int:
     """Dynamical invariant nu_band(t) in closed form (exact_winding_grid).
 
-    Raises DegenerateDelta1 and NearCriticalTime like winding_number, and
+    Raises ValueError for a non-finite t; DegenerateDelta1,
+    NearCriticalTime and TimeUnresolved like winding_number; and
     GaplessPoint.
     """
-    dqpt_condition(params)  # DegenerateDelta1 at any t
     _critical_time_guard(params, t)
+    dqpt_condition(params)  # DegenerateDelta1 at any t
     return int(exact_winding_grid(params, band, t))
 
 
@@ -142,14 +152,20 @@ def winding_number(params: ModelParams, band: str, t: float,
     adjacent points of a uniform k grid on [0, pi] and divides by 2 pi.
     The result is rounded to the nearest integer; a raw value farther than
     0.05 from that integer raises WindingNotQuantized instead of rounding
-    silently.
+    silently. The k grid and band weights are computed once per (params,
+    band, k_grid_size), so each t costs only the phases and their sum.
+
+    Raises ValueError for a non-finite t, and NearCriticalTime within
+    T_GUARD_FRACTION of a period of a critical time, or TimeUnresolved where
+    t is too large for doubles to resolve that window, if the drive has
+    critical times.
     """
     if k_grid_size < MIN_WINDING_GRID:
         raise ValueError(f"k_grid_size must be >= {MIN_WINDING_GRID}")
     _critical_time_guard(params, t)
 
-    k = np.linspace(0.0, math.pi, k_grid_size)
-    phi, drift = _phase_and_drift(params, band, k, t)
+    _, wa, wb = _uniform_band_weights(params, band, k_grid_size)
+    phi, drift = _phase_and_drift(params, wa, wb, t)
     if np.isnan(phi).any():
         raise PhaseUndefined("geometric phase undefined on the winding grid")
     # the t-linear part (w t/2)<sz> must change slowly in k, or the wrapped

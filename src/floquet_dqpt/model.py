@@ -17,6 +17,7 @@ formula downstream needs them that way; `fold_quasienergy` is display-only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -199,6 +200,24 @@ def band_weights(params: ModelParams, band: str, k):
     else:
         wa = 0.5 * (1.0 - zt)
     return wa, 1.0 - wa
+
+
+# typed: a float n that linspace refuses is not answered from an int entry
+@functools.lru_cache(maxsize=1, typed=True)
+def _uniform_band_weights(params: ModelParams, band: str, n: int):
+    """(k, |a|^2, |b|^2) on n uniform points of [0, pi], all read-only.
+
+    H_F is static, so the weights do not depend on t: a trace over t at one
+    (params, band, n) computes them once. One entry serves every caller, a
+    trace interleaving rate_function and winding_number included; the
+    arrays are shared, hence read-only. Parameters equal under == share the
+    entry: those that differ only in the sign of a zero give the same bits.
+    """
+    k = np.linspace(0.0, math.pi, n)
+    wa, wb = band_weights(params, band, k)
+    for a in (k, wa, wb):
+        a.flags.writeable = False
+    return k, wa, wb
 
 
 def band_energy(params: ModelParams, band: str, k):

@@ -163,6 +163,18 @@ def test_winding_raw_disagreeing_with_closed_form(monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
+def test_winding_refuses_times_doubles_cannot_resolve(capsys):
+    # near 1e16 doubles are 2 apart, so t = 1e16 cannot be told from its
+    # nearest critical time 1e16 - 1: a guard error, not a dropped row
+    for t_max in ("1e16", "1e300"):
+        assert run_cli(["winding", "--preset", "example1", "--t-max", t_max,
+                        "--t-points", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical guard: TimeUnresolved")
+        assert captured.err.count("\n") == 1
+
+
 def test_failed_write_keeps_earlier_output(tmp_path, monkeypatch, capsys):
     out = tmp_path / "r.csv"
     args = ["retprob", "--preset", "example1", "--t-points", "4",

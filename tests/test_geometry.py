@@ -8,7 +8,7 @@ import pytest
 from floquet_dqpt.errors import (BandUnsupported, DegenerateDelta1,
                                  GaplessPoint, GridTooCoarse,
                                  NearCriticalTime, NumericalGuardError,
-                                 PhaseUndefined)
+                                 PhaseUndefined, TimeUnresolved)
 from floquet_dqpt.model import (band_energy, bloch_components,
                                 floquet_solution, micromotion)
 from floquet_dqpt.dynamics import propagator_oracle, return_probability
@@ -217,6 +217,15 @@ def test_exact_winding_values_and_guards(ex1, ex2):
     assert exact_winding(ex2, "minus", 1.0 + 1e-5) == 0
     with pytest.raises(NearCriticalTime):
         exact_winding(ex1, "minus", 1.0 + 1e-5)
+    # doubles near 2^44 are 2^-8 apart, wider than the 2e-3 window around
+    # each critical time of example1 (T = 2); near 2^43 they are 2^-9 apart
+    assert exact_winding(ex1, "minus", 2.0 ** 43) == 2 ** 42
+    for t in (2.0 ** 44, 1e16, 1e300):
+        with pytest.raises(TimeUnresolved):
+            exact_winding(ex1, "minus", t)
+        with pytest.raises(TimeUnresolved):
+            winding_number(ex1, "minus", t)
+        assert exact_winding(ex2, "minus", t) == 0
     with pytest.raises(DegenerateDelta1):
         exact_winding(replace(ex1, delta1=0.0, delta2=ex1.omega_drive),
                       "minus", 0.5)
