@@ -2,8 +2,8 @@
 
 Modules
 -------
-model     : Bloch Hamiltonian, rotating frame, exact quasienergies and modes
-dynamics  : analytic propagator, brute-force oracle, return amplitudes
+model     : Bloch Hamiltonian, rotating frame, static-field kernel, exact modes
+dynamics  : closed-form propagator, brute-force oracle, return amplitudes
 dqpt      : rate function, Fisher zeros, critical condition
 geometry  : Pancharatnam phases, dynamical winding number, tomography route
 topology  : chiral time frames and the closed-form (W0, Wpi) invariants

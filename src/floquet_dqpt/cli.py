@@ -26,7 +26,7 @@ import numpy as np
 from . import dqpt, dynamics, geometry, lattice, topology
 from .errors import (ConfigError, GridTooCoarse, NearCriticalTime,
                      NumericalGuardError, WindingMismatch)
-from .model import ModelParams, floquet_solution
+from .model import ModelParams, gap_guard
 
 TWO_PI = 2.0 * math.pi
 
@@ -279,10 +279,10 @@ def cmd_oracle_check(cfg: RunConfig, tol: float = 1e-7, draws: int = 20):
                         omega_amp=rng.uniform(0.1, 5.0))
         k = rng.uniform(0.0, math.pi)
         try:
-            fs = floquet_solution(p, k)
+            half_gap = gap_guard(p, k)[2]
         except NumericalGuardError:
             continue
-        if fs.gap <= 0.01:
+        if 2.0 * half_gap <= 0.01:
             continue
         t = rng.uniform(0.0, 2.0 * p.period)
         ua = dynamics.propagator_analytic(p, k, t)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateDelta1, UndefinedTau
 from .model import (ModelParams, _uniform_band_weights, band_energy,
-                    bloch_components)
+                    bloch_components, finite_point)
 
 # Clamp on |G|^2 before the log: the integrand has an integrable log
 # singularity exactly at (k_c, t_c); clamping bounds the trapezoid sum
@@ -93,17 +93,18 @@ def dqpt_condition(params: ModelParams) -> CriticalSet:
 def fisher_tau(params: ModelParams, band: str, k: float) -> float:
     """Real part tau_band(k) of the Fisher-zero line, in time units.
 
-    Raises UndefinedTau at the two divergent limits: h_xy = 0 (tau -> -inf)
-    and E = h_z (tau -> +inf). Grid sweeps map these to signed infinities
-    instead (see fisher_lines).
+    Raises ValueError for a non-finite k, and UndefinedTau at the two
+    divergent limits: h_xy = 0 (tau -> -inf) and E = h_z (tau -> +inf),
+    read off the markers of fisher_tau_grid, which grid sweeps keep (see
+    fisher_lines).
     """
-    b = bloch_components(params, k)
-    e = float(band_energy(params, band, k))
-    if b.h_xy == 0.0:
+    finite_point(k)
+    tau = float(fisher_tau_grid(params, band, k))
+    if tau == -math.inf or math.isnan(tau):  # NaN: both limits at once
         raise UndefinedTau("h_xy = 0: tau -> -inf")
-    if e == b.h_z:
+    if tau == math.inf:
         raise UndefinedTau("E = h_z: tau -> +inf")
-    return float(fisher_tau_grid(params, band, k))
+    return tau
 
 
 def fisher_tau_grid(params: ModelParams, band: str, k_grid) -> np.ndarray:

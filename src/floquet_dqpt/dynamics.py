@@ -3,7 +3,8 @@
 Two routes to the time evolution operator are kept deliberately separate:
 
 * `propagator_analytic` uses the exact rotating-frame factorization
-  U(k, t) = U_R(t) exp(-i H_F(k) t) via the spectral decomposition of H_F;
+  U(k, t) = U_R(t) exp(-i H_F(k) t), whose static factor is the closed-form
+  SU(2) exponential of the field `model.static_field`;
 * `propagator_oracle` integrates dU/dt = -i H(k, t) U with a classical
   fixed-step 4th-order scheme and knows nothing about the rotating frame.
 
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepCountTooSmall
-from .model import ModelParams, band_weights, bloch_components, \
-    floquet_solution, gap_guard, micromotion
+from .model import (SIGMA_0, SIGMA_X, SIGMA_Z, ModelParams, band_energy,
+                    band_weights, bloch_components, gap_guard, micromotion)
 
 MIN_ORACLE_STEPS = 256
 DEFAULT_ORACLE_STEPS = 4096
@@ -48,15 +49,19 @@ class ReturnAmplitude:
 
 
 def propagator_analytic(params: ModelParams, k: float, t: float) -> np.ndarray:
-    """Exact propagator U(k, t) = U_R(t) exp(-i H_F(k) t)."""
+    """Exact propagator U(k, t) = U_R(t) exp(-i H_F(k) t).
+
+    With H_F = (w/2) I + (Delta/2) n.sigma, n the unit static field,
+    exp(-i H_F t) = e^{-i w t/2} [cos(Delta t/2) I - i sin(Delta t/2) n.sigma].
+    """
     if t < 0:
         raise ValueError("t must be >= 0")
-    fs = floquet_solution(params, k)
-    pm = np.outer(fs.chi_minus, fs.chi_minus.conj())
-    pp = np.outer(fs.chi_plus, fs.chi_plus.conj())
-    expf = (cmath.exp(-1j * fs.e_minus * t) * pm
-            + cmath.exp(-1j * fs.e_plus * t) * pp)
-    return micromotion(params, t) @ expf
+    b, dz, half_gap = gap_guard(params, k, t)
+    angle = half_gap * t
+    rotation = (math.cos(angle) * SIGMA_0 - 1j * (math.sin(angle) / half_gap)
+                * (b.h_xy * SIGMA_X + dz * SIGMA_Z))
+    return micromotion(params, t) @ (
+        cmath.exp(-0.5j * params.omega_drive * t) * rotation)
 
 
 def propagator_oracle(params: ModelParams, k: float, t: float,
@@ -75,6 +80,8 @@ def propagator_oracle(params: ModelParams, k: float, t: float,
     """
     if steps < MIN_ORACLE_STEPS:
         raise StepCountTooSmall(f"steps={steps} < {MIN_ORACLE_STEPS}")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if t < 0:
         raise ValueError("t must be >= 0")
 
@@ -162,8 +169,8 @@ def return_amplitude(params: ModelParams, band: str, k: float,
     G = e^{-i E t} <chi| U_R(t) |chi>; the micromotion overlap carries the
     whole modulus, the quasienergy only a phase.
     """
-    fs = floquet_solution(params, k)  # gap guard
-    e = fs.e_plus if band == "plus" else fs.e_minus
+    gap_guard(params, k, t)
+    e = float(band_energy(params, band, k))
     value = cmath.exp(-1j * e * t) * complex(
         micromotion_overlap(params, band, k, t))
     return ReturnAmplitude(value=value, band=band, k=float(k), t=float(t))
@@ -172,7 +179,7 @@ def return_amplitude(params: ModelParams, band: str, k: float,
 def return_probability(params: ModelParams, band: str, k: float,
                        t: float) -> float:
     """|G_band(k, t)|^2; independent of the quasienergy phase."""
-    gap_guard(params, k)
+    gap_guard(params, k, t)
     return float(return_probability_grid(params, band, k, t))
 
 

@@ -63,9 +63,5 @@ class InvalidSize(ValueError):
     """Chain size below the minimum."""
 
 
-class BoundaryMismatch(ValueError):
-    """Operation requires a different boundary condition."""
-
-
 class ConfigError(ValueError):
     """Malformed run configuration (file or flags)."""

@@ -22,9 +22,8 @@ import numpy as np
 from .errors import (BandUnsupported, GaplessPoint, GridTooCoarse,
                      NearCriticalTime, PhaseUndefined, TimeUnresolved,
                      WindingNotQuantized)
-from .model import (ModelParams, _uniform_band_weights, band_energy,
-                    band_weights, floquet_solution, gap_guard, micromotion,
-                    min_half_gap)
+from .model import (ModelParams, _band_sign, _uniform_band_weights,
+                    band_weights, gap_guard, min_half_gap)
 from .dynamics import micromotion_overlap, return_amplitude
 from .dqpt import dqpt_condition
 
@@ -53,21 +52,24 @@ def total_phase(params: ModelParams, band: str, k: float, t: float) -> float:
 
 def dynamical_phase(params: ModelParams, band: str, k: float,
                     t: float) -> float:
-    """-<chi| H_R |chi> t = -(E - (w/2)(1 - <sz>)) t; exact, linear in t."""
-    gap_guard(params, k)
-    wa, wb = band_weights(params, band, k)
-    e = band_energy(params, band, k)
-    return float(-(e - 0.5 * params.omega_drive * (1.0 - (wa - wb))) * t)
+    """-<chi| H_R |chi> t = -(E - (w/2)(1 - <sz>)) t; exact, linear in t.
+
+    In band +-, E = w/2 +- Delta/2 and <sz> = +-(h_z - w/2)/(Delta/2)."""
+    sign = _band_sign(band)
+    _, dz, half_gap = gap_guard(params, k, t)
+    return float(-sign * (half_gap + 0.5 * params.omega_drive * dz / half_gap)
+                 * t)
 
 
 def geometric_phase(params: ModelParams, band: str, k: float,
                     t: float) -> float:
     """total - dynamical at one (k, t), reduced to (-pi, pi]."""
-    gap_guard(params, k)
-    g = abs(complex(micromotion_overlap(params, band, k, t)))
+    gap_guard(params, k, t)
+    wa, wb = band_weights(params, band, k)
+    g = abs(complex(wa + np.exp(1j * params.omega_drive * t) * wb))
     if g < AMP_FLOOR:
         raise PhaseUndefined(f"|G| = {g:.3e} < {AMP_FLOOR}")
-    return float(geometric_phase_grid(params, band, k, t))
+    return float(_phase_and_drift(params, wa, wb, t)[0])
 
 
 def geometric_phase_grid(params: ModelParams, band: str, k_grid,
@@ -187,26 +189,29 @@ def winding_number(params: ModelParams, band: str, t: float,
 
 
 def bloch_expectations(params: ModelParams, band: str, k: float, t: float):
-    """(<sx>, <sy>, <sz>) of the evolved Floquet state at (k, t)."""
-    fs = floquet_solution(params, k)
-    chi = fs.chi_minus if band == "minus" else fs.chi_plus
-    psi = micromotion(params, t) @ chi
-    a, b = psi[0], psi[1]
-    cross = 2.0 * a.conjugate() * b
-    return (float(cross.real), float(cross.imag),
-            float((abs(a) ** 2 - abs(b) ** 2)))
+    """(<sx>, <sy>, <sz>) of the evolved Floquet state at (k, t).
+
+    The band's Bloch vector +-(h_xy, 0, h_z - w/2)/(Delta/2) turned about z
+    by U_R(t) through the angle w t.
+    """
+    sign = _band_sign(band)
+    b, dz, half_gap = gap_guard(params, k, t)
+    wt = params.omega_drive * t
+    r = sign / half_gap
+    return (float(r * b.h_xy * math.cos(wt)),
+            float(r * b.h_xy * math.sin(wt)), float(r * dz))
 
 
 def geometric_phase_from_tomography(params: ModelParams, k: float, t: float,
                                     band: str = "minus") -> float:
     """Geometric phase reconstructed from Pauli expectation values.
 
-    Mirrors the measurement pipeline: from (<sx>, <sy>, <sz>) of the evolved
-    state build the Bloch angles (theta for the initial state from the model
-    parameters, vartheta and phi for the evolved state, with the phi quadrant
-    fixed by the sign of <sy>), form the overlap of initial and evolved
-    modes, and subtract the analytically integrated dynamical contribution
-    (<sz> is constant in the rotating frame). The initial lower-band mode is
+    Mirrors the measurement pipeline: build the Bloch angles (theta of the
+    initial state, cos theta = (h_z - w/2)/(Delta/2) from the static field;
+    vartheta and phi = atan2(<sy>, <sx>) of the evolved state, from its
+    (<sx>, <sy>, <sz>)), form the overlap of initial and evolved modes, and
+    subtract the analytically integrated dynamical contribution (<sz> is
+    constant in the rotating frame). The initial lower-band mode is
     (sin(theta/2), -s cos(theta/2)) with s the sign of h_xy(k), the same
     convention as `floquet_solution`, so the overlap's second term carries s.
 
@@ -215,28 +220,19 @@ def geometric_phase_from_tomography(params: ModelParams, k: float, t: float,
     if band != "minus":
         raise BandUnsupported("tomography reconstruction defined for band "
                               "'minus' only")
+    b, dz, half_gap = gap_guard(params, k, t)
     g = abs(complex(micromotion_overlap(params, band, k, t)))
     if g < AMP_FLOOR:
         raise PhaseUndefined(f"|G| = {g:.3e} < {AMP_FLOOR}")
 
     sx, sy, sz = bloch_expectations(params, band, k, t)
-    w, d1, d2, amp = (params.omega_drive, params.delta1, params.delta2,
-                      params.omega_amp)
-
-    zcomp = d1 * math.cos(k) + d2 - w
-    xcomp = amp * math.sin(k)
-    theta = math.acos(zcomp / math.hypot(zcomp, xcomp))
-    s = 1.0 if xcomp >= 0 else -1.0
+    w = params.omega_drive
+    theta = math.acos(dz / half_gap)
+    s = 1.0 if b.h_xy >= 0 else -1.0
 
     norm = math.sqrt(sx * sx + sy * sy + sz * sz)
     cos_vt = max(-1.0, min(1.0, sz / norm))
-    rho = math.hypot(sx, sy)
-    if rho > 0:
-        phi = math.copysign(math.acos(max(-1.0, min(1.0, sx / rho))), 1.0)
-        if sy < 0:
-            phi = -phi
-    else:
-        phi = 0.0
+    phi = math.atan2(sy, sx)
 
     overlap = (math.sin(0.5 * theta) * math.sqrt(0.5 * (1.0 + cos_vt))
                - s * cmath.exp(1j * phi) * math.cos(0.5 * theta)

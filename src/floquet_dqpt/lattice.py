@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryMismatch, InvalidSize
+from .errors import InvalidSize
 from .model import ModelParams, hamiltonian_lab
 
 MAX_SITES = 1000
@@ -90,32 +90,24 @@ def build_chain(params: ModelParams, n_sites: int, boundary: str) -> BdgChain:
     return BdgChain(params=params, n_sites=n_sites, boundary=boundary)
 
 
-def momentum_consistency_check(params: ModelParams, n_sites: int,
-                               times=None, chain: BdgChain | None = None
-                               ) -> float:
+def momentum_consistency_check(params: ModelParams, n_sites: int) -> float:
     """Max deviation of the Fourier blocks from the Bloch Hamiltonian.
 
-    Transforms the antiperiodic real-space BdG matrix to the momentum set
-    k_m = 2 pi (m + 1/2) / N and compares each undoubled 2x2 block against
-    H(k_m, t). Exercises the whole fermionization + Fourier pipeline; the
-    result should sit at rounding level. A prebuilt chain may be passed in;
-    it must be antiperiodic.
+    Transforms the antiperiodic real-space BdG matrix at t = 0, T/3 and T/2
+    to the momentum set k_m = 2 pi (m + 1/2) / N and compares each undoubled
+    2x2 block against H(k_m, t). Exercises the whole fermionization +
+    Fourier pipeline; the result should sit at rounding level.
     """
     if n_sites < 8 or n_sites % 2:
         raise InvalidSize("momentum check needs even n_sites >= 8")
-    if chain is None:
-        chain = build_chain(params, n_sites, "antiperiodic")
-    if chain.boundary != "antiperiodic":
-        raise BoundaryMismatch("momentum check requires antiperiodic boundary")
+    chain = build_chain(params, n_sites, "antiperiodic")
 
     n = n_sites
     sites = np.arange(1, n + 1)
     ks = 2.0 * math.pi * (np.arange(n) + 0.5) / n
-    if times is None:
-        times = [0.0, params.period / 3.0, params.period / 2.0]
 
     worst = 0.0
-    for t in times:
+    for t in (0.0, params.period / 3.0, params.period / 2.0):
         h = chain.hamiltonian_at(t)
         for k in ks:
             c = np.exp(-1j * k * sites) / math.sqrt(n)

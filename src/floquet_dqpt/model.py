@@ -10,9 +10,12 @@ rotating with U_R(t) = diag(1, e^{i w t}) the problem becomes static,
 
     H_F(k) = h_xy sx + (h_z - w/2) sz + (w/2) I,
 
-whose eigenpairs give the quasienergies E_pm(k) = w/2 +- Delta(k)/2 and the
-Floquet modes at t = 0. Quasienergies are kept UNFOLDED because every phase
-formula downstream needs them that way; `fold_quasienergy` is display-only.
+a constant plus the static field (h_xy, 0, h_z - w/2) of length Delta(k)/2.
+`static_field` computes that field once, broadcast over k, and every band
+quantity reads it: the quasienergies E_pm(k) = w/2 +- Delta(k)/2, the band
+weights |a|^2, |b|^2 of the t = 0 Floquet modes, and the gap guard of the
+scalar APIs. Quasienergies are kept UNFOLDED because every phase formula
+downstream needs them that way; `fold_quasienergy` is display-only.
 """
 
 from __future__ import annotations
@@ -115,23 +118,29 @@ def micromotion(params: ModelParams, t: float) -> np.ndarray:
                     dtype=complex)
 
 
-def _fix_phase(chi: np.ndarray) -> np.ndarray:
-    """Make the first nonzero component real positive."""
-    for c in chi:
-        if c != 0:
-            return chi * (abs(c) / c)
-    return chi
+def static_field(params: ModelParams, k):
+    """(Bloch components, h_z - w/2, Delta/2) at k, broadcast over k.
 
-
-def gap_guard(params: ModelParams, k: float):
-    """(Bloch components, h_z - w/2, Delta/2) at k.
-
-    Raises GaplessPoint when the gap Delta is at or below the relative floor:
-    the guard of floquet_solution, for callers that need no eigenvectors.
+    The field of H_F - (w/2) I and its length: the one evaluation every band
+    quantity and the scalar guard read.
     """
     b = bloch_components(params, k)
     dz = b.h_z - 0.5 * params.omega_drive
-    half_gap = math.hypot(b.h_xy, dz)
+    return b, dz, np.hypot(b.h_xy, dz)
+
+
+def finite_point(k, t=0.0):
+    """Raise ValueError unless k and t are finite: the scalar APIs' check."""
+    for name, x in (("k", k), ("t", t)):
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
+
+
+def gap_guard(params: ModelParams, k: float, t: float = 0.0):
+    """static_field at one point, guarded: ValueError for a non-finite k or
+    t, GaplessPoint when the gap Delta is at or below the relative floor."""
+    finite_point(k, t)
+    b, dz, half_gap = static_field(params, k)
     gap = 2.0 * half_gap
     if gap <= params.gap_floor:
         raise GaplessPoint(f"gap {gap:.3e} at k={k} below floor "
@@ -162,24 +171,29 @@ def min_half_gap(params: ModelParams) -> float:
 def floquet_solution(params: ModelParams, k: float) -> FloquetSolution:
     """Exact quasienergies and eigenmodes of H_F(k).
 
-    Uses the sign-resolved closed forms of the H_F eigenvectors; at the
-    Brillouin-zone edges (h_xy = 0) these degenerate to the sz basis states
-    with chi_plus the state of eigenvalue sign(h_z - w/2).
+    The modes are the square roots of the band weights, the second component
+    signed by h_xy, with the first nonzero component real positive: at the
+    Brillouin-zone edges (h_xy = 0) they are the sz basis states, chi_plus
+    the one of eigenvalue sign(h_z - w/2).
 
     Raises GaplessPoint when the gap falls below the relative floor.
     """
-    w = params.omega_drive
-    b, dz, half_gap = gap_guard(params, k)
-    zt = dz / half_gap  # (2 h_z - w) / Delta
-    up = math.sqrt(max(0.0, 0.5 * (1.0 + zt)))
-    um = math.sqrt(max(0.0, 0.5 * (1.0 - zt)))
+    b, _, half_gap = gap_guard(params, k)
+    up, um = (math.sqrt(x) for x in band_weights(params, "plus", k))
     s = 1.0 if b.h_xy >= 0 else -1.0
-    chi_plus = _fix_phase(np.array([up, s * um], dtype=complex))
-    chi_minus = _fix_phase(np.array([s * um, -up], dtype=complex))
-    return FloquetSolution(e_minus=0.5 * w - half_gap,
-                           e_plus=0.5 * w + half_gap,
-                           chi_minus=chi_minus, chi_plus=chi_plus,
-                           gap=2.0 * half_gap)
+    return FloquetSolution(
+        e_minus=0.5 * params.omega_drive - half_gap,
+        e_plus=0.5 * params.omega_drive + half_gap,
+        chi_minus=np.array([um, -s * up if um else up], dtype=complex),
+        chi_plus=np.array([up, s * um if up else um], dtype=complex),
+        gap=2.0 * half_gap)
+
+
+def _band_sign(band: str) -> float:
+    # +1 for the upper band, -1 for the lower one
+    if band not in ("minus", "plus"):
+        raise ValueError(f"band must be 'minus' or 'plus', got {band!r}")
+    return 1.0 if band == "plus" else -1.0
 
 
 def band_weights(params: ModelParams, band: str, k):
@@ -188,17 +202,11 @@ def band_weights(params: ModelParams, band: str, k):
     The weights only depend on the longitudinal tilt, so they are available
     in closed form without building eigenvectors. Used by the grid sweeps.
     """
-    if band not in ("minus", "plus"):
-        raise ValueError(f"band must be 'minus' or 'plus', got {band!r}")
-    b = bloch_components(params, k)
-    dz = b.h_z - 0.5 * params.omega_drive
-    half_gap = np.hypot(b.h_xy, dz)
+    sign = _band_sign(band)
+    _, dz, half_gap = static_field(params, k)
     zt = np.where(half_gap > 0, dz / np.where(half_gap > 0, half_gap, 1.0),
                   np.nan)
-    if band == "plus":
-        wa = 0.5 * (1.0 + zt)
-    else:
-        wa = 0.5 * (1.0 - zt)
+    wa = 0.5 * (1.0 + sign * zt)
     return wa, 1.0 - wa
 
 
@@ -222,12 +230,8 @@ def _uniform_band_weights(params: ModelParams, band: str, n: int):
 
 def band_energy(params: ModelParams, band: str, k):
     """Unfolded quasienergy E_band(k), vectorized over k."""
-    if band not in ("minus", "plus"):
-        raise ValueError(f"band must be 'minus' or 'plus', got {band!r}")
-    b = bloch_components(params, k)
-    half_gap = np.hypot(b.h_xy, b.h_z - 0.5 * params.omega_drive)
-    sign = 1.0 if band == "plus" else -1.0
-    return 0.5 * params.omega_drive + sign * half_gap
+    sign = _band_sign(band)
+    return 0.5 * params.omega_drive + sign * static_field(params, k)[2]
 
 
 def fold_quasienergy(params: ModelParams, e):

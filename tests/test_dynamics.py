@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from floquet_dqpt import dynamics
 from floquet_dqpt.errors import GaplessPoint, StepCountTooSmall
 from floquet_dqpt.model import (SIGMA_X, SIGMA_Z, bloch_components,
-                                floquet_solution)
+                                floquet_solution, micromotion)
 from floquet_dqpt.dynamics import (propagator_analytic, propagator_oracle,
                                    return_amplitude, return_probability,
                                    return_probability_grid, reunitarize)
@@ -27,6 +27,12 @@ def test_oracle_step_guard(ex1):
         propagator_oracle(ex1, 0.8, 1.0, steps=128)
 
 
+def test_oracle_refuses_non_finite_t(ex1):
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            propagator_oracle(ex1, 0.8, t)
+
+
 def test_oracle_diagonal_at_k0(ex1):
     # h_xy(0) = 0 so H is static sz; the oracle must give a diagonal phase
     hz = bloch_components(ex1, 0.0).h_z
@@ -34,6 +40,26 @@ def test_oracle_diagonal_at_k0(ex1):
     u = propagator_oracle(ex1, 0.0, t, steps=1024)
     expected = np.diag([np.exp(-1j * hz * t), np.exp(1j * hz * t)])
     assert np.abs(u - expected).max() < 1e-10
+
+
+def test_propagator_closed_form_matches_spectral_form():
+    # U_R(t) sum_pm e^{-i E_pm t} |chi_pm><chi_pm| from the Floquet modes
+    rng = np.random.default_rng(61)
+    checked = 0
+    while checked < 200:
+        p = random_params(rng)
+        k = rng.uniform(0.0, math.pi)
+        t = rng.uniform(0.0, 4.0 * p.period)
+        try:
+            fs = floquet_solution(p, k)
+        except GaplessPoint:
+            continue
+        spectral = micromotion(p, t) @ sum(
+            np.exp(-1j * e * t) * np.outer(chi, chi.conj())
+            for e, chi in ((fs.e_minus, fs.chi_minus),
+                           (fs.e_plus, fs.chi_plus)))
+        assert np.abs(propagator_analytic(p, k, t) - spectral).max() < 1e-10
+        checked += 1
 
 
 def test_propagator_half_period_closed_form(ex1):
@@ -193,7 +219,8 @@ def test_return_probability_grid_matches_scalar(ex1):
         assert pr == pytest.approx(abs(chi.conj() @ u @ chi) ** 2, abs=1e-9)
 
 
-ANALYTIC_ROUTE = {"floquet_solution", "band_weights", "band_energy",
+ANALYTIC_ROUTE = {"static_field", "gap_guard", "finite_point",
+                  "floquet_solution", "band_weights", "band_energy",
                   "micromotion", "micromotion_overlap", "propagator_analytic",
                   "obc_floquet_spectrum"}
 

@@ -250,6 +250,8 @@ def test_bloch_expectations_unit_norm_and_initial_values(ex1):
 
 def test_bloch_expectations_against_oracle():
     rng = np.random.default_rng(29)
+    paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.array([[1, 0], [0, -1]]))
     checked = 0
     while checked < 10:
         p = random_params(rng)
@@ -260,13 +262,17 @@ def test_bloch_expectations_against_oracle():
         except GaplessPoint:
             continue
         u = propagator_oracle(p, k, t, steps=2048)
-        psi = u @ fs.chi_minus
-        paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
-                  np.array([[1, 0], [0, -1]]))
-        expected = [float((psi.conj() @ s @ psi).real) for s in paulis]
-        got = bloch_expectations(p, "minus", k, t)
-        assert got == pytest.approx(expected, abs=1e-7)
+        for band, chi in (("minus", fs.chi_minus), ("plus", fs.chi_plus)):
+            psi = u @ chi
+            expected = [float((psi.conj() @ s @ psi).real) for s in paulis]
+            got = bloch_expectations(p, band, k, t)
+            assert got == pytest.approx(expected, abs=1e-7)
         checked += 1
+
+
+def test_bloch_expectations_reject_unknown_band(ex1):
+    with pytest.raises(ValueError, match="band"):
+        bloch_expectations(ex1, "foo", 0.7, 0.5)
 
 
 def test_tomography_matches_direct_phase():

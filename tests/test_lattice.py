@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from floquet_dqpt.errors import (BoundaryMismatch, InvalidSize,
-                                 StepCountTooSmall)
+from floquet_dqpt.errors import InvalidSize, StepCountTooSmall
 from floquet_dqpt.model import ModelParams, floquet_solution, fold_quasienergy
 from floquet_dqpt.lattice import (build_chain, momentum_consistency_check,
                                   obc_floquet_spectrum)
@@ -75,8 +74,6 @@ def test_momentum_consistency_guards(ex1):
         momentum_consistency_check(ex1, 7)
     with pytest.raises(InvalidSize):
         momentum_consistency_check(ex1, 4)
-    with pytest.raises(BoundaryMismatch):
-        momentum_consistency_check(ex1, 8, chain=build_chain(ex1, 8, "open"))
 
 
 def test_antiperiodic_spectrum_matches_bloch_quasienergies(ex1):

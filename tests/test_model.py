@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floquet_dqpt.dynamics import return_probability
+from floquet_dqpt.dqpt import fisher_tau
+from floquet_dqpt.dynamics import (propagator_analytic, return_amplitude,
+                                   return_probability)
 from floquet_dqpt.errors import GaplessPoint
-from floquet_dqpt.geometry import dynamical_phase, geometric_phase
+from floquet_dqpt.geometry import (bloch_expectations, dynamical_phase,
+                                   geometric_phase,
+                                   geometric_phase_from_tomography,
+                                   total_phase)
 from floquet_dqpt.model import (ModelParams, SIGMA_X, SIGMA_Y, SIGMA_Z,
                                 bloch_components, band_energy, band_weights,
                                 floquet_solution, fold_quasienergy, gap_guard,
@@ -169,6 +174,32 @@ def test_gap_guard_is_the_floquet_solution_guard():
         assert fs.gap == 2.0 * half_gap
         assert fs.e_plus - fs.e_minus == pytest.approx(2.0 * half_gap)
         assert dz == b.h_z - 0.5 * q.omega_drive
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+POINT_APIS = {
+    "return_amplitude": lambda p, k, t: return_amplitude(p, "minus", k, t),
+    "return_probability": lambda p, k, t: return_probability(p, "plus", k, t),
+    "total_phase": lambda p, k, t: total_phase(p, "minus", k, t),
+    "dynamical_phase": lambda p, k, t: dynamical_phase(p, "plus", k, t),
+    "geometric_phase": lambda p, k, t: geometric_phase(p, "minus", k, t),
+    "bloch_expectations": lambda p, k, t: bloch_expectations(p, "plus", k, t),
+    "geometric_phase_from_tomography": geometric_phase_from_tomography,
+    "propagator_analytic": propagator_analytic,
+    "fisher_tau": lambda p, k, t: fisher_tau(p, "minus", k),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_APIS))
+def test_scalar_apis_refuse_non_finite_points(ex1, name):
+    # ValueError from the point guard, before any kernel sees the NaN
+    api = POINT_APIS[name]
+    for x in NON_FINITE:
+        points = [(x, 0.5)] if name == "fisher_tau" else [(x, 0.5), (0.7, x)]
+        for k, t in points:
+            with pytest.raises(ValueError):
+                api(ex1, k, t)
+    api(ex1, 0.7, 0.5)  # a finite point passes
 
 
 def test_micromotion_special_times(ex1):
