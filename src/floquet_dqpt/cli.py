@@ -267,8 +267,9 @@ def cmd_spectrum(cfg: RunConfig):
                    spec.edge_weights, spec.pi_mode))
 
 
-def cmd_oracle_check(cfg: RunConfig, tol: float = 1e-7, draws: int = 20):
+def cmd_oracle_check(cfg: RunConfig):
     """Analytic-vs-oracle propagator suite; nonzero exit on failure."""
+    tol, draws = 1e-7, 20
     rng = np.random.default_rng(20240831)
     worst = 0.0
     done = 0

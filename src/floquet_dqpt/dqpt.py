@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dynamics import micromotion_overlap
 from .errors import DegenerateDelta1, UndefinedTau
 from .model import (ModelParams, _uniform_band_weights, band_energy,
                     bloch_components, finite_point)
@@ -28,9 +29,6 @@ from .model import (ModelParams, _uniform_band_weights, band_energy,
 PROB_FLOOR = 1e-14
 
 DEFAULT_K_GRID = 2001
-
-# Most critical times `critical_times` lists, checked before building it.
-MAX_CRITICAL_TIMES = 100_000
 
 
 @dataclass(frozen=True)
@@ -52,26 +50,13 @@ class CriticalSet:
     critical_times: list = field(default_factory=list)
 
 
-def critical_times(params: ModelParams, t_max: float) -> list:
-    """All t_c = (2n-1) T/2 up to and including t_max.
-
-    Raises ValueError when there are more than MAX_CRITICAL_TIMES of them.
-    """
-    half = 0.5 * params.period
-    bound = (t_max + 1e-12 * params.period) / params.period + 0.5
-    if not bound < MAX_CRITICAL_TIMES + 1:  # NaN and inf too
-        raise ValueError(f"the critical times up to t_max = {t_max} "
-                         f"exceed {MAX_CRITICAL_TIMES}")
-    return [(2 * n - 1) * half for n in range(1, math.floor(bound) + 1)]
-
-
 def dqpt_condition(params: ModelParams) -> CriticalSet:
     """Critical momentum and times, or the verdict that none exist.
 
     has_dqpt iff |w - delta2| <= |delta1| (boundary included); then
     k_c = arccos((w - delta2) / delta1). The library's one statement of the
-    condition (topology reads it). Critical times are listed over the first
-    three periods; `critical_times` gives other horizons.
+    condition (topology reads it). Critical times t_c = (2n-1) T/2 are
+    listed over the first three periods.
     """
     w, d1, d2 = params.omega_drive, params.delta1, params.delta2
     if d1 == 0.0:
@@ -85,9 +70,9 @@ def dqpt_condition(params: ModelParams) -> CriticalSet:
     if not has:
         return CriticalSet(has_dqpt=False, k_c=None)
     k_c = math.acos(max(-1.0, min(1.0, ratio)))
+    half = 0.5 * params.period
     return CriticalSet(has_dqpt=True, k_c=k_c,
-                       critical_times=critical_times(params,
-                                                     3.0 * params.period))
+                       critical_times=[(2 * n - 1) * half for n in (1, 2, 3)])
 
 
 def fisher_tau(params: ModelParams, band: str, k: float) -> float:
@@ -144,14 +129,13 @@ def rate_function(params: ModelParams, band: str, t: float,
     contribute ln 1 = 0 exactly); |G|^2 is clamped below at PROB_FLOOR. The
     1/pi measure makes g intensive and grid-size comparable. The k grid and
     band weights are computed once per (params, band, k_grid_size), so each
-    t costs only |G|^2 = ||a|^2 + e^{iwt}|b|^2|^2 and the sum.
+    t costs only |G|^2 from `micromotion_overlap` and the sum.
     """
     if k_grid_size < 2:
         raise ValueError("k_grid_size must be >= 2")
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     k, wa, wb = _uniform_band_weights(params, band, k_grid_size)
-    prob = np.abs(wa + np.exp(1j * params.omega_drive * np.asarray(t))
-                  * wb) ** 2
+    prob = np.abs(micromotion_overlap(params, wa, wb, t)) ** 2
     logp = np.log(np.maximum(prob, PROB_FLOOR))
     return float(-np.trapezoid(logp, k) / math.pi)

@@ -80,8 +80,9 @@ def propagator_oracle(params: ModelParams, k: float, t: float,
     """
     if steps < MIN_ORACLE_STEPS:
         raise StepCountTooSmall(f"steps={steps} < {MIN_ORACLE_STEPS}")
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+    for name, x in (("k", k), ("t", t)):
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
     if t < 0:
         raise ValueError("t must be >= 0")
 
@@ -156,9 +157,10 @@ def reunitarize(u: np.ndarray):
     return uu, float(np.linalg.norm(u - uu, 2))
 
 
-def micromotion_overlap(params: ModelParams, band: str, k, t):
-    """<chi| U_R(t) |chi> = |a|^2 + e^{i w t} |b|^2, broadcast over k and t."""
-    wa, wb = band_weights(params, band, k)
+def micromotion_overlap(params: ModelParams, wa, wb, t):
+    """<chi| U_R(t) |chi> = |a|^2 + e^{i w t} |b|^2 from the band weights,
+    broadcast over their shape and t: the one kernel of the overlap that
+    every return amplitude, rate function and phase reads."""
     return wa + np.exp(1j * params.omega_drive * np.asarray(t)) * wb
 
 
@@ -172,7 +174,7 @@ def return_amplitude(params: ModelParams, band: str, k: float,
     gap_guard(params, k, t)
     e = float(band_energy(params, band, k))
     value = cmath.exp(-1j * e * t) * complex(
-        micromotion_overlap(params, band, k, t))
+        micromotion_overlap(params, *band_weights(params, band, k), t))
     return ReturnAmplitude(value=value, band=band, k=float(k), t=float(t))
 
 
@@ -186,4 +188,5 @@ def return_probability(params: ModelParams, band: str, k: float,
 def return_probability_grid(params: ModelParams, band: str, k_grid,
                             t) -> np.ndarray:
     """|G|^2 = |<chi| U_R(t) |chi>|^2, broadcast over k and t."""
-    return np.abs(micromotion_overlap(params, band, np.asarray(k_grid), t)) ** 2
+    weights = band_weights(params, band, np.asarray(k_grid))
+    return np.abs(micromotion_overlap(params, *weights, t)) ** 2

@@ -55,10 +55,6 @@ class GapClosure(NumericalGuardError):
     """Chiral-symmetric vector passes within the floor of the origin."""
 
 
-class BandUnsupported(ValueError):
-    """Operation only defined for the lower Floquet band."""
-
-
 class InvalidSize(ValueError):
     """Chain size below the minimum."""
 

@@ -19,9 +19,8 @@ import math
 
 import numpy as np
 
-from .errors import (BandUnsupported, GaplessPoint, GridTooCoarse,
-                     NearCriticalTime, PhaseUndefined, TimeUnresolved,
-                     WindingNotQuantized)
+from .errors import (GaplessPoint, GridTooCoarse, NearCriticalTime,
+                     PhaseUndefined, TimeUnresolved, WindingNotQuantized)
 from .model import (ModelParams, _band_sign, _uniform_band_weights,
                     band_weights, gap_guard, min_half_gap)
 from .dynamics import micromotion_overlap, return_amplitude
@@ -42,12 +41,16 @@ def principal_branch(x):
     return np.angle(np.exp(1j * np.asarray(x)))
 
 
+def _phase(z: complex) -> float:
+    # argument of an amplitude, refused where it is too small to carry one
+    if abs(z) < AMP_FLOOR:
+        raise PhaseUndefined(f"|G| = {abs(z):.3e} < {AMP_FLOOR}")
+    return cmath.phase(z)
+
+
 def total_phase(params: ModelParams, band: str, k: float, t: float) -> float:
     """Argument of the return amplitude, principal branch."""
-    g = return_amplitude(params, band, k, t).value
-    if abs(g) < AMP_FLOOR:
-        raise PhaseUndefined(f"|G| = {abs(g):.3e} < {AMP_FLOOR}")
-    return cmath.phase(g)
+    return _phase(return_amplitude(params, band, k, t).value)
 
 
 def dynamical_phase(params: ModelParams, band: str, k: float,
@@ -63,13 +66,13 @@ def dynamical_phase(params: ModelParams, band: str, k: float,
 
 def geometric_phase(params: ModelParams, band: str, k: float,
                     t: float) -> float:
-    """total - dynamical at one (k, t), reduced to (-pi, pi]."""
+    """total - dynamical at one (k, t), reduced to (-pi, pi]: the grid
+    kernel at the point, with PhaseUndefined where it reads NaN."""
     gap_guard(params, k, t)
-    wa, wb = band_weights(params, band, k)
-    g = abs(complex(wa + np.exp(1j * params.omega_drive * t) * wb))
-    if g < AMP_FLOOR:
-        raise PhaseUndefined(f"|G| = {g:.3e} < {AMP_FLOOR}")
-    return float(_phase_and_drift(params, wa, wb, t)[0])
+    phi = float(geometric_phase_grid(params, band, k, t))
+    if math.isnan(phi):
+        raise PhaseUndefined(f"|G| < {AMP_FLOOR} at k = {k}, t = {t}")
+    return phi
 
 
 def geometric_phase_grid(params: ModelParams, band: str, k_grid,
@@ -85,8 +88,8 @@ def geometric_phase_grid(params: ModelParams, band: str, k_grid,
 
 def _phase_and_drift(params, wa, wb, t):
     # the geometric phase and its t-linear part (w t/2)<sz> from the band
-    # weights
-    overlap = wa + np.exp(1j * params.omega_drive * t) * wb
+    # weights; NaN where |G| < AMP_FLOOR
+    overlap = micromotion_overlap(params, wa, wb, t)
     drift = 0.5 * params.omega_drive * t * (wa - wb)
     raw = np.angle(overlap) + drift - 0.5 * params.omega_drive * t
     out = np.asarray(principal_branch(raw), dtype=float)
@@ -107,9 +110,10 @@ def _critical_time_guard(params: ModelParams, t: float):
                                  f", not to the {guard} critical-time window")
         return
     half = 0.5 * params.period
-    # nearest critical time (2n-1) T/2; the others are at least T/2 away
-    n = max(1, round((t / half + 1) / 2)) if t > 0 else 1
-    near = abs(t - (2 * n - 1) * half) < guard
+    # nearest critical time +-(2n-1) T/2; the others are at least T/2 away
+    a = abs(t)
+    n = max(1, round((a / half + 1) / 2))
+    near = abs(a - (2 * n - 1) * half) < guard
     if near and dqpt_condition(params).has_dqpt:
         raise NearCriticalTime(f"t = {t} within {guard} of a critical time")
 
@@ -158,9 +162,9 @@ def winding_number(params: ModelParams, band: str, t: float,
     band, k_grid_size), so each t costs only the phases and their sum.
 
     Raises ValueError for a non-finite t, and NearCriticalTime within
-    T_GUARD_FRACTION of a period of a critical time, or TimeUnresolved where
-    t is too large for doubles to resolve that window, if the drive has
-    critical times.
+    T_GUARD_FRACTION of a period of a critical time +-(2n-1) T/2, or
+    TimeUnresolved where |t| is too large for doubles to resolve that window,
+    if the drive has critical times.
     """
     if k_grid_size < MIN_WINDING_GRID:
         raise ValueError(f"k_grid_size must be >= {MIN_WINDING_GRID}")
@@ -202,8 +206,8 @@ def bloch_expectations(params: ModelParams, band: str, k: float, t: float):
             float(r * b.h_xy * math.sin(wt)), float(r * dz))
 
 
-def geometric_phase_from_tomography(params: ModelParams, k: float, t: float,
-                                    band: str = "minus") -> float:
+def geometric_phase_from_tomography(params: ModelParams, k: float,
+                                    t: float) -> float:
     """Geometric phase reconstructed from Pauli expectation values.
 
     Mirrors the measurement pipeline: build the Bloch angles (theta of the
@@ -214,18 +218,12 @@ def geometric_phase_from_tomography(params: ModelParams, k: float, t: float,
     constant in the rotating frame). The initial lower-band mode is
     (sin(theta/2), -s cos(theta/2)) with s the sign of h_xy(k), the same
     convention as `floquet_solution`, so the overlap's second term carries s.
+    PhaseUndefined where that reconstructed overlap is below AMP_FLOOR.
 
-    Only the lower band is supported.
+    It covers the lower band only, so it takes no band argument.
     """
-    if band != "minus":
-        raise BandUnsupported("tomography reconstruction defined for band "
-                              "'minus' only")
     b, dz, half_gap = gap_guard(params, k, t)
-    g = abs(complex(micromotion_overlap(params, band, k, t)))
-    if g < AMP_FLOOR:
-        raise PhaseUndefined(f"|G| = {g:.3e} < {AMP_FLOOR}")
-
-    sx, sy, sz = bloch_expectations(params, band, k, t)
+    sx, sy, sz = bloch_expectations(params, "minus", k, t)
     w = params.omega_drive
     theta = math.acos(dz / half_gap)
     s = 1.0 if b.h_xy >= 0 else -1.0
@@ -237,5 +235,4 @@ def geometric_phase_from_tomography(params: ModelParams, k: float, t: float,
     overlap = (math.sin(0.5 * theta) * math.sqrt(0.5 * (1.0 + cos_vt))
                - s * cmath.exp(1j * phi) * math.cos(0.5 * theta)
                * math.sqrt(0.5 * (1.0 - cos_vt)))
-    return principal_branch(cmath.phase(overlap) + 0.5 * w * sz * t
-                            - 0.5 * w * t)
+    return principal_branch(_phase(overlap) + 0.5 * w * sz * t - 0.5 * w * t)

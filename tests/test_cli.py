@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from floquet_dqpt import cli, dqpt, geometry
+from floquet_dqpt import cli, geometry
 from floquet_dqpt.cli import (MAX_GRID_POINTS, MAX_N_LINES, PRESETS,
                               RunConfig, fmt_num, main, make_parser)
 from floquet_dqpt.errors import GridTooCoarse
@@ -263,7 +263,7 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(rows) == 3 * 4
 
 
-def test_exit_codes(tmp_path, capsys, monkeypatch):
+def test_exit_codes(tmp_path, capsys):
     # 2: configuration problems
     assert run_cli(["rate", "--preset", "example1", "--k-points", "1"]) == 2
     assert run_cli(["rate"]) == 2
@@ -326,17 +326,8 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert run_cli(["winding", "--config", str(degenerate)]) == 3
     err = capsys.readouterr().err
     assert "DegenerateDelta1" in err and err.count("\n") == 1
-    # t_c = 1, 3, 5, ... up to 1e9 would be 5e8 list entries; winding lists
-    # no critical time past three periods, and where its 401-point k grid
-    # cannot resolve t, prints the closed-form nu with raw = nan
-    asked = []
-
-    def spy(params, t_max):
-        asked.append(t_max)
-        return real(params, min(t_max, 3.0 * params.period))
-
-    real = dqpt.critical_times
-    monkeypatch.setattr(dqpt, "critical_times", spy)
+    # where its 401-point k grid cannot resolve t, winding prints the
+    # closed-form nu with raw = nan
     assert run_cli(["winding", "--preset", "example1", "--t-max", "1e9",
                     "--t-points", "13"]) == 0
     captured = capsys.readouterr()
@@ -347,7 +338,6 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert rows[0] == ["0", "0", "0"]
     assert all(r[2] == "nan" for r in rows[1:])
     assert len(rows) == 13
-    assert all(t_max <= 3.0 * PRESETS["example1"].period for t_max in asked)
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))

@@ -5,11 +5,10 @@ import pytest
 
 from floquet_dqpt.errors import DegenerateDelta1, UndefinedTau
 from floquet_dqpt.model import ModelParams, band_weights
-from floquet_dqpt.dqpt import (MAX_CRITICAL_TIMES, critical_times,
-                               dqpt_condition, fisher_lines, fisher_tau,
+from floquet_dqpt.dqpt import (dqpt_condition, fisher_lines, fisher_tau,
                                fisher_tau_grid, rate_function)
 
-from conftest import EXAMPLE1, random_params
+from conftest import random_params
 
 
 def test_condition_examples(ex1, ex2, ex3):
@@ -37,22 +36,6 @@ def test_condition_boundary_and_degenerate():
     with pytest.raises(DegenerateDelta1):
         dqpt_condition(ModelParams(omega_drive=2.0, delta1=0.0, delta2=2.0,
                                    omega_amp=1.0))
-
-
-def test_condition_t_max():
-    assert critical_times(EXAMPLE1, 10.0) == \
-        pytest.approx([1.0, 3.0, 5.0, 7.0, 9.0])
-    assert critical_times(EXAMPLE1, 0.5) == []
-    # boundary inclusion: t_max exactly at a critical time
-    assert critical_times(EXAMPLE1, 1.0) == pytest.approx([1.0])
-    # the count is checked before the list is built
-    limit = MAX_CRITICAL_TIMES * EXAMPLE1.period
-    assert len(critical_times(EXAMPLE1, limit)) == MAX_CRITICAL_TIMES
-    with pytest.raises(ValueError, match="exceed"):
-        critical_times(EXAMPLE1, limit + EXAMPLE1.period)
-    for t_max in (1e300, math.inf, math.nan):
-        with pytest.raises(ValueError, match="exceed"):
-            critical_times(EXAMPLE1, t_max)
 
 
 def test_tau_vanishes_at_critical_momentum():

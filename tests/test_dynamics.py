@@ -33,6 +33,13 @@ def test_oracle_refuses_non_finite_t(ex1):
             propagator_oracle(ex1, 0.8, t)
 
 
+def test_oracle_refuses_non_finite_k(ex1):
+    # refused up front: a NaN k would reach the SVD, an inf one sin and cos
+    for k in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="k must be finite"):
+            propagator_oracle(ex1, k, 1.0)
+
+
 def test_oracle_diagonal_at_k0(ex1):
     # h_xy(0) = 0 so H is static sz; the oracle must give a diagonal phase
     hz = bloch_components(ex1, 0.0).h_z

@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from floquet_dqpt.errors import (BandUnsupported, DegenerateDelta1,
-                                 GaplessPoint, GridTooCoarse,
-                                 NearCriticalTime, NumericalGuardError,
-                                 PhaseUndefined, TimeUnresolved)
+from floquet_dqpt.errors import (DegenerateDelta1, GaplessPoint,
+                                 GridTooCoarse, NearCriticalTime,
+                                 NumericalGuardError, PhaseUndefined,
+                                 TimeUnresolved)
 from floquet_dqpt.model import (band_energy, bloch_components,
                                 floquet_solution, micromotion)
 from floquet_dqpt.dynamics import propagator_oracle, return_probability
@@ -126,6 +126,8 @@ def test_geometric_phase_pi_jump(ex1):
 def test_phase_undefined_at_amplitude_zero(ex1):
     with pytest.raises(PhaseUndefined):
         total_phase(ex1, "minus", K_C1, 1.0)  # |G| = 0 exactly
+    with pytest.raises(PhaseUndefined):
+        geometric_phase(ex1, "minus", K_C1, 1.0)
 
 
 def test_geometric_phase_grid_matches_scalar(ex1):
@@ -185,6 +187,18 @@ def test_winding_guards(ex1, ex2):
     assert winding_number(ex2, "minus", 1.0 + 1e-5) == 0
     with pytest.raises(ValueError):
         winding_number(ex1, "minus", 0.5, k_grid_size=100)
+
+
+@pytest.mark.parametrize("winding", [exact_winding, winding_number])
+@pytest.mark.parametrize("n", [1, 2])
+def test_winding_guards_negative_critical_times(ex1, winding, n):
+    # t = -(2n-1) T/2 is as critical as +(2n-1) T/2: inside its window the
+    # two routes need not agree; away from it both give nu(-t) = -nu(t)
+    t_c = -(2 * n - 1) * 0.5 * ex1.period
+    with pytest.raises(NearCriticalTime):
+        winding(ex1, "minus", t_c)
+    for t in (t_c - 0.1, t_c + 0.1):
+        assert winding(ex1, "minus", t) == -winding(ex1, "minus", -t)
 
 
 def test_exact_winding_matches_grid_oracle():
@@ -298,7 +312,9 @@ def test_tomography_matches_direct_phase():
 
 
 def test_tomography_band_guard(ex1):
-    with pytest.raises(BandUnsupported):
+    # the route covers the lower band only and takes no band argument
+    with pytest.raises(TypeError):
         geometric_phase_from_tomography(ex1, 0.7, 0.5, band="plus")
+    # guarded on the overlap it reconstructs from the Bloch angles
     with pytest.raises(PhaseUndefined):
         geometric_phase_from_tomography(ex1, K_C1, 1.0)
