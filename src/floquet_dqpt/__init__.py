@@ -2,18 +2,16 @@
 
 Modules
 -------
-model     : Bloch Hamiltonian, rotating frame, static-field kernel, exact modes
+model     : Bloch Hamiltonian, rotating frame, static-field kernel, band data
 dynamics  : closed-form propagator, brute-force oracle, return amplitudes
 dqpt      : rate function, Fisher zeros, critical condition
 geometry  : Pancharatnam phases, dynamical winding number, tomography route
 topology  : chiral time frames and the closed-form (W0, Wpi) invariants
-lattice   : real-space BdG chain, momentum consistency, edge-mode spectra
+lattice   : open-chain BdG Floquet spectrum with pi edge-mode flags
 cli       : dataset-producing command-line front end (`fdqpt`)
 """
 
-from .model import (ModelParams, BlochComponents, FloquetSolution,
-                    bloch_components, hamiltonian_lab, floquet_solution,
-                    micromotion, fold_quasienergy)
+from .model import ModelParams, BlochComponents, bloch_components, micromotion
 from .dynamics import (ReturnAmplitude, propagator_analytic, propagator_oracle,
                        return_amplitude, return_probability)
 from .dqpt import (CriticalSet, FisherLine, dqpt_condition, fisher_tau,
@@ -22,8 +20,7 @@ from .geometry import (total_phase, dynamical_phase, geometric_phase,
                        exact_winding, winding_number, bloch_expectations,
                        geometric_phase_from_tomography)
 from .topology import ChiralInvariants, chiral_winding_numbers
-from .lattice import (BdgChain, FloquetSpectrum, build_chain,
-                      momentum_consistency_check, obc_floquet_spectrum)
+from .lattice import FloquetSpectrum, obc_floquet_spectrum
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

@@ -56,7 +56,7 @@ class GapClosure(NumericalGuardError):
 
 
 class InvalidSize(ValueError):
-    """Chain size below the minimum."""
+    """Chain size outside the supported range [2, lattice.MAX_SITES]."""
 
 
 class ConfigError(ValueError):

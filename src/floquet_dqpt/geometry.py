@@ -215,9 +215,9 @@ def geometric_phase_from_tomography(params: ModelParams, k: float,
     vartheta and phi = atan2(<sy>, <sx>) of the evolved state, from its
     (<sx>, <sy>, <sz>)), form the overlap of initial and evolved modes, and
     subtract the analytically integrated dynamical contribution (<sz> is
-    constant in the rotating frame). The initial lower-band mode is
-    (sin(theta/2), -s cos(theta/2)) with s the sign of h_xy(k), the same
-    convention as `floquet_solution`, so the overlap's second term carries s.
+    constant in the rotating frame). The initial lower-band mode is taken as
+    (sin(theta/2), -s cos(theta/2)), s the sign of h_xy(k) (+1 where
+    h_xy = 0), so the overlap's second term carries s.
     PhaseUndefined where that reconstructed overlap is below AMP_FLOOR.
 
     It covers the lower band only, so it takes no band argument.

@@ -15,7 +15,7 @@ a constant plus the static field (h_xy, 0, h_z - w/2) of length Delta(k)/2.
 quantity reads it: the quasienergies E_pm(k) = w/2 +- Delta(k)/2, the band
 weights |a|^2, |b|^2 of the t = 0 Floquet modes, and the gap guard of the
 scalar APIs. Quasienergies are kept UNFOLDED because every phase formula
-downstream needs them that way; `fold_quasienergy` is display-only.
+downstream needs them that way.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .errors import GaplessPoint
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # Relative gap floor below which band labels are numerically meaningless.
@@ -82,17 +81,6 @@ class BlochComponents:
     h_z: float
 
 
-@dataclass(frozen=True)
-class FloquetSolution:
-    """Unfolded quasienergies and t = 0 Floquet modes at one k."""
-
-    e_minus: float
-    e_plus: float
-    chi_minus: np.ndarray
-    chi_plus: np.ndarray
-    gap: float
-
-
 def bloch_components(params: ModelParams, k):
     """Transverse and longitudinal field components at quasimomentum k.
 
@@ -102,14 +90,6 @@ def bloch_components(params: ModelParams, k):
     h_xy = 0.5 * params.omega_amp * np.sin(k)
     h_z = 0.5 * (params.delta1 * np.cos(k) + params.delta2)
     return BlochComponents(h_xy=h_xy, h_z=h_z)
-
-
-def hamiltonian_lab(params: ModelParams, k: float, t: float) -> np.ndarray:
-    """Lab-frame Bloch Hamiltonian H(k, t) as a 2x2 Hermitian matrix."""
-    b = bloch_components(params, k)
-    wt = params.omega_drive * t
-    return (b.h_xy * (math.cos(wt) * SIGMA_X + math.sin(wt) * SIGMA_Y)
-            + b.h_z * SIGMA_Z)
 
 
 def micromotion(params: ModelParams, t: float) -> np.ndarray:
@@ -168,27 +148,6 @@ def min_half_gap(params: ModelParams) -> float:
     return min(lengths)
 
 
-def floquet_solution(params: ModelParams, k: float) -> FloquetSolution:
-    """Exact quasienergies and eigenmodes of H_F(k).
-
-    The modes are the square roots of the band weights, the second component
-    signed by h_xy, with the first nonzero component real positive: at the
-    Brillouin-zone edges (h_xy = 0) they are the sz basis states, chi_plus
-    the one of eigenvalue sign(h_z - w/2).
-
-    Raises GaplessPoint when the gap falls below the relative floor.
-    """
-    b, _, half_gap = gap_guard(params, k)
-    up, um = (math.sqrt(x) for x in band_weights(params, "plus", k))
-    s = 1.0 if b.h_xy >= 0 else -1.0
-    return FloquetSolution(
-        e_minus=0.5 * params.omega_drive - half_gap,
-        e_plus=0.5 * params.omega_drive + half_gap,
-        chi_minus=np.array([um, -s * up if um else up], dtype=complex),
-        chi_plus=np.array([up, s * um if up else um], dtype=complex),
-        gap=2.0 * half_gap)
-
-
 def _band_sign(band: str) -> float:
     # +1 for the upper band, -1 for the lower one
     if band not in ("minus", "plus"):
@@ -232,9 +191,3 @@ def band_energy(params: ModelParams, band: str, k):
     """Unfolded quasienergy E_band(k), vectorized over k."""
     sign = _band_sign(band)
     return 0.5 * params.omega_drive + sign * static_field(params, k)[2]
-
-
-def fold_quasienergy(params: ModelParams, e):
-    """Fold an unfolded quasienergy into [-w/2, w/2). Display-only."""
-    w = params.omega_drive
-    return np.mod(np.asarray(e) + 0.5 * w, w) - 0.5 * w

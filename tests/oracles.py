@@ -1,9 +1,17 @@
 """Reference implementations the library's closed forms and oracles are
-checked against.
+checked against. None of them imports `floquet_dqpt.lattice` or calls the
+library's band kernels.
 
-`rotating_frame_hamiltonian` builds the static H_F(k) as a matrix.
-`one_period_propagator` is the time-ordered RK4 U(T) of the open or
-antiperiodic chain, the oracle of `lattice.obc_floquet_spectrum`.
+`rotating_frame_hamiltonian` builds the static H_F(k) as a matrix; its
+`np.linalg.eigh` gives the reference quasienergies and modes, whose phases
+are arbitrary, so the tests compare only phase-invariant quantities.
+`hamiltonian_lab` is the lab-frame H(k, t).
+
+`bdg_hamiltonian` builds the lab-frame chain H_bdg(t) of the `lattice`
+module docstring, open or antiperiodic. `one_period_propagator` is its
+time-ordered RK4 U(T), the oracle of `lattice.obc_floquet_spectrum`, and
+`momentum_consistency_check` compares its Fourier blocks with H(k, t).
+
 `scalar_rk4_propagator` is the per-step Python loop that
 `dynamics.propagator_oracle` replaced with a block product of RK4 step
 matrices: the same scheme, step count, step times and single final
@@ -23,9 +31,10 @@ import numpy as np
 
 from floquet_dqpt.dynamics import reunitarize
 from floquet_dqpt.errors import StepCountTooSmall
-from floquet_dqpt.lattice import BdgChain
 from floquet_dqpt.model import (ModelParams, SIGMA_0, SIGMA_X, SIGMA_Z,
                                 bloch_components)
+
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 DEFAULT_WINDING_GRID = 4001
 MIN_SPECTRUM_STEPS = 1024
@@ -38,22 +47,80 @@ def rotating_frame_hamiltonian(params: ModelParams, k: float) -> np.ndarray:
             + 0.5 * params.omega_drive * SIGMA_0)
 
 
-def one_period_propagator(chain: BdgChain, steps: int) -> np.ndarray:
+def hamiltonian_lab(params: ModelParams, k: float, t: float) -> np.ndarray:
+    """Lab-frame Bloch Hamiltonian H(k, t) as a 2x2 Hermitian matrix."""
+    b = bloch_components(params, k)
+    wt = params.omega_drive * t
+    return (b.h_xy * (math.cos(wt) * SIGMA_X + math.sin(wt) * SIGMA_Y)
+            + b.h_z * SIGMA_Z)
+
+
+def bdg_hamiltonian(params: ModelParams, n_sites: int, t: float,
+                    antiperiodic: bool = False) -> np.ndarray:
+    """2N x 2N H_bdg(t) = [[A, B e^{-i w t}], [B^dag e^{i w t}, -A^T]].
+
+    A holds the onsite delta2 and the hopping delta1/2 on each bond, B the
+    antisymmetric pairing Omega/(2i). The antiperiodic chain adds the bond
+    (N, 1) with the sign of f_{N+1} = -f_1.
+    """
+    n = n_sites
+    a = params.delta2 * np.eye(n, dtype=complex)
+    b = np.zeros((n, n), dtype=complex)
+    bonds = [(j, j + 1, 1.0) for j in range(n - 1)]
+    if antiperiodic:
+        bonds.append((n - 1, 0, -1.0))
+    for i, j, sign in bonds:
+        a[i, j] += sign * 0.5 * params.delta1
+        a[j, i] += sign * 0.5 * params.delta1
+        b[i, j] += sign * params.omega_amp / 2j
+        b[j, i] -= sign * params.omega_amp / 2j
+    b *= cmath.exp(-1j * params.omega_drive * t)
+    return np.block([[a, b], [b.conj().T, -a.T]])
+
+
+def momentum_consistency_check(params: ModelParams, n_sites: int) -> float:
+    """Max deviation of the Fourier blocks from the Bloch Hamiltonian.
+
+    Transforms the antiperiodic real-space BdG matrix at t = 0, T/3 and T/2
+    (even n_sites) to the momentum set k_m = 2 pi (m + 1/2) / N and compares
+    each undoubled 2x2 block against H(k_m, t). Exercises the whole
+    fermionization + Fourier pipeline; the result should sit at rounding
+    level.
+    """
+    n = n_sites
+    sites = np.arange(1, n + 1)
+    worst = 0.0
+    for t in (0.0, params.period / 3.0, params.period / 2.0):
+        h = bdg_hamiltonian(params, n, t, antiperiodic=True)
+        for m in range(n):
+            k = 2.0 * math.pi * (m + 0.5) / n
+            c = np.exp(-1j * k * sites) / math.sqrt(n)
+            rows = np.zeros((2, 2 * n), dtype=complex)
+            rows[0, :n] = c
+            rows[1, n:] = c
+            block = 0.5 * (rows @ h @ rows.conj().T)
+            ref = hamiltonian_lab(params, k, t)
+            worst = max(worst, float(np.max(np.abs(block - ref))))
+    return worst
+
+
+def one_period_propagator(params: ModelParams, n_sites: int, steps: int,
+                          antiperiodic: bool = False) -> np.ndarray:
     """RK4 time-ordered U(T) of the undoubled matrix; the spectrum's oracle."""
     if steps < MIN_SPECTRUM_STEPS:
         raise StepCountTooSmall(f"steps={steps} < {MIN_SPECTRUM_STEPS}")
-    h = chain.params.period / steps
-    n = chain.n_sites
+    h = params.period / steps
+    n = n_sites
     u = np.eye(2 * n, dtype=complex)
     # Only the pairing blocks depend on t: H(t) = H_s + e^{-i w t} P
     # + e^{i w t} P^dag, P the upper-right block of H(0). The generator
     # -i H(t)/2 is split that way once.
-    g = -0.5j * chain.hamiltonian_at(0.0)
+    g = -0.5j * bdg_hamiltonian(params, n, 0.0, antiperiodic)
     g_plus, g_minus = np.zeros_like(g), np.zeros_like(g)
     g_plus[:n, n:] = g[:n, n:]      # -i P / 2
     g_minus[n:, :n] = g[n:, :n]     # -i P^dag / 2
     g_static = g - g_plus - g_minus
-    w = chain.params.omega_drive
+    w = params.omega_drive
 
     def gen(t):
         phase = cmath.exp(-1j * w * t)

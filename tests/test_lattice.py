@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 
 from floquet_dqpt.errors import InvalidSize, StepCountTooSmall
-from floquet_dqpt.model import ModelParams, floquet_solution, fold_quasienergy
-from floquet_dqpt.lattice import (build_chain, momentum_consistency_check,
-                                  obc_floquet_spectrum)
+from floquet_dqpt.model import ModelParams
+from floquet_dqpt.lattice import MAX_SITES, obc_floquet_spectrum
 
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3, random_params
-from oracles import one_period_propagator
+from oracles import (bdg_hamiltonian, one_period_propagator,
+                     rotating_frame_hamiltonian)
 
 
-def test_build_chain_validation(ex1):
-    with pytest.raises(InvalidSize):
-        build_chain(ex1, 1, "open")
-    with pytest.raises(ValueError):
-        build_chain(ex1, 8, "periodic")
+def test_obc_spectrum_size_range(ex1, monkeypatch):
+    # refused before the (2N)^2 matrix is allocated
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated")
+    monkeypatch.setattr(np, "zeros", no_alloc)
+    for n in (1, MAX_SITES + 1):
+        with pytest.raises(InvalidSize):
+            obc_floquet_spectrum(ex1, n)
 
 
 def test_hand_assembled_two_site_open_matrix(ex1):
@@ -30,19 +33,19 @@ def test_hand_assembled_two_site_open_matrix(ex1):
          [hop, p.delta2, -pair, 0],
          [0, np.conj(-pair), -p.delta2, -hop],
          [np.conj(pair), 0, -hop, -p.delta2]], dtype=complex)
-    h = build_chain(p, 2, "open").hamiltonian_at(t)
+    h = bdg_hamiltonian(p, 2, t)
     assert np.abs(h - expected).max() < 1e-15
 
 
 def test_hermiticity_and_periodicity():
     rng = np.random.default_rng(83)
-    for boundary in ("open", "antiperiodic"):
+    for antiperiodic in (False, True):
         p = random_params(rng)
-        chain = build_chain(p, 6, boundary)
         t = rng.uniform(0.0, p.period)
-        h = chain.hamiltonian_at(t)
+        h = bdg_hamiltonian(p, 6, t, antiperiodic)
         assert np.abs(h - h.conj().T).max() < 1e-14
-        assert np.abs(h - chain.hamiltonian_at(t + p.period)).max() < 1e-12
+        h_next = bdg_hamiltonian(p, 6, t + p.period, antiperiodic)
+        assert np.abs(h - h_next).max() < 1e-12
 
 
 def test_particle_hole_symmetry():
@@ -50,8 +53,7 @@ def test_particle_hole_symmetry():
     rng = np.random.default_rng(89)
     p = random_params(rng)
     n = 5
-    chain = build_chain(p, n, "open")
-    h = chain.hamiltonian_at(0.61)
+    h = bdg_hamiltonian(p, n, 0.61)
     tau_x = np.kron(np.array([[0, 1], [1, 0]]), np.eye(n))
     assert np.abs(tau_x @ h.conj() @ tau_x + h).max() < 1e-13
 
@@ -59,40 +61,26 @@ def test_particle_hole_symmetry():
 def test_zero_pairing_block_without_drive_amplitude():
     p = ModelParams(omega_drive=math.pi, delta1=1.0, delta2=0.3,
                     omega_amp=0.0)
-    h = build_chain(p, 4, "open").hamiltonian_at(0.9)
+    h = bdg_hamiltonian(p, 4, 0.9)
     assert np.abs(h[:4, 4:]).max() == 0.0
     assert np.abs(h.imag).max() == 0.0
 
 
-def test_momentum_consistency(ex1, ex2, ex3):
-    for p in (ex1, ex2, ex3):
-        assert momentum_consistency_check(p, 16) < 1e-10
-
-
-def test_momentum_consistency_guards(ex1):
-    with pytest.raises(InvalidSize):
-        momentum_consistency_check(ex1, 7)
-    with pytest.raises(InvalidSize):
-        momentum_consistency_check(ex1, 4)
-
-
 def test_antiperiodic_spectrum_matches_bloch_quasienergies(ex1):
-    # folded one-period eigenphases of the N-site antiperiodic chain must
-    # reproduce {fold(E_pm(k_m))} over the half-integer momentum set; the
-    # chain is block-diagonal in k_m, so any even N checks the same claim
+    # one-period eigenvalues of the N-site antiperiodic chain must be
+    # {e^{-i E_pm(k_m) T}} over the half-integer momentum set, compared on
+    # the unit circle; the chain is block-diagonal in k_m, so any even N
+    # checks the same claim
     n = 16
-    chain = build_chain(ex1, n, "antiperiodic")
-    u = one_period_propagator(chain, 2048)
-    eps = np.sort(-np.angle(np.linalg.eigvals(u)) / ex1.period)
-
-    expected = []
-    for m in range(n):
-        k = 2.0 * math.pi * (m + 0.5) / n
-        fs = floquet_solution(ex1, k)
-        expected.append(fold_quasienergy(ex1, fs.e_minus))
-        expected.append(fold_quasienergy(ex1, fs.e_plus))
-    expected = np.sort(np.asarray(expected, dtype=float))
-    assert np.abs(eps - expected).max() < 1e-6
+    u = one_period_propagator(ex1, n, 2048, antiperiodic=True)
+    lam = np.linalg.eigvals(u)
+    energies = np.concatenate([
+        np.linalg.eigvalsh(rotating_frame_hamiltonian(ex1, k))
+        for k in 2.0 * math.pi * (np.arange(n) + 0.5) / n])
+    expected = np.exp(-1j * energies * ex1.period)
+    dist = np.abs(lam[:, None] - expected[None, :])
+    assert dist.min(axis=1).max() < 1e-6
+    assert dist.min(axis=0).max() < 1e-6
 
 
 def test_obc_spectrum_structure(ex1):
@@ -109,7 +97,7 @@ def test_obc_spectrum_structure(ex1):
 
 def test_obc_step_guard(ex1):
     with pytest.raises(StepCountTooSmall):
-        one_period_propagator(build_chain(ex1, 10, "open"), 512)
+        one_period_propagator(ex1, 10, 512)
 
 
 def test_obc_spectrum_matches_rk4_oracle():
@@ -121,7 +109,7 @@ def test_obc_spectrum_matches_rk4_oracle():
     n = 12
     for p in draws:
         spec = obc_floquet_spectrum(p, n)
-        u = one_period_propagator(build_chain(p, n, "open"), 8192)
+        u = one_period_propagator(p, n, 8192)
         lam = np.exp(-1j * spec.quasienergies * p.period)
         oracle = np.linalg.eigvals(u)
         dist = np.abs(lam[:, None] - oracle[None, :])
@@ -140,15 +128,3 @@ def test_bulk_boundary_correspondence(ex1, ex2, ex3):
     assert int(s2.pi_mode.sum()) == 0
     s3 = obc_floquet_spectrum(ex3, 40)
     assert int(s3.pi_mode.sum()) == 2
-
-
-def test_pi_mode_pinning_tightens_with_size(ex1):
-    w = ex1.omega_drive
-
-    def detuning(n):
-        s = obc_floquet_spectrum(ex1, n)
-        eps = s.quasienergies[s.pi_mode]
-        assert eps.size == 2
-        return np.abs(np.abs(eps) - 0.5 * w).max()
-
-    assert detuning(80) < detuning(40)

@@ -12,13 +12,12 @@ from floquet_dqpt.geometry import (bloch_expectations, dynamical_phase,
                                    geometric_phase,
                                    geometric_phase_from_tomography,
                                    total_phase)
-from floquet_dqpt.model import (ModelParams, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                                bloch_components, band_energy, band_weights,
-                                floquet_solution, fold_quasienergy, gap_guard,
-                                hamiltonian_lab, micromotion, min_half_gap)
+from floquet_dqpt.model import (ModelParams, SIGMA_Z, bloch_components,
+                                band_energy, band_weights, gap_guard,
+                                micromotion, min_half_gap, static_field)
 
 from conftest import EXAMPLE1, random_params
-from oracles import rotating_frame_hamiltonian
+from oracles import SIGMA_Y, hamiltonian_lab, rotating_frame_hamiltonian
 
 param_floats = st.floats(-5.0, 5.0, allow_nan=False)
 k_floats = st.floats(0.0, math.pi, allow_nan=False)
@@ -88,62 +87,25 @@ def test_hamiltonian_lab_quarter_period(ex1):
     assert np.abs(h - rebuilt).max() < 1e-12
 
 
-def test_floquet_solution_example_point(ex1):
-    fs = floquet_solution(ex1, math.pi / 3)
-    assert fs.e_minus == pytest.approx(math.pi / 2 - math.sqrt(3) / 4,
-                                       abs=1e-14)
-    assert fs.e_plus == pytest.approx(math.pi / 2 + math.sqrt(3) / 4,
-                                      abs=1e-14)
-    assert fs.gap == pytest.approx(math.sqrt(3) / 2, abs=1e-14)
-    # chi_pm = (1, +-1)/sqrt(2) up to global phase
-    for chi, sign in ((fs.chi_plus, 1.0), (fs.chi_minus, -1.0)):
-        expected = np.array([1.0, sign]) / math.sqrt(2)
-        phase = chi[0] / abs(chi[0])
-        assert np.abs(chi / phase - expected).max() < 1e-12
-
-
-def test_floquet_solution_matches_eigendecomposition(ex1):
-    # oracle: numerical eigendecomposition of the explicitly built H_F
-    rng = np.random.default_rng(7)
-    for _ in range(30):
-        p = random_params(rng)
-        k = rng.uniform(0.0, math.pi)
-        try:
-            fs = floquet_solution(p, k)
-        except GaplessPoint:
-            continue
-        hf = rotating_frame_hamiltonian(p, k)
-        evals, evecs = np.linalg.eigh(hf)
-        assert fs.e_minus == pytest.approx(evals[0], abs=1e-12)
-        assert fs.e_plus == pytest.approx(evals[1], abs=1e-12)
-        for chi, vec in ((fs.chi_minus, evecs[:, 0]),
-                         (fs.chi_plus, evecs[:, 1])):
-            assert abs(abs(vec.conj() @ chi) - 1.0) < 1e-10
-
-
-def test_floquet_solution_invariants():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        p = random_params(rng)
-        k = rng.uniform(0.0, math.pi)
-        try:
-            fs = floquet_solution(p, k)
-        except GaplessPoint:
-            continue
-        assert abs(fs.chi_minus.conj() @ fs.chi_plus) < 1e-12
-        assert abs(np.linalg.norm(fs.chi_minus) - 1.0) < 1e-12
-        assert abs(np.linalg.norm(fs.chi_plus) - 1.0) < 1e-12
-        assert fs.e_plus + fs.e_minus == pytest.approx(p.omega_drive,
-                                                       abs=1e-12)
-        assert fs.gap > 0
+def test_band_energy_example_point(ex1):
+    k = math.pi / 3
+    assert float(band_energy(ex1, "minus", k)) == pytest.approx(
+        math.pi / 2 - math.sqrt(3) / 4, abs=1e-14)
+    assert float(band_energy(ex1, "plus", k)) == pytest.approx(
+        math.pi / 2 + math.sqrt(3) / 4, abs=1e-14)
+    assert 2.0 * static_field(ex1, k)[2] == pytest.approx(math.sqrt(3) / 2,
+                                                          abs=1e-14)
+    # chi_pm = (1, +-1)/sqrt(2) up to global phase: equal weights
+    for band in ("minus", "plus"):
+        assert band_weights(ex1, band, k) == pytest.approx((0.5, 0.5),
+                                                           abs=1e-14)
 
 
 def test_zone_edge_convention():
-    # h_xy = 0 with h_z > w/2: sz basis states
+    # h_xy = 0 with h_z > w/2: the sz basis states, the upper band up
     p = ModelParams(omega_drive=1.0, delta1=1.0, delta2=2.0, omega_amp=1.0)
-    fs = floquet_solution(p, 0.0)
-    assert np.allclose(fs.chi_plus, [1.0, 0.0])
-    assert np.allclose(fs.chi_minus, [0.0, 1.0])
+    assert band_weights(p, "plus", 0.0) == (1.0, 0.0)
+    assert band_weights(p, "minus", 0.0) == (0.0, 1.0)
 
 
 def test_gapless_point_raised():
@@ -151,16 +113,16 @@ def test_gapless_point_raised():
     # the zone edge. Build one directly: h_xy(0) = 0, h_z(0) = w/2.
     p = ModelParams(omega_drive=2.0, delta1=1.0, delta2=1.0, omega_amp=1.0)
     with pytest.raises(GaplessPoint):
-        floquet_solution(p, 0.0)
+        gap_guard(p, 0.0)
 
 
-def test_gap_guard_is_the_floquet_solution_guard():
+def test_gap_guard_is_the_scalar_guard():
     # the scalar phases and return probability take the guard alone; it
     # raises the same error with the same message before any other guard
     p = ModelParams(omega_drive=2.0, delta1=1.0, delta2=1.0, omega_amp=1.0)
     with pytest.raises(GaplessPoint) as want:
-        floquet_solution(p, 0.0)
-    for fn in (gap_guard, lambda p, k: return_probability(p, "minus", k, 1.0),
+        gap_guard(p, 0.0)
+    for fn in (lambda p, k: return_probability(p, "minus", k, 1.0),
                lambda p, k: dynamical_phase(p, "plus", k, 1.0),
                lambda p, k: geometric_phase(p, "minus", k, 1.0)):
         with pytest.raises(GaplessPoint) as got:
@@ -170,9 +132,9 @@ def test_gap_guard_is_the_floquet_solution_guard():
     for _ in range(50):
         q, k = random_params(rng), rng.uniform(0.0, math.pi)
         b, dz, half_gap = gap_guard(q, k)
-        fs = floquet_solution(q, k)
-        assert fs.gap == 2.0 * half_gap
-        assert fs.e_plus - fs.e_minus == pytest.approx(2.0 * half_gap)
+        assert (b, dz, half_gap) == static_field(q, k)
+        assert band_energy(q, "plus", k) - band_energy(q, "minus", k) == \
+            pytest.approx(2.0 * half_gap)
         assert dz == b.h_z - 0.5 * q.omega_drive
 
 
@@ -230,9 +192,8 @@ def test_floquet_mode_solves_schroedinger(ex1):
     # central finite difference on psi(t) = e^{-iEt} U_R(t) chi
     h = ex1.period / 1e6
     for k in (0.4, 1.2, 2.5):
-        fs = floquet_solution(ex1, k)
-        for band, (e, chi) in (("minus", (fs.e_minus, fs.chi_minus)),
-                               ("plus", (fs.e_plus, fs.chi_plus))):
+        energies, modes = np.linalg.eigh(rotating_frame_hamiltonian(ex1, k))
+        for e, chi in zip(energies, modes.T):
             for t in (0.3, 1.7):
                 def psi(s):
                     return np.exp(-1j * e * s) * (micromotion(ex1, s) @ chi)
@@ -250,36 +211,32 @@ def test_critical_momentum_equal_amplitude():
             continue
         k_c = math.acos((p.omega_drive - p.delta2) / p.delta1)
         try:
-            fs = floquet_solution(p, k_c)
+            gap_guard(p, k_c)
         except GaplessPoint:
             continue
-        for chi in (fs.chi_minus, fs.chi_plus):
+        _, modes = np.linalg.eigh(rotating_frame_hamiltonian(p, k_c))
+        for band, chi in zip(("minus", "plus"), modes.T):
             assert abs(abs(chi[0]) - abs(chi[1])) < 1e-10
+            wa, wb = band_weights(p, band, k_c)
+            assert abs(wa - wb) < 1e-10
         found += 1
 
 
 def test_band_helpers_match_solution():
+    # oracle: numerical eigendecomposition of the explicitly built H_F
     rng = np.random.default_rng(5)
     for _ in range(30):
         p = random_params(rng)
         k = rng.uniform(0.0, math.pi)
-        try:
-            fs = floquet_solution(p, k)
-        except GaplessPoint:
-            continue
-        assert float(band_energy(p, "minus", k)) == pytest.approx(fs.e_minus)
-        assert float(band_energy(p, "plus", k)) == pytest.approx(fs.e_plus)
-        wa, wb = band_weights(p, "minus", k)
-        assert float(wa) == pytest.approx(abs(fs.chi_minus[0]) ** 2, abs=1e-12)
-        assert float(wb) == pytest.approx(abs(fs.chi_minus[1]) ** 2, abs=1e-12)
-
-
-def test_fold_quasienergy(ex1):
-    w = ex1.omega_drive
-    assert fold_quasienergy(ex1, 0.6 * w) == pytest.approx(-0.4 * w)
-    assert fold_quasienergy(ex1, -0.5 * w) == pytest.approx(-0.5 * w)
-    assert fold_quasienergy(ex1, 0.5 * w) == pytest.approx(-0.5 * w)
-    assert np.allclose(fold_quasienergy(ex1, np.array([0.0, w])), 0.0)
+        energies, modes = np.linalg.eigh(rotating_frame_hamiltonian(p, k))
+        for band, e, chi in zip(("minus", "plus"), energies, modes.T):
+            assert float(band_energy(p, band, k)) == pytest.approx(e,
+                                                                   abs=1e-12)
+            wa, wb = band_weights(p, band, k)
+            assert float(wa) == pytest.approx(abs(chi[0]) ** 2, abs=1e-12)
+            assert float(wb) == pytest.approx(abs(chi[1]) ** 2, abs=1e-12)
+        assert float(band_energy(p, "plus", k) + band_energy(p, "minus", k)) \
+            == pytest.approx(p.omega_drive, abs=1e-12)
 
 
 def test_min_half_gap_against_dense_grid():

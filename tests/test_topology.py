@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from floquet_dqpt.errors import DegenerateDelta1, GapClosure
-from floquet_dqpt.model import ModelParams, SIGMA_Y
+from floquet_dqpt.model import ModelParams
 from floquet_dqpt.dynamics import propagator_analytic
 from floquet_dqpt.dqpt import dqpt_condition
 from floquet_dqpt.geometry import exact_winding, winding_number
@@ -12,7 +12,7 @@ from floquet_dqpt.lattice import MAX_SITES, obc_floquet_spectrum
 from floquet_dqpt.topology import chiral_winding_numbers
 
 from conftest import random_params
-from oracles import (brute_winding, su2_exponential,
+from oracles import (SIGMA_Y, brute_winding, su2_exponential,
                      symmetric_frame_operators, winding_integral)
 
 

@@ -1,8 +1,8 @@
-"""No library module imports a name it never uses.
+"""No library module, test or script imports a name it never uses.
 
 No linter ships with the project, so this stdlib `ast` check keeps imports
-from lingering once their last caller is gone. `__init__.py` is exempt: its
-imports are the package's re-exports.
+from lingering once their last caller is gone. The package's `__init__.py`
+is exempt: its imports are the package's re-exports.
 """
 
 import ast
@@ -10,9 +10,13 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "floquet_dqpt"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "floquet_dqpt"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py")
                  if p.name != "__init__.py")
+TESTS_AND_SCRIPTS = sorted(str(p.relative_to(ROOT))
+                           for folder in ("tests", "scripts")
+                           for p in (ROOT / folder).glob("*.py"))
 
 
 def unused_imports(source: str) -> set:
@@ -36,3 +40,8 @@ def test_unused_imports_flags_a_dead_name():
 @pytest.mark.parametrize("module", MODULES)
 def test_library_module_has_no_unused_imports(module):
     assert not unused_imports((PACKAGE / module).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("path", TESTS_AND_SCRIPTS)
+def test_test_or_script_has_no_unused_imports(path):
+    assert not unused_imports((ROOT / path).read_text(encoding="utf-8"))
