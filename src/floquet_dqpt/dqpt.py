@@ -138,4 +138,5 @@ def rate_function(params: ModelParams, band: str, t: float,
     k, wa, wb = _uniform_band_weights(params, band, k_grid_size)
     prob = np.abs(micromotion_overlap(params, wa, wb, t)) ** 2
     logp = np.log(np.maximum(prob, PROB_FLOOR))
-    return float(-np.trapezoid(logp, k) / math.pi)
+    return float(-((k[1:] - k[:-1]) * (logp[1:] + logp[:-1]) / 2.0).sum()
+                 / math.pi)

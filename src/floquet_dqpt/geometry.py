@@ -37,8 +37,10 @@ WINDING_INT_TOL = 0.05
 
 
 def principal_branch(x):
-    """Reduce an angle (or array of angles) to (-pi, pi]."""
-    return np.angle(np.exp(1j * np.asarray(x)))
+    """Reduce an angle (or array of angles) to (-pi, pi] in real arithmetic,
+    bit for bit arg(e^{ix}): numpy's exp(0 + ix) is exactly cos x + i sin x,
+    and + 0.0 turns -0.0 into +0.0 as that complex round trip does."""
+    return np.arctan2(np.sin(x), np.cos(x)) + 0.0
 
 
 def _phase(z: complex) -> float:
@@ -91,16 +93,17 @@ def _phase_and_drift(params, wa, wb, t):
     # weights; NaN where |G| < AMP_FLOOR
     overlap = micromotion_overlap(params, wa, wb, t)
     drift = 0.5 * params.omega_drive * t * (wa - wb)
-    raw = np.angle(overlap) + drift - 0.5 * params.omega_drive * t
+    raw = (np.arctan2(overlap.imag, overlap.real) + drift
+           - 0.5 * params.omega_drive * t)
     out = np.asarray(principal_branch(raw), dtype=float)
     out[np.abs(overlap) < AMP_FLOOR] = np.nan
     return out, drift
 
 
-def _critical_time_guard(params: ModelParams, t: float):
+def _critical_time_guard(params: ModelParams, t: float) -> bool:
     # NearCriticalTime within the guard window of a critical time, and
     # TimeUnresolved where doubles near t are spaced that window or wider,
-    # if the drive has any critical time
+    # if the drive has any critical time; True iff it read dqpt_condition
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     guard = T_GUARD_FRACTION * params.period
@@ -108,7 +111,7 @@ def _critical_time_guard(params: ModelParams, t: float):
         if dqpt_condition(params).has_dqpt:
             raise TimeUnresolved(f"t = {t} is resolved only to {math.ulp(t)}"
                                  f", not to the {guard} critical-time window")
-        return
+        return True
     half = 0.5 * params.period
     # nearest critical time +-(2n-1) T/2; the others are at least T/2 away
     a = abs(t)
@@ -116,6 +119,7 @@ def _critical_time_guard(params: ModelParams, t: float):
     near = abs(a - (2 * n - 1) * half) < guard
     if near and dqpt_condition(params).has_dqpt:
         raise NearCriticalTime(f"t = {t} within {guard} of a critical time")
+    return near
 
 
 def exact_winding_grid(params: ModelParams, band: str, t) -> np.ndarray:
@@ -144,8 +148,8 @@ def exact_winding(params: ModelParams, band: str, t: float) -> int:
     NearCriticalTime and TimeUnresolved like winding_number; and
     GaplessPoint.
     """
-    _critical_time_guard(params, t)
-    dqpt_condition(params)  # DegenerateDelta1 at any t
+    if not _critical_time_guard(params, t):
+        dqpt_condition(params)  # DegenerateDelta1 at any t
     return int(exact_winding_grid(params, band, t))
 
 
@@ -176,11 +180,11 @@ def winding_number(params: ModelParams, band: str, t: float,
         raise PhaseUndefined("geometric phase undefined on the winding grid")
     # the t-linear part (w t/2)<sz> must change slowly in k, or the wrapped
     # differences alias while their sum still lands on an integer
-    jump = np.abs(np.diff(drift)).max()
+    jump = np.abs(drift[1:] - drift[:-1]).max()
     if jump >= 0.5 * math.pi:
         raise GridTooCoarse(f"(w t/2)<sz> changes by {jump:.3g} rad between "
                             "adjacent k samples")
-    steps = np.asarray(principal_branch(np.diff(phi)))
+    steps = principal_branch(phi[1:] - phi[:-1])
     big = np.abs(steps) > math.pi * (1.0 - 1e-6)
     if np.any(big[:-1] & big[1:]):
         raise GridTooCoarse("two successive wrapped steps in the ambiguity band")
@@ -198,9 +202,12 @@ def bloch_expectations(params: ModelParams, band: str, k: float, t: float):
     The band's Bloch vector +-(h_xy, 0, h_z - w/2)/(Delta/2) turned about z
     by U_R(t) through the angle w t.
     """
-    sign = _band_sign(band)
-    b, dz, half_gap = gap_guard(params, k, t)
-    wt = params.omega_drive * t
+    return _turned_bloch_vector(_band_sign(band), *gap_guard(params, k, t),
+                                params.omega_drive * t)
+
+
+def _turned_bloch_vector(sign, b, dz, half_gap, wt):
+    # bloch_expectations from the guarded static field
     r = sign / half_gap
     return (float(r * b.h_xy * math.cos(wt)),
             float(r * b.h_xy * math.sin(wt)), float(r * dz))
@@ -223,8 +230,8 @@ def geometric_phase_from_tomography(params: ModelParams, k: float,
     It covers the lower band only, so it takes no band argument.
     """
     b, dz, half_gap = gap_guard(params, k, t)
-    sx, sy, sz = bloch_expectations(params, "minus", k, t)
     w = params.omega_drive
+    sx, sy, sz = _turned_bloch_vector(-1.0, b, dz, half_gap, w * t)
     theta = math.acos(dz / half_gap)
     s = 1.0 if b.h_xy >= 0 else -1.0
 

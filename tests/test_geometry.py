@@ -9,6 +9,7 @@ from floquet_dqpt.errors import (DegenerateDelta1, GaplessPoint,
                                  GridTooCoarse, NearCriticalTime,
                                  NumericalGuardError, PhaseUndefined,
                                  TimeUnresolved)
+from floquet_dqpt import geometry
 from floquet_dqpt.model import band_energy, bloch_components, micromotion
 from floquet_dqpt.dynamics import propagator_oracle, return_probability
 from floquet_dqpt.geometry import (bloch_expectations, dynamical_phase,
@@ -46,6 +47,25 @@ def test_principal_branch():
     arr = principal_branch(np.array([0.0, 2 * math.pi, -3 * math.pi]))
     assert arr[:2] == pytest.approx([0.0, 0.0], abs=1e-12)
     assert abs(arr[2]) == pytest.approx(math.pi, abs=1e-12)
+
+
+def test_principal_branch_equals_complex_round_trip_bit_for_bit():
+    # the reference is the complex route arg(e^{ix}); comparing the int64
+    # views tells -0.0 from +0.0 and holds NaN equal to NaN
+    def round_trip(x):
+        return np.angle(np.exp(1j * x))
+
+    rng = np.random.default_rng(29)
+    draws = np.concatenate([rng.uniform(-10.0 ** m, 10.0 ** m, 20_000)
+                            for m in (-6, -1, 0, 1, 2, 4, 8, 15)])
+    edges = np.array([0.0, -0.0, math.pi, -math.pi, 2 * math.pi,
+                      -2 * math.pi, 1e300, -1e300, 5e-324, -5e-324, np.nan])
+    for x in (draws, edges):
+        assert np.array_equal(principal_branch(x).view(np.int64),
+                              round_trip(x).view(np.int64))
+    for x in edges:
+        assert (np.float64(principal_branch(float(x))).view(np.int64)
+                == round_trip(np.float64(x)).view(np.int64))
 
 
 def test_phase_decomposition(ex1):
@@ -93,7 +113,6 @@ def test_dynamical_phase_against_quadrature():
         t = 0.8 * p.period
         n = 400
         ts = (np.arange(n) + 0.5) * (t / n)
-        from floquet_dqpt.model import bloch_components
         b = bloch_components(p, k)
         h_r = np.array([[b.h_z, b.h_xy], [b.h_xy, -b.h_z]], dtype=complex)
         acc = 0.0
@@ -101,7 +120,6 @@ def test_dynamical_phase_against_quadrature():
             u = propagator_oracle(p, k, s, steps=256)
             psi = u @ chi
             # undo the micromotion so the state lives in the rotating frame
-            from floquet_dqpt.model import micromotion
             chi_t = micromotion(p, s).conj().T @ psi
             acc += float((chi_t.conj() @ h_r @ chi_t).real)
         quad = -acc * (t / n)
@@ -247,6 +265,42 @@ def test_exact_winding_values_and_guards(ex1, ex2):
             exact_winding(p, "minus", 0.5)
         with pytest.raises(GaplessPoint):
             exact_winding_grid(p, "minus", [0.5, 2.0])
+
+
+def test_guards_run_once_per_call(ex1, ex2, monkeypatch):
+    # exact_winding reads dqpt_condition at most once, winding_number only
+    # near a critical time, and the tomography route guards its point once
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(geometry, name, wrapped)
+
+    counting("dqpt_condition", geometry.dqpt_condition)
+    counting("gap_guard", geometry.gap_guard)
+    for p, t in ((ex1, 0.5), (ex2, 0.5), (ex2, 1.0 + 1e-5), (ex2, 1e300)):
+        calls.clear()
+        exact_winding(p, "minus", t)
+        assert calls == ["dqpt_condition"]
+    for t in (1.0 + 1e-5, 1e300):
+        calls.clear()
+        with pytest.raises((NearCriticalTime, TimeUnresolved)):
+            exact_winding(ex1, "minus", t)
+        assert calls == ["dqpt_condition"]
+    calls.clear()
+    winding_number(ex1, "minus", 0.5)
+    assert calls == []
+    geometric_phase_from_tomography(ex1, 0.7, 0.5)
+    assert calls == ["gap_guard"]
+    # ValueError, then DegenerateDelta1, ahead of the time guards and the gap
+    degenerate = replace(ex1, delta1=0.0, delta2=ex1.omega_drive)
+    with pytest.raises(ValueError):
+        exact_winding(degenerate, "minus", math.nan)
+    for t in (0.5, 1.0, 1e300):
+        with pytest.raises(DegenerateDelta1):
+            exact_winding(degenerate, "minus", t)
 
 
 def test_bloch_expectations_unit_norm_and_initial_values(ex1):

@@ -1,4 +1,5 @@
-"""No library module, test or script imports a name it never uses.
+"""No library module, test or script imports a name it never uses, or
+imports again inside a function a name it imports at top level.
 
 No linter ships with the project, so this stdlib `ast` check keeps imports
 from lingering once their last caller is gone. The package's `__init__.py`
@@ -19,17 +20,31 @@ TESTS_AND_SCRIPTS = sorted(str(p.relative_to(ROOT))
                            for p in (ROOT / folder).glob("*.py"))
 
 
-def unused_imports(source: str) -> set:
-    tree = ast.parse(source)
+def imported_names(nodes) -> set:
     imported = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 imported.add(alias.asname or alias.name.split(".")[0])
+    return imported
+
+
+def unused_imports(source: str) -> set:
+    tree = ast.parse(source)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return imported - used
+    return imported_names(ast.walk(tree)) - used
+
+
+def reimports(source: str) -> set:
+    # names a function imports although the module imports them at top level
+    tree = ast.parse(source)
+    nested = imported_names(
+        node for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn))
+    return imported_names(tree.body) & nested
 
 
 def test_unused_imports_flags_a_dead_name():
@@ -37,11 +52,23 @@ def test_unused_imports_flags_a_dead_name():
                           "x = path.join(sep)\n") == {"math"}
 
 
+def test_reimports_flags_a_name_imported_again_in_a_function():
+    source = ("import math\nfrom os import path\n"
+              "def f():\n    from os import path\n    import json\n"
+              "    return path, json, math\n")
+    assert reimports(source) == {"path"}
+    assert not unused_imports(source)
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_library_module_has_no_unused_imports(module):
-    assert not unused_imports((PACKAGE / module).read_text(encoding="utf-8"))
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert not unused_imports(source)
+    assert not reimports(source)
 
 
 @pytest.mark.parametrize("path", TESTS_AND_SCRIPTS)
 def test_test_or_script_has_no_unused_imports(path):
-    assert not unused_imports((ROOT / path).read_text(encoding="utf-8"))
+    source = (ROOT / path).read_text(encoding="utf-8")
+    assert not unused_imports(source)
+    assert not reimports(source)
