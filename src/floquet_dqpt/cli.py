@@ -6,6 +6,16 @@ rows sorted by k then t, 17 significant digits, non-finite values spelled
 INI-style config file can pre-set them: its keys are the flag names, parsed
 by the same parser, and command-line flags win over the file.
 
+Every float cell holds the bytes "%.17g" % x gives, from one numpy kernel,
+`_format_cells`. Where %g writes fixed notation (finite x, 1e-4 <= |x| <
+1e17) it takes an exact route: Dekker's product gives |x| 10^(16 - e)
+exactly, for e = floor(log10|x|), and rounding it half-even to an integer
+gives the 17 significant digits CPython's correctly rounded dtoa prints.
+The other cells (0, -0, nan, infinities, exponent notation, and any cell
+whose log10 is off by one) go through one "%.17g" template; integer and
+boolean columns through one "%d" template. Rows are built in blocks of
+FORMAT_BLOCK cells, NUL-padded, and streamed to the output without NULs.
+
 Exit codes: 0 success, 2 configuration or output-file error, 3 numerical
 guard error.
 """
@@ -15,6 +25,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
+import itertools
 import json
 import math
 import os
@@ -46,8 +57,9 @@ PRESETS = {
 }
 
 # Resource limits, checked in RunConfig before any work: values a subcommand
-# holds (k_points x t_points, or n_lines x k_points for fisher; the dataset
-# text is built in memory), Fisher lines and oracle steps per period.
+# holds (k_points x t_points, or n_lines x k_points for fisher; the values
+# are held in memory, their text is written a block at a time), Fisher lines
+# and oracle steps per period.
 MAX_GRID_POINTS = 2_000_000
 MAX_N_LINES = 100
 MAX_STEPS = 16 * dynamics.DEFAULT_ORACLE_STEPS
@@ -103,15 +115,17 @@ def fmt_num(x) -> str:
     return "%.17g" % float(x)
 
 
-def _write_text(cfg: RunConfig, text: str):
-    """Write to --out, or to stdout when it is None.
+def _write_text(cfg: RunConfig, parts):
+    """Write an iterable of UTF-8 byte strings, in turn, to --out or, when
+    it is None, to stdout.
 
     A new or regular file is written to a temporary sibling renamed over it,
     so a failed run leaves no partial file; a link, device or pipe is
     written through.
     """
     if cfg.out is None:
-        sys.stdout.write(text)
+        for part in parts:
+            sys.stdout.write(str(part, "utf-8"))
         return
     path = cfg.out
     if not (os.path.islink(path)
@@ -119,8 +133,9 @@ def _write_text(cfg: RunConfig, text: str):
         head, tail = os.path.split(path)
         path = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            for part in parts:
+                fh.write(part)
         if path != cfg.out:
             os.replace(path, cfg.out)
     except BaseException:
@@ -129,32 +144,200 @@ def _write_text(cfg: RunConfig, text: str):
         raise
 
 
+# Bytes of one formatted cell: the longest "%.17g" string is 24 characters,
+# "-1.2345678901234567e-308"; shorter ones are padded with NULs.
+CELL = 24
+# Cells the dataset writer formats at a time. It bounds the writer's
+# temporaries, the largest of which hold 24 bytes a cell, below 128 KiB, so
+# that glibc serves them from its heap rather than from fresh mmaps; only
+# the reused block of rows is larger.
+FORMAT_BLOCK = 4096
+
+# 10^q for q = 0 .. 20: exact doubles (5^q < 2^53 for q <= 22)
+_POW10 = np.array([float(10 ** q) for q in range(21)])
+
+
+def _split(a):
+    # Veltkamp split: a = hi + lo exactly, each with at most 26 significant
+    # bits, so products of halves are exact
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# split in Python floats: no numpy ufunc runs at import
+_POW10_HI, _POW10_LO = np.array([_split(b) for b in _POW10.tolist()]).T
+
+
+def _words(rows) -> np.ndarray:
+    # rows of 24 bytes as three little-endian 64-bit words each
+    return np.frombuffer(bytes(b for row in rows for b in row),
+                         "<u8").reshape(-1, 3)
+
+
+# A fixed-notation cell shows s = "0000" d0 .. d16 (bytes 0 .. 20 of a
+# 24-byte row) from s[min(ie, 4)] to s[end], with a point after s[ie],
+# where ie = e + 4. Per ie: the bytes kept in place, those moved up one
+# byte to make room for the point, and the point; per end: the bytes shown
+# once moved.
+_KEEP = _words([[255 * (min(ie, 4) <= i <= ie) for i in range(24)]
+                for ie in range(21)])
+_MOVE = _words([[255 * (i > ie) for i in range(24)] for ie in range(21)])
+_POINT = _words([[46 * (i == ie + 1) for i in range(24)] for ie in range(21)])
+_UPTO = _words([[255 * (i <= end) for i in range(24)] for end in range(22)])
+_ASCII_ZEROS = np.uint64(0x3030303030303030)
+
+
+def _padded(conversion, values) -> np.ndarray:
+    # "%" + conversion applied to each value, as (len(values), CELL)
+    # NUL-padded rows: one template, left-justified to CELL characters
+    text = (f"%-{CELL}{conversion}" * len(values)) % tuple(values.tolist())
+    return np.frombuffer(text.replace(" ", "\0").encode("ascii"),
+                         np.uint8).reshape(-1, CELL)
+
+
+def _format_cells(x, out):
+    """Write "%.17g" % x[i] into row i of out, an (n, CELL) uint8 array, as
+    ASCII padded with NULs; x is any real array, cast exactly to float64.
+
+    On the exact route (see the module docstring), p + err = |x| 10^q
+    exactly with q = 16 - e, and p >= 10^16 > 2^53 is an even integer, so
+    D = p + rint(err) is that product rounded half-even: the digits dtoa
+    prints. A row stays on the route only where 10^16 <= D < 10^17, which
+    refuses a log10 off by one next to a power of ten and a rounding that
+    carries to 10^17.
+    """
+    x = np.asarray(x, dtype=float)
+    for lo in range(0, x.size, FORMAT_BLOCK):
+        hi = lo + FORMAT_BLOCK
+        _format_block(x[lo:hi], out[lo:hi])
+
+
+def _format_block(x, out):
+    a = np.abs(x)
+    with np.errstate(divide="ignore"):  # log10(0) = -inf
+        e = np.log10(a)
+    np.floor(e, out=e)
+    exact = (e >= -4.0) & (e <= 16.0)  # false for 0, nan and +-inf
+    # a dummy value on the other rows, overwritten below
+    np.copyto(a, 1.0, where=~exact)
+    np.copyto(e, 0.0, where=~exact)
+    ie = e.astype(np.intp)
+    q = 16 - ie
+    ah, al = _split(a)
+    p = a * _POW10[q]
+    err = ah * _POW10_HI[q] - p
+    err += ah * _POW10_LO[q]
+    err += al * _POW10_HI[q]
+    err += al * _POW10_LO[q]
+    d = p.astype(np.int64)
+    d += np.rint(err, out=err).astype(np.int64)
+    exact &= (d >= 10 ** 16) & (d < 10 ** 17)
+
+    # the digits of D as bytes 4 .. 20 of a zeroed 24-byte row s: nine
+    # divisions by 10 of each int32 half, the high half's last one giving
+    # the zero of byte 3
+    n = x.size
+    s = np.zeros((n, 24), np.uint8)
+    half = np.empty((2, n), np.int32)
+    half[0] = high = d // 10 ** 9
+    half[1] = d - high * 10 ** 9
+    quot, rem = np.empty_like(half), np.empty_like(half)
+    for j in range(9):
+        np.floor_divide(half, 10, out=quot)
+        np.multiply(quot, 10, out=rem)
+        np.subtract(half, rem, out=rem)
+        s[:, 11 - j] = rem[0]
+        s[:, 20 - j] = rem[1]
+        half, quot = quot, half
+    words = s.view("<u8")
+    # the last nonzero digit is the top nonzero byte of the 192-bit row:
+    # digits are below 16, so the binary exponent of its value as a double
+    # names that byte even after rounding
+    w = words.astype(float)
+    _, ex = np.frexp(w[:, 0] + 2.0 ** 64 * w[:, 1] + 2.0 ** 128 * w[:, 2])
+    last = (ex - 1) >> 3
+    ie += 4
+    end = np.maximum(last, ie)
+    end += end > ie  # the point, where a fraction digit is shown
+
+    words |= _ASCII_ZEROS
+    cell = np.take(_KEEP, ie, axis=0)
+    cell &= words
+    words &= np.take(_MOVE, ie, axis=0)
+    cell |= words << 8
+    cell[:, 1] |= words[:, 0] >> 56
+    cell[:, 2] |= words[:, 1] >> 56
+    cell |= np.take(_POINT, ie, axis=0)
+    cell &= np.take(_UPTO, end, axis=0)
+    out[:, 0] = np.where(np.signbit(x), 45, 0)  # "-"
+    out[:, 1:] = cell.astype("<u8", copy=False).view(np.uint8)[:, :23]
+    other = np.flatnonzero(~exact)
+    if other.size:
+        out[other] = _padded(".17g", x[other])
+
+
 # Row open, cell separator, row close and row separator. JSON rows are lists
 # of the same number strings the CSV holds.
 LAYOUTS = {"csv": ("", ",", "\n", ""), "json": ('["', '","', '"]', ",")}
 
 
-def _table_body(layout, columns) -> str:
-    # one row template repeated n times and filled by a single %
+def _rows(layout, n, width, fill):
+    """Yield n rows of `width` cells each as ASCII bytes, FORMAT_BLOCK rows
+    at a time.
+
+    fill(lo, hi, slots) writes rows lo .. hi - 1: slots[j] is the (hi - lo,
+    CELL) view of cell j of those rows. Each block of rows is built in one
+    reused, NUL-padded buffer, and its bytes other than NUL are yielded.
+    """
     row_open, sep, row_close, between = layout
+    template = np.frombuffer(
+        (between + row_open + sep.join(["\0" * CELL] * width)
+         + row_close).encode("ascii"), np.uint8)
+    first = len(between) + len(row_open)
+    offsets = [first + j * (CELL + len(sep)) for j in range(width)]
+    size = min(n, FORMAT_BLOCK)
+    buf = bytearray(size * template.size)
+    block = np.frombuffer(buf, np.uint8).reshape(size, template.size)
+    block[:] = template
+    for lo in range(0, n, FORMAT_BLOCK):
+        hi = min(lo + FORMAT_BLOCK, n)
+        block[hi - lo:] = 0  # past the last row: dropped with the NULs
+        fill(lo, hi, [block[:hi - lo, o:o + CELL] for o in offsets])
+        text = buf.translate(None, b"\0")
+        yield memoryview(text)[len(between):] if lo == 0 else text
+
+
+def _table_body(layout, columns):
+    # integer and boolean columns through a %d template, the rest through
+    # the float kernel
     columns = [np.asarray(c) for c in columns]
-    row = row_open + sep.join("%d" if c.dtype.kind in "biu" else "%.17g"
-                              for c in columns) + row_close
-    cells = [v for r in zip(*(c.tolist() for c in columns)) for v in r]
-    return between.join([row] * len(columns[0])) % tuple(cells)
+
+    def fill(lo, hi, slots):
+        for c, slot in zip(columns, slots):
+            if c.dtype.kind in "biu":
+                slot[...] = _padded("d", c[lo:hi])
+            else:
+                _format_cells(c[lo:hi], slot)
+
+    return _rows(layout, len(columns[0]), len(columns), fill)
 
 
-def _grid_body(layout, ks, ts, values) -> str:
-    # each k and t formatted once into a per-k template; only the values
-    # go through % per cell
-    row_open, sep, row_close, between = layout
-    cells = [("%.17g" % t) + sep + "%.17g" for t in ts.tolist()]
-    blocks = []
-    for k in ks.tolist():
-        lead = row_open + ("%.17g" % k) + sep
-        blocks.append(lead + (row_close + between + lead).join(cells)
-                      + row_close)
-    return between.join(blocks) % tuple(values.ravel().tolist())
+def _grid_body(layout, ks, ts, values):
+    # each k and t formatted once; the rows gather their cells
+    k_cells = np.empty((ks.size, CELL), np.uint8)
+    t_cells = np.empty((ts.size, CELL), np.uint8)
+    _format_cells(ks, k_cells)
+    _format_cells(ts, t_cells)
+    flat = values.ravel()
+
+    def fill(lo, hi, slots):
+        ki, ti = np.divmod(np.arange(lo, hi), ts.size)
+        slots[0][...] = np.take(k_cells, ki, axis=0)
+        slots[1][...] = np.take(t_cells, ti, axis=0)
+        _format_cells(flat[lo:hi], slots[2])
+
+    return _rows(layout, flat.size, 3, fill)
 
 
 def write_dataset(cfg: RunConfig, header, columns):
@@ -171,11 +354,13 @@ def write_dataset(cfg: RunConfig, header, columns):
     else:
         body = _table_body(layout, columns)
     if cfg.fmt == "csv":
-        text = ",".join(header) + "\n" + body
+        head, tail = ",".join(header) + "\n", ""
     else:
-        text = ('{"columns":' + json.dumps(list(header), separators=(",", ":"))
-                + ',"rows":[' + body + "]}\n")
-    _write_text(cfg, text)
+        head = ('{"columns":' + json.dumps(list(header), separators=(",", ":"))
+                + ',"rows":[')
+        tail = "]}\n"
+    _write_text(cfg, itertools.chain([head.encode("utf-8")], body,
+                                     [tail.encode("utf-8")]))
 
 
 def k_grid(cfg: RunConfig) -> np.ndarray:
@@ -257,7 +442,7 @@ def cmd_topo(cfg: RunConfig):
         text = json.dumps(report) + "\n"
     else:
         text = "".join(f"{key} = {val}\n" for key, val in report.items())
-    _write_text(cfg, text)
+    _write_text(cfg, [text.encode("utf-8")])
 
 
 def cmd_spectrum(cfg: RunConfig):

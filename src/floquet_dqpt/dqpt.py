@@ -20,8 +20,8 @@ import numpy as np
 
 from .dynamics import micromotion_overlap
 from .errors import DegenerateDelta1, UndefinedTau
-from .model import (ModelParams, _uniform_band_weights, band_energy,
-                    bloch_components, finite_point)
+from .model import (ModelParams, _band_sign, _field_energy,
+                    _uniform_band_weights, finite_point, static_field)
 
 # Clamp on |G|^2 before the log: the integrand has an integrable log
 # singularity exactly at (k_c, t_c); clamping bounds the trapezoid sum
@@ -95,8 +95,9 @@ def fisher_tau(params: ModelParams, band: str, k: float) -> float:
 def fisher_tau_grid(params: ModelParams, band: str, k_grid) -> np.ndarray:
     """tau over k (any shape) with +-inf markers at the divergent points."""
     k_grid = np.asarray(k_grid, dtype=float)
-    b = bloch_components(params, k_grid)
-    e = band_energy(params, band, k_grid)
+    field = static_field(params, k_grid)
+    b = field[0]
+    e = _field_energy(params, _band_sign(band), field)
     num = np.abs(b.h_xy)
     den = np.abs(e - b.h_z)
     out = np.full_like(k_grid, np.nan)

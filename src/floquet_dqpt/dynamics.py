@@ -27,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepCountTooSmall
-from .model import (SIGMA_0, SIGMA_X, SIGMA_Z, ModelParams, band_energy,
-                    band_weights, bloch_components, gap_guard, micromotion)
+from .model import (SIGMA_0, SIGMA_X, SIGMA_Z, ModelParams, _band_sign,
+                    _field_energy, _field_weights, band_weights,
+                    bloch_components, gap_guard, micromotion)
 
 MIN_ORACLE_STEPS = 256
 DEFAULT_ORACLE_STEPS = 4096
@@ -171,10 +172,11 @@ def return_amplitude(params: ModelParams, band: str, k: float,
     G = e^{-i E t} <chi| U_R(t) |chi>; the micromotion overlap carries the
     whole modulus, the quasienergy only a phase.
     """
-    gap_guard(params, k, t)
-    e = float(band_energy(params, band, k))
+    field = gap_guard(params, k, t)
+    sign = _band_sign(band)
+    e = float(_field_energy(params, sign, field))
     value = cmath.exp(-1j * e * t) * complex(
-        micromotion_overlap(params, *band_weights(params, band, k), t))
+        micromotion_overlap(params, *_field_weights(sign, field), t))
     return ReturnAmplitude(value=value, band=band, k=float(k), t=float(t))
 
 

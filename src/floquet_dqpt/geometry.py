@@ -21,8 +21,9 @@ import numpy as np
 
 from .errors import (GaplessPoint, GridTooCoarse, NearCriticalTime,
                      PhaseUndefined, TimeUnresolved, WindingNotQuantized)
-from .model import (ModelParams, _band_sign, _uniform_band_weights,
-                    band_weights, gap_guard, min_half_gap)
+from .model import (ModelParams, _band_sign, _field_weights,
+                    _uniform_band_weights, band_weights, gap_guard,
+                    min_half_gap)
 from .dynamics import micromotion_overlap, return_amplitude
 from .dqpt import dqpt_condition
 
@@ -70,8 +71,9 @@ def geometric_phase(params: ModelParams, band: str, k: float,
                     t: float) -> float:
     """total - dynamical at one (k, t), reduced to (-pi, pi]: the grid
     kernel at the point, with PhaseUndefined where it reads NaN."""
-    gap_guard(params, k, t)
-    phi = float(geometric_phase_grid(params, band, k, t))
+    field = gap_guard(params, k, t)
+    weights = _field_weights(_band_sign(band), field)
+    phi = float(_phase_and_drift(params, *weights, t)[0])
     if math.isnan(phi):
         raise PhaseUndefined(f"|G| < {AMP_FLOOR} at k = {k}, t = {t}")
     return phi

@@ -161,8 +161,13 @@ def band_weights(params: ModelParams, band: str, k):
     The weights only depend on the longitudinal tilt, so they are available
     in closed form without building eigenvectors. Used by the grid sweeps.
     """
-    sign = _band_sign(band)
-    _, dz, half_gap = static_field(params, k)
+    return _field_weights(_band_sign(band), static_field(params, k))
+
+
+def _field_weights(sign: float, field):
+    """band_weights from a static_field result and the band's sign (+1
+    upper, -1 lower): scalar APIs pass the field their guard returned."""
+    _, dz, half_gap = field
     zt = np.where(half_gap > 0, dz / np.where(half_gap > 0, half_gap, 1.0),
                   np.nan)
     wa = 0.5 * (1.0 + sign * zt)
@@ -189,5 +194,9 @@ def _uniform_band_weights(params: ModelParams, band: str, n: int):
 
 def band_energy(params: ModelParams, band: str, k):
     """Unfolded quasienergy E_band(k), vectorized over k."""
-    sign = _band_sign(band)
-    return 0.5 * params.omega_drive + sign * static_field(params, k)[2]
+    return _field_energy(params, _band_sign(band), static_field(params, k))
+
+
+def _field_energy(params: ModelParams, sign: float, field):
+    """band_energy from a static_field result and the band's sign."""
+    return 0.5 * params.omega_drive + sign * field[2]

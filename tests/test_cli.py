@@ -379,6 +379,23 @@ def test_parser_built_once_and_not_at_import():
     assert out == "0\n"
 
 
+def test_import_loads_only_the_standard_library_and_numpy():
+    # keeps startup flat: a fresh `import floquet_dqpt.cli` loads nothing
+    # but standard-library modules, numpy and the package, and neither
+    # decimal nor fractions
+    code = ("import sys; before = set(sys.modules); "
+            "import floquet_dqpt.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env,
+                            check=True, capture_output=True,
+                            text=True).stdout.split()
+    assert "floquet_dqpt.cli" in loaded
+    tops = {name.split(".")[0] for name in loaded}
+    assert tops - sys.stdlib_module_names == {"numpy", "floquet_dqpt"}
+    assert not {"decimal", "fractions"} & tops
+
+
 def test_presets_available():
     assert set(PRESETS) == {"example1", "example2", "example3",
                             "nv-plus", "nv-minus"}

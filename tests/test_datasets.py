@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from floquet_dqpt import dqpt
+from floquet_dqpt import cli, dqpt
 from floquet_dqpt.cli import PRESETS, RunConfig, main, write_dataset
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -82,7 +82,7 @@ SPECIAL = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_writer_table_edge_cases(tmp_path, fmt):
+def test_writer_table_edge_cases(tmp_path, monkeypatch, fmt):
     n = len(SPECIAL)
     ints = np.arange(-3, n - 3)
     flags = np.arange(n) % 2 == 0
@@ -90,9 +90,12 @@ def test_writer_table_edge_cases(tmp_path, fmt):
     header = ("i", "x", "flag", "y")
     rows = [[str(i), x, str(int(f)), y]
             for i, x, f, y in zip(ints.tolist(), SPECIAL, flags, floats32)]
-    assert written(tmp_path, fmt, header,
-                   (ints, SPECIAL, flags, floats32)) \
-        == ref_text(fmt, header, rows)
+    # the writer's own block size, then block boundaries inside the table
+    for block in (cli.FORMAT_BLOCK, 1, 5):
+        monkeypatch.setattr(cli, "FORMAT_BLOCK", block)
+        assert written(tmp_path, fmt, header,
+                       (ints, SPECIAL, flags, floats32)) \
+            == ref_text(fmt, header, rows)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -109,6 +112,33 @@ def test_writer_grid_edge_cases(tmp_path, fmt):
     ks = np.array([0.0, 1e-310, math.pi])
     ts = np.array([-0.0, 0.25, 1e20, 6.0])
     values = np.array(SPECIAL).reshape(len(ks), len(ts))
+    rows = [[k, t, values[i, j]] for i, k in enumerate(ks)
+            for j, t in enumerate(ts)]
+    assert written(tmp_path, fmt, ("k", "t", "phase"), (ks, ts, values)) \
+        == ref_text(fmt, ("k", "t", "phase"), rows)
+
+
+# Axis values at the edges of the writer's exact route: -0, 1e-4 (the
+# smallest fixed-notation magnitude) and its predecessor, and 1e17 and above
+# (exponent notation).
+AXIS_EDGES = [-0.0, 1e-4, float(np.nextafter(1e-4, 0.0)), 1e17, -3e17,
+              0.5, 2.5]
+
+
+@pytest.mark.parametrize("n_k, n_t, block", [(1, 1, None), (7, 6, 1),
+                                             (7, 6, 5), (2, 4099, None)])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_grid_routes_and_blocks(tmp_path, monkeypatch, fmt, n_k, n_t,
+                                       block):
+    # rows mix cells of the exact route with cells "%" writes, and block
+    # boundaries (every 5 cells, or 4096 for the writer's own size) fall
+    # inside k rows; (1, 1) is a one-cell grid
+    if block is not None:
+        monkeypatch.setattr(cli, "FORMAT_BLOCK", block)
+    ks = np.resize(AXIS_EDGES, n_k)
+    ts = np.resize(AXIS_EDGES[::-1], n_t)
+    values = np.resize(SPECIAL + [0.123, -45.5, 1e16, 9.99e16, 1e17, -1e-5],
+                       (n_k, n_t))
     rows = [[k, t, values[i, j]] for i, k in enumerate(ks)
             for j, t in enumerate(ts)]
     assert written(tmp_path, fmt, ("k", "t", "phase"), (ks, ts, values)) \

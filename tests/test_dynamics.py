@@ -227,9 +227,9 @@ def test_return_probability_grid_matches_scalar(ex1):
 
 
 ANALYTIC_ROUTE = {"static_field", "gap_guard", "finite_point",
-                  "band_weights", "band_energy", "micromotion",
-                  "micromotion_overlap", "propagator_analytic",
-                  "obc_floquet_spectrum"}
+                  "band_weights", "band_energy", "_field_weights",
+                  "_field_energy", "micromotion", "micromotion_overlap",
+                  "propagator_analytic", "obc_floquet_spectrum"}
 
 
 def code_names(code) -> set:

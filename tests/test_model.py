@@ -1,17 +1,19 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floquet_dqpt.dqpt import fisher_tau
+from floquet_dqpt import dqpt, dynamics, geometry, model
+from floquet_dqpt.dqpt import fisher_tau, fisher_tau_grid
 from floquet_dqpt.dynamics import (propagator_analytic, return_amplitude,
                                    return_probability)
 from floquet_dqpt.errors import GaplessPoint
 from floquet_dqpt.geometry import (bloch_expectations, dynamical_phase,
                                    geometric_phase,
                                    geometric_phase_from_tomography,
-                                   total_phase)
+                                   geometric_phase_grid, total_phase)
 from floquet_dqpt.model import (ModelParams, SIGMA_Z, bloch_components,
                                 band_energy, band_weights, gap_guard,
                                 micromotion, min_half_gap, static_field)
@@ -150,6 +152,40 @@ POINT_APIS = {
     "propagator_analytic": propagator_analytic,
     "fisher_tau": lambda p, k, t: fisher_tau(p, "minus", k),
 }
+
+
+def test_scalar_apis_read_the_static_field_once(monkeypatch):
+    # the guarded field feeds the kernel: one static_field evaluation per
+    # call, with the bits of the routes that evaluate it once per quantity
+    k, t = 0.7, 0.5
+    want = {}
+    for band in ("minus", "plus"):
+        e = float(band_energy(EXAMPLE1, band, k))
+        overlap = dynamics.micromotion_overlap(
+            EXAMPLE1, *band_weights(EXAMPLE1, band, k), t)
+        want[band] = (cmath.exp(-1j * e * t) * complex(overlap),
+                      float(geometric_phase_grid(EXAMPLE1, band, k, t)))
+    calls = []
+
+    def counting(params, k):
+        calls.append(k)
+        return static_field(params, k)
+
+    for module in (model, dynamics, dqpt, geometry):
+        if hasattr(module, "static_field"):
+            monkeypatch.setattr(module, "static_field", counting)
+    for band in ("minus", "plus"):
+        for got, expected in (
+                (lambda: return_amplitude(EXAMPLE1, band, k, t).value,
+                 want[band][0]),
+                (lambda: geometric_phase(EXAMPLE1, band, k, t),
+                 want[band][1]),
+                (lambda: fisher_tau_grid(EXAMPLE1, band, [0.1, k, 3.0]),
+                 None)):
+            calls.clear()
+            value = got()
+            assert len(calls) == 1
+            assert expected is None or value == expected
 
 
 @pytest.mark.parametrize("name", sorted(POINT_APIS))
