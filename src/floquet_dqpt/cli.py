@@ -6,15 +6,16 @@ rows sorted by k then t, 17 significant digits, non-finite values spelled
 INI-style config file can pre-set them: its keys are the flag names, parsed
 by the same parser, and command-line flags win over the file.
 
-Every float cell holds the bytes "%.17g" % x gives, from one numpy kernel,
-`_format_cells`. Where %g writes fixed notation (finite x, 1e-4 <= |x| <
-1e17) it takes an exact route: Dekker's product gives |x| 10^(16 - e)
-exactly, for e = floor(log10|x|), and rounding it half-even to an integer
-gives the 17 significant digits CPython's correctly rounded dtoa prints.
-The other cells (0, -0, nan, infinities, exponent notation, and any cell
-whose log10 is off by one) go through one "%.17g" template; integer and
-boolean columns through one "%d" template. Rows are built in blocks of
-FORMAT_BLOCK cells, NUL-padded, and streamed to the output without NULs.
+Every cell holds the bytes "%.17g" % x gives for a double x, from one numpy
+kernel, `_format_cells`; integer columns are cast to float64, exact below
+2^53, and print as integers. Where %g writes fixed notation (finite x,
+1e-4 <= |x| < 1e17) it takes an exact route: Dekker's product gives
+|x| 10^(16 - e) exactly, for e = floor(log10|x|), and rounding it half-even
+to an integer gives the 17 significant digits CPython's correctly rounded
+dtoa prints. The other cells (0, -0, nan, infinities, exponent notation,
+and any cell whose log10 is off by one) go through one "%.17g" template.
+Rows are built in blocks of FORMAT_BLOCK cells, NUL-padded, and streamed
+to the output without NULs.
 
 Exit codes: 0 success, 2 configuration or output-file error, 3 numerical
 guard error.
@@ -110,11 +111,6 @@ class RunConfig:
         return self.t_max if self.t_max is not None else 3.0 * self.params.period
 
 
-def fmt_num(x) -> str:
-    """17 significant digits; %g already spells nan, inf and -inf."""
-    return "%.17g" % float(x)
-
-
 def _write_text(cfg: RunConfig, parts):
     """Write an iterable of UTF-8 byte strings, in turn, to --out or, when
     it is None, to stdout.
@@ -186,14 +182,6 @@ _MOVE = _words([[255 * (i > ie) for i in range(24)] for ie in range(21)])
 _POINT = _words([[46 * (i == ie + 1) for i in range(24)] for ie in range(21)])
 _UPTO = _words([[255 * (i <= end) for i in range(24)] for end in range(22)])
 _ASCII_ZEROS = np.uint64(0x3030303030303030)
-
-
-def _padded(conversion, values) -> np.ndarray:
-    # "%" + conversion applied to each value, as (len(values), CELL)
-    # NUL-padded rows: one template, left-justified to CELL characters
-    text = (f"%-{CELL}{conversion}" * len(values)) % tuple(values.tolist())
-    return np.frombuffer(text.replace(" ", "\0").encode("ascii"),
-                         np.uint8).reshape(-1, CELL)
 
 
 def _format_cells(x, out):
@@ -274,7 +262,10 @@ def _format_block(x, out):
     out[:, 1:] = cell.astype("<u8", copy=False).view(np.uint8)[:, :23]
     other = np.flatnonzero(~exact)
     if other.size:
-        out[other] = _padded(".17g", x[other])
+        # one "%.17g" template, left-justified to CELL; spaces become NULs
+        text = (f"%-{CELL}.17g" * other.size) % tuple(x[other].tolist())
+        out[other] = np.frombuffer(text.replace(" ", "\0").encode("ascii"),
+                                   np.uint8).reshape(-1, CELL)
 
 
 # Row open, cell separator, row close and row separator. JSON rows are lists
@@ -309,16 +300,11 @@ def _rows(layout, n, width, fill):
 
 
 def _table_body(layout, columns):
-    # integer and boolean columns through a %d template, the rest through
-    # the float kernel
-    columns = [np.asarray(c) for c in columns]
+    columns = [np.asarray(c, dtype=float) for c in columns]
 
     def fill(lo, hi, slots):
         for c, slot in zip(columns, slots):
-            if c.dtype.kind in "biu":
-                slot[...] = _padded("d", c[lo:hi])
-            else:
-                _format_cells(c[lo:hi], slot)
+            _format_cells(c[lo:hi], slot)
 
     return _rows(layout, len(columns[0]), len(columns), fill)
 
@@ -343,10 +329,10 @@ def _grid_body(layout, ks, ts, values):
 def write_dataset(cfg: RunConfig, header, columns):
     """Write a table as CSV or JSON, one row per index of the columns.
 
-    `columns` are equal-length 1-D arrays; integer and boolean ones are
-    written as integers, the rest with 17 significant digits. A (k, t) grid
-    is passed as its axes and a (len(ks), len(ts)) array of values, and
-    written as k-major (k, t, value) rows.
+    `columns` are equal-length 1-D arrays; every cell is "%.17g" of the
+    value cast to float64, so integral values print as integers. A (k, t)
+    grid is passed as its axes and a (len(ks), len(ts)) array of values,
+    and written as k-major (k, t, value) rows.
     """
     layout = LAYOUTS[cfg.fmt]
     if np.ndim(columns[-1]) == 2:
@@ -372,6 +358,7 @@ def t_grid(cfg: RunConfig) -> np.ndarray:
 
 
 def cmd_retprob(cfg: RunConfig):
+    geometry.require_resolved_time(cfg.params, cfg.resolved_t_max)
     ks, ts = k_grid(cfg), t_grid(cfg)
     probs = dynamics.return_probability_grid(cfg.params, cfg.band,
                                              ks[:, None], ts)
@@ -379,6 +366,7 @@ def cmd_retprob(cfg: RunConfig):
 
 
 def cmd_rate(cfg: RunConfig):
+    geometry.require_resolved_time(cfg.params, cfg.resolved_t_max)
     ts = t_grid(cfg)
     g = [dqpt.rate_function(cfg.params, cfg.band, t, cfg.k_points)
          for t in ts]
@@ -396,6 +384,7 @@ def cmd_fisher(cfg: RunConfig):
 
 
 def cmd_geo(cfg: RunConfig):
+    geometry.require_resolved_time(cfg.params, cfg.resolved_t_max)
     ks, ts = k_grid(cfg), t_grid(cfg)
     phases = geometry.geometric_phase_grid(cfg.params, cfg.band,
                                            ks[:, None], ts)
@@ -476,8 +465,8 @@ def cmd_oracle_check(cfg: RunConfig):
         worst = max(worst, float(np.abs(ua - uo).max()))
         done += 1
     ok = worst < tol
-    sys.stdout.write(f"draws = {draws}\nmax_deviation = {fmt_num(worst)}\n"
-                     f"tolerance = {fmt_num(tol)}\n"
+    sys.stdout.write(f"draws = {draws}\nmax_deviation = {worst:.17g}\n"
+                     f"tolerance = {tol:.17g}\n"
                      f"status = {'pass' if ok else 'fail'}\n")
     return 0 if ok else 1
 

@@ -93,19 +93,13 @@ def fisher_tau(params: ModelParams, band: str, k: float) -> float:
 
 
 def fisher_tau_grid(params: ModelParams, band: str, k_grid) -> np.ndarray:
-    """tau over k (any shape) with +-inf markers at the divergent points."""
-    k_grid = np.asarray(k_grid, dtype=float)
-    field = static_field(params, k_grid)
+    """tau over k (any shape); log 0 = -inf gives its +-inf, NaN markers."""
+    field = static_field(params, np.asarray(k_grid, dtype=float))
     b = field[0]
     e = _field_energy(params, _band_sign(band), field)
-    num = np.abs(b.h_xy)
-    den = np.abs(e - b.h_z)
-    out = np.full_like(k_grid, np.nan)
-    out[(num == 0) & (den > 0)] = -np.inf
-    out[(den == 0) & (num > 0)] = np.inf
-    ok = (num > 0) & (den > 0)
-    out[ok] = (2.0 / params.omega_drive) * (np.log(num[ok]) - np.log(den[ok]))
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = np.log(np.abs(b.h_xy)) - np.log(np.abs(e - b.h_z))
+    return np.asarray((2.0 / params.omega_drive) * tau)
 
 
 def fisher_lines(params: ModelParams, band: str, k_grid,
@@ -134,8 +128,7 @@ def rate_function(params: ModelParams, band: str, t: float,
     """
     if k_grid_size < 2:
         raise ValueError("k_grid_size must be >= 2")
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+    finite_point(t=t)
     k, wa, wb = _uniform_band_weights(params, band, k_grid_size)
     prob = np.abs(micromotion_overlap(params, wa, wb, t)) ** 2
     logp = np.log(np.maximum(prob, PROB_FLOOR))

@@ -183,8 +183,9 @@ def return_amplitude(params: ModelParams, band: str, k: float,
 def return_probability(params: ModelParams, band: str, k: float,
                        t: float) -> float:
     """|G_band(k, t)|^2; independent of the quasienergy phase."""
-    gap_guard(params, k, t)
-    return float(return_probability_grid(params, band, k, t))
+    field = gap_guard(params, k, t)
+    weights = _field_weights(_band_sign(band), field)
+    return float(np.abs(micromotion_overlap(params, *weights, t)) ** 2)
 
 
 def return_probability_grid(params: ModelParams, band: str, k_grid,

@@ -22,10 +22,10 @@ import numpy as np
 from .errors import (GaplessPoint, GridTooCoarse, NearCriticalTime,
                      PhaseUndefined, TimeUnresolved, WindingNotQuantized)
 from .model import (ModelParams, _band_sign, _field_weights,
-                    _uniform_band_weights, band_weights, gap_guard,
-                    min_half_gap)
+                    _uniform_band_weights, band_weights, finite_point,
+                    gap_guard, min_half_gap)
 from .dynamics import micromotion_overlap, return_amplitude
-from .dqpt import dqpt_condition
+from .dqpt import DEFAULT_K_GRID, dqpt_condition
 
 # Phase of a complex number smaller than this is numerically meaningless.
 AMP_FLOOR = 1e-9
@@ -102,17 +102,25 @@ def _phase_and_drift(params, wa, wb, t):
     return out, drift
 
 
+def require_resolved_time(params: ModelParams, t: float) -> float:
+    """The critical-time window; TimeUnresolved where ulp(t) reaches it."""
+    guard = T_GUARD_FRACTION * params.period
+    if math.ulp(t) >= guard:
+        raise TimeUnresolved(f"t = {t} is resolved only to {math.ulp(t)}"
+                             f", not to the {guard} critical-time window")
+    return guard
+
+
 def _critical_time_guard(params: ModelParams, t: float) -> bool:
     # NearCriticalTime within the guard window of a critical time, and
     # TimeUnresolved where doubles near t are spaced that window or wider,
     # if the drive has any critical time; True iff it read dqpt_condition
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    guard = T_GUARD_FRACTION * params.period
-    if math.ulp(t) >= guard:
+    finite_point(t=t)
+    try:
+        guard = require_resolved_time(params, t)
+    except TimeUnresolved:
         if dqpt_condition(params).has_dqpt:
-            raise TimeUnresolved(f"t = {t} is resolved only to {math.ulp(t)}"
-                                 f", not to the {guard} critical-time window")
+            raise
         return True
     half = 0.5 * params.period
     # nearest critical time +-(2n-1) T/2; the others are at least T/2 away
@@ -156,7 +164,7 @@ def exact_winding(params: ModelParams, band: str, t: float) -> int:
 
 
 def winding_number(params: ModelParams, band: str, t: float,
-                   k_grid_size: int = 2001,
+                   k_grid_size: int = DEFAULT_K_GRID,
                    return_raw: bool = False):
     """Dynamical invariant nu_band(t): winding of the geometric phase.
 

@@ -109,7 +109,7 @@ def static_field(params: ModelParams, k):
     return b, dz, np.hypot(b.h_xy, dz)
 
 
-def finite_point(k, t=0.0):
+def finite_point(k=0.0, t=0.0):
     """Raise ValueError unless k and t are finite: the scalar APIs' check."""
     for name, x in (("k", k), ("t", t)):
         if not math.isfinite(x):
@@ -168,9 +168,9 @@ def _field_weights(sign: float, field):
     """band_weights from a static_field result and the band's sign (+1
     upper, -1 lower): scalar APIs pass the field their guard returned."""
     _, dz, half_gap = field
-    zt = np.where(half_gap > 0, dz / np.where(half_gap > 0, half_gap, 1.0),
-                  np.nan)
-    wa = 0.5 * (1.0 + sign * zt)
+    # half_gap = 0 forces dz = 0: 0/0 = NaN exactly where the gap closes
+    with np.errstate(invalid="ignore"):
+        wa = 0.5 * (1.0 + sign * (dz / half_gap))
     return wa, 1.0 - wa
 
 

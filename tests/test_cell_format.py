@@ -98,3 +98,26 @@ def test_kernel_casts_float32_exactly():
     x[:4] = [np.float32(0.1), np.float32(-0.0), np.inf, np.nan]
     assert_formats_like_percent_g(x)
     assert kernel_lines(x[:1]) == ["0.10000000149011612"]
+
+
+def test_kernel_spells_tokens_and_round_trips():
+    assert kernel_lines([math.nan, math.inf, -math.inf, 1.0, -0.0]) \
+        == ["nan", "inf", "-inf", "1", "-0"]
+    # 17 significant digits read back as the same double
+    x = math.pi / 3
+    assert float(kernel_lines([x])[0]) == x
+
+
+def test_kernel_writes_integers_like_percent_d():
+    # integer and boolean columns are cast to float64: below 2^53 the cast
+    # is exact and "%.17g" of an integral value spells it as "%d" does
+    rng = np.random.default_rng(SEED + 2)
+    top = 2 ** 53 - 1
+    magnitude = (2.0 ** rng.uniform(0.0, 53.0, 50_000)).astype(np.int64)
+    ints = np.concatenate([
+        magnitude * rng.choice([-1, 1], magnitude.size),
+        rng.integers(-top, top, 50_000, endpoint=True),
+        [0, 1, -1, top, -top]])
+    assert np.abs(ints).max() == top
+    for x in (ints, rng.integers(0, 2, 1000).astype(bool)):
+        assert kernel_lines(x) == ["%d" % v for v in x.tolist()]

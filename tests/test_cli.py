@@ -10,7 +10,7 @@ import pytest
 
 from floquet_dqpt import cli, geometry
 from floquet_dqpt.cli import (MAX_GRID_POINTS, MAX_N_LINES, PRESETS,
-                              RunConfig, fmt_num, main, make_parser)
+                              RunConfig, main, make_parser)
 from floquet_dqpt.errors import GridTooCoarse
 from floquet_dqpt.dynamics import return_probability_grid
 from floquet_dqpt.geometry import geometric_phase_grid
@@ -25,16 +25,6 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
-
-
-def test_fmt_num_tokens():
-    assert fmt_num(float("nan")) == "nan"
-    assert fmt_num(float("inf")) == "inf"
-    assert fmt_num(float("-inf")) == "-inf"
-    assert fmt_num(1.0) == "1"
-    # 17 significant digits round-trip exactly
-    x = math.pi / 3
-    assert float(fmt_num(x)) == x
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -173,6 +163,26 @@ def test_winding_refuses_times_doubles_cannot_resolve(capsys):
         assert captured.out == ""
         assert captured.err.startswith("numerical guard: TimeUnresolved")
         assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["retprob", "rate", "geo"])
+def test_grid_commands_refuse_times_doubles_cannot_resolve(command, capsys):
+    # past t = 2^44 doubles are spaced 1e-3 T or wider for T = 2, and at
+    # 1e17 w t is rounded by up to 32 rad: refused before any work, with or
+    # without critical times
+    below = repr(math.nextafter(2.0 ** 44, 0.0))
+    for preset in ("example1", "example2"):
+        for t_max, code in (("1e9", 0), (below, 0), (str(2.0 ** 44), 3),
+                            ("1e17", 3), ("1e300", 3)):
+            assert run_cli([command, "--preset", preset, "--t-max", t_max,
+                            "--t-points", "2", "--k-points", "2"]) == code
+            captured = capsys.readouterr()
+            if code == 0:
+                assert captured.err == ""
+                continue
+            assert captured.out == ""
+            assert captured.err.startswith("numerical guard: TimeUnresolved")
+            assert captured.err.count("\n") == 1
 
 
 def test_failed_write_keeps_earlier_output(tmp_path, monkeypatch, capsys):
@@ -360,8 +370,12 @@ def test_grid_kernels_broadcast_bit_identical(preset):
 def test_oracle_check_pass_and_step_guard(capsys):
     assert run_cli(["oracle-check", "--preset", "example1"]) == 0
     out = capsys.readouterr().out
-    assert "status = pass" in out
-    assert float(out.split("max_deviation = ")[1].splitlines()[0]) < 1e-7
+    deviation = out.split("max_deviation = ")[1].splitlines()[0]
+    assert float(deviation) < 1e-7
+    # both numbers are "%.17g" of a double
+    assert out == (f"draws = 20\nmax_deviation = "
+                   f"{'%.17g' % float(deviation)}\n"
+                   f"tolerance = 9.9999999999999995e-08\nstatus = pass\n")
     # oracle-check draws its own parameters, so it needs no model
     assert run_cli(["oracle-check"]) == 0
     assert capsys.readouterr().out == out

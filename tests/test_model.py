@@ -164,7 +164,9 @@ def test_scalar_apis_read_the_static_field_once(monkeypatch):
         overlap = dynamics.micromotion_overlap(
             EXAMPLE1, *band_weights(EXAMPLE1, band, k), t)
         want[band] = (cmath.exp(-1j * e * t) * complex(overlap),
-                      float(geometric_phase_grid(EXAMPLE1, band, k, t)))
+                      float(geometric_phase_grid(EXAMPLE1, band, k, t)),
+                      float(dynamics.return_probability_grid(EXAMPLE1, band,
+                                                             k, t)))
     calls = []
 
     def counting(params, k):
@@ -180,12 +182,66 @@ def test_scalar_apis_read_the_static_field_once(monkeypatch):
                  want[band][0]),
                 (lambda: geometric_phase(EXAMPLE1, band, k, t),
                  want[band][1]),
+                (lambda: return_probability(EXAMPLE1, band, k, t),
+                 want[band][2]),
                 (lambda: fisher_tau_grid(EXAMPLE1, band, [0.1, k, 3.0]),
                  None)):
             calls.clear()
             value = got()
             assert len(calls) == 1
             assert expected is None or value == expected
+
+
+# k = 0 (h_xy = 0), an interior k and k = pi, where hypot rounds Delta/2
+# to |dz| for example1; delta1 + delta2 = w closes the gap at k = 0
+MARKER_GRIDS = [(EXAMPLE1, np.array([0.0, 0.7, math.pi])),
+                (small_params(3.0, 1.0, 2.0, 1.0),
+                 np.array([0.0, 0.7, math.pi]))]
+
+
+def assert_same_bits(got, want):
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64),
+                          want[~nan].view(np.uint64))
+
+
+def test_band_weights_equal_the_masked_formula():
+    # NaN where the gap closes comes from 0/0, not from a mask
+    seen_nan = False
+    for p, ks in MARKER_GRIDS:
+        _, dz, half_gap = static_field(p, ks)
+        zt = np.where(half_gap > 0,
+                      dz / np.where(half_gap > 0, half_gap, 1.0), np.nan)
+        for band, sign in (("minus", -1.0), ("plus", 1.0)):
+            wa = 0.5 * (1.0 + sign * zt)
+            got = band_weights(p, band, ks)
+            assert_same_bits(got[0], wa)
+            assert_same_bits(got[1], 1.0 - wa)
+            seen_nan |= bool(np.isnan(wa).any())
+    assert seen_nan
+
+
+def test_fisher_tau_grid_equals_the_masked_formula():
+    # the +-inf and NaN markers come from log 0 = -inf, not from masks
+    seen = set()
+    for p, ks in MARKER_GRIDS:
+        b = bloch_components(p, ks)
+        for band in ("minus", "plus"):
+            num = np.abs(b.h_xy)
+            den = np.abs(band_energy(p, band, ks) - b.h_z)
+            want = np.full_like(ks, np.nan)
+            want[(num == 0) & (den > 0)] = -np.inf
+            want[(den == 0) & (num > 0)] = np.inf
+            ok = (num > 0) & (den > 0)
+            want[ok] = (2.0 / p.omega_drive) * (np.log(num[ok])
+                                                - np.log(den[ok]))
+            assert_same_bits(fisher_tau_grid(p, band, ks), want)
+            seen |= {repr(float(x)) for x in want if not np.isfinite(x)}
+            scalar = fisher_tau_grid(p, band, ks[0])
+            assert isinstance(scalar, np.ndarray) and scalar.ndim == 0
+            assert_same_bits(scalar[None], want[:1])
+    assert seen == {"-inf", "inf", "nan"}
 
 
 @pytest.mark.parametrize("name", sorted(POINT_APIS))

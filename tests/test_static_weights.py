@@ -118,6 +118,17 @@ def test_trace_at_one_key_evaluates_the_weights_once(monkeypatch):
     _uniform_band_weights.cache_clear()
 
 
+def test_rate_and_winding_defaults_share_one_entry():
+    # a trace interleaving both at their default grid sizes, as the scan
+    # benchmark does, computes the weights once
+    _uniform_band_weights.cache_clear()
+    for t in np.linspace(0.1, 0.9, 5):
+        rate_function(EXAMPLE1, "minus", t)
+        winding_number(EXAMPLE1, "minus", t)
+    assert _uniform_band_weights.cache_info().misses == 1
+    _uniform_band_weights.cache_clear()
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_non_finite_t_refused_before_any_work(t):
     before = _uniform_band_weights.cache_info()
