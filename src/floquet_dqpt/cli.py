@@ -145,8 +145,9 @@ def _write_text(cfg: RunConfig, parts):
 CELL = 24
 # Cells the dataset writer formats at a time. It bounds the writer's
 # temporaries, the largest of which hold 24 bytes a cell, below 128 KiB, so
-# that glibc serves them from its heap rather than from fresh mmaps; only
-# the reused block of rows is larger.
+# that glibc serves them from its heap rather than from fresh mmaps (the
+# limit model.GRID_CHUNK keeps for the t-grid kernels); only the reused
+# block of rows is larger.
 FORMAT_BLOCK = 4096
 
 # 10^q for q = 0 .. 20: exact doubles (5^q < 2^53 for q <= 22)
@@ -358,7 +359,6 @@ def t_grid(cfg: RunConfig) -> np.ndarray:
 
 
 def cmd_retprob(cfg: RunConfig):
-    geometry.require_resolved_time(cfg.params, cfg.resolved_t_max)
     ks, ts = k_grid(cfg), t_grid(cfg)
     probs = dynamics.return_probability_grid(cfg.params, cfg.band,
                                              ks[:, None], ts)
@@ -366,10 +366,8 @@ def cmd_retprob(cfg: RunConfig):
 
 
 def cmd_rate(cfg: RunConfig):
-    geometry.require_resolved_time(cfg.params, cfg.resolved_t_max)
     ts = t_grid(cfg)
-    g = [dqpt.rate_function(cfg.params, cfg.band, t, cfg.k_points)
-         for t in ts]
+    g = dqpt.rate_function_grid(cfg.params, cfg.band, ts, cfg.k_points)
     write_dataset(cfg, ("t", "g"), (ts, g))
 
 
@@ -384,7 +382,6 @@ def cmd_fisher(cfg: RunConfig):
 
 
 def cmd_geo(cfg: RunConfig):
-    geometry.require_resolved_time(cfg.params, cfg.resolved_t_max)
     ks, ts = k_grid(cfg), t_grid(cfg)
     phases = geometry.geometric_phase_grid(cfg.params, cfg.band,
                                            ks[:, None], ts)
@@ -397,11 +394,16 @@ def cmd_winding(cfg: RunConfig):
     resolve t, and an error where it rounds to another integer than nu."""
     dqpt.dqpt_condition(cfg.params)  # DegenerateDelta1 before any t
     n_k = max(cfg.k_points, geometry.MIN_WINDING_GRID)
+    grid = t_grid(cfg)
+    facts = geometry.raw_winding_grid(cfg.params, cfg.band, grid, n_k)
     ts, raws = [], []
-    for t in t_grid(cfg).tolist():
+    # winding_number's guards at each t in turn, so the first error in t
+    # order is raised; no row is read past the first t its guard refuses
+    rows = zip(*(f.tolist() for f in facts))
+    for t, row in itertools.zip_longest(grid.tolist(), rows):
         try:
-            raws.append(geometry.winding_number(cfg.params, cfg.band, t, n_k,
-                                                return_raw=True)[1])
+            raws.append(geometry.quantized_winding(cfg.params, t,
+                                                   lambda: row)[1])
         except NearCriticalTime:
             continue  # guard windows are emitted as gaps
         except GridTooCoarse:

@@ -20,8 +20,9 @@ import numpy as np
 
 from .dynamics import micromotion_overlap
 from .errors import DegenerateDelta1, UndefinedTau
-from .model import (ModelParams, _band_sign, _field_energy,
-                    _uniform_band_weights, finite_point, static_field)
+from .model import (ModelParams, _band_sign, _field_energy, _t_chunks,
+                    _uniform_band_weights, finite_point,
+                    require_resolved_time, static_field)
 
 # Clamp on |G|^2 before the log: the integrand has an integrable log
 # singularity exactly at (k_c, t_c); clamping bounds the trapezoid sum
@@ -122,15 +123,49 @@ def rate_function(params: ModelParams, band: str, t: float,
 
     Trapezoidal rule on a uniform k grid including both endpoints (which
     contribute ln 1 = 0 exactly); |G|^2 is clamped below at PROB_FLOOR. The
-    1/pi measure makes g intensive and grid-size comparable. The k grid and
-    band weights are computed once per (params, band, k_grid_size), so each
-    t costs only |G|^2 from `micromotion_overlap` and the sum.
+    1/pi measure makes g intensive and grid-size comparable. The kernel of
+    rate_function_grid at the one t: ValueError for a non-finite t, and
+    TimeUnresolved where doubles cannot resolve w t.
     """
+    _check_rate_grid(k_grid_size)
+    finite_point(t=t)
+    require_resolved_time(params, t)
+    return float(_trapezoid_rate(
+        params, *_uniform_band_weights(params, band, k_grid_size), t))
+
+
+def rate_function_grid(params: ModelParams, band: str, ts,
+                       k_grid_size: int = DEFAULT_K_GRID) -> np.ndarray:
+    """rate_function at every t of a 1-D array, bit for bit; NaN at a NaN t.
+
+    The k grid and band weights are computed once per (params, band,
+    k_grid_size), and the times are evaluated against them in chunks of
+    rows of at most model.GRID_CHUNK k samples, so each t costs only |G|^2
+    from `micromotion_overlap` and the sum, and memory does not grow with
+    the number of times.
+    """
+    _check_rate_grid(k_grid_size)
+    ts = np.asarray(ts, dtype=float)
+    require_resolved_time(params, ts)
+    k, wa, wb = _uniform_band_weights(params, band, k_grid_size)
+    g = np.empty(ts.shape)
+    for rows in _t_chunks(ts.size, k_grid_size):
+        g[rows] = _trapezoid_rate(params, k, wa, wb, ts[rows, None])
+    return g
+
+
+def _check_rate_grid(k_grid_size):
     if k_grid_size < 2:
         raise ValueError("k_grid_size must be >= 2")
-    finite_point(t=t)
-    k, wa, wb = _uniform_band_weights(params, band, k_grid_size)
-    prob = np.abs(micromotion_overlap(params, wa, wb, t)) ** 2
-    logp = np.log(np.maximum(prob, PROB_FLOOR))
-    return float(-((k[1:] - k[:-1]) * (logp[1:] + logp[:-1]) / 2.0).sum()
-                 / math.pi)
+
+
+def _trapezoid_rate(params, k, wa, wb, t):
+    # numpy's trapezoid over the last axis of |G|^2 at t (a scalar, or a
+    # column of times), written out
+    prob = np.abs(micromotion_overlap(params, wa, wb, t))
+    prob *= prob
+    logp = np.log(np.maximum(prob, PROB_FLOOR, out=prob), out=prob)
+    area = logp[..., 1:] + logp[..., :-1]
+    area *= k[1:] - k[:-1]
+    area /= 2.0
+    return -area.sum(axis=-1) / math.pi

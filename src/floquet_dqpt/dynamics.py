@@ -29,7 +29,8 @@ import numpy as np
 from .errors import StepCountTooSmall
 from .model import (SIGMA_0, SIGMA_X, SIGMA_Z, ModelParams, _band_sign,
                     _field_energy, _field_weights, band_weights,
-                    bloch_components, gap_guard, micromotion)
+                    bloch_components, gap_guard, micromotion,
+                    require_resolved_time)
 
 MIN_ORACLE_STEPS = 256
 DEFAULT_ORACLE_STEPS = 4096
@@ -182,14 +183,18 @@ def return_amplitude(params: ModelParams, band: str, k: float,
 
 def return_probability(params: ModelParams, band: str, k: float,
                        t: float) -> float:
-    """|G_band(k, t)|^2; independent of the quasienergy phase."""
+    """|G_band(k, t)|^2; independent of the quasienergy phase.
+    TimeUnresolved where doubles cannot resolve w t."""
     field = gap_guard(params, k, t)
+    require_resolved_time(params, t)
     weights = _field_weights(_band_sign(band), field)
     return float(np.abs(micromotion_overlap(params, *weights, t)) ** 2)
 
 
 def return_probability_grid(params: ModelParams, band: str, k_grid,
                             t) -> np.ndarray:
-    """|G|^2 = |<chi| U_R(t) |chi>|^2, broadcast over k and t."""
+    """|G|^2 = |<chi| U_R(t) |chi>|^2, broadcast over k and t.
+    TimeUnresolved where doubles cannot resolve w t at the largest |t|."""
+    require_resolved_time(params, t)
     weights = band_weights(params, band, np.asarray(k_grid))
     return np.abs(micromotion_overlap(params, *weights, t)) ** 2

@@ -21,17 +21,14 @@ import numpy as np
 
 from .errors import (GaplessPoint, GridTooCoarse, NearCriticalTime,
                      PhaseUndefined, TimeUnresolved, WindingNotQuantized)
-from .model import (ModelParams, _band_sign, _field_weights,
+from .model import (ModelParams, _band_sign, _field_weights, _t_chunks,
                     _uniform_band_weights, band_weights, finite_point,
-                    gap_guard, min_half_gap)
+                    gap_guard, min_half_gap, require_resolved_time)
 from .dynamics import micromotion_overlap, return_amplitude
 from .dqpt import DEFAULT_K_GRID, dqpt_condition
 
 # Phase of a complex number smaller than this is numerically meaningless.
 AMP_FLOOR = 1e-9
-
-# Exclusion window around critical times, as a fraction of the period.
-T_GUARD_FRACTION = 1e-3
 
 MIN_WINDING_GRID = 401
 WINDING_INT_TOL = 0.05
@@ -72,6 +69,7 @@ def geometric_phase(params: ModelParams, band: str, k: float,
     """total - dynamical at one (k, t), reduced to (-pi, pi]: the grid
     kernel at the point, with PhaseUndefined where it reads NaN."""
     field = gap_guard(params, k, t)
+    require_resolved_time(params, t)
     weights = _field_weights(_band_sign(band), field)
     phi = float(_phase_and_drift(params, *weights, t)[0])
     if math.isnan(phi):
@@ -84,8 +82,10 @@ def geometric_phase_grid(params: ModelParams, band: str, k_grid,
     """Geometric phase broadcast over k and t; NaN where undefined.
 
     Uses the quasienergy-free form arg<chi|U_R|chi> + (w/2)<sz> t - w t/2,
-    identical (mod 2 pi) to total - dynamical.
+    identical (mod 2 pi) to total - dynamical. TimeUnresolved where doubles
+    cannot resolve w t at the largest |t|.
     """
+    require_resolved_time(params, t)
     wa, wb = band_weights(params, band, np.asarray(k_grid, dtype=float))
     return _phase_and_drift(params, wa, wb, t)[0]
 
@@ -100,15 +100,6 @@ def _phase_and_drift(params, wa, wb, t):
     out = np.asarray(principal_branch(raw), dtype=float)
     out[np.abs(overlap) < AMP_FLOOR] = np.nan
     return out, drift
-
-
-def require_resolved_time(params: ModelParams, t: float) -> float:
-    """The critical-time window; TimeUnresolved where ulp(t) reaches it."""
-    guard = T_GUARD_FRACTION * params.period
-    if math.ulp(t) >= guard:
-        raise TimeUnresolved(f"t = {t} is resolved only to {math.ulp(t)}"
-                             f", not to the {guard} critical-time window")
-    return guard
 
 
 def _critical_time_guard(params: ModelParams, t: float) -> bool:
@@ -172,38 +163,105 @@ def winding_number(params: ModelParams, band: str, t: float,
     adjacent points of a uniform k grid on [0, pi] and divides by 2 pi.
     The result is rounded to the nearest integer; a raw value farther than
     0.05 from that integer raises WindingNotQuantized instead of rounding
-    silently. The k grid and band weights are computed once per (params,
-    band, k_grid_size), so each t costs only the phases and their sum.
+    silently. quantized_winding at t, with the kernel of raw_winding_grid
+    at the one t as its row.
 
     Raises ValueError for a non-finite t, and NearCriticalTime within
     T_GUARD_FRACTION of a period of a critical time +-(2n-1) T/2, or
     TimeUnresolved where |t| is too large for doubles to resolve that window,
     if the drive has critical times.
     """
-    if k_grid_size < MIN_WINDING_GRID:
-        raise ValueError(f"k_grid_size must be >= {MIN_WINDING_GRID}")
-    _critical_time_guard(params, t)
+    _check_winding_grid(k_grid_size)
+    nu, raw = quantized_winding(params, t, lambda: _winding_rows(
+        params, *_uniform_band_weights(params, band, k_grid_size)[1:], t))
+    return (nu, raw) if return_raw else nu
 
+
+def raw_winding_grid(params: ModelParams, band: str, ts,
+                     k_grid_size: int = DEFAULT_K_GRID):
+    """winding_number's sum at every t of a 1-D array, without its
+    critical-time guard: per t, the facts its guards read, in their order.
+
+    Returns four arrays over t: whether a geometric phase on the k grid is
+    undefined (PhaseUndefined); the largest step of the t-linear part
+    (w t/2)<sz> between adjacent k samples (GridTooCoarse from pi/2 on: the
+    wrapped differences alias while their sum still lands on an integer);
+    whether two successive wrapped steps fall in the ambiguity band
+    (GridTooCoarse); and the raw winding (WindingNotQuantized farther than
+    WINDING_INT_TOL from an integer). quantized_winding reads one row. The
+    k grid and band weights are computed once per (params, band,
+    k_grid_size), and the times are evaluated in chunks of rows of at most
+    model.GRID_CHUNK k samples, bit for bit as winding_number does.
+
+    If the drive has critical times, the arrays stop before the first t
+    that doubles cannot resolve: its guard raises TimeUnresolved, so a
+    loop over the times in order reads no later row.
+    """
+    _check_winding_grid(k_grid_size)
+    ts = np.asarray(ts, dtype=float)
+    ts = ts[:_guarded_count(params, ts)]
     _, wa, wb = _uniform_band_weights(params, band, k_grid_size)
-    phi, drift = _phase_and_drift(params, wa, wb, t)
-    if np.isnan(phi).any():
+    facts = (np.empty(ts.shape, bool), np.empty(ts.shape),
+             np.empty(ts.shape, bool), np.empty(ts.shape))
+    for rows in _t_chunks(ts.size, k_grid_size):
+        for out, row in zip(facts, _winding_rows(params, wa, wb,
+                                                 ts[rows, None])):
+            out[rows] = row
+    return facts
+
+
+def _guarded_count(params, ts):
+    # how many leading times of a 1-D array a loop of _critical_time_guard
+    # in order reaches: it raises at the first unresolved t if the drive
+    # has critical times
+    try:
+        require_resolved_time(params, ts)
+    except TimeUnresolved:
+        if dqpt_condition(params).has_dqpt:
+            for i, t in enumerate(ts.tolist()):
+                try:
+                    require_resolved_time(params, t)
+                except TimeUnresolved:
+                    return i
+    return ts.size
+
+
+def quantized_winding(params: ModelParams, t: float, facts):
+    """(nu, raw) at t, or the first error of winding_number's guards: the
+    critical-time guard, then those read from facts(), t's row of
+    raw_winding_grid, which is called only once t passes."""
+    _critical_time_guard(params, t)
+    undefined, jump, ambiguous, raw = facts()
+    if undefined:
         raise PhaseUndefined("geometric phase undefined on the winding grid")
-    # the t-linear part (w t/2)<sz> must change slowly in k, or the wrapped
-    # differences alias while their sum still lands on an integer
-    jump = np.abs(drift[1:] - drift[:-1]).max()
     if jump >= 0.5 * math.pi:
         raise GridTooCoarse(f"(w t/2)<sz> changes by {jump:.3g} rad between "
                             "adjacent k samples")
-    steps = principal_branch(phi[1:] - phi[:-1])
-    big = np.abs(steps) > math.pi * (1.0 - 1e-6)
-    if np.any(big[:-1] & big[1:]):
+    if ambiguous:
         raise GridTooCoarse("two successive wrapped steps in the ambiguity band")
-    raw = float(steps.sum() / (2.0 * math.pi))
+    raw = float(raw)
     nu = int(round(raw))
     if abs(raw - nu) > WINDING_INT_TOL:
         raise WindingNotQuantized(f"raw winding {raw} not within "
                                   f"{WINDING_INT_TOL} of an integer")
-    return (nu, raw) if return_raw else nu
+    return nu, raw
+
+
+def _check_winding_grid(k_grid_size):
+    if k_grid_size < MIN_WINDING_GRID:
+        raise ValueError(f"k_grid_size must be >= {MIN_WINDING_GRID}")
+
+
+def _winding_rows(params, wa, wb, t):
+    # raw_winding_grid's facts at t (a scalar, or a column of times), each
+    # reduced over the last axis
+    phi, drift = _phase_and_drift(params, wa, wb, t)
+    undefined = np.isnan(phi).any(axis=-1)
+    jump = np.abs(drift[..., 1:] - drift[..., :-1]).max(axis=-1)
+    steps = principal_branch(phi[..., 1:] - phi[..., :-1])
+    big = np.abs(steps) > math.pi * (1.0 - 1e-6)
+    ambiguous = (big[..., :-1] & big[..., 1:]).any(axis=-1)
+    return undefined, jump, ambiguous, steps.sum(axis=-1) / (2.0 * math.pi)
 
 
 def bloch_expectations(params: ModelParams, band: str, k: float, t: float):

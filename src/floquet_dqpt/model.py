@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GaplessPoint
+from .errors import GaplessPoint, TimeUnresolved
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -34,6 +34,14 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # Relative gap floor below which band labels are numerically meaningless.
 GAP_FLOOR_REL = 1e-9
+
+# Exclusion window around critical times, as a fraction of the period.
+T_GUARD_FRACTION = 1e-3
+
+# k samples a t-grid kernel evaluates at once: a complex array of them,
+# 16 bytes a sample, stays below 128 KiB, glibc's mmap threshold, so its
+# temporaries come from the heap rather than from fresh mmaps.
+GRID_CHUNK = 8191
 
 
 @dataclass(frozen=True)
@@ -114,6 +122,30 @@ def finite_point(k=0.0, t=0.0):
     for name, x in (("k", k), ("t", t)):
         if not math.isfinite(x):
             raise ValueError(f"{name} must be finite, got {x}")
+
+
+def require_resolved_time(params: ModelParams, t) -> float:
+    """The critical-time window; TimeUnresolved where ulp(t) reaches it.
+
+    There doubles cannot tell t from a critical time, and w t is rounded by
+    a sizeable part of a turn, so every phase and probability is noise. An
+    array of times is checked at its largest |t|; a NaN t reads as NaN.
+    """
+    if not isinstance(t, (int, float)):
+        a = np.abs(t)
+        t = float(a.max(initial=0.0, where=a == a))
+    guard = T_GUARD_FRACTION * params.period
+    if math.ulp(t) >= guard:
+        raise TimeUnresolved(f"t = {t} is resolved only to {math.ulp(t)}"
+                             f", not to the {guard} critical-time window")
+    return guard
+
+
+def _t_chunks(n_t: int, n_k: int):
+    """Slices of n_t times whose rows of n_k samples hold at most
+    GRID_CHUNK samples together (one row at least)."""
+    rows = max(1, GRID_CHUNK // n_k)
+    return [slice(lo, lo + rows) for lo in range(0, n_t, rows)]
 
 
 def gap_guard(params: ModelParams, k: float, t: float = 0.0):

@@ -1,0 +1,234 @@
+"""The t-grid kernels behind `fdqpt rate` and `fdqpt winding`.
+
+`rate_function_grid` and `raw_winding_grid` evaluate many times against one
+cached k row, in chunks of rows; `rate_function` and `winding_number` are
+the same kernels at one t. Every grid value must equal the scalar call bit
+for bit, and every row the scalar call's outcome, its guard error included.
+"""
+
+import math
+import re
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from floquet_dqpt import cli, geometry
+from floquet_dqpt.dqpt import rate_function, rate_function_grid
+from floquet_dqpt.dynamics import return_probability, return_probability_grid
+from floquet_dqpt.errors import (GridTooCoarse, NumericalGuardError,
+                                 TimeUnresolved)
+from floquet_dqpt.geometry import (geometric_phase, geometric_phase_grid,
+                                   quantized_winding, raw_winding_grid,
+                                   winding_number)
+from floquet_dqpt.model import (GRID_CHUNK, ModelParams,
+                                _uniform_band_weights)
+
+from conftest import EXAMPLE1, EXAMPLE2, random_params
+
+K_SIZES = (2, 401, 2001, 4001)
+# gapless at k = 0, on the grid: every row's phase is undefined
+GAPLESS_AT_ZERO = ModelParams(omega_drive=2.0, delta1=1.0, delta2=1.0,
+                              omega_amp=1.0)
+
+
+def t_counts(n_k):
+    # one row, and the row counts on either side of a chunk's edge
+    rows = max(1, GRID_CHUNK // n_k)
+    return (1, max(1, rows - 1), rows, rows + 1, 241)
+
+
+def draw_times(rng, p, n):
+    """n times over +-4 periods: some on critical times +-(2m-1) T/2 (the
+    guard's window), some just outside that window (|G| nearly 0 at k_c)
+    and some 40 to 80 periods out (a coarse grid)."""
+    half = 0.5 * p.period
+    ts = rng.uniform(-8.0 * half, 8.0 * half, n)
+    pick = rng.random(n)
+    crit = (2 * rng.integers(-3, 4, n) - 1) * half
+    ts = np.where(pick < 0.1, crit, ts)
+    near = crit + rng.choice([-1.0, 1.0], n) * rng.uniform(2e-3, 4e-3, n) * half
+    ts = np.where((pick >= 0.1) & (pick < 0.2), near, ts)
+    return np.where(pick > 0.9, rng.uniform(80.0, 160.0, n) * half, ts)
+
+
+def outcome(fn, *args):
+    """('ok', value) or (error type, message) of one call."""
+    try:
+        return "ok", fn(*args)
+    except (NumericalGuardError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def draws():
+    """(n_k, n_t, band) of 204 draws: every k size with every t count and
+    both bands. Past 4000 times (k = 2), and at 241, fewer draws are taken."""
+    plan = []
+    for n_k in K_SIZES:
+        for n_t in t_counts(n_k):
+            plan += [(n_k, n_t)] * (2 if n_t > 4000 else 4 if n_t == 241
+                                    else 14)
+    return [(n_k, n_t, ("minus", "plus")[i % 2])
+            for i, (n_k, n_t) in enumerate(plan)]
+
+
+def test_grids_equal_scalar_calls_bit_for_bit():
+    rng = np.random.default_rng(20261018)
+    cases = [(GAPLESS_AT_ZERO, 401, 5, "minus")]
+    cases += [(random_params(rng), *draw) for draw in draws()]
+    assert len(cases) > 200
+    kinds = {}
+    for p, n_k, n_t, band in cases:
+        ts = draw_times(rng, p, n_t)
+        g = rate_function_grid(p, band, ts, n_k)
+        assert g.shape == ts.shape
+        assert np.array_equal(bits(g), bits([rate_function(p, band, t, n_k)
+                                             for t in ts.tolist()]))
+        if n_k < geometry.MIN_WINDING_GRID:
+            assert outcome(raw_winding_grid, p, band, ts, n_k) \
+                == outcome(winding_number, p, band, 0.0, n_k)
+            continue
+        facts = raw_winding_grid(p, band, ts, n_k)
+        for t, *row in zip(ts.tolist(), *(f.tolist() for f in facts)):
+            got = outcome(quantized_winding, p, t, lambda: row)
+            want = outcome(winding_number, p, band, t, n_k, True)
+            assert got[0] == want[0]
+            if got[0] == "ok":
+                assert got[1][0] == want[1][0]
+                assert bits(got[1][1]) == bits(want[1][1])
+            else:
+                assert got[1] == want[1]
+            kind = got[0] if got[0] == "ok" else got[0].__name__
+            kinds[kind] = kinds.get(kind, 0) + 1
+    assert {"ok", "NearCriticalTime", "GridTooCoarse",
+            "PhaseUndefined"} <= set(kinds), kinds
+    assert kinds["ok"] > 2000 and kinds["GridTooCoarse"] > 50, kinds
+
+
+def first_error(calls):
+    """(type, message) of the first call that raises, or None."""
+    for call in calls:
+        try:
+            call()
+        except NumericalGuardError as exc:
+            return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("mark", ["undefined", "quantized"])
+def test_winding_raises_the_first_error_in_t_order(monkeypatch, capsys,
+                                                   mark):
+    # example1 over [0, 1e16]: t = 0 is resolved, and from t = 2.5e15 on
+    # doubles cannot resolve a critical time, so the guard refuses t there.
+    # A kernel row failing at t = 0 comes first, as in a loop over t.
+    rows = geometry._winding_rows
+
+    def failing_at_zero(params, wa, wb, t):
+        undefined, jump, ambiguous, raw = rows(params, wa, wb, t)
+        at_zero = np.reshape(t, np.shape(raw)) == 0.0
+        if mark == "undefined":
+            undefined = undefined | at_zero
+        else:
+            raw = np.where(at_zero, 0.3, raw)
+        return undefined, jump, ambiguous, raw
+
+    monkeypatch.setattr(geometry, "_winding_rows", failing_at_zero)
+    ts = np.linspace(0.0, 1e16, 5).tolist()
+    want = first_error(
+        [lambda t=t: winding_number(EXAMPLE1, "minus", t, 401)
+         for t in ts])
+    assert want[0].__name__ == {"undefined": "PhaseUndefined",
+                                "quantized": "WindingNotQuantized"}[mark]
+    assert cli.main(["winding", "--preset", "example1", "--t-max", "1e16",
+                     "--t-points", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"numerical guard: {want[0].__name__}: {want[1]}\n"
+
+
+def test_winding_stops_its_rows_at_the_first_refused_time(capsys):
+    # example1 over [0, 1e308]: only t = 0 is resolved, and w t overflows
+    # further out. No row past t = 0 is evaluated (a RuntimeWarning would
+    # fail the test), and the guard's refusal is all stderr holds
+    ts = np.linspace(0.0, 1e308, 5)
+    assert [f.size for f in raw_winding_grid(EXAMPLE1, "minus", ts)] == [1] * 4
+    with pytest.raises(TimeUnresolved) as refused:
+        winding_number(EXAMPLE1, "minus", ts[1].item(), 401)
+    assert cli.main(["winding", "--preset", "example1", "--t-max", "1e308",
+                     "--t-points", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"numerical guard: TimeUnresolved: {refused.value}\n"
+
+
+def test_winding_reads_coarse_rows_as_nan_and_goes_on(monkeypatch, capsys):
+    # an ambiguous row reads as raw = nan; a later undefined one still
+    # raises, as the scalar loop over t does
+    rows = geometry._winding_rows
+
+    def marked(params, wa, wb, t):
+        undefined, jump, ambiguous, raw = rows(params, wa, wb, t)
+        at = np.reshape(t, np.shape(raw))
+        return undefined | (at == 4.0), jump, ambiguous | (at == 2.0), raw
+
+    monkeypatch.setattr(geometry, "_winding_rows", marked)
+    with pytest.raises(GridTooCoarse, match="ambiguity band"):
+        winding_number(EXAMPLE1, "minus", 2.0, 401)
+    assert cli.main(["winding", "--preset", "example1", "--t-max", "6",
+                     "--t-points", "4"]) == 3
+    assert capsys.readouterr().err == ("numerical guard: PhaseUndefined: "
+                                       "geometric phase undefined on the "
+                                       "winding grid\n")
+    assert cli.main(["winding", "--preset", "example1", "--t-max", "3",
+                     "--t-points", "4"]) == 0
+    rows_out = capsys.readouterr().out.splitlines()[1:]
+    assert [r.split(",")[0] for r in rows_out] == ["0", "2"]
+    assert rows_out[1].split(",")[2] == "nan"
+
+
+@pytest.mark.parametrize("kernel, n_k", [(rate_function_grid, 2001),
+                                         (raw_winding_grid, 2001)])
+def test_grid_kernels_run_in_bounded_memory(kernel, n_k):
+    # the 2,000,000-value cap of the CLI: 999 t against 2001 k. All rows at
+    # once would take 32 MB of complex overlap; chunks keep the peak below
+    # 1 MB, as for the RK4 oracle
+    ts = np.linspace(0.0, 6.0, 999)
+    _uniform_band_weights(EXAMPLE2, "minus", n_k)
+    tracemalloc.start()
+    try:
+        kernel(EXAMPLE2, "minus", ts, n_k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_library_refuses_times_doubles_cannot_resolve():
+    # past t = 2^44 doubles are spaced 1e-3 T or wider for T = 2: w t is
+    # noise, so each quantity raises TimeUnresolved, with or without
+    # critical times; just below, it answers, and a NaN t reads as NaN
+    below = math.nextafter(2.0 ** 44, 0.0)
+    for p in (EXAMPLE1, EXAMPLE2):
+        for t in (2.0 ** 44, 1e17, -1e300):
+            for call in (lambda: rate_function(p, "minus", t),
+                         lambda: rate_function_grid(p, "minus", [0.0, t]),
+                         lambda: geometric_phase(p, "minus", 0.7, t),
+                         lambda: geometric_phase_grid(p, "minus", 0.7,
+                                                      np.array([t, 1.0])),
+                         lambda: return_probability(p, "minus", 0.7, t),
+                         lambda: return_probability_grid(p, "minus", 0.7,
+                                                         [[t], [0.0]])):
+                with pytest.raises(TimeUnresolved,
+                                   match=re.escape(f"{abs(t)} is resolved")):
+                    call()
+        assert math.isfinite(rate_function(p, "minus", below))
+        assert math.isfinite(geometric_phase(p, "minus", 0.7, below))
+        assert math.isfinite(return_probability(p, "minus", 0.7, below))
+        g = rate_function_grid(p, "minus", [below, math.nan, 1.0])
+        assert math.isnan(g[1]) and np.isfinite(g[[0, 2]]).all()
+        prob = return_probability_grid(p, "minus", 0.7, [math.nan, below])
+        assert math.isnan(prob[0]) and math.isfinite(prob[1])
