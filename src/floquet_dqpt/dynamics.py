@@ -12,10 +12,11 @@ The oracle is the independent check for everything built on the analytic
 route, so it must never share code with it. It takes the lab-frame H(k, t)
 as given: each RK4 step is the 2x2 matrix the scheme applies to U, built from
 H at the step's three times, and the steps are multiplied in time order in
-blocks of numpy arrays. Nothing in it factors out the drive, so the rotating
-frame stays what it checks, not what it uses. It is re-unitarized at most
-once, at the end, so that the raw integrator error stays visible in
-convergence tests.
+blocks of numpy arrays. Every matrix is the pair (a, b) of [[a, b], [-b*, a*]],
+exact because H is traceless and Hermitian; that follows from H alone, and
+nothing in the oracle factors out the drive, so the rotating frame stays what
+it checks, not what it uses. It is re-unitarized at most once, at the end, so
+that the raw integrator error stays visible in convergence tests.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .model import (SIGMA_0, SIGMA_X, SIGMA_Z, ModelParams, _band_sign,
 MIN_ORACLE_STEPS = 256
 DEFAULT_ORACLE_STEPS = 4096
 # RK4 steps whose step matrices the oracle holds at once. It bounds the
-# oracle's peak allocation (about 0.4 MB) whatever t is; the 8192 steps of
-# two periods held at once take 3.2 MB, and the number grows with t.
+# oracle's peak allocation (about 0.3 MB) whatever t is; the 8192 steps of
+# two periods held at once take 2.1 MB, and the number grows with t.
 ORACLE_BLOCK = 1024
 
 
@@ -73,12 +74,14 @@ def propagator_oracle(params: ModelParams, k: float, t: float,
 
     Fixed-step RK4 on dU/dt = -i H(k, t) U with at least `steps` uniform
     substeps per drive period, H the lab-frame Hamiltonian. The equation is
-    linear in U, so RK4 step n is a fixed 2x2 map U -> M_n U. The M_n are
-    built as numpy arrays, ORACLE_BLOCK steps at a time (so memory does not
-    grow with t), each block is reduced to its ordered product by pairwise
-    products, and the block products are applied to U in time order. A
-    single polar-like re-unitarization is applied at the end; pass
-    return_correction=True to also get the norm of that correction.
+    linear in U, so RK4 step n is a fixed 2x2 map U -> M_n U. -i H and I are
+    [[a, b], [-b*, a*]], and so are their real combinations and products:
+    every RK4 stage, M_n and product of them is stored as its pair (a, b),
+    half the arithmetic of four entries. The M_n are built ORACLE_BLOCK steps
+    at a time (so memory does not grow with t), each block is reduced to its
+    ordered product by pairwise products, and the block products are applied
+    to U in time order. A single polar-like re-unitarization is applied at
+    the end; pass return_correction=True to also get its norm.
     """
     if steps < MIN_ORACLE_STEPS:
         raise StepCountTooSmall(f"steps={steps} < {MIN_ORACLE_STEPS}")
@@ -93,61 +96,57 @@ def propagator_oracle(params: ModelParams, k: float, t: float,
         return (u, 0.0) if return_correction else u
 
     b = bloch_components(params, k)
-    hz = float(b.h_z)
-    hxy = float(b.h_xy)
     w = params.omega_drive
     n = max(1, math.ceil(t / (params.period / steps)))
     h = t / n
 
-    # A 2x2 matrix is the sequence of its entries (m00, m01, m10, m11), each
-    # a scalar or an array over steps, so products are entry-wise arithmetic.
-    # Step maps M and products of them are held as M - I: M_n is nearly the
-    # same matrix at every step, and rounding I + (M_n - I) would add the
-    # same error n times, pulling U off the unitary group by about n ulp.
+    # A block of m pairs is one (2, m) array, and eye is the pair of I. Step
+    # maps M and products of them are held as M - I: M_n is nearly the same
+    # matrix at every step, and rounding I + (M_n - I) would add the same
+    # error n times, pulling U off the unitary group by about n ulp.
+    eye = np.array([[1.0], [0.0]])
+    sign = np.array([[-1.0], [1.0]])
+
     def mul(x, y):
-        a, b, c, d = x
-        e, f, g, s = y
-        return (a * e + b * g, a * f + b * s, c * e + d * g, c * f + d * s)
+        # (a, b)(c, d) = (a c - b d*, a d + b c*)
+        return x[0] * y + sign * (x[1] * y[::-1].conj())
 
     def compose(x, y):
         # (I + x)(I + y) - I
-        return [p + q + r for p, q, r in zip(x, y, mul(x, y))]
+        return x + y + mul(x, y)
 
-    def eye_plus(scale, x):
-        return (1.0 + scale * x[0], scale * x[1], scale * x[2],
-                1.0 + scale * x[3])
-
-    def generator(time):
-        # A = -i H with H = [[hz, p], [conj(p), -hz]], p = hxy e^{-i w t}
-        p = hxy * np.exp(-1j * w * time)
-        return (-1j * hz, -1j * p, -1j * p.conj(), 1j * hz)
-
-    def step_maps(t0):
+    def step_maps(a):
+        # a: -i H at the 2m + 1 half-step times of m steps, step j at a[:, 2j]
         # M - I = (h/6)(K1 + 2 K2 + 2 K3 + K4), where RK4's k_i = K_i U
-        am = generator(t0 + 0.5 * h)
-        k1 = generator(t0)
-        k2 = mul(am, eye_plus(0.5 * h, k1))
-        k3 = mul(am, eye_plus(0.5 * h, k2))
-        k4 = mul(generator(t0 + h), eye_plus(h, k3))
-        return [h / 6.0 * (p + 2.0 * (q + r) + s)
-                for p, q, r, s in zip(k1, k2, k3, k4)]
+        k1, am = a[:, :-1:2], a[:, 1::2]
+        k2 = mul(am, eye + 0.5 * h * k1)
+        k3 = mul(am, eye + 0.5 * h * k2)
+        k4 = mul(a[:, 2::2], eye + h * k3)
+        return h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
     def ordered_product(m):
         # pairwise M_{2j+1} M_{2j}; an odd leftover is the latest step and
         # stays last
-        while m[0].size > 1:
-            even = m[0].size // 2 * 2
-            later = [x[1:even:2] for x in m]
-            pairs = compose(later, [x[0:even:2] for x in m])
-            m = [np.concatenate((p, x[even:])) for p, x in zip(pairs, m)]
-        return [x[0] for x in m]
+        while m.shape[1] > 1:
+            even = m.shape[1] // 2 * 2
+            pairs = compose(m[:, 1:even:2], m[:, 0:even:2])
+            m = np.concatenate((pairs, m[:, even:]), axis=1)
+        return m
 
-    v = (0j, 0j, 0j, 0j)  # U - I
+    # -i H = (-i hz, -i hxy e^{-i w t}); at half-step j of the block from
+    # step `first`, e^{-i w t} = e^{-i w h first} e^{-i w h j/2}: one table
+    a = np.empty((2, 2 * min(n, ORACLE_BLOCK) + 1), dtype=complex)
+    a[0] = -1j * float(b.h_z)
+    drive = -1j * float(b.h_xy) * np.exp(-0.5j * w * h
+                                         * np.arange(a.shape[1]))
+    v = np.zeros((2, 1), dtype=complex)  # U - I
     for first in range(0, n, ORACLE_BLOCK):
-        t0 = np.arange(first, min(first + ORACLE_BLOCK, n)) * h
-        v = compose(ordered_product(step_maps(t0)), v)
+        size = 2 * (min(first + ORACLE_BLOCK, n) - first) + 1
+        a[1, :size] = cmath.exp(-1j * w * h * first) * drive[:size]
+        v = compose(ordered_product(step_maps(a[:, :size])), v)
 
-    u = np.eye(2) + np.reshape(v, (2, 2))
+    v0, v1 = v[:, 0]
+    u = np.array([[1.0 + v0, v1], [-v1.conjugate(), 1.0 + v0.conjugate()]])
     u_unitary, correction = reunitarize(u)
     return (u_unitary, correction) if return_correction else u_unitary
 
@@ -186,7 +185,6 @@ def return_probability(params: ModelParams, band: str, k: float,
     """|G_band(k, t)|^2; independent of the quasienergy phase.
     TimeUnresolved where doubles cannot resolve w t."""
     field = gap_guard(params, k, t)
-    require_resolved_time(params, t)
     weights = _field_weights(_band_sign(band), field)
     return float(np.abs(micromotion_overlap(params, *weights, t)) ** 2)
 

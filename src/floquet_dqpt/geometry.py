@@ -69,7 +69,6 @@ def geometric_phase(params: ModelParams, band: str, k: float,
     """total - dynamical at one (k, t), reduced to (-pi, pi]: the grid
     kernel at the point, with PhaseUndefined where it reads NaN."""
     field = gap_guard(params, k, t)
-    require_resolved_time(params, t)
     weights = _field_weights(_band_sign(band), field)
     phi = float(_phase_and_drift(params, *weights, t)[0])
     if math.isnan(phi):
@@ -305,7 +304,9 @@ def geometric_phase_from_tomography(params: ModelParams, k: float,
 
     norm = math.sqrt(sx * sx + sy * sy + sz * sz)
     cos_vt = max(-1.0, min(1.0, sz / norm))
-    phi = math.atan2(sy, sx)
+    # where h_xy = 0 the vector sits on a pole with no azimuth of its own;
+    # take its limit along the drive's turn, w t + pi for s = +1
+    phi = math.atan2(sy, sx) if b.h_xy != 0 else w * t + math.pi
 
     overlap = (math.sin(0.5 * theta) * math.sqrt(0.5 * (1.0 + cos_vt))
                - s * cmath.exp(1j * phi) * math.cos(0.5 * theta)

@@ -150,13 +150,15 @@ def _t_chunks(n_t: int, n_k: int):
 
 def gap_guard(params: ModelParams, k: float, t: float = 0.0):
     """static_field at one point, guarded: ValueError for a non-finite k or
-    t, GaplessPoint when the gap Delta is at or below the relative floor."""
+    t, GaplessPoint when the gap Delta is at or below the relative floor,
+    then TimeUnresolved where doubles cannot resolve w t."""
     finite_point(k, t)
     b, dz, half_gap = static_field(params, k)
     gap = 2.0 * half_gap
     if gap <= params.gap_floor:
         raise GaplessPoint(f"gap {gap:.3e} at k={k} below floor "
                            f"{params.gap_floor:.3e}")
+    require_resolved_time(params, t)
     return b, dz, half_gap
 
 

@@ -146,6 +146,23 @@ def test_oracle_long_run_memory_and_rounding(ex1):
     assert corr < 1e-13
 
 
+def test_oracle_is_fourth_order():
+    # RK4's global error goes as h^4: halving the step divides it by 16
+    rng = np.random.default_rng(404)
+    ratios = []
+    while len(ratios) < 20:
+        p = random_params(rng)
+        k = rng.uniform(0.0, math.pi)
+        t = 2.0 * p.period
+        try:
+            u_a = propagator_analytic(p, k, t)
+        except GaplessPoint:
+            continue
+        coarse, fine = (np.abs(propagator_oracle(p, k, t, steps) - u_a).max()
+                        for steps in (256, 512))
+        ratios.append(coarse / fine)
+    assert 15.0 <= min(ratios) and max(ratios) <= 17.0
+
 def test_unitarity():
     rng = np.random.default_rng(9)
     for _ in range(20):

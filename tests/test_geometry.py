@@ -10,6 +10,7 @@ from floquet_dqpt.errors import (DegenerateDelta1, GaplessPoint,
                                  NumericalGuardError, PhaseUndefined,
                                  TimeUnresolved)
 from floquet_dqpt import geometry
+from floquet_dqpt.cli import PRESETS
 from floquet_dqpt.model import band_energy, bloch_components, micromotion
 from floquet_dqpt.dynamics import propagator_oracle, return_probability
 from floquet_dqpt.geometry import (bloch_expectations, dynamical_phase,
@@ -358,6 +359,19 @@ def test_tomography_matches_direct_phase():
             assert abs(principal_branch(tomo - direct)) < 1e-8
             checked += 1
 
+
+@pytest.mark.parametrize("preset", ["example1", "nv-plus", "nv-minus"])
+def test_tomography_at_zone_ends(preset):
+    # h_xy = 0 at k = 0 puts the evolved Bloch vector on a pole, where
+    # atan2(0, 0) has no azimuth to read; the route takes the limit along
+    # the drive's turn, so w t is kept
+    p = PRESETS[preset]
+    for k in (0.0, math.pi):
+        for fraction in (0.3, 0.7, 1.3, 2.4):
+            t = fraction * p.period
+            tomo = geometric_phase_from_tomography(p, k, t)
+            direct = geometric_phase(p, "minus", k, t)
+            assert abs(principal_branch(tomo - direct)) < 1e-12
 
 def test_tomography_band_guard(ex1):
     # the route covers the lower band only and takes no band argument

@@ -15,12 +15,16 @@ import pytest
 
 from floquet_dqpt import cli, geometry
 from floquet_dqpt.dqpt import rate_function, rate_function_grid
-from floquet_dqpt.dynamics import return_probability, return_probability_grid
-from floquet_dqpt.errors import (GridTooCoarse, NumericalGuardError,
-                                 TimeUnresolved)
-from floquet_dqpt.geometry import (geometric_phase, geometric_phase_grid,
+from floquet_dqpt.dynamics import (propagator_analytic, return_amplitude,
+                                   return_probability,
+                                   return_probability_grid)
+from floquet_dqpt.errors import (GaplessPoint, GridTooCoarse,
+                                 NumericalGuardError, TimeUnresolved)
+from floquet_dqpt.geometry import (bloch_expectations, dynamical_phase,
+                                   geometric_phase, geometric_phase_grid,
+                                   geometric_phase_from_tomography,
                                    quantized_winding, raw_winding_grid,
-                                   winding_number)
+                                   total_phase, winding_number)
 from floquet_dqpt.model import (GRID_CHUNK, ModelParams,
                                 _uniform_band_weights)
 
@@ -232,3 +236,26 @@ def test_library_refuses_times_doubles_cannot_resolve():
         assert math.isnan(g[1]) and np.isfinite(g[[0, 2]]).all()
         prob = return_probability_grid(p, "minus", 0.7, [math.nan, below])
         assert math.isnan(prob[0]) and math.isfinite(prob[1])
+
+
+def test_point_guard_refuses_times_doubles_cannot_resolve():
+    # every scalar API behind gap_guard: after the finite check and the gap,
+    # TimeUnresolved past t = 2^44 for T = 2, and an answer just below
+    below = math.nextafter(2.0 ** 44, 0.0)
+    calls = (lambda p, k, t: return_amplitude(p, "minus", k, t).value,
+             lambda p, k, t: propagator_analytic(p, k, t),
+             lambda p, k, t: total_phase(p, "minus", k, t),
+             lambda p, k, t: dynamical_phase(p, "minus", k, t),
+             lambda p, k, t: bloch_expectations(p, "minus", k, t),
+             lambda p, k, t: geometric_phase_from_tomography(p, k, t))
+    for call in calls:
+        for p in (EXAMPLE1, EXAMPLE2):
+            for t in (2.0 ** 44, 1e17, 1e300):
+                with pytest.raises(TimeUnresolved,
+                                   match=re.escape(f"{t} is resolved")):
+                    call(p, 0.7, t)
+            assert np.isfinite(call(p, 0.7, below)).all()
+        with pytest.raises(GaplessPoint):
+            call(GAPLESS_AT_ZERO, 0.0, 1e300)
+        with pytest.raises(ValueError):
+            call(EXAMPLE1, 0.7, math.nan)
