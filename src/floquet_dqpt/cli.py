@@ -398,25 +398,24 @@ def cmd_winding(cfg: RunConfig):
     facts = geometry.raw_winding_grid(cfg.params, cfg.band, grid, n_k)
     ts, raws = [], []
     # winding_number's guards at each t in turn, so the first error in t
-    # order is raised; no row is read past the first t its guard refuses
+    # order is raised; the rows stop before the first t its guard refuses
     rows = zip(*(f.tolist() for f in facts))
     for t, row in itertools.zip_longest(grid.tolist(), rows):
         try:
-            raws.append(geometry.quantized_winding(cfg.params, t,
-                                                   lambda: row)[1])
+            raws.append(geometry.quantized_winding(cfg.params, t, row)[1])
         except NearCriticalTime:
             continue  # guard windows are emitted as gaps
         except GridTooCoarse:
             raws.append(math.nan)
         ts.append(t)
     # after the oracle, so its guard errors come first
-    nus = geometry.exact_winding_grid(cfg.params, cfg.band, ts).tolist()
-    for t, nu, raw in zip(ts, nus, raws):
-        if math.isfinite(raw) and round(raw) != nu:
-            raise WindingMismatch(f"at t = {t} the closed form gives nu = "
-                                  f"{nu:.0f}, the {n_k}-point k grid {raw}")
-    write_dataset(cfg, ("t", "nu", "raw"),
-                  (ts, [int(nu) for nu in nus], raws))
+    nus = geometry.exact_winding_grid(cfg.params, cfg.band, ts)
+    wrong = np.isfinite(raws) & (np.rint(raws) != nus)
+    if wrong.any():
+        t, nu, raw = (float(c[wrong.argmax()]) for c in (ts, nus, raws))
+        raise WindingMismatch(f"at t = {t} the closed form gives nu = "
+                              f"{nu:.0f}, the {n_k}-point k grid {raw}")
+    write_dataset(cfg, ("t", "nu", "raw"), (ts, nus + 0.0, raws))
 
 
 def cmd_topo(cfg: RunConfig):

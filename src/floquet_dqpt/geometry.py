@@ -9,6 +9,9 @@ the integer invariant nu(t), which jumps by one at every critical time.
 `exact_winding` gives nu in closed form; `winding_number`, the wrapped sum
 over a k grid, is its numerical oracle.
 
+Every value computed from w t refuses, with TimeUnresolved, a t that doubles
+cannot resolve (model.critical_time_masks). The one exception is
+exact_winding on a drive without critical times, where nu is exactly 0.
 All reported phases live on the principal branch (-pi, pi].
 """
 
@@ -20,9 +23,10 @@ import math
 import numpy as np
 
 from .errors import (GaplessPoint, GridTooCoarse, NearCriticalTime,
-                     PhaseUndefined, TimeUnresolved, WindingNotQuantized)
-from .model import (ModelParams, _band_sign, _field_weights, _t_chunks,
-                    _uniform_band_weights, band_weights, finite_point,
+                     PhaseUndefined, WindingNotQuantized)
+from .model import (T_GUARD_FRACTION, ModelParams, _band_sign,
+                    _field_weights, _t_chunks, _uniform_band_weights,
+                    band_weights, critical_time_masks, finite_point,
                     gap_guard, min_half_gap, require_resolved_time)
 from .dynamics import micromotion_overlap, return_amplitude
 from .dqpt import DEFAULT_K_GRID, dqpt_condition
@@ -81,8 +85,7 @@ def geometric_phase_grid(params: ModelParams, band: str, k_grid,
     """Geometric phase broadcast over k and t; NaN where undefined.
 
     Uses the quasienergy-free form arg<chi|U_R|chi> + (w/2)<sz> t - w t/2,
-    identical (mod 2 pi) to total - dynamical. TimeUnresolved where doubles
-    cannot resolve w t at the largest |t|.
+    identical (mod 2 pi) to total - dynamical.
     """
     require_resolved_time(params, t)
     wa, wb = band_weights(params, band, np.asarray(k_grid, dtype=float))
@@ -99,27 +102,6 @@ def _phase_and_drift(params, wa, wb, t):
     out = np.asarray(principal_branch(raw), dtype=float)
     out[np.abs(overlap) < AMP_FLOOR] = np.nan
     return out, drift
-
-
-def _critical_time_guard(params: ModelParams, t: float) -> bool:
-    # NearCriticalTime within the guard window of a critical time, and
-    # TimeUnresolved where doubles near t are spaced that window or wider,
-    # if the drive has any critical time; True iff it read dqpt_condition
-    finite_point(t=t)
-    try:
-        guard = require_resolved_time(params, t)
-    except TimeUnresolved:
-        if dqpt_condition(params).has_dqpt:
-            raise
-        return True
-    half = 0.5 * params.period
-    # nearest critical time +-(2n-1) T/2; the others are at least T/2 away
-    a = abs(t)
-    n = max(1, round((a / half + 1) / 2))
-    near = abs(a - (2 * n - 1) * half) < guard
-    if near and dqpt_condition(params).has_dqpt:
-        raise NearCriticalTime(f"t = {t} within {guard} of a critical time")
-    return near
 
 
 def exact_winding_grid(params: ModelParams, band: str, t) -> np.ndarray:
@@ -144,12 +126,12 @@ def exact_winding_grid(params: ModelParams, band: str, t) -> np.ndarray:
 def exact_winding(params: ModelParams, band: str, t: float) -> int:
     """Dynamical invariant nu_band(t) in closed form (exact_winding_grid).
 
-    Raises ValueError for a non-finite t; DegenerateDelta1,
-    NearCriticalTime and TimeUnresolved like winding_number; and
-    GaplessPoint.
-    """
-    if not _critical_time_guard(params, t):
-        dqpt_condition(params)  # DegenerateDelta1 at any t
+    Raises ValueError for a non-finite t, DegenerateDelta1, winding_number's
+    time rule if the drive has critical times (without them nu is exactly 0
+    at every t, so no t is refused), and GaplessPoint."""
+    finite_point(t=t)
+    if dqpt_condition(params).has_dqpt and require_resolved_time(params, t):
+        raise _near_critical_time(params, t)
     return int(exact_winding_grid(params, band, t))
 
 
@@ -162,24 +144,23 @@ def winding_number(params: ModelParams, band: str, t: float,
     adjacent points of a uniform k grid on [0, pi] and divides by 2 pi.
     The result is rounded to the nearest integer; a raw value farther than
     0.05 from that integer raises WindingNotQuantized instead of rounding
-    silently. quantized_winding at t, with the kernel of raw_winding_grid
-    at the one t as its row.
+    silently.
 
-    Raises ValueError for a non-finite t, and NearCriticalTime within
-    T_GUARD_FRACTION of a period of a critical time +-(2n-1) T/2, or
-    TimeUnresolved where |t| is too large for doubles to resolve that window,
-    if the drive has critical times.
+    Its time rule: ValueError for a non-finite t, TimeUnresolved where
+    doubles cannot resolve t, and NearCriticalTime within T_GUARD_FRACTION
+    of a period of a critical time +-(2n-1) T/2 of a drive that has them.
     """
     _check_winding_grid(k_grid_size)
-    nu, raw = quantized_winding(params, t, lambda: _winding_rows(
+    _time_guard(params, t)  # before the row: w t is noise at a refused t
+    nu, raw = quantized_winding(params, t, _winding_rows(
         params, *_uniform_band_weights(params, band, k_grid_size)[1:], t))
     return (nu, raw) if return_raw else nu
 
 
 def raw_winding_grid(params: ModelParams, band: str, ts,
                      k_grid_size: int = DEFAULT_K_GRID):
-    """winding_number's sum at every t of a 1-D array, without its
-    critical-time guard: per t, the facts its guards read, in their order.
+    """winding_number's sum at every t of a 1-D array, without its time
+    rule: per t, the facts its guards read, in their order.
 
     Returns four arrays over t: whether a geometric phase on the k grid is
     undefined (PhaseUndefined); the largest step of the t-linear part
@@ -187,18 +168,16 @@ def raw_winding_grid(params: ModelParams, band: str, ts,
     wrapped differences alias while their sum still lands on an integer);
     whether two successive wrapped steps fall in the ambiguity band
     (GridTooCoarse); and the raw winding (WindingNotQuantized farther than
-    WINDING_INT_TOL from an integer). quantized_winding reads one row. The
-    k grid and band weights are computed once per (params, band,
-    k_grid_size), and the times are evaluated in chunks of rows of at most
-    model.GRID_CHUNK k samples, bit for bit as winding_number does.
-
-    If the drive has critical times, the arrays stop before the first t
-    that doubles cannot resolve: its guard raises TimeUnresolved, so a
-    loop over the times in order reads no later row.
+    WINDING_INT_TOL from an integer). The k grid and band weights are
+    computed once per (params, band, k_grid_size), and the times are
+    evaluated in chunks of rows of at most model.GRID_CHUNK k samples, bit
+    for bit as winding_number does. The arrays stop before the first t
+    that doubles cannot resolve, which the time rule refuses.
     """
     _check_winding_grid(k_grid_size)
     ts = np.asarray(ts, dtype=float)
-    ts = ts[:_guarded_count(params, ts)]
+    unresolved = critical_time_masks(params, ts)[0]
+    ts = ts[:unresolved.argmax() if unresolved.any() else ts.size]
     _, wa, wb = _uniform_band_weights(params, band, k_grid_size)
     facts = (np.empty(ts.shape, bool), np.empty(ts.shape),
              np.empty(ts.shape, bool), np.empty(ts.shape))
@@ -209,28 +188,12 @@ def raw_winding_grid(params: ModelParams, band: str, ts,
     return facts
 
 
-def _guarded_count(params, ts):
-    # how many leading times of a 1-D array a loop of _critical_time_guard
-    # in order reaches: it raises at the first unresolved t if the drive
-    # has critical times
-    try:
-        require_resolved_time(params, ts)
-    except TimeUnresolved:
-        if dqpt_condition(params).has_dqpt:
-            for i, t in enumerate(ts.tolist()):
-                try:
-                    require_resolved_time(params, t)
-                except TimeUnresolved:
-                    return i
-    return ts.size
-
-
-def quantized_winding(params: ModelParams, t: float, facts):
-    """(nu, raw) at t, or the first error of winding_number's guards: the
-    critical-time guard, then those read from facts(), t's row of
-    raw_winding_grid, which is called only once t passes."""
-    _critical_time_guard(params, t)
-    undefined, jump, ambiguous, raw = facts()
+def quantized_winding(params: ModelParams, t: float, row):
+    """(nu, raw) at t, or the first error of winding_number's guards: its
+    time rule at t, then those read from row, t's row of raw_winding_grid,
+    read only once t passes."""
+    _time_guard(params, t)
+    undefined, jump, ambiguous, raw = row
     if undefined:
         raise PhaseUndefined("geometric phase undefined on the winding grid")
     if jump >= 0.5 * math.pi:
@@ -244,6 +207,18 @@ def quantized_winding(params: ModelParams, t: float, facts):
         raise WindingNotQuantized(f"raw winding {raw} not within "
                                   f"{WINDING_INT_TOL} of an integer")
     return nu, raw
+
+
+def _time_guard(params, t):
+    # winding_number's time rule; dqpt_condition is read only near a t_c
+    finite_point(t=t)
+    if require_resolved_time(params, t) and dqpt_condition(params).has_dqpt:
+        raise _near_critical_time(params, t)
+
+
+def _near_critical_time(params, t):
+    window = T_GUARD_FRACTION * params.period
+    return NearCriticalTime(f"t = {t} within {window} of a critical time")
 
 
 def _check_winding_grid(k_grid_size):

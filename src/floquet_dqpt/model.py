@@ -124,21 +124,37 @@ def finite_point(k=0.0, t=0.0):
             raise ValueError(f"{name} must be finite, got {x}")
 
 
-def require_resolved_time(params: ModelParams, t) -> float:
-    """The critical-time window; TimeUnresolved where ulp(t) reaches it.
+def critical_time_masks(params: ModelParams, t):
+    """(unresolved, near) at a float t, or as arrays over an array of t:
+    unresolved where ulp(|t|) reaches the window T_GUARD_FRACTION T, so that
+    doubles cannot tell t from a critical time +-(2n-1) T/2 and w t is noise;
+    near where a resolved t is in the nearest one's window. NaN is neither."""
+    guard, half = T_GUARD_FRACTION * params.period, 0.5 * params.period
+    if isinstance(t, (int, float)):
+        a = abs(float(t))
+        if not math.ulp(a) < guard:
+            return a == a, False
+        n = max(1, round((a / half + 1) / 2))
+        return False, abs(a - (2 * n - 1) * half) < guard
+    a = np.abs(np.asarray(t, dtype=float))
+    unresolved = ~(np.spacing(a) < guard) & (a == a)
+    a = np.where(unresolved, 0.0, a)  # a / half may overflow there
+    n = np.maximum(1, np.rint((a / half + 1) / 2))
+    return unresolved, np.abs(a - (2 * n - 1) * half) < guard
 
-    There doubles cannot tell t from a critical time, and w t is rounded by
-    a sizeable part of a turn, so every phase and probability is noise. An
-    array of times is checked at its largest |t|; a NaN t reads as NaN.
-    """
+
+def require_resolved_time(params: ModelParams, t):
+    """critical_time_masks' near mask, or TimeUnresolved where t is
+    unresolved: it names t, or the largest |t| of an array of times."""
+    unresolved, near = critical_time_masks(params, t)
     if not isinstance(t, (int, float)):
-        a = np.abs(t)
-        t = float(a.max(initial=0.0, where=a == a))
-    guard = T_GUARD_FRACTION * params.period
-    if math.ulp(t) >= guard:
-        raise TimeUnresolved(f"t = {t} is resolved only to {math.ulp(t)}"
-                             f", not to the {guard} critical-time window")
-    return guard
+        unresolved, t = unresolved.any(), float(
+            np.abs(t)[unresolved].max(initial=0.0))
+    if not unresolved:
+        return near
+    raise TimeUnresolved(f"t = {t} is resolved only to {math.ulp(t)}, not "
+                         f"to the {T_GUARD_FRACTION * params.period} "
+                         "critical-time window")
 
 
 def _t_chunks(n_t: int, n_k: int):

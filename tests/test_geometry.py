@@ -373,6 +373,46 @@ def test_tomography_at_zone_ends(preset):
             direct = geometric_phase(p, "minus", k, t)
             assert abs(principal_branch(tomo - direct)) < 1e-12
 
+
+def tomography_winding(p, t, n_k=401):
+    """nu as an experiment reads it: the wrapped sum of the tomography
+    route's phase over n_k uniform k on [0, pi], both ends included."""
+    phases = [geometric_phase_from_tomography(p, k, t)
+              for k in np.linspace(0.0, math.pi, n_k)]
+    return float(principal_branch(np.diff(phases)).sum() / (2.0 * math.pi))
+
+
+@pytest.mark.parametrize("preset, nus", [("example1", (0, 1, 1, 2)),
+                                         ("nv-plus", (0, 1, 1, 2)),
+                                         ("nv-minus", (0, 0, 0, 0))])
+def test_tomography_winding_at_the_presets(preset, nus):
+    # between the critical times (2n-1) T/2 of example1 and nv-plus, and at
+    # the same times of nv-minus, which has none
+    p = PRESETS[preset]
+    for fraction, nu in zip((0.3, 0.7, 1.3, 2.4), nus):
+        t = fraction * p.period
+        assert exact_winding(p, "minus", t) == nu
+        assert abs(tomography_winding(p, t) - nu) < 1e-12
+
+
+def test_tomography_winding_equals_the_closed_form():
+    # 200 seeded draws over the first three periods that pass the guards
+    rng = np.random.default_rng(2024)
+    checked, nonzero = 0, 0
+    while checked < 200:
+        p = random_params(rng)
+        t = rng.uniform(0.0, 3.0 * p.period)
+        try:
+            nu = exact_winding(p, "minus", t)
+            raw = tomography_winding(p, t)
+        except NumericalGuardError:
+            continue
+        assert abs(raw - nu) < 1e-12
+        checked += 1
+        nonzero += nu != 0
+    assert nonzero > 40
+
+
 def test_tomography_band_guard(ex1):
     # the route covers the lower band only and takes no band argument
     with pytest.raises(TypeError):

@@ -98,7 +98,7 @@ def test_grids_equal_scalar_calls_bit_for_bit():
             continue
         facts = raw_winding_grid(p, band, ts, n_k)
         for t, *row in zip(ts.tolist(), *(f.tolist() for f in facts)):
-            got = outcome(quantized_winding, p, t, lambda: row)
+            got = outcome(quantized_winding, p, t, row)
             want = outcome(winding_number, p, band, t, n_k, True)
             assert got[0] == want[0]
             if got[0] == "ok":
@@ -154,15 +154,22 @@ def test_winding_raises_the_first_error_in_t_order(monkeypatch, capsys,
     assert captured.err == f"numerical guard: {want[0].__name__}: {want[1]}\n"
 
 
-def test_winding_stops_its_rows_at_the_first_refused_time(capsys):
-    # example1 over [0, 1e308]: only t = 0 is resolved, and w t overflows
-    # further out. No row past t = 0 is evaluated (a RuntimeWarning would
-    # fail the test), and the guard's refusal is all stderr holds
-    ts = np.linspace(0.0, 1e308, 5)
-    assert [f.size for f in raw_winding_grid(EXAMPLE1, "minus", ts)] == [1] * 4
+@pytest.mark.parametrize("preset, t_max", [("example1", "1e308"),
+                                            ("nv-minus", "1e307"),
+                                            ("example2", "1e17"),
+                                            ("nv-minus", "1e17")])
+def test_winding_stops_its_rows_at_the_first_refused_time(capsys, preset,
+                                                          t_max):
+    # over [0, t_max] only t = 0 is resolved, with or without critical
+    # times, and w t overflows further out at 1e307 and 1e308. No row past
+    # t = 0 is evaluated (a RuntimeWarning would fail the test), and the
+    # guard's refusal is all stderr holds
+    p = cli.PRESETS[preset]
+    ts = np.linspace(0.0, float(t_max), 5)
+    assert [f.size for f in raw_winding_grid(p, "minus", ts)] == [1] * 4
     with pytest.raises(TimeUnresolved) as refused:
-        winding_number(EXAMPLE1, "minus", ts[1].item(), 401)
-    assert cli.main(["winding", "--preset", "example1", "--t-max", "1e308",
+        winding_number(p, "minus", ts[1].item(), 401)
+    assert cli.main(["winding", "--preset", preset, "--t-max", t_max,
                      "--t-points", "5"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -213,8 +220,9 @@ def test_grid_kernels_run_in_bounded_memory(kernel, n_k):
 
 def test_library_refuses_times_doubles_cannot_resolve():
     # past t = 2^44 doubles are spaced 1e-3 T or wider for T = 2: w t is
-    # noise, so each quantity raises TimeUnresolved, with or without
-    # critical times; just below, it answers, and a NaN t reads as NaN
+    # noise, so each quantity raises TimeUnresolved (or, on the winding
+    # grid, stops its rows), with or without critical times; just below,
+    # it answers, and a NaN t reads as NaN
     below = math.nextafter(2.0 ** 44, 0.0)
     for p in (EXAMPLE1, EXAMPLE2):
         for t in (2.0 ** 44, 1e17, -1e300):
@@ -225,10 +233,14 @@ def test_library_refuses_times_doubles_cannot_resolve():
                                                       np.array([t, 1.0])),
                          lambda: return_probability(p, "minus", 0.7, t),
                          lambda: return_probability_grid(p, "minus", 0.7,
-                                                         [[t], [0.0]])):
+                                                         [[t], [0.0]]),
+                         lambda: winding_number(p, "minus", t)):
                 with pytest.raises(TimeUnresolved,
                                    match=re.escape(f"{abs(t)} is resolved")):
                     call()
+            # the winding rows stop before the first refused time
+            facts = raw_winding_grid(p, "minus", [1.0, t, 0.5])
+            assert [f.size for f in facts] == [1] * 4
         assert math.isfinite(rate_function(p, "minus", below))
         assert math.isfinite(geometric_phase(p, "minus", 0.7, below))
         assert math.isfinite(return_probability(p, "minus", 0.7, below))

@@ -14,9 +14,10 @@ from floquet_dqpt.geometry import (bloch_expectations, dynamical_phase,
                                    geometric_phase,
                                    geometric_phase_from_tomography,
                                    geometric_phase_grid, total_phase)
-from floquet_dqpt.model import (ModelParams, SIGMA_Z, bloch_components,
-                                band_energy, band_weights, gap_guard,
-                                micromotion, min_half_gap, static_field)
+from floquet_dqpt.model import (T_GUARD_FRACTION, ModelParams, SIGMA_Z,
+                                bloch_components, band_energy, band_weights,
+                                critical_time_masks, gap_guard, micromotion,
+                                min_half_gap, static_field)
 
 from conftest import EXAMPLE1, random_params
 from oracles import SIGMA_Y, hamiltonian_lab, rotating_frame_hamiltonian
@@ -138,6 +139,62 @@ def test_gap_guard_is_the_scalar_guard():
         assert band_energy(q, "plus", k) - band_energy(q, "minus", k) == \
             pytest.approx(2.0 * half_gap)
         assert dz == b.h_z - 0.5 * q.omega_drive
+
+
+def reference_masks(p, t):
+    """The time rule written out at one float t: unresolved where
+    ulp(t) >= the guard window, else near where |t| lies within that window
+    of its nearest critical time (2n-1) T/2; a NaN t is neither."""
+    guard = T_GUARD_FRACTION * p.period
+    if math.isnan(t):
+        return False, False
+    if math.ulp(t) >= guard:
+        return True, False
+    half = 0.5 * p.period
+    a = abs(t)
+    n = max(1, round((a / half + 1) / 2))
+    return False, abs(a - (2 * n - 1) * half) < guard
+
+
+def mask_times(rng, p, n):
+    """n times of each kind the rule separates, each with a random sign:
+    0, NaN, uniform over +-10 periods, critical times (2m-1) T/2, the
+    window's edges around them (and one ulp either side), powers of two
+    from 2^30 to 2^60 and their neighbours (the resolution limit for these
+    periods), and magnitudes from 2^-60 to 2^1000."""
+    half, guard = 0.5 * p.period, T_GUARD_FRACTION * p.period
+    crit = (2.0 * rng.integers(1, 10 ** 6, n) - 1.0) * half
+    edge = crit + rng.choice([-1.0, 1.0], n) * guard
+    nudged = np.nextafter(edge, rng.choice([-np.inf, np.inf], n))
+    edge = np.where(rng.random(n) < 0.5, edge, nudged)
+    powers = np.ldexp(1.0, rng.integers(30, 61, n))
+    powers = np.nextafter(powers, rng.choice([-np.inf, 0.0, np.inf], n))
+    kinds = (np.full(n, 0.0), rng.uniform(-10.0, 10.0, n) * p.period,
+             crit, edge, powers, np.ldexp(1.0, rng.integers(-60, 1001, n)))
+    ts = np.choose(rng.integers(0, len(kinds), n), kinds)
+    ts *= rng.choice([-1.0, 1.0], n)
+    ts[rng.random(n) < 0.01] = np.nan
+    return ts
+
+
+def test_critical_time_masks_equal_the_scalar_rule():
+    # over arrays and at each float: 200 draws of 600 times each
+    rng = np.random.default_rng(20261018)
+    seen = np.zeros(3, int)
+    for _ in range(200):
+        p = random_params(rng)
+        ts = mask_times(rng, p, 600)
+        unresolved, near = critical_time_masks(p, ts)
+        want = np.array([reference_masks(p, t) for t in ts.tolist()])
+        assert np.array_equal(unresolved, want[:, 0])
+        assert np.array_equal(near, want[:, 1])
+        assert [critical_time_masks(p, t) for t in ts.tolist()] \
+            == [tuple(w) for w in want.tolist()]
+        seen += unresolved.sum(), near.sum(), np.isnan(ts).sum()
+    # every kind occurs: unresolved, near, and NaN (neither)
+    assert (seen > 1000).all(), seen
+    assert critical_time_masks(EXAMPLE1, -(2.0 ** 1000)) == (True, False)
+    assert critical_time_masks(EXAMPLE1, 2.0 ** -60) == (False, False)
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
