@@ -161,8 +161,12 @@ def reunitarize(u: np.ndarray):
 def micromotion_overlap(params: ModelParams, wa, wb, t):
     """<chi| U_R(t) |chi> = |a|^2 + e^{i w t} |b|^2 from the band weights,
     broadcast over their shape and t: the one kernel of the overlap that
-    every return amplitude, rate function and phase reads."""
-    return wa + np.exp(1j * params.omega_drive * np.asarray(t)) * wb
+    every return amplitude, rate function and phase reads. |a|^2 joins the
+    real part in place: the complex sum's bits bar an imaginary -0, which
+    stays -0 (|b|^2 = 0, cos w t < 0, sin w t < 0). 0-d for scalars."""
+    z = np.asarray(np.exp(1j * params.omega_drive * np.asarray(t)) * wb)
+    z.real += wa
+    return z
 
 
 def return_amplitude(params: ModelParams, band: str, k: float,

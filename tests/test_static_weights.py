@@ -11,7 +11,6 @@ import pytest
 
 from floquet_dqpt import model
 from floquet_dqpt.dqpt import PROB_FLOOR, rate_function
-from floquet_dqpt.dynamics import return_probability_grid
 from floquet_dqpt.errors import NumericalGuardError
 from floquet_dqpt.geometry import (_phase_and_drift, exact_winding,
                                    principal_branch, winding_number)
@@ -21,8 +20,11 @@ from conftest import EXAMPLE1, random_params
 
 
 def uncached_rate(p, band, t, n):
+    # |G|^2 = ||a|^2 + e^{iwt}|b|^2|^2 written out from the band weights, so
+    # the reference does not read the overlap kernel
     k = np.linspace(0.0, math.pi, n)
-    prob = return_probability_grid(p, band, k, t)
+    wa, wb = band_weights(p, band, k)
+    prob = np.abs(wa + np.exp(1j * p.omega_drive * t) * wb) ** 2
     return float(-np.trapezoid(np.log(np.maximum(prob, PROB_FLOOR)), k)
                  / math.pi)
 
