@@ -9,14 +9,14 @@ Two routes to the time evolution operator are kept deliberately separate:
   fixed-step 4th-order scheme and knows nothing about the rotating frame.
 
 The oracle is the independent check for everything built on the analytic
-route, so it must never share code with it. It takes the lab-frame H(k, t)
-as given: each RK4 step is the 2x2 matrix the scheme applies to U, built from
-H at the step's three times, and the steps are multiplied in time order in
-blocks of numpy arrays. Every matrix is the pair (a, b) of [[a, b], [-b*, a*]],
-exact because H is traceless and Hermitian; that follows from H alone, and
-nothing in the oracle factors out the drive, so the rotating frame stays what
-it checks, not what it uses. It is re-unitarized at most once, at the end, so
-that the raw integrator error stays visible in convergence tests.
+route, so it must never share code with it. It takes the lab-frame H(k, t) as
+given: each RK4 step is the 2x2 matrix the scheme applies to U, built from H
+at its three times in numpy blocks, and one pairwise product streamed through
+the blocks multiplies them in time order. Every matrix is the pair (a, b) of
+[[a, b], [-b*, a*]], exact because H is traceless and Hermitian; that follows
+from H alone, and nothing in the oracle factors out the drive, so the rotating
+frame stays what it checks, not what it uses. It is re-unitarized at most
+once, at the end, so the raw integrator error shows in convergence tests.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from .model import (SIGMA_0, SIGMA_X, SIGMA_Z, ModelParams, _band_sign,
 
 MIN_ORACLE_STEPS = 256
 DEFAULT_ORACLE_STEPS = 4096
-# RK4 steps whose step matrices the oracle holds at once. It bounds the
-# oracle's peak allocation (about 0.3 MB) whatever t is; the 8192 steps of
-# two periods held at once take 2.1 MB, and the number grows with t.
+# RK4 steps built at once. At most two blocks of partial products and one
+# block's stage temporaries are held, a peak of 0.37 MB (tracemalloc) for any
+# t; the 8192 steps of two periods held at once take 2.1 MB, growing with t.
 ORACLE_BLOCK = 1024
 
 
@@ -78,10 +78,10 @@ def propagator_oracle(params: ModelParams, k: float, t: float,
     [[a, b], [-b*, a*]], and so are their real combinations and products:
     every RK4 stage, M_n and product of them is stored as its pair (a, b),
     half the arithmetic of four entries. The M_n are built ORACLE_BLOCK steps
-    at a time (so memory does not grow with t), each block is reduced to its
-    ordered product by pairwise products, and the block products are applied
-    to U in time order. A single polar-like re-unitarization is applied at
-    the end; pass return_correction=True to also get its norm.
+    at a time and appended to the partial products held, which pairwise
+    products in time order halve until at most ORACLE_BLOCK remain (so memory
+    does not grow with t); after the last block they reduce to U - I. A single
+    polar-like re-unitarization ends it; return_correction=True adds its norm.
     """
     if steps < MIN_ORACLE_STEPS:
         raise StepCountTooSmall(f"steps={steps} < {MIN_ORACLE_STEPS}")
@@ -124,10 +124,10 @@ def propagator_oracle(params: ModelParams, k: float, t: float,
         k4 = mul(a[:, 2::2], eye + h * k3)
         return h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
-    def ordered_product(m):
-        # pairwise M_{2j+1} M_{2j}; an odd leftover is the latest step and
-        # stays last
-        while m.shape[1] > 1:
+    def ordered_product(m, width):
+        # pairwise M_{2j+1} M_{2j} until at most `width` columns remain; an
+        # odd leftover is the latest step and stays last
+        while m.shape[1] > width:
             even = m.shape[1] // 2 * 2
             pairs = compose(m[:, 1:even:2], m[:, 0:even:2])
             m = np.concatenate((pairs, m[:, even:]), axis=1)
@@ -139,13 +139,16 @@ def propagator_oracle(params: ModelParams, k: float, t: float,
     a[0] = -1j * float(b.h_z)
     drive = -1j * float(b.h_xy) * np.exp(-0.5j * w * h
                                          * np.arange(a.shape[1]))
-    v = np.zeros((2, 1), dtype=complex)  # U - I
+    # partial products in time order; a block's steps pair only with each
+    # other until they are its product, which folds into the prefix product
+    held = np.empty((2, 0), dtype=complex)
     for first in range(0, n, ORACLE_BLOCK):
         size = 2 * (min(first + ORACLE_BLOCK, n) - first) + 1
         a[1, :size] = cmath.exp(-1j * w * h * first) * drive[:size]
-        v = compose(ordered_product(step_maps(a[:, :size])), v)
+        held = ordered_product(np.concatenate(
+            (held, step_maps(a[:, :size])), axis=1), ORACLE_BLOCK)
 
-    v0, v1 = v[:, 0]
+    v0, v1 = ordered_product(held, 1)[:, 0]  # U - I
     u = np.array([[1.0 + v0, v1], [-v1.conjugate(), 1.0 + v0.conjugate()]])
     u_unitary, correction = reunitarize(u)
     return (u_unitary, correction) if return_correction else u_unitary

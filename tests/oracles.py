@@ -13,9 +13,10 @@ time-ordered RK4 U(T), the oracle of `lattice.obc_floquet_spectrum`, and
 `momentum_consistency_check` compares its Fourier blocks with H(k, t).
 
 `scalar_rk4_propagator` is the per-step Python loop that
-`dynamics.propagator_oracle` replaced with a block product of RK4 step
-matrices: the same scheme, step count, step times and single final
-re-unitarization, with the steps applied to U one after the other.
+`dynamics.propagator_oracle` replaced with one pairwise product of RK4 step
+matrices streamed through blocks of steps: the same scheme, step count, step
+times and single final re-unitarization, with the steps applied to U one
+after the other.
 
 The W1/W2 references for `topology.chiral_winding_numbers` work on a k grid:
 `brute_winding` accumulates the angle of the planar vector

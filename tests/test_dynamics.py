@@ -15,7 +15,7 @@ from floquet_dqpt.dynamics import (propagator_analytic, propagator_oracle,
                                    return_probability_grid, reunitarize)
 
 import oracles
-from conftest import EXAMPLE1, random_params
+from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3, random_params
 from oracles import rotating_frame_hamiltonian, scalar_rk4_propagator
 
 
@@ -114,10 +114,13 @@ BLOCK = dynamics.ORACLE_BLOCK
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, BLOCK - 1, BLOCK, BLOCK + 1,
-                               2 * BLOCK + 3])
+                               2 * BLOCK + 3, 3 * BLOCK, 4 * BLOCK + 1,
+                               11 * BLOCK + 7])
 def test_oracle_block_product_matches_scalar_loop(n):
     # n steps: odd counts leave a step over at some level of the pairwise
-    # product, and past one block the block products are folded in order
+    # product; past one block each block's steps join the held partial
+    # products, which are halved until one block's width remains, so the
+    # held run is halved many times and has odd widths
     rng = np.random.default_rng(n)
     p = random_params(rng)
     k = rng.uniform(0.0, math.pi)
@@ -132,18 +135,79 @@ def test_oracle_block_product_matches_scalar_loop(n):
 
 def test_oracle_long_run_memory_and_rounding(ex1):
     # 50 periods are 204,800 steps; their step matrices held at once would
-    # take more than 10 MB
-    tracemalloc.start()
-    try:
-        _, corr = propagator_oracle(ex1, 0.8, 50 * ex1.period,
-                                    return_correction=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+    # take more than 10 MB, and the held partial products must not grow
+    # with t: the peak at 50 periods is that at 2
+    peaks = {}
+    for periods in (2, 50):
+        tracemalloc.start()
+        try:
+            _, corr = propagator_oracle(ex1, 0.8, periods * ex1.period,
+                                        return_correction=True)
+            peaks[periods] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[50] < 1_000_000
+    assert peaks[50] <= 1.1 * peaks[2]
     # the scalar loop gives 5e-15; storing each step map with its identity
     # part rounds the same way at every step and gives 2e-12
     assert corr < 1e-13
+
+
+# U and the correction of propagator_oracle, as float.hex of U's real and
+# imaginary parts in memory order and of the correction: (params, k, steps
+# taken, hex); None stands for 50 periods at the default steps per period.
+# The streamed product must give the bits of one pairwise tree per block
+# with the block products applied to U in time order, signed zeros included.
+ORACLE_BIT_PINS = [
+    (EXAMPLE1, 0.8, 1, [
+        "0x1.fffc56792c8ccp-1", "-0x1.e138361ef01e9p-8",
+        "-0x1.2076ca5fa1154p-17", "-0x1.6f477954802f1p-10",
+        "0x1.2076ca5fa1172p-17", "-0x1.6f477954802f2p-10",
+        "0x1.fffc56792c8ccp-1", "0x1.e138361ef0213p-8",
+        "0x1.803bb6dd777dap-50"]),
+    (EXAMPLE2, 2.1, 3, [
+        "0x1.fff185d823cc0p-1", "-0x1.911c64ca8ebfap-7",
+        "-0x1.0f1fc5873ce97p-12", "-0x1.1413fe304441dp-7",
+        "0x1.0f1fc5873ce97p-12", "-0x1.1413fe304441ep-7",
+        "0x1.fff185d823cc0p-1", "0x1.911c64ca8ebfap-7",
+        "0x1.502a083073009p-49"]),
+    (EXAMPLE3, 0.0, BLOCK, [
+        "0x1.ffff621621504p-1", "-0x1.921f8c8f9906dp-9",
+        "-0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x1.ffff621621504p-1", "0x1.921f8c8f9906dp-9",
+        "0x1.aa00836ca86c1p-42"]),
+    (EXAMPLE1, math.pi, BLOCK + 1, [
+        "0x1.ffff621622502p-1", "0x1.921f8b49d23b7p-9",
+        "-0x1.bb8f28957aaa3p-70", "-0x1.1a6001670e048p-62",
+        "0x1.bb8f28957aaa2p-70", "-0x1.1a6001670e048p-62",
+        "0x1.ffff621622502p-1", "-0x1.921f8b49d23b7p-9",
+        "0x1.aa4083720d10bp-42"]),
+    (EXAMPLE2, 1.3, 8 * BLOCK + 5, [
+        "-0x1.0582d234c81bcp-1", "-0x1.664ffc19ee305p-1",
+        "0x1.c394847841935p-6", "0x1.fe908567b62e2p-2",
+        "-0x1.c39484784194ep-6", "0x1.fe908567b62e3p-2",
+        "-0x1.0582d234c81bep-1", "0x1.664ffc19ee304p-1",
+        "0x1.f4371a0bc628ep-35"]),
+    (EXAMPLE1, 0.8, None, [
+        "-0x1.f3eaec6a65dbcp-1", "0x1.20abfa9fdaca0p-3",
+        "-0x1.ade41baf87268p-47", "0x1.4f18be71d4d19p-3",
+        "0x1.ae04a23d5f011p-47", "0x1.4f18be71d4d19p-3",
+        "-0x1.f3eaec6a65dbbp-1", "-0x1.20abfa9fdac9fp-3",
+        "0x1.5864116c1e0adp-48"]),
+]
+
+
+@pytest.mark.parametrize("p, k, n, pinned", ORACLE_BIT_PINS)
+def test_oracle_bits_pinned(p, k, n, pinned):
+    if n is None:
+        u, corr = propagator_oracle(p, k, 50 * p.period,
+                                    return_correction=True)
+    else:
+        steps = dynamics.MIN_ORACLE_STEPS
+        u, corr = propagator_oracle(p, k, (n - 0.5) * p.period / steps,
+                                    steps, return_correction=True)
+    assert [x.hex() for x in u.ravel().view(float).tolist()] \
+        + [corr.hex()] == pinned
 
 
 def test_oracle_is_fourth_order():
