@@ -82,6 +82,7 @@ def propagator_oracle(params: ModelParams, k: float, t: float,
     products in time order halve until at most ORACLE_BLOCK remain (so memory
     does not grow with t); after the last block they reduce to U - I. A single
     polar-like re-unitarization ends it; return_correction=True adds its norm.
+    Like every route through w t, it refuses |t| >= params.time_limit.
     """
     if steps < MIN_ORACLE_STEPS:
         raise StepCountTooSmall(f"steps={steps} < {MIN_ORACLE_STEPS}")
@@ -90,6 +91,7 @@ def propagator_oracle(params: ModelParams, k: float, t: float,
             raise ValueError(f"{name} must be finite, got {x}")
     if t < 0:
         raise ValueError("t must be >= 0")
+    require_resolved_time(params, t)
 
     if t == 0:
         u = np.eye(2, dtype=complex)

@@ -10,7 +10,7 @@ the integer invariant nu(t), which jumps by one at every critical time.
 over a k grid, is its numerical oracle.
 
 Every value computed from w t refuses, with TimeUnresolved, a t that doubles
-cannot resolve (model.critical_time_masks). The one exception is
+cannot resolve, from |t| = ModelParams.time_limit on. The one exception is
 exact_winding on a drive without critical times, where nu is exactly 0.
 All reported phases live on the principal branch (-pi, pi].
 """
@@ -26,8 +26,8 @@ from .errors import (GaplessPoint, GridTooCoarse, NearCriticalTime,
                      PhaseUndefined, WindingNotQuantized)
 from .model import (T_GUARD_FRACTION, ModelParams, _band_sign,
                     _field_weights, _t_chunks, _uniform_band_weights,
-                    band_weights, critical_time_masks, finite_point,
-                    gap_guard, min_half_gap, require_resolved_time)
+                    band_weights, finite_point, gap_guard, min_half_gap,
+                    require_resolved_time)
 from .dynamics import micromotion_overlap, return_amplitude
 from .dqpt import DEFAULT_K_GRID, dqpt_condition
 
@@ -127,11 +127,12 @@ def exact_winding(params: ModelParams, band: str, t: float) -> int:
     """Dynamical invariant nu_band(t) in closed form (exact_winding_grid).
 
     Raises ValueError for a non-finite t, DegenerateDelta1, winding_number's
-    time rule if the drive has critical times (without them nu is exactly 0
-    at every t, so no t is refused), and GaplessPoint."""
+    time rule (TimeUnresolved from |t| = params.time_limit on, then
+    NearCriticalTime) if the drive has critical times (without them nu is
+    exactly 0 at every t, so no t is refused), and GaplessPoint."""
     finite_point(t=t)
-    if dqpt_condition(params).has_dqpt and require_resolved_time(params, t):
-        raise _near_critical_time(params, t)
+    if dqpt_condition(params).has_dqpt:
+        _time_guard(params, t, has_dqpt=True)
     return int(exact_winding_grid(params, band, t))
 
 
@@ -172,12 +173,12 @@ def raw_winding_grid(params: ModelParams, band: str, ts,
     computed once per (params, band, k_grid_size), and the times are
     evaluated in chunks of rows of at most model.GRID_CHUNK k samples, bit
     for bit as winding_number does. The arrays stop before the first t
-    that doubles cannot resolve, which the time rule refuses.
+    with |t| >= params.time_limit, which the time rule refuses.
     """
     _check_winding_grid(k_grid_size)
     ts = np.asarray(ts, dtype=float)
-    unresolved = critical_time_masks(params, ts)[0]
-    ts = ts[:unresolved.argmax() if unresolved.any() else ts.size]
+    refused = np.abs(ts) >= params.time_limit
+    ts = ts[:refused.argmax() if refused.any() else ts.size]
     _, wa, wb = _uniform_band_weights(params, band, k_grid_size)
     facts = (np.empty(ts.shape, bool), np.empty(ts.shape),
              np.empty(ts.shape, bool), np.empty(ts.shape))
@@ -209,16 +210,17 @@ def quantized_winding(params: ModelParams, t: float, row):
     return nu, raw
 
 
-def _time_guard(params, t):
-    # winding_number's time rule; dqpt_condition is read only near a t_c
+def _time_guard(params, t, has_dqpt=False):
+    # winding_number's time rule at a float t; near its nearest (2n-1) T/2,
+    # t is refused if the drive has critical times (has_dqpt, else read)
     finite_point(t=t)
-    if require_resolved_time(params, t) and dqpt_condition(params).has_dqpt:
-        raise _near_critical_time(params, t)
-
-
-def _near_critical_time(params, t):
-    window = T_GUARD_FRACTION * params.period
-    return NearCriticalTime(f"t = {t} within {window} of a critical time")
+    require_resolved_time(params, t)
+    half, window = 0.5 * params.period, T_GUARD_FRACTION * params.period
+    a = abs(float(t))
+    n = max(1, round((a / half + 1) / 2))
+    if abs(a - (2 * n - 1) * half) < window and (
+            has_dqpt or dqpt_condition(params).has_dqpt):
+        raise NearCriticalTime(f"t = {t} within {window} of a critical time")
 
 
 def _check_winding_grid(k_grid_size):
@@ -230,12 +232,13 @@ def _winding_rows(params, wa, wb, t):
     # raw_winding_grid's facts at t (a scalar, or a column of times), each
     # reduced over the last axis
     phi, drift = _phase_and_drift(params, wa, wb, t)
-    undefined = np.isnan(phi).any(axis=-1)
     jump = np.abs(drift[..., 1:] - drift[..., :-1]).max(axis=-1)
     steps = principal_branch(phi[..., 1:] - phi[..., :-1])
     big = np.abs(steps) > math.pi * (1.0 - 1e-6)
     ambiguous = (big[..., :-1] & big[..., 1:]).any(axis=-1)
-    return undefined, jump, ambiguous, steps.sum(axis=-1) / (2.0 * math.pi)
+    # NaN exactly where a phase is: steps of finite phases lie in (-pi, pi]
+    raw = steps.sum(axis=-1) / (2.0 * math.pi)
+    return np.isnan(raw), jump, ambiguous, raw
 
 
 def bloch_expectations(params: ModelParams, band: str, k: float, t: float):

@@ -80,6 +80,17 @@ class ModelParams:
     def gap_floor(self) -> float:
         return GAP_FLOOR_REL * self.scale
 
+    @property
+    def time_limit(self) -> float:
+        """Least |t| doubles cannot resolve, 2^(52 + ceil(log2 W)): the least
+        power of two whose ulp reaches the window W = T_GUARD_FRACTION T, where
+        t cannot be told from a critical time; inf past the largest double."""
+        mantissa, exponent = math.frexp(T_GUARD_FRACTION * self.period)
+        try:  # ceil(2 mantissa) is 1 where W is a power of two, else 2
+            return math.ldexp(math.ceil(2.0 * mantissa), 51 + exponent)
+        except OverflowError:  # that power, or the period, is infinite
+            return math.inf
+
 
 @dataclass(frozen=True)
 class BlochComponents:
@@ -124,37 +135,15 @@ def finite_point(k=0.0, t=0.0):
             raise ValueError(f"{name} must be finite, got {x}")
 
 
-def critical_time_masks(params: ModelParams, t):
-    """(unresolved, near) at a float t, or as arrays over an array of t:
-    unresolved where ulp(|t|) reaches the window T_GUARD_FRACTION T, so that
-    doubles cannot tell t from a critical time +-(2n-1) T/2 and w t is noise;
-    near where a resolved t is in the nearest one's window. NaN is neither."""
-    guard, half = T_GUARD_FRACTION * params.period, 0.5 * params.period
-    if isinstance(t, (int, float)):
-        a = abs(float(t))
-        if not math.ulp(a) < guard:
-            return a == a, False
-        n = max(1, round((a / half + 1) / 2))
-        return False, abs(a - (2 * n - 1) * half) < guard
-    a = np.abs(np.asarray(t, dtype=float))
-    unresolved = ~(np.spacing(a) < guard) & (a == a)
-    a = np.where(unresolved, 0.0, a)  # a / half may overflow there
-    n = np.maximum(1, np.rint((a / half + 1) / 2))
-    return unresolved, np.abs(a - (2 * n - 1) * half) < guard
-
-
 def require_resolved_time(params: ModelParams, t):
-    """critical_time_masks' near mask, or TimeUnresolved where t is
-    unresolved: it names t, or the largest |t| of an array of times."""
-    unresolved, near = critical_time_masks(params, t)
+    """TimeUnresolved where |t| reaches params.time_limit: it names t, or
+    the largest |t| of an array of times, NaN ignored (a NaN t passes)."""
     if not isinstance(t, (int, float)):
-        unresolved, t = unresolved.any(), float(
-            np.abs(t)[unresolved].max(initial=0.0))
-    if not unresolved:
-        return near
-    raise TimeUnresolved(f"t = {t} is resolved only to {math.ulp(t)}, not "
-                         f"to the {T_GUARD_FRACTION * params.period} "
-                         "critical-time window")
+        t = float(np.fmax.reduce(np.abs(t), axis=None, initial=0.0))
+    if abs(float(t)) >= params.time_limit:
+        raise TimeUnresolved(f"t = {t} is resolved only to {math.ulp(t)}, "
+                             f"not to the {T_GUARD_FRACTION * params.period} "
+                             "critical-time window")
 
 
 def _t_chunks(n_t: int, n_k: int):

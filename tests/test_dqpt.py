@@ -6,7 +6,8 @@ import pytest
 from floquet_dqpt.errors import DegenerateDelta1, UndefinedTau
 from floquet_dqpt.model import ModelParams, band_weights
 from floquet_dqpt.dqpt import (dqpt_condition, fisher_lines, fisher_tau,
-                               fisher_tau_grid, rate_function)
+                               fisher_tau_grid, rate_function,
+                               rate_function_grid)
 
 from conftest import random_params
 
@@ -87,8 +88,11 @@ def test_tau_against_bisection_oracle(ex1):
 
 
 def test_tau_divergences(ex1):
-    with pytest.raises(UndefinedTau):
-        fisher_tau(ex1, "minus", 0.0)  # h_xy = 0
+    with pytest.raises(UndefinedTau, match="h_xy = 0"):
+        fisher_tau(ex1, "minus", 0.0)
+    # h_xy != 0, but E - h_z rounds to 0 in the upper band near k = 0
+    with pytest.raises(UndefinedTau, match="E = h_z"):
+        fisher_tau(ex1, "plus", 1e-12)
     grid = fisher_tau_grid(ex1, "minus", np.array([0.0, math.pi / 3, math.pi]))
     assert grid[0] == -math.inf
     assert np.isinf(grid[2])  # zone edge: both log arguments degenerate
@@ -120,6 +124,14 @@ def test_fisher_lines_structure(ex1):
     for ln in lines[1:]:
         assert np.array_equal(ln.tau_of_k, lines[0].tau_of_k,
                               equal_nan=True)
+
+
+def test_rate_function_refuses_a_one_point_grid(ex1):
+    for rate in (lambda n: rate_function(ex1, "minus", 1.0, n),
+                 lambda n: rate_function_grid(ex1, "minus", [1.0], n)):
+        with pytest.raises(ValueError, match="k_grid_size must be >= 2"):
+            rate(1)
+        assert rate(2) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rate_function_zero_at_full_periods(ex1):

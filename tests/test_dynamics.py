@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from floquet_dqpt import dynamics
-from floquet_dqpt.errors import GaplessPoint, StepCountTooSmall
+from floquet_dqpt.errors import (GaplessPoint, StepCountTooSmall,
+                                 TimeUnresolved)
 from floquet_dqpt.model import SIGMA_X, bloch_components, micromotion
 from floquet_dqpt.dynamics import (propagator_analytic, propagator_oracle,
                                    return_amplitude, return_probability,
@@ -32,6 +33,21 @@ def test_oracle_step_guard(ex1):
 def test_oracle_refuses_non_finite_t(ex1):
     for t in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
+            propagator_oracle(ex1, 0.8, t)
+
+
+def test_oracle_refuses_negative_and_unresolved_t(ex1, monkeypatch):
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        propagator_oracle(ex1, 0.8, -1.0)
+    # refused before any step: without the time rule these times would run
+    # about 4e16 and 2e303 RK4 steps of noise
+
+    def no_steps(*args):
+        raise AssertionError("the oracle started integrating")
+
+    monkeypatch.setattr(dynamics, "bloch_components", no_steps)
+    for t in (ex1.time_limit, 1e300):
+        with pytest.raises(TimeUnresolved):
             propagator_oracle(ex1, 0.8, t)
 
 

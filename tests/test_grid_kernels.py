@@ -80,14 +80,21 @@ def draws():
             for i, (n_k, n_t) in enumerate(plan)]
 
 
-def test_grids_equal_scalar_calls_bit_for_bit():
+def seeded_cases():
+    """(params, n_k, times, band): GAPLESS_AT_ZERO at 5 times, then the
+    seeded draws with their times."""
     rng = np.random.default_rng(20261018)
     cases = [(GAPLESS_AT_ZERO, 401, 5, "minus")]
     cases += [(random_params(rng), *draw) for draw in draws()]
+    return [(p, n_k, draw_times(rng, p, n_t), band)
+            for p, n_k, n_t, band in cases]
+
+
+def test_grids_equal_scalar_calls_bit_for_bit():
+    cases = seeded_cases()
     assert len(cases) > 200
     kinds = {}
-    for p, n_k, n_t, band in cases:
-        ts = draw_times(rng, p, n_t)
+    for p, n_k, ts, band in cases:
         g = rate_function_grid(p, band, ts, n_k)
         assert g.shape == ts.shape
         assert np.array_equal(bits(g), bits([rate_function(p, band, t, n_k)
@@ -111,6 +118,30 @@ def test_grids_equal_scalar_calls_bit_for_bit():
     assert {"ok", "NearCriticalTime", "GridTooCoarse",
             "PhaseUndefined"} <= set(kinds), kinds
     assert kinds["ok"] > 2000 and kinds["GridTooCoarse"] > 50, kinds
+
+
+def test_winding_facts_equal_their_written_out_expressions():
+    # the undefined flag is read off the raw sum, NaN exactly where a phase
+    # on the k row is; every fact keeps the bits of its own expression.
+    # One phase is undefined in every row of GAPLESS_AT_ZERO (k = 0) and,
+    # at its critical times, of example1 on 601 k (k_c = pi/3 on the grid)
+    partial = (EXAMPLE1, 601, np.array([0.5, 1.0, 3.0, 5.0]), "minus")
+    undefined = []
+    for p, n_k, ts, band in seeded_cases() + [partial]:
+        if n_k < geometry.MIN_WINDING_GRID:
+            continue
+        _, wa, wb = _uniform_band_weights(p, band, n_k)
+        phi, drift = geometry._phase_and_drift(p, wa, wb, ts[:, None])
+        steps = geometry.principal_branch(phi[:, 1:] - phi[:, :-1])
+        big = np.abs(steps) > math.pi * (1.0 - 1e-6)
+        want = (np.isnan(phi).any(axis=1),
+                np.abs(drift[:, 1:] - drift[:, :-1]).max(axis=1),
+                (big[:, :-1] & big[:, 1:]).any(axis=1),
+                steps.sum(axis=1) / (2.0 * math.pi))
+        for got, expected in zip(raw_winding_grid(p, band, ts, n_k), want):
+            assert np.array_equal(bits(got), bits(expected))
+        undefined += np.isnan(phi).sum(axis=1)[want[0]].tolist()
+    assert undefined == [1] * 8
 
 
 def first_error(calls):

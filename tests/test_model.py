@@ -1,23 +1,25 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from floquet_dqpt import dqpt, dynamics, geometry, model
+from floquet_dqpt.cli import PRESETS
 from floquet_dqpt.dqpt import fisher_tau, fisher_tau_grid
 from floquet_dqpt.dynamics import (propagator_analytic, return_amplitude,
                                    return_probability)
-from floquet_dqpt.errors import GaplessPoint
+from floquet_dqpt.errors import GaplessPoint, NearCriticalTime, TimeUnresolved
 from floquet_dqpt.geometry import (bloch_expectations, dynamical_phase,
                                    geometric_phase,
                                    geometric_phase_from_tomography,
                                    geometric_phase_grid, total_phase)
 from floquet_dqpt.model import (T_GUARD_FRACTION, ModelParams, SIGMA_Z,
                                 bloch_components, band_energy, band_weights,
-                                critical_time_masks, gap_guard, micromotion,
-                                min_half_gap, static_field)
+                                gap_guard, micromotion, min_half_gap,
+                                require_resolved_time, static_field)
 
 from conftest import EXAMPLE1, random_params
 from oracles import SIGMA_Y, hamiltonian_lab, rotating_frame_hamiltonian
@@ -177,24 +179,72 @@ def mask_times(rng, p, n):
     return ts
 
 
-def test_critical_time_masks_equal_the_scalar_rule():
-    # over arrays and at each float: 200 draws of 600 times each
+def guard_outcome(p, t):
+    """The exception type geometry's time guard raises at a float t, or
+    None: the outcome the written-out rule predicts is compared to it."""
+    try:
+        geometry._time_guard(p, t)
+    except (ValueError, TimeUnresolved, NearCriticalTime) as err:
+        return type(err)
+    return None
+
+
+def test_time_limit_equals_the_ulp_rule(monkeypatch):
+    # |t| >= time_limit over arrays and at each float, the near-critical
+    # test at each float, and require_resolved_time on arrays: 200 draws of
+    # 600 times each
     rng = np.random.default_rng(20261018)
     seen = np.zeros(3, int)
     for _ in range(200):
         p = random_params(rng)
+        has_dqpt = dqpt.dqpt_condition(p).has_dqpt
         ts = mask_times(rng, p, 600)
-        unresolved, near = critical_time_masks(p, ts)
         want = np.array([reference_masks(p, t) for t in ts.tolist()])
+        unresolved = np.abs(ts) >= p.time_limit
         assert np.array_equal(unresolved, want[:, 0])
-        assert np.array_equal(near, want[:, 1])
-        assert [critical_time_masks(p, t) for t in ts.tolist()] \
-            == [tuple(w) for w in want.tolist()]
-        seen += unresolved.sum(), near.sum(), np.isnan(ts).sum()
+        assert [abs(t) >= p.time_limit for t in ts.tolist()] \
+            == want[:, 0].tolist()
+        expected = [ValueError if math.isnan(t) else TimeUnresolved if u
+                    else NearCriticalTime if near and has_dqpt else None
+                    for t, (u, near) in zip(ts.tolist(), want.tolist())]
+        assert [guard_outcome(p, t) for t in ts.tolist()] == expected
+        for rows in (slice(None), slice(rng.integers(1, 20)), ~want[:, 0]):
+            part = ts[rows]
+            largest = max((abs(t) for t in part.tolist() if t == t),
+                          default=0.0)
+            if want[rows, 0].any():
+                with pytest.raises(TimeUnresolved) as got:
+                    require_resolved_time(p, part)
+                assert str(got.value).startswith(f"t = {largest} is ")
+            else:
+                assert require_resolved_time(p, part) is None
+        seen += unresolved.sum(), want[:, 1].sum() * has_dqpt, \
+            np.isnan(ts).sum()
     # every kind occurs: unresolved, near, and NaN (neither)
     assert (seen > 1000).all(), seen
-    assert critical_time_masks(EXAMPLE1, -(2.0 ** 1000)) == (True, False)
-    assert critical_time_masks(EXAMPLE1, 2.0 ** -60) == (False, False)
+    # the limit is the least power of two whose ulp reaches the window, or
+    # inf: 2^44 for T = 2 and 2^40 for T = 0.2; drives from w = 5e-324
+    # (an infinite period) to the largest double, at times from 0 to +-inf
+    assert EXAMPLE1.time_limit == 2.0 ** 44
+    assert PRESETS["nv-plus"].time_limit == 2.0 ** 40
+    for w in (5e-324, 1e-310, 1e-300, 1e-10, 0.5, math.pi, 1e10, 1e300,
+              1.7e308, sys.float_info.max):
+        p = small_params(w, 1.0, 1.0, 1.0)
+        window, limit = T_GUARD_FRACTION * p.period, p.time_limit
+        ts = [0.0, 5e-324, 2.0 ** -60, 1e300, -(2.0 ** 1000), math.inf,
+              -math.inf, math.nan]
+        if math.isfinite(limit):
+            ts += [limit, -limit, math.nextafter(limit, 0.0)]
+        for t in ts:
+            assert (abs(t) >= limit) == (t == t
+                                         and not math.ulp(t) < window), (w, t)
+    assert small_params(1e-300, 1.0, 1.0, 1.0).time_limit == math.inf
+    # a window that is a power of two, 2^-10 T = 2^-9 for T = 2: the ulp of
+    # 2^43 reaches it, the ulp of its predecessor does not
+    monkeypatch.setattr(model, "T_GUARD_FRACTION", 2.0 ** -10)
+    assert EXAMPLE1.time_limit == 2.0 ** 43
+    assert guard_outcome(EXAMPLE1, -(2.0 ** 1000)) is TimeUnresolved
+    assert guard_outcome(EXAMPLE1, 2.0 ** -60) is None
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
