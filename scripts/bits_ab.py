@@ -1,0 +1,332 @@
+#!/usr/bin/env python3
+"""Compare two source trees call by call, bit for bit.
+
+Usage:
+    python3 scripts/bits_ab.py PARENT CHANGE --number N
+
+PARENT and CHANGE are source trees, each with its own `src/`. In each tree,
+in a fresh process with that tree's `src/` first on the path, this script
+runs one fixed, seeded list of calls:
+
+- every public scalar and grid API of the library, at both bands, on the
+  presets, on seeded random drives and on a drive whose gap closes at k = 0
+  (and the Bloch vector on a drive whose parameters are all subnormal);
+- at k = 0, pi and random k, and at t = 0, a negative t, t on a critical
+  time, just inside and just outside its guard window, a random t, t at and
+  just below `ModelParams.time_limit`, t = 1e300 and t = nan;
+- 3000 seeded draws of the tomography route, both signs of Omega, with
+  k = 0 and pi among them;
+- `fdqpt` over a fixed list of argument vectors, in process.
+
+Each outcome is the error type and message, or the value's type and bits:
+float64 and complex128 values as int64 views, so signed zeros and NaN
+payloads count. For `fdqpt` it is the exit code, the SHA-256 of standard
+output and standard error. A name missing from a tree is its own outcome.
+
+The record, `BITS_<N>.json` in the current directory, holds the number of
+calls and, per API, the number of differing calls, how many of them differ
+in the value's type alone, and the largest absolute difference, plain and
+modulo 2 pi, over the calls whose values are arrays of one shape (null if
+none is). It lists every other differing call with both outcomes, a value
+by its type, shape, digest and first values. Nothing in either tree is
+written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dataclasses
+import hashlib
+import importlib
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+MODULES = ("model", "dynamics", "dqpt", "geometry", "topology", "lattice")
+BANDS = ("minus", "plus")
+TOMOGRAPHY_DRAWS = 3000
+CLI_PRESETS = ("example1", "example2", "example3", "nv-plus", "nv-minus")
+CLI_VECTORS = (["retprob", "--k-points", "7", "--t-points", "5"],
+               ["rate", "--k-points", "31", "--t-points", "9"],
+               ["fisher", "--k-points", "9", "--band", "plus"],
+               ["geo", "--k-points", "7", "--t-points", "5", "--format",
+                "json"],
+               ["winding", "--t-points", "9"],
+               ["topo"],
+               ["spectrum", "--sites", "6"])
+CLI_ERRORS = (["winding", "--preset", "example1", "--t-max", "1e300"],
+              ["rate", "--preset", "example1", "--k-points", "1"],
+              ["geo", "--preset", "nope"],
+              ["topo"],
+              ["oracle-check", "--steps", "256"])
+
+
+def time_limit(omega):
+    """ModelParams.time_limit, written out here so that the call list does
+    not depend on either tree: 2^(52 + ceil(log2 W)), W = 1e-3 T."""
+    mantissa, exponent = math.frexp(1e-3 * 2.0 * math.pi / omega)
+    try:
+        return math.ldexp(math.ceil(2.0 * mantissa), 51 + exponent)
+    except OverflowError:
+        return math.inf
+
+
+def drives(model, presets):
+    """(name, params): the presets, 20 seeded draws and a drive whose gap
+    closes at k = 0."""
+    rng = np.random.default_rng(20261018)
+    out = sorted(presets.items())
+    for i in range(20):
+        w, d1, d2, amp = (rng.uniform(0.5, 6.0), *rng.uniform(-5.0, 5.0, 3))
+        out.append((f"draw{i}", model.ModelParams(w, d1, d2, amp)))
+    return out + [("gapless0", model.ModelParams(2.0, 1.0, 1.0, 1.0))]
+
+
+def call_list(presets, model):
+    """[(label, module, name, args)] in a fixed order."""
+    rng = np.random.default_rng(22)
+    calls = []
+
+    def add(module, name, *args):
+        calls.append((f"{module}.{name} #{len(calls)}", module, name, args))
+
+    for _, p in drives(model, presets):
+        period, limit = 2.0 * math.pi / p.omega_drive, time_limit(
+            p.omega_drive)
+        ks = [0.0, math.pi, *rng.uniform(0.0, math.pi, 2).tolist()]
+        ts = [0.0, -0.37 * period, 0.5 * period, (0.5 + 4e-4) * period,
+              (1.5 + 2e-3) * period, rng.uniform(0.0, 3.0 * period), limit,
+              math.nextafter(limit, 0.0), 1e300, math.nan]
+        resolved = np.array([t for t in ts[:6] + ts[7:8]])
+        k_col = np.array(ks)[:, None]
+        for name in ("dqpt_condition", "chiral_winding_numbers"):
+            add("dqpt" if name.startswith("dqpt") else "topology", name, p)
+        add("model", "min_half_gap", p)
+        add("model", "static_field", p, np.array(ks))
+        add("model", "require_resolved_time", p, np.array(ts))
+        for k in ks:
+            add("dqpt", "fisher_tau", p, "minus", k)
+            for t in ts:
+                add("model", "gap_guard", p, k, t)
+                add("dynamics", "propagator_analytic", p, k, t)
+                add("geometry", "geometric_phase_from_tomography", p, k, t)
+                for band in BANDS:
+                    for name in ("return_amplitude", "return_probability"):
+                        add("dynamics", name, p, band, k, t)
+                    for name in ("total_phase", "dynamical_phase",
+                                 "geometric_phase", "bloch_expectations"):
+                        add("geometry", name, p, band, k, t)
+            for t in ts[:2] + ts[5:6] + ts[6:7]:
+                add("dynamics", "propagator_oracle", p, k, t, 256, True)
+        for band in BANDS:
+            add("model", "band_weights", p, band, np.array(ks))
+            add("model", "band_energy", p, band, np.array(ks))
+            add("dqpt", "fisher_tau_grid", p, band, np.array(ks))
+            add("dqpt", "fisher_lines", p, band, np.array(ks))
+            for t in ts:
+                add("dqpt", "rate_function", p, band, t, 181)
+                add("geometry", "winding_number", p, band, t, 401, True)
+                add("geometry", "exact_winding", p, band, t)
+            add("geometry", "exact_winding_grid", p, band, resolved)
+            for grid_ts in (resolved, np.array(ts)):
+                add("dqpt", "rate_function_grid", p, band, grid_ts, 181)
+                add("geometry", "raw_winding_grid", p, band, grid_ts, 401)
+                for module, name in (("dynamics", "return_probability_grid"),
+                                     ("geometry", "geometric_phase_grid"),
+                                     ("geometry", "bloch_vector_grid")):
+                    add(module, name, p, band, k_col, grid_ts)
+        add("geometry", "tomography_phase_grid", p, k_col, resolved,
+            rng.normal(size=(3, len(ks), resolved.size)))
+    tiny = model.ModelParams(1e-310, 1e-310, 1e-310, 1e-310)  # subnormal
+    for band in BANDS:
+        add("geometry", "bloch_expectations", tiny, band, 0.7, 1.0)
+        add("geometry", "bloch_vector_grid", tiny, band,
+            np.array([0.0, 0.7, math.pi]), 1.0)
+    add("geometry", "geometric_phase_from_tomography", tiny, 0.7, 1.0)
+    for name in ("example1", "example2", "nv-plus"):
+        for sites in (6, 20):
+            add("lattice", "obc_floquet_spectrum", presets[name], sites)
+    phases = rng.uniform(-10.0, 10.0, (4, 50))
+    add("geometry", "principal_branch", phases)
+    add("geometry", "wrapped_winding", phases)
+    for _ in range(TOMOGRAPHY_DRAWS):
+        w, d1, d2, amp = (rng.uniform(0.5, 6.0), *rng.uniform(-5.0, 5.0, 3))
+        period = 2.0 * math.pi / w
+        k = rng.choice([0.0, math.pi, rng.uniform(0.0, math.pi)],
+                       p=[0.2, 0.2, 0.6])
+        add("geometry", "geometric_phase_from_tomography",
+            model.ModelParams(w, d1, d2, amp), float(k),
+            rng.uniform(-3.0 * period, 3.0 * period))
+    return calls
+
+
+def encode(x):
+    """A value as JSON: dataclasses and sequences of non-numbers by parts,
+    everything else as its type, dtype, shape and int64 bits."""
+    if dataclasses.is_dataclass(x):
+        return [type(x).__name__] + [encode(getattr(x, f.name))
+                                     for f in dataclasses.fields(x)]
+    if isinstance(x, (list, tuple)) and not all(
+            isinstance(v, (int, float, complex, np.number)) for v in x):
+        return [type(x).__name__] + [encode(v) for v in x]
+    if x is None or isinstance(x, str):
+        return repr(x)
+    a = np.asarray(x)
+    flat = a.reshape(-1)
+    if a.dtype.kind in "fc":
+        flat = flat.astype(np.complex128 if a.dtype.kind == "c"
+                           else np.float64).view(np.int64)
+    return {"type": type(x).__name__, "dtype": a.dtype.str,
+            "shape": list(a.shape), "bits": flat.astype(np.int64).tolist()}
+
+
+def outcome(fn, args):
+    try:
+        return ["ok", encode(fn(*args))]
+    except Exception as exc:  # every error is an outcome to compare
+        return [type(exc).__name__, str(exc)]
+
+
+def run_cli(cli, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return ["exit", code, *(hashlib.sha256(s.getvalue().encode()).hexdigest()
+                            for s in (out, err)), err.getvalue()[:300]]
+
+
+def emit(path):
+    """Run the call list in this process's tree and write the outcomes."""
+    mods = {name: importlib.import_module(f"floquet_dqpt.{name}")
+            for name in MODULES + ("cli",)}
+    results = {}
+    for label, module, name, args in call_list(mods["cli"].PRESETS,
+                                               mods["model"]):
+        fn = getattr(mods[module], name, None)
+        results[label] = ["missing"] if fn is None else outcome(fn, args)
+    for preset in CLI_PRESETS:
+        for argv in CLI_VECTORS:
+            argv = [argv[0], "--preset", preset, *argv[1:]]
+            results["fdqpt " + " ".join(argv)] = run_cli(mods["cli"], argv)
+    for argv in CLI_ERRORS:
+        results["fdqpt " + " ".join(argv)] = run_cli(mods["cli"], argv)
+    Path(path).write_text(json.dumps(results))
+
+
+def values(encoded):
+    """float64 leaves of an encoded value, or None if it has other parts."""
+    if not isinstance(encoded, dict) or encoded["dtype"][1] not in "fc":
+        return None
+    return np.array(encoded["bits"], dtype=np.int64).view(np.float64)
+
+
+def difference(a, b):
+    """(plain, modulo 2 pi) largest |a - b| of two values of one shape."""
+    if a[0] != "ok" or b[0] != "ok":
+        return None
+    x, y = values(a[1]), values(b[1])
+    if x is None or y is None or x.shape != y.shape:
+        return None
+    if not np.array_equal(np.isnan(x), np.isnan(y)):
+        return [math.inf, math.inf]
+    with np.errstate(invalid="ignore"):
+        d = np.where(x == y, 0.0, x - y)  # inf - inf is no difference
+    if not np.isfinite(d[~np.isnan(x)]).all():
+        return [math.inf, math.inf]
+    d = np.nan_to_num(d)
+    wrapped = np.abs(np.arctan2(np.sin(d), np.cos(d)))
+    return [float(np.abs(d).max(initial=0.0)),
+            float(wrapped.max(initial=0.0))]
+
+
+def type_only(a, b):
+    """Whether two outcomes are values with the same bits and types apart."""
+    return (a[0] == b[0] == "ok" and isinstance(a[1], dict)
+            and isinstance(b[1], dict)
+            and {**a[1], "type": None} == {**b[1], "type": None})
+
+
+def summary(outcome):
+    """An outcome as the record lists it: an error as it is, a value as the
+    digest of its encoding, its type and shape, and its first values."""
+    if outcome[0] != "ok":
+        return outcome
+    value = outcome[1]
+    out = {"sha256": hashlib.sha256(
+        json.dumps(value).encode()).hexdigest()[:16]}
+    if isinstance(value, dict):
+        out.update(type=value["type"], shape=value["shape"])
+        x = values(value)
+        if x is not None:
+            out["head"] = x[:4].tolist()
+    return ["ok", out]
+
+
+def run_tree(tree: Path, scratch: Path) -> dict:
+    out = scratch / f"{tree.name}.json"
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    subprocess.run([sys.executable, str(Path(__file__).resolve()), "--emit",
+                    str(out)], cwd=scratch, env=env, check=True)
+    return json.loads(out.read_text())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, nargs="?")
+    parser.add_argument("change", type=Path, nargs="?")
+    parser.add_argument("--number", type=int,
+                        help="N of the record's name, BITS_<N>.json")
+    parser.add_argument("--emit", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.emit:
+        emit(args.emit)
+        return 0
+    if args.parent is None or args.change is None or args.number is None:
+        parser.error("PARENT, CHANGE and --number are required")
+
+    with tempfile.TemporaryDirectory() as scratch:
+        runs = {}
+        for side, tree in (("parent", args.parent), ("change", args.change)):
+            (Path(scratch) / side).mkdir()
+            runs[side] = run_tree(tree.resolve(), Path(scratch) / side)
+    labels = list(dict.fromkeys([*runs["parent"], *runs["change"]]))
+    differing, per_api = [], {}
+    for label in labels:
+        a, b = (runs[side].get(label, ["missing"])
+                for side in ("parent", "change"))
+        if a == b:
+            continue
+        api = per_api.setdefault(label.split(" #")[0], {
+            "differing": 0, "type_only": 0, "max_abs_diff": None})
+        api["differing"] += 1
+        if type_only(a, b):
+            api["type_only"] += 1
+            continue
+        diff = difference(a, b)
+        if diff:
+            api["max_abs_diff"] = [max(x, y) for x, y in
+                                   zip(api["max_abs_diff"] or diff, diff)]
+        differing.append({"call": label, "parent": summary(a),
+                          "change": summary(b), "max_abs_diff": diff})
+    record = {"calls": len(labels),
+              "differing_calls": sum(a["differing"] for a in per_api.values()),
+              "per_api": per_api, "differing": differing}
+    out = Path(f"BITS_{args.number}.json")
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"{out}: {record['differing_calls']} of {len(labels)} calls "
+          "differ", json.dumps(per_api))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,7 +7,9 @@ the dynamical phase is -(E - (w/2)(1 - <sz>)) t in closed form, with
 <sz> = |a|^2 - |b|^2 from the band weights. Its winding along k in [0, pi] is
 the integer invariant nu(t), which jumps by one at every critical time.
 `exact_winding` gives nu in closed form; `winding_number`, the wrapped sum
-over a k grid, is its numerical oracle.
+over a k grid (`wrapped_winding`), is its numerical oracle. The experiment
+reads that sum over `tomography_phase_grid`, the phase rebuilt from a
+measured Bloch vector (`bloch_vector_grid` gives the exact one).
 
 Every value computed from w t refuses, with TimeUnresolved, a t that doubles
 cannot resolve, from |t| = ModelParams.time_limit on. The one exception is
@@ -27,7 +29,7 @@ from .errors import (GaplessPoint, GridTooCoarse, NearCriticalTime,
 from .model import (T_GUARD_FRACTION, ModelParams, _band_sign,
                     _field_weights, _t_chunks, _uniform_band_weights,
                     band_weights, finite_point, gap_guard, min_half_gap,
-                    require_resolved_time)
+                    require_resolved_time, static_field)
 from .dynamics import micromotion_overlap, return_amplitude
 from .dqpt import DEFAULT_K_GRID, dqpt_condition
 
@@ -45,16 +47,12 @@ def principal_branch(x):
     return np.arctan2(np.sin(x), np.cos(x)) + 0.0
 
 
-def _phase(z: complex) -> float:
-    # argument of an amplitude, refused where it is too small to carry one
+def total_phase(params: ModelParams, band: str, k: float, t: float) -> float:
+    """Argument of the return amplitude, principal branch."""
+    z = return_amplitude(params, band, k, t).value
     if abs(z) < AMP_FLOOR:
         raise PhaseUndefined(f"|G| = {abs(z):.3e} < {AMP_FLOOR}")
     return cmath.phase(z)
-
-
-def total_phase(params: ModelParams, band: str, k: float, t: float) -> float:
-    """Argument of the return amplitude, principal branch."""
-    return _phase(return_amplitude(params, band, k, t).value)
 
 
 def dynamical_phase(params: ModelParams, band: str, k: float,
@@ -141,11 +139,9 @@ def winding_number(params: ModelParams, band: str, t: float,
                    return_raw: bool = False):
     """Dynamical invariant nu_band(t): winding of the geometric phase.
 
-    Sums principal-branch-wrapped differences of the geometric phase over
-    adjacent points of a uniform k grid on [0, pi] and divides by 2 pi.
-    The result is rounded to the nearest integer; a raw value farther than
-    0.05 from that integer raises WindingNotQuantized instead of rounding
-    silently.
+    wrapped_winding's sum over a uniform k grid on [0, pi], rounded to the
+    nearest integer; a raw value farther than 0.05 from that integer raises
+    WindingNotQuantized instead of rounding silently.
 
     Its time rule: ValueError for a non-finite t, TimeUnresolved where
     doubles cannot resolve t, and NearCriticalTime within T_GUARD_FRACTION
@@ -167,26 +163,21 @@ def raw_winding_grid(params: ModelParams, band: str, ts,
     undefined (PhaseUndefined); the largest step of the t-linear part
     (w t/2)<sz> between adjacent k samples (GridTooCoarse from pi/2 on: the
     wrapped differences alias while their sum still lands on an integer);
-    whether two successive wrapped steps fall in the ambiguity band
-    (GridTooCoarse); and the raw winding (WindingNotQuantized farther than
-    WINDING_INT_TOL from an integer). The k grid and band weights are
-    computed once per (params, band, k_grid_size), and the times are
-    evaluated in chunks of rows of at most model.GRID_CHUNK k samples, bit
-    for bit as winding_number does. The arrays stop before the first t
-    with |t| >= params.time_limit, which the time rule refuses.
+    then wrapped_winding's ambiguity flag (GridTooCoarse) and raw winding
+    (WindingNotQuantized farther than WINDING_INT_TOL from an integer).
+    The k grid and band weights are computed once per (params, band,
+    k_grid_size), and the times are evaluated in chunks of rows of at most
+    model.GRID_CHUNK k samples, bit for bit as winding_number does. The
+    arrays stop before the first t with |t| >= params.time_limit.
     """
     _check_winding_grid(k_grid_size)
     ts = np.asarray(ts, dtype=float)
     refused = np.abs(ts) >= params.time_limit
     ts = ts[:refused.argmax() if refused.any() else ts.size]
     _, wa, wb = _uniform_band_weights(params, band, k_grid_size)
-    facts = (np.empty(ts.shape, bool), np.empty(ts.shape),
-             np.empty(ts.shape, bool), np.empty(ts.shape))
-    for rows in _t_chunks(ts.size, k_grid_size):
-        for out, row in zip(facts, _winding_rows(params, wa, wb,
-                                                 ts[rows, None])):
-            out[rows] = row
-    return facts
+    chunks = _t_chunks(ts.size, k_grid_size) or [slice(0, 0)]
+    return tuple(map(np.concatenate, zip(*(
+        _winding_rows(params, wa, wb, ts[rows, None]) for rows in chunks))))
 
 
 def quantized_winding(params: ModelParams, t: float, row):
@@ -233,60 +224,84 @@ def _winding_rows(params, wa, wb, t):
     # reduced over the last axis
     phi, drift = _phase_and_drift(params, wa, wb, t)
     jump = np.abs(drift[..., 1:] - drift[..., :-1]).max(axis=-1)
-    steps = principal_branch(phi[..., 1:] - phi[..., :-1])
-    big = np.abs(steps) > math.pi * (1.0 - 1e-6)
-    ambiguous = (big[..., :-1] & big[..., 1:]).any(axis=-1)
-    # NaN exactly where a phase is: steps of finite phases lie in (-pi, pi]
-    raw = steps.sum(axis=-1) / (2.0 * math.pi)
+    ambiguous, raw = wrapped_winding(phi)
     return np.isnan(raw), jump, ambiguous, raw
 
 
+def wrapped_winding(phi):
+    """(ambiguous, raw) of phases sampled along k on the last axis: whether
+    two successive wrapped steps fall in the ambiguity band, and the sum of
+    the principal-branch-wrapped steps over 2 pi, NaN where a phase is."""
+    steps = principal_branch(phi[..., 1:] - phi[..., :-1])
+    big = np.abs(steps) > math.pi * (1.0 - 1e-6)
+    return ((big[..., :-1] & big[..., 1:]).any(axis=-1),
+            steps.sum(axis=-1) / (2.0 * math.pi))
+
+
 def bloch_expectations(params: ModelParams, band: str, k: float, t: float):
-    """(<sx>, <sy>, <sz>) of the evolved Floquet state at (k, t).
-
-    The band's Bloch vector +-(h_xy, 0, h_z - w/2)/(Delta/2) turned about z
-    by U_R(t) through the angle w t.
-    """
-    return _turned_bloch_vector(_band_sign(band), *gap_guard(params, k, t),
-                                params.omega_drive * t)
+    """(<sx>, <sy>, <sz>) at (k, t): bloch_vector_grid at the point."""
+    return tuple(_bloch_vector(params, _band_sign(band),
+                               gap_guard(params, k, t), t).tolist())
 
 
-def _turned_bloch_vector(sign, b, dz, half_gap, wt):
-    # bloch_expectations from the guarded static field
-    r = sign / half_gap
-    return (float(r * b.h_xy * math.cos(wt)),
-            float(r * b.h_xy * math.sin(wt)), float(r * dz))
+def bloch_vector_grid(params: ModelParams, band: str, k, t) -> np.ndarray:
+    """(<sx>, <sy>, <sz>) of the evolved Floquet state over k and t, stacked
+    on a first axis of three: the band's Bloch vector +-(h_xy, 0, h_z -
+    w/2)/(Delta/2) turned about z by w t. NaN where the gap closes."""
+    require_resolved_time(params, t)
+    return _bloch_vector(params, _band_sign(band), static_field(params, k), t)
+
+
+def _bloch_vector(params, sign, field, t):
+    b, dz, half_gap = field
+    # scaled by an exact power of two, so that 1/(Delta/2) cannot overflow
+    xy, dz, hg = np.ldexp((b.h_xy, dz, half_gap), -np.frexp(half_gap)[1])
+    wt = params.omega_drive * np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = sign / hg
+        return np.stack(np.broadcast_arrays(r * xy * np.cos(wt),
+                                            r * xy * np.sin(wt), r * dz))
 
 
 def geometric_phase_from_tomography(params: ModelParams, k: float,
                                     t: float) -> float:
-    """Geometric phase reconstructed from Pauli expectation values.
+    """tomography_phase_grid at one (k, t), fed the analytic Bloch vector;
+    PhaseUndefined where it reads NaN. Lower band only: no band argument."""
+    field = gap_guard(params, k, t)
+    phi = float(_tomography_phase(params, field, t,
+                                  _bloch_vector(params, -1.0, field, t)))
+    if math.isnan(phi):
+        raise PhaseUndefined(f"|G| < {AMP_FLOOR} at k = {k}, t = {t}")
+    return phi
 
-    Mirrors the measurement pipeline: build the Bloch angles (theta of the
-    initial state, cos theta = (h_z - w/2)/(Delta/2) from the static field;
-    vartheta and phi = atan2(<sy>, <sx>) of the evolved state, from its
-    (<sx>, <sy>, <sz>)), form the overlap of initial and evolved modes, and
-    subtract the analytically integrated dynamical contribution (<sz> is
-    constant in the rotating frame). The initial lower-band mode is taken as
-    (sin(theta/2), -s cos(theta/2)), s the sign of h_xy(k) (+1 where
-    h_xy = 0), so the overlap's second term carries s.
-    PhaseUndefined where that reconstructed overlap is below AMP_FLOOR.
 
-    It covers the lower band only, so it takes no band argument.
-    """
-    b, dz, half_gap = gap_guard(params, k, t)
-    w = params.omega_drive
-    sx, sy, sz = _turned_bloch_vector(-1.0, b, dz, half_gap, w * t)
-    theta = math.acos(dz / half_gap)
-    s = 1.0 if b.h_xy >= 0 else -1.0
+def tomography_phase_grid(params: ModelParams, k, t, bloch) -> np.ndarray:
+    """Lower-band geometric phase rebuilt, as the experiment does, from the
+    measured Bloch vector bloch = (<sx>, <sy>, <sz>) of one shape, broadcast
+    with k and t: the angles theta of the initial state (cos theta =
+    (h_z - w/2)/(Delta/2)) and vartheta, phi of the measured one give the
+    overlap of the initial mode (sin(theta/2), -s cos(theta/2)), s = sign
+    h_xy (+1 at h_xy = 0), with the evolved one; (w/2)(<sz> - 1) t adds the
+    dynamical part. NaN where that overlap is below AMP_FLOOR or bloch = 0."""
+    require_resolved_time(params, t)
+    return _tomography_phase(params, static_field(params, k), t, bloch)
 
-    norm = math.sqrt(sx * sx + sy * sy + sz * sz)
-    cos_vt = max(-1.0, min(1.0, sz / norm))
-    # where h_xy = 0 the vector sits on a pole with no azimuth of its own;
-    # take its limit along the drive's turn, w t + pi for s = +1
-    phi = math.atan2(sy, sx) if b.h_xy != 0 else w * t + math.pi
 
-    overlap = (math.sin(0.5 * theta) * math.sqrt(0.5 * (1.0 + cos_vt))
-               - s * cmath.exp(1j * phi) * math.cos(0.5 * theta)
-               * math.sqrt(0.5 * (1.0 - cos_vt)))
-    return principal_branch(_phase(overlap) + 0.5 * w * sz * t - 0.5 * w * t)
+def _tomography_phase(params, field, t, bloch):
+    b, dz, half_gap = field
+    sx, sy, sz = bloch = np.asarray(bloch, dtype=float)
+    w, t = params.omega_drive, np.asarray(t, dtype=float)
+    with np.errstate(all="ignore"):
+        theta = np.arccos(dz / half_gap)
+        # its length, scaled by an exact power of two so no square overflows
+        x, y, z = np.ldexp(bloch, -np.frexp(np.abs(bloch).max(axis=0))[1])
+        cos_vt = np.clip(z / np.sqrt(x * x + y * y + z * z), -1.0, 1.0)
+        # where h_xy = 0 the vector sits on a pole with no azimuth of its
+        # own; take its limit along the drive's turn, w t + pi for s = +1
+        phi = np.where(b.h_xy != 0, np.arctan2(sy, sx), w * t + math.pi)
+        overlap = (np.sin(0.5 * theta) * np.sqrt(0.5 * (1.0 + cos_vt))
+                   - np.where(b.h_xy >= 0, 1.0, -1.0) * np.exp(1j * phi)
+                   * np.cos(0.5 * theta) * np.sqrt(0.5 * (1.0 - cos_vt)))
+        phase = principal_branch(np.angle(overlap) + 0.5 * w * sz * t
+                                 - 0.5 * w * t)
+    return np.where(np.abs(overlap) < AMP_FLOOR, np.nan, phase)

@@ -80,7 +80,7 @@ class ModelParams:
     def gap_floor(self) -> float:
         return GAP_FLOOR_REL * self.scale
 
-    @property
+    @functools.cached_property
     def time_limit(self) -> float:
         """Least |t| doubles cannot resolve, 2^(52 + ceil(log2 W)): the least
         power of two whose ulp reaches the window W = T_GUARD_FRACTION T, where

@@ -13,12 +13,14 @@ from floquet_dqpt import geometry
 from floquet_dqpt.cli import PRESETS
 from floquet_dqpt.model import band_energy, bloch_components, micromotion
 from floquet_dqpt.dynamics import propagator_oracle, return_probability
-from floquet_dqpt.geometry import (bloch_expectations, dynamical_phase,
-                                   exact_winding, exact_winding_grid,
-                                   geometric_phase, geometric_phase_grid,
+from floquet_dqpt.geometry import (bloch_expectations, bloch_vector_grid,
+                                   dynamical_phase, exact_winding,
+                                   exact_winding_grid, geometric_phase,
+                                   geometric_phase_grid,
                                    geometric_phase_from_tomography,
-                                   principal_branch, total_phase,
-                                   winding_number)
+                                   principal_branch, tomography_phase_grid,
+                                   total_phase, winding_number,
+                                   wrapped_winding)
 
 from conftest import random_params
 from oracles import rotating_frame_hamiltonian
@@ -377,9 +379,9 @@ def test_tomography_at_zone_ends(preset):
 def tomography_winding(p, t, n_k=401):
     """nu as an experiment reads it: the wrapped sum of the tomography
     route's phase over n_k uniform k on [0, pi], both ends included."""
-    phases = [geometric_phase_from_tomography(p, k, t)
-              for k in np.linspace(0.0, math.pi, n_k)]
-    return float(principal_branch(np.diff(phases)).sum() / (2.0 * math.pi))
+    k = np.linspace(0.0, math.pi, n_k)
+    bloch = bloch_vector_grid(p, "minus", k, t)
+    return float(wrapped_winding(tomography_phase_grid(p, k, t, bloch))[1])
 
 
 @pytest.mark.parametrize("preset, nus", [("example1", (0, 1, 1, 2)),
@@ -411,6 +413,32 @@ def test_tomography_winding_equals_the_closed_form():
         checked += 1
         nonzero += nu != 0
     assert nonzero > 40
+
+
+@pytest.mark.parametrize("preset, nus", [("example1", (0, 1, 1, 2)),
+                                         ("nv-plus", (0, 1, 1, 2)),
+                                         ("nv-minus", (0, 0, 0, 0))])
+def test_tomography_winding_survives_shot_noise(preset, nus):
+    # each measured component is the mean of `shots` outcomes +-1, with
+    # p(+1) = (1 + s)/2; 20 seeded repeats per time. On 4000 draws per
+    # preset, example1 slipped a winding at 1000 shots on 21 or 41 k and at
+    # 2000 on 41 k, never at 5000 on 41 k; the NV presets never did
+    shots, k = 10_000, np.linspace(0.0, math.pi, 41)
+    rng = np.random.default_rng(22)
+    p = PRESETS[preset]
+    for fraction, nu in zip((0.3, 0.7, 1.3, 2.4), nus):
+        t = fraction * p.period
+        assert exact_winding(p, "minus", t) == nu
+        p_up = np.clip(0.5 * (1.0 + bloch_vector_grid(p, "minus", k, t)),
+                       0.0, 1.0)
+        for _ in range(20):
+            measured = 2.0 * rng.binomial(shots, p_up) / shots - 1.0
+            _, raw = wrapped_winding(tomography_phase_grid(p, k, t, measured))
+            assert abs(raw - nu) < geometry.WINDING_INT_TOL
+    # a zero vector has no direction: NaN, and no RuntimeWarning (which the
+    # suite's warning filter turns into an error)
+    zero = np.zeros((3, k.size))
+    assert np.isnan(tomography_phase_grid(p, k, 0.3 * p.period, zero)).all()
 
 
 def test_tomography_band_guard(ex1):

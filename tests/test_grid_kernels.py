@@ -19,12 +19,15 @@ from floquet_dqpt.dynamics import (propagator_analytic, return_amplitude,
                                    return_probability,
                                    return_probability_grid)
 from floquet_dqpt.errors import (GaplessPoint, GridTooCoarse,
-                                 NumericalGuardError, TimeUnresolved)
-from floquet_dqpt.geometry import (bloch_expectations, dynamical_phase,
-                                   geometric_phase, geometric_phase_grid,
+                                 NumericalGuardError, PhaseUndefined,
+                                 TimeUnresolved)
+from floquet_dqpt.geometry import (bloch_expectations, bloch_vector_grid,
+                                   dynamical_phase, geometric_phase,
+                                   geometric_phase_grid,
                                    geometric_phase_from_tomography,
                                    quantized_winding, raw_winding_grid,
-                                   total_phase, winding_number)
+                                   tomography_phase_grid, total_phase,
+                                   winding_number)
 from floquet_dqpt.model import (GRID_CHUNK, ModelParams,
                                 _uniform_band_weights)
 
@@ -90,15 +93,41 @@ def seeded_cases():
             for p, n_k, n_t, band in cases]
 
 
+def assert_tomography_kernels_equal_scalar_calls(p, band, ts):
+    """The Bloch vector and tomography phase over a (k, t) grid, the zone
+    ends and example1's k_c = pi/3 included, equal the scalar calls bit for
+    bit, and are NaN where those raise (GaplessPoint, PhaseUndefined)."""
+    ks = np.linspace(0.0, math.pi, 4)
+    vectors = bloch_vector_grid(p, band, ks[:, None], ts)
+    phases = tomography_phase_grid(
+        p, ks[:, None], ts, bloch_vector_grid(p, "minus", ks[:, None], ts))
+    assert vectors.shape == (3,) + phases.shape == (3, 4, ts.size)
+    for (i, j), phase in np.ndenumerate(phases):
+        k, t = ks[i].item(), ts[j].item()
+        for got, want in ((vectors[:, i, j],
+                           outcome(bloch_expectations, p, band, k, t)),
+                          (phase, outcome(geometric_phase_from_tomography,
+                                          p, k, t))):
+            if want[0] == "ok":
+                assert np.array_equal(bits(got), bits(want[1]))
+            else:
+                assert want[0] in (GaplessPoint, PhaseUndefined), want
+                assert np.isnan(got).all()
+
+
 def test_grids_equal_scalar_calls_bit_for_bit():
     cases = seeded_cases()
     assert len(cases) > 200
+    # |G| = 0 exactly at example1's (k_c, t_c) = (pi/3, 1)
+    assert_tomography_kernels_equal_scalar_calls(EXAMPLE1, "minus",
+                                                 np.array([1.0, 0.5]))
     kinds = {}
     for p, n_k, ts, band in cases:
         g = rate_function_grid(p, band, ts, n_k)
         assert g.shape == ts.shape
         assert np.array_equal(bits(g), bits([rate_function(p, band, t, n_k)
                                              for t in ts.tolist()]))
+        assert_tomography_kernels_equal_scalar_calls(p, band, ts[:2])
         if n_k < geometry.MIN_WINDING_GRID:
             assert outcome(raw_winding_grid, p, band, ts, n_k) \
                 == outcome(winding_number, p, band, 0.0, n_k)
