@@ -2,8 +2,8 @@
 
 Modules
 -------
-model     : Bloch Hamiltonian, rotating frame, static-field kernel, band data
-dynamics  : closed-form propagator, brute-force oracle, return amplitudes
+model     : drive parameters, Bloch field, static-field kernel, band data
+dynamics  : closed-form SU(2) propagator, brute-force oracle, return amplitudes
 dqpt      : rate function, Fisher zeros, critical condition
 geometry  : Pancharatnam phases, dynamical winding number, tomography route
 topology  : chiral time frames and the closed-form (W0, Wpi) invariants
@@ -11,7 +11,7 @@ lattice   : open-chain BdG Floquet spectrum with pi edge-mode flags
 cli       : dataset-producing command-line front end (`fdqpt`)
 """
 
-from .model import ModelParams, BlochComponents, bloch_components, micromotion
+from .model import ModelParams, BlochComponents, bloch_components
 from .dynamics import (ReturnAmplitude, propagator_analytic, propagator_oracle,
                        return_amplitude, return_probability)
 from .dqpt import (CriticalSet, FisherLine, dqpt_condition, fisher_tau,

@@ -3,8 +3,8 @@
 Two routes to the time evolution operator are kept deliberately separate:
 
 * `propagator_analytic` uses the exact rotating-frame factorization
-  U(k, t) = U_R(t) exp(-i H_F(k) t), whose static factor is the closed-form
-  SU(2) exponential of the field `model.static_field`;
+  U(k, t) = U_R(t) exp(-i H_F(k) t) as the SU(2) matrix [[a, b], [-b*, a*]]
+  whose two entries are closed forms in the field `model.static_field`;
 * `propagator_oracle` integrates dU/dt = -i H(k, t) U with a classical
   fixed-step 4th-order scheme and knows nothing about the rotating frame.
 
@@ -28,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepCountTooSmall
-from .model import (SIGMA_0, SIGMA_X, SIGMA_Z, ModelParams, _band_sign,
-                    _field_energy, _field_weights, band_weights,
-                    bloch_components, gap_guard, micromotion,
+from .model import (ModelParams, _band_sign, _field_energy, _field_weights,
+                    band_weights, bloch_components, gap_guard,
                     require_resolved_time)
 
 MIN_ORACLE_STEPS = 256
@@ -52,19 +51,20 @@ class ReturnAmplitude:
 
 
 def propagator_analytic(params: ModelParams, k: float, t: float) -> np.ndarray:
-    """Exact propagator U(k, t) = U_R(t) exp(-i H_F(k) t).
+    """Exact propagator U(k, t) = U_R(t) exp(-i H_F(k) t) as an SU(2) pair:
 
-    With H_F = (w/2) I + (Delta/2) n.sigma, n the unit static field,
-    exp(-i H_F t) = e^{-i w t/2} [cos(Delta t/2) I - i sin(Delta t/2) n.sigma].
+    U = [[a, b], [-b*, a*]], a = p (cos x - i n_z sin x), b = -i p n_x sin x,
+    with p = e^{-i w t/2}, x = Delta t/2, n = (h_xy, 0, dz)/(Delta/2).
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     b, dz, half_gap = gap_guard(params, k, t)
     angle = half_gap * t
-    rotation = (math.cos(angle) * SIGMA_0 - 1j * (math.sin(angle) / half_gap)
-                * (b.h_xy * SIGMA_X + dz * SIGMA_Z))
-    return micromotion(params, t) @ (
-        cmath.exp(-0.5j * params.omega_drive * t) * rotation)
+    s = math.sin(angle) / half_gap
+    phase = cmath.exp(-0.5j * params.omega_drive * t)
+    u00 = phase * complex(math.cos(angle), -s * dz)
+    u01 = phase * complex(0.0, -s * b.h_xy)
+    return np.array([[u00, u01], [-u01.conjugate(), u00.conjugate()]])
 
 
 def propagator_oracle(params: ModelParams, k: float, t: float,

@@ -28,10 +28,6 @@ import numpy as np
 
 from .errors import GaplessPoint, TimeUnresolved
 
-SIGMA_0 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
 # Relative gap floor below which band labels are numerically meaningless.
 GAP_FLOOR_REL = 1e-9
 
@@ -109,12 +105,6 @@ def bloch_components(params: ModelParams, k):
     h_xy = 0.5 * params.omega_amp * np.sin(k)
     h_z = 0.5 * (params.delta1 * np.cos(k) + params.delta2)
     return BlochComponents(h_xy=h_xy, h_z=h_z)
-
-
-def micromotion(params: ModelParams, t: float) -> np.ndarray:
-    """Micromotion operator U_R(t) = diag(1, e^{i w t})."""
-    return np.array([[1.0, 0.0], [0.0, np.exp(1j * params.omega_drive * t)]],
-                    dtype=complex)
 
 
 def static_field(params: ModelParams, k):

@@ -2,6 +2,11 @@
 checked against. None of them imports `floquet_dqpt.lattice` or calls the
 library's band kernels.
 
+The references own their 2x2 matrices: the Pauli matrices `SIGMA_0`,
+`SIGMA_X`, `SIGMA_Y`, `SIGMA_Z` and the micromotion U_R(t) = diag(1, e^{i w t})
+of the rotating frame, `micromotion`, are defined here and nowhere in the
+library, whose closed forms never build them.
+
 `rotating_frame_hamiltonian` builds the static H_F(k) as a matrix; its
 `np.linalg.eigh` gives the reference quasienergies and modes, whose phases
 are arbitrary, so the tests compare only phase-invariant quantities.
@@ -11,6 +16,10 @@ are arbitrary, so the tests compare only phase-invariant quantities.
 module docstring, open or antiperiodic. `one_period_propagator` is its
 time-ordered RK4 U(T), the oracle of `lattice.obc_floquet_spectrum`, and
 `momentum_consistency_check` compares its Fourier blocks with H(k, t).
+
+`ring_loschmidt_rate` is the many-body Loschmidt rate g_N(t) of the
+antiperiodic ring (Heyl, Polkovnikov & Kehrein, PRL 110, 135704, 2013),
+from determinants of the chain's BdG modes with no reference to k.
 
 `scalar_rk4_propagator` is the per-step Python loop that
 `dynamics.propagator_oracle` replaced with one pairwise product of RK4 step
@@ -32,13 +41,20 @@ import numpy as np
 
 from floquet_dqpt.dynamics import reunitarize
 from floquet_dqpt.errors import StepCountTooSmall
-from floquet_dqpt.model import (ModelParams, SIGMA_0, SIGMA_X, SIGMA_Z,
-                                bloch_components)
+from floquet_dqpt.model import ModelParams, bloch_components
 
+SIGMA_0 = np.eye(2, dtype=complex)
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 DEFAULT_WINDING_GRID = 4001
 MIN_SPECTRUM_STEPS = 1024
+
+
+def micromotion(params: ModelParams, t: float) -> np.ndarray:
+    """Micromotion operator U_R(t) = diag(1, e^{i w t})."""
+    return np.diag([1.0, cmath.exp(1j * params.omega_drive * t)])
 
 
 def rotating_frame_hamiltonian(params: ModelParams, k: float) -> np.ndarray:
@@ -138,6 +154,31 @@ def one_period_propagator(params: ModelParams, n_sites: int, steps: int,
         k4 = g1 @ (u + h * k3)
         u = u + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     return u
+
+
+def ring_loschmidt_rate(params: ModelParams, n_sites: int, ts) -> np.ndarray:
+    """g_N(t) = -(2/N) ln |<psi0| e^{i w t N/2} |psi0>|^2 at each t of ts.
+
+    psi0 fills the N negative modes W (2N x N) of the antiperiodic ring's
+    H_bdg(0)/2 - (w/2) tau_z, the rotating-frame Hamiltonian up to a
+    constant, and the overlap squared is |det(W^dag S W)| with
+    S = diag(e^{-i w t/2} I, e^{i w t/2} I): g_N is normalized like
+    `dqpt.rate_function`. ValueError where no gap separates the modes.
+    """
+    n = n_sites
+    tau_z = np.repeat([1.0, -1.0], n)
+    h_eff = (0.5 * bdg_hamiltonian(params, n, 0.0, antiperiodic=True)
+             - np.diag(0.5 * params.omega_drive * tau_z))
+    energies, modes = np.linalg.eigh(h_eff)
+    if not energies[n - 1] < 0.0 < energies[n]:
+        raise ValueError("no gap at zero energy: the filling is ambiguous")
+    w = modes[:, :n]
+    rates = []
+    for t in ts:
+        s = np.exp(-0.5j * params.omega_drive * t * tau_z)
+        _, log_abs = np.linalg.slogdet(w.conj().T @ (s[:, None] * w))
+        rates.append(-2.0 / n * log_abs)
+    return np.array(rates)
 
 
 def su2_exponential(nx: float, nz: float) -> np.ndarray:

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from floquet_dqpt.errors import DegenerateDelta1, UndefinedTau
-from floquet_dqpt.model import ModelParams, band_weights
+from floquet_dqpt.cli import PRESETS
+from floquet_dqpt.dynamics import return_probability_grid
+from floquet_dqpt.model import ModelParams, band_weights, min_half_gap
 from floquet_dqpt.dqpt import (dqpt_condition, fisher_lines, fisher_tau,
                                fisher_tau_grid, rate_function,
                                rate_function_grid)
 
 from conftest import random_params
+from oracles import ring_loschmidt_rate
 
 
 def test_condition_examples(ex1, ex2, ex3):
@@ -208,3 +211,24 @@ def test_smooth_rate_function_for_random_noncritical():
         right = (g(t_c + 2 * h) - g(t_c + h)) / h
         assert abs(right - left) < 0.05 * p.scale
         found += 1
+
+
+def test_ring_loschmidt_rate_is_the_mean_over_the_ring_momenta():
+    # the chain's own g_N(t), from the BdG vacuum of the antiperiodic ring,
+    # is exactly the mean of -ln |G|^2 over the ring's k_j = (2j + 1) pi / N
+    rng = np.random.default_rng(73)
+    drives = list(PRESETS.values())
+    while len(drives) < 9:
+        p = random_params(rng)
+        if min_half_gap(p) > 0.05 * p.scale:
+            drives.append(p)
+    x = np.linspace(0.0, 3.0, 31)
+    x = x[np.abs(x % 1.0 - 0.5) > 0.1]  # away from t_c, an odd multiple of T/2
+    for p in drives:
+        ts = p.period * x
+        for n in (12, 40):
+            k = (2 * np.arange(n) + 1) * math.pi / n
+            probs = return_probability_grid(p, "minus", k[:, None], ts)
+            expected = -np.log(probs).mean(axis=0)
+            assert np.abs(ring_loschmidt_rate(p, n, ts) - expected).max() \
+                < 1e-13

@@ -10,14 +10,15 @@ from hypothesis import given, settings, strategies as st
 from floquet_dqpt import dynamics
 from floquet_dqpt.errors import (GaplessPoint, StepCountTooSmall,
                                  TimeUnresolved)
-from floquet_dqpt.model import SIGMA_X, bloch_components, micromotion
+from floquet_dqpt.model import bloch_components
 from floquet_dqpt.dynamics import (propagator_analytic, propagator_oracle,
                                    return_amplitude, return_probability,
                                    return_probability_grid, reunitarize)
 
 import oracles
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3, random_params
-from oracles import rotating_frame_hamiltonian, scalar_rk4_propagator
+from oracles import (SIGMA_X, micromotion, rotating_frame_hamiltonian,
+                     scalar_rk4_propagator)
 
 
 def test_propagators_identity_at_t0(ex1):
@@ -83,6 +84,10 @@ def test_propagator_closed_form_matches_spectral_form():
         spectral = micromotion(p, t) @ (modes * np.exp(-1j * energies * t)) \
             @ modes.conj().T
         assert np.abs(u - spectral).max() < 1e-10
+        # exactly the SU(2) pair [[a, b], [-b*, a*]], bit for bit
+        pair = np.array([-u[0, 1].conjugate(), u[0, 0].conjugate()])
+        assert np.array_equal(u[1].view(np.int64), pair.view(np.int64))
+        assert abs(np.linalg.det(u) - 1.0) <= 1e-15
         checked += 1
 
 
@@ -325,7 +330,7 @@ def test_return_probability_grid_matches_scalar(ex1):
 
 ANALYTIC_ROUTE = {"static_field", "gap_guard", "finite_point",
                   "band_weights", "band_energy", "_field_weights",
-                  "_field_energy", "micromotion", "micromotion_overlap",
+                  "_field_energy", "micromotion_overlap",
                   "propagator_analytic", "obc_floquet_spectrum"}
 
 
@@ -341,20 +346,26 @@ def code_names(code) -> set:
 def test_oracles_share_no_code_with_analytic_route():
     for oracle in (dynamics.propagator_oracle, oracles.one_period_propagator,
                    oracles.bdg_hamiltonian, oracles.rotating_frame_hamiltonian,
-                   oracles.hamiltonian_lab,
-                   oracles.momentum_consistency_check):
+                   oracles.hamiltonian_lab, oracles.micromotion,
+                   oracles.momentum_consistency_check,
+                   oracles.ring_loschmidt_rate):
         assert not code_names(oracle.__code__) & ANALYTIC_ROUTE, \
             oracle.__name__
     # the chain oracles build their own matrix, not the library's
     tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
-    sources = set()
+    sources, library_names = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             sources |= {node.module} | {f"{node.module}.{alias.name}"
                                         for alias in node.names}
+            if node.module.split(".")[0] == "floquet_dqpt":
+                library_names |= {alias.name for alias in node.names}
         elif isinstance(node, ast.Import):
             sources |= {alias.name for alias in node.names}
     assert "floquet_dqpt.lattice" not in sources
+    # the references own their Pauli matrices and U_R(t)
+    assert not {name for name in library_names
+                if name.startswith("SIGMA_") or name == "micromotion"}
 
 
 def test_nv_experiment_values():

@@ -11,7 +11,7 @@ from floquet_dqpt.errors import (DegenerateDelta1, GaplessPoint,
                                  TimeUnresolved)
 from floquet_dqpt import geometry
 from floquet_dqpt.cli import PRESETS
-from floquet_dqpt.model import band_energy, bloch_components, micromotion
+from floquet_dqpt.model import band_energy, bloch_components
 from floquet_dqpt.dynamics import propagator_oracle, return_probability
 from floquet_dqpt.geometry import (bloch_expectations, bloch_vector_grid,
                                    dynamical_phase, exact_winding,
@@ -23,7 +23,7 @@ from floquet_dqpt.geometry import (bloch_expectations, bloch_vector_grid,
                                    wrapped_winding)
 
 from conftest import random_params
-from oracles import rotating_frame_hamiltonian
+from oracles import micromotion, rotating_frame_hamiltonian
 
 K_C1 = math.pi / 3  # critical momentum of the first example set
 

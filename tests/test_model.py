@@ -18,13 +18,14 @@ from floquet_dqpt.geometry import (bloch_expectations, dynamical_phase,
                                    geometric_phase,
                                    geometric_phase_from_tomography,
                                    geometric_phase_grid, total_phase)
-from floquet_dqpt.model import (T_GUARD_FRACTION, ModelParams, SIGMA_Z,
+from floquet_dqpt.model import (T_GUARD_FRACTION, ModelParams,
                                 bloch_components, band_energy, band_weights,
-                                gap_guard, micromotion, min_half_gap,
+                                gap_guard, min_half_gap,
                                 require_resolved_time, static_field)
 
 from conftest import EXAMPLE1, random_params
-from oracles import SIGMA_Y, hamiltonian_lab, rotating_frame_hamiltonian
+from oracles import (SIGMA_Y, SIGMA_Z, hamiltonian_lab, micromotion,
+                     rotating_frame_hamiltonian)
 
 param_floats = st.floats(-5.0, 5.0, allow_nan=False)
 k_floats = st.floats(0.0, math.pi, allow_nan=False)
