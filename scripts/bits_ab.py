@@ -11,6 +11,8 @@ runs one fixed, seeded list of calls:
 - every public scalar and grid API of the library, at both bands, on the
   presets, on seeded random drives and on a drive whose gap closes at k = 0
   (and the Bloch vector on a drive whose parameters are all subnormal);
+- the minimum gap, the chiral invariants and nu at T/4 of a drive whose gap
+  closes at an interior k, scaled to 1e-300, 1e160 and 1e300;
 - at k = 0, pi and random k, and at t = 0, a negative t, t on a critical
   time, just inside and just outside its guard window, a random t, t at and
   just below `ModelParams.time_limit`, t = 1e300 and t = nan;
@@ -151,6 +153,14 @@ def call_list(presets, model):
         add("geometry", "bloch_vector_grid", tiny, band,
             np.array([0.0, 0.7, math.pi]), 1.0)
     add("geometry", "geometric_phase_from_tomography", tiny, 0.7, 1.0)
+    # the gap closes at the vertex cos k = -1/8; at these scales a square of
+    # a parameter overflows or underflows
+    for s in (1e-300, 1e160, 1e300):
+        vertex = model.ModelParams(s, 0.8 * s, 1.1 * s, 0.0)
+        add("model", "min_half_gap", vertex)
+        add("topology", "chiral_winding_numbers", vertex)
+        add("geometry", "exact_winding", vertex, "minus",
+            0.5 * math.pi / vertex.omega_drive)
     for name in ("example1", "example2", "nv-plus"):
         for sites in (6, 20):
             add("lattice", "obc_floquet_spectrum", presets[name], sites)

@@ -36,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dqpt, dynamics, geometry, lattice, topology
-from .errors import (ConfigError, GridTooCoarse, NearCriticalTime,
-                     NumericalGuardError, WindingMismatch)
+from .errors import ConfigError, NumericalGuardError, WindingMismatch
 from .model import ModelParams, gap_guard
 
 TWO_PI = 2.0 * math.pi
@@ -389,25 +388,14 @@ def cmd_geo(cfg: RunConfig):
 
 
 def cmd_winding(cfg: RunConfig):
-    """nu in closed form; raw from the oracle winding_number on
-    max(k_points, MIN_WINDING_GRID) k points, NaN where that grid cannot
-    resolve t, and an error where it rounds to another integer than nu."""
+    """nu in closed form next to raw_winding_grid's trace on
+    max(k_points, MIN_WINDING_GRID) k points: guard windows are gaps, raw is
+    NaN where that grid cannot resolve t, and a finite raw that rounds to
+    another integer than nu is an error."""
     dqpt.dqpt_condition(cfg.params)  # DegenerateDelta1 before any t
     n_k = max(cfg.k_points, geometry.MIN_WINDING_GRID)
-    grid = t_grid(cfg)
-    facts = geometry.raw_winding_grid(cfg.params, cfg.band, grid, n_k)
-    ts, raws = [], []
-    # winding_number's guards at each t in turn, so the first error in t
-    # order is raised; the rows stop before the first t its guard refuses
-    rows = zip(*(f.tolist() for f in facts))
-    for t, row in itertools.zip_longest(grid.tolist(), rows):
-        try:
-            raws.append(geometry.quantized_winding(cfg.params, t, row)[1])
-        except NearCriticalTime:
-            continue  # guard windows are emitted as gaps
-        except GridTooCoarse:
-            raws.append(math.nan)
-        ts.append(t)
+    ts, raws = geometry.raw_winding_grid(cfg.params, cfg.band, t_grid(cfg),
+                                         n_k)
     # after the oracle, so its guard errors come first
     nus = geometry.exact_winding_grid(cfg.params, cfg.band, ts)
     wrong = np.isfinite(raws) & (np.rint(raws) != nus)

@@ -60,17 +60,12 @@ def dqpt_condition(params: ModelParams) -> CriticalSet:
     listed over the first three periods.
     """
     w, d1, d2 = params.omega_drive, params.delta1, params.delta2
+    if abs(w - d2) > abs(d1):
+        return CriticalSet(has_dqpt=False, k_c=None)
     if d1 == 0.0:
-        if w == d2:
-            raise DegenerateDelta1(
-                "delta1 = 0 with omega = delta2: every momentum is critical")
-        return CriticalSet(has_dqpt=False, k_c=None)
-
-    ratio = (w - d2) / d1
-    has = abs(w - d2) <= abs(d1)
-    if not has:
-        return CriticalSet(has_dqpt=False, k_c=None)
-    k_c = math.acos(max(-1.0, min(1.0, ratio)))
+        raise DegenerateDelta1(
+            "delta1 = 0 with omega = delta2: every momentum is critical")
+    k_c = math.acos((w - d2) / d1)  # |a| <= |b| keeps fl(a/b) in [-1, 1]
     half = 0.5 * params.period
     return CriticalSet(has_dqpt=True, k_c=k_c,
                        critical_times=[(2 * n - 1) * half for n in (1, 2, 3)])

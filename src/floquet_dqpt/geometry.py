@@ -7,9 +7,11 @@ the dynamical phase is -(E - (w/2)(1 - <sz>)) t in closed form, with
 <sz> = |a|^2 - |b|^2 from the band weights. Its winding along k in [0, pi] is
 the integer invariant nu(t), which jumps by one at every critical time.
 `exact_winding` gives nu in closed form; `winding_number`, the wrapped sum
-over a k grid (`wrapped_winding`), is its numerical oracle. The experiment
-reads that sum over `tomography_phase_grid`, the phase rebuilt from a
-measured Bloch vector (`bloch_vector_grid` gives the exact one).
+over a k grid (`wrapped_winding`), is its numerical oracle, and
+`raw_winding_grid` the trace of that oracle over t that `fdqpt winding`
+prints. The experiment reads that sum over `tomography_phase_grid`, the
+phase rebuilt from a measured Bloch vector (`bloch_vector_grid` gives the
+exact one).
 
 Every value computed from w t refuses, with TimeUnresolved, a t that doubles
 cannot resolve, from |t| = ModelParams.time_limit on. The one exception is
@@ -139,66 +141,72 @@ def winding_number(params: ModelParams, band: str, t: float,
                    return_raw: bool = False):
     """Dynamical invariant nu_band(t): winding of the geometric phase.
 
-    wrapped_winding's sum over a uniform k grid on [0, pi], rounded to the
-    nearest integer; a raw value farther than 0.05 from that integer raises
-    WindingNotQuantized instead of rounding silently.
-
-    Its time rule: ValueError for a non-finite t, TimeUnresolved where
-    doubles cannot resolve t, and NearCriticalTime within T_GUARD_FRACTION
-    of a period of a critical time +-(2n-1) T/2 of a drive that has them.
+    wrapped_winding's sum over a uniform k grid on [0, pi], rounded. Raises,
+    in order: ValueError for a non-finite t, TimeUnresolved where doubles
+    cannot resolve t, NearCriticalTime within T_GUARD_FRACTION T of a
+    critical time +-(2n-1) T/2 of a drive that has them; then, from t's row,
+    PhaseUndefined, GridTooCoarse where (w t/2)<sz> moves by pi/2 or more
+    between adjacent k samples (the wrapped sum aliases) or two successive
+    wrapped steps fall in the ambiguity band, and WindingNotQuantized for a
+    sum farther than WINDING_INT_TOL from an integer.
     """
     _check_winding_grid(k_grid_size)
     _time_guard(params, t)  # before the row: w t is noise at a refused t
-    nu, raw = quantized_winding(params, t, _winding_rows(
+    raw = _row_verdict(*_winding_rows(
         params, *_uniform_band_weights(params, band, k_grid_size)[1:], t))
+    nu = int(round(raw))
     return (nu, raw) if return_raw else nu
 
 
 def raw_winding_grid(params: ModelParams, band: str, ts,
                      k_grid_size: int = DEFAULT_K_GRID):
-    """winding_number's sum at every t of a 1-D array, without its time
-    rule: per t, the facts its guards read, in their order.
-
-    Returns four arrays over t: whether a geometric phase on the k grid is
-    undefined (PhaseUndefined); the largest step of the t-linear part
-    (w t/2)<sz> between adjacent k samples (GridTooCoarse from pi/2 on: the
-    wrapped differences alias while their sum still lands on an integer);
-    then wrapped_winding's ambiguity flag (GridTooCoarse) and raw winding
-    (WindingNotQuantized farther than WINDING_INT_TOL from an integer).
-    The k grid and band weights are computed once per (params, band,
-    k_grid_size), and the times are evaluated in chunks of rows of at most
-    model.GRID_CHUNK k samples, bit for bit as winding_number does. The
-    arrays stop before the first t with |t| >= params.time_limit.
+    """(kept times, raw winding) over a 1-D array of times, the trace
+    `fdqpt winding` prints: winding_number's loop over ts in array order,
+    with a t in a guard window (NearCriticalTime) left out, a too-coarse
+    grid (GridTooCoarse) read as NaN, and any other error raised at the
+    first t that has one. The rows, bit for bit winding_number's, read the
+    cached k grid and weights in chunks of at most model.GRID_CHUNK k
+    samples, up to the first t that doubles cannot resolve.
     """
     _check_winding_grid(k_grid_size)
     ts = np.asarray(ts, dtype=float)
-    refused = np.abs(ts) >= params.time_limit
-    ts = ts[:refused.argmax() if refused.any() else ts.size]
+    unresolved = ~(np.abs(ts) < params.time_limit)
+    n = unresolved.argmax() if unresolved.any() else ts.size
+    ts, refused = ts[:n], ts[n:]
     _, wa, wb = _uniform_band_weights(params, band, k_grid_size)
-    chunks = _t_chunks(ts.size, k_grid_size) or [slice(0, 0)]
-    return tuple(map(np.concatenate, zip(*(
-        _winding_rows(params, wa, wb, ts[rows, None]) for rows in chunks))))
+    rows = (np.concatenate(f).tolist() for f in zip(*(
+        _winding_rows(params, wa, wb, ts[c, None])
+        for c in _t_chunks(n, k_grid_size))))
+    kept, raws = [], []
+    for t, *row in zip(ts.tolist(), *rows):
+        try:
+            _time_guard(params, t)
+            raws.append(_row_verdict(*row))
+        except NearCriticalTime:
+            continue
+        except GridTooCoarse:
+            raws.append(math.nan)
+        kept.append(t)
+    if refused.size:
+        _time_guard(params, refused[0].item())  # raises: t is not resolved
+    return np.array(kept), np.array(raws)
 
 
-def quantized_winding(params: ModelParams, t: float, row):
-    """(nu, raw) at t, or the first error of winding_number's guards: its
-    time rule at t, then those read from row, t's row of raw_winding_grid,
-    read only once t passes."""
-    _time_guard(params, t)
-    undefined, jump, ambiguous, raw = row
-    if undefined:
+def _row_verdict(jump, ambiguous, raw):
+    # winding_number's checks on one row of _winding_rows, in their order:
+    # the raw winding as a float, or the first error
+    raw = float(raw)
+    if math.isnan(raw):
         raise PhaseUndefined("geometric phase undefined on the winding grid")
     if jump >= 0.5 * math.pi:
         raise GridTooCoarse(f"(w t/2)<sz> changes by {jump:.3g} rad between "
                             "adjacent k samples")
     if ambiguous:
         raise GridTooCoarse("two successive wrapped steps in the ambiguity band")
-    raw = float(raw)
-    nu = int(round(raw))
-    if abs(raw - nu) > WINDING_INT_TOL:
+    if abs(raw - round(raw)) > WINDING_INT_TOL:
         raise WindingNotQuantized(f"raw winding {raw} not within "
                                   f"{WINDING_INT_TOL} of an integer")
-    return nu, raw
+    return raw
 
 
 def _time_guard(params, t, has_dqpt=False):
@@ -220,12 +228,12 @@ def _check_winding_grid(k_grid_size):
 
 
 def _winding_rows(params, wa, wb, t):
-    # raw_winding_grid's facts at t (a scalar, or a column of times), each
-    # reduced over the last axis
+    # (largest step of (w t/2)<sz> between adjacent k samples, ambiguous,
+    # raw) at t (a scalar, or a column of times); raw is NaN where a phase
+    # on the row is undefined
     phi, drift = _phase_and_drift(params, wa, wb, t)
     jump = np.abs(drift[..., 1:] - drift[..., :-1]).max(axis=-1)
-    ambiguous, raw = wrapped_winding(phi)
-    return np.isnan(raw), jump, ambiguous, raw
+    return (jump, *wrapped_winding(phi))
 
 
 def wrapped_winding(phi):

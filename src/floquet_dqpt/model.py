@@ -163,10 +163,14 @@ def min_half_gap(params: ModelParams) -> float:
     With c = cos k and d = delta2 - w its square is the quadratic
     [(delta1^2 - Omega^2) c^2 + 2 delta1 d c + d^2 + Omega^2] / 4 on [-1, 1],
     least at an endpoint, |d +- delta1|/2, or at the vertex when convex
-    (there is none when delta1^2 = Omega^2).
+    (there is none when delta1^2 = Omega^2), on the parameters scaled by
+    2^-e, the largest near 1, so that no square overflows or underflows.
     """
-    d, d1, amp = (params.delta2 - params.omega_drive, params.delta1,
-                  params.omega_amp)
+    # |e| <= 1022 keeps 2^+-e normal; the scaled largest is in [2^-52, 4)
+    e = min(max(math.frexp(params.scale)[1], -1022), 1022)
+    w, d1, d2, amp = (x * 2.0 ** -e for x in (
+        params.omega_drive, params.delta1, params.delta2, params.omega_amp))
+    d = d2 - w
     lengths = [0.5 * abs(d + d1), 0.5 * abs(d - d1)]
     curvature = d1 * d1 - amp * amp
     if curvature > 0:
@@ -174,7 +178,7 @@ def min_half_gap(params: ModelParams) -> float:
         if -1.0 < c < 1.0:
             lengths.append(0.5 * math.hypot(d1 * c + d,
                                             amp * math.sqrt(1.0 - c * c)))
-    return min(lengths)
+    return min(lengths) * 2.0 ** e
 
 
 def _band_sign(band: str) -> float:

@@ -21,6 +21,10 @@ time-ordered RK4 U(T), the oracle of `lattice.obc_floquet_spectrum`, and
 antiperiodic ring (Heyl, Polkovnikov & Kehrein, PRL 110, 135704, 2013),
 from determinants of the chain's BdG modes with no reference to k.
 
+`chiral_block_spectrum` is the open chain's spectrum from its real N x N
+chiral block alone: one SVD gives the quasienergies, up to the fold, and the
+edge weights.
+
 `scalar_rk4_propagator` is the per-step Python loop that
 `dynamics.propagator_oracle` replaced with one pairwise product of RK4 step
 matrices streamed through blocks of steps: the same scheme, step count, step
@@ -179,6 +183,27 @@ def ring_loschmidt_rate(params: ModelParams, n_sites: int, ts) -> np.ndarray:
         _, log_abs = np.linalg.slogdet(w.conj().T @ (s[:, None] * w))
         rates.append(-2.0 / n * log_abs)
     return np.array(rates)
+
+
+def chiral_block_spectrum(params: ModelParams, n_sites: int):
+    """(s, edge) of the open chain from its chiral block, with no 2N x 2N
+    matrix: tau_y anticommutes with H_eff = H_bdg(0)/2 - (w/2) tau_z, and in
+    its eigenbasis H_eff = [[0, M], [M^T, 0]], M real and tridiagonal with
+    diagonal (delta2 - w)/2, superdiagonal (delta1 - Omega)/4 and
+    subdiagonal (delta1 + Omega)/4. With M = U diag(s) V^T, H_eff has the
+    eigenvalues +-s, and the pair of modes j puts the weight
+    (u_j^2 + v_j^2)/2 on a site; edge sums it over the outer tenth of the
+    sites at both ends.
+    """
+    n = n_sites
+    m = np.diag(np.full(n, 0.5 * (params.delta2 - params.omega_drive)))
+    idx = np.arange(n - 1)
+    m[idx, idx + 1] = 0.25 * (params.delta1 - params.omega_amp)
+    m[idx + 1, idx] = 0.25 * (params.delta1 + params.omega_amp)
+    u, s, vt = np.linalg.svd(m)
+    weight = 0.5 * (u * u + vt.T * vt.T)
+    n_edge = max(1, math.ceil(0.1 * n))
+    return s, weight[:n_edge].sum(axis=0) + weight[n - n_edge:].sum(axis=0)
 
 
 def su2_exponential(nx: float, nz: float) -> np.ndarray:

@@ -348,7 +348,8 @@ def test_oracles_share_no_code_with_analytic_route():
                    oracles.bdg_hamiltonian, oracles.rotating_frame_hamiltonian,
                    oracles.hamiltonian_lab, oracles.micromotion,
                    oracles.momentum_consistency_check,
-                   oracles.ring_loschmidt_rate):
+                   oracles.ring_loschmidt_rate,
+                   oracles.chiral_block_spectrum):
         assert not code_names(oracle.__code__) & ANALYTIC_ROUTE, \
             oracle.__name__
     # the chain oracles build their own matrix, not the library's

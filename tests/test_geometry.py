@@ -272,7 +272,8 @@ def test_exact_winding_values_and_guards(ex1, ex2):
 
 def test_guards_run_once_per_call(ex1, ex2, monkeypatch):
     # exact_winding reads dqpt_condition at most once, winding_number only
-    # near a critical time, and the tomography route guards its point once
+    # near a critical time and then once, and the tomography route guards
+    # its point once
     calls = []
 
     def counting(name, fn):
@@ -295,6 +296,11 @@ def test_guards_run_once_per_call(ex1, ex2, monkeypatch):
     calls.clear()
     winding_number(ex1, "minus", 0.5)
     assert calls == []
+    # near T/2 on a drive without critical times the time rule reads the
+    # condition, once
+    winding_number(ex2, "minus", 1.0 + 1e-5)
+    assert calls == ["dqpt_condition"]
+    calls.clear()
     geometric_phase_from_tomography(ex1, 0.7, 0.5)
     assert calls == ["gap_guard"]
     # ValueError, then DegenerateDelta1, ahead of the time guards and the gap

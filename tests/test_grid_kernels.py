@@ -3,7 +3,8 @@
 `rate_function_grid` and `raw_winding_grid` evaluate many times against one
 cached k row, in chunks of rows; `rate_function` and `winding_number` are
 the same kernels at one t. Every grid value must equal the scalar call bit
-for bit, and every row the scalar call's outcome, its guard error included.
+for bit, and the winding trace must equal a loop of scalar calls over t:
+its kept times, its raw values, and its first guard error.
 """
 
 import math
@@ -19,13 +20,13 @@ from floquet_dqpt.dynamics import (propagator_analytic, return_amplitude,
                                    return_probability,
                                    return_probability_grid)
 from floquet_dqpt.errors import (GaplessPoint, GridTooCoarse,
-                                 NumericalGuardError, PhaseUndefined,
-                                 TimeUnresolved)
+                                 NearCriticalTime, NumericalGuardError,
+                                 PhaseUndefined, TimeUnresolved)
 from floquet_dqpt.geometry import (bloch_expectations, bloch_vector_grid,
                                    dynamical_phase, geometric_phase,
                                    geometric_phase_grid,
                                    geometric_phase_from_tomography,
-                                   quantized_winding, raw_winding_grid,
+                                   raw_winding_grid,
                                    tomography_phase_grid, total_phase,
                                    winding_number)
 from floquet_dqpt.model import (GRID_CHUNK, ModelParams,
@@ -69,6 +70,25 @@ def outcome(fn, *args):
 
 def bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
+
+
+def winding_loop(p, band, ts, n_k, kinds):
+    """raw_winding_grid's outcome written as a loop of winding_number calls
+    over ts: a guard window is a gap, a too-coarse grid a NaN raw, and any
+    other error ends the loop. kinds counts every t's own outcome."""
+    kept, raws, first = [], [], None
+    for t in ts.tolist():
+        got = outcome(winding_number, p, band, t, n_k, True)
+        kind = got[0] if got[0] == "ok" else got[0].__name__
+        kinds[kind] = kinds.get(kind, 0) + 1
+        if first or got[0] is NearCriticalTime:
+            continue
+        if got[0] in ("ok", GridTooCoarse):
+            kept.append(t)
+            raws.append(got[1][1] if got[0] == "ok" else math.nan)
+        else:
+            first = got
+    return first or ("ok", (np.array(kept), np.array(raws)))
 
 
 def draws():
@@ -121,7 +141,7 @@ def test_grids_equal_scalar_calls_bit_for_bit():
     # |G| = 0 exactly at example1's (k_c, t_c) = (pi/3, 1)
     assert_tomography_kernels_equal_scalar_calls(EXAMPLE1, "minus",
                                                  np.array([1.0, 0.5]))
-    kinds = {}
+    kinds, traces = {}, dict.fromkeys(("whole", "gaps", "raised"), 0)
     for p, n_k, ts, band in cases:
         g = rate_function_grid(p, band, ts, n_k)
         assert g.shape == ts.shape
@@ -132,26 +152,25 @@ def test_grids_equal_scalar_calls_bit_for_bit():
             assert outcome(raw_winding_grid, p, band, ts, n_k) \
                 == outcome(winding_number, p, band, 0.0, n_k)
             continue
-        facts = raw_winding_grid(p, band, ts, n_k)
-        for t, *row in zip(ts.tolist(), *(f.tolist() for f in facts)):
-            got = outcome(quantized_winding, p, t, row)
-            want = outcome(winding_number, p, band, t, n_k, True)
-            assert got[0] == want[0]
-            if got[0] == "ok":
-                assert got[1][0] == want[1][0]
-                assert bits(got[1][1]) == bits(want[1][1])
-            else:
-                assert got[1] == want[1]
-            kind = got[0] if got[0] == "ok" else got[0].__name__
-            kinds[kind] = kinds.get(kind, 0) + 1
+        got = outcome(raw_winding_grid, p, band, ts, n_k)
+        want = winding_loop(p, band, ts, n_k, kinds)
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            traces["whole" if got[1][0].size == ts.size else "gaps"] += 1
+            for a, b in zip(got[1], want[1]):
+                assert np.array_equal(bits(a), bits(b))
+        else:
+            traces["raised"] += 1
+            assert got[1] == want[1]
     assert {"ok", "NearCriticalTime", "GridTooCoarse",
             "PhaseUndefined"} <= set(kinds), kinds
     assert kinds["ok"] > 2000 and kinds["GridTooCoarse"] > 50, kinds
+    assert min(traces.values()) > 0, traces
 
 
 def test_winding_facts_equal_their_written_out_expressions():
-    # the undefined flag is read off the raw sum, NaN exactly where a phase
-    # on the k row is; every fact keeps the bits of its own expression.
+    # the raw sum is NaN exactly where a phase on the k row is undefined;
+    # every fact keeps the bits of its own expression.
     # One phase is undefined in every row of GAPLESS_AT_ZERO (k = 0) and,
     # at its critical times, of example1 on 601 k (k_c = pi/3 on the grid)
     partial = (EXAMPLE1, 601, np.array([0.5, 1.0, 3.0, 5.0]), "minus")
@@ -163,13 +182,14 @@ def test_winding_facts_equal_their_written_out_expressions():
         phi, drift = geometry._phase_and_drift(p, wa, wb, ts[:, None])
         steps = geometry.principal_branch(phi[:, 1:] - phi[:, :-1])
         big = np.abs(steps) > math.pi * (1.0 - 1e-6)
-        want = (np.isnan(phi).any(axis=1),
-                np.abs(drift[:, 1:] - drift[:, :-1]).max(axis=1),
+        want = (np.abs(drift[:, 1:] - drift[:, :-1]).max(axis=1),
                 (big[:, :-1] & big[:, 1:]).any(axis=1),
                 steps.sum(axis=1) / (2.0 * math.pi))
-        for got, expected in zip(raw_winding_grid(p, band, ts, n_k), want):
-            assert np.array_equal(bits(got), bits(expected))
-        undefined += np.isnan(phi).sum(axis=1)[want[0]].tolist()
+        got = geometry._winding_rows(p, wa, wb, ts[:, None])
+        for fact, expected in zip(got, want, strict=True):
+            assert np.array_equal(bits(fact), bits(expected))
+        assert np.array_equal(np.isnan(got[2]), np.isnan(phi).any(axis=1))
+        undefined += np.isnan(phi).sum(axis=1)[np.isnan(got[2])].tolist()
     assert undefined == [1] * 8
 
 
@@ -192,13 +212,10 @@ def test_winding_raises_the_first_error_in_t_order(monkeypatch, capsys,
     rows = geometry._winding_rows
 
     def failing_at_zero(params, wa, wb, t):
-        undefined, jump, ambiguous, raw = rows(params, wa, wb, t)
+        jump, ambiguous, raw = rows(params, wa, wb, t)
         at_zero = np.reshape(t, np.shape(raw)) == 0.0
-        if mark == "undefined":
-            undefined = undefined | at_zero
-        else:
-            raw = np.where(at_zero, 0.3, raw)
-        return undefined, jump, ambiguous, raw
+        raw = np.where(at_zero, math.nan if mark == "undefined" else 0.3, raw)
+        return jump, ambiguous, raw
 
     monkeypatch.setattr(geometry, "_winding_rows", failing_at_zero)
     ts = np.linspace(0.0, 1e16, 5).tolist()
@@ -207,6 +224,7 @@ def test_winding_raises_the_first_error_in_t_order(monkeypatch, capsys,
          for t in ts])
     assert want[0].__name__ == {"undefined": "PhaseUndefined",
                                 "quantized": "WindingNotQuantized"}[mark]
+    assert outcome(raw_winding_grid, EXAMPLE1, "minus", ts, 401) == want
     assert cli.main(["winding", "--preset", "example1", "--t-max", "1e16",
                      "--t-points", "5"]) == 3
     captured = capsys.readouterr()
@@ -218,17 +236,28 @@ def test_winding_raises_the_first_error_in_t_order(monkeypatch, capsys,
                                             ("nv-minus", "1e307"),
                                             ("example2", "1e17"),
                                             ("nv-minus", "1e17")])
-def test_winding_stops_its_rows_at_the_first_refused_time(capsys, preset,
-                                                          t_max):
+def test_winding_stops_its_rows_at_the_first_refused_time(
+        monkeypatch, capsys, preset, t_max):
     # over [0, t_max] only t = 0 is resolved, with or without critical
     # times, and w t overflows further out at 1e307 and 1e308. No row past
-    # t = 0 is evaluated (a RuntimeWarning would fail the test), and the
-    # guard's refusal is all stderr holds
+    # t = 0 is evaluated (a RuntimeWarning would fail the test), the trace
+    # raises the scalar call's refusal at the second t, and that refusal is
+    # all stderr holds
     p = cli.PRESETS[preset]
     ts = np.linspace(0.0, float(t_max), 5)
-    assert [f.size for f in raw_winding_grid(p, "minus", ts)] == [1] * 4
+    rows, seen = geometry._winding_rows, []
+
+    def counted(params, wa, wb, t):
+        seen.extend(np.ravel(t).tolist())
+        return rows(params, wa, wb, t)
+
+    monkeypatch.setattr(geometry, "_winding_rows", counted)
     with pytest.raises(TimeUnresolved) as refused:
         winding_number(p, "minus", ts[1].item(), 401)
+    assert seen == []
+    assert outcome(raw_winding_grid, p, "minus", ts) \
+        == (TimeUnresolved, str(refused.value))
+    assert seen == [0.0]
     assert cli.main(["winding", "--preset", preset, "--t-max", t_max,
                      "--t-points", "5"]) == 3
     captured = capsys.readouterr()
@@ -242,9 +271,10 @@ def test_winding_reads_coarse_rows_as_nan_and_goes_on(monkeypatch, capsys):
     rows = geometry._winding_rows
 
     def marked(params, wa, wb, t):
-        undefined, jump, ambiguous, raw = rows(params, wa, wb, t)
+        jump, ambiguous, raw = rows(params, wa, wb, t)
         at = np.reshape(t, np.shape(raw))
-        return undefined | (at == 4.0), jump, ambiguous | (at == 2.0), raw
+        return jump, ambiguous | (at == 2.0), np.where(at == 4.0, math.nan,
+                                                       raw)
 
     monkeypatch.setattr(geometry, "_winding_rows", marked)
     with pytest.raises(GridTooCoarse, match="ambiguity band"):
@@ -294,13 +324,12 @@ def test_library_refuses_times_doubles_cannot_resolve():
                          lambda: return_probability(p, "minus", 0.7, t),
                          lambda: return_probability_grid(p, "minus", 0.7,
                                                          [[t], [0.0]]),
-                         lambda: winding_number(p, "minus", t)):
+                         lambda: winding_number(p, "minus", t),
+                         lambda: raw_winding_grid(p, "minus",
+                                                  [1.0, t, 0.5])):
                 with pytest.raises(TimeUnresolved,
                                    match=re.escape(f"{abs(t)} is resolved")):
                     call()
-            # the winding rows stop before the first refused time
-            facts = raw_winding_grid(p, "minus", [1.0, t, 0.5])
-            assert [f.size for f in facts] == [1] * 4
         assert math.isfinite(rate_function(p, "minus", below))
         assert math.isfinite(geometric_phase(p, "minus", 0.7, below))
         assert math.isfinite(return_probability(p, "minus", 0.7, below))

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from floquet_dqpt.cli import PRESETS
 from floquet_dqpt.errors import InvalidSize, StepCountTooSmall
 from floquet_dqpt.model import ModelParams
-from floquet_dqpt.lattice import MAX_SITES, obc_floquet_spectrum
+from floquet_dqpt.lattice import (MAX_SITES, PI_MODE_EDGE_WEIGHT,
+                                  PI_MODE_ENERGY_TOL, obc_floquet_spectrum)
 
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3, random_params
-from oracles import (bdg_hamiltonian, one_period_propagator,
-                     rotating_frame_hamiltonian)
+from oracles import (bdg_hamiltonian, chiral_block_spectrum,
+                     one_period_propagator, rotating_frame_hamiltonian)
 
 
 def test_obc_spectrum_size_range(ex1, monkeypatch):
@@ -118,6 +120,35 @@ def test_obc_spectrum_matches_rk4_oracle():
         v = spec.modes
         assert np.linalg.norm(u @ v - v * lam, axis=0).max() < 1e-9
         assert np.abs(v.conj().T @ v - np.eye(2 * n)).max() < 1e-12
+
+
+# pi modes of each preset's open chain; at N = 400 the library's eigh takes
+# about 0.4 s a preset, so two presets, one with pi modes and one without,
+# keep the suite's growth within 2 s
+PI_MODES = {"example1": 2, "example2": 0, "example3": 2, "nv-plus": 2,
+            "nv-minus": 0}
+
+
+@pytest.mark.parametrize("n", [40, 100, 400])
+def test_obc_spectrum_matches_chiral_block(n):
+    # H_eff has the eigenvalues +-s of the chiral block, so on the unit
+    # circle e^{-i eps T} = -e^{-+i s T}, with no fold to flip; the block's
+    # pi modes, by the library's criterion on its own quasienergies and edge
+    # weights, are as many
+    for name in ("example1", "nv-minus") if n == 400 else PI_MODES:
+        p = PRESETS[name]
+        spec = obc_floquet_spectrum(p, n)
+        s, edge = chiral_block_spectrum(p, n)
+        lam = np.exp(-1j * spec.quasienergies * p.period)
+        oracle = -np.exp(-1j * np.concatenate([s, -s]) * p.period)
+        dist = np.abs(lam[:, None] - oracle[None, :])
+        assert dist.min(axis=1).max() < 1e-13
+        assert dist.min(axis=0).max() < 1e-13
+        w = p.omega_drive
+        near_pi = 0.5 * w - np.abs(np.angle(oracle) / p.period) \
+            < PI_MODE_ENERGY_TOL * w
+        pi_modes = near_pi & (np.tile(edge, 2) >= PI_MODE_EDGE_WEIGHT)
+        assert pi_modes.sum() == spec.pi_mode.sum() == PI_MODES[name]
 
 
 def test_bulk_boundary_correspondence(ex1, ex2, ex3):

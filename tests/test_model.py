@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floquet_dqpt import dqpt, dynamics, geometry, model
+from floquet_dqpt import dqpt, dynamics, geometry, model, topology
 from floquet_dqpt.cli import PRESETS
 from floquet_dqpt.dqpt import fisher_tau, fisher_tau_grid
 from floquet_dqpt.dynamics import (propagator_analytic, return_amplitude,
                                    return_probability)
-from floquet_dqpt.errors import GaplessPoint, NearCriticalTime, TimeUnresolved
+from floquet_dqpt.errors import (GapClosure, GaplessPoint, NearCriticalTime,
+                                 NumericalGuardError, TimeUnresolved)
 from floquet_dqpt.geometry import (bloch_expectations, dynamical_phase,
                                    geometric_phase,
                                    geometric_phase_from_tomography,
@@ -473,3 +474,39 @@ def test_min_half_gap_against_dense_grid():
         exact = min_half_gap(p)
         assert exact <= sampled + 1e-15
         assert sampled - exact < 1e-8 * p.scale
+
+
+def test_min_half_gap_scales_exactly_with_the_drive():
+    # scaling every parameter by 2^+-600 scales Delta/2 by exactly 2^+-600:
+    # no square of a parameter overflows or underflows on the way
+    rng = np.random.default_rng(74)
+    for i in range(200):
+        p = random_params(rng)
+        if i % 2:
+            p = ModelParams(p.omega_drive, p.delta1, p.delta2,
+                            math.copysign(p.delta1, p.omega_amp))
+        for e in (-600, 600):
+            scaled = ModelParams(*(math.ldexp(x, e) for x in (
+                p.omega_drive, p.delta1, p.delta2, p.omega_amp)))
+            assert min_half_gap(scaled) == math.ldexp(min_half_gap(p), e)
+
+
+def errors_at_scale(s):
+    # (s, 0.8 s, 1.1 s, 0) closes its gap at the interior vertex cos k =
+    # -1/8, which a square overflowing (s > 1e154) or underflowing
+    # (s < 1e-154) would hide
+    p = ModelParams(s, 0.8 * s, 1.1 * s, 0.0)
+    out = [min_half_gap(p) < 1e-15 * s]
+    for call in (lambda: topology.chiral_winding_numbers(p),
+                 lambda: geometry.exact_winding(p, "minus", p.period / 4)):
+        with pytest.raises(NumericalGuardError) as err:
+            call()
+        out.append(type(err.value))
+    return out
+
+
+def test_gap_closing_at_the_vertex_is_seen_at_every_scale():
+    at_one = errors_at_scale(1.0)
+    assert at_one == [True, GapClosure, GaplessPoint]
+    for s in (1e-300, 1e160, 1e300):
+        assert errors_at_scale(s) == at_one
