@@ -13,6 +13,9 @@ runs one fixed, seeded list of calls:
   (and the Bloch vector on a drive whose parameters are all subnormal);
 - the minimum gap, the chiral invariants and nu at T/4 of a drive whose gap
   closes at an interior k, scaled to 1e-300, 1e160 and 1e300;
+- the same, with nu at T/4 and 3T/4, on a drive whose gap sits just above
+  the gap floor, one whose gap is below it, and a degenerate one
+  (delta1 = 0, w = delta2);
 - at k = 0, pi and random k, and at t = 0, a negative t, t on a critical
   time, just inside and just outside its guard window, a random t, t at and
   just below `ModelParams.time_limit`, t = 1e300 and t = nan;
@@ -161,6 +164,16 @@ def call_list(presets, model):
         add("topology", "chiral_winding_numbers", vertex)
         add("geometry", "exact_winding", vertex, "minus",
             0.5 * math.pi / vertex.omega_drive)
+    # min Delta/2 at 1.6e-9 of the scale, between the gap floor 1e-9 and
+    # the closed form's former floor 1e-8; below both; delta1 = 0, w = delta2
+    for w, d1, d2, amp in ((math.pi, math.pi, 2.0 * math.pi - 2e-8, 1.0),
+                           (math.pi, math.pi, 2.0 * math.pi - 2e-9, 1.0),
+                           (2.0, 0.0, 2.0, 1.0)):
+        p = model.ModelParams(w, d1, d2, amp)
+        add("model", "min_half_gap", p)
+        add("topology", "chiral_winding_numbers", p)
+        for t in (0.25 * 2.0 * math.pi / w, 0.75 * 2.0 * math.pi / w):
+            add("geometry", "exact_winding", p, "minus", t)
     for name in ("example1", "example2", "nv-plus"):
         for sites in (6, 20):
             add("lattice", "obc_floquet_spectrum", presets[name], sites)

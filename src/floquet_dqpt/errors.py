@@ -51,10 +51,6 @@ class WindingMismatch(NumericalGuardError):
     """Numerical winding rounds to another integer than the closed form."""
 
 
-class GapClosure(NumericalGuardError):
-    """Chiral-symmetric vector passes within the floor of the origin."""
-
-
 class InvalidSize(ValueError):
     """Chain size outside the supported range [2, lattice.MAX_SITES]."""
 

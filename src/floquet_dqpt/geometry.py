@@ -26,12 +26,12 @@ import math
 
 import numpy as np
 
-from .errors import (GaplessPoint, GridTooCoarse, NearCriticalTime,
-                     PhaseUndefined, WindingNotQuantized)
+from .errors import (GridTooCoarse, NearCriticalTime, PhaseUndefined,
+                     WindingNotQuantized)
 from .model import (T_GUARD_FRACTION, ModelParams, _band_sign,
                     _field_weights, _t_chunks, _uniform_band_weights,
-                    band_weights, finite_point, gap_guard, min_half_gap,
-                    require_resolved_time, static_field)
+                    band_weights, finite_point, gap_guard,
+                    require_resolved_time, static_field, zone_gap_guard)
 from .dynamics import micromotion_overlap, return_amplitude
 from .dqpt import DEFAULT_K_GRID, dqpt_condition
 
@@ -111,13 +111,10 @@ def exact_winding_grid(params: ModelParams, band: str, t) -> np.ndarray:
     and at k = 0 and pi (h_xy = 0) |a|^2 is 0 or 1. So along k the lift of
     the geometric phase changes by m (wt - principal(wt)) = 2 pi m round(t/T),
     with m = |a|^2(pi) - |a|^2(0), nonzero iff |w - delta2| < |delta1|.
-    Raises GaplessPoint when the gap closes anywhere in the zone, where the
-    band labels swap.
+    Raises GaplessPoint when the gap closes anywhere in the zone
+    (model.zone_gap_guard).
     """
-    gap = 2.0 * min_half_gap(params)
-    if gap <= params.gap_floor:
-        raise GaplessPoint(f"gap closes to {gap:.3e} in the zone, below "
-                           f"floor {params.gap_floor:.3e}")
+    zone_gap_guard(params)
     wa, _ = band_weights(params, band, np.array([0.0, math.pi]))
     m = np.rint(wa[1] - wa[0])
     return m * np.rint(np.asarray(t, dtype=float) / params.period)

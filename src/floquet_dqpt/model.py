@@ -181,6 +181,15 @@ def min_half_gap(params: ModelParams) -> float:
     return min(lengths) * 2.0 ** e
 
 
+def zone_gap_guard(params: ModelParams):
+    """GaplessPoint where 2 min_half_gap is at or below the gap floor: the
+    zone-gap test of the closed-form nu and chiral invariants."""
+    gap = 2.0 * min_half_gap(params)
+    if gap <= params.gap_floor:
+        raise GaplessPoint(f"gap closes to {gap:.3e} in the zone, below "
+                           f"floor {params.gap_floor:.3e}")
+
+
 def _band_sign(band: str) -> float:
     # +1 for the upper band, -1 for the lower one
     if band not in ("minus", "plus"):

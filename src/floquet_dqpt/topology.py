@@ -13,6 +13,10 @@ W0 = (W1 + W2)/2 = 0 and Wpi = (W1 - W2)/2 = W1 are structural. In the
 static frame U(T) = -exp(-i H_eff T) with H_eff time-independent (see
 lattice): a chiral edge mode of H_eff sits at e = 0, and the sign
 -1 = e^{-i pi} folds it to quasienergy pi. No edge mode sits at 0.
+
+Where the vector meets the origin the winding is undefined: the closed form
+raises exact_winding's errors in its order, DegenerateDelta1 from the
+condition, then GaplessPoint from the zone-gap test, model.zone_gap_guard.
 """
 
 from __future__ import annotations
@@ -21,10 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .dqpt import dqpt_condition
-from .errors import GapClosure
-from .model import ModelParams, min_half_gap
-
-WINDING_FLOOR_REL = 1e-8
+from .model import ModelParams, zone_gap_guard
 
 
 @dataclass(frozen=True)
@@ -38,16 +39,12 @@ class ChiralInvariants:
 
 def chiral_winding_numbers(params: ModelParams) -> ChiralInvariants:
     """(W1, W2, W0, Wpi): W1 = sign(delta1 Omega) where the DQPT condition
-    holds, else 0 (module docstring).
-
-    Raises GapClosure if the vector, of length Delta/2, passes within the
-    floor of the origin, where the winding is undefined; outside it, the
-    condition's boundary decides nothing.
-    """
-    if min_half_gap(params) < WINDING_FLOOR_REL * params.scale:
-        raise GapClosure("chiral vector passes through the origin; "
-                         "winding undefined")
+    holds, else 0 (module docstring). Raises DegenerateDelta1, then
+    GaplessPoint where the gap closes in the zone, which includes the
+    condition's boundary (the vector meets the origin at k = 0 or pi)."""
+    has_dqpt = dqpt_condition(params).has_dqpt
+    zone_gap_guard(params)
     w1 = 0
-    if dqpt_condition(params).has_dqpt:
+    if has_dqpt:
         w1 = int(math.copysign(1.0, params.delta1 * params.omega_amp))
     return ChiralInvariants(w1=w1, w2=-w1, w0=0, wpi=w1, raw_w1=float(w1))

@@ -19,7 +19,8 @@ time-ordered RK4 U(T), the oracle of `lattice.obc_floquet_spectrum`, and
 
 `ring_loschmidt_rate` is the many-body Loschmidt rate g_N(t) of the
 antiperiodic ring (Heyl, Polkovnikov & Kehrein, PRL 110, 135704, 2013),
-from determinants of the chain's BdG modes with no reference to k.
+from determinants of the chain's BdG modes with no reference to k;
+`open_chain_loschmidt_rate` is the same route on the open chain.
 
 `chiral_block_spectrum` is the open chain's spectrum from its real N x N
 chiral block alone: one SVD gives the quasienergies, up to the fold, and the
@@ -169,12 +170,24 @@ def ring_loschmidt_rate(params: ModelParams, n_sites: int, ts) -> np.ndarray:
     S = diag(e^{-i w t/2} I, e^{i w t/2} I): g_N is normalized like
     `dqpt.rate_function`. ValueError where no gap separates the modes.
     """
-    n = n_sites
+    return _loschmidt_rate(params, n_sites, ts, antiperiodic=True)
+
+
+def open_chain_loschmidt_rate(params: ModelParams, n_sites: int,
+                              ts) -> np.ndarray:
+    """ring_loschmidt_rate's g_N(t) on the open chain, psi0 filling the N
+    lowest modes of H_eff. No gap is required: a pair of pi modes sits at
+    e = +-|e| with |e| down to rounding, on either side of 0, and which of
+    the two is filled moves g_N by O(1/N) only."""
+    return _loschmidt_rate(params, n_sites, ts, antiperiodic=False)
+
+
+def _loschmidt_rate(params, n, ts, antiperiodic):
     tau_z = np.repeat([1.0, -1.0], n)
-    h_eff = (0.5 * bdg_hamiltonian(params, n, 0.0, antiperiodic=True)
+    h_eff = (0.5 * bdg_hamiltonian(params, n, 0.0, antiperiodic)
              - np.diag(0.5 * params.omega_drive * tau_z))
     energies, modes = np.linalg.eigh(h_eff)
-    if not energies[n - 1] < 0.0 < energies[n]:
+    if antiperiodic and not energies[n - 1] < 0.0 < energies[n]:
         raise ValueError("no gap at zero energy: the filling is ambiguous")
     w = modes[:, :n]
     rates = []

@@ -383,6 +383,56 @@ def test_oracle_check_pass_and_step_guard(capsys):
                     "--steps", "128"]) == 3
 
 
+def test_oracle_check_skips_a_closed_gap(monkeypatch, capsys):
+    # a draw whose gap is at most 0.01 is skipped: where the first draw
+    # reads a closed gap, 20 others are still checked, and pass
+    fields, checked = [], []
+    field, oracle = cli.static_field, cli.dynamics.propagator_oracle
+
+    def closed_first(p, k):
+        fields.append(p)
+        b, dz, half_gap = field(p, k)
+        return b, dz, 0.0 if len(fields) == 1 else half_gap
+
+    def counted(p, *args):
+        checked.append(p)
+        return oracle(p, *args)
+
+    monkeypatch.setattr(cli, "static_field", closed_first)
+    monkeypatch.setattr(cli.dynamics, "propagator_oracle", counted)
+    assert run_cli(["oracle-check"]) == 0
+    assert len(checked) == 20 and fields[0] not in checked
+    assert capsys.readouterr().out.startswith("draws = 20\n")
+
+
+def test_fdqpt_topo_and_winding_exit_together(tmp_path, capsys):
+    # one gap rule: a drive whose gap sits between 1e-9 and 1e-8 of its
+    # scale answers in both; below 1e-9, and where delta1 = 0 with omega =
+    # delta2, both exit 3 with the same guard line
+    def run(command, *params):
+        ini = tmp_path / "drive.ini"
+        ini.write_text("[model]\n" + "".join(
+            f"{key} = {value!r}\n" for key, value in zip(
+                ("omega_drive", "delta1", "delta2", "omega_amp"), params)),
+            encoding="utf-8")
+        code = run_cli([command, "--config", str(ini)])
+        return code, capsys.readouterr()
+
+    window = (math.pi, math.pi, 2.0 * math.pi - 2e-8, 1.0)
+    code, captured = run("topo", *window)
+    assert code == 0 and captured.err == ""
+    assert "wpi = 1\n" in captured.out and "has_dqpt = True\n" in captured.out
+    assert run("winding", *window)[0] == 0
+    for params, error in (((math.pi, math.pi, 2.0 * math.pi - 2e-9, 1.0),
+                           "GaplessPoint"),
+                          ((2.0, 0.0, 2.0, 1.0), "DegenerateDelta1")):
+        (code_t, topo), (code_w, winding) = (run(command, *params)
+                                             for command in ("topo", "winding"))
+        assert code_t == code_w == 3 and topo.out == winding.out == ""
+        assert topo.err == winding.err
+        assert topo.err.startswith(f"numerical guard: {error}: ")
+
+
 def test_parser_built_once_and_not_at_import():
     assert make_parser() is make_parser()
     code = ("import floquet_dqpt.cli as c; "

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from floquet_dqpt.errors import DegenerateDelta1, GapClosure
-from floquet_dqpt.model import ModelParams
+from floquet_dqpt.errors import (DegenerateDelta1, GaplessPoint,
+                                 NumericalGuardError)
+from floquet_dqpt.model import ModelParams, min_half_gap
 from floquet_dqpt.dynamics import propagator_analytic
 from floquet_dqpt.dqpt import dqpt_condition
 from floquet_dqpt.geometry import exact_winding, winding_number
@@ -69,7 +70,7 @@ def test_winding_pair_against_brute_oracle():
         p = random_params(rng)
         try:
             c = chiral_winding_numbers(p)
-        except GapClosure:
+        except GaplessPoint:
             continue
         assert c.w2 == -c.w1
         assert c.w1 == round(brute_winding(p))
@@ -86,7 +87,7 @@ def test_integral_cross_check():
         p = random_params(rng)
         try:
             c = chiral_winding_numbers(p)
-        except GapClosure:
+        except GaplessPoint:
             continue
         assert abs(winding_integral(p) - c.w1) < 1e-3
         done += 1
@@ -111,7 +112,7 @@ def test_wpi_iff_encircling_iff_transition():
         try:
             c = chiral_winding_numbers(p)
             has = dqpt_condition(p).has_dqpt
-        except (GapClosure, DegenerateDelta1):
+        except (GaplessPoint, DegenerateDelta1):
             continue
         assert (c.wpi != 0) == \
             (abs(p.omega_drive - p.delta2) < abs(p.delta1))
@@ -123,17 +124,65 @@ def test_gap_closure_raised():
     # z and x both vanish at k = 0 when delta1 + delta2 = omega (here also
     # delta1^2 = Omega^2: no vertex)
     p = ModelParams(omega_drive=2.0, delta1=1.0, delta2=1.0, omega_amp=1.0)
-    with pytest.raises(GapClosure):
+    with pytest.raises(GaplessPoint):
         chiral_winding_numbers(p)
     # Omega = 0 inside the ellipse: the vector crosses the origin at k_c,
     # the vertex of the quadratic in cos k
     p = ModelParams(omega_drive=2.0, delta1=1.0, delta2=1.5, omega_amp=0.0)
-    with pytest.raises(GapClosure):
+    with pytest.raises(GaplessPoint):
         chiral_winding_numbers(p)
     # a small Omega lifts the vertex minimum to about 0.43 Omega, above the
     # floor
     p = ModelParams(omega_drive=2.0, delta1=1.0, delta2=1.5, omega_amp=1e-3)
     assert chiral_winding_numbers(p).wpi == 1
+
+
+def verdict(call):
+    # a value, or the guard error's type and message
+    try:
+        return call()
+    except NumericalGuardError as exc:
+        return type(exc), str(exc)
+
+
+def drives_at_the_floor(rng):
+    """A degenerate drive (delta1 = 0, w = delta2), then seeded drives whose
+    gap closes at k = 0 or pi, each moved off the closure, inward or outward
+    of the ellipse, to min Delta/2 = x scale for x from 0 to 1e-7."""
+    out = [ModelParams(2.0, 0.0, 2.0, 1.0)]
+    for _ in range(40):
+        w, d1, amp = rng.uniform(0.5, 6.0), *rng.uniform(-5.0, 5.0, 2)
+        for end in (1.0, -1.0):  # dz = 0 at k = 0 (d2 = w - d1), or at pi
+            scale = max(w, abs(d1), abs(amp), abs(w - end * d1))
+            for x in (0.0, 1e-10, 1e-9, 3e-9, 1e-8, 1e-7):
+                for side in (1.0, -1.0):
+                    d2 = w - end * d1 + side * 2.0 * x * scale
+                    out.append(ModelParams(w, d1, d2, amp))
+    return out
+
+
+def test_topo_and_winding_refuse_the_same_drives():
+    # chiral_winding_numbers and exact_winding read one zone-gap test after
+    # the condition: on every drive, at the floor too, both answer or both
+    # raise the same error; where they answer, Wpi != 0 iff nu(3T/4) != 0
+    rng = np.random.default_rng(25)
+    seeded = [random_params(rng) for _ in range(200)]
+    seen = set()
+    for i, p in enumerate(seeded + drives_at_the_floor(rng)):
+        c = verdict(lambda: chiral_winding_numbers(p))
+        nu = verdict(lambda: exact_winding(p, "minus", 0.25 * p.period))
+        if isinstance(c, tuple):
+            assert c == nu
+            seen.add(c[0])
+        else:
+            assert nu == 0
+            after = exact_winding(p, "minus", 0.75 * p.period)
+            assert (c.wpi != 0) == (after != 0) == dqpt_condition(p).has_dqpt
+            seen.add(c.wpi != 0)
+        if i > len(seeded):  # past the degenerate drive, the floor decides
+            refused = 2.0 * min_half_gap(p) <= p.gap_floor
+            assert isinstance(c, tuple) == refused
+    assert seen == {True, False, GaplessPoint, DegenerateDelta1}
 
 
 def gapped_draw(rng, coupling):
