@@ -170,26 +170,46 @@ def ring_loschmidt_rate(params: ModelParams, n_sites: int, ts) -> np.ndarray:
     S = diag(e^{-i w t/2} I, e^{i w t/2} I): g_N is normalized like
     `dqpt.rate_function`. ValueError where no gap separates the modes.
     """
-    return _loschmidt_rate(params, n_sites, ts, antiperiodic=True)
-
-
-def open_chain_loschmidt_rate(params: ModelParams, n_sites: int,
-                              ts) -> np.ndarray:
-    """ring_loschmidt_rate's g_N(t) on the open chain, psi0 filling the N
-    lowest modes of H_eff. No gap is required: a pair of pi modes sits at
-    e = +-|e| with |e| down to rounding, on either side of 0, and which of
-    the two is filled moves g_N by O(1/N) only."""
-    return _loschmidt_rate(params, n_sites, ts, antiperiodic=False)
-
-
-def _loschmidt_rate(params, n, ts, antiperiodic):
-    tau_z = np.repeat([1.0, -1.0], n)
-    h_eff = (0.5 * bdg_hamiltonian(params, n, 0.0, antiperiodic)
-             - np.diag(0.5 * params.omega_drive * tau_z))
-    energies, modes = np.linalg.eigh(h_eff)
-    if antiperiodic and not energies[n - 1] < 0.0 < energies[n]:
+    n = n_sites
+    energies, modes = _effective_modes(params, n, antiperiodic=True)
+    if not energies[n - 1] < 0.0 < energies[n]:
         raise ValueError("no gap at zero energy: the filling is ambiguous")
-    w = modes[:, :n]
+    return _loschmidt_rate(params, modes[:, :n], ts)
+
+
+def open_chain_loschmidt_rate(params: ModelParams, n_sites: int, ts,
+                              chirality: int = 1) -> np.ndarray:
+    """ring_loschmidt_rate's g_N(t) on the open chain.
+
+    psi0 fills the modes of H_eff below -gap_floor and, out of the modes
+    with |e| <= gap_floor (the pi pairs, split only by rounding, so eigh's
+    order among them is arbitrary), the tau_y = chirality eigenstates of
+    their span, as many as make N: one end's edge modes. tau_y
+    anticommutes with H_eff, so the span is tau_y-invariant.
+    """
+    n = n_sites
+    energies, modes = _effective_modes(params, n, antiperiodic=False)
+    filled = modes[:, energies < -params.gap_floor]
+    pair = modes[:, np.abs(energies) <= params.gap_floor]
+    tau_y_pair = np.concatenate([-1j * pair[n:], 1j * pair[:n]])
+    _, rotation = np.linalg.eigh(pair.conj().T @ tau_y_pair)
+    if chirality > 0:
+        rotation = rotation[:, ::-1]
+    chosen = pair @ rotation[:, :n - filled.shape[1]]
+    return _loschmidt_rate(params, np.hstack([filled, chosen]), ts)
+
+
+def _effective_modes(params, n, antiperiodic):
+    """eigh of H_eff = H_bdg(0)/2 - (w/2) tau_z on the ring or open chain."""
+    tau_z = np.repeat([1.0, -1.0], n)
+    return np.linalg.eigh(0.5 * bdg_hamiltonian(params, n, 0.0, antiperiodic)
+                          - np.diag(0.5 * params.omega_drive * tau_z))
+
+
+def _loschmidt_rate(params, w, ts):
+    """-(2/N) ln |det(W^dag S W)| at each t, W the filled 2N x N modes."""
+    n = w.shape[1]
+    tau_z = np.repeat([1.0, -1.0], n)
     rates = []
     for t in ts:
         s = np.exp(-0.5j * params.omega_drive * t * tau_z)

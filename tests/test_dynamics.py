@@ -349,6 +349,8 @@ def test_oracles_share_no_code_with_analytic_route():
                    oracles.hamiltonian_lab, oracles.micromotion,
                    oracles.momentum_consistency_check,
                    oracles.ring_loschmidt_rate,
+                   oracles.open_chain_loschmidt_rate,
+                   oracles._effective_modes, oracles._loschmidt_rate,
                    oracles.chiral_block_spectrum):
         assert not code_names(oracle.__code__) & ANALYTIC_ROUTE, \
             oracle.__name__
