@@ -9,8 +9,9 @@ in a fresh process with that tree's `src/` first on the path, this script
 runs one fixed, seeded list of calls:
 
 - every public scalar and grid API of the library, at both bands, on the
-  presets, on seeded random drives and on a drive whose gap closes at k = 0
-  (and the Bloch vector on a drive whose parameters are all subnormal);
+  presets, on seeded random drives, on a drive whose gap closes at k = 0 and
+  on example1 scaled by 2^600 and 2^-600 (and the Bloch vector on a drive
+  whose parameters are all subnormal);
 - the minimum gap, the chiral invariants and nu at T/4 of a drive whose gap
   closes at an interior k, scaled to 1e-300, 1e160 and 1e300;
 - the same, with nu at T/4 and 3T/4, on a drive whose gap sits just above
@@ -31,10 +32,10 @@ output and standard error. A name missing from a tree is its own outcome.
 The record, `BITS_<N>.json` in the current directory, holds the number of
 calls and, per API, the number of differing calls, how many of them differ
 in the value's type alone, and the largest absolute difference, plain and
-modulo 2 pi, over the calls whose values are arrays of one shape (null if
-none is). It lists every other differing call with both outcomes, a value
-by its type, shape, digest and first values. Nothing in either tree is
-written.
+modulo 2 pi, over the calls whose values are arrays of one shape, or
+sequences of such arrays (null if none is). It lists every other differing
+call with both outcomes, a value by its type, shape, digest and first
+values. Nothing in either tree is written.
 """
 
 from __future__ import annotations
@@ -85,14 +86,21 @@ def time_limit(omega):
 
 
 def drives(model, presets):
-    """(name, params): the presets, 20 seeded draws and a drive whose gap
-    closes at k = 0."""
+    """(name, params): the presets, 20 seeded draws, a drive whose gap
+    closes at k = 0, and example1 scaled by 2^+-600, where a product of two
+    parameters over- or underflows."""
     rng = np.random.default_rng(20261018)
     out = sorted(presets.items())
     for i in range(20):
         w, d1, d2, amp = (rng.uniform(0.5, 6.0), *rng.uniform(-5.0, 5.0, 3))
         out.append((f"draw{i}", model.ModelParams(w, d1, d2, amp)))
-    return out + [("gapless0", model.ModelParams(2.0, 1.0, 1.0, 1.0))]
+    out.append(("gapless0", model.ModelParams(2.0, 1.0, 1.0, 1.0)))
+    p = presets["example1"]
+    for j in (600, -600):
+        s = 2.0 ** j
+        out.append((f"example1*2^{j}", model.ModelParams(
+            s * p.omega_drive, s * p.delta1, s * p.delta2, s * p.omega_amp)))
+    return out
 
 
 def call_list(presets, model):
@@ -245,7 +253,13 @@ def emit(path):
 
 
 def values(encoded):
-    """float64 leaves of an encoded value, or None if it has other parts."""
+    """float64 leaves of an encoded value, those of a sequence's parts in
+    order, or None if it has other parts."""
+    if isinstance(encoded, list):
+        parts = [values(part) for part in encoded[1:]]
+        if not parts or any(part is None for part in parts):
+            return None
+        return np.concatenate(parts)
     if not isinstance(encoded, dict) or encoded["dtype"][1] not in "fc":
         return None
     return np.array(encoded["bits"], dtype=np.int64).view(np.float64)

@@ -15,8 +15,13 @@ at its three times in numpy blocks, and one pairwise product streamed through
 the blocks multiplies them in time order. Every matrix is the pair (a, b) of
 [[a, b], [-b*, a*]], exact because H is traceless and Hermitian; that follows
 from H alone, and nothing in the oracle factors out the drive, so the rotating
-frame stays what it checks, not what it uses. It is re-unitarized at most
-once, at the end, so the raw integrator error shows in convergence tests.
+frame stays what it checks, not what it uses. The pair's U^dag U is
+(|a|^2 + |b|^2) I, so one division by sigma = hypot(|a|, |b|) at the end is
+its polar factor, and the raw integrator error shows in convergence tests.
+
+H(k, -t) = H(k, t)*, so U(k, -t) = conj U(k, t). Both routes answer t < 0
+and meet that identity bit for bit, up to the signs of zeros; the oracle
+steps back by h = t/n.
 """
 
 from __future__ import annotations
@@ -56,8 +61,6 @@ def propagator_analytic(params: ModelParams, k: float, t: float) -> np.ndarray:
     U = [[a, b], [-b*, a*]], a = p (cos x - i n_z sin x), b = -i p n_x sin x,
     with p = e^{-i w t/2}, x = Delta t/2, n = (h_xy, 0, dz)/(Delta/2).
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
     b, dz, half_gap = gap_guard(params, k, t)
     angle = half_gap * t
     s = math.sin(angle) / half_gap
@@ -80,17 +83,17 @@ def propagator_oracle(params: ModelParams, k: float, t: float,
     half the arithmetic of four entries. The M_n are built ORACLE_BLOCK steps
     at a time and appended to the partial products held, which pairwise
     products in time order halve until at most ORACLE_BLOCK remain (so memory
-    does not grow with t); after the last block they reduce to U - I. A single
-    polar-like re-unitarization ends it; return_correction=True adds its norm.
-    Like every route through w t, it refuses |t| >= params.time_limit.
+    does not grow with t); after the last block they reduce to U - I. U/sigma,
+    sigma = hypot(|a|, |b|), is the polar factor of the pair, and
+    return_correction=True adds |sigma - 1|. A negative t takes the steps of
+    |t|, each of h = t/n < 0. Like every route through w t, it refuses
+    |t| >= params.time_limit.
     """
     if steps < MIN_ORACLE_STEPS:
         raise StepCountTooSmall(f"steps={steps} < {MIN_ORACLE_STEPS}")
     for name, x in (("k", k), ("t", t)):
         if not math.isfinite(x):
             raise ValueError(f"{name} must be finite, got {x}")
-    if t < 0:
-        raise ValueError("t must be >= 0")
     require_resolved_time(params, t)
 
     if t == 0:
@@ -99,7 +102,7 @@ def propagator_oracle(params: ModelParams, k: float, t: float,
 
     b = bloch_components(params, k)
     w = params.omega_drive
-    n = max(1, math.ceil(t / (params.period / steps)))
+    n = max(1, math.ceil(abs(t) / (params.period / steps)))
     h = t / n
 
     # A block of m pairs is one (2, m) array, and eye is the pair of I. Step
@@ -152,15 +155,8 @@ def propagator_oracle(params: ModelParams, k: float, t: float,
 
     v0, v1 = ordered_product(held, 1)[:, 0]  # U - I
     u = np.array([[1.0 + v0, v1], [-v1.conjugate(), 1.0 + v0.conjugate()]])
-    u_unitary, correction = reunitarize(u)
-    return (u_unitary, correction) if return_correction else u_unitary
-
-
-def reunitarize(u: np.ndarray):
-    """Closest unitary in the polar sense; returns (unitary, correction norm)."""
-    v, _, wh = np.linalg.svd(u)
-    uu = v @ wh
-    return uu, float(np.linalg.norm(u - uu, 2))
+    sigma = math.hypot(abs(u[0, 0]), abs(v1))
+    return (u / sigma, abs(sigma - 1.0)) if return_correction else u / sigma
 
 
 def micromotion_overlap(params: ModelParams, wa, wb, t):

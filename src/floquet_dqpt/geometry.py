@@ -64,8 +64,10 @@ def dynamical_phase(params: ModelParams, band: str, k: float,
     In band +-, E = w/2 +- Delta/2 and <sz> = +-(h_z - w/2)/(Delta/2)."""
     sign = _band_sign(band)
     _, dz, half_gap = gap_guard(params, k, t)
-    return float(-sign * (half_gap + 0.5 * params.omega_drive * dz / half_gap)
-                 * t)
+    # w (dz / half_gap), not (w dz) / half_gap: w dz over- or underflows
+    # where the drive's scale is beyond about 2^+-512
+    return float(-sign * (half_gap + 0.5 * params.omega_drive
+                          * (dz / half_gap)) * t)
 
 
 def geometric_phase(params: ModelParams, band: str, k: float,

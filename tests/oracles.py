@@ -28,9 +28,11 @@ edge weights.
 
 `scalar_rk4_propagator` is the per-step Python loop that
 `dynamics.propagator_oracle` replaced with one pairwise product of RK4 step
-matrices streamed through blocks of steps: the same scheme, step count, step
-times and single final re-unitarization, with the steps applied to U one
-after the other.
+matrices streamed through blocks of steps: the same scheme, step count and
+step times, with the steps applied to U one after the other, on all four
+entries. It ends in a general polar factor from numpy's SVD, where the
+oracle divides its SU(2) pair by hypot(|a|, |b|); nothing here imports
+`floquet_dqpt.dynamics`.
 
 The W1/W2 references for `topology.chiral_winding_numbers` work on a k grid:
 `brute_winding` accumulates the angle of the planar vector
@@ -44,7 +46,6 @@ import math
 
 import numpy as np
 
-from floquet_dqpt.dynamics import reunitarize
 from floquet_dqpt.errors import StepCountTooSmall
 from floquet_dqpt.model import ModelParams, bloch_components
 
@@ -289,7 +290,9 @@ def scalar_rk4_propagator(params: ModelParams, k: float, t: float,
                           steps: int):
     """(U, correction) of fixed-step RK4 on dU/dt = -i H(k, t) U, step by step.
 
-    Uses n = ceil(t / (T / steps)) uniform steps of h = t / n.
+    Uses n = ceil(t / (T / steps)) uniform steps of h = t / n. U is the
+    polar factor V W^dag of the SVD of the integrated matrix M = V S W^dag,
+    and the correction is the spectral norm of M - U.
     """
     b = bloch_components(params, k)
     # plain floats keep the loop in Python complex arithmetic
@@ -323,4 +326,7 @@ def scalar_rk4_propagator(params: ModelParams, k: float, t: float,
         u10 += h / 6.0 * (a2 + 2.0 * (b2 + c2) + d2)
         u11 += h / 6.0 * (a3 + 2.0 * (b3 + c3) + d3)
 
-    return reunitarize(np.array([[u00, u01], [u10, u11]], dtype=complex))
+    m = np.array([[u00, u01], [u10, u11]], dtype=complex)
+    v, _, wh = np.linalg.svd(m)
+    u = v @ wh
+    return u, float(np.linalg.norm(m - u, 2))

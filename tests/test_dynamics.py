@@ -13,7 +13,7 @@ from floquet_dqpt.errors import (GaplessPoint, StepCountTooSmall,
 from floquet_dqpt.model import bloch_components
 from floquet_dqpt.dynamics import (propagator_analytic, propagator_oracle,
                                    return_amplitude, return_probability,
-                                   return_probability_grid, reunitarize)
+                                   return_probability_grid)
 
 import oracles
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3, random_params
@@ -37,23 +37,23 @@ def test_oracle_refuses_non_finite_t(ex1):
             propagator_oracle(ex1, 0.8, t)
 
 
-def test_oracle_refuses_negative_and_unresolved_t(ex1, monkeypatch):
-    with pytest.raises(ValueError, match="t must be >= 0"):
-        propagator_oracle(ex1, 0.8, -1.0)
+def test_oracle_refuses_unresolved_t(ex1, monkeypatch):
     # refused before any step: without the time rule these times would run
-    # about 4e16 and 2e303 RK4 steps of noise
+    # about 4e16 and 2e303 RK4 steps of noise; a negative t is answered
+    # (U(k, -t) = conj U(k, t), tests/test_symmetries.py)
 
     def no_steps(*args):
         raise AssertionError("the oracle started integrating")
 
     monkeypatch.setattr(dynamics, "bloch_components", no_steps)
-    for t in (ex1.time_limit, 1e300):
+    for t in (ex1.time_limit, 1e300, -1e300):
         with pytest.raises(TimeUnresolved):
             propagator_oracle(ex1, 0.8, t)
 
 
 def test_oracle_refuses_non_finite_k(ex1):
-    # refused up front: a NaN k would reach the SVD, an inf one sin and cos
+    # refused up front: a NaN k would give a NaN U, an inf one would reach
+    # sin and cos
     for k in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="k must be finite"):
             propagator_oracle(ex1, k, 1.0)
@@ -179,42 +179,43 @@ def test_oracle_long_run_memory_and_rounding(ex1):
 # taken, hex); None stands for 50 periods at the default steps per period.
 # The streamed product must give the bits of one pairwise tree per block
 # with the block products applied to U in time order, signed zeros included.
+# Each entry is that streamed product, followed by the polar step
+# (U/sigma, |sigma - 1|) with sigma = hypot(|a|, |b|).
 ORACLE_BIT_PINS = [
     (EXAMPLE1, 0.8, 1, [
-        "0x1.fffc56792c8ccp-1", "-0x1.e138361ef01e9p-8",
-        "-0x1.2076ca5fa1154p-17", "-0x1.6f477954802f1p-10",
-        "0x1.2076ca5fa1172p-17", "-0x1.6f477954802f2p-10",
-        "0x1.fffc56792c8ccp-1", "0x1.e138361ef0213p-8",
-        "0x1.803bb6dd777dap-50"]),
+        "0x1.fffc56792c8cep-1", "-0x1.e138361ef01ebp-8",
+        "-0x1.2076ca5fa1173p-17", "-0x1.6f477954802f3p-10",
+        "0x1.2076ca5fa1173p-17", "-0x1.6f477954802f3p-10",
+        "0x1.fffc56792c8cep-1", "0x1.e138361ef01ebp-8",
+        "0x1.a000000000000p-50"]),
     (EXAMPLE2, 2.1, 3, [
-        "0x1.fff185d823cc0p-1", "-0x1.911c64ca8ebfap-7",
-        "-0x1.0f1fc5873ce97p-12", "-0x1.1413fe304441dp-7",
-        "0x1.0f1fc5873ce97p-12", "-0x1.1413fe304441ep-7",
-        "0x1.fff185d823cc0p-1", "0x1.911c64ca8ebfap-7",
-        "0x1.502a083073009p-49"]),
+        "0x1.fff185d823cc1p-1", "-0x1.911c64ca8ebfap-7",
+        "-0x1.0f1fc5873ce98p-12", "-0x1.1413fe304441ep-7",
+        "0x1.0f1fc5873ce98p-12", "-0x1.1413fe304441ep-7",
+        "0x1.fff185d823cc1p-1", "0x1.911c64ca8ebfap-7",
+        "0x1.6000000000000p-49"]),
     (EXAMPLE3, 0.0, BLOCK, [
-        "0x1.ffff621621504p-1", "-0x1.921f8c8f9906dp-9",
-        "-0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
-        "0x1.ffff621621504p-1", "0x1.921f8c8f9906dp-9",
-        "0x1.aa00836ca86c1p-42"]),
+        "0x1.ffff621621504p-1", "-0x1.921f8c8f9906dp-9", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.ffff621621504p-1",
+        "0x1.921f8c8f9906dp-9", "0x1.aa00000000000p-42"]),
     (EXAMPLE1, math.pi, BLOCK + 1, [
         "0x1.ffff621622502p-1", "0x1.921f8b49d23b7p-9",
-        "-0x1.bb8f28957aaa3p-70", "-0x1.1a6001670e048p-62",
+        "-0x1.bb8f28957aaa2p-70", "-0x1.1a6001670e048p-62",
         "0x1.bb8f28957aaa2p-70", "-0x1.1a6001670e048p-62",
         "0x1.ffff621622502p-1", "-0x1.921f8b49d23b7p-9",
-        "0x1.aa4083720d10bp-42"]),
+        "0x1.aa40000000000p-42"]),
     (EXAMPLE2, 1.3, 8 * BLOCK + 5, [
-        "-0x1.0582d234c81bcp-1", "-0x1.664ffc19ee305p-1",
-        "0x1.c394847841935p-6", "0x1.fe908567b62e2p-2",
-        "-0x1.c39484784194ep-6", "0x1.fe908567b62e3p-2",
-        "-0x1.0582d234c81bep-1", "0x1.664ffc19ee304p-1",
-        "0x1.f4371a0bc628ep-35"]),
+        "-0x1.0582d234c81bep-1", "-0x1.664ffc19ee306p-1",
+        "0x1.c39484784194ap-6", "0x1.fe908567b62e4p-2",
+        "-0x1.c39484784194ap-6", "0x1.fe908567b62e4p-2",
+        "-0x1.0582d234c81bep-1", "0x1.664ffc19ee306p-1",
+        "0x1.f437400000000p-35"]),
     (EXAMPLE1, 0.8, None, [
-        "-0x1.f3eaec6a65dbcp-1", "0x1.20abfa9fdaca0p-3",
-        "-0x1.ade41baf87268p-47", "0x1.4f18be71d4d19p-3",
-        "0x1.ae04a23d5f011p-47", "0x1.4f18be71d4d19p-3",
-        "-0x1.f3eaec6a65dbbp-1", "-0x1.20abfa9fdac9fp-3",
-        "0x1.5864116c1e0adp-48"]),
+        "-0x1.f3eaec6a65dbbp-1", "0x1.20abfa9fdaca0p-3",
+        "-0x1.ae00000000023p-47", "0x1.4f18be71d4d17p-3",
+        "0x1.ae00000000023p-47", "0x1.4f18be71d4d17p-3",
+        "-0x1.f3eaec6a65dbbp-1", "-0x1.20abfa9fdaca0p-3",
+        "0x1.4800000000000p-48"]),
 ]
 
 
@@ -262,12 +263,21 @@ def test_unitarity():
             assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-10
 
 
-def test_reunitarize_reports_correction():
-    u, corr = propagator_oracle(EXAMPLE1, 1.0, 1.5, steps=512,
-                                return_correction=True)
-    assert corr < 1e-8
-    uu, c2 = reunitarize(np.eye(2) * (1 + 1e-3))
-    assert c2 == pytest.approx(1e-3 * math.sqrt(1), rel=1e-6)
+def test_oracle_reports_polar_correction():
+    # U/sigma is the pair [[a, b], [-b*, a*]] bit for bit, with
+    # |a|^2 + |b|^2 = 1 to rounding. The correction |sigma - 1| is RK4's drift
+    # off the unitary group: a step scales the norm by 1 - O(h^6), so the
+    # drift over a fixed t is O(h^5), 32 times less per halved step
+    corrs = []
+    for steps in (256, 512):
+        u, corr = propagator_oracle(EXAMPLE1, 1.0, 1.5, steps=steps,
+                                    return_correction=True)
+        pair = np.array([-u[0, 1].conjugate(), u[0, 0].conjugate()])
+        assert np.array_equal(u[1].view(np.int64), pair.view(np.int64))
+        assert abs(abs(u[0, 0]) ** 2 + abs(u[0, 1]) ** 2 - 1.0) <= 4.5e-16
+        corrs.append(corr)
+    assert corrs[1] < 1e-12
+    assert 28.0 <= corrs[0] / corrs[1] <= 36.0
 
 
 def test_return_amplitude_basics(ex1):
@@ -344,7 +354,8 @@ def code_names(code) -> set:
 
 
 def test_oracles_share_no_code_with_analytic_route():
-    for oracle in (dynamics.propagator_oracle, oracles.one_period_propagator,
+    for oracle in (dynamics.propagator_oracle, oracles.scalar_rk4_propagator,
+                   oracles.one_period_propagator,
                    oracles.bdg_hamiltonian, oracles.rotating_frame_hamiltonian,
                    oracles.hamiltonian_lab, oracles.micromotion,
                    oracles.momentum_consistency_check,
@@ -366,6 +377,9 @@ def test_oracles_share_no_code_with_analytic_route():
         elif isinstance(node, ast.Import):
             sources |= {alias.name for alias in node.names}
     assert "floquet_dqpt.lattice" not in sources
+    # the scalar RK4 loop checks the oracle with a polar step of its own
+    assert not {name for name in sources
+                if name.split(".")[:2] == ["floquet_dqpt", "dynamics"]}
     # the references own their Pauli matrices and U_R(t)
     assert not {name for name in library_names
                 if name.startswith("SIGMA_") or name == "micromotion"}
