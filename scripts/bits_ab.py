@@ -20,9 +20,15 @@ runs one fixed, seeded list of calls:
 - at k = 0, pi and random k, and at t = 0, a negative t, t on a critical
   time, just inside and just outside its guard window, a random t, t at and
   just below `ModelParams.time_limit`, t = 1e300 and t = nan;
+- every scalar API that takes a band, with band = "bogus" at a NaN k, at
+  the gapless k = 0 and at a NaN t, so that the record shows which error
+  each raises first;
 - 3000 seeded draws of the tomography route, both signs of Omega, with
   k = 0 and pi among them;
 - `fdqpt` over a fixed list of argument vectors, in process.
+
+Each call is labelled `module.name #index`, then its drive and, where they
+are scalars, its band, k and t.
 
 Each outcome is the error type and message, or the value's type and bits:
 float64 and complex128 values as int64 views, so signed zeros and NaN
@@ -59,6 +65,12 @@ import numpy as np
 MODULES = ("model", "dynamics", "dqpt", "geometry", "topology", "lattice")
 BANDS = ("minus", "plus")
 TOMOGRAPHY_DRAWS = 3000
+# the scalar APIs of (params, band, k, t)
+BAND_POINT_APIS = (("dynamics", "return_amplitude"),
+                   ("dynamics", "return_probability"),
+                   ("geometry", "total_phase"), ("geometry", "dynamical_phase"),
+                   ("geometry", "geometric_phase"),
+                   ("geometry", "bloch_expectations"))
 CLI_PRESETS = ("example1", "example2", "example3", "nv-plus", "nv-minus")
 CLI_VECTORS = (["retprob", "--k-points", "7", "--t-points", "5"],
                ["rate", "--k-points", "31", "--t-points", "9"],
@@ -104,14 +116,18 @@ def drives(model, presets):
 
 
 def call_list(presets, model):
-    """[(label, module, name, args)] in a fixed order."""
+    """[(label, module, name, args)] in a fixed order. A label is
+    `module.name #index` and then the drive and, where the call has them
+    as scalars, its band, k and t."""
     rng = np.random.default_rng(22)
     calls = []
 
-    def add(module, name, *args):
-        calls.append((f"{module}.{name} #{len(calls)}", module, name, args))
+    def add(module, name, *args, **where):
+        calls.append((" ".join([f"{module}.{name} #{len(calls)}", *(
+            f"{key}={value if isinstance(value, str) else repr(float(value))}"
+            for key, value in where.items())]), module, name, args))
 
-    for _, p in drives(model, presets):
+    for drive, p in drives(model, presets):
         period, limit = 2.0 * math.pi / p.omega_drive, time_limit(
             p.omega_drive)
         ks = [0.0, math.pi, *rng.uniform(0.0, math.pi, 2).tolist()]
@@ -121,81 +137,117 @@ def call_list(presets, model):
         resolved = np.array([t for t in ts[:6] + ts[7:8]])
         k_col = np.array(ks)[:, None]
         for name in ("dqpt_condition", "chiral_winding_numbers"):
-            add("dqpt" if name.startswith("dqpt") else "topology", name, p)
-        add("model", "min_half_gap", p)
-        add("model", "static_field", p, np.array(ks))
-        add("model", "require_resolved_time", p, np.array(ts))
+            add("dqpt" if name.startswith("dqpt") else "topology", name, p,
+                drive=drive)
+        add("model", "min_half_gap", p, drive=drive)
+        add("model", "static_field", p, np.array(ks), drive=drive)
+        add("model", "require_resolved_time", p, np.array(ts), drive=drive)
         for k in ks:
-            add("dqpt", "fisher_tau", p, "minus", k)
+            add("dqpt", "fisher_tau", p, "minus", k, drive=drive,
+                band="minus", k=k)
             for t in ts:
-                add("model", "gap_guard", p, k, t)
-                add("dynamics", "propagator_analytic", p, k, t)
-                add("geometry", "geometric_phase_from_tomography", p, k, t)
+                for module, name in (
+                        ("model", "gap_guard"),
+                        ("dynamics", "propagator_analytic"),
+                        ("geometry", "geometric_phase_from_tomography")):
+                    add(module, name, p, k, t, drive=drive, k=k, t=t)
                 for band in BANDS:
-                    for name in ("return_amplitude", "return_probability"):
-                        add("dynamics", name, p, band, k, t)
-                    for name in ("total_phase", "dynamical_phase",
-                                 "geometric_phase", "bloch_expectations"):
-                        add("geometry", name, p, band, k, t)
+                    for module, name in BAND_POINT_APIS:
+                        add(module, name, p, band, k, t, drive=drive,
+                            band=band, k=k, t=t)
             for t in ts[:2] + ts[5:6] + ts[6:7]:
-                add("dynamics", "propagator_oracle", p, k, t, 256, True)
+                add("dynamics", "propagator_oracle", p, k, t, 256, True,
+                    drive=drive, k=k, t=t)
         for band in BANDS:
-            add("model", "band_weights", p, band, np.array(ks))
-            add("model", "band_energy", p, band, np.array(ks))
-            add("dqpt", "fisher_tau_grid", p, band, np.array(ks))
-            add("dqpt", "fisher_lines", p, band, np.array(ks))
+            for module, name in (("model", "band_weights"),
+                                 ("model", "band_energy"),
+                                 ("dqpt", "fisher_tau_grid"),
+                                 ("dqpt", "fisher_lines")):
+                add(module, name, p, band, np.array(ks), drive=drive,
+                    band=band)
             for t in ts:
-                add("dqpt", "rate_function", p, band, t, 181)
-                add("geometry", "winding_number", p, band, t, 401, True)
-                add("geometry", "exact_winding", p, band, t)
-            add("geometry", "exact_winding_grid", p, band, resolved)
+                add("dqpt", "rate_function", p, band, t, 181, drive=drive,
+                    band=band, t=t)
+                add("geometry", "winding_number", p, band, t, 401, True,
+                    drive=drive, band=band, t=t)
+                add("geometry", "exact_winding", p, band, t, drive=drive,
+                    band=band, t=t)
+            add("geometry", "exact_winding_grid", p, band, resolved,
+                drive=drive, band=band)
             for grid_ts in (resolved, np.array(ts)):
-                add("dqpt", "rate_function_grid", p, band, grid_ts, 181)
-                add("geometry", "raw_winding_grid", p, band, grid_ts, 401)
+                add("dqpt", "rate_function_grid", p, band, grid_ts, 181,
+                    drive=drive, band=band)
+                add("geometry", "raw_winding_grid", p, band, grid_ts, 401,
+                    drive=drive, band=band)
                 for module, name in (("dynamics", "return_probability_grid"),
                                      ("geometry", "geometric_phase_grid"),
                                      ("geometry", "bloch_vector_grid")):
-                    add(module, name, p, band, k_col, grid_ts)
+                    add(module, name, p, band, k_col, grid_ts, drive=drive,
+                        band=band)
         add("geometry", "tomography_phase_grid", p, k_col, resolved,
-            rng.normal(size=(3, len(ks), resolved.size)))
+            rng.normal(size=(3, len(ks), resolved.size)), drive=drive)
+    # an invalid band at a non-finite point and at the gapless point k = 0
+    # of gapless0: the record keeps which error each scalar API raises first
+    gapless = model.ModelParams(2.0, 1.0, 1.0, 1.0)
+    for k, t in ((math.nan, 0.5), (0.0, 0.5), (0.0, math.nan)):
+        for module, name in BAND_POINT_APIS:
+            add(module, name, gapless, "bogus", k, t, drive="gapless0",
+                band="bogus", k=k, t=t)
+        add("dqpt", "fisher_tau", gapless, "bogus", k, drive="gapless0",
+            band="bogus", k=k)
+    for t in (math.nan, 0.5):
+        for module, name, args in (("dqpt", "rate_function", (181,)),
+                                   ("geometry", "winding_number", (401, True)),
+                                   ("geometry", "exact_winding", ())):
+            add(module, name, gapless, "bogus", t, *args, drive="gapless0",
+                band="bogus", t=t)
     tiny = model.ModelParams(1e-310, 1e-310, 1e-310, 1e-310)  # subnormal
     for band in BANDS:
-        add("geometry", "bloch_expectations", tiny, band, 0.7, 1.0)
+        add("geometry", "bloch_expectations", tiny, band, 0.7, 1.0,
+            drive="subnormal", band=band, k=0.7, t=1.0)
         add("geometry", "bloch_vector_grid", tiny, band,
-            np.array([0.0, 0.7, math.pi]), 1.0)
-    add("geometry", "geometric_phase_from_tomography", tiny, 0.7, 1.0)
+            np.array([0.0, 0.7, math.pi]), 1.0, drive="subnormal",
+            band=band, t=1.0)
+    add("geometry", "geometric_phase_from_tomography", tiny, 0.7, 1.0,
+        drive="subnormal", k=0.7, t=1.0)
     # the gap closes at the vertex cos k = -1/8; at these scales a square of
     # a parameter overflows or underflows
     for s in (1e-300, 1e160, 1e300):
         vertex = model.ModelParams(s, 0.8 * s, 1.1 * s, 0.0)
-        add("model", "min_half_gap", vertex)
-        add("topology", "chiral_winding_numbers", vertex)
+        drive = f"vertex*{s:g}"
+        add("model", "min_half_gap", vertex, drive=drive)
+        add("topology", "chiral_winding_numbers", vertex, drive=drive)
         add("geometry", "exact_winding", vertex, "minus",
-            0.5 * math.pi / vertex.omega_drive)
+            0.5 * math.pi / vertex.omega_drive, drive=drive, band="minus",
+            t=0.5 * math.pi / vertex.omega_drive)
     # min Delta/2 at 1.6e-9 of the scale, between the gap floor 1e-9 and
     # the closed form's former floor 1e-8; below both; delta1 = 0, w = delta2
-    for w, d1, d2, amp in ((math.pi, math.pi, 2.0 * math.pi - 2e-8, 1.0),
-                           (math.pi, math.pi, 2.0 * math.pi - 2e-9, 1.0),
-                           (2.0, 0.0, 2.0, 1.0)):
+    for drive, (w, d1, d2, amp) in (
+            ("floor+", (math.pi, math.pi, 2.0 * math.pi - 2e-8, 1.0)),
+            ("floor-", (math.pi, math.pi, 2.0 * math.pi - 2e-9, 1.0)),
+            ("degenerate", (2.0, 0.0, 2.0, 1.0))):
         p = model.ModelParams(w, d1, d2, amp)
-        add("model", "min_half_gap", p)
-        add("topology", "chiral_winding_numbers", p)
+        add("model", "min_half_gap", p, drive=drive)
+        add("topology", "chiral_winding_numbers", p, drive=drive)
         for t in (0.25 * 2.0 * math.pi / w, 0.75 * 2.0 * math.pi / w):
-            add("geometry", "exact_winding", p, "minus", t)
+            add("geometry", "exact_winding", p, "minus", t, drive=drive,
+                band="minus", t=t)
     for name in ("example1", "example2", "nv-plus"):
         for sites in (6, 20):
-            add("lattice", "obc_floquet_spectrum", presets[name], sites)
+            add("lattice", "obc_floquet_spectrum", presets[name], sites,
+                drive=name)
     phases = rng.uniform(-10.0, 10.0, (4, 50))
     add("geometry", "principal_branch", phases)
     add("geometry", "wrapped_winding", phases)
-    for _ in range(TOMOGRAPHY_DRAWS):
+    for i in range(TOMOGRAPHY_DRAWS):
         w, d1, d2, amp = (rng.uniform(0.5, 6.0), *rng.uniform(-5.0, 5.0, 3))
         period = 2.0 * math.pi / w
-        k = rng.choice([0.0, math.pi, rng.uniform(0.0, math.pi)],
-                       p=[0.2, 0.2, 0.6])
+        k = float(rng.choice([0.0, math.pi, rng.uniform(0.0, math.pi)],
+                             p=[0.2, 0.2, 0.6]))
+        t = rng.uniform(-3.0 * period, 3.0 * period)
         add("geometry", "geometric_phase_from_tomography",
-            model.ModelParams(w, d1, d2, amp), float(k),
-            rng.uniform(-3.0 * period, 3.0 * period))
+            model.ModelParams(w, d1, d2, amp), k, t, drive=f"tomo{i}", k=k,
+            t=t)
     return calls
 
 

@@ -20,9 +20,9 @@ import numpy as np
 
 from .dynamics import micromotion_overlap
 from .errors import DegenerateDelta1, UndefinedTau
-from .model import (ModelParams, _band_sign, _field_energy, _t_chunks,
-                    _uniform_band_weights, finite_point,
-                    require_resolved_time, static_field)
+from .model import (ModelParams, _t_chunks, _uniform_band_weights,
+                    band_energy, bloch_components, finite_point,
+                    require_resolved_time)
 
 # Clamp on |G|^2 before the log: the integrand has an integrable log
 # singularity exactly at (k_c, t_c); clamping bounds the trapezoid sum
@@ -90,9 +90,8 @@ def fisher_tau(params: ModelParams, band: str, k: float) -> float:
 
 def fisher_tau_grid(params: ModelParams, band: str, k_grid) -> np.ndarray:
     """tau over k (any shape); log 0 = -inf gives its +-inf, NaN markers."""
-    field = static_field(params, np.asarray(k_grid, dtype=float))
-    b = field[0]
-    e = _field_energy(params, _band_sign(band), field)
+    k = np.asarray(k_grid, dtype=float)
+    b, e = bloch_components(params, k), band_energy(params, band, k)
     with np.errstate(divide="ignore", invalid="ignore"):
         tau = np.log(np.abs(b.h_xy)) - np.log(np.abs(e - b.h_z))
     return np.asarray((2.0 / params.omega_drive) * tau)

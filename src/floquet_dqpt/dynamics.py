@@ -33,9 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepCountTooSmall
-from .model import (ModelParams, _band_sign, _field_energy, _field_weights,
-                    band_weights, bloch_components, gap_guard,
-                    require_resolved_time)
+from .model import (ModelParams, band_energy, band_weights, bloch_components,
+                    gap_guard, require_resolved_time)
 
 MIN_ORACLE_STEPS = 256
 DEFAULT_ORACLE_STEPS = 4096
@@ -177,21 +176,19 @@ def return_amplitude(params: ModelParams, band: str, k: float,
     G = e^{-i E t} <chi| U_R(t) |chi>; the micromotion overlap carries the
     whole modulus, the quasienergy only a phase.
     """
-    field = gap_guard(params, k, t)
-    sign = _band_sign(band)
-    e = float(_field_energy(params, sign, field))
+    gap_guard(params, k, t)
+    e = float(band_energy(params, band, k))
     value = cmath.exp(-1j * e * t) * complex(
-        micromotion_overlap(params, *_field_weights(sign, field), t))
+        micromotion_overlap(params, *band_weights(params, band, k), t))
     return ReturnAmplitude(value=value, band=band, k=float(k), t=float(t))
 
 
 def return_probability(params: ModelParams, band: str, k: float,
                        t: float) -> float:
-    """|G_band(k, t)|^2; independent of the quasienergy phase.
-    TimeUnresolved where doubles cannot resolve w t."""
-    field = gap_guard(params, k, t)
-    weights = _field_weights(_band_sign(band), field)
-    return float(np.abs(micromotion_overlap(params, *weights, t)) ** 2)
+    """|G_band(k, t)|^2, independent of the quasienergy phase:
+    return_probability_grid at the point, past gap_guard's checks."""
+    gap_guard(params, k, t)
+    return float(return_probability_grid(params, band, k, t))
 
 
 def return_probability_grid(params: ModelParams, band: str, k_grid,

@@ -28,10 +28,10 @@ import numpy as np
 
 from .errors import (GridTooCoarse, NearCriticalTime, PhaseUndefined,
                      WindingNotQuantized)
-from .model import (T_GUARD_FRACTION, ModelParams, _band_sign,
-                    _field_weights, _t_chunks, _uniform_band_weights,
-                    band_weights, finite_point, gap_guard,
-                    require_resolved_time, static_field, zone_gap_guard)
+from .model import (T_GUARD_FRACTION, ModelParams, _band_sign, _t_chunks,
+                    _uniform_band_weights, band_weights, finite_point,
+                    gap_guard, require_resolved_time, static_field,
+                    zone_gap_guard)
 from .dynamics import micromotion_overlap, return_amplitude
 from .dqpt import DEFAULT_K_GRID, dqpt_condition
 
@@ -74,9 +74,8 @@ def geometric_phase(params: ModelParams, band: str, k: float,
                     t: float) -> float:
     """total - dynamical at one (k, t), reduced to (-pi, pi]: the grid
     kernel at the point, with PhaseUndefined where it reads NaN."""
-    field = gap_guard(params, k, t)
-    weights = _field_weights(_band_sign(band), field)
-    phi = float(_phase_and_drift(params, *weights, t)[0])
+    gap_guard(params, k, t)
+    phi = float(geometric_phase_grid(params, band, k, t))
     if math.isnan(phi):
         raise PhaseUndefined(f"|G| < {AMP_FLOOR} at k = {k}, t = {t}")
     return phi
@@ -246,9 +245,11 @@ def wrapped_winding(phi):
 
 
 def bloch_expectations(params: ModelParams, band: str, k: float, t: float):
-    """(<sx>, <sy>, <sz>) at (k, t): bloch_vector_grid at the point."""
-    return tuple(_bloch_vector(params, _band_sign(band),
-                               gap_guard(params, k, t), t).tolist())
+    """(<sx>, <sy>, <sz>) at (k, t): bloch_vector_grid at the point, past
+    the band check and then gap_guard's."""
+    _band_sign(band)
+    gap_guard(params, k, t)
+    return tuple(bloch_vector_grid(params, band, k, t).tolist())
 
 
 def bloch_vector_grid(params: ModelParams, band: str, k, t) -> np.ndarray:
@@ -256,11 +257,8 @@ def bloch_vector_grid(params: ModelParams, band: str, k, t) -> np.ndarray:
     on a first axis of three: the band's Bloch vector +-(h_xy, 0, h_z -
     w/2)/(Delta/2) turned about z by w t. NaN where the gap closes."""
     require_resolved_time(params, t)
-    return _bloch_vector(params, _band_sign(band), static_field(params, k), t)
-
-
-def _bloch_vector(params, sign, field, t):
-    b, dz, half_gap = field
+    sign = _band_sign(band)
+    b, dz, half_gap = static_field(params, k)
     # scaled by an exact power of two, so that 1/(Delta/2) cannot overflow
     xy, dz, hg = np.ldexp((b.h_xy, dz, half_gap), -np.frexp(half_gap)[1])
     wt = params.omega_drive * np.asarray(t, dtype=float)
@@ -274,9 +272,9 @@ def geometric_phase_from_tomography(params: ModelParams, k: float,
                                     t: float) -> float:
     """tomography_phase_grid at one (k, t), fed the analytic Bloch vector;
     PhaseUndefined where it reads NaN. Lower band only: no band argument."""
-    field = gap_guard(params, k, t)
-    phi = float(_tomography_phase(params, field, t,
-                                  _bloch_vector(params, -1.0, field, t)))
+    gap_guard(params, k, t)
+    phi = float(tomography_phase_grid(
+        params, k, t, bloch_vector_grid(params, "minus", k, t)))
     if math.isnan(phi):
         raise PhaseUndefined(f"|G| < {AMP_FLOOR} at k = {k}, t = {t}")
     return phi
@@ -291,11 +289,7 @@ def tomography_phase_grid(params: ModelParams, k, t, bloch) -> np.ndarray:
     h_xy (+1 at h_xy = 0), with the evolved one; (w/2)(<sz> - 1) t adds the
     dynamical part. NaN where that overlap is below AMP_FLOOR or bloch = 0."""
     require_resolved_time(params, t)
-    return _tomography_phase(params, static_field(params, k), t, bloch)
-
-
-def _tomography_phase(params, field, t, bloch):
-    b, dz, half_gap = field
+    b, dz, half_gap = static_field(params, k)
     sx, sy, sz = bloch = np.asarray(bloch, dtype=float)
     w, t = params.omega_drive, np.asarray(t, dtype=float)
     with np.errstate(all="ignore"):

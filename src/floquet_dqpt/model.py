@@ -11,11 +11,11 @@ rotating with U_R(t) = diag(1, e^{i w t}) the problem becomes static,
     H_F(k) = h_xy sx + (h_z - w/2) sz + (w/2) I,
 
 a constant plus the static field (h_xy, 0, h_z - w/2) of length Delta(k)/2.
-`static_field` computes that field once, broadcast over k, and every band
+`static_field` computes that field, broadcast over k, and every band
 quantity reads it: the quasienergies E_pm(k) = w/2 +- Delta(k)/2, the band
-weights |a|^2, |b|^2 of the t = 0 Floquet modes, and the gap guard of the
-scalar APIs. Quasienergies are kept UNFOLDED because every phase formula
-downstream needs them that way.
+weights |a|^2, |b|^2 of the t = 0 Floquet modes and the point guard
+`gap_guard`. A scalar API is that guard, then the public kernel at the
+point. Quasienergies stay UNFOLDED, as every phase formula downstream needs.
 """
 
 from __future__ import annotations
@@ -201,15 +201,10 @@ def band_weights(params: ModelParams, band: str, k):
     """(|a|^2, |b|^2) of the band's t = 0 mode, vectorized over k.
 
     The weights only depend on the longitudinal tilt, so they are available
-    in closed form without building eigenvectors. Used by the grid sweeps.
+    in closed form without building eigenvectors.
     """
-    return _field_weights(_band_sign(band), static_field(params, k))
-
-
-def _field_weights(sign: float, field):
-    """band_weights from a static_field result and the band's sign (+1
-    upper, -1 lower): scalar APIs pass the field their guard returned."""
-    _, dz, half_gap = field
+    sign = _band_sign(band)
+    _, dz, half_gap = static_field(params, k)
     # half_gap = 0 forces dz = 0: 0/0 = NaN exactly where the gap closes
     with np.errstate(invalid="ignore"):
         wa = 0.5 * (1.0 + sign * (dz / half_gap))
@@ -236,9 +231,5 @@ def _uniform_band_weights(params: ModelParams, band: str, n: int):
 
 def band_energy(params: ModelParams, band: str, k):
     """Unfolded quasienergy E_band(k), vectorized over k."""
-    return _field_energy(params, _band_sign(band), static_field(params, k))
-
-
-def _field_energy(params: ModelParams, sign: float, field):
-    """band_energy from a static_field result and the band's sign."""
-    return 0.5 * params.omega_drive + sign * field[2]
+    sign = _band_sign(band)
+    return 0.5 * params.omega_drive + sign * static_field(params, k)[2]

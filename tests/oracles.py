@@ -290,16 +290,17 @@ def scalar_rk4_propagator(params: ModelParams, k: float, t: float,
                           steps: int):
     """(U, correction) of fixed-step RK4 on dU/dt = -i H(k, t) U, step by step.
 
-    Uses n = ceil(t / (T / steps)) uniform steps of h = t / n. U is the
-    polar factor V W^dag of the SVD of the integrated matrix M = V S W^dag,
-    and the correction is the spectral norm of M - U.
+    Uses n = ceil(|t| / (T / steps)) uniform steps of h = t / n, backwards
+    in time where t < 0. U is the polar factor V W^dag of the SVD of the
+    integrated matrix M = V S W^dag, and the correction is the spectral norm
+    of M - U.
     """
     b = bloch_components(params, k)
     # plain floats keep the loop in Python complex arithmetic
     hz = float(b.h_z)
     hxy = float(b.h_xy)
     w = params.omega_drive
-    n = max(1, math.ceil(t / (params.period / steps)))
+    n = max(1, math.ceil(abs(t) / (params.period / steps)))
     h = t / n
 
     def deriv(time, u00, u01, u10, u11):

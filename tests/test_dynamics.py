@@ -141,17 +141,19 @@ def test_oracle_block_product_matches_scalar_loop(n):
     # n steps: odd counts leave a step over at some level of the pairwise
     # product; past one block each block's steps join the held partial
     # products, which are halved until one block's width remains, so the
-    # held run is halved many times and has odd widths
+    # held run is halved many times and has odd widths; at -t both take
+    # the n steps of |t| backwards
     rng = np.random.default_rng(n)
     p = random_params(rng)
     k = rng.uniform(0.0, math.pi)
     steps = dynamics.MIN_ORACLE_STEPS
     t = (n - 0.5) * p.period / steps
     assert math.ceil(t / (p.period / steps)) == n
-    u, corr = propagator_oracle(p, k, t, steps, return_correction=True)
-    u_ref, corr_ref = scalar_rk4_propagator(p, k, t, steps)
-    assert np.abs(u - u_ref).max() < 1e-13
-    assert abs(corr - corr_ref) < 1e-13
+    for t in (t, -t):
+        u, corr = propagator_oracle(p, k, t, steps, return_correction=True)
+        u_ref, corr_ref = scalar_rk4_propagator(p, k, t, steps)
+        assert np.abs(u - u_ref).max() < 1e-13
+        assert abs(corr - corr_ref) < 1e-13
 
 
 def test_oracle_long_run_memory_and_rounding(ex1):
@@ -339,8 +341,7 @@ def test_return_probability_grid_matches_scalar(ex1):
 
 
 ANALYTIC_ROUTE = {"static_field", "gap_guard", "finite_point",
-                  "band_weights", "band_energy", "_field_weights",
-                  "_field_energy", "micromotion_overlap",
+                  "band_weights", "band_energy", "micromotion_overlap",
                   "propagator_analytic", "obc_floquet_spectrum"}
 
 

@@ -14,7 +14,8 @@ from floquet_dqpt.dqpt import fisher_tau, fisher_tau_grid
 from floquet_dqpt.dynamics import (propagator_analytic, return_amplitude,
                                    return_probability)
 from floquet_dqpt.errors import (GaplessPoint, NearCriticalTime,
-                                 NumericalGuardError, TimeUnresolved)
+                                 NumericalGuardError, PhaseUndefined,
+                                 TimeUnresolved)
 from floquet_dqpt.geometry import (bloch_expectations, dynamical_phase,
                                    geometric_phase,
                                    geometric_phase_from_tomography,
@@ -280,42 +281,48 @@ POINT_APIS = {
 }
 
 
-def test_scalar_apis_read_the_static_field_once(monkeypatch):
-    # the guarded field feeds the kernel: one static_field evaluation per
-    # call, with the bits of the routes that evaluate it once per quantity
-    k, t = 0.7, 0.5
-    want = {}
-    for band in ("minus", "plus"):
-        e = float(band_energy(EXAMPLE1, band, k))
-        overlap = dynamics.micromotion_overlap(
-            EXAMPLE1, *band_weights(EXAMPLE1, band, k), t)
-        want[band] = (cmath.exp(-1j * e * t) * complex(overlap),
-                      float(geometric_phase_grid(EXAMPLE1, band, k, t)),
-                      float(dynamics.return_probability_grid(EXAMPLE1, band,
-                                                             k, t)))
-    calls = []
+def test_scalar_apis_are_their_public_kernels_at_the_point():
+    # each scalar API is gap_guard (or its own guard) and then the public
+    # kernel of its quantity at the point, bit for bit, signed zeros and the
+    # point where |G| = 0 (example1's (k_c, t_c) = (pi/3, 1)) included
+    def same(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.reshape(-1).view(np.int64),
+                              want.reshape(-1).view(np.int64))
 
-    def counting(params, k):
-        calls.append(k)
-        return static_field(params, k)
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except PhaseUndefined:
+            return math.nan
 
-    for module in (model, dynamics, dqpt, geometry):
-        if hasattr(module, "static_field"):
-            monkeypatch.setattr(module, "static_field", counting)
-    for band in ("minus", "plus"):
-        for got, expected in (
-                (lambda: return_amplitude(EXAMPLE1, band, k, t).value,
-                 want[band][0]),
-                (lambda: geometric_phase(EXAMPLE1, band, k, t),
-                 want[band][1]),
-                (lambda: return_probability(EXAMPLE1, band, k, t),
-                 want[band][2]),
-                (lambda: fisher_tau_grid(EXAMPLE1, band, [0.1, k, 3.0]),
-                 None)):
-            calls.clear()
-            value = got()
-            assert len(calls) == 1
-            assert expected is None or value == expected
+    rng = np.random.default_rng(7)
+    for p in (EXAMPLE1, PRESETS["nv-minus"], random_params(rng)):
+        points = [(0.0, 0.3 * p.period), (math.pi, -0.7 * p.period),
+                  (math.pi / 3, 1.0),
+                  (rng.uniform(0.0, math.pi), rng.uniform(-3.0, 3.0)
+                   * p.period)]
+        for k, t in points:
+            same(outcome(geometric_phase_from_tomography, p, k, t),
+                 geometry.tomography_phase_grid(
+                     p, k, t, geometry.bloch_vector_grid(p, "minus", k, t)))
+            for band in ("minus", "plus"):
+                e = float(band_energy(p, band, k))
+                overlap = dynamics.micromotion_overlap(
+                    p, *band_weights(p, band, k), t)
+                same(return_amplitude(p, band, k, t).value,
+                     cmath.exp(-1j * e * t) * complex(overlap))
+                same(return_probability(p, band, k, t),
+                     dynamics.return_probability_grid(p, band, k, t))
+                same(outcome(geometric_phase, p, band, k, t),
+                     geometric_phase_grid(p, band, k, t))
+                same(bloch_expectations(p, band, k, t),
+                     geometry.bloch_vector_grid(p, band, k, t))
+                if k not in (0.0, math.pi):
+                    same(fisher_tau(p, band, k), fisher_tau_grid(p, band, k))
+                same(dqpt.rate_function(p, band, t, 181),
+                     dqpt.rate_function_grid(p, band, [t], 181)[0])
 
 
 # k = 0 (h_xy = 0), an interior k and k = pi, where hypot rounds Delta/2
