@@ -75,6 +75,11 @@ CLI_PRESETS = ("example1", "example2", "example3", "nv-plus", "nv-minus")
 CLI_VECTORS = (["retprob", "--k-points", "7", "--t-points", "5"],
                ["rate", "--k-points", "31", "--t-points", "9"],
                ["fisher", "--k-points", "9", "--band", "plus"],
+               ["fisher", "--n-lines", "1"],
+               ["fisher", "--n-lines", "5", "--format", "json"],
+               # a block boundary inside a k row; a table of two blocks
+               ["retprob", "--k-points", "3", "--t-points", "2000"],
+               ["rate", "--k-points", "31", "--t-points", "5000"],
                ["geo", "--k-points", "7", "--t-points", "5", "--format",
                 "json"],
                ["winding", "--t-points", "9"],

@@ -14,8 +14,10 @@ kernel, `_format_cells`; integer columns are cast to float64, exact below
 to an integer gives the 17 significant digits CPython's correctly rounded
 dtoa prints. The other cells (0, -0, nan, infinities, exponent notation,
 and any cell whose log10 is off by one) go through one "%.17g" template.
-Rows are built in blocks of FORMAT_BLOCK cells, NUL-padded, and streamed
-to the output without NULs.
+A table's rows are its columns broadcast together in C order, so a value
+repeated along an axis (a k or t of a grid; fisher's n, k, tau and t_imag)
+is formatted once and gathered. Rows are built in blocks of FORMAT_BLOCK,
+NUL-padded, and streamed to the output without NULs.
 
 Exit codes: 0 success, 2 configuration or output-file error, 3 numerical
 guard error.
@@ -57,9 +59,9 @@ PRESETS = {
 }
 
 # Resource limits, checked in RunConfig before any work: values a subcommand
-# holds (k_points x t_points, or n_lines x k_points for fisher; the values
-# are held in memory, their text is written a block at a time), Fisher lines
-# and oracle steps per period.
+# computes or writes (k_points x t_points, or n_lines x k_points for fisher;
+# a (k, t) grid's values are held in memory, their text is written a block
+# at a time), Fisher lines and oracle steps per period.
 MAX_GRID_POINTS = 2_000_000
 MAX_N_LINES = 100
 MAX_STEPS = 16 * dynamics.DEFAULT_ORACLE_STEPS
@@ -273,20 +275,32 @@ def _format_block(x, out):
 LAYOUTS = {"csv": ("", ",", "\n", ""), "json": ('["', '","', '"]', ",")}
 
 
-def _rows(layout, n, width, fill):
-    """Yield n rows of `width` cells each as ASCII bytes, FORMAT_BLOCK rows
-    at a time.
+def _rows(layout, columns):
+    """Yield the rows of `columns` broadcast together in C order, as ASCII
+    bytes, FORMAT_BLOCK rows at a time.
 
-    fill(lo, hi, slots) writes rows lo .. hi - 1: slots[j] is the (hi - lo,
-    CELL) view of cell j of those rows. Each block of rows is built in one
-    reused, NUL-padded buffer, and its bytes other than NUL are yielded.
+    A column with one value per row is formatted a block at a time. A
+    column that repeats along an axis of a (rows, cols) table, of shape
+    (rows, 1) or (cols,), is formatted once, and row r gathers its cell
+    r // cols or r % cols. Each block of rows is built in one reused,
+    NUL-padded buffer, and its bytes other than NUL are yielded.
     """
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    shape = np.broadcast_shapes(*(c.shape for c in columns))
+    n, cols = math.prod(shape), shape[-1]
+    parts = []  # (values, None) or (cells, 0 for r // cols, 1 for r % cols)
+    for c in columns:
+        if c.shape == shape:
+            parts.append((c.reshape(-1), None))
+        else:
+            cells = np.empty((c.size, CELL), np.uint8)
+            _format_cells(c.reshape(-1), cells)
+            parts.append((cells, 0 if c.ndim == 2 else 1))
     row_open, sep, row_close, between = layout
     template = np.frombuffer(
-        (between + row_open + sep.join(["\0" * CELL] * width)
+        (between + row_open + sep.join(["\0" * CELL] * len(parts))
          + row_close).encode("ascii"), np.uint8)
     first = len(between) + len(row_open)
-    offsets = [first + j * (CELL + len(sep)) for j in range(width)]
     size = min(n, FORMAT_BLOCK)
     buf = bytearray(size * template.size)
     block = np.frombuffer(buf, np.uint8).reshape(size, template.size)
@@ -294,58 +308,31 @@ def _rows(layout, n, width, fill):
     for lo in range(0, n, FORMAT_BLOCK):
         hi = min(lo + FORMAT_BLOCK, n)
         block[hi - lo:] = 0  # past the last row: dropped with the NULs
-        fill(lo, hi, [block[:hi - lo, o:o + CELL] for o in offsets])
+        index = np.divmod(np.arange(lo, hi), cols)
+        for j, (part, axis) in enumerate(parts):
+            o = first + j * (CELL + len(sep))
+            slot = block[:hi - lo, o:o + CELL]
+            if axis is None:
+                _format_cells(part[lo:hi], slot)
+            else:
+                slot[...] = np.take(part, index[axis], axis=0)
         text = buf.translate(None, b"\0")
         yield memoryview(text)[len(between):] if lo == 0 else text
 
 
-def _table_body(layout, columns):
-    columns = [np.asarray(c, dtype=float) for c in columns]
-
-    def fill(lo, hi, slots):
-        for c, slot in zip(columns, slots):
-            _format_cells(c[lo:hi], slot)
-
-    return _rows(layout, len(columns[0]), len(columns), fill)
-
-
-def _grid_body(layout, ks, ts, values):
-    # each k and t formatted once; the rows gather their cells
-    k_cells = np.empty((ks.size, CELL), np.uint8)
-    t_cells = np.empty((ts.size, CELL), np.uint8)
-    _format_cells(ks, k_cells)
-    _format_cells(ts, t_cells)
-    flat = values.ravel()
-
-    def fill(lo, hi, slots):
-        ki, ti = np.divmod(np.arange(lo, hi), ts.size)
-        slots[0][...] = np.take(k_cells, ki, axis=0)
-        slots[1][...] = np.take(t_cells, ti, axis=0)
-        _format_cells(flat[lo:hi], slots[2])
-
-    return _rows(layout, flat.size, 3, fill)
-
-
 def write_dataset(cfg: RunConfig, header, columns):
-    """Write a table as CSV or JSON, one row per index of the columns.
-
-    `columns` are equal-length 1-D arrays; every cell is "%.17g" of the
-    value cast to float64, so integral values print as integers. A (k, t)
-    grid is passed as its axes and a (len(ks), len(ts)) array of values,
-    and written as k-major (k, t, value) rows.
-    """
-    layout = LAYOUTS[cfg.fmt]
-    if np.ndim(columns[-1]) == 2:
-        body = _grid_body(layout, *columns)
-    else:
-        body = _table_body(layout, columns)
+    """Write a table as CSV or JSON: its rows are the columns broadcast
+    together in C order (see `_rows`), each cell "%.17g" of the value cast
+    to float64, so integral values print as integers. A (k, t) grid is
+    (ks[:, None], ts, values), written as k-major (k, t, value) rows."""
     if cfg.fmt == "csv":
         head, tail = ",".join(header) + "\n", ""
     else:
         head = ('{"columns":' + json.dumps(list(header), separators=(",", ":"))
                 + ',"rows":[')
         tail = "]}\n"
-    _write_text(cfg, itertools.chain([head.encode("utf-8")], body,
+    _write_text(cfg, itertools.chain([head.encode("utf-8")],
+                                     _rows(LAYOUTS[cfg.fmt], columns),
                                      [tail.encode("utf-8")]))
 
 
@@ -361,7 +348,7 @@ def cmd_retprob(cfg: RunConfig):
     ks, ts = k_grid(cfg), t_grid(cfg)
     probs = dynamics.return_probability_grid(cfg.params, cfg.band,
                                              ks[:, None], ts)
-    write_dataset(cfg, ("k", "t", "retprob"), (ks, ts, probs))
+    write_dataset(cfg, ("k", "t", "retprob"), (ks[:, None], ts, probs))
 
 
 def cmd_rate(cfg: RunConfig):
@@ -371,20 +358,19 @@ def cmd_rate(cfg: RunConfig):
 
 
 def cmd_fisher(cfg: RunConfig):
-    ks = k_grid(cfg)
-    lines = dqpt.fisher_lines(cfg.params, cfg.band, ks, cfg.n_lines)
+    lines = dqpt.fisher_lines(cfg.params, cfg.band, k_grid(cfg), cfg.n_lines)
+    # the lines share one k grid and tau; n and t_imag are one per line
     write_dataset(cfg, ("n", "k", "tau", "t_imag"),
-                  (np.repeat([line.n for line in lines], ks.size),
-                   np.ravel([line.k_grid for line in lines]),
-                   np.ravel([line.tau_of_k for line in lines]),
-                   np.repeat([line.t_imag for line in lines], ks.size)))
+                  (np.array([[line.n] for line in lines]), lines[0].k_grid,
+                   lines[0].tau_of_k,
+                   np.array([[line.t_imag] for line in lines])))
 
 
 def cmd_geo(cfg: RunConfig):
     ks, ts = k_grid(cfg), t_grid(cfg)
     phases = geometry.geometric_phase_grid(cfg.params, cfg.band,
                                            ks[:, None], ts)
-    write_dataset(cfg, ("k", "t", "phase"), (ks, ts, phases))
+    write_dataset(cfg, ("k", "t", "phase"), (ks[:, None], ts, phases))
 
 
 def cmd_winding(cfg: RunConfig):

@@ -62,8 +62,8 @@ def dynamical_phase(params: ModelParams, band: str, k: float,
     """-<chi| H_R |chi> t = -(E - (w/2)(1 - <sz>)) t; exact, linear in t.
 
     In band +-, E = w/2 +- Delta/2 and <sz> = +-(h_z - w/2)/(Delta/2)."""
-    sign = _band_sign(band)
     _, dz, half_gap = gap_guard(params, k, t)
+    sign = _band_sign(band)
     # w (dz / half_gap), not (w dz) / half_gap: w dz over- or underflows
     # where the drive's scale is beyond about 2^+-512
     return float(-sign * (half_gap + 0.5 * params.omega_drive
@@ -246,8 +246,7 @@ def wrapped_winding(phi):
 
 def bloch_expectations(params: ModelParams, band: str, k: float, t: float):
     """(<sx>, <sy>, <sz>) at (k, t): bloch_vector_grid at the point, past
-    the band check and then gap_guard's."""
-    _band_sign(band)
+    gap_guard's checks."""
     gap_guard(params, k, t)
     return tuple(bloch_vector_grid(params, band, k, t).tolist())
 

@@ -114,7 +114,8 @@ def test_writer_grid_edge_cases(tmp_path, fmt):
     values = np.array(SPECIAL).reshape(len(ks), len(ts))
     rows = [[k, t, values[i, j]] for i, k in enumerate(ks)
             for j, t in enumerate(ts)]
-    assert written(tmp_path, fmt, ("k", "t", "phase"), (ks, ts, values)) \
+    assert written(tmp_path, fmt, ("k", "t", "phase"),
+                   (ks[:, None], ts, values)) \
         == ref_text(fmt, ("k", "t", "phase"), rows)
 
 
@@ -137,24 +138,39 @@ def test_writer_grid_routes_and_blocks(tmp_path, monkeypatch, fmt, n_k, n_t,
         monkeypatch.setattr(cli, "FORMAT_BLOCK", block)
     ks = np.resize(AXIS_EDGES, n_k)
     ts = np.resize(AXIS_EDGES[::-1], n_t)
-    values = np.resize(SPECIAL + [0.123, -45.5, 1e16, 9.99e16, 1e17, -1e-5],
-                       (n_k, n_t))
+    cells = SPECIAL + [0.123, -45.5, 1e16, 9.99e16, 1e17, -1e-5]
+    values = np.resize(cells, (n_k, n_t))
     rows = [[k, t, values[i, j]] for i, k in enumerate(ks)
             for j, t in enumerate(ts)]
-    assert written(tmp_path, fmt, ("k", "t", "phase"), (ks, ts, values)) \
+    assert written(tmp_path, fmt, ("k", "t", "phase"),
+                   (ks[:, None], ts, values)) \
         == ref_text(fmt, ("k", "t", "phase"), rows)
+    # fisher's shapes: n and t_imag one per line, and k and tau one row
+    # that every line shares; here the row is the n_t values of ts
+    header = ("n", "k", "tau", "t_imag")
+    tau = np.resize(cells[::-1], n_t)
+    for n_lines in (1, 5):
+        n = np.arange(1, n_lines + 1)[:, None]
+        t_imag = np.resize(AXIS_EDGES, (n_lines, 1))
+        rows = [[str(i), k, tau[j], t_imag[i - 1, 0]] for i in n[:, 0]
+                for j, k in enumerate(ts)]
+        assert written(tmp_path, fmt, header, (n, ts, tau, t_imag)) \
+            == ref_text(fmt, header, rows)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_fisher_infinities_match_reference(tmp_path, fmt):
-    # tau is -inf at k = 0 and pi (h_xy = 0); --n-lines 2 repeats the k grid
+    # tau is -inf at k = 0 and pi (h_xy = 0); every line repeats the k grid
+    # and tau, and one line is a table of a single (1, k) row
     out = tmp_path / f"f.{fmt}"
-    assert main(["fisher", "--preset", "example1", "--k-points", "5",
-                 "--n-lines", "2", "--format", fmt, "--out", str(out)]) == 0
-    lines = dqpt.fisher_lines(PRESETS["example1"], "minus",
-                              np.linspace(0.0, math.pi, 5), 2)
-    rows = [[str(line.n), k, tau, line.t_imag] for line in lines
-            for k, tau in zip(line.k_grid, line.tau_of_k)]
-    assert np.isinf(lines[0].tau_of_k[[0, -1]]).all()
-    assert out.read_text(encoding="utf-8") \
-        == ref_text(fmt, ("n", "k", "tau", "t_imag"), rows)
+    for n_lines in (1, 2, 5):
+        assert main(["fisher", "--preset", "example1", "--k-points", "5",
+                     "--n-lines", str(n_lines), "--format", fmt,
+                     "--out", str(out)]) == 0
+        lines = dqpt.fisher_lines(PRESETS["example1"], "minus",
+                                  np.linspace(0.0, math.pi, 5), n_lines)
+        rows = [[str(line.n), k, tau, line.t_imag] for line in lines
+                for k, tau in zip(line.k_grid, line.tau_of_k)]
+        assert np.isinf(lines[0].tau_of_k[[0, -1]]).all()
+        assert out.read_text(encoding="utf-8") \
+            == ref_text(fmt, ("n", "k", "tau", "t_imag"), rows)

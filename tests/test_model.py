@@ -389,6 +389,33 @@ def test_scalar_apis_refuse_non_finite_points(ex1, name):
     api(ex1, 0.7, 0.5)  # a finite point passes
 
 
+BAND_POINT_APIS = (return_amplitude, return_probability, total_phase,
+                   geometric_phase, dynamical_phase, bloch_expectations)
+
+
+def test_scalar_band_apis_check_the_point_before_the_band():
+    # an invalid band never hides the point's error: each API raises, with
+    # band "bogus", what gap_guard raises at a NaN k, at the gapless k = 0
+    # of (1, 1, 0, 1), at a NaN t and at a t doubles cannot resolve
+    p = ModelParams(omega_drive=1.0, delta1=1.0, delta2=0.0, omega_amp=1.0)
+    for k, t in ((math.nan, 0.5), (0.0, 0.5), (0.7, math.nan),
+                 (0.7, 1e300)):
+        with pytest.raises((ValueError, GaplessPoint,
+                            TimeUnresolved)) as point:
+            gap_guard(p, k, t)
+        for api in BAND_POINT_APIS:
+            with pytest.raises(type(point.value)) as got:
+                api(p, "bogus", k, t)
+            assert str(got.value) == str(point.value), api.__name__
+    with pytest.raises(ValueError, match="k must be finite"):
+        fisher_tau(p, "bogus", math.nan)
+    for api in BAND_POINT_APIS:  # a good point reaches the band check
+        with pytest.raises(ValueError, match="band must be"):
+            api(p, "bogus", 0.7, 0.5)
+    with pytest.raises(ValueError, match="band must be"):
+        fisher_tau(p, "bogus", 0.7)
+
+
 def test_micromotion_special_times(ex1):
     assert np.allclose(micromotion(ex1, 0.0), np.eye(2))
     assert np.allclose(micromotion(ex1, ex1.period / 2),

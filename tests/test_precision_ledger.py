@@ -20,6 +20,15 @@ dynamical phase is -<chi|H(0)|chi> t. Cells the library reads as NaN (|G| below 
 skipped. Measured in the shipped minus band, modulo 2 pi: 5.3e-15
 (example1), 4.4e-15 (example3), 3.3e-15 (example2), 2.8e-15 (nv-minus),
 2.2e-15 (nv-plus, 3 NaN cells).
+
+fisher tau: (1/w) ln[h_xy^2 / (E - h_z)^2] with E = w/2 - Delta/2, on the
+interior k of the 401-point grid the bundled `*_fisher.csv` datasets use,
+relative where |tau| > 1. The zone ends k = 0 and pi are left out: there
+|E - h_z| = |Delta/2 + dz| cancels to rounding for one band (nv-minus
+prints tau = 0.005 at k = pi against 2.402), a change held for a maintainer
+decision. Measured in the shipped minus band: 7.13e-12 (example3), 7.12e-12
+(example1), 1.42e-12 (example2), 3.71e-13 (nv-minus), 1.49e-14 (nv-plus),
+the worst next to a zone end, where the cancellation begins.
 """
 
 import mpmath
@@ -27,6 +36,7 @@ import numpy as np
 import pytest
 
 from floquet_dqpt import cli
+from floquet_dqpt.dqpt import fisher_tau_grid
 from floquet_dqpt.dynamics import return_probability_grid
 from floquet_dqpt.geometry import AMP_FLOOR, geometric_phase_grid
 
@@ -34,6 +44,9 @@ DIGITS = 40
 K_STRIDE, T_STRIDE = 9, 8
 RETPROB_BOUND = 2e-15
 GEO_BOUND = 6e-15
+FISHER_K_POINTS = 401
+FISHER_BOUNDS = {"example1": 8e-12, "example2": 2e-12, "example3": 8e-12,
+                 "nv-minus": 4e-13, "nv-plus": 2e-14}
 
 
 def shipped_subgrid(preset, command="retprob"):
@@ -95,3 +108,24 @@ def test_geo_column_against_mpmath(preset):
     assert (modulus[nan] < AMP_FLOOR).all()
     d = got[~nan] - exact[~nan]
     assert np.abs(np.arctan2(np.sin(d), np.cos(d))).max() <= GEO_BOUND
+
+
+def exact_fisher_tau(p, k) -> float:
+    with mpmath.workdps(DIGITS):
+        w, d1, d2, amp, k = map(mpmath.mpf, (
+            p.omega_drive, p.delta1, p.delta2, p.omega_amp, k))
+        h_xy = amp * mpmath.sin(k) / 2
+        h_z = (d1 * mpmath.cos(k) + d2) / 2
+        energy = w / 2 - mpmath.sqrt(h_xy ** 2 + (h_z - w / 2) ** 2)
+        return float(mpmath.log(h_xy ** 2 / (energy - h_z) ** 2) / w)
+
+
+@pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+def test_fisher_tau_column_against_mpmath(preset):
+    _, cfg = cli.build_config(["fisher", "--preset", preset, "--k-points",
+                               str(FISHER_K_POINTS)])
+    ks = cli.k_grid(cfg)[1:-1]  # interior k: the zone ends are left out
+    got = fisher_tau_grid(cfg.params, "minus", ks)
+    exact = np.array([exact_fisher_tau(cfg.params, k) for k in ks])
+    err = np.abs(got - exact) / np.maximum(1.0, np.abs(exact))
+    assert err.max() <= FISHER_BOUNDS[preset]
