@@ -25,7 +25,9 @@ runs one fixed, seeded list of calls:
   each raises first;
 - 3000 seeded draws of the tomography route, both signs of Omega, with
   k = 0 and pi among them;
-- `fdqpt` over a fixed list of argument vectors, in process.
+- `fdqpt` over a fixed list of argument vectors, in process; `winding` and
+  `topo` also on the gapless drive above, from a [model] INI file written
+  to the working directory.
 
 Each call is labelled `module.name #index`, then its drive and, where they
 are scalars, its band, k and t.
@@ -89,7 +91,9 @@ CLI_ERRORS = (["winding", "--preset", "example1", "--t-max", "1e300"],
               ["rate", "--preset", "example1", "--k-points", "1"],
               ["geo", "--preset", "nope"],
               ["topo"],
-              ["oracle-check", "--steps", "256"])
+              ["oracle-check", "--steps", "256"],
+              ["winding", "--config", "gapless0.ini"],
+              ["topo", "--config", "gapless0.ini"])
 
 
 def time_limit(omega):
@@ -304,6 +308,9 @@ def emit(path):
         for argv in CLI_VECTORS:
             argv = [argv[0], "--preset", preset, *argv[1:]]
             results["fdqpt " + " ".join(argv)] = run_cli(mods["cli"], argv)
+    Path("gapless0.ini").write_text(  # (2, 1, 1, 1), as in drives()
+        "[model]\nomega_drive = 2.0\ndelta1 = 1.0\ndelta2 = 1.0\n"
+        "omega_amp = 1.0\n", encoding="utf-8")
     for argv in CLI_ERRORS:
         results["fdqpt " + " ".join(argv)] = run_cli(mods["cli"], argv)
     Path(path).write_text(json.dumps(results))

@@ -358,10 +358,11 @@ def cmd_rate(cfg: RunConfig):
 
 
 def cmd_fisher(cfg: RunConfig):
-    lines = dqpt.fisher_lines(cfg.params, cfg.band, k_grid(cfg), cfg.n_lines)
-    # the lines share one k grid and tau; n and t_imag are one per line
+    ks = k_grid(cfg)
+    lines = dqpt.fisher_lines(cfg.params, cfg.band, ks, cfg.n_lines)
+    # the lines share the k grid and one tau; n and t_imag are one per line
     write_dataset(cfg, ("n", "k", "tau", "t_imag"),
-                  (np.array([[line.n] for line in lines]), lines[0].k_grid,
+                  (np.array([[line.n] for line in lines]), ks,
                    lines[0].tau_of_k,
                    np.array([[line.t_imag] for line in lines])))
 
@@ -378,11 +379,11 @@ def cmd_winding(cfg: RunConfig):
     max(k_points, MIN_WINDING_GRID) k points: guard windows are gaps, raw is
     NaN where that grid cannot resolve t, and a finite raw that rounds to
     another integer than nu is an error."""
-    dqpt.dqpt_condition(cfg.params)  # DegenerateDelta1 before any t
+    # topo's refusals, DegenerateDelta1 then GaplessPoint, before any t
+    topology.chiral_winding_numbers(cfg.params)
     n_k = max(cfg.k_points, geometry.MIN_WINDING_GRID)
     ts, raws = geometry.raw_winding_grid(cfg.params, cfg.band, t_grid(cfg),
                                          n_k)
-    # after the oracle, so its guard errors come first
     nus = geometry.exact_winding_grid(cfg.params, cfg.band, ts)
     wrong = np.isfinite(raws) & (np.rint(raws) != nus)
     if wrong.any():

@@ -34,10 +34,9 @@ DEFAULT_K_GRID = 2001
 
 @dataclass(frozen=True)
 class FisherLine:
-    """One line of Fisher zeros: z(k) = tau_of_k + i t_imag over the k grid."""
+    """One line of Fisher zeros: z(k) = tau_of_k + i t_imag on the k grid."""
 
     n: int
-    k_grid: np.ndarray
     tau_of_k: np.ndarray
     t_imag: float
 
@@ -101,12 +100,12 @@ def fisher_lines(params: ModelParams, band: str, k_grid,
                  n_lines: int = 3) -> list:
     """Fisher-zero lines n = 1 .. n_lines sampled over the k grid.
 
-    tau is k-dependent but shared by every line; the lines differ only in
-    their (constant) imaginary part, i.e. they are parallel to the real axis.
+    tau is k-dependent but shared by every line, as one array; the lines
+    differ only in their (constant) imaginary part, i.e. they are parallel
+    to the real axis. The k grid is the caller's, and no line holds it.
     """
-    k_grid = np.asarray(k_grid, dtype=float)
     tau = fisher_tau_grid(params, band, k_grid)
-    return [FisherLine(n=n, k_grid=k_grid, tau_of_k=tau,
+    return [FisherLine(n=n, tau_of_k=tau,
                        t_imag=(2 * n - 1) * 0.5 * params.period)
             for n in range(1, n_lines + 1)]
 

@@ -46,12 +46,9 @@ ORACLE_BLOCK = 1024
 
 @dataclass(frozen=True)
 class ReturnAmplitude:
-    """Complex return amplitude G_band(k, t) with its grid coordinates."""
+    """Complex return amplitude G_band(k, t) at the caller's (band, k, t)."""
 
     value: complex
-    band: str
-    k: float
-    t: float
 
 
 def propagator_analytic(params: ModelParams, k: float, t: float) -> np.ndarray:
@@ -180,7 +177,7 @@ def return_amplitude(params: ModelParams, band: str, k: float,
     e = float(band_energy(params, band, k))
     value = cmath.exp(-1j * e * t) * complex(
         micromotion_overlap(params, *band_weights(params, band, k), t))
-    return ReturnAmplitude(value=value, band=band, k=float(k), t=float(t))
+    return ReturnAmplitude(value=value)
 
 
 def return_probability(params: ModelParams, band: str, k: float,

@@ -407,8 +407,9 @@ def test_oracle_check_skips_a_closed_gap(monkeypatch, capsys):
 
 def test_fdqpt_topo_and_winding_exit_together(tmp_path, capsys):
     # one gap rule: a drive whose gap sits between 1e-9 and 1e-8 of its
-    # scale answers in both; below 1e-9, and where delta1 = 0 with omega =
-    # delta2, both exit 3 with the same guard line
+    # scale answers in both; below 1e-9, where the gap closes at k = 0, pi
+    # or the interior vertex, and where delta1 = 0 with omega = delta2,
+    # both exit 3 with the same guard line: winding refuses before any t
     def run(command, *params):
         ini = tmp_path / "drive.ini"
         ini.write_text("[model]\n" + "".join(
@@ -425,12 +426,16 @@ def test_fdqpt_topo_and_winding_exit_together(tmp_path, capsys):
     assert run("winding", *window)[0] == 0
     for params, error in (((math.pi, math.pi, 2.0 * math.pi - 2e-9, 1.0),
                            "GaplessPoint"),
+                          ((2.0, 1.0, 1.0, 1.0), "GaplessPoint"),
+                          ((2.0, -1.0, 1.0, 1.0), "GaplessPoint"),
+                          ((1.0, 0.8, 1.1, 0.0), "GaplessPoint"),
                           ((2.0, 0.0, 2.0, 1.0), "DegenerateDelta1")):
         (code_t, topo), (code_w, winding) = (run(command, *params)
                                              for command in ("topo", "winding"))
         assert code_t == code_w == 3 and topo.out == winding.out == ""
         assert topo.err == winding.err
         assert topo.err.startswith(f"numerical guard: {error}: ")
+        assert topo.err.count("\n") == 1
 
 
 def test_parser_built_once_and_not_at_import():

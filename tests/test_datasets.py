@@ -21,13 +21,6 @@ from floquet_dqpt.cli import PRESETS, RunConfig, main, write_dataset
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((Path(__file__).parent / "golden_datasets.json")
                     .read_text(encoding="utf-8"))["sha256"]
-JSON_GRIDS = {
-    "retprob": ["--t-max", "6.0"],
-    "rate": ["--k-points", "2001", "--t-points", "241", "--t-max", "6.0"],
-    "fisher": ["--k-points", "401"],
-    "geo": ["--t-max", "6.0"],
-    "winding": ["--t-points", "121", "--t-max", "6.0"],
-}
 
 
 def load_script(name):
@@ -39,10 +32,11 @@ def load_script(name):
 
 
 def test_datasets_match_golden_hashes(tmp_path, capsys):
-    load_script("make_figure_datasets").main_script(["", str(tmp_path)])
-    for cmd, extra in JSON_GRIDS.items():
-        assert main([cmd, "--preset", "example1", "--format", "json", *extra,
-                     "--out", str(tmp_path / f"example1_{cmd}.json")]) == 0
+    script = load_script("make_figure_datasets")
+    script.main_script(["", str(tmp_path)])
+    for cmd in script.GRIDS:
+        name, argv = script.dataset("example1", cmd, "json")
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
            for path in tmp_path.iterdir()}
     assert sorted(got) == sorted(GOLDEN)
@@ -163,14 +157,14 @@ def test_fisher_infinities_match_reference(tmp_path, fmt):
     # tau is -inf at k = 0 and pi (h_xy = 0); every line repeats the k grid
     # and tau, and one line is a table of a single (1, k) row
     out = tmp_path / f"f.{fmt}"
+    ks = np.linspace(0.0, math.pi, 5)  # the k grid of --k-points 5
     for n_lines in (1, 2, 5):
         assert main(["fisher", "--preset", "example1", "--k-points", "5",
                      "--n-lines", str(n_lines), "--format", fmt,
                      "--out", str(out)]) == 0
-        lines = dqpt.fisher_lines(PRESETS["example1"], "minus",
-                                  np.linspace(0.0, math.pi, 5), n_lines)
+        lines = dqpt.fisher_lines(PRESETS["example1"], "minus", ks, n_lines)
         rows = [[str(line.n), k, tau, line.t_imag] for line in lines
-                for k, tau in zip(line.k_grid, line.tau_of_k)]
+                for k, tau in zip(ks, line.tau_of_k)]
         assert np.isinf(lines[0].tau_of_k[[0, -1]]).all()
         assert out.read_text(encoding="utf-8") \
             == ref_text(fmt, ("n", "k", "tau", "t_imag"), rows)

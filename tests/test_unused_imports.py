@@ -1,5 +1,6 @@
 """No library module, test or script imports a name it never uses, or
-imports again inside a function a name it imports at top level.
+imports again inside a function a name it imports at top level; and the
+private names library modules import from their siblings are a fixed list.
 
 No linter ships with the project, so this stdlib `ast` check keeps imports
 from lingering once their last caller is gone. The package's `__init__.py`
@@ -15,6 +16,12 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "floquet_dqpt"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py")
                  if p.name != "__init__.py")
+# Private names a library module imports from a sibling module, per module.
+# Each couples the two past the sibling's public API, so a new one fails here.
+PRIVATE_IMPORTS = {
+    "dqpt.py": {"_t_chunks", "_uniform_band_weights"},
+    "geometry.py": {"_band_sign", "_t_chunks", "_uniform_band_weights"},
+}
 TESTS_AND_SCRIPTS = sorted(str(p.relative_to(ROOT))
                            for folder in ("tests", "scripts")
                            for p in (ROOT / folder).glob("*.py"))
@@ -47,6 +54,13 @@ def reimports(source: str) -> set:
     return imported_names(tree.body) & nested
 
 
+def private_imports(source: str) -> set:
+    # names starting with "_" in any relative import
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names if alias.name.startswith("_")}
+
+
 def test_unused_imports_flags_a_dead_name():
     assert unused_imports("import math\nfrom os import path, sep\n"
                           "x = path.join(sep)\n") == {"math"}
@@ -65,6 +79,14 @@ def test_library_module_has_no_unused_imports(module):
     source = (PACKAGE / module).read_text(encoding="utf-8")
     assert not unused_imports(source)
     assert not reimports(source)
+    assert private_imports(source) == PRIVATE_IMPORTS.get(module, set())
+
+
+def test_private_imports_flags_relative_imports_of_private_names():
+    assert private_imports("from .model import (ModelParams, _t_chunks)\n"
+                           "from ._x import y\nfrom os import _exit\n"
+                           "def f():\n    from . import _z\n") \
+        == {"_t_chunks", "_z"}
 
 
 @pytest.mark.parametrize("path", TESTS_AND_SCRIPTS)
