@@ -86,7 +86,10 @@ CLI_VECTORS = (["retprob", "--k-points", "7", "--t-points", "5"],
                 "json"],
                ["winding", "--t-points", "9"],
                ["topo"],
-               ["spectrum", "--sites", "6"])
+               ["spectrum", "--sites", "6"],
+               # refused: the two band-free commands read no --band
+               ["rate", "--band", "plus"],
+               ["retprob", "--band", "plus"])
 CLI_ERRORS = (["winding", "--preset", "example1", "--t-max", "1e300"],
               ["rate", "--preset", "example1", "--k-points", "1"],
               ["geo", "--preset", "nope"],

@@ -346,14 +346,14 @@ def t_grid(cfg: RunConfig) -> np.ndarray:
 
 def cmd_retprob(cfg: RunConfig):
     ks, ts = k_grid(cfg), t_grid(cfg)
-    probs = dynamics.return_probability_grid(cfg.params, cfg.band,
+    probs = dynamics.return_probability_grid(cfg.params, "minus",
                                              ks[:, None], ts)
     write_dataset(cfg, ("k", "t", "retprob"), (ks[:, None], ts, probs))
 
 
 def cmd_rate(cfg: RunConfig):
     ts = t_grid(cfg)
-    g = dqpt.rate_function_grid(cfg.params, cfg.band, ts, cfg.k_points)
+    g = dqpt.rate_function_grid(cfg.params, "minus", ts, cfg.k_points)
     write_dataset(cfg, ("t", "g"), (ts, g))
 
 
@@ -470,14 +470,15 @@ OPTIONS = {
     "format": dict(dest="fmt", choices=("csv", "json"), default="csv"),
 }
 
-# The flags each subcommand reads, besides --preset and --config.
-GRID_FLAGS = ("band", "k-points", "t-points", "t-max", "out", "format")
+# The flags each subcommand reads, besides --preset and --config. |G|^2,
+# hence retprob and rate, is the same for both bands: they read no --band.
+GRID_FLAGS = ("k-points", "t-points", "t-max", "out", "format")
 COMMAND_FLAGS = {
     "retprob": GRID_FLAGS,
     "rate": GRID_FLAGS,
     "fisher": ("band", "k-points", "n-lines", "out", "format"),
-    "geo": GRID_FLAGS,
-    "winding": GRID_FLAGS,
+    "geo": ("band", *GRID_FLAGS),
+    "winding": ("band", *GRID_FLAGS),
     "topo": ("out", "format"),
     "spectrum": ("sites", "out", "format"),
     "oracle-check": ("steps",),

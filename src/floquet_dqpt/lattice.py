@@ -42,7 +42,6 @@ class FloquetSpectrum:
     """Folded OBC quasienergies with localization data, sorted ascending."""
 
     quasienergies: np.ndarray        # (2N,), in [-w/2, w/2)
-    modes: np.ndarray                # (2N, 2N), columns matching entries
     edge_weights: np.ndarray         # weight on the outer 10% of sites
     pi_mode: np.ndarray              # boolean flags per mode
 
@@ -51,7 +50,7 @@ def obc_floquet_spectrum(params: ModelParams, n_sites: int) -> FloquetSpectrum:
     """Folded quasienergy spectrum of the open chain with edge diagnostics.
 
     Exact via the static frame (module docstring): U(T) = -exp(-i H_eff T),
-    so one eigh of H_eff gives orthonormal modes and eigenvalues e, and the
+    so one eigh of H_eff gives its modes and eigenvalues e, and the
     principal angle of e^{-i eps T} = -e^{-i e T} folds eps = e + w/2 into
     [-w/2, w/2). Each mode is scored by its weight on the outer tenth of the
     sites (particle and hole components of a site counted together); modes
@@ -88,5 +87,5 @@ def obc_floquet_spectrum(params: ModelParams, n_sites: int) -> FloquetSpectrum:
         & (edge >= PI_MODE_EDGE_WEIGHT)
 
     order = np.argsort(eps)
-    return FloquetSpectrum(quasienergies=eps[order], modes=evecs[:, order],
-                           edge_weights=edge[order], pi_mode=pi_flag[order])
+    return FloquetSpectrum(quasienergies=eps[order], edge_weights=edge[order],
+                           pi_mode=pi_flag[order])

@@ -18,10 +18,12 @@ from hypothesis import strategies as st
 from floquet_dqpt.cli import (MAX_GRID_POINTS, MAX_STEPS, PRESETS, RunConfig,
                               main, make_parser)
 
-# The flags each subcommand reads, besides --preset and --config.
-GRID = {"--band", "--k-points", "--t-points", "--t-max", "--out", "--format"}
+# The flags each subcommand reads, besides --preset and --config. |G|^2
+# does not depend on the band, so retprob and rate read no --band.
+GRID = {"--k-points", "--t-points", "--t-max", "--out", "--format"}
 READS = {
-    "retprob": GRID, "rate": GRID, "geo": GRID, "winding": GRID,
+    "retprob": GRID, "rate": GRID,
+    "geo": GRID | {"--band"}, "winding": GRID | {"--band"},
     "fisher": {"--band", "--k-points", "--n-lines", "--out", "--format"},
     "topo": {"--out", "--format"},
     "spectrum": {"--sites", "--out", "--format"},
@@ -59,7 +61,7 @@ def test_each_subcommand_takes_exactly_the_flags_it_reads():
                  for opt in action.option_strings} - {"-h", "--help"}
         assert flags == READS[name] | {"--preset", "--config"}
         pairs += len(flags)
-    assert pairs == 51  # every subcommand took all 11 flags: 88 pairs
+    assert pairs == 49  # every subcommand took all 11 flags: 88 pairs
 
 
 def test_unread_flags_are_refused():
@@ -86,6 +88,7 @@ def test_ini_keys_are_flag_names(tmp_path, capsys):
 
 @pytest.mark.parametrize("section", ["[retprob]\nkpoints = 99\n",
                                      "[retprob]\nsites = 4\n",
+                                     "[rate]\nband = plus\n",
                                      "[spectrum]\nsteps = 7\n",
                                      "[oracle-check]\nout = x.csv\n"])
 def test_unknown_ini_keys_are_refused(tmp_path, section):
