@@ -19,31 +19,80 @@ relative to the parent's against the metric's bound. The verdict is
 to its median and not every change run beats every parent run; otherwise
 `within_bound` or `beyond_bound`. Nothing in either tree is written, apart
 from the scratch output the benchmark itself keeps in `.perfbench/`.
+
+Bytecode. A tree's own `__pycache__`, stale, missing or full, moves
+`setup_s`: compiling `cli.py` alone takes about 10 ms a launch. So each tree
+runs with its own fresh `PYTHONPYCACHEPREFIX`, a temporary directory outside
+both trees, filled by one untimed warm-up run per workload that writes
+bytecode. The timed runs read that cache with `PYTHONDONTWRITEBYTECODE=1`,
+and no `__pycache__` in either tree is read or written. The record says so
+under `bytecode`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
 PAIRS = 10
 FIRST_SEED = 2000
+# the warm-up run: the fewest passes the benchmark takes, untimed
+WARMUP_SECONDS = 1e-3
+BYTECODE = ("each tree with its own fresh PYTHONPYCACHEPREFIX outside both "
+            "trees, filled by one warm-up run per workload; timed runs read "
+            "it with PYTHONDONTWRITEBYTECODE=1, no tree's __pycache__ is "
+            "read or written")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float,
+             env: dict) -> dict:
     """One benchmark run in `tree` -> {"meta", "result"} from its last two
     lines of standard output."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=True)
+        cwd=tree, env=env, capture_output=True, text=True, check=True)
     meta, result = proc.stdout.splitlines()[-2:]
     return {"meta": json.loads(meta)["meta"], "result": json.loads(result)}
+
+
+def bytecode_envs(caches: Path) -> dict:
+    """Per side, (warm-up, timed) environments: the side's own bytecode
+    cache under `caches`, written by the warm-up and only read when timed."""
+    env = {k: v for k, v in os.environ.items()
+           if k != "PYTHONDONTWRITEBYTECODE"}
+    envs = {}
+    for side in SIDES:
+        warm = dict(env, PYTHONPYCACHEPREFIX=str(caches / side))
+        envs[side] = (warm, dict(warm, PYTHONDONTWRITEBYTECODE="1"))
+    return envs
+
+
+def run_pairs(trees: dict, workload: str, seeds: list, seconds: float,
+              envs: dict) -> dict:
+    """Each side's runs of one workload, in pairs, after one untimed warm-up
+    run per side that fills its bytecode cache."""
+    for side in SIDES:
+        run_once(trees[side], workload, FIRST_SEED, WARMUP_SECONDS,
+                 envs[side][0])
+    runs = {side: [] for side in SIDES}
+    for i, seed in enumerate(seeds):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for side in order:
+            runs[side].append(run_once(trees[side], workload, seed, seconds,
+                                       envs[side][1]))
+            r = runs[side][-1]["result"]["metrics"]
+            print(f"{workload} pair {i} {side}: " + ", ".join(
+                f"{k} {v['value']:.4g}" for k, v in r.items()),
+                file=sys.stderr, flush=True)
+    return runs
 
 
 def quartiles(xs: list) -> dict:
@@ -99,31 +148,25 @@ def main(argv=None) -> int:
     record = {"command": "perfbench/run.py --trace 0", "seconds": seconds,
               "pairs": PAIRS, "seeds": seeds,
               "order": "parent first in even pairs, change first in odd",
-              "trees": {}, "machine": None, "workloads": {}}
-    for workload in [w["name"] for w in bench["workloads"]]:
-        runs = {side: [] for side in SIDES}
-        for i, seed in enumerate(seeds):
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            for side in order:
-                runs[side].append(run_once(trees[side], workload, seed,
-                                           seconds))
-                r = runs[side][-1]["result"]["metrics"]
-                print(f"{workload} pair {i} {side}: " + ", ".join(
-                    f"{k} {v['value']:.4g}" for k, v in r.items()),
-                    file=sys.stderr, flush=True)
-        meta = runs["change"][0]["meta"]
-        record["machine"] = {key: meta[key] for key in
-                             ("cpu_model", "nproc", "python", "numpy",
-                              "blas", "blas_threads")}
-        for side in SIDES:
-            m = runs[side][0]["meta"]
-            record["trees"][side] = {"git_sha": m["git_sha"],
-                                     "src_sha256": m["src_sha256"]}
-        record["workloads"][workload] = {
-            "failed": {side: sum(r["result"]["failed"] for r in runs[side])
-                       for side in SIDES},
-            "metrics": {metric["name"]: summarize(metric, runs)
-                        for metric in bench["end_to_end"]}}
+              "bytecode": BYTECODE, "trees": {}, "machine": None,
+              "workloads": {}}
+    with tempfile.TemporaryDirectory() as caches:
+        envs = bytecode_envs(Path(caches))
+        for workload in [w["name"] for w in bench["workloads"]]:
+            runs = run_pairs(trees, workload, seeds, seconds, envs)
+            meta = runs["change"][0]["meta"]
+            record["machine"] = {key: meta[key] for key in
+                                 ("cpu_model", "nproc", "python", "numpy",
+                                  "blas", "blas_threads")}
+            for side in SIDES:
+                m = runs[side][0]["meta"]
+                record["trees"][side] = {"git_sha": m["git_sha"],
+                                         "src_sha256": m["src_sha256"]}
+            record["workloads"][workload] = {
+                "failed": {side: sum(r["result"]["failed"]
+                                     for r in runs[side]) for side in SIDES},
+                "metrics": {metric["name"]: summarize(metric, runs)
+                            for metric in bench["end_to_end"]}}
 
     out = Path(f"BENCH_{args.number}.json")
     out.write_text(json.dumps(record, indent=1) + "\n")

@@ -9,9 +9,11 @@ in a fresh process with that tree's `src/` first on the path, this script
 runs one fixed, seeded list of calls:
 
 - every public scalar and grid API of the library, at both bands, on the
-  presets, on seeded random drives, on a drive whose gap closes at k = 0 and
-  on example1 scaled by 2^600 and 2^-600 (and the Bloch vector on a drive
-  whose parameters are all subnormal);
+  presets, on seeded random drives, on a drive whose gap closes at k = 0,
+  on example1 scaled by 2^600 and 2^-600, on each preset scaled to the
+  edges of the double range, by 2^(1022 - e) (e the exponent of its largest
+  parameter) and by 2^-1000, and on (1, 1, 1, 1) times 1e308 and 1.7e308
+  (and the Bloch vector on a drive whose parameters are all subnormal);
 - the minimum gap, the chiral invariants and nu at T/4 of a drive whose gap
   closes at an interior k, scaled to 1e-300, 1e160 and 1e300;
 - the same, with nu at T/4 and 3T/4, on a drive whose gap sits just above
@@ -111,19 +113,26 @@ def time_limit(omega):
 
 def drives(model, presets):
     """(name, params): the presets, 20 seeded draws, a drive whose gap
-    closes at k = 0, and example1 scaled by 2^+-600, where a product of two
-    parameters over- or underflows."""
+    closes at k = 0, example1 scaled by 2^+-600, where a product of two
+    parameters over- or underflows, each preset scaled by 2^(1022 - e) and
+    2^-1000, and (1, 1, 1, 1) times 1e308 and 1.7e308."""
     rng = np.random.default_rng(20261018)
     out = sorted(presets.items())
     for i in range(20):
         w, d1, d2, amp = (rng.uniform(0.5, 6.0), *rng.uniform(-5.0, 5.0, 3))
         out.append((f"draw{i}", model.ModelParams(w, d1, d2, amp)))
     out.append(("gapless0", model.ModelParams(2.0, 1.0, 1.0, 1.0)))
-    p = presets["example1"]
-    for j in (600, -600):
-        s = 2.0 ** j
-        out.append((f"example1*2^{j}", model.ModelParams(
+    scalings = [("example1", 600), ("example1", -600)]
+    for name, p in sorted(presets.items()):
+        e = math.frexp(max(abs(p.omega_amp), abs(p.delta1), abs(p.delta2),
+                           p.omega_drive))[1]
+        scalings += [(name, 1022 - e), (name, -1000)]
+    for name, j in scalings:
+        p, s = presets[name], 2.0 ** j
+        out.append((f"{name}*2^{j}", model.ModelParams(
             s * p.omega_drive, s * p.delta1, s * p.delta2, s * p.omega_amp)))
+    for s in (1e308, 1.7e308):
+        out.append((f"one*{s:g}", model.ModelParams(s, s, s, s)))
     return out
 
 

@@ -96,9 +96,10 @@ class RunConfig:
         if math.prod(axes) > MAX_GRID_POINTS:
             raise ConfigError(f"grid of {' x '.join(map(str, axes))} values "
                               f"exceeds {MAX_GRID_POINTS}")
-        if self.t_max is not None and not 0 < self.t_max < math.inf:
-            raise ConfigError(f"t_max must be positive and finite, "
-                              f"got {self.t_max}")
+        t_max = None if self.t_points is None else self.resolved_t_max
+        if t_max is not None and not 0 < t_max < math.inf:
+            raise ConfigError("t_max (three periods when not given) must be "
+                              f"positive and finite, got {t_max}")
         _check_range("sites", self.sites, 2, lattice.MAX_SITES)
         if self.out is not None and "\0" in self.out:  # from an INI value
             raise ConfigError("out must not contain a NUL character")

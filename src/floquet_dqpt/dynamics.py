@@ -4,7 +4,7 @@ Two routes to the time evolution operator are kept deliberately separate:
 
 * `propagator_analytic` uses the exact rotating-frame factorization
   U(k, t) = U_R(t) exp(-i H_F(k) t) as the SU(2) matrix [[a, b], [-b*, a*]]
-  whose two entries are closed forms in the field `model.static_field`;
+  whose two entries are closed forms in the field `model.normal_field`;
 * `propagator_oracle` integrates dU/dt = -i H(k, t) U with a classical
   fixed-step 4th-order scheme and knows nothing about the rotating frame.
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import StepCountTooSmall
 from .model import (ModelParams, band_energy, band_weights, bloch_components,
-                    gap_guard, require_resolved_time)
+                    gap_guard, normal_field, require_resolved_time)
 
 MIN_ORACLE_STEPS = 256
 DEFAULT_ORACLE_STEPS = 4096
@@ -55,14 +55,15 @@ def propagator_analytic(params: ModelParams, k: float, t: float) -> np.ndarray:
     """Exact propagator U(k, t) = U_R(t) exp(-i H_F(k) t) as an SU(2) pair:
 
     U = [[a, b], [-b*, a*]], a = p (cos x - i n_z sin x), b = -i p n_x sin x,
-    with p = e^{-i w t/2}, x = Delta t/2, n = (h_xy, 0, dz)/(Delta/2).
+    with p = e^{-i w t/2}, x = Delta t/2, n = (h_xy, 0, dz)/(Delta/2); n and
+    sin(x)/(Delta/2) on the normal form.
     """
-    b, dz, half_gap = gap_guard(params, k, t)
-    angle = half_gap * t
+    angle = gap_guard(params, k, t)[2] * t
+    h_xy, _, dz, half_gap = normal_field(params, k)
     s = math.sin(angle) / half_gap
     phase = cmath.exp(-0.5j * params.omega_drive * t)
     u00 = phase * complex(math.cos(angle), -s * dz)
-    u01 = phase * complex(0.0, -s * b.h_xy)
+    u01 = phase * complex(0.0, -s * h_xy)
     return np.array([[u00, u01], [-u01.conjugate(), u00.conjugate()]])
 
 

@@ -30,7 +30,7 @@ from .errors import (GridTooCoarse, NearCriticalTime, PhaseUndefined,
                      WindingNotQuantized)
 from .model import (T_GUARD_FRACTION, ModelParams, _band_sign, _t_chunks,
                     _uniform_band_weights, band_weights, finite_point,
-                    gap_guard, require_resolved_time, static_field,
+                    gap_guard, normal_field, require_resolved_time,
                     zone_gap_guard)
 from .dynamics import micromotion_overlap, return_amplitude
 from .dqpt import DEFAULT_K_GRID, dqpt_condition
@@ -61,13 +61,12 @@ def dynamical_phase(params: ModelParams, band: str, k: float,
                     t: float) -> float:
     """-<chi| H_R |chi> t = -(E - (w/2)(1 - <sz>)) t; exact, linear in t.
 
-    In band +-, E = w/2 +- Delta/2 and <sz> = +-(h_z - w/2)/(Delta/2)."""
-    _, dz, half_gap = gap_guard(params, k, t)
-    sign = _band_sign(band)
-    # w (dz / half_gap), not (w dz) / half_gap: w dz over- or underflows
-    # where the drive's scale is beyond about 2^+-512
-    return float(-sign * (half_gap + 0.5 * params.omega_drive
-                          * (dz / half_gap)) * t)
+    In band +-, E = w/2 +- Delta/2 and <sz> = +-(h_z - w/2)/(Delta/2), the
+    latter read on the normal form."""
+    half_gap = gap_guard(params, k, t)[2]
+    n_z = np.divide(*normal_field(params, k)[2:])  # (h_z - w/2)/(Delta/2)
+    return float(-_band_sign(band) * (half_gap + 0.5 * params.omega_drive
+                                      * n_z) * t)
 
 
 def geometric_phase(params: ModelParams, band: str, k: float,
@@ -257,12 +256,10 @@ def bloch_vector_grid(params: ModelParams, band: str, k, t) -> np.ndarray:
     w/2)/(Delta/2) turned about z by w t. NaN where the gap closes."""
     require_resolved_time(params, t)
     sign = _band_sign(band)
-    b, dz, half_gap = static_field(params, k)
-    # scaled by an exact power of two, so that 1/(Delta/2) cannot overflow
-    xy, dz, hg = np.ldexp((b.h_xy, dz, half_gap), -np.frexp(half_gap)[1])
+    xy, _, dz, half_gap = normal_field(params, k)
     wt = params.omega_drive * np.asarray(t, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = sign / hg
+        r = sign / half_gap
         return np.stack(np.broadcast_arrays(r * xy * np.cos(wt),
                                             r * xy * np.sin(wt), r * dz))
 
@@ -288,7 +285,7 @@ def tomography_phase_grid(params: ModelParams, k, t, bloch) -> np.ndarray:
     h_xy (+1 at h_xy = 0), with the evolved one; (w/2)(<sz> - 1) t adds the
     dynamical part. NaN where that overlap is below AMP_FLOOR or bloch = 0."""
     require_resolved_time(params, t)
-    b, dz, half_gap = static_field(params, k)
+    h_xy, _, dz, half_gap = normal_field(params, k)
     sx, sy, sz = bloch = np.asarray(bloch, dtype=float)
     w, t = params.omega_drive, np.asarray(t, dtype=float)
     with np.errstate(all="ignore"):
@@ -298,9 +295,9 @@ def tomography_phase_grid(params: ModelParams, k, t, bloch) -> np.ndarray:
         cos_vt = np.clip(z / np.sqrt(x * x + y * y + z * z), -1.0, 1.0)
         # where h_xy = 0 the vector sits on a pole with no azimuth of its
         # own; take its limit along the drive's turn, w t + pi for s = +1
-        phi = np.where(b.h_xy != 0, np.arctan2(sy, sx), w * t + math.pi)
+        phi = np.where(h_xy != 0, np.arctan2(sy, sx), w * t + math.pi)
         overlap = (np.sin(0.5 * theta) * np.sqrt(0.5 * (1.0 + cos_vt))
-                   - np.where(b.h_xy >= 0, 1.0, -1.0) * np.exp(1j * phi)
+                   - np.where(h_xy >= 0, 1.0, -1.0) * np.exp(1j * phi)
                    * np.cos(0.5 * theta) * np.sqrt(0.5 * (1.0 - cos_vt)))
         phase = principal_branch(np.angle(overlap) + 0.5 * w * sz * t
                                  - 0.5 * w * t)

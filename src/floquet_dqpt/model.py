@@ -11,11 +11,17 @@ rotating with U_R(t) = diag(1, e^{i w t}) the problem becomes static,
     H_F(k) = h_xy sx + (h_z - w/2) sz + (w/2) I,
 
 a constant plus the static field (h_xy, 0, h_z - w/2) of length Delta(k)/2.
-`static_field` computes that field, broadcast over k, and every band
-quantity reads it: the quasienergies E_pm(k) = w/2 +- Delta(k)/2, the band
-weights |a|^2, |b|^2 of the t = 0 Floquet modes and the point guard
-`gap_guard`. A scalar API is that guard, then the public kernel at the
-point. Quasienergies stay UNFOLDED, as every phase formula downstream needs.
+The quasienergies are E_pm(k) = w/2 +- Delta(k)/2, kept UNFOLDED, as every
+phase formula downstream needs; a scalar API is the point guard `gap_guard`,
+then the public kernel at the point.
+
+The normal form: H(k, t; s p) = s H(k, s t; p), so a dimensionless quantity
+reads the drive only as p 2^-e, e the exponent of its largest parameter
+(`ModelParams.normal_form`), exactly so for s = 2^j. `normal_field`, the one
+formula for the field, evaluates it there in units of 2^e. The kernels of
+dimensionless quantities read it and never scale back; `static_field`
+scales it by 2^e for energies, gaps and the guard, with the bits of the
+physical formula wherever that stays normal.
 """
 
 from __future__ import annotations
@@ -77,6 +83,14 @@ class ModelParams:
         return GAP_FLOOR_REL * self.scale
 
     @functools.cached_property
+    def normal_form(self) -> tuple:
+        """(2^e, w, delta1, delta2, Omega times 2^-e), e the exponent of scale
+        clamped to +-1022: the largest scaled parameter is in [2^-52, 4)."""
+        e = min(max(math.frexp(self.scale)[1], -1022), 1022)
+        return (2.0 ** e, *(x * 2.0 ** -e for x in (
+            self.omega_drive, self.delta1, self.delta2, self.omega_amp)))
+
+    @functools.cached_property
     def time_limit(self) -> float:
         """Least |t| doubles cannot resolve, 2^(52 + ceil(log2 W)): the least
         power of two whose ulp reaches the window W = T_GUARD_FRACTION T, where
@@ -96,26 +110,26 @@ class BlochComponents:
     h_z: float
 
 
-def bloch_components(params: ModelParams, k):
-    """Transverse and longitudinal field components at quasimomentum k.
-
-    Accepts scalar or array k; returns a BlochComponents pair whose fields
-    follow the input shape.
-    """
-    h_xy = 0.5 * params.omega_amp * np.sin(k)
-    h_z = 0.5 * (params.delta1 * np.cos(k) + params.delta2)
-    return BlochComponents(h_xy=h_xy, h_z=h_z)
+def normal_field(params: ModelParams, k):
+    """(h_xy, h_z, h_z - w/2, Delta/2) at k, broadcast over k: the field of
+    H_F - (w/2) I and its length on the normal form, in units of 2^e."""
+    _, w, d1, d2, amp = params.normal_form
+    h_z = 0.5 * (d1 * np.cos(k) + d2)
+    h_xy, dz = 0.5 * amp * np.sin(k), h_z - 0.5 * w
+    return h_xy, h_z, dz, np.hypot(h_xy, dz)
 
 
 def static_field(params: ModelParams, k):
-    """(Bloch components, h_z - w/2, Delta/2) at k, broadcast over k.
+    """(Bloch components, h_z - w/2, Delta/2) at k: normal_field scaled by
+    2^e, the physical field that energies, gaps and the guard read."""
+    unit = params.normal_form[0]
+    h_xy, h_z, dz, half_gap = (x * unit for x in normal_field(params, k))
+    return BlochComponents(h_xy=h_xy, h_z=h_z), dz, half_gap
 
-    The field of H_F - (w/2) I and its length: the one evaluation every band
-    quantity and the scalar guard read.
-    """
-    b = bloch_components(params, k)
-    dz = b.h_z - 0.5 * params.omega_drive
-    return b, dz, np.hypot(b.h_xy, dz)
+
+def bloch_components(params: ModelParams, k):
+    """(h_xy, h_z) at quasimomentum k, scalar or array: static_field's."""
+    return static_field(params, k)[0]
 
 
 def finite_point(k=0.0, t=0.0):
@@ -163,13 +177,10 @@ def min_half_gap(params: ModelParams) -> float:
     With c = cos k and d = delta2 - w its square is the quadratic
     [(delta1^2 - Omega^2) c^2 + 2 delta1 d c + d^2 + Omega^2] / 4 on [-1, 1],
     least at an endpoint, |d +- delta1|/2, or at the vertex when convex
-    (there is none when delta1^2 = Omega^2), on the parameters scaled by
-    2^-e, the largest near 1, so that no square overflows or underflows.
+    (there is none when delta1^2 = Omega^2), on the drive's normal form, so
+    that no square overflows or underflows.
     """
-    # |e| <= 1022 keeps 2^+-e normal; the scaled largest is in [2^-52, 4)
-    e = min(max(math.frexp(params.scale)[1], -1022), 1022)
-    w, d1, d2, amp = (x * 2.0 ** -e for x in (
-        params.omega_drive, params.delta1, params.delta2, params.omega_amp))
+    unit, w, d1, d2, amp = params.normal_form
     d = d2 - w
     lengths = [0.5 * abs(d + d1), 0.5 * abs(d - d1)]
     curvature = d1 * d1 - amp * amp
@@ -178,7 +189,7 @@ def min_half_gap(params: ModelParams) -> float:
         if -1.0 < c < 1.0:
             lengths.append(0.5 * math.hypot(d1 * c + d,
                                             amp * math.sqrt(1.0 - c * c)))
-    return min(lengths) * 2.0 ** e
+    return min(lengths) * unit
 
 
 def zone_gap_guard(params: ModelParams):
@@ -204,7 +215,7 @@ def band_weights(params: ModelParams, band: str, k):
     in closed form without building eigenvectors.
     """
     sign = _band_sign(band)
-    _, dz, half_gap = static_field(params, k)
+    _, _, dz, half_gap = normal_field(params, k)
     # half_gap = 0 forces dz = 0: 0/0 = NaN exactly where the gap closes
     with np.errstate(invalid="ignore"):
         wa = 0.5 * (1.0 + sign * (dz / half_gap))

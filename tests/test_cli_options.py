@@ -114,6 +114,15 @@ def test_t_max_must_be_finite(tmp_path):
         assert_refused(["geo", "--config", path], "t_max")
 
 
+def test_drive_whose_period_overflows_is_refused(tmp_path):
+    # T = 2 pi / w is inf, so the default t_max of three periods is no time
+    # axis: refused with one line, not a traceback or numpy's warnings
+    path = write_ini(tmp_path / "run.ini", "[model]\nomega_drive = 1e-320\n"
+                     "delta1 = 1e-320\ndelta2 = 5e-321\nomega_amp = 1e-320\n")
+    for command in ("retprob", "rate", "geo", "winding"):
+        assert_refused([command, "--config", path], "t_max", "inf")
+
+
 def test_ini_without_section_header_is_refused(tmp_path):
     path = write_ini(tmp_path / "run.ini", "k-points = 5\n[model]\n"
                      "preset = example1\n")

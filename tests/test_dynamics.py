@@ -340,9 +340,10 @@ def test_return_probability_grid_matches_scalar(ex1):
         assert pr == pytest.approx(abs(chi.conj() @ u @ chi) ** 2, abs=1e-9)
 
 
-ANALYTIC_ROUTE = {"static_field", "gap_guard", "finite_point",
-                  "band_weights", "band_energy", "micromotion_overlap",
-                  "propagator_analytic", "obc_floquet_spectrum"}
+ANALYTIC_ROUTE = {"normal_field", "static_field", "gap_guard",
+                  "finite_point", "band_weights", "band_energy",
+                  "micromotion_overlap", "propagator_analytic",
+                  "obc_floquet_spectrum"}
 
 
 def code_names(code) -> set:

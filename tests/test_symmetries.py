@@ -106,7 +106,10 @@ def scale_free(p, s, band, ks, ts):
     return out
 
 
+@pytest.mark.filterwarnings("error")
 def test_scale_keeps_the_bits():
+    # SCALES, and the two edges of the double range: the largest parameter
+    # just below 2^1022, and 2^-1000, where h_xy at k = pi is subnormal
     rng = np.random.default_rng(2026102601)
     for n, p in enumerate(seeded_drives(9, 261)):
         band = ("minus", "plus")[n % 2]
@@ -114,12 +117,15 @@ def test_scale_keeps_the_bits():
         ts = np.concatenate([[0.0, 0.5 * p.period],
                              rng.uniform(-3.0 * p.period, 3.0 * p.period, 3)])
         base = scale_free(p, 1.0, band, ks, ts)
-        for j in SCALES:
+        for j in (*SCALES, 1022 - math.frexp(p.scale)[1], -1000):
             s = 2.0 ** j
-            got = scale_free(scaled(p, s), s, band, ks, ts / s)
+            ps = scaled(p, s)
+            got = scale_free(ps, s, band, ks, ts / s)
             assert got.keys() == base.keys()
             for key in base:
-                assert got[key] == base[key], (p, j, key)
+                # past the largest double the time limit is inf
+                if key != "time_limit" or math.isfinite(ps.time_limit):
+                    assert got[key] == base[key], (p, j, key)
 
 
 def test_dynamical_phase_at_extreme_scales():
@@ -133,6 +139,98 @@ def test_dynamical_phase_at_extreme_scales():
         assert phi == pytest.approx(1.30843, abs=1e-5)
         assert phi == geometry.dynamical_phase(p, "minus", 0.7,
                                                0.37 * p.period)
+
+
+# times in periods, given as w t / 2 pi, so that w t keeps its bits
+CYCLES = (0.37, 0.75, 2.2)
+
+
+def dimensionless(p):
+    """{(API, band, k, t index): flat complex array}: every dimensionless
+    output of the drive p at k = 0, 0.7, pi and at the times of CYCLES
+    periods, t index last where the API takes one t."""
+    ks = np.array([0.0, 0.7, math.pi])
+    ts = np.array(CYCLES) * (2.0 * math.pi) / p.omega_drive
+    k_col = ks[:, None]
+    bloch = geometry.bloch_vector_grid(p, "minus", k_col, ts)
+    out = {("k_c",): dqpt.dqpt_condition(p).k_c,
+           ("chiral_winding_numbers",):
+               topology.chiral_winding_numbers(p).wpi,
+           ("tomography_phase_grid",):
+               geometry.tomography_phase_grid(p, k_col, ts, bloch)}
+    for band in ("minus", "plus"):
+        out["band_weights", band] = model.band_weights(p, band, ks)
+        out["exact_winding_grid", band] = geometry.exact_winding_grid(
+            p, band, ts)
+        out["raw_winding_grid", band] = geometry.raw_winding_grid(
+            p, band, ts, 401)[1]
+        out["rate_function_grid", band] = dqpt.rate_function_grid(
+            p, band, ts, 181)
+        for fn in (dynamics.return_probability_grid,
+                   geometry.geometric_phase_grid, geometry.bloch_vector_grid):
+            out[fn.__name__, band] = fn(p, band, k_col, ts)
+        for i, t in enumerate(ts):
+            out["rate_function", band, i] = dqpt.rate_function(p, band, t,
+                                                               181)
+            out["winding_number", band, i] = geometry.winding_number(
+                p, band, t, 401, True)
+            out["exact_winding", band, i] = geometry.exact_winding(p, band,
+                                                                   t)
+            for k in ks:
+                out["return_amplitude", band, k, i] = \
+                    dynamics.return_amplitude(p, band, k, t).value
+                for fn in (dynamics.return_probability, geometry.total_phase,
+                           geometry.dynamical_phase, geometry.geometric_phase,
+                           geometry.bloch_expectations):
+                    out[fn.__name__, band, k, i] = fn(p, band, k, t)
+    for i, t in enumerate(ts):
+        for k in ks:
+            out["propagator_analytic", k, i] = dynamics.propagator_analytic(
+                p, k, t)
+            out["geometric_phase_from_tomography", k, i] = \
+                geometry.geometric_phase_from_tomography(p, k, t)
+    return {key: np.asarray(v, dtype=complex).reshape(-1)
+            for key, v in out.items()}
+
+
+INTEGERS = {"chiral_winding_numbers", "exact_winding", "exact_winding_grid"}
+
+
+@pytest.mark.filterwarnings("error")
+def test_drives_near_the_largest_double():
+    # (1, 1, 1, 1) times 1e308 and 1.7e308: no API warns, nu is exact and
+    # every dimensionless output (a phase mod 2 pi) is within 1e-15 of
+    # (1, 1, 1, 1) per period elapsed, at least one. Neither scale is a power
+    # of two, so the rounding of the field and of the phase arguments w t
+    # and Delta t/2 moves. The RK4 oracle is left out: it keeps the
+    # physical H(k, t) as the independent check, and overflows here
+    one = ModelParams(1.0, 1.0, 1.0, 1.0)
+    base, worst = dimensionless(one), 0.0
+    for s in (1e308, 1.7e308):
+        p = scaled(one, s)
+        got = dimensionless(p)
+        assert got.keys() == base.keys()
+        for key, want in base.items():
+            d = got[key] - want
+            if "phase" in key[0]:
+                d = geometry.principal_branch(d.real)
+            periods = max(1.0, CYCLES[key[-1] if len(key) > 2 else -1])
+            worst = max(worst, np.abs(d).max() / periods)
+            if key[0] in INTEGERS:
+                assert np.array_equal(got[key], want), (s, key)
+            if key[0] == "winding_number":  # (nu, raw)
+                assert got[key][0] == want[0], (s, key)
+        # and those with units answer finite numbers
+        ks = np.array([0.0, 0.7, math.pi])
+        physical = [*model.gap_guard(p, 0.7, 0.37 * p.period)[1:],
+                    model.min_half_gap(p),
+                    lattice.obc_floquet_spectrum(p, 12).quasienergies]
+        for band in ("minus", "plus"):
+            physical += [model.band_energy(p, band, ks),
+                         dqpt.fisher_lines(p, band, ks)[0].tau_of_k[1],
+                         dqpt.fisher_tau(p, band, 0.7)]
+        assert all(np.isfinite(x).all() for x in physical)
+    assert worst <= 1e-15, worst
 
 
 def test_scale_moves_fisher_lines_and_chain_spectrum_by_rounding():
