@@ -3,18 +3,22 @@
 
 Usage:
     python3 scripts/bench_ab.py PARENT CHANGE --number N
+        [--pairs P] [--workload NAME ...]
 
 PARENT and CHANGE are source trees, each with its own `perfbench/run.py`
-and `src/`. For every workload declared in `BENCHMARK.json`, pair i of ten
-runs `perfbench/run.py --trace 0` once in each tree with seed 2000 + i and
-the benchmark's `run_seconds`; the parent runs first in even pairs and the
+and `src/`. For every workload declared in `BENCHMARK.json`, or for each
+one named by `--workload` (repeatable), pair i of P (default 10) runs
+`perfbench/run.py --trace 0` once in each tree with seed 2000 + i and the
+benchmark's `run_seconds`; the parent runs first in even pairs and the
 change first in odd ones. Runs are sequential, in fresh processes.
 
 The record, `BENCH_<N>.json` in the current directory, holds the machine,
 numpy and BLAS as the runs' metadata line reports them, the pair count, and
 per workload and end-to-end metric the median and quartiles of each side,
 every run's value, the pairs the change won, and its median's change
-relative to the parent's against the metric's bound. The verdict is
+relative to the parent's against the metric's bound. A gain is shown where
+the change wins at least nine pairs in ten and its median beats the
+parent's by more than the parent's quartile spread. The verdict is
 `unresolved` where the parent's quartile spread exceeds the bound relative
 to its median and not every change run beats every parent run; otherwise
 `within_bound` or `beyond_bound`. Nothing in either tree is written, apart
@@ -41,7 +45,7 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
-PAIRS = 10
+DEFAULT_PAIRS = 10
 FIRST_SEED = 2000
 # the warm-up run: the fewest passes the benchmark takes, untimed
 WARMUP_SECONDS = 1e-3
@@ -127,7 +131,7 @@ def summarize(metric: dict, runs: dict) -> dict:
         verdict = "beyond_bound"
     out.update(change_wins=wins, ties=ties, relative_change=relative,
                verdict=verdict,
-               gain_shown=(wins >= 0.9 * PAIRS
+               gain_shown=(wins >= 0.9 * len(values["parent"])
                            and sign * (base - new) > spread))
     return out
 
@@ -138,21 +142,31 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--number", type=int, required=True,
                         help="N of the record's name, BENCH_<N>.json")
+    parser.add_argument("--pairs", type=int, default=DEFAULT_PAIRS,
+                        help="pairs of runs per workload (default 10)")
+    parser.add_argument("--workload", action="append",
+                        help="a workload to run (repeatable; default all)")
     args = parser.parse_args(argv)
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    seeds = [FIRST_SEED + i for i in range(PAIRS)]
+    names = [w["name"] for w in bench["workloads"]]
+    if args.pairs < 2:  # quartiles need two runs a side
+        parser.error(f"--pairs must be at least 2, got {args.pairs}")
+    for name in args.workload or ():
+        if name not in names:
+            parser.error(f"unknown workload {name!r}; one of {names}")
+    seeds = [FIRST_SEED + i for i in range(args.pairs)]
     seconds = bench["run_seconds"]
 
     record = {"command": "perfbench/run.py --trace 0", "seconds": seconds,
-              "pairs": PAIRS, "seeds": seeds,
+              "pairs": args.pairs, "seeds": seeds,
               "order": "parent first in even pairs, change first in odd",
               "bytecode": BYTECODE, "trees": {}, "machine": None,
               "workloads": {}}
     with tempfile.TemporaryDirectory() as caches:
         envs = bytecode_envs(Path(caches))
-        for workload in [w["name"] for w in bench["workloads"]]:
+        for workload in args.workload or names:
             runs = run_pairs(trees, workload, seeds, seconds, envs)
             meta = runs["change"][0]["meta"]
             record["machine"] = {key: meta[key] for key in

@@ -12,8 +12,9 @@ runs one fixed, seeded list of calls:
   presets, on seeded random drives, on a drive whose gap closes at k = 0,
   on example1 scaled by 2^600 and 2^-600, on each preset scaled to the
   edges of the double range, by 2^(1022 - e) (e the exponent of its largest
-  parameter) and by 2^-1000, and on (1, 1, 1, 1) times 1e308 and 1.7e308
-  (and the Bloch vector on a drive whose parameters are all subnormal);
+  parameter) and by 2^-1000, and on (1, 1, 1, 1) and (1, 1, -1, 1) times
+  1e308 and 1.7e308 (and the Bloch vector on a drive whose parameters are
+  all subnormal);
 - the minimum gap, the chiral invariants and nu at T/4 of a drive whose gap
   closes at an interior k, scaled to 1e-300, 1e160 and 1e300;
 - the same, with nu at T/4 and 3T/4, on a drive whose gap sits just above
@@ -115,7 +116,8 @@ def drives(model, presets):
     """(name, params): the presets, 20 seeded draws, a drive whose gap
     closes at k = 0, example1 scaled by 2^+-600, where a product of two
     parameters over- or underflows, each preset scaled by 2^(1022 - e) and
-    2^-1000, and (1, 1, 1, 1) times 1e308 and 1.7e308."""
+    2^-1000, and (1, 1, 1, 1) and (1, 1, -1, 1) times 1e308 and 1.7e308,
+    where |h_z - w/2| at k = pi is past the largest double."""
     rng = np.random.default_rng(20261018)
     out = sorted(presets.items())
     for i in range(20):
@@ -133,6 +135,8 @@ def drives(model, presets):
             s * p.omega_drive, s * p.delta1, s * p.delta2, s * p.omega_amp)))
     for s in (1e308, 1.7e308):
         out.append((f"one*{s:g}", model.ModelParams(s, s, s, s)))
+    for s in (1e308, 1.7e308):
+        out.append((f"mixed*{s:g}", model.ModelParams(s, s, -s, s)))
     return out
 
 
@@ -161,7 +165,7 @@ def call_list(presets, model):
             add("dqpt" if name.startswith("dqpt") else "topology", name, p,
                 drive=drive)
         add("model", "min_half_gap", p, drive=drive)
-        add("model", "static_field", p, np.array(ks), drive=drive)
+        add("model", "bloch_components", p, np.array(ks), drive=drive)
         add("model", "require_resolved_time", p, np.array(ts), drive=drive)
         for k in ks:
             add("dqpt", "fisher_tau", p, "minus", k, drive=drive,

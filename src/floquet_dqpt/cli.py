@@ -39,7 +39,7 @@ import numpy as np
 
 from . import dqpt, dynamics, geometry, lattice, topology
 from .errors import ConfigError, NumericalGuardError, WindingMismatch
-from .model import ModelParams, static_field
+from .model import ModelParams, normal_field
 
 TWO_PI = 2.0 * math.pi
 
@@ -430,7 +430,7 @@ def cmd_oracle_check(cfg: RunConfig):
                         delta2=rng.uniform(-5.0, 5.0),
                         omega_amp=rng.uniform(0.1, 5.0))
         k = rng.uniform(0.0, math.pi)
-        if 2.0 * static_field(p, k)[2] <= 0.01:
+        if 2.0 * normal_field(p, k)[3] * p.normal_form[0] <= 0.01:
             continue
         t = rng.uniform(0.0, 2.0 * p.period)
         ua = dynamics.propagator_analytic(p, k, t)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import StepCountTooSmall
 from .model import (ModelParams, band_energy, band_weights, bloch_components,
-                    gap_guard, normal_field, require_resolved_time)
+                    gap_guard, require_resolved_time)
 
 MIN_ORACLE_STEPS = 256
 DEFAULT_ORACLE_STEPS = 4096
@@ -55,11 +55,11 @@ def propagator_analytic(params: ModelParams, k: float, t: float) -> np.ndarray:
     """Exact propagator U(k, t) = U_R(t) exp(-i H_F(k) t) as an SU(2) pair:
 
     U = [[a, b], [-b*, a*]], a = p (cos x - i n_z sin x), b = -i p n_x sin x,
-    with p = e^{-i w t/2}, x = Delta t/2, n = (h_xy, 0, dz)/(Delta/2); n and
-    sin(x)/(Delta/2) on the normal form.
+    with p = e^{-i w t/2}, x = Delta t/2, n = (h_xy, 0, dz)/(Delta/2); n,
+    sin(x)/(Delta/2) and x = (Delta/2)(2^e t) on the normal form.
     """
-    angle = gap_guard(params, k, t)[2] * t
-    h_xy, _, dz, half_gap = normal_field(params, k)
+    h_xy, _, dz, half_gap = gap_guard(params, k, t)
+    angle = half_gap * (params.normal_form[0] * t)
     s = math.sin(angle) / half_gap
     phase = cmath.exp(-0.5j * params.omega_drive * t)
     u00 = phase * complex(math.cos(angle), -s * dz)

@@ -61,12 +61,12 @@ def dynamical_phase(params: ModelParams, band: str, k: float,
                     t: float) -> float:
     """-<chi| H_R |chi> t = -(E - (w/2)(1 - <sz>)) t; exact, linear in t.
 
-    In band +-, E = w/2 +- Delta/2 and <sz> = +-(h_z - w/2)/(Delta/2), the
-    latter read on the normal form."""
-    half_gap = gap_guard(params, k, t)[2]
-    n_z = np.divide(*normal_field(params, k)[2:])  # (h_z - w/2)/(Delta/2)
-    return float(-_band_sign(band) * (half_gap + 0.5 * params.omega_drive
-                                      * n_z) * t)
+    In band +-, E = w/2 +- Delta/2 and <sz> = +-(h_z - w/2)/(Delta/2), all
+    read on the normal form and times 2^e t."""
+    _, _, dz, half_gap = gap_guard(params, k, t)
+    unit, w = params.normal_form[:2]
+    return float(-_band_sign(band) * (half_gap + 0.5 * w * (dz / half_gap))
+                 * (unit * t))
 
 
 def geometric_phase(params: ModelParams, band: str, k: float,

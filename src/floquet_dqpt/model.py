@@ -17,11 +17,11 @@ then the public kernel at the point.
 
 The normal form: H(k, t; s p) = s H(k, s t; p), so a dimensionless quantity
 reads the drive only as p 2^-e, e the exponent of its largest parameter
-(`ModelParams.normal_form`), exactly so for s = 2^j. `normal_field`, the one
-formula for the field, evaluates it there in units of 2^e. The kernels of
-dimensionless quantities read it and never scale back; `static_field`
-scales it by 2^e for energies, gaps and the guard, with the bits of the
-physical formula wherever that stays normal.
+(`ModelParams.normal_form`), exactly so for s = 2^j. The field is formed
+once, there, by `normal_field` in units of 2^e; the guard and every kernel
+read it. Physical units appear only in the values a caller receives
+(`bloch_components`, `band_energy`, `min_half_gap`, the Fisher tau and the
+chain spectrum) and in the RK4 oracle's H(k, t).
 """
 
 from __future__ import annotations
@@ -119,17 +119,11 @@ def normal_field(params: ModelParams, k):
     return h_xy, h_z, dz, np.hypot(h_xy, dz)
 
 
-def static_field(params: ModelParams, k):
-    """(Bloch components, h_z - w/2, Delta/2) at k: normal_field scaled by
-    2^e, the physical field that energies, gaps and the guard read."""
-    unit = params.normal_form[0]
-    h_xy, h_z, dz, half_gap = (x * unit for x in normal_field(params, k))
-    return BlochComponents(h_xy=h_xy, h_z=h_z), dz, half_gap
-
-
 def bloch_components(params: ModelParams, k):
-    """(h_xy, h_z) at quasimomentum k, scalar or array: static_field's."""
-    return static_field(params, k)[0]
+    """(h_xy, h_z) at k, scalar or array: normal_field's times 2^e."""
+    unit = params.normal_form[0]
+    h_xy, h_z = normal_field(params, k)[:2]
+    return BlochComponents(h_xy=h_xy * unit, h_z=h_z * unit)
 
 
 def finite_point(k=0.0, t=0.0):
@@ -158,17 +152,18 @@ def _t_chunks(n_t: int, n_k: int):
 
 
 def gap_guard(params: ModelParams, k: float, t: float = 0.0):
-    """static_field at one point, guarded: ValueError for a non-finite k or
-    t, GaplessPoint when the gap Delta is at or below the relative floor,
-    then TimeUnresolved where doubles cannot resolve w t."""
+    """normal_field at one point, guarded: ValueError for a non-finite k or
+    t, GaplessPoint when the gap Delta is at or below the relative floor
+    (both read on the normal form), then TimeUnresolved where doubles cannot
+    resolve w t."""
     finite_point(k, t)
-    b, dz, half_gap = static_field(params, k)
-    gap = 2.0 * half_gap
-    if gap <= params.gap_floor:
-        raise GaplessPoint(f"gap {gap:.3e} at k={k} below floor "
-                           f"{params.gap_floor:.3e}")
+    field = normal_field(params, k)
+    unit = params.normal_form[0]
+    if 2.0 * field[3] <= GAP_FLOOR_REL * (params.scale / unit):
+        raise GaplessPoint(f"gap {2.0 * field[3] * unit:.3e} at k={k} below "
+                           f"floor {params.gap_floor:.3e}")
     require_resolved_time(params, t)
-    return b, dz, half_gap
+    return field
 
 
 def min_half_gap(params: ModelParams) -> float:
@@ -241,6 +236,7 @@ def _uniform_band_weights(params: ModelParams, band: str, n: int):
 
 
 def band_energy(params: ModelParams, band: str, k):
-    """Unfolded quasienergy E_band(k), vectorized over k."""
+    """Unfolded quasienergy E_band(k): 2^e (w/2 +- Delta/2), normal form."""
     sign = _band_sign(band)
-    return 0.5 * params.omega_drive + sign * static_field(params, k)[2]
+    unit, w = params.normal_form[:2]
+    return unit * (0.5 * w + sign * normal_field(params, k)[3])

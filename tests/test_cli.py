@@ -387,18 +387,18 @@ def test_oracle_check_skips_a_closed_gap(monkeypatch, capsys):
     # a draw whose gap is at most 0.01 is skipped: where the first draw
     # reads a closed gap, 20 others are still checked, and pass
     fields, checked = [], []
-    field, oracle = cli.static_field, cli.dynamics.propagator_oracle
+    field, oracle = cli.normal_field, cli.dynamics.propagator_oracle
 
     def closed_first(p, k):
         fields.append(p)
-        b, dz, half_gap = field(p, k)
-        return b, dz, 0.0 if len(fields) == 1 else half_gap
+        h_xy, h_z, dz, half_gap = field(p, k)
+        return h_xy, h_z, dz, 0.0 if len(fields) == 1 else half_gap
 
     def counted(p, *args):
         checked.append(p)
         return oracle(p, *args)
 
-    monkeypatch.setattr(cli, "static_field", closed_first)
+    monkeypatch.setattr(cli, "normal_field", closed_first)
     monkeypatch.setattr(cli.dynamics, "propagator_oracle", counted)
     assert run_cli(["oracle-check"]) == 0
     assert len(checked) == 20 and fields[0] not in checked

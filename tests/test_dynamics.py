@@ -340,7 +340,7 @@ def test_return_probability_grid_matches_scalar(ex1):
         assert pr == pytest.approx(abs(chi.conj() @ u @ chi) ** 2, abs=1e-9)
 
 
-ANALYTIC_ROUTE = {"normal_field", "static_field", "gap_guard",
+ANALYTIC_ROUTE = {"normal_field", "gap_guard",
                   "finite_point", "band_weights", "band_energy",
                   "micromotion_overlap", "propagator_analytic",
                   "obc_floquet_spectrum"}

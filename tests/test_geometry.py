@@ -9,7 +9,7 @@ from floquet_dqpt.errors import (DegenerateDelta1, GaplessPoint,
                                  GridTooCoarse, NearCriticalTime,
                                  NumericalGuardError, PhaseUndefined,
                                  TimeUnresolved)
-from floquet_dqpt import geometry
+from floquet_dqpt import dynamics, geometry, model
 from floquet_dqpt.cli import PRESETS
 from floquet_dqpt.model import band_energy, bloch_components
 from floquet_dqpt.dynamics import propagator_oracle, return_probability
@@ -310,6 +310,24 @@ def test_guards_run_once_per_call(ex1, ex2, monkeypatch):
     for t in (0.5, 1.0, 1e300):
         with pytest.raises(DegenerateDelta1):
             exact_winding(degenerate, "minus", t)
+
+
+def test_angle_routes_form_the_field_once(ex1, monkeypatch):
+    # dynamical_phase and propagator_analytic read the field that the point
+    # guard returns, and form no second one
+    calls, field = [], model.normal_field
+
+    def counted(*args):
+        calls.append(args)
+        return field(*args)
+
+    for module in (model, geometry, dynamics):
+        monkeypatch.setattr(module, "normal_field", counted, raising=False)
+    for route in (lambda: dynamical_phase(ex1, "minus", 0.7, 0.5),
+                  lambda: dynamics.propagator_analytic(ex1, 0.7, 0.5)):
+        calls.clear()
+        route()
+        assert len(calls) == 1
 
 
 def test_bloch_expectations_unit_norm_and_initial_values(ex1):

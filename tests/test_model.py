@@ -22,8 +22,8 @@ from floquet_dqpt.geometry import (bloch_expectations, dynamical_phase,
                                    geometric_phase_grid, total_phase)
 from floquet_dqpt.model import (T_GUARD_FRACTION, ModelParams,
                                 bloch_components, band_energy, band_weights,
-                                gap_guard, min_half_gap,
-                                require_resolved_time, static_field)
+                                gap_guard, min_half_gap, normal_field,
+                                require_resolved_time)
 
 from conftest import EXAMPLE1, random_params
 from oracles import (SIGMA_Y, SIGMA_Z, hamiltonian_lab, micromotion,
@@ -103,8 +103,9 @@ def test_band_energy_example_point(ex1):
         math.pi / 2 - math.sqrt(3) / 4, abs=1e-14)
     assert float(band_energy(ex1, "plus", k)) == pytest.approx(
         math.pi / 2 + math.sqrt(3) / 4, abs=1e-14)
-    assert 2.0 * static_field(ex1, k)[2] == pytest.approx(math.sqrt(3) / 2,
-                                                          abs=1e-14)
+    b = bloch_components(ex1, k)
+    assert 2.0 * math.hypot(b.h_xy, b.h_z - 0.5 * ex1.omega_drive) == \
+        pytest.approx(math.sqrt(3) / 2, abs=1e-14)
     # chi_pm = (1, +-1)/sqrt(2) up to global phase: equal weights
     for band in ("minus", "plus"):
         assert band_weights(ex1, band, k) == pytest.approx((0.5, 0.5),
@@ -141,11 +142,16 @@ def test_gap_guard_is_the_scalar_guard():
     rng = np.random.default_rng(11)
     for _ in range(50):
         q, k = random_params(rng), rng.uniform(0.0, math.pi)
-        b, dz, half_gap = gap_guard(q, k)
-        assert (b, dz, half_gap) == static_field(q, k)
+        # it returns the normal form's field, 2^-e times the physical one
+        field = gap_guard(q, k)
+        assert field == normal_field(q, k)
+        unit, w = q.normal_form[:2]
+        h_xy, h_z, _, half_gap = (x * unit for x in field)
+        b = bloch_components(q, k)
+        assert (h_xy, h_z) == (b.h_xy, b.h_z)
         assert band_energy(q, "plus", k) - band_energy(q, "minus", k) == \
             pytest.approx(2.0 * half_gap)
-        assert dz == b.h_z - 0.5 * q.omega_drive
+        assert field[2] == field[1] - 0.5 * w
 
 
 def reference_masks(p, t):
@@ -343,7 +349,7 @@ def test_band_weights_equal_the_masked_formula():
     # NaN where the gap closes comes from 0/0, not from a mask
     seen_nan = False
     for p, ks in MARKER_GRIDS:
-        _, dz, half_gap = static_field(p, ks)
+        _, _, dz, half_gap = normal_field(p, ks)
         zt = np.where(half_gap > 0,
                       dz / np.where(half_gap > 0, half_gap, 1.0), np.nan)
         for band, sign in (("minus", -1.0), ("plus", 1.0)):

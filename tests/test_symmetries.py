@@ -222,8 +222,8 @@ def test_drives_near_the_largest_double():
                 assert got[key][0] == want[0], (s, key)
         # and those with units answer finite numbers
         ks = np.array([0.0, 0.7, math.pi])
-        physical = [*model.gap_guard(p, 0.7, 0.37 * p.period)[1:],
-                    model.min_half_gap(p),
+        b = model.bloch_components(p, ks)
+        physical = [b.h_xy, b.h_z, model.min_half_gap(p),
                     lattice.obc_floquet_spectrum(p, 12).quasienergies]
         for band in ("minus", "plus"):
             physical += [model.band_energy(p, band, ks),
@@ -232,6 +232,34 @@ def test_drives_near_the_largest_double():
         assert all(np.isfinite(x).all() for x in physical)
     assert worst <= 1e-15, worst
 
+
+@pytest.mark.filterwarnings("error")
+def test_mixed_sign_drives_near_the_largest_double():
+    # (1, 1, -1, 1) times 1.7e308 and 1e308: |h_z - w/2| at k = pi is 1.5
+    # times the largest parameter, past the largest double, while the
+    # normal form holds it. Every point API answers without a warning, the
+    # two with a grid kernel with its bits. The plus band's quasienergy
+    # w/2 + Delta/2 is itself past the largest double at k = pi (and at
+    # k = 0.7 on 1.7e308), so the APIs that read it are held on the minus
+    # band alone
+    for s in (1.7e308, 1e308):
+        p = ModelParams(s, s, -s, s)
+        t = 0.3 * p.period
+        for k in (0.0, 0.7, math.pi):
+            for band in ("minus", "plus"):
+                assert bits(dynamics.return_probability(p, band, k, t)) == \
+                    bits(dynamics.return_probability_grid(p, band, k, t))
+                assert bits(geometry.geometric_phase(p, band, k, t)) == \
+                    bits(geometry.geometric_phase_grid(p, band, k, t))
+                values = [dynamics.propagator_analytic(p, k, t),
+                          geometry.dynamical_phase(p, band, k, t),
+                          geometry.bloch_expectations(p, band, k, t),
+                          geometry.geometric_phase_from_tomography(p, k, t)]
+                if band == "minus":
+                    values += [model.band_energy(p, band, k),
+                               dynamics.return_amplitude(p, band, k, t).value,
+                               geometry.total_phase(p, band, k, t)]
+                assert all(np.isfinite(x).all() for x in values), (s, k, band)
 
 def test_scale_moves_fisher_lines_and_chain_spectrum_by_rounding():
     ks = np.linspace(0.0, math.pi, 102)[1:-1]
