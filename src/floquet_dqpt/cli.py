@@ -35,9 +35,8 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import dqpt, dynamics, geometry, lattice, topology
+from ._lazy import np
 from .errors import ConfigError, NumericalGuardError, WindingMismatch
 from .model import ModelParams, normal_field
 
@@ -152,10 +151,6 @@ CELL = 24
 # block of rows is larger.
 FORMAT_BLOCK = 4096
 
-# 10^q for q = 0 .. 20: exact doubles (5^q < 2^53 for q <= 22)
-_POW10 = np.array([float(10 ** q) for q in range(21)])
-
-
 def _split(a):
     # Veltkamp split: a = hi + lo exactly, each with at most 26 significant
     # bits, so products of halves are exact
@@ -164,27 +159,34 @@ def _split(a):
     return hi, a - hi
 
 
-# split in Python floats: no numpy ufunc runs at import
-_POW10_HI, _POW10_LO = np.array([_split(b) for b in _POW10.tolist()]).T
-
-
 def _words(rows) -> np.ndarray:
     # rows of 24 bytes as three little-endian 64-bit words each
     return np.frombuffer(bytes(b for row in rows for b in row),
                          "<u8").reshape(-1, 3)
 
 
-# A fixed-notation cell shows s = "0000" d0 .. d16 (bytes 0 .. 20 of a
-# 24-byte row) from s[min(ie, 4)] to s[end], with a point after s[ie],
-# where ie = e + 4. Per ie: the bytes kept in place, those moved up one
-# byte to make room for the point, and the point; per end: the bytes shown
-# once moved.
-_KEEP = _words([[255 * (min(ie, 4) <= i <= ie) for i in range(24)]
-                for ie in range(21)])
-_MOVE = _words([[255 * (i > ie) for i in range(24)] for ie in range(21)])
-_POINT = _words([[46 * (i == ie + 1) for i in range(24)] for ie in range(21)])
-_UPTO = _words([[255 * (i <= end) for i in range(24)] for end in range(22)])
-_ASCII_ZEROS = np.uint64(0x3030303030303030)
+@functools.cache
+def _tables():
+    """The writer's constant tables, built on the first formatted cell so
+    that a run writing none never imports numpy.
+
+    10^q for q = 0 .. 20, exact doubles (5^q < 2^53 for q <= 22), and its
+    Veltkamp halves, split in Python floats. A fixed-notation cell shows
+    s = "0000" d0 .. d16 (bytes 0 .. 20 of a 24-byte row) from s[min(ie, 4)]
+    to s[end], with a point after s[ie], where ie = e + 4. Per ie: the bytes
+    kept in place, those moved up one byte to make room for the point, and
+    the point; per end: the bytes shown once moved. Last, eight ASCII zeros.
+    """
+    pow10 = [float(10 ** q) for q in range(21)]
+    return (np.array(pow10), *np.array([_split(b) for b in pow10]).T,
+            _words([[255 * (min(ie, 4) <= i <= ie) for i in range(24)]
+                    for ie in range(21)]),
+            _words([[255 * (i > ie) for i in range(24)] for ie in range(21)]),
+            _words([[46 * (i == ie + 1) for i in range(24)]
+                    for ie in range(21)]),
+            _words([[255 * (i <= end) for i in range(24)]
+                    for end in range(22)]),
+            np.uint64(0x3030303030303030))
 
 
 def _format_cells(x, out):
@@ -205,6 +207,7 @@ def _format_cells(x, out):
 
 
 def _format_block(x, out):
+    pow10, pow10_hi, pow10_lo, keep, move, point, upto, zeros = _tables()
     a = np.abs(x)
     with np.errstate(divide="ignore"):  # log10(0) = -inf
         e = np.log10(a)
@@ -216,11 +219,11 @@ def _format_block(x, out):
     ie = e.astype(np.intp)
     q = 16 - ie
     ah, al = _split(a)
-    p = a * _POW10[q]
-    err = ah * _POW10_HI[q] - p
-    err += ah * _POW10_LO[q]
-    err += al * _POW10_HI[q]
-    err += al * _POW10_LO[q]
+    p = a * pow10[q]
+    err = ah * pow10_hi[q] - p
+    err += ah * pow10_lo[q]
+    err += al * pow10_hi[q]
+    err += al * pow10_lo[q]
     d = p.astype(np.int64)
     d += np.rint(err, out=err).astype(np.int64)
     exact &= (d >= 10 ** 16) & (d < 10 ** 17)
@@ -252,15 +255,15 @@ def _format_block(x, out):
     end = np.maximum(last, ie)
     end += end > ie  # the point, where a fraction digit is shown
 
-    words |= _ASCII_ZEROS
-    cell = np.take(_KEEP, ie, axis=0)
+    words |= zeros
+    cell = np.take(keep, ie, axis=0)
     cell &= words
-    words &= np.take(_MOVE, ie, axis=0)
+    words &= np.take(move, ie, axis=0)
     cell |= words << 8
     cell[:, 1] |= words[:, 0] >> 56
     cell[:, 2] |= words[:, 1] >> 56
-    cell |= np.take(_POINT, ie, axis=0)
-    cell &= np.take(_UPTO, end, axis=0)
+    cell |= np.take(point, ie, axis=0)
+    cell &= np.take(upto, end, axis=0)
     out[:, 0] = np.where(np.signbit(x), 45, 0)  # "-"
     out[:, 1:] = cell.astype("<u8", copy=False).view(np.uint8)[:, :23]
     other = np.flatnonzero(~exact)

@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._lazy import np
 from .dynamics import micromotion_overlap
 from .errors import DegenerateDelta1, UndefinedTau
 from .model import (ModelParams, _t_chunks, _uniform_band_weights,

@@ -30,8 +30,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import StepCountTooSmall
 from .model import (ModelParams, band_energy, band_weights, bloch_components,
                     gap_guard, require_resolved_time)

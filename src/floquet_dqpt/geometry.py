@@ -24,8 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
+from ._lazy import np
 from .errors import (GridTooCoarse, NearCriticalTime, PhaseUndefined,
                      WindingNotQuantized)
 from .model import (T_GUARD_FRACTION, ModelParams, _band_sign, _t_chunks,

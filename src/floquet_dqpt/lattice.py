@@ -23,8 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import InvalidSize
 from .model import ModelParams
 

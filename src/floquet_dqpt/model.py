@@ -30,8 +30,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import GaplessPoint, TimeUnresolved
 
 # Relative gap floor below which band labels are numerically meaningless.

@@ -438,31 +438,95 @@ def test_fdqpt_topo_and_winding_exit_together(tmp_path, capsys):
         assert topo.err.count("\n") == 1
 
 
+def fresh_python(code, *args, **kwargs):
+    """`python -c code args` in a fresh process that imports this package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, **kwargs)
+
+
 def test_parser_built_once_and_not_at_import():
     assert make_parser() is make_parser()
     code = ("import floquet_dqpt.cli as c; "
             "print(c.make_parser.cache_info().currsize)")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out == "0\n"
+    assert fresh_python(code, check=True, text=True).stdout == "0\n"
 
 
 def test_import_loads_only_the_standard_library_and_numpy():
     # keeps startup flat: a fresh `import floquet_dqpt.cli` loads nothing
     # but standard-library modules, numpy and the package, and neither
-    # decimal nor fractions
+    # decimal nor fractions; numpy is bound but not run, so that commands
+    # without arrays never pay its import
     code = ("import sys; before = set(sys.modules); "
             "import floquet_dqpt.cli; "
             "print(*sorted(set(sys.modules) - before))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    loaded = subprocess.run([sys.executable, "-c", code], env=env,
-                            check=True, capture_output=True,
-                            text=True).stdout.split()
+    loaded = fresh_python(code, check=True, text=True).stdout.split()
     assert "floquet_dqpt.cli" in loaded
     tops = {name.split(".")[0] for name in loaded}
     assert tops - sys.stdlib_module_names == {"numpy", "floquet_dqpt"}
     assert not {"decimal", "fractions"} & tops
+    assert not [name for name in loaded if name.startswith("numpy.")]
+    # a numpy imported first is the one every module uses
+    code = ("import sys, numpy; from floquet_dqpt import (cli, dqpt, "
+            "dynamics, geometry, lattice, model); print(all(m.np is numpy "
+            "is sys.modules['numpy'] for m in (cli, dqpt, dynamics, "
+            "geometry, lattice, model)))")
+    assert fresh_python(code, check=True, text=True).stdout == "True\n"
+
+
+@pytest.mark.parametrize("hide", [
+    "sys.modules['numpy'] = None",
+    "sys.path[:] = [p for p in sys.path "
+    "if not os.path.isdir(os.path.join(p or '.', 'numpy'))]"])
+def test_missing_numpy_fails_at_import_as_import_numpy_does(hide):
+    # blocked in sys.modules, or absent from the path: `import floquet_dqpt`
+    # raises the ModuleNotFoundError `import numpy` raises
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (f"import os, sys\n{hide}\nsys.path.insert(0, sys.argv[1])\n"
+            "for name in ('numpy', 'floquet_dqpt'):\n"
+            "    try:\n        __import__(name)\n"
+            "    except ModuleNotFoundError as exc:\n"
+            "        print(exc.name, exc)\n")
+    lines = fresh_python(code, src, check=True, text=True).stdout.splitlines()
+    assert len(lines) == 2 and lines[0] == lines[1]
+    assert lines[0].startswith("numpy ")
+
+
+# `fdqpt ARGS` in a fresh process, whose last stderr line says whether
+# numpy's core ran
+FRESH_MAIN = ("import sys\nfrom floquet_dqpt.cli import main\ntry:\n"
+              "    sys.exit(main(sys.argv[1:]))\nfinally:\n"
+              "    print('numpy ran:', 'numpy._core' in sys.modules, "
+              "file=sys.stderr)\n")
+
+
+@pytest.mark.parametrize("args, exit_code", [
+    (["topo", "--preset", "example1"], 0),
+    (["topo", "--preset", "example1", "--format", "json"], 0),
+    (["--help"], 0),
+    (["rate", "--preset", "example1", "--k-points", "1"], 2),
+    (["topo", "--config", "degenerate.ini"], 3)],
+    ids=["topo", "topo-json", "help", "refused-k-points", "degenerate"])
+def test_launch_without_numpy(args, exit_code, tmp_path, monkeypatch,
+                              capsysbinary):
+    # topo, --help and the refusals raised before the first array need only
+    # math: a fresh process never runs numpy, and writes the bytes and exits
+    # with the code of cli.main in-process
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse's help wraps to
+    (tmp_path / "degenerate.ini").write_text(  # delta1 = 0 with omega = delta2
+        "[model]\nomega_drive = 1\ndelta1 = 0\ndelta2 = 1\nomega_amp = 1\n",
+        encoding="utf-8")
+    try:
+        code = main(args)
+    except SystemExit as exc:  # --help
+        code = exc.code
+    assert code == exit_code
+    expected = capsysbinary.readouterr()
+    fresh = fresh_python(FRESH_MAIN, *args, cwd=tmp_path)
+    assert fresh.returncode == exit_code
+    assert fresh.stdout == expected.out
+    assert fresh.stderr == expected.err + b"numpy ran: False\n"
 
 
 def test_presets_available():

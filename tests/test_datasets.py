@@ -10,6 +10,9 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +44,25 @@ def test_datasets_match_golden_hashes(tmp_path, capsys):
            for path in tmp_path.iterdir()}
     assert sorted(got) == sorted(GOLDEN)
     assert {name for name in got if got[name] != GOLDEN[name]} == set()
+
+
+def test_grid_datasets_from_a_fresh_process(tmp_path):
+    # the test above runs in-process, after numpy is imported; a fresh
+    # `fdqpt` binds numpy unrun and runs it at the first array, and must
+    # write the same bytes
+    script = load_script("make_figure_datasets")
+    runs = [script.dataset("example1", cmd)
+            for cmd in (*script.GRIDS, "spectrum")]
+    code = ("import json, sys\nfrom floquet_dqpt.cli import main\n"
+            "assert 'numpy._core' not in sys.modules\n"
+            "for name, argv in json.loads(sys.argv[1]):\n"
+            "    assert main([*argv, '--out', name]) == 0, argv\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                   cwd=tmp_path, env=env, check=True)
+    for name, _ in runs:
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == GOLDEN[name], name
 
 
 # -- the per-cell reference serializer ---------------------------------------
