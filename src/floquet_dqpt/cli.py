@@ -350,8 +350,7 @@ def t_grid(cfg: RunConfig) -> np.ndarray:
 
 def cmd_retprob(cfg: RunConfig):
     ks, ts = k_grid(cfg), t_grid(cfg)
-    probs = dynamics.return_probability_grid(cfg.params, "minus",
-                                             ks[:, None], ts)
+    probs = dynamics.return_probability_grid(cfg.params, ks[:, None], ts)
     write_dataset(cfg, ("k", "t", "retprob"), (ks[:, None], ts, probs))
 
 

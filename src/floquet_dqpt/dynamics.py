@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from ._lazy import np
 from .errors import StepCountTooSmall
-from .model import (ModelParams, band_energy, band_weights, bloch_components,
+from .model import (ModelParams, _band_sign, band_weights, bloch_components,
                     gap_guard, require_resolved_time)
 
 MIN_ORACLE_STEPS = 256
@@ -171,27 +171,29 @@ def return_amplitude(params: ModelParams, band: str, k: float,
     """Return amplitude G_band(k, t) of the band's Floquet state.
 
     G = e^{-i E t} <chi| U_R(t) |chi>; the micromotion overlap carries the
-    whole modulus, the quasienergy only a phase.
+    whole modulus, the quasienergy only a phase, E t = e (2^e t) with
+    e = w/2 +- Delta/2 on the normal form.
     """
-    gap_guard(params, k, t)
-    e = float(band_energy(params, band, k))
-    value = cmath.exp(-1j * e * t) * complex(
+    half_gap = gap_guard(params, k, t)[3]
+    unit, w = params.normal_form[:2]
+    e = float(0.5 * w + _band_sign(band) * half_gap)
+    value = cmath.exp(-1j * e * (unit * t)) * complex(
         micromotion_overlap(params, *band_weights(params, band, k), t))
     return ReturnAmplitude(value=value)
 
 
-def return_probability(params: ModelParams, band: str, k: float,
-                       t: float) -> float:
-    """|G_band(k, t)|^2, independent of the quasienergy phase:
-    return_probability_grid at the point, past gap_guard's checks."""
+def return_probability(params: ModelParams, k: float, t: float) -> float:
+    """|G(k, t)|^2, the same for both bands: return_probability_grid at the
+    point, past gap_guard's checks."""
     gap_guard(params, k, t)
-    return float(return_probability_grid(params, band, k, t))
+    return float(return_probability_grid(params, k, t))
 
 
-def return_probability_grid(params: ModelParams, band: str, k_grid,
-                            t) -> np.ndarray:
-    """|G|^2 = |<chi| U_R(t) |chi>|^2, broadcast over k and t.
-    TimeUnresolved where doubles cannot resolve w t at the largest |t|."""
+def return_probability_grid(params: ModelParams, k_grid, t) -> np.ndarray:
+    """|G|^2 = |<chi| U_R(t) |chi>|^2 of the lower band's mode, broadcast
+    over k and t; the upper band's, its weights swapped, differs only in
+    rounding. TimeUnresolved where doubles cannot resolve w t at the largest
+    |t|."""
     require_resolved_time(params, t)
-    weights = band_weights(params, band, np.asarray(k_grid))
+    weights = band_weights(params, "minus", np.asarray(k_grid))
     return np.abs(micromotion_overlap(params, *weights, t)) ** 2

@@ -128,7 +128,7 @@ def exact_winding(params: ModelParams, band: str, t: float) -> int:
     exactly 0 at every t, so no t is refused), and GaplessPoint."""
     finite_point(t=t)
     if dqpt_condition(params).has_dqpt:
-        _time_guard(params, t, has_dqpt=True)
+        _time_guard(params, t)
     return int(exact_winding_grid(params, band, t))
 
 
@@ -205,16 +205,16 @@ def _row_verdict(jump, ambiguous, raw):
     return raw
 
 
-def _time_guard(params, t, has_dqpt=False):
+def _time_guard(params, t):
     # winding_number's time rule at a float t; near its nearest (2n-1) T/2,
-    # t is refused if the drive has critical times (has_dqpt, else read)
+    # t is refused if the drive has critical times
     finite_point(t=t)
     require_resolved_time(params, t)
     half, window = 0.5 * params.period, T_GUARD_FRACTION * params.period
     a = abs(float(t))
     n = max(1, round((a / half + 1) / 2))
-    if abs(a - (2 * n - 1) * half) < window and (
-            has_dqpt or dqpt_condition(params).has_dqpt):
+    if abs(a - (2 * n - 1) * half) < window and \
+            dqpt_condition(params).has_dqpt:
         raise NearCriticalTime(f"t = {t} within {window} of a critical time")
 
 

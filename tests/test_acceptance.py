@@ -48,11 +48,11 @@ def test_acceptance_2_experimental_figures():
     t0 = time.perf_counter()
     nvp, nvm = PRESETS["nv-plus"], PRESETS["nv-minus"]
     for t in (0.1, 0.3, 0.5):
-        assert return_probability(nvp, "minus", math.pi / 2, t) < 1e-10
+        assert return_probability(nvp, math.pi / 2, t) < 1e-10
     for t, nu in ((0.15, 1), (0.35, 2), (0.55, 3)):
         assert winding_number(nvp, "minus", t) == nu
     ks = np.linspace(0.0, math.pi, 13)
-    min_prob = min(return_probability_grid(nvm, "minus", ks, t).min()
+    min_prob = min(return_probability_grid(nvm, ks, t).min()
                    for t in np.linspace(0.0, 0.6, 49))
     assert min_prob > 0.0
     for t in (0.15, 0.35, 0.55):
@@ -210,7 +210,7 @@ def test_acceptance_9_tomography():
         k = rng.uniform(0.05, math.pi - 0.05)
         t = rng.uniform(0.0, 2.0 * p.period)
         try:
-            if return_probability(p, "minus", k, t) <= 0.01:
+            if return_probability(p, k, t) <= 0.01:
                 continue
             dev = abs(principal_branch(
                 geometric_phase_from_tomography(p, k, t)

@@ -3,9 +3,10 @@
 The upper band's mode is the lower one's with |a|^2 and |b|^2 swapped, so
 |G|^2 and g do not depend on the band, the geometric phase and the winding
 change sign, and the Fisher-zero lines mirror: (E+ - h_z)(E- - h_z) = -h_xy^2
-gives tau+ = -tau-. Each relation is held to the bound it meets on seeded
-drives, over interior k (tau diverges where h_xy = 0) and t within three
-periods either side of 0.
+gives tau+ = -tau-. return_probability takes no band: each band's
+|G_band|^2, squared from its return amplitude, is held to it. Each relation
+is held to the bound it meets on seeded drives, over interior k (tau
+diverges where h_xy = 0) and t within three periods either side of 0.
 """
 
 import math
@@ -23,6 +24,10 @@ KS = np.linspace(0.0, math.pi, 102)[1:-1]
 def bands(fn, p, *args):
     """fn(p, band, *args) for the upper band, then the lower one."""
     return [fn(p, band, *args) for band in ("plus", "minus")]
+
+
+def squared_amplitude(p, band, k, t):
+    return abs(dynamics.return_amplitude(p, band, k, t).value) ** 2
 
 
 def trace(p, band, ts):
@@ -44,9 +49,11 @@ def test_band_symmetries_on_seeded_drives():
         assert np.array_equal(np.isnan(plus), np.isnan(minus))
         worst["phase"] = max(worst["phase"], np.nanmax(
             np.abs(geometry.principal_branch(plus + minus)), initial=0.0))
-        plus, minus = bands(dynamics.return_probability_grid, p,
-                            KS[:, None], ts)
-        worst["prob"] = max(worst["prob"], np.abs(plus - minus).max())
+        for k in KS[::25].tolist():
+            for t in ts[:4].tolist():
+                prob = dynamics.return_probability(p, k, t)
+                worst["prob"] = max(worst["prob"], *(abs(x - prob) for x in (
+                    bands(squared_amplitude, p, k, t))))
         plus, minus = bands(dqpt.rate_function_grid, p, ts, 181)
         worst["rate"] = max(worst["rate"], np.abs(plus - minus).max())
         plus, minus = bands(dqpt.fisher_tau_grid, p, KS)
@@ -65,8 +72,9 @@ def test_band_symmetries_on_seeded_drives():
         nu = np.rint(plus[1][np.isfinite(plus[1])])
         compared, nonzero = compared + nu.size, nonzero + (nu != 0).sum()
     assert compared > 2000 and nonzero > 500
-    # measured 1.8e-14, 1.1e-15, 6.7e-16 and 9.7e-9 (relative): the phase
-    # carries the rounding of w t, tau the cancellation in E - h_z
+    # measured 1.8e-14, 6.7e-16, 6.7e-16 and 9.7e-9 (relative): the phase
+    # carries the rounding of w t, |G|^2 that of |e^{-iEt}|, tau the
+    # cancellation in E - h_z
     assert worst["phase"] < 5e-14, worst
     assert worst["prob"] < 3e-15, worst
     assert worst["rate"] < 3e-15, worst

@@ -358,13 +358,15 @@ def test_grid_kernels_broadcast_bit_identical(preset):
     p = PRESETS[preset]
     ks = np.linspace(0.0, math.pi, 181)
     ts = np.linspace(0.0, 3.0 * p.period, 241)
-    for band in ("minus", "plus"):
-        for kernel in (return_probability_grid, geometric_phase_grid):
-            grid = kernel(p, band, ks[:, None], ts)
-            per_t = np.stack([kernel(p, band, ks, t) for t in ts], axis=1)
-            per_k = np.stack([kernel(p, band, k, ts) for k in ks])
-            assert np.array_equal(grid, per_t, equal_nan=True)
-            assert np.array_equal(grid, per_k, equal_nan=True)
+    kernels = [return_probability_grid] + [
+        lambda p, k, t, band=band: geometric_phase_grid(p, band, k, t)
+        for band in ("minus", "plus")]
+    for kernel in kernels:
+        grid = kernel(p, ks[:, None], ts)
+        per_t = np.stack([kernel(p, ks, t) for t in ts], axis=1)
+        per_k = np.stack([kernel(p, k, ts) for k in ks])
+        assert np.array_equal(grid, per_t, equal_nan=True)
+        assert np.array_equal(grid, per_k, equal_nan=True)
 
 
 def test_oracle_check_pass_and_step_guard(capsys):

@@ -228,7 +228,7 @@ def test_ring_loschmidt_rate_is_the_mean_over_the_ring_momenta():
         ts = p.period * x
         for n in (12, 40):
             k = (2 * np.arange(n) + 1) * math.pi / n
-            probs = return_probability_grid(p, "minus", k[:, None], ts)
+            probs = return_probability_grid(p, k[:, None], ts)
             expected = -np.log(probs).mean(axis=0)
             assert np.abs(ring_loschmidt_rate(p, n, ts) - expected).max() \
                 < 1e-13

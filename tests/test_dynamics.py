@@ -289,7 +289,7 @@ def test_return_amplitude_basics(ex1):
     assert abs(return_amplitude(ex1, "minus", math.pi / 3, 1.0).value) \
         < 1e-14
     # quarter period: |G|^2 = cos^2(pi t / T) = 1/2
-    assert return_probability(ex1, "minus", math.pi / 3, 0.5) == \
+    assert return_probability(ex1, math.pi / 3, 0.5) == \
         pytest.approx(0.5, abs=1e-12)
 
 
@@ -300,7 +300,7 @@ def test_return_amplitude_against_oracle(ex1):
         for t in (0.3, 0.9, 2.7):
             u = propagator_oracle(ex1, k, t, steps=2048)
             brute = abs(chi.conj() @ u @ chi) ** 2
-            assert return_probability(ex1, "minus", k, t) == \
+            assert return_probability(ex1, k, t) == \
                 pytest.approx(brute, abs=1e-9)
 
 
@@ -325,15 +325,16 @@ def test_micromotion_periodicity_and_band_symmetry(k, t):
     g1 = abs(return_amplitude(p, "minus", k, t).value)
     g2 = abs(return_amplitude(p, "minus", k, t + p.period).value)
     assert abs(g1 - g2) < 1e-12
-    assert return_probability(p, "minus", k, t) == \
-        pytest.approx(return_probability(p, "plus", k, t), abs=1e-12)
+    for band in ("minus", "plus"):
+        assert abs(return_amplitude(p, band, k, t).value) ** 2 == \
+            pytest.approx(return_probability(p, k, t), abs=1e-12)
 
 
 def test_return_probability_grid_matches_scalar(ex1):
     # per-k reference |chi^dag U_oracle chi|^2, independent of the kernel
     ks = np.linspace(0.1, 3.0, 11)
     t = 1.3
-    probs = return_probability_grid(ex1, "minus", ks, t)
+    probs = return_probability_grid(ex1, ks, t)
     for k, pr in zip(ks, probs):
         chi = np.linalg.eigh(rotating_frame_hamiltonian(ex1, k))[1][:, 0]
         u = propagator_oracle(ex1, k, t, steps=2048)
@@ -392,7 +393,7 @@ def test_nv_experiment_values():
     from floquet_dqpt.cli import PRESETS
     nvp, nvm = PRESETS["nv-plus"], PRESETS["nv-minus"]
     for t in (0.1, 0.3, 0.5):
-        assert return_probability(nvp, "minus", math.pi / 2, t) < 1e-10
+        assert return_probability(nvp, math.pi / 2, t) < 1e-10
     ks = np.linspace(0.0, math.pi, 13)
     for t in np.linspace(0.0, 0.6, 49):
-        assert return_probability_grid(nvm, "minus", ks, t).min() > 0.0
+        assert return_probability_grid(nvm, ks, t).min() > 0.0

@@ -76,7 +76,7 @@ def test_phase_decomposition(ex1):
     for _ in range(20):
         k = rng.uniform(0.1, math.pi - 0.1)
         t = rng.uniform(0.0, 4.0)
-        if return_probability(ex1, "minus", k, t) < 1e-6:
+        if return_probability(ex1, k, t) < 1e-6:
             continue
         total = total_phase(ex1, "minus", k, t)
         dynamical = dynamical_phase(ex1, "minus", k, t)
@@ -271,9 +271,10 @@ def test_exact_winding_values_and_guards(ex1, ex2):
 
 
 def test_guards_run_once_per_call(ex1, ex2, monkeypatch):
-    # exact_winding reads dqpt_condition at most once, winding_number only
-    # near a critical time and then once, and the tomography route guards
-    # its point once
+    # exact_winding reads dqpt_condition once, and once more, through the
+    # time rule, only to refuse a t in a guard window; winding_number reads
+    # it only near a critical time and then once, and the tomography route
+    # guards its point once
     calls = []
 
     def counting(name, fn):
@@ -288,11 +289,12 @@ def test_guards_run_once_per_call(ex1, ex2, monkeypatch):
         calls.clear()
         exact_winding(p, "minus", t)
         assert calls == ["dqpt_condition"]
-    for t in (1.0 + 1e-5, 1e300):
+    for t, error, reads in ((1.0 + 1e-5, NearCriticalTime, 2),
+                            (1e300, TimeUnresolved, 1)):
         calls.clear()
-        with pytest.raises((NearCriticalTime, TimeUnresolved)):
+        with pytest.raises(error):
             exact_winding(ex1, "minus", t)
-        assert calls == ["dqpt_condition"]
+        assert calls == ["dqpt_condition"] * reads
     calls.clear()
     winding_number(ex1, "minus", 0.5)
     assert calls == []
@@ -314,7 +316,9 @@ def test_guards_run_once_per_call(ex1, ex2, monkeypatch):
 
 def test_angle_routes_form_the_field_once(ex1, monkeypatch):
     # dynamical_phase and propagator_analytic read the field that the point
-    # guard returns, and form no second one
+    # guard returns, and form no second one; return_amplitude and
+    # total_phase read its Delta/2 for the quasienergy phase and form one
+    # more, for the band weights
     calls, field = [], model.normal_field
 
     def counted(*args):
@@ -328,6 +332,11 @@ def test_angle_routes_form_the_field_once(ex1, monkeypatch):
         calls.clear()
         route()
         assert len(calls) == 1
+    for route in (lambda: dynamics.return_amplitude(ex1, "plus", 0.7, 0.5),
+                  lambda: total_phase(ex1, "minus", 0.7, 0.5)):
+        calls.clear()
+        route()
+        assert len(calls) == 2
 
 
 def test_bloch_expectations_unit_norm_and_initial_values(ex1):
@@ -376,7 +385,7 @@ def test_tomography_matches_direct_phase():
             k = rng.uniform(0.05, math.pi - 0.05)
             t = rng.uniform(0.0, 2.0 * p.period)
             try:
-                if return_probability(p, "minus", k, t) < 0.01:
+                if return_probability(p, k, t) < 0.01:
                     continue
                 direct = geometric_phase(p, "minus", k, t)
                 tomo = geometric_phase_from_tomography(p, k, t)

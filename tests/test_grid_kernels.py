@@ -321,8 +321,8 @@ def test_library_refuses_times_doubles_cannot_resolve():
                          lambda: geometric_phase(p, "minus", 0.7, t),
                          lambda: geometric_phase_grid(p, "minus", 0.7,
                                                       np.array([t, 1.0])),
-                         lambda: return_probability(p, "minus", 0.7, t),
-                         lambda: return_probability_grid(p, "minus", 0.7,
+                         lambda: return_probability(p, 0.7, t),
+                         lambda: return_probability_grid(p, 0.7,
                                                          [[t], [0.0]]),
                          lambda: winding_number(p, "minus", t),
                          lambda: raw_winding_grid(p, "minus",
@@ -332,10 +332,10 @@ def test_library_refuses_times_doubles_cannot_resolve():
                     call()
         assert math.isfinite(rate_function(p, "minus", below))
         assert math.isfinite(geometric_phase(p, "minus", 0.7, below))
-        assert math.isfinite(return_probability(p, "minus", 0.7, below))
+        assert math.isfinite(return_probability(p, 0.7, below))
         g = rate_function_grid(p, "minus", [below, math.nan, 1.0])
         assert math.isnan(g[1]) and np.isfinite(g[[0, 2]]).all()
-        prob = return_probability_grid(p, "minus", 0.7, [math.nan, below])
+        prob = return_probability_grid(p, 0.7, [math.nan, below])
         assert math.isnan(prob[0]) and math.isfinite(prob[1])
 
 

@@ -133,7 +133,7 @@ def test_gap_guard_is_the_scalar_guard():
     p = ModelParams(omega_drive=2.0, delta1=1.0, delta2=1.0, omega_amp=1.0)
     with pytest.raises(GaplessPoint) as want:
         gap_guard(p, 0.0)
-    for fn in (lambda p, k: return_probability(p, "minus", k, 1.0),
+    for fn in (lambda p, k: return_probability(p, k, 1.0),
                lambda p, k: dynamical_phase(p, "plus", k, 1.0),
                lambda p, k: geometric_phase(p, "minus", k, 1.0)):
         with pytest.raises(GaplessPoint) as got:
@@ -276,7 +276,7 @@ def test_time_limit_equals_the_ulp_rule(monkeypatch):
 NON_FINITE = (math.nan, math.inf, -math.inf)
 POINT_APIS = {
     "return_amplitude": lambda p, k, t: return_amplitude(p, "minus", k, t),
-    "return_probability": lambda p, k, t: return_probability(p, "plus", k, t),
+    "return_probability": return_probability,
     "total_phase": lambda p, k, t: total_phase(p, "minus", k, t),
     "dynamical_phase": lambda p, k, t: dynamical_phase(p, "plus", k, t),
     "geometric_phase": lambda p, k, t: geometric_phase(p, "minus", k, t),
@@ -313,14 +313,14 @@ def test_scalar_apis_are_their_public_kernels_at_the_point():
             same(outcome(geometric_phase_from_tomography, p, k, t),
                  geometry.tomography_phase_grid(
                      p, k, t, geometry.bloch_vector_grid(p, "minus", k, t)))
+            same(return_probability(p, k, t),
+                 dynamics.return_probability_grid(p, k, t))
             for band in ("minus", "plus"):
                 e = float(band_energy(p, band, k))
                 overlap = dynamics.micromotion_overlap(
                     p, *band_weights(p, band, k), t)
                 same(return_amplitude(p, band, k, t).value,
                      cmath.exp(-1j * e * t) * complex(overlap))
-                same(return_probability(p, band, k, t),
-                     dynamics.return_probability_grid(p, band, k, t))
                 same(outcome(geometric_phase, p, band, k, t),
                      geometric_phase_grid(p, band, k, t))
                 same(bloch_expectations(p, band, k, t),
@@ -395,8 +395,8 @@ def test_scalar_apis_refuse_non_finite_points(ex1, name):
     api(ex1, 0.7, 0.5)  # a finite point passes
 
 
-BAND_POINT_APIS = (return_amplitude, return_probability, total_phase,
-                   geometric_phase, dynamical_phase, bloch_expectations)
+BAND_POINT_APIS = (return_amplitude, total_phase, geometric_phase,
+                   dynamical_phase, bloch_expectations)
 
 
 def test_scalar_band_apis_check_the_point_before_the_band():

@@ -51,10 +51,10 @@ def readers(p, band, ts):
     return {
         "return_amplitude": [dynamics.return_amplitude(p, band, k, t).value
                              for k, t in points],
-        "return_probability": [dynamics.return_probability(p, band, k, t)
+        "return_probability": [dynamics.return_probability(p, k, t)
                                for k, t in points],
         "return_probability_grid": dynamics.return_probability_grid(
-            p, band, ENDPOINTS[:, None], ts),
+            p, ENDPOINTS[:, None], ts),
         "geometric_phase": [geometry.geometric_phase(p, band, k, t)
                             for k, t in points],
         "geometric_phase_grid": geometry.geometric_phase_grid(
@@ -107,7 +107,7 @@ def test_scalar_readers_return_python_scalars():
             t = 0.6 * EXAMPLE1.period
             assert isinstance(dynamics.micromotion_overlap(
                 EXAMPLE1, *band_weights(EXAMPLE1, band, k), t), np.ndarray)
-            assert type(dynamics.return_probability(EXAMPLE1, band, k, t)) \
+            assert type(dynamics.return_probability(EXAMPLE1, k, t)) \
                 is float
             assert type(dynamics.return_amplitude(EXAMPLE1, band, k,
                                                   t).value) is complex
@@ -127,12 +127,13 @@ def test_nan_weights_at_a_gapless_k_raise_no_warning():
             assert np.isnan(wa) and np.isnan(wb)
             z = dynamics.micromotion_overlap(p, wa, wb, t)
             assert z.shape == () and np.isnan(z.real) and np.isnan(z.imag)
-            for grid in (dynamics.return_probability_grid,
-                         geometry.geometric_phase_grid):
-                values = grid(p, band, ks, t)
-                assert np.isnan(values[0]) and np.isfinite(values[1])
-            for point in (dynamics.return_probability,
-                          dynamics.return_amplitude,
+            values = geometry.geometric_phase_grid(p, band, ks, t)
+            assert np.isnan(values[0]) and np.isfinite(values[1])
+            for point in (dynamics.return_amplitude,
                           geometry.geometric_phase):
                 with pytest.raises(GaplessPoint):
                     point(p, band, 0.0, t)
+        values = dynamics.return_probability_grid(p, ks, t)
+        assert np.isnan(values[0]) and np.isfinite(values[1])
+        with pytest.raises(GaplessPoint):
+            dynamics.return_probability(p, 0.0, t)

@@ -70,7 +70,7 @@ def exact_return_probability(p, k, t) -> float:
 @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
 def test_retprob_column_against_mpmath(preset):
     p, ks, ts = shipped_subgrid(preset)
-    got = return_probability_grid(p, "minus", ks[:, None], ts)
+    got = return_probability_grid(p, ks[:, None], ts)
     exact = np.array([[exact_return_probability(p, k, t) for t in ts]
                       for k in ks])
     assert np.abs(got - exact).max() <= RETPROB_BOUND

@@ -75,8 +75,9 @@ def scale_free(p, s, band, ks, ts):
     out["band_energy"] = bits(model.band_energy(p, band, ks) / s)
     out["rate_function_grid"] = bits(dqpt.rate_function_grid(p, band, ts,
                                                              181))
-    for fn in (dynamics.return_probability_grid,
-               geometry.geometric_phase_grid, geometry.bloch_vector_grid):
+    out["return_probability_grid"] = bits(
+        dynamics.return_probability_grid(p, k_col, ts))
+    for fn in (geometry.geometric_phase_grid, geometry.bloch_vector_grid):
         out[fn.__name__] = bits(fn(p, band, k_col, ts))
     bloch = geometry.bloch_vector_grid(p, "minus", k_col, ts)
     out["tomography_phase_grid"] = bits(
@@ -157,7 +158,9 @@ def dimensionless(p):
            ("chiral_winding_numbers",):
                topology.chiral_winding_numbers(p).wpi,
            ("tomography_phase_grid",):
-               geometry.tomography_phase_grid(p, k_col, ts, bloch)}
+               geometry.tomography_phase_grid(p, k_col, ts, bloch),
+           ("return_probability_grid",):
+               dynamics.return_probability_grid(p, k_col, ts)}
     for band in ("minus", "plus"):
         out["band_weights", band] = model.band_weights(p, band, ks)
         out["exact_winding_grid", band] = geometry.exact_winding_grid(
@@ -166,8 +169,7 @@ def dimensionless(p):
             p, band, ts, 401)[1]
         out["rate_function_grid", band] = dqpt.rate_function_grid(
             p, band, ts, 181)
-        for fn in (dynamics.return_probability_grid,
-                   geometry.geometric_phase_grid, geometry.bloch_vector_grid):
+        for fn in (geometry.geometric_phase_grid, geometry.bloch_vector_grid):
             out[fn.__name__, band] = fn(p, band, k_col, ts)
         for i, t in enumerate(ts):
             out["rate_function", band, i] = dqpt.rate_function(p, band, t,
@@ -179,13 +181,15 @@ def dimensionless(p):
             for k in ks:
                 out["return_amplitude", band, k, i] = \
                     dynamics.return_amplitude(p, band, k, t).value
-                for fn in (dynamics.return_probability, geometry.total_phase,
-                           geometry.dynamical_phase, geometry.geometric_phase,
+                for fn in (geometry.total_phase, geometry.dynamical_phase,
+                           geometry.geometric_phase,
                            geometry.bloch_expectations):
                     out[fn.__name__, band, k, i] = fn(p, band, k, t)
     for i, t in enumerate(ts):
         for k in ks:
             out["propagator_analytic", k, i] = dynamics.propagator_analytic(
+                p, k, t)
+            out["return_probability", k, i] = dynamics.return_probability(
                 p, k, t)
             out["geometric_phase_from_tomography", k, i] = \
                 geometry.geometric_phase_from_tomography(p, k, t)
@@ -240,15 +244,17 @@ def test_mixed_sign_drives_near_the_largest_double():
     # normal form holds it. Every point API answers without a warning, the
     # two with a grid kernel with its bits. The plus band's quasienergy
     # w/2 + Delta/2 is itself past the largest double at k = pi (and at
-    # k = 0.7 on 1.7e308), so the APIs that read it are held on the minus
-    # band alone
+    # k = 0.7 on 1.7e308), so band_energy is held on the minus band alone;
+    # the return amplitude and total phase take its phase on the normal
+    # form, within 1e-15 of (1, 1, -1, 1)'s on both bands
+    one = ModelParams(1.0, 1.0, -1.0, 1.0)
     for s in (1.7e308, 1e308):
         p = ModelParams(s, s, -s, s)
         t = 0.3 * p.period
         for k in (0.0, 0.7, math.pi):
+            assert bits(dynamics.return_probability(p, k, t)) == \
+                bits(dynamics.return_probability_grid(p, k, t))
             for band in ("minus", "plus"):
-                assert bits(dynamics.return_probability(p, band, k, t)) == \
-                    bits(dynamics.return_probability_grid(p, band, k, t))
                 assert bits(geometry.geometric_phase(p, band, k, t)) == \
                     bits(geometry.geometric_phase_grid(p, band, k, t))
                 values = [dynamics.propagator_analytic(p, k, t),
@@ -256,10 +262,16 @@ def test_mixed_sign_drives_near_the_largest_double():
                           geometry.bloch_expectations(p, band, k, t),
                           geometry.geometric_phase_from_tomography(p, k, t)]
                 if band == "minus":
-                    values += [model.band_energy(p, band, k),
-                               dynamics.return_amplitude(p, band, k, t).value,
-                               geometry.total_phase(p, band, k, t)]
+                    values.append(model.band_energy(p, band, k))
                 assert all(np.isfinite(x).all() for x in values), (s, k, band)
+                amplitude = dynamics.return_amplitude(p, band, k, t).value
+                want = dynamics.return_amplitude(one, band, k,
+                                                 0.3 * one.period).value
+                assert abs(amplitude - want) <= 1e-15, (s, k, band)
+                assert abs(geometry.principal_branch(
+                    geometry.total_phase(p, band, k, t) - geometry.total_phase(
+                        one, band, k, 0.3 * one.period))) <= 1e-15
+
 
 def test_scale_moves_fisher_lines_and_chain_spectrum_by_rounding():
     ks = np.linspace(0.0, math.pi, 102)[1:-1]
@@ -332,8 +344,8 @@ def test_rate_and_probability_even_phase_odd_in_t():
         ts = rng.uniform(0.0, 3.0 * p.period, 8)
         assert bits(dqpt.rate_function_grid(p, band, -ts, 181)) \
             == bits(dqpt.rate_function_grid(p, band, ts, 181))
-        assert bits(dynamics.return_probability_grid(p, band, ks, -ts)) \
-            == bits(dynamics.return_probability_grid(p, band, ks, ts))
+        assert bits(dynamics.return_probability_grid(p, ks, -ts)) \
+            == bits(dynamics.return_probability_grid(p, ks, ts))
         phi, phi_back = (geometry.geometric_phase_grid(p, band, ks, x)
                          for x in (ts, -ts))
         assert np.array_equal(np.isnan(phi), np.isnan(phi_back))
@@ -354,10 +366,10 @@ def test_amplitude_sign_keeps_observables_and_flips_w_pi():
         ts = rng.uniform(-3.0 * p.period, 3.0 * p.period, 8)
         assert bits(dqpt.rate_function_grid(flipped, band, ts, 181)) \
             == bits(dqpt.rate_function_grid(p, band, ts, 181))
-        for fn in (dynamics.return_probability_grid,
-                   geometry.geometric_phase_grid):
-            assert bits(fn(flipped, band, ks, ts)) == bits(fn(p, band, ks,
-                                                               ts))
+        assert bits(dynamics.return_probability_grid(flipped, ks, ts)) \
+            == bits(dynamics.return_probability_grid(p, ks, ts))
+        assert bits(geometry.geometric_phase_grid(flipped, band, ks, ts)) \
+            == bits(geometry.geometric_phase_grid(p, band, ks, ts))
         inv, inv_flipped = (outcome(topology.chiral_winding_numbers, x)
                             for x in (p, flipped))
         if isinstance(inv, type):
