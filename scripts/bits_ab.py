@@ -26,10 +26,8 @@ runs one fixed, seeded list of calls:
 - every scalar API that takes a band, with band = "bogus" at a NaN k, at
   the gapless k = 0 and at a NaN t, so that the record shows which error
   each raises first;
-- the |G|^2 pair, `return_probability` and `return_probability_grid`, at
-  each band of the list, as the APIs that take one; a tree whose pair has
-  no `band` parameter is called without it, so its calls at band "minus"
-  show whether it keeps a banded tree's lower-band bits;
+- the |G|^2 pair, which takes no band: `return_probability` once per
+  (k, t), beside `gap_guard`, and `return_probability_grid` once per grid;
 - 3000 seeded draws of the tomography route, both signs of Omega, with
   k = 0 and pi among them;
 - `fdqpt` over a fixed list of argument vectors, in process; `winding` and
@@ -60,7 +58,6 @@ import contextlib
 import dataclasses
 import hashlib
 import importlib
-import inspect
 import io
 import json
 import math
@@ -75,11 +72,8 @@ import numpy as np
 MODULES = ("model", "dynamics", "dqpt", "geometry", "topology", "lattice")
 BANDS = ("minus", "plus")
 TOMOGRAPHY_DRAWS = 3000
-# |G|^2 is the same for both bands: a tree may call these without one
-BAND_FREE = ("return_probability", "return_probability_grid")
 # the scalar APIs of (params, band, k, t)
 BAND_POINT_APIS = (("dynamics", "return_amplitude"),
-                   ("dynamics", "return_probability"),
                    ("geometry", "total_phase"), ("geometry", "dynamical_phase"),
                    ("geometry", "geometric_phase"),
                    ("geometry", "bloch_expectations"))
@@ -180,6 +174,7 @@ def call_list(presets, model):
             for t in ts:
                 for module, name in (
                         ("model", "gap_guard"),
+                        ("dynamics", "return_probability"),
                         ("dynamics", "propagator_analytic"),
                         ("geometry", "geometric_phase_from_tomography")):
                     add(module, name, p, k, t, drive=drive, k=k, t=t)
@@ -211,11 +206,13 @@ def call_list(presets, model):
                     drive=drive, band=band)
                 add("geometry", "raw_winding_grid", p, band, grid_ts, 401,
                     drive=drive, band=band)
-                for module, name in (("dynamics", "return_probability_grid"),
-                                     ("geometry", "geometric_phase_grid"),
+                for module, name in (("geometry", "geometric_phase_grid"),
                                      ("geometry", "bloch_vector_grid")):
                     add(module, name, p, band, k_col, grid_ts, drive=drive,
                         band=band)
+        for grid_ts in (resolved, np.array(ts)):
+            add("dynamics", "return_probability_grid", p, k_col, grid_ts,
+                drive=drive)
         add("geometry", "tomography_phase_grid", p, k_col, resolved,
             rng.normal(size=(3, len(ks), resolved.size)), drive=drive)
     # an invalid band at a non-finite point and at the gapless point k = 0
@@ -326,9 +323,6 @@ def emit(path):
     for label, module, name, args in call_list(mods["cli"].PRESETS,
                                                mods["model"]):
         fn = getattr(mods[module], name, None)
-        if name in BAND_FREE and fn is not None \
-                and "band" not in inspect.signature(fn).parameters:
-            args = args[:1] + args[2:]
         results[label] = ["missing"] if fn is None else outcome(fn, args)
     for preset in CLI_PRESETS:
         for argv in CLI_VECTORS:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from ._lazy import np
 from .errors import StepCountTooSmall
 from .model import (ModelParams, _band_sign, band_weights, bloch_components,
-                    gap_guard, require_resolved_time)
+                    finite_point, gap_guard, require_resolved_time)
 
 MIN_ORACLE_STEPS = 256
 DEFAULT_ORACLE_STEPS = 4096
@@ -87,9 +87,7 @@ def propagator_oracle(params: ModelParams, k: float, t: float,
     """
     if steps < MIN_ORACLE_STEPS:
         raise StepCountTooSmall(f"steps={steps} < {MIN_ORACLE_STEPS}")
-    for name, x in (("k", k), ("t", t)):
-        if not math.isfinite(x):
-            raise ValueError(f"{name} must be finite, got {x}")
+    finite_point(k, t)
     require_resolved_time(params, t)
 
     if t == 0:

@@ -109,14 +109,18 @@ def exact_winding_grid(params: ModelParams, band: str, t) -> np.ndarray:
     The overlap |a|^2 + e^{iwt}|b|^2 runs along the chord from 1 to e^{iwt},
     and at k = 0 and pi (h_xy = 0) |a|^2 is 0 or 1. So along k the lift of
     the geometric phase changes by m (wt - principal(wt)) = 2 pi m round(t/T),
-    with m = |a|^2(pi) - |a|^2(0), nonzero iff |w - delta2| < |delta1|.
-    Raises GaplessPoint when the gap closes anywhere in the zone
+    with m = |a|^2(pi) - |a|^2(0), nonzero iff |w - delta2| < |delta1|;
+    where m = 0, nu is 0 at every t, however small the period. Raises
+    GaplessPoint when the gap closes anywhere in the zone
     (model.zone_gap_guard).
     """
     zone_gap_guard(params)
     wa, _ = band_weights(params, band, np.array([0.0, math.pi]))
     m = np.rint(wa[1] - wa[0])
-    return m * np.rint(np.asarray(t, dtype=float) / params.period)
+    t = np.asarray(t, dtype=float)
+    # m = 0: the zero m rint(t/T), signed by m t, without t/T, which
+    # overflows on a tiny period; tanh keeps t's sign and NaN, and is finite
+    return m * (np.rint(t / params.period) if m else np.tanh(t))
 
 
 def exact_winding(params: ModelParams, band: str, t: float) -> int:

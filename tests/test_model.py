@@ -1,8 +1,11 @@
 import cmath
+import inspect
+import itertools
 import math
 import pickle
 import sys
 from dataclasses import FrozenInstanceError, replace
+from importlib import import_module
 
 import numpy as np
 import pytest
@@ -10,21 +13,17 @@ from hypothesis import given, settings, strategies as st
 
 from floquet_dqpt import dqpt, dynamics, geometry, model, topology
 from floquet_dqpt.cli import PRESETS
-from floquet_dqpt.dqpt import fisher_tau, fisher_tau_grid
-from floquet_dqpt.dynamics import (propagator_analytic, return_amplitude,
-                                   return_probability)
+from floquet_dqpt.dqpt import fisher_tau_grid
+from floquet_dqpt.dynamics import return_amplitude, return_probability
 from floquet_dqpt.errors import (GaplessPoint, NearCriticalTime,
-                                 NumericalGuardError, PhaseUndefined,
-                                 TimeUnresolved)
-from floquet_dqpt.geometry import (bloch_expectations, dynamical_phase,
-                                   geometric_phase,
-                                   geometric_phase_from_tomography,
-                                   geometric_phase_grid, total_phase)
+                                 NumericalGuardError, TimeUnresolved)
+from floquet_dqpt.geometry import dynamical_phase, geometric_phase
 from floquet_dqpt.model import (T_GUARD_FRACTION, ModelParams,
                                 bloch_components, band_energy, band_weights,
                                 gap_guard, min_half_gap, normal_field,
                                 require_resolved_time)
 
+import api
 from conftest import EXAMPLE1, random_params
 from oracles import (SIGMA_Y, SIGMA_Z, hamiltonian_lab, micromotion,
                      rotating_frame_hamiltonian)
@@ -274,35 +273,27 @@ def test_time_limit_equals_the_ulp_rule(monkeypatch):
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
-POINT_APIS = {
-    "return_amplitude": lambda p, k, t: return_amplitude(p, "minus", k, t),
-    "return_probability": return_probability,
-    "total_phase": lambda p, k, t: total_phase(p, "minus", k, t),
-    "dynamical_phase": lambda p, k, t: dynamical_phase(p, "plus", k, t),
-    "geometric_phase": lambda p, k, t: geometric_phase(p, "minus", k, t),
-    "bloch_expectations": lambda p, k, t: bloch_expectations(p, "plus", k, t),
-    "geometric_phase_from_tomography": geometric_phase_from_tomography,
-    "propagator_analytic": propagator_analytic,
-    "fisher_tau": lambda p, k, t: fisher_tau(p, "minus", k),
-}
+POINT_ROWS = [row for row in api.API if row.kind == "point"]
+
+
+def test_the_api_table_has_one_row_per_public_function():
+    # and each row's arguments are its function's parameters, in order
+    public = sorted(
+        (module, fn.__name__) for module in api.MODULES
+        for fn in vars(import_module(f"floquet_dqpt.{module}")).values()
+        if inspect.isfunction(fn) and not fn.__name__.startswith("_")
+        and fn.__module__ == f"floquet_dqpt.{module}")
+    assert sorted((row.module, row.name) for row in api.API) == public
+    for row in api.API:
+        assert [*inspect.signature(row.fn).parameters] == [*row.roles], row
 
 
 def test_scalar_apis_are_their_public_kernels_at_the_point():
-    # each scalar API is gap_guard (or its own guard) and then the public
-    # kernel of its quantity at the point, bit for bit, signed zeros and the
-    # point where |G| = 0 (example1's (k_c, t_c) = (pi/3, 1)) included
-    def same(got, want):
-        got, want = np.asarray(got), np.asarray(want)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert np.array_equal(got.reshape(-1).view(np.int64),
-                              want.reshape(-1).view(np.int64))
-
-    def outcome(fn, *args):
-        try:
-            return fn(*args)
-        except PhaseUndefined:
-            return math.nan
-
+    # each scalar API is gap_guard (or its own guard) and then its row's
+    # kernel at the point, bit for bit, signed zeros and the point where
+    # |G| = 0 (example1's (k_c, t_c) = (pi/3, 1)) included; where it refuses
+    # with a guard error, the kernel reads a marker (NaN or +-inf). The
+    # return amplitude's kernel is written out
     rng = np.random.default_rng(7)
     for p in (EXAMPLE1, PRESETS["nv-minus"], random_params(rng)):
         points = [(0.0, 0.3 * p.period), (math.pi, -0.7 * p.period),
@@ -310,25 +301,19 @@ def test_scalar_apis_are_their_public_kernels_at_the_point():
                   (rng.uniform(0.0, math.pi), rng.uniform(-3.0, 3.0)
                    * p.period)]
         for k, t in points:
-            same(outcome(geometric_phase_from_tomography, p, k, t),
-                 geometry.tomography_phase_grid(
-                     p, k, t, geometry.bloch_vector_grid(p, "minus", k, t)))
-            same(return_probability(p, k, t),
-                 dynamics.return_probability_grid(p, k, t))
-            for band in ("minus", "plus"):
+            for row, got, want in api.kernel_calls(p, k, t):
+                if isinstance(got, type):  # a guard error: a kernel marker
+                    assert not np.isfinite(want).all(), row
+                    continue
+                got = np.asarray(got)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), row
+                assert api.bits(got) == api.bits(want), row
+            for band in api.BANDS:
                 e = float(band_energy(p, band, k))
                 overlap = dynamics.micromotion_overlap(
                     p, *band_weights(p, band, k), t)
-                same(return_amplitude(p, band, k, t).value,
-                     cmath.exp(-1j * e * t) * complex(overlap))
-                same(outcome(geometric_phase, p, band, k, t),
-                     geometric_phase_grid(p, band, k, t))
-                same(bloch_expectations(p, band, k, t),
-                     geometry.bloch_vector_grid(p, band, k, t))
-                if k not in (0.0, math.pi):
-                    same(fisher_tau(p, band, k), fisher_tau_grid(p, band, k))
-                same(dqpt.rate_function(p, band, t, 181),
-                     dqpt.rate_function_grid(p, band, [t], 181)[0])
+                assert api.bits(return_amplitude(p, band, k, t).value) == \
+                    api.bits(cmath.exp(-1j * e * t) * complex(overlap))
 
 
 # k = 0 (h_xy = 0), an interior k and k = pi, where hypot rounds Delta/2
@@ -383,43 +368,39 @@ def test_fisher_tau_grid_equals_the_masked_formula():
     assert seen == {"-inf", "inf", "nan"}
 
 
-@pytest.mark.parametrize("name", sorted(POINT_APIS))
-def test_scalar_apis_refuse_non_finite_points(ex1, name):
-    # ValueError from the point guard, before any kernel sees the NaN
-    api = POINT_APIS[name]
-    for x in NON_FINITE:
-        points = [(x, 0.5)] if name == "fisher_tau" else [(x, 0.5), (0.7, x)]
-        for k, t in points:
+@pytest.mark.parametrize("row", POINT_ROWS, ids=lambda row: row.name)
+def test_scalar_apis_refuse_non_finite_points(ex1, row):
+    # ValueError from the point guard, before any kernel sees the NaN, at
+    # each band and each of k and t the API takes
+    for _, _, args in api.calls({"params": ex1}, [0.7], [0.5], rows=[row]):
+        for role, x in itertools.product(row.takes & {"k", "t"}, NON_FINITE):
             with pytest.raises(ValueError):
-                api(ex1, k, t)
-    api(ex1, 0.7, 0.5)  # a finite point passes
-
-
-BAND_POINT_APIS = (return_amplitude, total_phase, geometric_phase,
-                   dynamical_phase, bloch_expectations)
+                row.call({**args, role: x})
+        row.call(args)  # a finite point passes
 
 
 def test_scalar_band_apis_check_the_point_before_the_band():
-    # an invalid band never hides the point's error: each API raises, with
-    # band "bogus", what gap_guard raises at a NaN k, at the gapless k = 0
-    # of (1, 1, 0, 1), at a NaN t and at a t doubles cannot resolve
+    # an invalid band never hides the point's error: each point API with a
+    # band raises, with band "bogus", what gap_guard raises at each point it
+    # takes: a NaN k, the gapless k = 0 of (1, 1, 0, 1) (with a t), a NaN t
+    # and a t doubles cannot resolve
     p = ModelParams(omega_drive=1.0, delta1=1.0, delta2=0.0, omega_amp=1.0)
-    for k, t in ((math.nan, 0.5), (0.0, 0.5), (0.7, math.nan),
-                 (0.7, 1e300)):
+    rows = [row for row in POINT_ROWS if "band" in row.takes]
+    for roles, k, t in (({"k"}, math.nan, 0.5), ({"k", "t"}, 0.0, 0.5),
+                        ({"t"}, 0.7, math.nan), ({"t"}, 0.7, 1e300)):
         with pytest.raises((ValueError, GaplessPoint,
                             TimeUnresolved)) as point:
             gap_guard(p, k, t)
-        for api in BAND_POINT_APIS:
-            with pytest.raises(type(point.value)) as got:
-                api(p, "bogus", k, t)
-            assert str(got.value) == str(point.value), api.__name__
-    with pytest.raises(ValueError, match="k must be finite"):
-        fisher_tau(p, "bogus", math.nan)
-    for api in BAND_POINT_APIS:  # a good point reaches the band check
+        for row in rows:
+            if roles <= row.takes:
+                with pytest.raises(type(point.value)) as got:
+                    row.call({"params": p, "band": "bogus", "k": k, "t": t})
+                assert str(got.value) == str(point.value), row.name
+    for row in rows:  # a good point reaches the band check; without a k the
+        # API reads the whole zone, whose gap closes on p, so example1's
         with pytest.raises(ValueError, match="band must be"):
-            api(p, "bogus", 0.7, 0.5)
-    with pytest.raises(ValueError, match="band must be"):
-        fisher_tau(p, "bogus", 0.7)
+            row.call({"params": p if "k" in row.takes else EXAMPLE1,
+                      "band": "bogus", "k": 0.7, "t": 0.5})
 
 
 def test_micromotion_special_times(ex1):

@@ -11,6 +11,9 @@
 - Sign of the drive amplitude. Omega -> -Omega is a pi turn about z, which
   flips h_xy alone: |G|^2, g and the geometric phase keep their bits, and
   W_pi changes sign.
+- Zone reflection. (delta1, k) -> (-delta1, pi - k) keeps the field and
+  swaps the ends of the zone: |G|^2, g and the gap stay, nu and W_pi change
+  sign.
 
 The swap of the two bands is the fourth symmetry, in test_band_symmetry.py.
 """
@@ -22,9 +25,11 @@ import pytest
 
 from floquet_dqpt import dqpt, dynamics, geometry, lattice, model, topology
 from floquet_dqpt.cli import PRESETS
-from floquet_dqpt.errors import GaplessPoint, NumericalGuardError
+from floquet_dqpt.errors import GaplessPoint
 from floquet_dqpt.model import ModelParams
 
+import api
+from api import bits
 from conftest import random_params
 
 SCALES = (3, -3, 60, -60, 600, -600, 900, -900)
@@ -40,70 +45,30 @@ def scaled(p, s):
                        s * p.omega_amp)
 
 
-def bits(x):
-    """A value's int64 bits, real and imaginary parts apart, so signed zeros
-    and NaN payloads count."""
-    a = np.asarray(x)
-    if a.dtype.kind != "c":
-        a = a.astype(float)
-    return np.ascontiguousarray(a).reshape(-1).view(np.int64).tolist()
-
-
-def outcome(fn, *args):
-    """fn(*args), or the type of the guard it raised (whose message holds
-    the scaled numbers)."""
-    try:
-        return fn(*args)
-    except NumericalGuardError as exc:
-        return type(exc)
+# the ledgers below call every row but these: the outputs that move under
+# the scale by rounding, the Fisher lines and the chain spectrum (each held
+# to a bound in test_scale_moves_fisher_lines_and_chain_spectrum_by_rounding)
+# and the physical h_xy, subnormal at k = pi at 2^-1000; and the RK4 oracle,
+# which keeps the physical H(k, t) as the independent check
+ROUNDED = {"fisher_tau", "fisher_tau_grid", "fisher_lines",
+           "obc_floquet_spectrum", "bloch_components", "propagator_oracle"}
+LEDGER_ROWS = [row for row in api.API if row.name not in ROUNDED]
+POWER = {"energy": -1, "time": 1}
 
 
 def scale_free(p, s, band, ks, ts):
     """Every output of the drive p that the scale s leaves unchanged, as
     bits or a guard's type: p is s times a base drive and ts are its times,
     energies are divided by s and times multiplied by s, both exact. The
-    grids take every (k, t), the scalar APIs the band at ks[:3] x ts[1:4]."""
-    out = {}
-    k_col = np.asarray(ks)[:, None]
-    crit = dqpt.dqpt_condition(p)
-    out["dqpt_condition"] = (crit.has_dqpt, crit.k_c,
-                             bits(np.multiply(crit.critical_times, s)))
-    out["chiral_winding_numbers"] = outcome(topology.chiral_winding_numbers,
-                                            p)
-    out["min_half_gap"] = bits(model.min_half_gap(p) / s)
-    out["time_limit"] = bits(p.time_limit * s)
-    out["band_energy"] = bits(model.band_energy(p, band, ks) / s)
-    out["rate_function_grid"] = bits(dqpt.rate_function_grid(p, band, ts,
-                                                             181))
-    out["return_probability_grid"] = bits(
-        dynamics.return_probability_grid(p, k_col, ts))
-    for fn in (geometry.geometric_phase_grid, geometry.bloch_vector_grid):
-        out[fn.__name__] = bits(fn(p, band, k_col, ts))
-    bloch = geometry.bloch_vector_grid(p, "minus", k_col, ts)
-    out["tomography_phase_grid"] = bits(
-        geometry.tomography_phase_grid(p, k_col, ts, bloch))
-    trace = outcome(geometry.raw_winding_grid, p, band, ts, 401)
-    out["raw_winding_grid"] = trace if isinstance(trace, type) \
-        else (bits(trace[0] * s), bits(trace[1]))
-    out["exact_winding_grid"] = outcome(
-        lambda: bits(geometry.exact_winding_grid(p, band, ts)))
-    scalar = {
-        "propagator_analytic": lambda k, t:
-            dynamics.propagator_analytic(p, k, t),
-        "return_amplitude": lambda k, t:
-            dynamics.return_amplitude(p, band, k, t).value,
-        "geometric_phase_from_tomography": lambda k, t:
-            geometry.geometric_phase_from_tomography(p, k, t)}
-    for fn in (geometry.total_phase, geometry.dynamical_phase,
-               geometry.geometric_phase, geometry.bloch_expectations):
-        scalar[fn.__name__] = lambda k, t, fn=fn: fn(p, band, k, t)
-    for i, t in enumerate(ts[1:4]):
-        out["winding_number", i] = outcome(
-            lambda: bits(geometry.winding_number(p, band, t, 401, True)[1]))
-        out["exact_winding", i] = outcome(geometry.exact_winding, p, band, t)
-        for k in ks[:3]:
-            for name, fn in scalar.items():
-                out[name, k, i] = outcome(lambda: bits(fn(k, t)))
+    grids take every (k, t), the point APIs the band at ks[:3] x ts[1:4]."""
+    out = {"time_limit": bits(p.time_limit * s)}
+    grid = {"params": p, "ks": np.asarray(ks)[:, None], "ts": ts}
+    for row, key, args in api.calls(grid, ks[:3], ts[1:4], [band],
+                                     LEDGER_ROWS):
+        value = api.outcome(row.call, args)  # its message holds the scale
+        out[key] = value if isinstance(value, type) else [
+            bits(x * s ** POWER[unit] if unit in POWER else x)
+            for unit, x in api.parts(value, row.unit)]
     return out
 
 
@@ -146,58 +111,45 @@ def test_dynamical_phase_at_extreme_scales():
 CYCLES = (0.37, 0.75, 2.2)
 
 
-def dimensionless(p):
-    """{(API, band, k, t index): flat complex array}: every dimensionless
-    output of the drive p at k = 0, 0.7, pi and at the times of CYCLES
-    periods, t index last where the API takes one t."""
+def dimensionless(p, cycles):
+    """{(API, band, k index, t index): flat complex array}: every
+    dimensionless output of the drive p at k = 0, 0.7, pi and at the times
+    of `cycles` periods."""
     ks = np.array([0.0, 0.7, math.pi])
-    ts = np.array(CYCLES) * (2.0 * math.pi) / p.omega_drive
-    k_col = ks[:, None]
-    bloch = geometry.bloch_vector_grid(p, "minus", k_col, ts)
-    out = {("k_c",): dqpt.dqpt_condition(p).k_c,
-           ("chiral_winding_numbers",):
-               topology.chiral_winding_numbers(p).wpi,
-           ("tomography_phase_grid",):
-               geometry.tomography_phase_grid(p, k_col, ts, bloch),
-           ("return_probability_grid",):
-               dynamics.return_probability_grid(p, k_col, ts)}
-    for band in ("minus", "plus"):
-        out["band_weights", band] = model.band_weights(p, band, ks)
-        out["exact_winding_grid", band] = geometry.exact_winding_grid(
-            p, band, ts)
-        out["raw_winding_grid", band] = geometry.raw_winding_grid(
-            p, band, ts, 401)[1]
-        out["rate_function_grid", band] = dqpt.rate_function_grid(
-            p, band, ts, 181)
-        for fn in (geometry.geometric_phase_grid, geometry.bloch_vector_grid):
-            out[fn.__name__, band] = fn(p, band, k_col, ts)
-        for i, t in enumerate(ts):
-            out["rate_function", band, i] = dqpt.rate_function(p, band, t,
-                                                               181)
-            out["winding_number", band, i] = geometry.winding_number(
-                p, band, t, 401, True)
-            out["exact_winding", band, i] = geometry.exact_winding(p, band,
-                                                                   t)
-            for k in ks:
-                out["return_amplitude", band, k, i] = \
-                    dynamics.return_amplitude(p, band, k, t).value
-                for fn in (geometry.total_phase, geometry.dynamical_phase,
-                           geometry.geometric_phase,
-                           geometry.bloch_expectations):
-                    out[fn.__name__, band, k, i] = fn(p, band, k, t)
-    for i, t in enumerate(ts):
-        for k in ks:
-            out["propagator_analytic", k, i] = dynamics.propagator_analytic(
-                p, k, t)
-            out["return_probability", k, i] = dynamics.return_probability(
-                p, k, t)
-            out["geometric_phase_from_tomography", k, i] = \
-                geometry.geometric_phase_from_tomography(p, k, t)
-    return {key: np.asarray(v, dtype=complex).reshape(-1)
-            for key, v in out.items()}
+    ts = np.array(cycles) * (2.0 * math.pi) / p.omega_drive
+    out = {}
+    grid = {"params": p, "ks": ks[:, None], "ts": ts}
+    rows = [row for row in LEDGER_ROWS if "dimensionless" in np.ravel(
+        row.unit)]
+    for row, key, args in api.calls(grid, ks, ts, rows=rows):
+        values = [np.asarray(x, dtype=complex).reshape(-1) for unit, x in
+                  api.parts(row.call(args), row.unit)
+                  if unit == "dimensionless" and x is not None]
+        out[key] = np.concatenate(values)
+    return out
 
 
-INTEGERS = {"chiral_winding_numbers", "exact_winding", "exact_winding_grid"}
+INTEGERS = {"chiral_winding_numbers", "exact_winding", "exact_winding_grid",
+            "winding_number"}
+
+
+def near_the_largest_double(one, cycles):
+    """The largest difference between a dimensionless output of `one` and
+    of `one` times 1e308 or 1.7e308 (a phase mod 2 pi), per period elapsed,
+    at least one; nu is exact, and winding_number's raw rounds to it."""
+    base, worst = dimensionless(one, cycles), 0.0
+    for s in (1e308, 1.7e308):
+        got = dimensionless(scaled(one, s), cycles)
+        assert got.keys() == base.keys()
+        for key, want in base.items():
+            d = got[key] - want
+            if "phase" in key[0]:
+                d = geometry.principal_branch(d.real)
+            periods = max(1.0, cycles[-1 if key[3] is None else key[3]])
+            worst = max(worst, np.abs(d).max() / periods)
+            if key[0] in INTEGERS:
+                assert np.array_equal(np.rint(got[key]), np.rint(want)), key
+    return worst
 
 
 @pytest.mark.filterwarnings("error")
@@ -209,22 +161,9 @@ def test_drives_near_the_largest_double():
     # and Delta t/2 moves. The RK4 oracle is left out: it keeps the
     # physical H(k, t) as the independent check, and overflows here
     one = ModelParams(1.0, 1.0, 1.0, 1.0)
-    base, worst = dimensionless(one), 0.0
-    for s in (1e308, 1.7e308):
+    assert near_the_largest_double(one, CYCLES) <= 1e-15
+    for s in (1e308, 1.7e308):  # and those with units answer finite numbers
         p = scaled(one, s)
-        got = dimensionless(p)
-        assert got.keys() == base.keys()
-        for key, want in base.items():
-            d = got[key] - want
-            if "phase" in key[0]:
-                d = geometry.principal_branch(d.real)
-            periods = max(1.0, CYCLES[key[-1] if len(key) > 2 else -1])
-            worst = max(worst, np.abs(d).max() / periods)
-            if key[0] in INTEGERS:
-                assert np.array_equal(got[key], want), (s, key)
-            if key[0] == "winding_number":  # (nu, raw)
-                assert got[key][0] == want[0], (s, key)
-        # and those with units answer finite numbers
         ks = np.array([0.0, 0.7, math.pi])
         b = model.bloch_components(p, ks)
         physical = [b.h_xy, b.h_z, model.min_half_gap(p),
@@ -234,43 +173,28 @@ def test_drives_near_the_largest_double():
                          dqpt.fisher_lines(p, band, ks)[0].tau_of_k[1],
                          dqpt.fisher_tau(p, band, 0.7)]
         assert all(np.isfinite(x).all() for x in physical)
-    assert worst <= 1e-15, worst
 
 
 @pytest.mark.filterwarnings("error")
 def test_mixed_sign_drives_near_the_largest_double():
     # (1, 1, -1, 1) times 1.7e308 and 1e308: |h_z - w/2| at k = pi is 1.5
     # times the largest parameter, past the largest double, while the
-    # normal form holds it. Every point API answers without a warning, the
-    # two with a grid kernel with its bits. The plus band's quasienergy
-    # w/2 + Delta/2 is itself past the largest double at k = pi (and at
-    # k = 0.7 on 1.7e308), so band_energy is held on the minus band alone;
-    # the return amplitude and total phase take its phase on the normal
-    # form, within 1e-15 of (1, 1, -1, 1)'s on both bands
+    # normal form holds it. Every API answers without a warning, a scalar
+    # API with its kernel's bits, a dimensionless output within 1e-15 of
+    # (1, 1, -1, 1)'s at t = 0.3 T, the return amplitude and total phase on
+    # both bands too, as they take their phase on the normal form. The plus
+    # band's quasienergy w/2 + Delta/2 is itself past the largest double at
+    # k = pi (and at k = 0.7 on 1.7e308), so band_energy is held on the
+    # minus band alone, and the Fisher times are left out
     one = ModelParams(1.0, 1.0, -1.0, 1.0)
+    assert near_the_largest_double(one, (0.3,)) <= 1e-15
     for s in (1.7e308, 1e308):
-        p = ModelParams(s, s, -s, s)
-        t = 0.3 * p.period
-        for k in (0.0, 0.7, math.pi):
-            assert bits(dynamics.return_probability(p, k, t)) == \
-                bits(dynamics.return_probability_grid(p, k, t))
-            for band in ("minus", "plus"):
-                assert bits(geometry.geometric_phase(p, band, k, t)) == \
-                    bits(geometry.geometric_phase_grid(p, band, k, t))
-                values = [dynamics.propagator_analytic(p, k, t),
-                          geometry.dynamical_phase(p, band, k, t),
-                          geometry.bloch_expectations(p, band, k, t),
-                          geometry.geometric_phase_from_tomography(p, k, t)]
-                if band == "minus":
-                    values.append(model.band_energy(p, band, k))
-                assert all(np.isfinite(x).all() for x in values), (s, k, band)
-                amplitude = dynamics.return_amplitude(p, band, k, t).value
-                want = dynamics.return_amplitude(one, band, k,
-                                                 0.3 * one.period).value
-                assert abs(amplitude - want) <= 1e-15, (s, k, band)
-                assert abs(geometry.principal_branch(
-                    geometry.total_phase(p, band, k, t) - geometry.total_phase(
-                        one, band, k, 0.3 * one.period))) <= 1e-15
+        p, ks = scaled(one, s), [0.0, 0.7, math.pi]
+        assert np.isfinite(model.band_energy(p, "minus", ks)).all()
+        for k in ks:
+            for row, got, want in api.kernel_calls(p, k, 0.3 * p.period,
+                                                   LEDGER_ROWS):
+                assert bits(got) == bits(want), (s, k, row.name)
 
 
 def test_scale_moves_fisher_lines_and_chain_spectrum_by_rounding():
@@ -370,7 +294,7 @@ def test_amplitude_sign_keeps_observables_and_flips_w_pi():
             == bits(dynamics.return_probability_grid(p, ks, ts))
         assert bits(geometry.geometric_phase_grid(flipped, band, ks, ts)) \
             == bits(geometry.geometric_phase_grid(p, band, ks, ts))
-        inv, inv_flipped = (outcome(topology.chiral_winding_numbers, x)
+        inv, inv_flipped = (api.outcome(topology.chiral_winding_numbers, x)
                             for x in (p, flipped))
         if isinstance(inv, type):
             assert inv_flipped is inv
@@ -378,3 +302,36 @@ def test_amplitude_sign_keeps_observables_and_flips_w_pi():
             assert inv_flipped.wpi == -inv.wpi
             flipped_w_pi += inv.wpi != 0
     assert flipped_w_pi >= 10
+
+
+def test_zone_reflection_keeps_observables_and_flips_the_windings():
+    # (delta1, k) -> (-delta1, pi - k) keeps the field: sin(pi - k) = sin k
+    # and -delta1 cos(pi - k) = delta1 cos k. It swaps the ends of the zone,
+    # so |G|^2 at pi - k, g and the gap stay, and nu and W_pi change sign;
+    # example1 -> example3 is the preset case
+    def reflected(p):
+        return ModelParams(p.omega_drive, -p.delta1, p.delta2, p.omega_amp)
+
+    assert PRESETS["example3"] == reflected(PRESETS["example1"])
+    rng = np.random.default_rng(2026102605)
+    ks = np.array([0.0, math.pi, *rng.uniform(0.0, math.pi, 6)])[:, None]
+    worst, flipped = {"prob": 0.0, "rate": 0.0}, 0
+    for n, p in enumerate(seeded_drives(300, 265)):
+        band, q = ("minus", "plus")[n % 2], reflected(p)
+        ts = rng.uniform(-3.0 * p.period, 3.0 * p.period, 8)
+        worst["prob"] = max(worst["prob"], np.abs(
+            dynamics.return_probability_grid(q, math.pi - ks, ts)
+            - dynamics.return_probability_grid(p, ks, ts)).max())
+        worst["rate"] = max(worst["rate"], np.abs(
+            dqpt.rate_function_grid(q, band, ts, 181)
+            - dqpt.rate_function_grid(p, band, ts, 181)).max())
+        assert bits(model.min_half_gap(q)) == bits(model.min_half_gap(p))
+        assert np.array_equal(geometry.exact_winding_grid(q, band, ts),
+                              -geometry.exact_winding_grid(p, band, ts))
+        w_pi = topology.chiral_winding_numbers(p).wpi
+        assert topology.chiral_winding_numbers(q).wpi == -w_pi
+        flipped += w_pi != 0
+    assert flipped >= 50
+    # measured 2.8e-15 (|G|^2 at pi - k: the rounding of pi - k and of
+    # sin) and 8.9e-16 (g: the trapezoid sums the k grid in reverse)
+    assert worst["prob"] < 1e-14 and worst["rate"] < 3e-15, worst
