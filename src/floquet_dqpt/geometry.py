@@ -118,9 +118,8 @@ def exact_winding_grid(params: ModelParams, band: str, t) -> np.ndarray:
     wa, _ = band_weights(params, band, np.array([0.0, math.pi]))
     m = np.rint(wa[1] - wa[0])
     t = np.asarray(t, dtype=float)
-    # m = 0: the zero m rint(t/T), signed by m t, without t/T, which
-    # overflows on a tiny period; tanh keeps t's sign and NaN, and is finite
-    return m * (np.rint(t / params.period) if m else np.tanh(t))
+    # m = 0: t/T overflows on a tiny period
+    return m * (np.rint(t / params.period) if m else t)
 
 
 def exact_winding(params: ModelParams, band: str, t: float) -> int:

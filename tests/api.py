@@ -1,16 +1,13 @@
-"""The library's public API as one table, `API`: a row per public function.
-
-A public function is a function of a module in `MODULES` whose name has no
-leading underscore and whose `__module__` is that module. `test_model` fails
-for one without a row, and for a row whose arguments are not its signature's.
-A row names its function by (module, name), resolved with `getattr` on call,
-so the table loads against any tree.
+"""The library's public API as one table, `API`: a row per public function
+(a function of a module in `MODULES` whose name has no leading underscore
+and whose `__module__` is that module). A row names its function by
+(module, name), resolved with `getattr` on call, so the table loads against
+any tree.
 
 - args: each parameter, in order, as `name:role`, or `name` whose role is
-  the name. Roles: params, band, k and t (a point), ks and ts (arrays,
-  broadcast as a k column and a t row), size (a k grid's), lines, steps,
-  flag, sites, angles, and wa, wb and bloch (read off the drive). The kind
-  follows: point if it takes k or t, grid if an array, else drive.
+  the name. Roles: params, band, k and t (a point), ks and ts (arrays, a k
+  column and a t row), size and rate_size (k grids), lines, steps, flag,
+  sites, angles, and wa, wb and bloch (the lower band's, on ks and ts).
 - unit: of the output, or per field or item: dimensionless, energy, time,
   normal (energy in units of the normal form's 2^e) or None (no output).
 - band: the upper band's output against the lower one's: same, sign
@@ -31,9 +28,9 @@ from floquet_dqpt.errors import NumericalGuardError
 MODULES = ("model", "dynamics", "dqpt", "geometry", "topology", "lattice")
 BANDS = ("minus", "plus")
 D = "dimensionless"
-# the roles no caller sets: the least winding grid serves the rate too
-DEFAULTS = {"size": 401, "lines": 3, "steps": 256, "flag": True, "sites": 12,
-            "angles": np.linspace(-10.0, 10.0, 9)}
+# the roles no caller sets: size is the least winding grid
+DEFAULTS = {"size": 401, "rate_size": 181, "lines": 3, "steps": 256,
+            "flag": True, "sites": 12, "angles": np.linspace(-10.0, 10.0, 9)}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,22 +57,19 @@ class Row:
             return "point"
         return "grid" if self.takes & {"ks", "ts", "angles"} else "drive"
 
-    @functools.cached_property
+    @property
     def fn(self):
         return getattr(importlib.import_module(f"floquet_dqpt.{self.module}"),
                        self.name)
 
     def call(self, args):
-        """The function on args by role, DEFAULTS' where args has none; wa
-        and wb are the lower band's weights on ks, bloch its exact Bloch
-        vector on (ks, ts)."""
+        """The function on args by role, DEFAULTS' where args has none."""
         args = {**DEFAULTS, **args}
+        lower = {**args, "band": "minus"}
         if self.takes & {"wa", "wb"}:
-            args["wa"], args["wb"] = ROWS["band_weights"].call(
-                {**args, "band": "minus"})
+            args["wa"], args["wb"] = ROWS["band_weights"].call(lower)
         if "bloch" in self.takes:
-            args["bloch"] = ROWS["bloch_vector_grid"].call(
-                {**args, "band": "minus"})
+            args["bloch"] = ROWS["bloch_vector_grid"].call(lower)
         return self.fn(*(args[role] for role in self.roles.values()))
 
 
@@ -103,10 +97,10 @@ API = (
     Row("dqpt", "fisher_tau_grid", "params band k_grid:ks", "time", "mirror"),
     Row("dqpt", "fisher_lines", "params band k_grid:ks n_lines:lines",
         (D, "time", "time"), ("same", "mirror", "same")),
-    Row("dqpt", "rate_function", "params band t k_grid_size:size", D, "same",
-        "rate_function_grid"),
-    Row("dqpt", "rate_function_grid", "params band ts k_grid_size:size", D,
-        "same"),
+    Row("dqpt", "rate_function", "params band t k_grid_size:rate_size", D,
+        "same", "rate_function_grid"),
+    Row("dqpt", "rate_function_grid", "params band ts k_grid_size:rate_size",
+        D, "same"),
     Row("geometry", "principal_branch", "x:angles"),
     Row("geometry", "total_phase", "params band k t", D, "state"),
     Row("geometry", "dynamical_phase", "params band k t", D, "state"),
@@ -149,16 +143,15 @@ def calls(args, ks=(), ts=(), bands=BANDS, rows=API):
 
 
 def kernel_calls(params, k, t, rows=API):
-    """(row, output or guard error's type, kernel's output) at (k, t) for
-    each scalar API of rows with a kernel, at each band; the kernel is read
-    at ts = [t], and its t axis of one dropped."""
+    """(row, arguments, kernel's output) at (k, t) for each scalar API of
+    rows with a kernel, at each band; the kernel reads ts = [t], whose axis
+    is dropped."""
     grid = {"params": params, "ks": k, "ts": np.array([t])}
     for row, _, args in calls(grid, [k], [t],
                               rows=[row for row in rows if row.kernel]):
         kernel = ROWS[row.kernel]
         want = np.asarray(kernel.call(args))
-        yield row, outcome(row.call, args), (
-            want[..., 0] if "ts" in kernel.takes else want)
+        yield row, args, want[..., 0] if "ts" in kernel.takes else want
 
 
 def parts(value, spec):

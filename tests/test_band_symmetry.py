@@ -20,7 +20,7 @@ from floquet_dqpt import dynamics, geometry
 from conftest import random_params
 
 KS = np.linspace(0.0, math.pi, 102)[1:-1]
-# measured 4.4e-16 (g), 1.8e-14 (the phase: the rounding of w t), 9.7e-9
+# measured 6.7e-16 (g), 1.8e-14 (the phase: the rounding of w t), 9.7e-9
 # (tau, relative: the cancellation in E - h_z) and 6.7e-16 (|e^{-iEt}|)
 BOUNDS = {"same": 3e-15, "sign": 5e-14, "mirror": 3e-8, "prob": 3e-15}
 

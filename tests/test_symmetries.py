@@ -192,9 +192,9 @@ def test_mixed_sign_drives_near_the_largest_double():
         p, ks = scaled(one, s), [0.0, 0.7, math.pi]
         assert np.isfinite(model.band_energy(p, "minus", ks)).all()
         for k in ks:
-            for row, got, want in api.kernel_calls(p, k, 0.3 * p.period,
-                                                   LEDGER_ROWS):
-                assert bits(got) == bits(want), (s, k, row.name)
+            for row, args, want in api.kernel_calls(p, k, 0.3 * p.period,
+                                                    LEDGER_ROWS):
+                assert bits(row.call(args)) == bits(want), (s, k, row.name)
 
 
 def test_scale_moves_fisher_lines_and_chain_spectrum_by_rounding():
