@@ -112,14 +112,18 @@ def exact_winding_grid(params: ModelParams, band: str, t) -> np.ndarray:
     with m = |a|^2(pi) - |a|^2(0), nonzero iff |w - delta2| < |delta1|;
     where m = 0, nu is 0 at every t, however small the period. Raises
     GaplessPoint when the gap closes anywhere in the zone
-    (model.zone_gap_guard).
+    (model.zone_gap_guard), then, where m != 0 (the drive has critical
+    times), TimeUnresolved at the largest |t| from params.time_limit on
+    (model.require_resolved_time).
     """
     zone_gap_guard(params)
     wa, _ = band_weights(params, band, np.array([0.0, math.pi]))
     m = np.rint(wa[1] - wa[0])
     t = np.asarray(t, dtype=float)
-    # m = 0: t/T overflows on a tiny period
-    return m * (np.rint(t / params.period) if m else t)
+    if not m:  # t/T overflows on a tiny period
+        return m * t
+    require_resolved_time(params, t)
+    return m * np.rint(t / params.period)
 
 
 def exact_winding(params: ModelParams, band: str, t: float) -> int:

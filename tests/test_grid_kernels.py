@@ -23,8 +23,8 @@ from floquet_dqpt.errors import (GaplessPoint, GridTooCoarse,
                                  NearCriticalTime, NumericalGuardError,
                                  PhaseUndefined, TimeUnresolved)
 from floquet_dqpt.geometry import (bloch_expectations, bloch_vector_grid,
-                                   dynamical_phase, geometric_phase,
-                                   geometric_phase_grid,
+                                   dynamical_phase, exact_winding_grid,
+                                   geometric_phase, geometric_phase_grid,
                                    geometric_phase_from_tomography,
                                    raw_winding_grid,
                                    tomography_phase_grid, total_phase,
@@ -337,6 +337,18 @@ def test_library_refuses_times_doubles_cannot_resolve():
         assert math.isnan(g[1]) and np.isfinite(g[[0, 2]]).all()
         prob = return_probability_grid(p, 0.7, [math.nan, below])
         assert math.isnan(prob[0]) and math.isfinite(prob[1])
+    # the closed form of nu reads t/T only on a drive with critical times:
+    # example1's, and example1 x 2^1020's, where t/T overflowed at 1e300
+    huge = ModelParams(*(2.0 ** 1020 * x for x in (
+        EXAMPLE1.omega_drive, EXAMPLE1.delta1, EXAMPLE1.delta2,
+        EXAMPLE1.omega_amp)))
+    for p, t in ((EXAMPLE1, 2.0 ** 44), (EXAMPLE1, 1e17), (EXAMPLE1, -1e300),
+                 (huge, 1e300)):
+        with pytest.raises(TimeUnresolved,
+                           match=re.escape(f"{abs(t)} is resolved")):
+            exact_winding_grid(p, "minus", [1.0, t])
+    nu = exact_winding_grid(EXAMPLE1, "minus", [below, math.nan])
+    assert math.isfinite(nu[0]) and math.isnan(nu[1])
 
 
 def test_point_guard_refuses_times_doubles_cannot_resolve():
