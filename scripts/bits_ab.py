@@ -6,49 +6,44 @@ Usage:
 
 PARENT and CHANGE are source trees, each with its own `src/`. In each tree,
 in a fresh process with that tree's `src/` first on the path, this script
-runs one fixed, seeded list of calls:
+runs one fixed, seeded list of calls: the rows of the API table,
+`tests/api.py` of this script's checkout, expanded by `api.calls`, each
+row's function looked up by name in the tree that runs it (so a row whose
+parameters a change edits raises TypeError on the parent's side), on
 
-- every public scalar and grid API of the library, at both bands, on the
-  presets, on seeded random drives, on a drive whose gap closes at k = 0,
-  on example1 scaled by 2^600 and 2^-600, on each preset scaled to the
-  edges of the double range, by 2^(1022 - e) (e the exponent of its largest
-  parameter) and by 2^-1000, and on (1, 1, 1, 1) and (1, 1, -1, 1) times
-  1e308 and 1.7e308 (and the Bloch vector on a drive whose parameters are
-  all subnormal);
-- the minimum gap, the chiral invariants and nu at T/4 of a drive whose gap
-  closes at an interior k, scaled to 1e-300, 1e160 and 1e300;
-- the same, with nu at T/4 and 3T/4, on a drive whose gap sits just above
-  the gap floor, one whose gap is below it, and a degenerate one
-  (delta1 = 0, w = delta2);
-- at k = 0, pi and random k, and at t = 0, a negative t, t on a critical
-  time, just inside and just outside its guard window, a random t, t at and
-  just below `ModelParams.time_limit`, t = 1e300 and t = nan;
-- every scalar API that takes a band, with band = "bogus" at a NaN k, at
-  the gapless k = 0 and at a NaN t, so that the record shows which error
-  each raises first;
-- the |G|^2 pair, which takes no band: `return_probability` once per
-  (k, t), beside `gap_guard`, and `return_probability_grid` once per grid;
-- 3000 seeded draws of the tomography route, both signs of Omega, with
-  k = 0 and pi among them;
+- the presets, 20 seeded drives, a drive whose gap closes at k = 0,
+  example1 scaled by 2^+-600, each preset scaled by 2^(1022 - e) (e the
+  exponent of its largest parameter) and by 2^-1000, and (1, 1, 1, 1) and
+  (1, 1, -1, 1) times 1e308 and 1.7e308; at both bands; a point API at
+  k = 0, pi and random k and at t = 0, a negative t, t on a critical time,
+  just inside and outside its guard window, a random t, t at and just below
+  `ModelParams.time_limit`, 1e300 and nan (the RK4 oracle, whose work grows
+  with |t|, only to 3T and where it refuses t at once), a grid API on those
+  k and t and on the t that doubles resolve;
+- drives whose gap closes at an interior k, scaled to 1e-300, 1e160 and
+  1e300, sits just above or below the gap floor, or that are degenerate
+  (delta1 = 0, w = delta2): the drive APIs, and nu at T/4 (and 3T/4);
+- every point API that takes a band, with band = "bogus", at a NaN k, the
+  gapless k = 0 and a NaN t: the record shows which error comes first;
+- a subnormal drive's Bloch vectors, the tomography grid on noisy vectors,
+  the open chain at 6 and 20 sites, the phase wrappers on seeded phases,
+  and 3000 seeded draws of the tomography route, with k = 0 and pi;
 - `fdqpt` over a fixed list of argument vectors, in process; `winding` and
   `topo` also on the gapless drive above, from a [model] INI file written
   to the working directory.
 
-Each call is labelled `module.name #index`, then its drive and, where they
-are scalars, its band, k and t.
+Each outcome is the error type and message, or the value's type and bits
+(float64 and complex128 as int64 views, so signed zeros and NaN payloads
+count), then the category and message of each warning the call raised; for
+`fdqpt`, the exit code and the SHA-256 of standard output and standard
+error. A name missing from a tree raises AttributeError.
 
-Each outcome is the error type and message, or the value's type and bits:
-float64 and complex128 values as int64 views, so signed zeros and NaN
-payloads count. For `fdqpt` it is the exit code, the SHA-256 of standard
-output and standard error. A name missing from a tree is its own outcome.
-
-The record, `BITS_<N>.json` in the current directory, holds the number of
-calls and, per API, the number of differing calls, how many of them differ
-in the value's type alone, and the largest absolute difference, plain and
-modulo 2 pi, over the calls whose values are arrays of one shape, or
-sequences of such arrays (null if none is). It lists every other differing
-call with both outcomes, a value by its type, shape, digest and first
-values. Nothing in either tree is written.
+`BITS_<N>.json`, written to the current directory, holds the number of
+calls and, per API, the calls that differ, those that differ in the value's
+type alone, and the largest absolute difference, plain and modulo 2 pi,
+over values that are arrays of one shape or sequences of them (else null);
+then each other differing call with both outcomes, a value by its type,
+shape, digest and first values. Nothing in either tree is written.
 """
 
 from __future__ import annotations
@@ -57,7 +52,6 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
-import importlib
 import io
 import json
 import math
@@ -65,42 +59,29 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-MODULES = ("model", "dynamics", "dqpt", "geometry", "topology", "lattice")
-BANDS = ("minus", "plus")
 TOMOGRAPHY_DRAWS = 3000
-# the scalar APIs of (params, band, k, t)
-BAND_POINT_APIS = (("dynamics", "return_amplitude"),
-                   ("geometry", "total_phase"), ("geometry", "dynamical_phase"),
-                   ("geometry", "geometric_phase"),
-                   ("geometry", "bloch_expectations"))
+LABELS = {"band": "band", "k": "k", "ks": "k", "t": "t", "ts": "t"}
 CLI_PRESETS = ("example1", "example2", "example3", "nv-plus", "nv-minus")
-CLI_VECTORS = (["retprob", "--k-points", "7", "--t-points", "5"],
-               ["rate", "--k-points", "31", "--t-points", "9"],
-               ["fisher", "--k-points", "9", "--band", "plus"],
-               ["fisher", "--n-lines", "1"],
-               ["fisher", "--n-lines", "5", "--format", "json"],
-               # a block boundary inside a k row; a table of two blocks
-               ["retprob", "--k-points", "3", "--t-points", "2000"],
-               ["rate", "--k-points", "31", "--t-points", "5000"],
-               ["geo", "--k-points", "7", "--t-points", "5", "--format",
-                "json"],
-               ["winding", "--t-points", "9"],
-               ["topo"],
-               ["spectrum", "--sites", "6"],
-               # refused: the two band-free commands read no --band
-               ["rate", "--band", "plus"],
-               ["retprob", "--band", "plus"])
-CLI_ERRORS = (["winding", "--preset", "example1", "--t-max", "1e300"],
-              ["rate", "--preset", "example1", "--k-points", "1"],
-              ["geo", "--preset", "nope"],
-              ["topo"],
-              ["oracle-check", "--steps", "256"],
-              ["winding", "--config", "gapless0.ini"],
-              ["topo", "--config", "gapless0.ini"])
+CLI_VECTORS = (
+    "retprob --k-points 7 --t-points 5", "rate --k-points 31 --t-points 9",
+    "fisher --k-points 9 --band plus", "fisher --n-lines 1",
+    "fisher --n-lines 5 --format json",
+    # a block boundary inside a k row; a table of two blocks
+    "retprob --k-points 3 --t-points 2000",
+    "rate --k-points 31 --t-points 5000",
+    "geo --k-points 7 --t-points 5 --format json", "winding --t-points 9",
+    "topo", "spectrum --sites 6",
+    # refused: the two band-free commands read no --band
+    "rate --band plus", "retprob --band plus")
+CLI_ERRORS = ("winding --preset example1 --t-max 1e300",
+              "rate --preset example1 --k-points 1", "geo --preset nope",
+              "topo", "oracle-check --steps 256",
+              "winding --config gapless0.ini", "topo --config gapless0.ini")
 
 
 def time_limit(omega):
@@ -141,18 +122,31 @@ def drives(model, presets):
     return out
 
 
-def call_list(presets, model):
-    """[(label, module, name, args)] in a fixed order. A label is
-    `module.name #index` and then the drive and, where the call has them
-    as scalars, its band, k and t."""
+def call_label(index, row, call, drive):
+    """`module.name #index`, then the drive and, where the call has them as
+    scalars, its band, k and t."""
+    where = {"drive": drive, **{
+        key: call[role] for role, key in LABELS.items()
+        if role in row.takes and isinstance(call[role], (str, float))}}
+    return " ".join([f"{row.module}.{row.name} #{index}", *(
+        f"{key}={value if isinstance(value, str) else repr(float(value))}"
+        for key, value in where.items() if value is not None)])
+
+
+def call_list(api, presets, model):
+    """[(label, row, arguments)] in a fixed order: api.API's rows expanded
+    by api.calls over the families of the docstring."""
     rng = np.random.default_rng(22)
-    calls = []
+    rows, calls = api.ROWS, []
 
-    def add(module, name, *args, **where):
-        calls.append((" ".join([f"{module}.{name} #{len(calls)}", *(
-            f"{key}={value if isinstance(value, str) else repr(float(value))}"
-            for key, value in where.items())]), module, name, args))
+    def add(selected, args, ks=(), ts=(), bands=api.BANDS, drive=None):
+        for row, _, call in api.calls(args, ks, ts, bands, selected):
+            calls.append((call_label(len(calls), row, call, drive), row, call))
 
+    point = [row for row in api.API if row.kind == "point"]
+    of_drive = [row for row in api.API
+                if row.kind != "point" and "params" in row.takes]
+    oracle = rows["propagator_oracle"]
     for drive, p in drives(model, presets):
         period, limit = 2.0 * math.pi / p.omega_drive, time_limit(
             p.omega_drive)
@@ -160,123 +154,62 @@ def call_list(presets, model):
         ts = [0.0, -0.37 * period, 0.5 * period, (0.5 + 4e-4) * period,
               (1.5 + 2e-3) * period, rng.uniform(0.0, 3.0 * period), limit,
               math.nextafter(limit, 0.0), 1e300, math.nan]
-        resolved = np.array([t for t in ts[:6] + ts[7:8]])
+        resolved = np.array(ts[:6] + ts[7:8])
         k_col = np.array(ks)[:, None]
-        for name in ("dqpt_condition", "chiral_winding_numbers"):
-            add("dqpt" if name.startswith("dqpt") else "topology", name, p,
-                drive=drive)
-        add("model", "min_half_gap", p, drive=drive)
-        add("model", "bloch_components", p, np.array(ks), drive=drive)
-        add("model", "require_resolved_time", p, np.array(ts), drive=drive)
-        for k in ks:
-            add("dqpt", "fisher_tau", p, "minus", k, drive=drive,
-                band="minus", k=k)
-            for t in ts:
-                for module, name in (
-                        ("model", "gap_guard"),
-                        ("dynamics", "return_probability"),
-                        ("dynamics", "propagator_analytic"),
-                        ("geometry", "geometric_phase_from_tomography")):
-                    add(module, name, p, k, t, drive=drive, k=k, t=t)
-                for band in BANDS:
-                    for module, name in BAND_POINT_APIS:
-                        add(module, name, p, band, k, t, drive=drive,
-                            band=band, k=k, t=t)
-            for t in ts[:2] + ts[5:6] + ts[6:7]:
-                add("dynamics", "propagator_oracle", p, k, t, 256, True,
-                    drive=drive, k=k, t=t)
-        for band in BANDS:
-            for module, name in (("model", "band_weights"),
-                                 ("model", "band_energy"),
-                                 ("dqpt", "fisher_tau_grid"),
-                                 ("dqpt", "fisher_lines")):
-                add(module, name, p, band, np.array(ks), drive=drive,
-                    band=band)
-            for t in ts:
-                add("dqpt", "rate_function", p, band, t, 181, drive=drive,
-                    band=band, t=t)
-                add("geometry", "winding_number", p, band, t, 401, True,
-                    drive=drive, band=band, t=t)
-                add("geometry", "exact_winding", p, band, t, drive=drive,
-                    band=band, t=t)
-            add("geometry", "exact_winding_grid", p, band, resolved,
-                drive=drive, band=band)
-            for grid_ts in (resolved, np.array(ts)):
-                add("dqpt", "rate_function_grid", p, band, grid_ts, 181,
-                    drive=drive, band=band)
-                add("geometry", "raw_winding_grid", p, band, grid_ts, 401,
-                    drive=drive, band=band)
-                for module, name in (("geometry", "geometric_phase_grid"),
-                                     ("geometry", "bloch_vector_grid")):
-                    add(module, name, p, band, k_col, grid_ts, drive=drive,
-                        band=band)
-        for grid_ts in (resolved, np.array(ts)):
-            add("dynamics", "return_probability_grid", p, k_col, grid_ts,
-                drive=drive)
-        add("geometry", "tomography_phase_grid", p, k_col, resolved,
-            rng.normal(size=(3, len(ks), resolved.size)), drive=drive)
-    # an invalid band at a non-finite point and at the gapless point k = 0
-    # of gapless0: the record keeps which error each scalar API raises first
+        add([row for row in point if row is not oracle], {"params": p}, ks,
+            ts, drive=drive)
+        add([oracle], {"params": p}, ks,
+            [t for t in ts if not 3.0 * period < abs(t) < limit], drive=drive)
+        # a k grid alone is 1-D; with times, a column against their row
+        add([row for row in of_drive if "ts" not in row.takes],
+            {"params": p, "ks": np.array(ks)}, drive=drive)
+        for times in (resolved, np.array(ts)):
+            add([row for row in of_drive if "ts" in row.takes],
+                {"params": p, "ks": k_col, "ts": times}, drive=drive)
+        add([rows["tomography_phase_grid"]], {
+            "params": p, "ks": k_col, "ts": resolved,
+            "bloch": rng.normal(size=(3, len(ks), resolved.size))},
+            drive=drive)
+    # an invalid band at a non-finite point and at gapless0's gapless k = 0
     gapless = model.ModelParams(2.0, 1.0, 1.0, 1.0)
     for k, t in ((math.nan, 0.5), (0.0, 0.5), (0.0, math.nan)):
-        for module, name in BAND_POINT_APIS:
-            add(module, name, gapless, "bogus", k, t, drive="gapless0",
-                band="bogus", k=k, t=t)
-        add("dqpt", "fisher_tau", gapless, "bogus", k, drive="gapless0",
-            band="bogus", k=k)
-    for t in (math.nan, 0.5):
-        for module, name, args in (("dqpt", "rate_function", (181,)),
-                                   ("geometry", "winding_number", (401, True)),
-                                   ("geometry", "exact_winding", ())):
-            add(module, name, gapless, "bogus", t, *args, drive="gapless0",
-                band="bogus", t=t)
+        add([row for row in point if "band" in row.takes],
+            {"params": gapless}, [k], [t], ["bogus"], drive="gapless0")
     tiny = model.ModelParams(1e-310, 1e-310, 1e-310, 1e-310)  # subnormal
-    for band in BANDS:
-        add("geometry", "bloch_expectations", tiny, band, 0.7, 1.0,
-            drive="subnormal", band=band, k=0.7, t=1.0)
-        add("geometry", "bloch_vector_grid", tiny, band,
-            np.array([0.0, 0.7, math.pi]), 1.0, drive="subnormal",
-            band=band, t=1.0)
-    add("geometry", "geometric_phase_from_tomography", tiny, 0.7, 1.0,
-        drive="subnormal", k=0.7, t=1.0)
-    # the gap closes at the vertex cos k = -1/8; at these scales a square of
-    # a parameter overflows or underflows
-    for s in (1e-300, 1e160, 1e300):
-        vertex = model.ModelParams(s, 0.8 * s, 1.1 * s, 0.0)
-        drive = f"vertex*{s:g}"
-        add("model", "min_half_gap", vertex, drive=drive)
-        add("topology", "chiral_winding_numbers", vertex, drive=drive)
-        add("geometry", "exact_winding", vertex, "minus",
-            0.5 * math.pi / vertex.omega_drive, drive=drive, band="minus",
-            t=0.5 * math.pi / vertex.omega_drive)
-    # min Delta/2 at 1.6e-9 of the scale, between the gap floor 1e-9 and
-    # the closed form's former floor 1e-8; below both; delta1 = 0, w = delta2
-    for drive, (w, d1, d2, amp) in (
-            ("floor+", (math.pi, math.pi, 2.0 * math.pi - 2e-8, 1.0)),
-            ("floor-", (math.pi, math.pi, 2.0 * math.pi - 2e-9, 1.0)),
-            ("degenerate", (2.0, 0.0, 2.0, 1.0))):
-        p = model.ModelParams(w, d1, d2, amp)
-        add("model", "min_half_gap", p, drive=drive)
-        add("topology", "chiral_winding_numbers", p, drive=drive)
-        for t in (0.25 * 2.0 * math.pi / w, 0.75 * 2.0 * math.pi / w):
-            add("geometry", "exact_winding", p, "minus", t, drive=drive,
-                band="minus", t=t)
+    add([rows["bloch_expectations"], rows["geometric_phase_from_tomography"]],
+        {"params": tiny}, [0.7], [1.0], drive="subnormal")
+    add([rows["bloch_vector_grid"]], {"params": tiny, "ks": np.array(
+        [0.0, 0.7, math.pi]), "ts": 1.0}, drive="subnormal")
+    # gap closing at cos k = -1/8, where a parameter's square over- or
+    # underflows; min Delta/2 at 1.6e-9 of the scale, between the gap floor
+    # 1e-9 and the closed form's former floor 1e-8; below both; degenerate
+    for drive, w, d1, d2, amp in (
+            *((f"vertex*{s:g}", s, 0.8 * s, 1.1 * s, 0.0)
+              for s in (1e-300, 1e160, 1e300)),
+            ("floor+", math.pi, math.pi, 2.0 * math.pi - 2e-8, 1.0),
+            ("floor-", math.pi, math.pi, 2.0 * math.pi - 2e-9, 1.0),
+            ("degenerate", 2.0, 0.0, 2.0, 1.0)):
+        p = model.ModelParams(w, d1, d2, amp)  # nu at T/4 and 3T/4
+        add([row for row in api.API if row.kind == "drive"], {"params": p},
+            drive=drive)
+        add([rows["exact_winding"]], {"params": p}, ts=[
+            0.5 * math.pi / w, 1.5 * math.pi / w], bands=["minus"],
+            drive=drive)
     for name in ("example1", "example2", "nv-plus"):
         for sites in (6, 20):
-            add("lattice", "obc_floquet_spectrum", presets[name], sites,
-                drive=name)
-    phases = rng.uniform(-10.0, 10.0, (4, 50))
-    add("geometry", "principal_branch", phases)
-    add("geometry", "wrapped_winding", phases)
+            add([rows["obc_floquet_spectrum"]],
+                {"params": presets[name], "sites": sites}, drive=name)
+    add([row for row in api.API if "angles" in row.takes],
+        {"angles": rng.uniform(-10.0, 10.0, (4, 50))})
     for i in range(TOMOGRAPHY_DRAWS):
         w, d1, d2, amp = (rng.uniform(0.5, 6.0), *rng.uniform(-5.0, 5.0, 3))
         period = 2.0 * math.pi / w
         k = float(rng.choice([0.0, math.pi, rng.uniform(0.0, math.pi)],
                              p=[0.2, 0.2, 0.6]))
         t = rng.uniform(-3.0 * period, 3.0 * period)
-        add("geometry", "geometric_phase_from_tomography",
-            model.ModelParams(w, d1, d2, amp), k, t, drive=f"tomo{i}", k=k,
-            t=t)
+        add([rows["geometric_phase_from_tomography"]],
+            {"params": model.ModelParams(w, d1, d2, amp)}, [k], [t],
+            drive=f"tomo{i}")
     return calls
 
 
@@ -300,11 +233,16 @@ def encode(x):
             "shape": list(a.shape), "bits": flat.astype(np.int64).tolist()}
 
 
-def outcome(fn, args):
-    try:
-        return ["ok", encode(fn(*args))]
-    except Exception as exc:  # every error is an outcome to compare
-        return [type(exc).__name__, str(exc)]
+def outcome(row, args):
+    """["ok", value] or [error type, message], then the [category, message]
+    of each warning the call raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ["ok", encode(row.call(args))]
+        except Exception as exc:  # every error is an outcome to compare
+            result = [type(exc).__name__, str(exc)]
+    return [*result, [[w.category.__name__, str(w.message)] for w in caught]]
 
 
 def run_cli(cli, argv):
@@ -317,22 +255,22 @@ def run_cli(cli, argv):
 
 def emit(path):
     """Run the call list in this process's tree and write the outcomes."""
-    mods = {name: importlib.import_module(f"floquet_dqpt.{name}")
-            for name in MODULES + ("cli",)}
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+    import api
+    from floquet_dqpt import cli, model
     results = {}
-    for label, module, name, args in call_list(mods["cli"].PRESETS,
-                                               mods["model"]):
-        fn = getattr(mods[module], name, None)
-        results[label] = ["missing"] if fn is None else outcome(fn, args)
+    for label, row, args in call_list(api, cli.PRESETS, model):
+        results[label] = outcome(row, args)
     for preset in CLI_PRESETS:
-        for argv in CLI_VECTORS:
-            argv = [argv[0], "--preset", preset, *argv[1:]]
-            results["fdqpt " + " ".join(argv)] = run_cli(mods["cli"], argv)
+        for vector in CLI_VECTORS:
+            command, *rest = vector.split()
+            argv = [command, "--preset", preset, *rest]
+            results["fdqpt " + " ".join(argv)] = run_cli(cli, argv)
     Path("gapless0.ini").write_text(  # (2, 1, 1, 1), as in drives()
         "[model]\nomega_drive = 2.0\ndelta1 = 1.0\ndelta2 = 1.0\n"
         "omega_amp = 1.0\n", encoding="utf-8")
-    for argv in CLI_ERRORS:
-        results["fdqpt " + " ".join(argv)] = run_cli(mods["cli"], argv)
+    for vector in CLI_ERRORS:
+        results[f"fdqpt {vector}"] = run_cli(cli, vector.split())
     Path(path).write_text(json.dumps(results))
 
 
@@ -369,15 +307,17 @@ def difference(a, b):
 
 
 def type_only(a, b):
-    """Whether two outcomes are values with the same bits and types apart."""
+    """Whether two outcomes are values with the same bits and warnings and
+    types apart."""
     return (a[0] == b[0] == "ok" and isinstance(a[1], dict)
-            and isinstance(b[1], dict)
+            and isinstance(b[1], dict) and a[2:] == b[2:]
             and {**a[1], "type": None} == {**b[1], "type": None})
 
 
 def summary(outcome):
     """An outcome as the record lists it: an error as it is, a value as the
-    digest of its encoding, its type and shape, and its first values."""
+    digest of its encoding, its type and shape, and its first values; then
+    its warnings."""
     if outcome[0] != "ok":
         return outcome
     value = outcome[1]
@@ -388,7 +328,7 @@ def summary(outcome):
         x = values(value)
         if x is not None:
             out["head"] = x[:4].tolist()
-    return ["ok", out]
+    return ["ok", out, *outcome[2:]]
 
 
 def run_tree(tree: Path, scratch: Path) -> dict:
@@ -414,7 +354,6 @@ def main(argv=None) -> int:
         return 0
     if args.parent is None or args.change is None or args.number is None:
         parser.error("PARENT, CHANGE and --number are required")
-
     with tempfile.TemporaryDirectory() as scratch:
         runs = {}
         for side, tree in (("parent", args.parent), ("change", args.change)):

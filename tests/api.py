@@ -7,7 +7,8 @@ any tree.
 - args: each parameter, in order, as `name:role`, or `name` whose role is
   the name. Roles: params, band, k and t (a point), ks and ts (arrays, a k
   column and a t row), size and rate_size (k grids), lines, steps, flag,
-  sites, angles, and wa, wb and bloch (the lower band's, on ks and ts).
+  sites, angles, and wa, wb and bloch (unless given, the lower band's on ks
+  and ts).
 - unit: of the output, or per field or item: dimensionless, energy, time,
   normal (energy in units of the normal form's 2^e) or None (no output).
 - band: the upper band's output against the lower one's: same, sign
@@ -63,12 +64,13 @@ class Row:
                        self.name)
 
     def call(self, args):
-        """The function on args by role, DEFAULTS' where args has none."""
+        """The function on args by role, DEFAULTS' or the lower band's where
+        args has none."""
         args = {**DEFAULTS, **args}
         lower = {**args, "band": "minus"}
-        if self.takes & {"wa", "wb"}:
+        if "wa" in self.takes and "wa" not in args:
             args["wa"], args["wb"] = ROWS["band_weights"].call(lower)
-        if "bloch" in self.takes:
+        if "bloch" in self.takes and "bloch" not in args:
             args["bloch"] = ROWS["bloch_vector_grid"].call(lower)
         return self.fn(*(args[role] for role in self.roles.values()))
 

@@ -28,6 +28,7 @@ import api
 from conftest import EXAMPLE1, random_params
 from oracles import (SIGMA_Y, SIGMA_Z, hamiltonian_lab, micromotion,
                      rotating_frame_hamiltonian)
+from test_datasets import load_script
 
 param_floats = st.floats(-5.0, 5.0, allow_nan=False)
 k_floats = st.floats(0.0, math.pi, allow_nan=False)
@@ -287,6 +288,14 @@ def test_the_api_table_has_one_row_per_public_function():
     assert sorted((row.module, row.name) for row in api.API) == public
     for row in api.API:
         assert [*inspect.signature(row.fn).parameters] == [*row.roles], row
+
+
+def test_bits_ab_calls_every_row_of_the_api_table():
+    # its call list is the table's rows expanded, built here without being
+    # run: a new public function is in the next record once it has a row
+    calls = load_script("bits_ab").call_list(api, PRESETS, model)
+    assert {row for _, row, _ in calls} == set(api.API)
+    assert len({label for label, _, _ in calls}) == len(calls) > 30000
 
 
 # the guard errors a scalar API may raise where its kernel reads a marker
