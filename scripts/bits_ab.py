@@ -158,6 +158,7 @@ def call_list(api, presets, model):
         k_col = np.array(ks)[:, None]
         add([row for row in point if row is not oracle], {"params": p}, ks,
             ts, drive=drive)
+        # the oracle's work grows with |t|: to 3T, and where it refuses t
         add([oracle], {"params": p}, ks,
             [t for t in ts if not 3.0 * period < abs(t) < limit], drive=drive)
         # a k grid alone is 1-D; with times, a column against their row
@@ -189,7 +190,7 @@ def call_list(api, presets, model):
             ("floor+", math.pi, math.pi, 2.0 * math.pi - 2e-8, 1.0),
             ("floor-", math.pi, math.pi, 2.0 * math.pi - 2e-9, 1.0),
             ("degenerate", 2.0, 0.0, 2.0, 1.0)):
-        p = model.ModelParams(w, d1, d2, amp)  # nu at T/4 and 3T/4
+        p = model.ModelParams(w, d1, d2, amp)
         add([row for row in api.API if row.kind == "drive"], {"params": p},
             drive=drive)
         add([rows["exact_winding"]], {"params": p}, ts=[
