@@ -338,7 +338,7 @@ def test_library_refuses_times_doubles_cannot_resolve():
         prob = return_probability_grid(p, 0.7, [math.nan, below])
         assert math.isnan(prob[0]) and math.isfinite(prob[1])
     # the closed form of nu reads t/T only on a drive with critical times:
-    # example1's, and example1 x 2^1020's, where t/T overflowed at 1e300
+    # example1's, and example1 x 2^1020's, where t/T overflows at 1e300
     huge = ModelParams(*(2.0 ** 1020 * x for x in (
         EXAMPLE1.omega_drive, EXAMPLE1.delta1, EXAMPLE1.delta2,
         EXAMPLE1.omega_amp)))
