@@ -158,7 +158,9 @@ def micromotion_overlap(params: ModelParams, wa, wb, t):
     broadcast over their shape and t: the one kernel of the overlap that
     every return amplitude, rate function and phase reads. |a|^2 joins the
     real part in place: the complex sum's bits bar an imaginary -0, which
-    stays -0 (|b|^2 = 0, cos w t < 0, sin w t < 0). 0-d for scalars."""
+    stays -0 (|b|^2 = 0, cos w t < 0, sin w t < 0). 0-d for scalars.
+    It applies no time rule: its callers refuse a t that doubles cannot
+    resolve (model.require_resolved_time) before they call it."""
     z = np.asarray(np.exp(1j * params.omega_drive * np.asarray(t)) * wb)
     z.real += wa
     return z

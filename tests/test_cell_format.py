@@ -1,6 +1,6 @@
 """The dataset writer's number kernel against "%.17g".
 
-`cli._format_cells` writes each float as the bytes "%.17g" gives it: an
+`_cells._format_cells` writes each float as the bytes "%.17g" gives it: an
 exact integer route for the cells %g writes in fixed notation, and "%"
 itself for the rest. The reference here formats every value with "%.17g",
 one by one, and the two texts must be equal byte for byte.
@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from floquet_dqpt.cli import CELL, _format_cells
+from floquet_dqpt._cells import CELL, _format_cells
 
 SEED = 20261018
 

@@ -468,12 +468,48 @@ def test_import_loads_only_the_standard_library_and_numpy():
     assert tops - sys.stdlib_module_names == {"numpy", "floquet_dqpt"}
     assert not {"decimal", "fractions"} & tops
     assert not [name for name in loaded if name.startswith("numpy.")]
-    # a numpy imported first is the one every module uses
-    code = ("import sys, numpy; from floquet_dqpt import (cli, dqpt, "
-            "dynamics, geometry, lattice, model); print(all(m.np is numpy "
-            "is sys.modules['numpy'] for m in (cli, dqpt, dynamics, "
-            "geometry, lattice, model)))")
+    # a numpy imported first is the one every module that binds it uses
+    code = ("import sys, numpy; from floquet_dqpt import (_cells, cli, "
+            "dqpt, dynamics, geometry, lattice, model); print(all(m.np is "
+            "numpy is sys.modules['numpy'] for m in (_cells, cli, dqpt, "
+            "dynamics, geometry, lattice, model)))")
     assert fresh_python(code, check=True, text=True).stdout == "True\n"
+
+
+# `fdqpt ARGS` in a fresh process, whose last stderr line lists the modules
+# it loaded past `import sys`
+FRESH_LOADS = ("import sys\nbefore = set(sys.modules)\n"
+               "from floquet_dqpt.cli import main\ntry:\n"
+               "    sys.exit(main(sys.argv[1:]))\nfinally:\n"
+               "    print(*sorted(set(sys.modules) - before), "
+               "file=sys.stderr)\n")
+
+
+def test_launch_loads_only_the_modules_its_command_runs(tmp_path):
+    # topo runs two closed forms: no grid module, no writer, no INI or JSON
+    # reader; each of those comes with the first command that needs it
+    (tmp_path / "ex1.ini").write_text("[model]\npreset = example1\n",
+                                      encoding="utf-8")
+
+    def loaded(*args):
+        run = fresh_python(FRESH_LOADS, *args, cwd=tmp_path, check=True,
+                           text=True)
+        return run.stdout, set(run.stderr.splitlines()[-1].split())
+
+    text, topo = loaded("topo", "--preset", "example1")
+    unused = {"floquet_dqpt.geometry", "floquet_dqpt.lattice",
+              "floquet_dqpt._cells", "configparser", "json"}
+    assert "floquet_dqpt.topology" in topo and not unused & topo
+    _, as_json = loaded("topo", "--preset", "example1", "--format", "json")
+    assert {n.split(".")[0].lstrip("_") for n in as_json - topo} == {"json"}
+    assert topo <= as_json
+    from_ini, with_ini = loaded("topo", "--config", "ex1.ini")
+    assert from_ini == text and with_ini - topo == {"configparser"}
+    assert topo <= with_ini
+    _, rate = loaded("rate", "--preset", "example1", "--k-points", "3",
+                     "--t-points", "3")
+    assert "floquet_dqpt._cells" in rate
+    assert not {"floquet_dqpt.geometry", "floquet_dqpt.lattice"} & rate
 
 
 @pytest.mark.parametrize("hide", [

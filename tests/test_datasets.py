@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from floquet_dqpt import cli, dqpt
+from floquet_dqpt import _cells, dqpt
 from floquet_dqpt.cli import PRESETS, RunConfig, main, write_dataset
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,8 +107,8 @@ def test_writer_table_edge_cases(tmp_path, monkeypatch, fmt):
     rows = [[str(i), x, str(int(f)), y]
             for i, x, f, y in zip(ints.tolist(), SPECIAL, flags, floats32)]
     # the writer's own block size, then block boundaries inside the table
-    for block in (cli.FORMAT_BLOCK, 1, 5):
-        monkeypatch.setattr(cli, "FORMAT_BLOCK", block)
+    for block in (_cells.FORMAT_BLOCK, 1, 5):
+        monkeypatch.setattr(_cells, "FORMAT_BLOCK", block)
         assert written(tmp_path, fmt, header,
                        (ints, SPECIAL, flags, floats32)) \
             == ref_text(fmt, header, rows)
@@ -151,7 +151,7 @@ def test_writer_grid_routes_and_blocks(tmp_path, monkeypatch, fmt, n_k, n_t,
     # boundaries (every 5 cells, or 4096 for the writer's own size) fall
     # inside k rows; (1, 1) is a one-cell grid
     if block is not None:
-        monkeypatch.setattr(cli, "FORMAT_BLOCK", block)
+        monkeypatch.setattr(_cells, "FORMAT_BLOCK", block)
     ks = np.resize(AXIS_EDGES, n_k)
     ts = np.resize(AXIS_EDGES[::-1], n_t)
     cells = SPECIAL + [0.123, -45.5, 1e16, 9.99e16, 1e17, -1e-5]

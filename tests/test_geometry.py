@@ -274,19 +274,30 @@ def test_exact_winding_is_zero_at_every_t_of_a_tiny_period(ex2):
     # without critical times nu = 0 at every t, also where t/T overflows:
     # (1, 1, -1, 1) x 1e308 and example2 x 2^(1022 - e) have T < 2e-307, so
     # t/T is inf from t = 11 and 32 on, which 0 inf turned into NaN. The
-    # zero keeps the sign of m t: example2 reads -0 at t < 0 and at t = -0
+    # zero keeps the sign of m t: example2 reads -0 at t < 0 and at t = -0.
+    # A non-finite t reads NaN, with no warning, also where time_limit is
+    # inf (example2 x 2^-1000)
     s = 2.0 ** (1022 - math.frexp(ex2.scale)[1])
     for p in (model.ModelParams(1e308, 1e308, -1e308, 1e308),
               model.ModelParams(s * ex2.omega_drive, s * ex2.delta1,
                                 s * ex2.delta2, s * ex2.omega_amp)):
         for band in ("minus", "plus"):
-            nu = exact_winding_grid(p, band, [1.0, 12.0, 1e300])
-            assert nu.tolist() == [0.0, 0.0, 0.0]
+            nu = exact_winding_grid(p, band, [1.0, 12.0, 1e300, math.inf,
+                                              -math.inf, math.nan])
+            assert nu[:3].tolist() == [0.0, 0.0, 0.0]
+            assert np.isnan(nu[3:]).all()
             assert exact_winding(p, band, 12.0) == 0
             assert exact_winding(p, band, 1e300) == 0
     nu = exact_winding_grid(ex2, "minus", [-0.3, -5.0, -0.0, 0.0, 3.0])
     assert np.signbit(nu).tolist() == [True, True, True, False, False]
     assert not nu.any()
+    tiny = model.ModelParams(*(2.0 ** -1000 * x for x in (
+        ex2.omega_drive, ex2.delta1, ex2.delta2, ex2.omega_amp)))
+    assert tiny.time_limit == math.inf
+    nu = exact_winding_grid(tiny, "minus", [-math.inf, -2.0, -0.0, 0.0,
+                                            1e300, math.inf, math.nan])
+    assert np.signbit(nu[1:5]).tolist() == [True, True, False, False]
+    assert not nu[1:5].any() and np.isnan(nu[[0, 5, 6]]).all()
 
 
 def test_guards_run_once_per_call(ex1, ex2, monkeypatch):
