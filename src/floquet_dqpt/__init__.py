@@ -10,7 +10,6 @@ topology  : chiral time frames and the closed-form (W0, Wpi) invariants
 lattice   : open-chain BdG Floquet spectrum with pi edge-mode flags
 cli       : dataset-producing command-line front end (`fdqpt`)
 _cells    : the dataset writer's "%.17g" cells and rows
-errors    : the typed errors, ConfigError and the NumericalGuardError family
 
 The re-exports below, and the modules themselves, are imported on first
 access (PEP 562), so that a command loads only the modules it runs.

@@ -110,8 +110,8 @@ def exact_winding_grid(params: ModelParams, band: str, t) -> np.ndarray:
     and at k = 0 and pi (h_xy = 0) |a|^2 is 0 or 1. So along k the lift of
     the geometric phase changes by m (wt - principal(wt)) = 2 pi m round(t/T),
     with m = |a|^2(pi) - |a|^2(0), nonzero iff |w - delta2| < |delta1|;
-    where m = 0, nu is 0 (with the sign of t) at every finite t, however
-    small the period, and NaN at a non-finite t, as at a NaN t. Raises
+    where m = 0, nu is the signed zero m t at every finite t, however small
+    the period, and NaN at a non-finite t, as at a NaN t. Raises
     GaplessPoint when the gap closes anywhere in the zone
     (model.zone_gap_guard), then, where m != 0 (the drive has critical
     times), TimeUnresolved at the largest |t| from params.time_limit on
@@ -121,7 +121,7 @@ def exact_winding_grid(params: ModelParams, band: str, t) -> np.ndarray:
     wa, _ = band_weights(params, band, np.array([0.0, math.pi]))
     m = np.rint(wa[1] - wa[0])
     t = np.asarray(t, dtype=float)
-    if not m:  # t/T overflows on a tiny period; 0 inf is NaN unwarned
+    if not m:  # no t/T, which overflows on a tiny period, and no 0 inf
         return m * np.where(np.isfinite(t), t, np.nan)
     require_resolved_time(params, t)
     return m * np.rint(t / params.period)

@@ -4,7 +4,7 @@ private names library modules import from their siblings are a fixed list.
 
 No linter ships with the project, so this stdlib `ast` check keeps imports
 from lingering once their last caller is gone. The package's `__init__.py`
-is exempt: its imports are the package's re-exports.
+is exempt: it imports `_lazy` only for the error a missing numpy raises.
 """
 
 import ast
