@@ -10,8 +10,7 @@ and `src/`. For every workload declared in `BENCHMARK.json`, or for each
 one named by `--workload` (repeatable), pair i of P (default 10) runs
 `perfbench/run.py --trace 0` once in each tree with seed 2000 + i and the
 benchmark's `run_seconds`; the parent runs first in even pairs and the
-change first in odd ones. Runs are sequential, in fresh processes, each in
-a copy of its tree made for this comparison.
+change first in odd ones. Runs are sequential, in fresh processes.
 
 The record, `BENCH_<N>.json` in the current directory, holds the machine,
 numpy and BLAS as the runs' metadata line reports them, the pair count, and
@@ -22,19 +21,16 @@ the change wins at least nine pairs in ten and its median beats the
 parent's by more than the parent's quartile spread. The verdict is
 `unresolved` where the parent's quartile spread exceeds the bound relative
 to its median and not every change run beats every parent run; otherwise
-`within_bound` or `beyond_bound`. Nothing in either tree is written.
+`within_bound` or `beyond_bound`. Nothing in either tree is written, apart
+from the scratch output the benchmark itself keeps in `.perfbench/`.
 
 Bytecode. A tree's own `__pycache__`, stale, missing or full, moves
-`setup_s`: compiling the modules a `topo` launch loads takes about 10 ms.
-The benchmark's own runs start from a fresh checkout, with no bytecode for
-the tree, and compile every module of it they load at every launch. So each
-side runs in a temporary copy of its tree without `__pycache__` (nor
-`.perfbench/`), with `PYTHONDONTWRITEBYTECODE=1` and no
-`PYTHONPYCACHEPREFIX`: the tree is compiled at every launch, and the
-interpreter's and numpy's installed bytecode is read as usual. An empty
-`PYTHONPYCACHEPREFIX` would hide that bytecode too, and time the standard
-library's compile as well (a `topo` launch takes about four times as long).
-The record says so under `bytecode`.
+`setup_s`: compiling `cli.py` alone takes about 10 ms a launch. So each tree
+runs with its own fresh `PYTHONPYCACHEPREFIX`, a temporary directory outside
+both trees, filled by one untimed warm-up run per workload that writes
+bytecode. The timed runs read that cache with `PYTHONDONTWRITEBYTECODE=1`,
+and no `__pycache__` in either tree is read or written. The record says so
+under `bytecode`.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import statistics
 import subprocess
 import sys
@@ -52,10 +47,12 @@ from pathlib import Path
 SIDES = ("parent", "change")
 DEFAULT_PAIRS = 10
 FIRST_SEED = 2000
-BYTECODE = ("none for the trees: each runs in a fresh copy without "
-            "__pycache__, with PYTHONDONTWRITEBYTECODE=1 and no "
-            "PYTHONPYCACHEPREFIX, so every launch compiles the tree's "
-            "modules; installed bytecode (standard library, numpy) is read")
+# the warm-up run: the fewest passes the benchmark takes, untimed
+WARMUP_SECONDS = 1e-3
+BYTECODE = ("each tree with its own fresh PYTHONPYCACHEPREFIX outside both "
+            "trees, filled by one warm-up run per workload; timed runs read "
+            "it with PYTHONDONTWRITEBYTECODE=1, no tree's __pycache__ is "
+            "read or written")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float,
@@ -70,31 +67,31 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float,
     return {"meta": json.loads(meta)["meta"], "result": json.loads(result)}
 
 
-def fresh_copies(trees: dict, scratch: Path) -> dict:
-    """Per side, a copy of its tree under `scratch`, without bytecode or
-    benchmark output."""
-    ignore = shutil.ignore_patterns("__pycache__", ".perfbench")
-    return {side: Path(shutil.copytree(trees[side], scratch / side,
-                                       symlinks=True, ignore=ignore))
-            for side in SIDES}
-
-
-def no_bytecode_env() -> dict:
-    """The environment of every run: no bytecode written, and none read
-    from a cache prefix."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
-    return dict(env, PYTHONDONTWRITEBYTECODE="1")
+def bytecode_envs(caches: Path) -> dict:
+    """Per side, (warm-up, timed) environments: the side's own bytecode
+    cache under `caches`, written by the warm-up and only read when timed."""
+    env = {k: v for k, v in os.environ.items()
+           if k != "PYTHONDONTWRITEBYTECODE"}
+    envs = {}
+    for side in SIDES:
+        warm = dict(env, PYTHONPYCACHEPREFIX=str(caches / side))
+        envs[side] = (warm, dict(warm, PYTHONDONTWRITEBYTECODE="1"))
+    return envs
 
 
 def run_pairs(trees: dict, workload: str, seeds: list, seconds: float,
-              env: dict) -> dict:
-    """Each side's runs of one workload, in pairs."""
+              envs: dict) -> dict:
+    """Each side's runs of one workload, in pairs, after one untimed warm-up
+    run per side that fills its bytecode cache."""
+    for side in SIDES:
+        run_once(trees[side], workload, FIRST_SEED, WARMUP_SECONDS,
+                 envs[side][0])
     runs = {side: [] for side in SIDES}
     for i, seed in enumerate(seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
             runs[side].append(run_once(trees[side], workload, seed, seconds,
-                                       env))
+                                       envs[side][1]))
             r = runs[side][-1]["result"]["metrics"]
             print(f"{workload} pair {i} {side}: " + ", ".join(
                 f"{k} {v['value']:.4g}" for k, v in r.items()),
@@ -167,11 +164,10 @@ def main(argv=None) -> int:
               "order": "parent first in even pairs, change first in odd",
               "bytecode": BYTECODE, "trees": {}, "machine": None,
               "workloads": {}}
-    with tempfile.TemporaryDirectory() as scratch:
-        copies = fresh_copies(trees, Path(scratch))
-        env = no_bytecode_env()
+    with tempfile.TemporaryDirectory() as caches:
+        envs = bytecode_envs(Path(caches))
         for workload in args.workload or names:
-            runs = run_pairs(copies, workload, seeds, seconds, env)
+            runs = run_pairs(trees, workload, seeds, seconds, envs)
             meta = runs["change"][0]["meta"]
             record["machine"] = {key: meta[key] for key in
                                  ("cpu_model", "nproc", "python", "numpy",

@@ -162,6 +162,22 @@ def _format_block(x, out):
 LAYOUTS = {"csv": ("", ",", "\n", ""), "json": ('["', '","', '"]', ",")}
 
 
+def table(fmt, header, columns):
+    """Yield a table in `fmt`, "csv" or "json", as UTF-8 bytes: the header
+    line or the JSON's `columns`, the rows of `columns` (see `_rows`), and
+    the JSON's close."""
+    if fmt == "csv":
+        head, tail = ",".join(header) + "\n", ""
+    else:
+        import json
+        head = ('{"columns":' + json.dumps(list(header), separators=(",", ":"))
+                + ',"rows":[')
+        tail = "]}\n"
+    yield head.encode("utf-8")
+    yield from _rows(LAYOUTS[fmt], columns)
+    yield tail.encode("utf-8")
+
+
 def _rows(layout, columns):
     """Yield the rows of `columns` broadcast together in C order, as ASCII
     bytes, FORMAT_BLOCK rows at a time.

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import os
 import sys
@@ -136,20 +135,11 @@ def _write_text(cfg: RunConfig, parts):
 
 def write_dataset(cfg: RunConfig, header, columns):
     """Write a table as CSV or JSON: its rows are the columns broadcast
-    together in C order (see `_rows`), each cell "%.17g" of the value cast
-    to float64, so integral values print as integers. A (k, t) grid is
+    together in C order (see `_cells.table`), each cell "%.17g" of the value
+    cast to float64, so integral values print as integers. A (k, t) grid is
     (ks[:, None], ts, values), written as k-major (k, t, value) rows."""
-    from ._cells import LAYOUTS, _rows
-    if cfg.fmt == "csv":
-        head, tail = ",".join(header) + "\n", ""
-    else:
-        import json
-        head = ('{"columns":' + json.dumps(list(header), separators=(",", ":"))
-                + ',"rows":[')
-        tail = "]}\n"
-    _write_text(cfg, itertools.chain([head.encode("utf-8")],
-                                     _rows(LAYOUTS[cfg.fmt], columns),
-                                     [tail.encode("utf-8")]))
+    from ._cells import table
+    _write_text(cfg, table(cfg.fmt, header, columns))
 
 
 def k_grid(cfg: RunConfig) -> np.ndarray:

@@ -530,6 +530,68 @@ def test_missing_numpy_fails_at_import_as_import_numpy_does(hide):
     assert lines[0].startswith("numpy ")
 
 
+# The package's public names: its re-exports and the modules they come from.
+PACKAGE_ALL = [
+    "BlochComponents", "ChiralInvariants", "CriticalSet", "FisherLine",
+    "FloquetSpectrum", "ModelParams", "ReturnAmplitude", "bloch_components",
+    "bloch_expectations", "chiral_winding_numbers", "dqpt", "dqpt_condition",
+    "dynamical_phase", "dynamics", "errors", "exact_winding", "fisher_lines",
+    "fisher_tau", "geometric_phase", "geometric_phase_from_tomography",
+    "geometry", "lattice", "model", "obc_floquet_spectrum",
+    "propagator_analytic", "propagator_oracle", "rate_function",
+    "return_amplitude", "return_probability", "topology", "total_phase",
+    "winding_number"]
+
+# In a fresh process: `dir` of the package, README's import line, a star
+# import, `__all__`, then each public name as the module that defines it
+# holds it (a module name: the module), and `dir` again.
+FRESH_PACKAGE = """\
+import json, re, sys
+import floquet_dqpt as pkg
+
+def public_dir():
+    return [n for n in dir(pkg) if not n.startswith("__")]
+
+seen = {"dir_before": public_dir()}
+readme = open(sys.argv[1], encoding="utf-8").read()
+exec(re.search(r"^from floquet_dqpt import .+$", readme, re.M).group(), {})
+star = {}
+exec("from floquet_dqpt import *", star)
+seen["star"] = sorted(n for n in star if not n.startswith("__"))
+seen["all"] = pkg.__all__
+homes = {}
+for name in pkg.__all__:
+    value = getattr(pkg, name)
+    home = sys.modules.get(f"floquet_dqpt.{name}")
+    if value is not home:
+        home = sys.modules[value.__module__]
+        assert getattr(home, name) is value, name
+    homes[name] = home.__name__
+seen["homes"] = homes
+seen["dir_after"] = public_dir()
+print(json.dumps(seen))
+"""
+
+
+def test_package_names_resolve_to_their_defining_modules():
+    # the re-exports are bound on first access: `__all__` and `dir` are what
+    # eager imports gave, with no helper of the lazy one, and each name is
+    # the object of the module that defines it
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    seen = json.loads(fresh_python(FRESH_PACKAGE, readme, check=True,
+                                   text=True).stdout)
+    assert seen["all"] == PACKAGE_ALL == seen["star"]
+    assert seen["dir_before"] == sorted(["_lazy", *PACKAGE_ALL])
+    assert seen["dir_after"] == seen["dir_before"]
+    modules = {"dqpt", "dynamics", "errors", "geometry", "lattice", "model",
+               "topology"}
+    assert {name for name, home in seen["homes"].items()
+            if home == f"floquet_dqpt.{name}"} == modules
+    assert all(home.startswith("floquet_dqpt.")
+               and home.removeprefix("floquet_dqpt.") in modules
+               for home in seen["homes"].values())
+
+
 # `fdqpt ARGS` in a fresh process, whose last stderr line says whether
 # numpy's core ran
 FRESH_MAIN = ("import sys\nfrom floquet_dqpt.cli import main\ntry:\n"
