@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -215,11 +214,12 @@ def call_list(api, presets, model):
 
 
 def encode(x):
-    """A value as JSON: dataclasses and sequences of non-numbers by parts,
-    everything else as its type, dtype, shape and int64 bits."""
-    if dataclasses.is_dataclass(x):
-        return [type(x).__name__] + [encode(getattr(x, f.name))
-                                     for f in dataclasses.fields(x)]
+    """A value as JSON: records (their `__match_args__` fields) and
+    sequences of non-numbers by parts, everything else as its type, dtype,
+    shape and int64 bits."""
+    if hasattr(type(x), "__match_args__"):
+        return [type(x).__name__] + [encode(getattr(x, name))
+                                     for name in type(x).__match_args__]
     if isinstance(x, (list, tuple)) and not all(
             isinstance(v, (int, float, complex, np.number)) for v in x):
         return [type(x).__name__] + [encode(v) for v in x]

@@ -10,6 +10,7 @@ topology  : chiral time frames and the closed-form (W0, Wpi) invariants
 lattice   : open-chain BdG Floquet spectrum with pi edge-mode flags
 cli       : dataset-producing command-line front end (`fdqpt`)
 _cells    : the dataset writer's "%.17g" cells and rows
+_record   : the frozen record type of the parameters and results
 
 The re-exports below, and the modules themselves, are imported on first
 access (PEP 562), so that a command loads only the modules it runs.
@@ -18,6 +19,7 @@ access (PEP 562), so that a command loads only the modules it runs.
 import importlib
 
 from . import _lazy  # without numpy, fail here as `import numpy` does
+from . import _record  # every module's types; bound as an eager import would
 
 # Each re-exported name and the module that defines it.
 _SOURCE = {

@@ -23,10 +23,10 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import dqpt, dynamics, topology
 from ._lazy import np
+from ._record import record
 from .errors import ConfigError, NumericalGuardError, WindingMismatch
 from .model import ModelParams, normal_field
 
@@ -61,7 +61,7 @@ def _check_range(name: str, value, lo, hi):
         raise ConfigError(f"{name} must be in [{lo}, {hi}], got {value}")
 
 
-@dataclass(frozen=True)
+@record
 class RunConfig:
     """The validated settings of one run; options it does not read are None."""
 

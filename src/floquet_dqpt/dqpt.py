@@ -14,9 +14,9 @@ and hence to |w - delta2| <= |delta1|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from ._lazy import np
+from ._record import factory, record
 from .dynamics import micromotion_overlap
 from .errors import DegenerateDelta1, UndefinedTau
 from .model import (ModelParams, _t_chunks, _uniform_band_weights,
@@ -31,7 +31,7 @@ PROB_FLOOR = 1e-14
 DEFAULT_K_GRID = 2001
 
 
-@dataclass(frozen=True)
+@record
 class FisherLine:
     """One line of Fisher zeros: z(k) = tau_of_k + i t_imag on the k grid."""
 
@@ -40,13 +40,13 @@ class FisherLine:
     t_imag: float
 
 
-@dataclass(frozen=True)
+@record
 class CriticalSet:
     """Whether the drive hosts transitions, and where/when."""
 
     has_dqpt: bool
     k_c: float | None
-    critical_times: list = field(default_factory=list)
+    critical_times: list = factory(list)
 
 
 def dqpt_condition(params: ModelParams) -> CriticalSet:

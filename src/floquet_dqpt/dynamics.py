@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from ._lazy import np
+from ._record import record
 from .errors import StepCountTooSmall
 from .model import (ModelParams, _band_sign, band_weights, bloch_components,
                     finite_point, gap_guard, require_resolved_time)
@@ -43,7 +43,7 @@ DEFAULT_ORACLE_STEPS = 4096
 ORACLE_BLOCK = 1024
 
 
-@dataclass(frozen=True)
+@record
 class ReturnAmplitude:
     """Complex return amplitude G_band(k, t) at the caller's (band, k, t)."""
 

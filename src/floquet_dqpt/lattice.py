@@ -21,9 +21,9 @@ The open chain at t = 0 is therefore the only matrix this module builds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._lazy import np
+from ._record import record
 from .errors import InvalidSize
 from .model import ModelParams
 
@@ -36,7 +36,7 @@ PI_MODE_EDGE_WEIGHT = 0.5
 EDGE_FRACTION = 0.1
 
 
-@dataclass(frozen=True)
+@record
 class FloquetSpectrum:
     """Folded OBC quasienergies with localization data, sorted ascending."""
 

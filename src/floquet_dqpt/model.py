@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from ._lazy import np
+from ._record import record
 from .errors import GaplessPoint, TimeUnresolved
 
 # Relative gap floor below which band labels are numerically meaningless.
@@ -45,7 +45,7 @@ T_GUARD_FRACTION = 1e-3
 GRID_CHUNK = 8191
 
 
-@dataclass(frozen=True)
+@record
 class ModelParams:
     """Drive/coupling parameters. All values in rad per unit time.
 
@@ -101,7 +101,7 @@ class ModelParams:
             return math.inf
 
 
-@dataclass(frozen=True)
+@record
 class BlochComponents:
     """Field components of the Bloch Hamiltonian at fixed k."""
 
@@ -217,15 +217,16 @@ def band_weights(params: ModelParams, band: str, k):
 
 
 # typed: a float n that linspace refuses is not answered from an int entry
-@functools.lru_cache(maxsize=1, typed=True)
+@functools.lru_cache(maxsize=2, typed=True)
 def _uniform_band_weights(params: ModelParams, band: str, n: int):
     """(k, |a|^2, |b|^2) on n uniform points of [0, pi], all read-only.
 
     H_F is static, so the weights do not depend on t: a trace over t at one
-    (params, band, n) computes them once. One entry serves every caller, a
-    trace interleaving rate_function and winding_number included; the
-    arrays are shared, hence read-only. Parameters equal under == share the
-    entry: those that differ only in the sign of a zero give the same bits.
+    (params, band, n) computes them once. Two entries hold both bands of
+    one (params, n), so a caller alternating bands, or rate_function and
+    winding_number interleaved, hits; the arrays are shared, hence
+    read-only. Parameters equal under == share an entry: those that differ
+    only in the sign of a zero give the same bits.
     """
     k = np.linspace(0.0, math.pi, n)
     wa, wb = band_weights(params, band, k)

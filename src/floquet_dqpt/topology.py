@@ -22,14 +22,17 @@ condition, then GaplessPoint from the zone-gap test, model.zone_gap_guard.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .dqpt import dqpt_condition
 from .model import ModelParams, zone_gap_guard
 
 
-@dataclass(frozen=True)
+@record
 class ChiralInvariants:
+    """The invariants of the two chiral time frames: W1, W2 = -W1, W0 =
+    (W1 + W2)/2 and Wpi = (W1 - W2)/2, integers; raw_w1 is W1 as a float."""
+
     w1: int
     w2: int
     w0: int

@@ -156,14 +156,25 @@ def kernel_calls(params, k, t, rows=API):
         yield row, args, want[..., 0] if "ts" in kernel.takes else want
 
 
+def fields(record) -> tuple:
+    """A record's field values, in order."""
+    return tuple(getattr(record, name) for name in type(record).__match_args__)
+
+
+def replaced(record, **changes):
+    """A new record of record's type: its fields, changes over them."""
+    names = type(record).__match_args__
+    return type(record)(**{**dict(zip(names, fields(record))), **changes})
+
+
 def parts(value, spec):
     """[(spec, part)] of an output: a list's items each with the whole spec,
     a record's fields or a tuple's items each with its item of spec where
     spec is a tuple, else with spec."""
     if isinstance(value, list):
         return [p for item in value for p in parts(item, spec)]
-    if dataclasses.is_dataclass(value):
-        value = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+    if hasattr(type(value), "__match_args__"):
+        value = fields(value)
     if not isinstance(value, tuple):
         return [(spec, value)]
     specs = spec if isinstance(spec, tuple) else [spec] * len(value)

@@ -491,10 +491,18 @@ def test_launch_loads_only_the_modules_its_command_runs(tmp_path):
     (tmp_path / "ex1.ini").write_text("[model]\npreset = example1\n",
                                       encoding="utf-8")
 
-    def loaded(*args):
-        run = fresh_python(FRESH_LOADS, *args, cwd=tmp_path, check=True,
-                           text=True)
+    def loaded(*args, code=0):
+        run = fresh_python(FRESH_LOADS, *args, cwd=tmp_path, text=True)
+        assert run.returncode == code, run.stderr
         return run.stdout, set(run.stderr.splitlines()[-1].split())
+
+    # the records are no dataclasses: no launch below compiles the
+    # introspection modules `dataclasses` imports
+    introspection = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    _, helped = loaded("--help")
+    _, refused = loaded("rate", "--preset", "example1", "--k-points", "1",
+                        code=2)
+    assert not introspection & (helped | refused)
 
     text, topo = loaded("topo", "--preset", "example1")
     unused = {"floquet_dqpt.geometry", "floquet_dqpt.lattice",
@@ -506,6 +514,7 @@ def test_launch_loads_only_the_modules_its_command_runs(tmp_path):
     from_ini, with_ini = loaded("topo", "--config", "ex1.ini")
     assert from_ini == text and with_ini - topo == {"configparser"}
     assert topo <= with_ini
+    assert not introspection & (topo | as_json | with_ini)
     _, rate = loaded("rate", "--preset", "example1", "--k-points", "3",
                      "--t-points", "3")
     assert "floquet_dqpt._cells" in rate
@@ -581,7 +590,7 @@ def test_package_names_resolve_to_their_defining_modules():
     seen = json.loads(fresh_python(FRESH_PACKAGE, readme, check=True,
                                    text=True).stdout)
     assert seen["all"] == PACKAGE_ALL == seen["star"]
-    assert seen["dir_before"] == sorted(["_lazy", *PACKAGE_ALL])
+    assert seen["dir_before"] == sorted(["_lazy", "_record", *PACKAGE_ALL])
     assert seen["dir_after"] == seen["dir_before"]
     modules = {"dqpt", "dynamics", "errors", "geometry", "lattice", "model",
                "topology"}

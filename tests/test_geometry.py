@@ -1,6 +1,5 @@
 import cmath
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from floquet_dqpt.geometry import (bloch_expectations, bloch_vector_grid,
                                    total_phase, winding_number,
                                    wrapped_winding)
 
+from api import replaced
 from conftest import random_params
 from oracles import micromotion, rotating_frame_hamiltonian
 
@@ -259,11 +259,11 @@ def test_exact_winding_values_and_guards(ex1, ex2):
             winding_number(ex1, "minus", t)
         assert exact_winding(ex2, "minus", t) == 0
     with pytest.raises(DegenerateDelta1):
-        exact_winding(replace(ex1, delta1=0.0, delta2=ex1.omega_drive),
+        exact_winding(replaced(ex1, delta1=0.0, delta2=ex1.omega_drive),
                       "minus", 0.5)
     # the gap closes at k = 0 when delta1 + delta2 = omega, and at the
     # interior k_c when Omega = 0 inside the DQPT region
-    for p in (replace(ex1, delta2=0.0), replace(ex1, omega_amp=0.0)):
+    for p in (replaced(ex1, delta2=0.0), replaced(ex1, omega_amp=0.0)):
         with pytest.raises(GaplessPoint):
             exact_winding(p, "minus", 0.5)
         with pytest.raises(GaplessPoint):
@@ -336,7 +336,7 @@ def test_guards_run_once_per_call(ex1, ex2, monkeypatch):
     geometric_phase_from_tomography(ex1, 0.7, 0.5)
     assert calls == ["gap_guard"]
     # ValueError, then DegenerateDelta1, ahead of the time guards and the gap
-    degenerate = replace(ex1, delta1=0.0, delta2=ex1.omega_drive)
+    degenerate = replaced(ex1, delta1=0.0, delta2=ex1.omega_drive)
     with pytest.raises(ValueError):
         exact_winding(degenerate, "minus", math.nan)
     for t in (0.5, 1.0, 1e300):
@@ -411,7 +411,7 @@ def test_tomography_matches_direct_phase():
         checked = 0
         while checked < 50:
             p = random_params(rng, positive_amp=True)
-            p = replace(p, omega_amp=sign * p.omega_amp)
+            p = replaced(p, omega_amp=sign * p.omega_amp)
             k = rng.uniform(0.05, math.pi - 0.05)
             t = rng.uniform(0.0, 2.0 * p.period)
             try:

@@ -4,7 +4,6 @@ import itertools
 import math
 import pickle
 import sys
-from dataclasses import FrozenInstanceError, replace
 from importlib import import_module
 
 import numpy as np
@@ -252,18 +251,19 @@ def test_time_limit_equals_the_ulp_rule(monkeypatch):
                                          and not math.ulp(t) < window), (w, t)
     assert small_params(1e-300, 1.0, 1.0, 1.0).time_limit == math.inf
     # the limit is computed once per instance: the params stay frozen (the
-    # limit too), replace reads the new drive's limit, and equal params stay
+    # limit too), a new drive reads its own limit, and equal params stay
     # equal, with equal hashes, whether or not they have read it
-    read, unread = replace(EXAMPLE1), replace(EXAMPLE1)
+    read, unread = api.replaced(EXAMPLE1), api.replaced(EXAMPLE1)
     assert read.time_limit == 2.0 ** 44
     assert "time_limit" in vars(read) and "time_limit" not in vars(unread)
     assert read == unread and hash(read) == hash(unread)
     assert repr(read) == repr(unread)
     assert pickle.loads(pickle.dumps(read)) == unread
     for name in ("omega_drive", "time_limit"):
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(read, name, 1.0)
-    assert replace(read, omega_drive=10.0 * math.pi).time_limit == 2.0 ** 40
+    faster = api.replaced(read, omega_drive=10.0 * math.pi)
+    assert faster.time_limit == 2.0 ** 40
     # a window that is a power of two, 2^-10 T = 2^-9 for T = 2: the ulp of
     # 2^43 reaches it, the ulp of its predecessor does not. An instance
     # that has not read its limit yet reads the new window; one that has

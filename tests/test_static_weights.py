@@ -44,12 +44,13 @@ def raw_winding_or_none(p, band, t, n):
 
 @pytest.mark.parametrize("n", [2, 401, 2001, 4001])
 def test_cached_route_equals_recomputed_weights(n):
-    # two draws interleaved at every t, so each call replaces the entry the
-    # other draw left
+    # three draws interleaved at every t, one more than the cache holds, so
+    # each call replaces the entry the draw before last left
     rng = np.random.default_rng(n)
     windings = 0
     for i in range(6):
-        draws = [(random_params(rng), band) for band in ("minus", "plus")]
+        draws = [(random_params(rng), band)
+                 for band in ("minus", "plus", "minus")]
         if i % 2:
             draws.reverse()
         ts = np.linspace(0.0, 2.0 * draws[0][0].period, 9)
@@ -67,8 +68,9 @@ def test_cached_route_equals_recomputed_weights(n):
     assert n < 401 or windings > 50
 
 
-def test_cache_holds_one_entry_of_read_only_arrays():
-    assert _uniform_band_weights.cache_info().maxsize == 1
+def test_cache_holds_both_bands_of_read_only_arrays():
+    assert _uniform_band_weights.cache_info().maxsize == 2
+    _uniform_band_weights.cache_clear()
     k, wa, wb = _uniform_band_weights(EXAMPLE1, "minus", 11)
     fresh = np.linspace(0.0, math.pi, 11)
     assert np.array_equal(k, fresh)
@@ -78,8 +80,13 @@ def test_cache_holds_one_entry_of_read_only_arrays():
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 1.0
-    _uniform_band_weights(EXAMPLE1, "plus", 11)
-    assert _uniform_band_weights.cache_info().currsize == 1
+    plus = _uniform_band_weights(EXAMPLE1, "plus", 11)
+    assert _uniform_band_weights.cache_info().currsize == 2
+    # both bands stay: each read again is a hit, the same arrays
+    hits = _uniform_band_weights.cache_info().hits
+    assert _uniform_band_weights(EXAMPLE1, "minus", 11)[1] is wa
+    assert _uniform_band_weights(EXAMPLE1, "plus", 11)[1] is plus[1]
+    assert _uniform_band_weights.cache_info().hits == hits + 2
 
 
 def test_signed_zero_parameters_give_identical_results():
