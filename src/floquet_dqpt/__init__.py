@@ -2,7 +2,7 @@
 
 Modules
 -------
-model     : drive parameters, normal-form Bloch field, point guard, band data
+model     : drive parameters, normal-form field, guards, band data, limits
 dynamics  : closed-form SU(2) propagator, brute-force oracle, return amplitudes
 dqpt      : rate function, Fisher zeros, critical condition
 geometry  : Pancharatnam phases, dynamical winding number, tomography route

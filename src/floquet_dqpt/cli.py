@@ -28,7 +28,8 @@ from . import dqpt, dynamics, topology
 from ._lazy import np
 from ._record import record
 from .errors import ConfigError, NumericalGuardError, WindingMismatch
-from .model import ModelParams, normal_field
+from .model import (DEFAULT_ORACLE_STEPS, MAX_GRID_POINTS, MAX_N_LINES,
+                    MAX_SITES, MAX_STEPS, ModelParams, normal_field)
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,14 +47,6 @@ PRESETS = {
     "nv-minus": ModelParams(omega_drive=TWO_PI * 5.0, delta1=TWO_PI * 5.0,
                             delta2=-TWO_PI * 5.0, omega_amp=TWO_PI * 10.0),
 }
-
-# Resource limits, checked in RunConfig before any work: values a subcommand
-# computes or writes (k_points x t_points, or n_lines x k_points for fisher;
-# a (k, t) grid's values are held in memory, their text is written a block
-# at a time), Fisher lines and oracle steps per period.
-MAX_GRID_POINTS = 2_000_000
-MAX_N_LINES = 100
-MAX_STEPS = 16 * dynamics.DEFAULT_ORACLE_STEPS
 
 
 def _check_range(name: str, value, lo, hi):
@@ -89,9 +82,7 @@ class RunConfig:
         if t_max is not None and not 0 < t_max < math.inf:
             raise ConfigError("t_max (three periods when not given) must be "
                               f"positive and finite, got {t_max}")
-        if self.sites is not None:
-            from .lattice import MAX_SITES
-            _check_range("sites", self.sites, 2, MAX_SITES)
+        _check_range("sites", self.sites, 2, MAX_SITES)
         if self.out is not None and "\0" in self.out:  # from an INI value
             raise ConfigError("out must not contain a NUL character")
         # the lower bound is the oracle's own StepCountTooSmall guard
@@ -274,7 +265,7 @@ OPTIONS = {
     "t-max": dict(type=float),  # three periods when not given
     "n-lines": dict(type=int, default=3),
     "sites": dict(type=int, default=40),
-    "steps": dict(type=int, default=dynamics.DEFAULT_ORACLE_STEPS),
+    "steps": dict(type=int, default=DEFAULT_ORACLE_STEPS),
     "out": dict(metavar="PATH"),  # stdout when not given
     "format": dict(dest="fmt", choices=("csv", "json"), default="csv"),
 }

@@ -32,11 +32,10 @@ import math
 from ._lazy import np
 from ._record import record
 from .errors import StepCountTooSmall
-from .model import (ModelParams, _band_sign, band_weights, bloch_components,
-                    finite_point, gap_guard, require_resolved_time)
+from .model import (DEFAULT_ORACLE_STEPS, MIN_ORACLE_STEPS, ModelParams,
+                    _band_sign, band_weights, bloch_components, finite_point,
+                    gap_guard, require_resolved_time)
 
-MIN_ORACLE_STEPS = 256
-DEFAULT_ORACLE_STEPS = 4096
 # RK4 steps built at once. At most two blocks of partial products and one
 # block's stage temporaries are held, a peak of 0.37 MB (tracemalloc) for any
 # t; the 8192 steps of two periods held at once take 2.1 MB, growing with t.

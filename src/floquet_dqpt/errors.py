@@ -52,7 +52,7 @@ class WindingMismatch(NumericalGuardError):
 
 
 class InvalidSize(ValueError):
-    """Chain size outside the supported range [2, lattice.MAX_SITES]."""
+    """Chain size outside the supported range [2, model.MAX_SITES]."""
 
 
 class ConfigError(ValueError):

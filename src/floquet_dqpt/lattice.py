@@ -25,9 +25,7 @@ import math
 from ._lazy import np
 from ._record import record
 from .errors import InvalidSize
-from .model import ModelParams
-
-MAX_SITES = 1000
+from .model import MAX_SITES, ModelParams
 
 # pi-mode criterion: folded quasienergy within this fraction of w from
 # +-w/2 and at least half the weight on the outer tenth of the sites.

@@ -44,6 +44,18 @@ T_GUARD_FRACTION = 1e-3
 # temporaries come from the heap rather than from fresh mmaps.
 GRID_CHUNK = 8191
 
+# Resource limits, checked before any work: `cli.RunConfig` checks all four
+# (values a command holds, k x t points or Fisher lines x k points; Fisher
+# lines; chain sites; RK4 steps per period), `lattice.obc_floquet_spectrum`
+# its sites and `dynamics.propagator_oracle` its step floor. The library's
+# own k grids (rate_function, winding_number, grid kernels) are not capped yet.
+MAX_GRID_POINTS = 2_000_000
+MAX_N_LINES = 100
+MAX_SITES = 1000
+MIN_ORACLE_STEPS = 256
+DEFAULT_ORACLE_STEPS = 4096
+MAX_STEPS = 16 * DEFAULT_ORACLE_STEPS
+
 
 @record
 class ModelParams:

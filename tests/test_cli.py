@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from floquet_dqpt import cli, geometry
-from floquet_dqpt.cli import (MAX_GRID_POINTS, MAX_N_LINES, PRESETS,
-                              RunConfig, main, make_parser)
+from floquet_dqpt.cli import PRESETS, RunConfig, main, make_parser
 from floquet_dqpt.errors import GridTooCoarse
 from floquet_dqpt.dynamics import return_probability_grid
 from floquet_dqpt.geometry import geometric_phase_grid
+from floquet_dqpt.model import MAX_GRID_POINTS, MAX_N_LINES
 
 
 def run_cli(args):
@@ -503,6 +503,13 @@ def test_launch_loads_only_the_modules_its_command_runs(tmp_path):
     _, refused = loaded("rate", "--preset", "example1", "--k-points", "1",
                         code=2)
     assert not introspection & (helped | refused)
+    # a chain size is refused by the limits in `model`: neither the chain
+    # module nor numpy's core is loaded
+    for sites in ("1001", "1"):
+        _, refused = loaded("spectrum", "--preset", "example1",
+                            "--sites", sites, code=2)
+        assert "floquet_dqpt.lattice" not in refused
+        assert not [name for name in refused if name.startswith("numpy.")]
 
     text, topo = loaded("topo", "--preset", "example1")
     unused = {"floquet_dqpt.geometry", "floquet_dqpt.lattice",
@@ -614,8 +621,10 @@ FRESH_MAIN = ("import sys\nfrom floquet_dqpt.cli import main\ntry:\n"
     (["topo", "--preset", "example1", "--format", "json"], 0),
     (["--help"], 0),
     (["rate", "--preset", "example1", "--k-points", "1"], 2),
+    (["spectrum", "--preset", "example1", "--sites", "1001"], 2),
     (["topo", "--config", "degenerate.ini"], 3)],
-    ids=["topo", "topo-json", "help", "refused-k-points", "degenerate"])
+    ids=["topo", "topo-json", "help", "refused-k-points", "refused-sites",
+         "degenerate"])
 def test_launch_without_numpy(args, exit_code, tmp_path, monkeypatch,
                               capsysbinary):
     # topo, --help and the refusals raised before the first array need only

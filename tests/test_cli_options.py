@@ -15,8 +15,9 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from floquet_dqpt.cli import (MAX_GRID_POINTS, MAX_STEPS, PRESETS, RunConfig,
-                              main, make_parser)
+from floquet_dqpt.cli import PRESETS, RunConfig, main, make_parser
+from floquet_dqpt.model import (DEFAULT_ORACLE_STEPS, MAX_GRID_POINTS,
+                                MAX_N_LINES, MAX_SITES, MAX_STEPS)
 
 # The flags each subcommand reads, besides --preset and --config. |G|^2
 # does not depend on the band, so retprob and rate read no --band.
@@ -157,6 +158,36 @@ def test_oracle_steps_capped():
     for steps in (MAX_STEPS + 1, 10 ** 8):
         assert_refused(["oracle-check", "--preset", "example1",
                         "--steps", str(steps)], "steps")
+
+
+def test_each_limit_accepts_its_value_and_refuses_the_next():
+    # at its value a limit passes RunConfig, which runs no work; one past
+    # it, the command is refused with this line before any work
+    assert MAX_STEPS == 16 * DEFAULT_ORACLE_STEPS
+    p = PRESETS["example1"]
+    for at_limit in ({"k_points": MAX_GRID_POINTS},
+                     {"t_points": MAX_GRID_POINTS},
+                     {"k_points": 2, "t_points": MAX_GRID_POINTS // 2},
+                     {"k_points": MAX_GRID_POINTS // MAX_N_LINES,
+                      "n_lines": MAX_N_LINES},
+                     {"sites": MAX_SITES}, {"steps": MAX_STEPS}):
+        cfg = RunConfig(params=p, **at_limit)
+        assert {name: getattr(cfg, name) for name in at_limit} == at_limit
+    for argv, message in (
+            ("rate --k-points 2000001",
+             "k_points must be in [2, 2000000], got 2000001"),
+            ("retprob --t-points 2000001",
+             "t_points must be in [2, 2000000], got 2000001"),
+            ("geo --k-points 3 --t-points 666667",
+             "grid of 3 x 666667 values exceeds 2000000"),
+            ("fisher --k-points 666667 --n-lines 3",
+             "grid of 666667 x 3 values exceeds 2000000"),
+            ("fisher --n-lines 101", "n_lines must be in [1, 100], got 101"),
+            ("spectrum --sites 1001", "sites must be in [2, 1000], got 1001"),
+            ("oracle-check --steps 65537",
+             "steps must be <= 65536, got 65537")):
+        assert run([*argv.split(), "--preset", "example1"]) \
+            == (2, "", f"config error: {message}\n")
 
 
 def test_main_returns_for_bad_argv_and_help_exits_zero(capsys):

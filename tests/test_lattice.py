@@ -5,9 +5,9 @@ import pytest
 
 from floquet_dqpt.cli import PRESETS
 from floquet_dqpt.errors import InvalidSize, StepCountTooSmall
-from floquet_dqpt.model import ModelParams
-from floquet_dqpt.lattice import (MAX_SITES, PI_MODE_EDGE_WEIGHT,
-                                  PI_MODE_ENERGY_TOL, obc_floquet_spectrum)
+from floquet_dqpt.model import MAX_SITES, ModelParams
+from floquet_dqpt.lattice import (PI_MODE_EDGE_WEIGHT, PI_MODE_ENERGY_TOL,
+                                  obc_floquet_spectrum)
 
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3, random_params
 from oracles import (bdg_hamiltonian, chiral_block_spectrum,

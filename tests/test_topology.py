@@ -5,11 +5,11 @@ import pytest
 
 from floquet_dqpt.errors import (DegenerateDelta1, GaplessPoint,
                                  NumericalGuardError)
-from floquet_dqpt.model import ModelParams, min_half_gap
+from floquet_dqpt.model import MAX_SITES, ModelParams, min_half_gap
 from floquet_dqpt.dynamics import propagator_analytic
 from floquet_dqpt.dqpt import dqpt_condition
 from floquet_dqpt.geometry import exact_winding, winding_number
-from floquet_dqpt.lattice import MAX_SITES, obc_floquet_spectrum
+from floquet_dqpt.lattice import obc_floquet_spectrum
 from floquet_dqpt.topology import chiral_winding_numbers
 
 from conftest import random_params
