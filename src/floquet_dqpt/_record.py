@@ -7,18 +7,9 @@ fields in order, with the class's defaults, that calls `__post_init__` last;
 `__match_args__`; and `AttributeError` on setting or deleting an attribute.
 `dataclasses` imports `inspect`, with `ast`, `dis` and `tokenize`, a tenth
 of a `fdqpt topo` launch; here one `exec` a class writes the four methods.
-A `factory(f)` default is f() made afresh for each instance.
+A field's default is one value, bound once for every instance: a record
+that needs a fresh mutable value takes it from its caller.
 """
-
-
-class factory:
-    """A field default made by calling func for each instance."""
-
-    def __init__(self, func):
-        self.func = func
-
-    def __repr__(self):  # as inspect.signature shows dataclasses' own
-        return "<factory>"
 
 
 def _setattr(self, name, value):
@@ -31,7 +22,7 @@ def _delattr(self, name):
 
 def record(cls):
     """cls, frozen, with the methods the module docstring names."""
-    names =tuple(cls.__dict__.get("__annotations__", {}))
+    names = tuple(cls.__dict__.get("__annotations__", {}))
     # object.__setattr__ keeps the fields in the instance's inline values:
     # reading self.__dict__ would build a dict and slow every field read
     ns = {"__name__": cls.__module__, "_set": object.__setattr__}
@@ -40,12 +31,8 @@ def record(cls):
         if name not in cls.__dict__:
             params.append(name)
         else:
-            ns[f"_d_{name}"] = default = cls.__dict__[name]
+            ns[f"_d_{name}"] = cls.__dict__[name]
             params.append(f"{name}=_d_{name}")
-            if isinstance(default, factory):  # called, not held, by cls
-                delattr(cls, name)
-                body.append(f" if {name} is _d_{name}:"
-                            f" {name} = _d_{name}.func()")
         body.append(f" _set(self, {name!r}, {name})")
     if hasattr(cls, "__post_init__"):
         body.append(" self.__post_init__()")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from ._lazy import np
-from ._record import factory, record
+from ._record import record
 from .dynamics import micromotion_overlap
 from .errors import DegenerateDelta1, UndefinedTau
 from .model import (ModelParams, _t_chunks, _uniform_band_weights,
@@ -46,7 +46,7 @@ class CriticalSet:
 
     has_dqpt: bool
     k_c: float | None
-    critical_times: list = factory(list)
+    critical_times: list
 
 
 def dqpt_condition(params: ModelParams) -> CriticalSet:
@@ -59,7 +59,7 @@ def dqpt_condition(params: ModelParams) -> CriticalSet:
     """
     w, d1, d2 = params.omega_drive, params.delta1, params.delta2
     if abs(w - d2) > abs(d1):
-        return CriticalSet(has_dqpt=False, k_c=None)
+        return CriticalSet(has_dqpt=False, k_c=None, critical_times=[])
     if d1 == 0.0:
         raise DegenerateDelta1(
             "delta1 = 0 with omega = delta2: every momentum is critical")

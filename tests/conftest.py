@@ -1,9 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from floquet_dqpt.cli import PRESETS
 from floquet_dqpt.model import ModelParams
 
 # Every Hypothesis test draws the same examples on every run, so a failure
@@ -11,12 +10,11 @@ from floquet_dqpt.model import ModelParams
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
 
-EXAMPLE1 = ModelParams(omega_drive=math.pi, delta1=math.pi,
-                       delta2=math.pi / 2, omega_amp=1.0)
-EXAMPLE2 = ModelParams(omega_drive=math.pi, delta1=math.pi / 5,
-                       delta2=math.pi / 2, omega_amp=1.0)
-EXAMPLE3 = ModelParams(omega_drive=math.pi, delta1=-math.pi,
-                       delta2=math.pi / 2, omega_amp=1.0)
+EXAMPLE1, EXAMPLE2, EXAMPLE3 = (PRESETS[f"example{n}"] for n in (1, 2, 3))
+# gapless at k = 0, on every uniform k grid: both band weights are NaN
+# there, so every grid row's phase is undefined
+GAPLESS_AT_ZERO = ModelParams(omega_drive=2.0, delta1=1.0, delta2=1.0,
+                              omega_amp=1.0)
 
 
 @pytest.fixture

@@ -32,12 +32,10 @@ from floquet_dqpt.geometry import (bloch_expectations, bloch_vector_grid,
 from floquet_dqpt.model import (GRID_CHUNK, ModelParams,
                                 _uniform_band_weights)
 
-from conftest import EXAMPLE1, EXAMPLE2, random_params
+from api import bits
+from conftest import EXAMPLE1, EXAMPLE2, GAPLESS_AT_ZERO, random_params
 
 K_SIZES = (2, 401, 2001, 4001)
-# gapless at k = 0, on the grid: every row's phase is undefined
-GAPLESS_AT_ZERO = ModelParams(omega_drive=2.0, delta1=1.0, delta2=1.0,
-                              omega_amp=1.0)
 
 
 def t_counts(n_k):
@@ -66,10 +64,6 @@ def outcome(fn, *args):
         return "ok", fn(*args)
     except (NumericalGuardError, ValueError) as exc:
         return type(exc), str(exc)
-
-
-def bits(x):
-    return np.asarray(x, dtype=float).view(np.int64)
 
 
 def winding_loop(p, band, ts, n_k, kinds):

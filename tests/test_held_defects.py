@@ -2,9 +2,10 @@
 error, pinned as they behave today.
 
 The north star promises every input a number or a typed error. Each call
-below breaks that promise on a drive at an end of the double range; its fix
-waits for the ROADMAP item named with it, and shows up as an edit here. The
-suite turns a RuntimeWarning into an error, so `pytest.warns` records them.
+below breaks that promise on a drive, or at a time, at an end of the double
+range; its fix waits for the ROADMAP item named with it, and shows up as an
+edit here. The suite turns a RuntimeWarning into an error, so `pytest.warns`
+records them.
 """
 
 import math
@@ -12,15 +13,22 @@ import math
 import numpy as np
 import pytest
 
+from floquet_dqpt import cli
 from floquet_dqpt.dqpt import fisher_tau
-from floquet_dqpt.dynamics import propagator_oracle
+from floquet_dqpt.dynamics import micromotion_overlap, propagator_oracle
 from floquet_dqpt.errors import UndefinedTau
 from floquet_dqpt.lattice import obc_floquet_spectrum
-from floquet_dqpt.model import ModelParams, band_energy, bloch_components
+from floquet_dqpt.model import (ModelParams, band_energy, band_weights,
+                                bloch_components)
+
+from conftest import EXAMPLE1
 
 # (1, 1, -1, 1) x 1.7e308: the plus band's w/2 + Delta/2 is past the
-# largest double, the minus band's is not
+# largest double, the minus band's is not; x 1e308 it is past it at k = pi
+# only
 HUGE = ModelParams(*(x * 1.7e308 for x in (1.0, 1.0, -1.0, 1.0)))
+LARGE = ModelParams(*(x * 1e308 for x in (1.0, 1.0, -1.0, 1.0)))
+PERIOD_INF = (1e-320, 1e-320, 5e-321, 1e-320)
 
 
 def messages(record):
@@ -38,7 +46,7 @@ def test_open_chain_of_a_huge_drive_reads_nan():
 
 @pytest.mark.parametrize("drive, warned", [
     ((5e-324,) * 4, ["invalid value encountered in multiply"]),
-    ((1e-320, 1e-320, 5e-321, 1e-320),
+    (PERIOD_INF,
      ["invalid value encountered in multiply",
       "invalid value encountered in exp"])], ids=["5e-324", "1e-320"])
 def test_open_chain_of_a_drive_whose_period_overflows_reads_nan(drive,
@@ -64,24 +72,66 @@ def test_rk4_oracle_of_a_huge_drive_is_all_nan():
     assert u.shape == (2, 2) and np.isnan(u).all()
 
 
-@pytest.mark.parametrize("k", [0.7, math.pi])
-def test_plus_band_energy_of_a_huge_drive_overflows(k):
+@pytest.mark.parametrize("params, k", [
+    (HUGE, 0.7), (HUGE, math.pi), (LARGE, math.pi)],
+    ids=["0.7", "3.141592653589793", "1e308-3.141592653589793"])
+def test_plus_band_energy_of_a_huge_drive_overflows(params, k):
     # ROADMAP item 7: band_energy returns E itself, so a typed error here
     # would be a new limit
     with pytest.warns(RuntimeWarning) as record:
-        energy = band_energy(HUGE, "plus", k)
+        energy = band_energy(params, "plus", k)
     assert len(record) == 1
     assert messages(record)[0].startswith("overflow encountered")
     assert energy == math.inf
-    assert math.isfinite(band_energy(HUGE, "minus", k))
+    assert math.isfinite(band_energy(params, "minus", k))
 
 
 def test_plus_band_fisher_tau_of_a_huge_drive_blames_h_xy():
     # ROADMAP item 7: the overflowed E reads as h_xy = 0, though h_xy != 0;
     # the stable tau held there skips E
-    assert bloch_components(HUGE, 0.7).h_xy != 0.0
-    with pytest.warns(RuntimeWarning) as record, pytest.raises(
-            UndefinedTau, match=r"^h_xy = 0: tau -> -inf$"):
-        fisher_tau(HUGE, "plus", 0.7)
-    assert len(record) == 1
-    assert messages(record)[0].startswith("overflow encountered")
+    for params, k in ((HUGE, 0.7), (LARGE, math.pi)):
+        assert bloch_components(params, k).h_xy != 0.0
+        with pytest.warns(RuntimeWarning) as record, pytest.raises(
+                UndefinedTau, match=r"^h_xy = 0: tau -> -inf$"):
+            fisher_tau(params, "plus", k)
+        assert len(record) == 1
+        assert messages(record)[0].startswith("overflow encountered")
+    # x 1e308, the plus band's E and tau are finite, with no warning, off pi
+    assert math.isfinite(band_energy(LARGE, "plus", 0.7))
+    assert math.isfinite(fisher_tau(LARGE, "plus", 0.7))
+
+
+def test_overlap_past_the_time_limit_reads_noise_then_nan():
+    # ROADMAP item 14: micromotion_overlap leaves the time rule to its
+    # callers, so past time_limit it answers a phase doubles cannot resolve,
+    # and NaN once w t overflows
+    wa, wb = band_weights(EXAMPLE1, "minus", np.array([0.3, 0.7]))
+    assert EXAMPLE1.time_limit < 1e300
+    z = micromotion_overlap(EXAMPLE1, wa, wb, 1e300)
+    assert z.shape == (2,) and np.isfinite(z).all()
+    with pytest.warns(RuntimeWarning) as record:
+        z = micromotion_overlap(EXAMPLE1, wa, wb, 1e308)
+    assert messages(record) == ["overflow encountered in multiply",
+                                "invalid value encountered in exp"]
+    assert z.shape == (2,)
+    assert np.isnan(z.real).all() and np.isnan(z.imag).all()
+
+
+def test_spectrum_command_of_a_drive_whose_period_overflows_prints_nan(
+        tmp_path, capsys):
+    # ROADMAP items 7 and 14: `fdqpt spectrum` exits 0 with a nan
+    # quasienergy in every row, and numpy's two warnings on stderr
+    ini = tmp_path / "model.ini"
+    ini.write_text("[model]\n" + "".join(
+        f"{name} = {value!r}\n" for name, value in zip(
+            ("omega_drive", "delta1", "delta2", "omega_amp"), PERIOD_INF)),
+        encoding="utf-8")
+    with pytest.warns(RuntimeWarning) as record:
+        code = cli.main(["spectrum", "--config", str(ini), "--sites", "12"])
+    assert code == 0
+    assert messages(record) == ["invalid value encountered in multiply",
+                                "invalid value encountered in exp"]
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "index,quasienergy,edge_weight,pi_mode"
+    assert len(rows) == 24
+    assert all(row.split(",")[1] == "nan" for row in rows)

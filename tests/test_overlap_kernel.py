@@ -16,16 +16,15 @@ import pytest
 
 from floquet_dqpt import dqpt, dynamics, geometry
 from floquet_dqpt.errors import GaplessPoint
-from floquet_dqpt.model import ModelParams, band_weights
+from floquet_dqpt.model import band_weights
 
-from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3, random_params
+from api import bits
+from conftest import (EXAMPLE1, EXAMPLE2, EXAMPLE3, GAPLESS_AT_ZERO,
+                      random_params)
 
 DRAWS = [EXAMPLE1, EXAMPLE2, EXAMPLE3] + [
     random_params(np.random.default_rng(seed)) for seed in range(6)]
 ENDPOINTS = np.array([0.0, math.pi])
-# gapless at k = 0: both band weights are NaN there
-GAPLESS_AT_ZERO = ModelParams(omega_drive=2.0, delta1=1.0, delta2=1.0,
-                              omega_amp=1.0)
 
 
 def complex_sum(params, wa, wb, t):
@@ -37,11 +36,6 @@ def times(p):
     # t = 0 and w t in every quadrant, the third (cos, sin < 0) three times,
     # once at a negative t; none on a critical time (2n - 1) T/2
     return np.array([0.0, 0.1, 0.35, 0.6, 0.85, 1.6, -0.3]) * p.period
-
-
-def bits(x):
-    """int64 view of the values as complex128, so -0 and +0 differ."""
-    return np.asarray(x, dtype=complex).view(np.int64)
 
 
 def readers(p, band, ts):

@@ -11,8 +11,8 @@ import pickle
 
 import pytest
 
-from floquet_dqpt.cli import RunConfig, main
-from floquet_dqpt.dqpt import CriticalSet, FisherLine
+from floquet_dqpt.cli import PRESETS, RunConfig, main
+from floquet_dqpt.dqpt import CriticalSet, FisherLine, dqpt_condition
 from floquet_dqpt.dynamics import ReturnAmplitude
 from floquet_dqpt.lattice import FloquetSpectrum
 from floquet_dqpt.model import BlochComponents, ModelParams
@@ -30,7 +30,7 @@ SIGNATURES = {
     ReturnAmplitude: "(value: 'complex') -> None",
     FisherLine: "(n: 'int', tau_of_k: 'np.ndarray', t_imag: 'float') -> None",
     CriticalSet: "(has_dqpt: 'bool', k_c: 'float | None', "
-                 "critical_times: 'list' = <factory>) -> None",
+                 "critical_times: 'list') -> None",
     ChiralInvariants: "(w1: 'int', w2: 'int', w0: 'int', wpi: 'int', "
                       "raw_w1: 'float') -> None",
     RunConfig: "(params: 'ModelParams | None', "
@@ -41,7 +41,7 @@ SIGNATURES = {
     FloquetSpectrum: "(quasienergies: 'np.ndarray', edge_weights: "
                      "'np.ndarray', pi_mode: 'np.ndarray') -> None",
 }
-EXAMPLE = ModelParams(math.pi, math.pi, 0.5 * math.pi, 1.0)
+EXAMPLE = PRESETS["example1"]
 # Field values per type that pass its validation; hashable, so that the
 # records are (the arrays a FisherLine or FloquetSpectrum holds are not).
 VALUES = {
@@ -105,8 +105,9 @@ def test_records_are_frozen(cls):
 
 
 def test_defaults_and_validation():
-    # a fresh list for each CriticalSet, none held by the class
-    first, second = CriticalSet(False, None), CriticalSet(False, None)
+    # the verdict without transitions lists its critical times afresh on
+    # each call; the class holds no default list
+    first, second = (dqpt_condition(PRESETS["example2"]) for _ in range(2))
     assert first.critical_times == [] and first == second
     assert first.critical_times is not second.critical_times
     assert not hasattr(CriticalSet, "critical_times")
