@@ -6,9 +6,10 @@ Usage:
         [--pairs P] [--workload NAME ...]
 
 PARENT and CHANGE are source trees, each with its own `perfbench/run.py`
-and `src/`. For every workload declared in `BENCHMARK.json`, or for each
-one named by `--workload` (repeatable), pair i of P (default 10) runs
-`perfbench/run.py --trace 0` once in each tree with seed 2000 + i and the
+and `src/`. For every workload declared in CHANGE's `BENCHMARK.json`, or
+for each one named by `--workload` (repeatable), pair i of P (default 10)
+runs that file's `command` (`python3 perfbench/run.py`, as found on
+`PATH`) with `--trace 0` once in each tree, with seed 2000 + i and the
 benchmark's `run_seconds`; the parent runs first in even pairs and the
 change first in odd ones. Runs are sequential, in fresh processes.
 
@@ -55,13 +56,13 @@ BYTECODE = ("each tree with its own fresh PYTHONPYCACHEPREFIX outside both "
             "read or written")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float,
-             env: dict) -> dict:
-    """One benchmark run in `tree` -> {"meta", "result"} from its last two
-    lines of standard output."""
+def run_once(command: list, tree: Path, workload: str, seed: int,
+             seconds: float, env: dict) -> dict:
+    """One benchmark run of `command` in `tree` -> {"meta", "result"} from
+    its last two lines of standard output."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        [*command, "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, env=env, capture_output=True, text=True, check=True)
     meta, result = proc.stdout.splitlines()[-2:]
     return {"meta": json.loads(meta)["meta"], "result": json.loads(result)}
@@ -79,19 +80,19 @@ def bytecode_envs(caches: Path) -> dict:
     return envs
 
 
-def run_pairs(trees: dict, workload: str, seeds: list, seconds: float,
-              envs: dict) -> dict:
+def run_pairs(command: list, trees: dict, workload: str, seeds: list,
+              seconds: float, envs: dict) -> dict:
     """Each side's runs of one workload, in pairs, after one untimed warm-up
     run per side that fills its bytecode cache."""
     for side in SIDES:
-        run_once(trees[side], workload, FIRST_SEED, WARMUP_SECONDS,
+        run_once(command, trees[side], workload, FIRST_SEED, WARMUP_SECONDS,
                  envs[side][0])
     runs = {side: [] for side in SIDES}
     for i, seed in enumerate(seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
-            runs[side].append(run_once(trees[side], workload, seed, seconds,
-                                       envs[side][1]))
+            runs[side].append(run_once(command, trees[side], workload, seed,
+                                       seconds, envs[side][1]))
             r = runs[side][-1]["result"]["metrics"]
             print(f"{workload} pair {i} {side}: " + ", ".join(
                 f"{k} {v['value']:.4g}" for k, v in r.items()),
@@ -159,7 +160,8 @@ def main(argv=None) -> int:
     seeds = [FIRST_SEED + i for i in range(args.pairs)]
     seconds = bench["run_seconds"]
 
-    record = {"command": "perfbench/run.py --trace 0", "seconds": seconds,
+    record = {"command": [*bench["command"], "--trace", "0"],
+              "seconds": seconds,
               "pairs": args.pairs, "seeds": seeds,
               "order": "parent first in even pairs, change first in odd",
               "bytecode": BYTECODE, "trees": {}, "machine": None,
@@ -167,7 +169,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as caches:
         envs = bytecode_envs(Path(caches))
         for workload in args.workload or names:
-            runs = run_pairs(trees, workload, seeds, seconds, envs)
+            runs = run_pairs(bench["command"], trees, workload, seeds,
+                             seconds, envs)
             meta = runs["change"][0]["meta"]
             record["machine"] = {key: meta[key] for key in
                                  ("cpu_model", "nproc", "python", "numpy",

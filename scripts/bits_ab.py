@@ -11,26 +11,22 @@ runs one fixed, seeded list of calls: the rows of the API table,
 row's function looked up by name in the tree that runs it (so a row whose
 parameters a change edits raises TypeError on the parent's side), on
 
-- the presets, 20 seeded drives, a drive whose gap closes at k = 0,
-  example1 scaled by 2^+-600, each preset scaled by 2^(1022 - e) (e the
-  exponent of its largest parameter) and by 2^-1000, and (1, 1, 1, 1) and
-  (1, 1, -1, 1) times 1e308 and 1.7e308; at both bands; a point API at
-  k = 0, pi and random k and at t = 0, a negative t, t on a critical time,
-  just inside and outside its guard window, a random t, t at and just below
-  `ModelParams.time_limit`, 1e300 and nan (the RK4 oracle, whose work grows
-  with |t|, only to 3T and where it refuses t at once), a grid API on those
-  k and t and on the t that doubles resolve;
-- drives whose gap closes at an interior k, scaled to 1e-300, 1e160 and
-  1e300, sits just above or below the gap floor, or that are degenerate
-  (delta1 = 0, w = delta2): the drive APIs, and nu at T/4 (and 3T/4);
+- the drives of `api.DRIVES` (`tests/api.py` names them), at both bands;
+  a point API at k = 0, pi and random k and at t = 0, a negative t, t on a
+  critical time, just inside and outside its guard window, a random t, t
+  at and just below `ModelParams.time_limit`, 1e300 and nan (the RK4
+  oracle, whose work grows with |t|, only to 3T and where it refuses t at
+  once), a grid API on those k and t and on the t that doubles resolve;
+- the drives of `api.CLOSURES`, whose gap closes or nearly closes: the
+  drive APIs, and nu at T/4 (and 3T/4);
 - every point API that takes a band, with band = "bogus", at a NaN k, the
   gapless k = 0 and a NaN t: the record shows which error comes first;
 - a subnormal drive's Bloch vectors, the tomography grid on noisy vectors,
   the open chain at 6 and 20 sites, the phase wrappers on seeded phases,
   and 3000 seeded draws of the tomography route, with k = 0 and pi;
 - `fdqpt` over a fixed list of argument vectors, in process; `winding` and
-  `topo` also on the gapless drive above, from a [model] INI file written
-  to the working directory.
+  `topo` also on the gapless drive `gapless0`, from a [model] INI file
+  written to the working directory.
 
 Each outcome is the error type and message, or the value's type and bits
 (float64 and complex128 as int64 views, so signed zeros and NaN payloads
@@ -65,7 +61,6 @@ import numpy as np
 
 TOMOGRAPHY_DRAWS = 3000
 LABELS = {"band": "band", "k": "k", "ks": "k", "t": "t", "ts": "t"}
-CLI_PRESETS = ("example1", "example2", "example3", "nv-plus", "nv-minus")
 CLI_VECTORS = (
     "retprob --k-points 7 --t-points 5", "rate --k-points 31 --t-points 9",
     "fisher --k-points 9 --band plus", "fisher --n-lines 1",
@@ -93,34 +88,6 @@ def time_limit(omega):
         return math.inf
 
 
-def drives(model, presets):
-    """(name, params): the presets, 20 seeded draws, a drive whose gap
-    closes at k = 0, example1 scaled by 2^+-600, where a product of two
-    parameters over- or underflows, each preset scaled by 2^(1022 - e) and
-    2^-1000, and (1, 1, 1, 1) and (1, 1, -1, 1) times 1e308 and 1.7e308,
-    where |h_z - w/2| at k = pi is past the largest double."""
-    rng = np.random.default_rng(20261018)
-    out = sorted(presets.items())
-    for i in range(20):
-        w, d1, d2, amp = (rng.uniform(0.5, 6.0), *rng.uniform(-5.0, 5.0, 3))
-        out.append((f"draw{i}", model.ModelParams(w, d1, d2, amp)))
-    out.append(("gapless0", model.ModelParams(2.0, 1.0, 1.0, 1.0)))
-    scalings = [("example1", 600), ("example1", -600)]
-    for name, p in sorted(presets.items()):
-        e = math.frexp(max(abs(p.omega_amp), abs(p.delta1), abs(p.delta2),
-                           p.omega_drive))[1]
-        scalings += [(name, 1022 - e), (name, -1000)]
-    for name, j in scalings:
-        p, s = presets[name], 2.0 ** j
-        out.append((f"{name}*2^{j}", model.ModelParams(
-            s * p.omega_drive, s * p.delta1, s * p.delta2, s * p.omega_amp)))
-    for s in (1e308, 1.7e308):
-        out.append((f"one*{s:g}", model.ModelParams(s, s, s, s)))
-    for s in (1e308, 1.7e308):
-        out.append((f"mixed*{s:g}", model.ModelParams(s, s, -s, s)))
-    return out
-
-
 def call_label(index, row, call, drive):
     """`module.name #index`, then the drive and, where the call has them as
     scalars, its band, k and t."""
@@ -132,7 +99,7 @@ def call_label(index, row, call, drive):
         for key, value in where.items() if value is not None)])
 
 
-def call_list(api, presets, model):
+def call_list(api):
     """[(label, row, arguments)] in a fixed order: api.API's rows expanded
     by api.calls over the families of the docstring."""
     rng = np.random.default_rng(22)
@@ -146,7 +113,7 @@ def call_list(api, presets, model):
     of_drive = [row for row in api.API
                 if row.kind != "point" and "params" in row.takes]
     oracle = rows["propagator_oracle"]
-    for drive, p in drives(model, presets):
+    for drive, p in api.DRIVES.items():
         period, limit = 2.0 * math.pi / p.omega_drive, time_limit(
             p.omega_drive)
         ks = [0.0, math.pi, *rng.uniform(0.0, math.pi, 2).tolist()]
@@ -171,25 +138,17 @@ def call_list(api, presets, model):
             "bloch": rng.normal(size=(3, len(ks), resolved.size))},
             drive=drive)
     # an invalid band at a non-finite point and at gapless0's gapless k = 0
-    gapless = model.ModelParams(2.0, 1.0, 1.0, 1.0)
     for k, t in ((math.nan, 0.5), (0.0, 0.5), (0.0, math.nan)):
         add([row for row in point if "band" in row.takes],
-            {"params": gapless}, [k], [t], ["bogus"], drive="gapless0")
-    tiny = model.ModelParams(1e-310, 1e-310, 1e-310, 1e-310)  # subnormal
+            {"params": api.DRIVES["gapless0"]}, [k], [t], ["bogus"],
+            drive="gapless0")
+    tiny = api.SUBNORMAL["1e-310"]
     add([rows["bloch_expectations"], rows["geometric_phase_from_tomography"]],
         {"params": tiny}, [0.7], [1.0], drive="subnormal")
     add([rows["bloch_vector_grid"]], {"params": tiny, "ks": np.array(
         [0.0, 0.7, math.pi]), "ts": 1.0}, drive="subnormal")
-    # gap closing at cos k = -1/8, where a parameter's square over- or
-    # underflows; min Delta/2 at 1.6e-9 of the scale, between the gap floor
-    # 1e-9 and the closed form's former floor 1e-8; below both; degenerate
-    for drive, w, d1, d2, amp in (
-            *((f"vertex*{s:g}", s, 0.8 * s, 1.1 * s, 0.0)
-              for s in (1e-300, 1e160, 1e300)),
-            ("floor+", math.pi, math.pi, 2.0 * math.pi - 2e-8, 1.0),
-            ("floor-", math.pi, math.pi, 2.0 * math.pi - 2e-9, 1.0),
-            ("degenerate", 2.0, 0.0, 2.0, 1.0)):
-        p = model.ModelParams(w, d1, d2, amp)
+    for drive, p in api.CLOSURES.items():
+        w = p.omega_drive
         add([row for row in api.API if row.kind == "drive"], {"params": p},
             drive=drive)
         add([rows["exact_winding"]], {"params": p}, ts=[
@@ -198,18 +157,17 @@ def call_list(api, presets, model):
     for name in ("example1", "example2", "nv-plus"):
         for sites in (6, 20):
             add([rows["obc_floquet_spectrum"]],
-                {"params": presets[name], "sites": sites}, drive=name)
+                {"params": api.DRIVES[name], "sites": sites}, drive=name)
     add([row for row in api.API if "angles" in row.takes],
         {"angles": rng.uniform(-10.0, 10.0, (4, 50))})
     for i in range(TOMOGRAPHY_DRAWS):
-        w, d1, d2, amp = (rng.uniform(0.5, 6.0), *rng.uniform(-5.0, 5.0, 3))
-        period = 2.0 * math.pi / w
+        p = api.random_params(rng)
+        period = 2.0 * math.pi / p.omega_drive
         k = float(rng.choice([0.0, math.pi, rng.uniform(0.0, math.pi)],
                              p=[0.2, 0.2, 0.6]))
         t = rng.uniform(-3.0 * period, 3.0 * period)
         add([rows["geometric_phase_from_tomography"]],
-            {"params": model.ModelParams(w, d1, d2, amp)}, [k], [t],
-            drive=f"tomo{i}")
+            {"params": p}, [k], [t], drive=f"tomo{i}")
     return calls
 
 
@@ -258,18 +216,16 @@ def emit(path):
     """Run the call list in this process's tree and write the outcomes."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
     import api
-    from floquet_dqpt import cli, model
+    from floquet_dqpt import cli
     results = {}
-    for label, row, args in call_list(api, cli.PRESETS, model):
+    for label, row, args in call_list(api):
         results[label] = outcome(row, args)
-    for preset in CLI_PRESETS:
+    for preset in cli.PRESETS:
         for vector in CLI_VECTORS:
             command, *rest = vector.split()
             argv = [command, "--preset", preset, *rest]
             results["fdqpt " + " ".join(argv)] = run_cli(cli, argv)
-    Path("gapless0.ini").write_text(  # (2, 1, 1, 1), as in drives()
-        "[model]\nomega_drive = 2.0\ndelta1 = 1.0\ndelta2 = 1.0\n"
-        "omega_amp = 1.0\n", encoding="utf-8")
+    api.model_ini(Path("gapless0.ini"), api.DRIVES["gapless0"])
     for vector in CLI_ERRORS:
         results[f"fdqpt {vector}"] = run_cli(cli, vector.split())
     Path(path).write_text(json.dumps(results))

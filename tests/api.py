@@ -15,16 +15,25 @@ any tree.
   (negated; a phase mod 2 pi), mirror (a Fisher time, negated) or state
   (it carries the band's energy or state), per field where a tuple.
 - kernel: the grid kernel a scalar API equals at the point.
+
+Below the table, the named drives that the tests and `scripts/bits_ab.py`
+share, each built once: `DRIVES`, the sweep bits_ab.py runs every row on,
+`VERTEX` and `CLOSURES`, whose gap closes or nearly closes, and `SUBNORMAL`;
+with `scaled`, `random_params` and `model_ini`, which writes a drive's INI
+file.
 """
 
 import dataclasses
 import functools
 import importlib
 import itertools
+import math
 
 import numpy as np
 
+from floquet_dqpt.cli import PRESETS
 from floquet_dqpt.errors import NumericalGuardError
+from floquet_dqpt.model import ModelParams
 
 MODULES = ("model", "dynamics", "dqpt", "geometry", "topology", "lattice")
 BANDS = ("minus", "plus")
@@ -198,3 +207,65 @@ def bits(x):
     if a.dtype.kind != "c":
         a = a.astype(float)
     return np.ascontiguousarray(a).reshape(-1).view(np.int64).tolist()
+
+
+def scaled(p, s):
+    """p with each parameter times s."""
+    return ModelParams(*(s * x for x in fields(p)))
+
+
+def random_params(rng: np.random.Generator, positive_amp=False) -> ModelParams:
+    """One random parameter draw on the scales used throughout the suite."""
+    return ModelParams(rng.uniform(0.5, 6.0), rng.uniform(-5.0, 5.0),
+                       rng.uniform(-5.0, 5.0),
+                       rng.uniform(0.1 if positive_amp else -5.0, 5.0))
+
+
+def model_ini(path, p) -> str:
+    """Write p to path as an INI file's [model] section, a `key =
+    repr(value)` line a field; path as a str, for `--config`."""
+    path.write_text("[model]\n" + "".join(
+        f"{key} = {value!r}\n" for key, value in zip(
+            type(p).__match_args__, fields(p))), encoding="utf-8")
+    return str(path)
+
+
+def _drives() -> dict:
+    """The presets, 20 seeded draws, a drive whose gap closes at k = 0,
+    example1 scaled by 2^+-600, where a product of two parameters over- or
+    underflows, each preset scaled by 2^(1022 - e) (e the exponent of its
+    largest parameter) and 2^-1000, and (1, 1, 1, 1) and (1, 1, -1, 1)
+    times 1e308 and 1.7e308, where |h_z - w/2| at k = pi is past the
+    largest double."""
+    rng = np.random.default_rng(20261018)
+    out = dict(sorted(PRESETS.items()))
+    out.update((f"draw{i}", random_params(rng)) for i in range(20))
+    # gapless at k = 0, on every uniform k grid: both band weights are NaN
+    # there, so every grid row's phase is undefined
+    out["gapless0"] = ModelParams(2.0, 1.0, 1.0, 1.0)
+    powers = [("example1", 600), ("example1", -600)]
+    for name, p in sorted(PRESETS.items()):
+        powers += [(name, 1022 - math.frexp(p.scale)[1]), (name, -1000)]
+    out.update((f"{name}*2^{j}", scaled(PRESETS[name], 2.0 ** j))
+               for name, j in powers)
+    for name, d2 in (("one", 1.0), ("mixed", -1.0)):
+        for s in (1e308, 1.7e308):
+            out[f"{name}*{s:g}"] = scaled(ModelParams(1.0, 1.0, d2, 1.0), s)
+    return out
+
+
+DRIVES = _drives()
+# gap closing at cos k = -1/8, the interior vertex of the quadratic in cos k
+VERTEX = ModelParams(1.0, 0.8, 1.1, 0.0)
+# the vertex where a parameter's square over- or underflows; min Delta/2 at
+# 1.6e-9 of the scale, between the gap floor 1e-9 and the closed form's
+# former floor 1e-8, and below both; degenerate (delta1 = 0, w = delta2)
+CLOSURES = {
+    **{f"vertex*{s:g}": scaled(VERTEX, s) for s in (1e-300, 1e160, 1e300)},
+    "floor+": ModelParams(math.pi, math.pi, 2.0 * math.pi - 2e-8, 1.0),
+    "floor-": ModelParams(math.pi, math.pi, 2.0 * math.pi - 2e-9, 1.0),
+    "degenerate": ModelParams(2.0, 0.0, 2.0, 1.0)}
+# 1e-310's period is finite; 5e-324's and 1e-320's (delta2 = 5e-321) are inf
+SUBNORMAL = {"1e-310": ModelParams(*(1e-310,) * 4),
+             "5e-324": ModelParams(*(5e-324,) * 4),
+             "1e-320": ModelParams(1e-320, 1e-320, 5e-321, 1e-320)}

@@ -22,7 +22,8 @@ from floquet_dqpt.topology import chiral_winding_numbers
 from floquet_dqpt.lattice import obc_floquet_spectrum
 from floquet_dqpt.cli import PRESETS
 
-from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3, random_params
+from api import random_params
+from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3
 from oracles import momentum_consistency_check, rotating_frame_hamiltonian
 
 

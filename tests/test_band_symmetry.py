@@ -17,8 +17,6 @@ import numpy as np
 import api
 from floquet_dqpt import dynamics, geometry
 
-from conftest import random_params
-
 KS = np.linspace(0.0, math.pi, 102)[1:-1]
 # measured 6.7e-16 (g), 1.8e-14 (the phase: the rounding of w t), 9.7e-9
 # (tau, relative: the cancellation in E - h_z) and 6.7e-16 (|e^{-iEt}|)
@@ -44,7 +42,7 @@ def test_band_symmetries_on_seeded_drives():
             if row.band not in (None, "state") and not row.kernel]
     seen, worst = {}, dict.fromkeys(BOUNDS, 0.0)
     for _ in range(300):
-        p = random_params(rng)
+        p = api.random_params(rng)
         ts = rng.uniform(-3.0 * p.period, 3.0 * p.period, 8)
         grid = {"params": p, "ks": KS[:, None], "ts": ts}
         calls = list(api.calls(grid, KS[::50], ts[:2], [None], rows))

@@ -13,7 +13,9 @@ from floquet_dqpt.cli import PRESETS, RunConfig, main, make_parser
 from floquet_dqpt.errors import GridTooCoarse
 from floquet_dqpt.dynamics import return_probability_grid
 from floquet_dqpt.geometry import geometric_phase_grid
-from floquet_dqpt.model import MAX_GRID_POINTS, MAX_N_LINES
+from floquet_dqpt.model import MAX_GRID_POINTS, MAX_N_LINES, ModelParams
+
+from api import CLOSURES, DRIVES, VERTEX, model_ini
 
 
 def run_cli(args):
@@ -232,10 +234,8 @@ def test_topo_report_text_and_json(tmp_path, capsys):
 
 def test_topo_boundary_case_via_config_file(tmp_path, capsys):
     # delta2 = omega with delta1 != 0: non-strict inequality, k_c = pi/2
-    cfg = tmp_path / "run.ini"
-    cfg.write_text("[model]\nomega_drive = 3.0\ndelta1 = 1.0\n"
-                   "delta2 = 3.0\nomega_amp = 1.0\n", encoding="utf-8")
-    assert run_cli(["topo", "--config", str(cfg), "--format", "json"]) == 0
+    cfg = model_ini(tmp_path / "run.ini", ModelParams(3.0, 1.0, 3.0, 1.0))
+    assert run_cli(["topo", "--config", cfg, "--format", "json"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["has_dqpt"] is True
     assert rep["k_c"] == pytest.approx(math.pi / 2, abs=1e-12)
@@ -317,23 +317,17 @@ def test_exit_codes(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith("output error:") and err.count("\n") == 1
     # 3: numerical guard tripped (gap closes at k = 0 for these parameters)
-    gapless = tmp_path / "gapless.ini"
-    gapless.write_text("[model]\nomega_drive = 2.0\ndelta1 = 1.0\n"
-                       "delta2 = 1.0\nomega_amp = 1.0\n", encoding="utf-8")
-    assert run_cli(["winding", "--config", str(gapless),
-                    "--t-max", "2.0"]) == 3
+    gapless = model_ini(tmp_path / "gapless.ini", DRIVES["gapless0"])
+    assert run_cli(["winding", "--config", gapless, "--t-max", "2.0"]) == 3
     capsys.readouterr()
     # 3: Omega = 0 closes the gap at the interior k_c, between k samples
-    interior = tmp_path / "interior.ini"
-    interior.write_text("[model]\nomega_drive = 2.0\ndelta1 = 1.0\n"
-                        "delta2 = 1.5\nomega_amp = 0.0\n", encoding="utf-8")
-    assert run_cli(["winding", "--config", str(interior)]) == 3
+    interior = model_ini(tmp_path / "interior.ini",
+                         ModelParams(2.0, 1.0, 1.5, 0.0))
+    assert run_cli(["winding", "--config", interior]) == 3
     assert "GaplessPoint" in capsys.readouterr().err
     # 3: delta1 = 0 with omega = delta2 keeps its own error in winding
-    degenerate = tmp_path / "degenerate.ini"
-    degenerate.write_text("[model]\nomega_drive = 2.0\ndelta1 = 0.0\n"
-                          "delta2 = 2.0\nomega_amp = 1.0\n", encoding="utf-8")
-    assert run_cli(["winding", "--config", str(degenerate)]) == 3
+    degenerate = model_ini(tmp_path / "degenerate.ini", CLOSURES["degenerate"])
+    assert run_cli(["winding", "--config", degenerate]) == 3
     err = capsys.readouterr().err
     assert "DegenerateDelta1" in err and err.count("\n") == 1
     # where its 401-point k grid cannot resolve t, winding prints the
@@ -412,27 +406,20 @@ def test_fdqpt_topo_and_winding_exit_together(tmp_path, capsys):
     # scale answers in both; below 1e-9, where the gap closes at k = 0, pi
     # or the interior vertex, and where delta1 = 0 with omega = delta2,
     # both exit 3 with the same guard line: winding refuses before any t
-    def run(command, *params):
-        ini = tmp_path / "drive.ini"
-        ini.write_text("[model]\n" + "".join(
-            f"{key} = {value!r}\n" for key, value in zip(
-                ("omega_drive", "delta1", "delta2", "omega_amp"), params)),
-            encoding="utf-8")
-        code = run_cli([command, "--config", str(ini)])
-        return code, capsys.readouterr()
+    def run(command, params):
+        ini = model_ini(tmp_path / "drive.ini", params)
+        return run_cli([command, "--config", ini]), capsys.readouterr()
 
-    window = (math.pi, math.pi, 2.0 * math.pi - 2e-8, 1.0)
-    code, captured = run("topo", *window)
+    code, captured = run("topo", CLOSURES["floor+"])
     assert code == 0 and captured.err == ""
     assert "wpi = 1\n" in captured.out and "has_dqpt = True\n" in captured.out
-    assert run("winding", *window)[0] == 0
-    for params, error in (((math.pi, math.pi, 2.0 * math.pi - 2e-9, 1.0),
-                           "GaplessPoint"),
-                          ((2.0, 1.0, 1.0, 1.0), "GaplessPoint"),
-                          ((2.0, -1.0, 1.0, 1.0), "GaplessPoint"),
-                          ((1.0, 0.8, 1.1, 0.0), "GaplessPoint"),
-                          ((2.0, 0.0, 2.0, 1.0), "DegenerateDelta1")):
-        (code_t, topo), (code_w, winding) = (run(command, *params)
+    assert run("winding", CLOSURES["floor+"])[0] == 0
+    for params, error in ((CLOSURES["floor-"], "GaplessPoint"),
+                          (DRIVES["gapless0"], "GaplessPoint"),
+                          (ModelParams(2.0, -1.0, 1.0, 1.0), "GaplessPoint"),
+                          (VERTEX, "GaplessPoint"),
+                          (CLOSURES["degenerate"], "DegenerateDelta1")):
+        (code_t, topo), (code_w, winding) = (run(command, params)
                                              for command in ("topo", "winding"))
         assert code_t == code_w == 3 and topo.out == winding.out == ""
         assert topo.err == winding.err

@@ -19,6 +19,8 @@ from floquet_dqpt.cli import PRESETS, RunConfig, main, make_parser
 from floquet_dqpt.model import (DEFAULT_ORACLE_STEPS, MAX_GRID_POINTS,
                                 MAX_N_LINES, MAX_SITES, MAX_STEPS)
 
+from api import SUBNORMAL, model_ini
+
 # The flags each subcommand reads, besides --preset and --config. |G|^2
 # does not depend on the band, so retprob and rate read no --band.
 GRID = {"--k-points", "--t-points", "--t-max", "--out", "--format"}
@@ -118,8 +120,7 @@ def test_t_max_must_be_finite(tmp_path):
 def test_drive_whose_period_overflows_is_refused(tmp_path):
     # T = 2 pi / w is inf, so the default t_max of three periods is no time
     # axis: refused with one line, not a traceback or numpy's warnings
-    path = write_ini(tmp_path / "run.ini", "[model]\nomega_drive = 1e-320\n"
-                     "delta1 = 1e-320\ndelta2 = 5e-321\nomega_amp = 1e-320\n")
+    path = model_ini(tmp_path / "run.ini", SUBNORMAL["1e-320"])
     for command in ("retprob", "rate", "geo", "winding"):
         assert_refused([command, "--config", path], "t_max", "inf")
 

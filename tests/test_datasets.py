@@ -190,3 +190,23 @@ def test_fisher_infinities_match_reference(tmp_path, fmt):
         assert np.isinf(lines[0].tau_of_k[[0, -1]]).all()
         assert out.read_text(encoding="utf-8") \
             == ref_text(fmt, ("n", "k", "tau", "t_imag"), rows)
+
+
+def test_bench_ab_launches_the_declared_benchmark_command(monkeypatch):
+    # bench_ab.py starts perfbench as BENCHMARK.json declares it (python3
+    # on PATH), not through its own interpreter's full path
+    script = load_script("bench_ab")
+    command = json.loads((ROOT / "BENCHMARK.json").read_text())["command"]
+    launched = []
+
+    def run(argv, **kwargs):
+        launched.append((argv, kwargs["cwd"], kwargs["env"]))
+        return subprocess.CompletedProcess(
+            argv, 0, stdout='{"meta": {"seed": 7}}\n{"failed": 0}\n')
+
+    monkeypatch.setattr(script.subprocess, "run", run)
+    env = {"PYTHONDONTWRITEBYTECODE": "1"}
+    out = script.run_once(command, ROOT, "scan", 7, 0.5, env)
+    assert out == {"meta": {"seed": 7}, "result": {"failed": 0}}
+    assert launched == [([*command, "--workload", "scan", "--seed", "7",
+                          "--seconds", "0.5", "--trace", "0"], ROOT, env)]

@@ -11,7 +11,7 @@ from floquet_dqpt.dqpt import (dqpt_condition, fisher_lines, fisher_tau,
                                fisher_tau_grid, rate_function,
                                rate_function_grid)
 
-from conftest import random_params
+from api import CLOSURES, random_params
 from oracles import open_chain_loschmidt_rate, ring_loschmidt_rate
 
 
@@ -38,8 +38,7 @@ def test_condition_boundary_and_degenerate():
     assert not dqpt_condition(p0).has_dqpt
 
     with pytest.raises(DegenerateDelta1):
-        dqpt_condition(ModelParams(omega_drive=2.0, delta1=0.0, delta2=2.0,
-                                   omega_amp=1.0))
+        dqpt_condition(CLOSURES["degenerate"])
 
 
 def test_tau_vanishes_at_critical_momentum():

@@ -16,7 +16,8 @@ from floquet_dqpt.dynamics import (propagator_analytic, propagator_oracle,
                                    return_probability_grid)
 
 import oracles
-from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3, random_params
+from api import random_params
+from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3
 from oracles import (SIGMA_X, micromotion, rotating_frame_hamiltonian,
                      scalar_rk4_propagator)
 

@@ -21,8 +21,7 @@ from floquet_dqpt.geometry import (bloch_expectations, bloch_vector_grid,
                                    total_phase, winding_number,
                                    wrapped_winding)
 
-from api import replaced
-from conftest import random_params
+from api import DRIVES, random_params, replaced
 from oracles import micromotion, rotating_frame_hamiltonian
 
 K_C1 = math.pi / 3  # critical momentum of the first example set
@@ -277,10 +276,7 @@ def test_exact_winding_is_zero_at_every_t_of_a_tiny_period(ex2):
     # zero keeps the sign of m t: example2 reads -0 at t < 0 and at t = -0.
     # A non-finite t reads NaN, with no warning, also where time_limit is
     # inf (example2 x 2^-1000)
-    s = 2.0 ** (1022 - math.frexp(ex2.scale)[1])
-    for p in (model.ModelParams(1e308, 1e308, -1e308, 1e308),
-              model.ModelParams(s * ex2.omega_drive, s * ex2.delta1,
-                                s * ex2.delta2, s * ex2.omega_amp)):
+    for p in (DRIVES["mixed*1e+308"], DRIVES["example2*2^1020"]):
         for band in ("minus", "plus"):
             nu = exact_winding_grid(p, band, [1.0, 12.0, 1e300, math.inf,
                                               -math.inf, math.nan])
@@ -291,8 +287,7 @@ def test_exact_winding_is_zero_at_every_t_of_a_tiny_period(ex2):
     nu = exact_winding_grid(ex2, "minus", [-0.3, -5.0, -0.0, 0.0, 3.0])
     assert np.signbit(nu).tolist() == [True, True, True, False, False]
     assert not nu.any()
-    tiny = model.ModelParams(*(2.0 ** -1000 * x for x in (
-        ex2.omega_drive, ex2.delta1, ex2.delta2, ex2.omega_amp)))
+    tiny = DRIVES["example2*2^-1000"]
     assert tiny.time_limit == math.inf
     nu = exact_winding_grid(tiny, "minus", [-math.inf, -2.0, -0.0, 0.0,
                                             1e300, math.inf, math.nan])

@@ -29,11 +29,10 @@ from floquet_dqpt.geometry import (bloch_expectations, bloch_vector_grid,
                                    raw_winding_grid,
                                    tomography_phase_grid, total_phase,
                                    winding_number)
-from floquet_dqpt.model import (GRID_CHUNK, ModelParams,
-                                _uniform_band_weights)
+from floquet_dqpt.model import GRID_CHUNK, _uniform_band_weights
 
-from api import bits
-from conftest import EXAMPLE1, EXAMPLE2, GAPLESS_AT_ZERO, random_params
+from api import DRIVES, bits, random_params
+from conftest import EXAMPLE1, EXAMPLE2
 
 K_SIZES = (2, 401, 2001, 4001)
 
@@ -98,10 +97,10 @@ def draws():
 
 
 def seeded_cases():
-    """(params, n_k, times, band): GAPLESS_AT_ZERO at 5 times, then the
+    """(params, n_k, times, band): gapless0 at 5 times, then the
     seeded draws with their times."""
     rng = np.random.default_rng(20261018)
-    cases = [(GAPLESS_AT_ZERO, 401, 5, "minus")]
+    cases = [(DRIVES["gapless0"], 401, 5, "minus")]
     cases += [(random_params(rng), *draw) for draw in draws()]
     return [(p, n_k, draw_times(rng, p, n_t), band)
             for p, n_k, n_t, band in cases]
@@ -165,7 +164,7 @@ def test_grids_equal_scalar_calls_bit_for_bit():
 def test_winding_facts_equal_their_written_out_expressions():
     # the raw sum is NaN exactly where a phase on the k row is undefined;
     # every fact keeps the bits of its own expression.
-    # One phase is undefined in every row of GAPLESS_AT_ZERO (k = 0) and,
+    # One phase is undefined in every row of gapless0 (k = 0) and,
     # at its critical times, of example1 on 601 k (k_c = pi/3 on the grid)
     partial = (EXAMPLE1, 601, np.array([0.5, 1.0, 3.0, 5.0]), "minus")
     undefined = []
@@ -333,9 +332,7 @@ def test_library_refuses_times_doubles_cannot_resolve():
         assert math.isnan(prob[0]) and math.isfinite(prob[1])
     # the closed form of nu reads t/T only on a drive with critical times:
     # example1's, and example1 x 2^1020's, where t/T overflows at 1e300
-    huge = ModelParams(*(2.0 ** 1020 * x for x in (
-        EXAMPLE1.omega_drive, EXAMPLE1.delta1, EXAMPLE1.delta2,
-        EXAMPLE1.omega_amp)))
+    huge = DRIVES["example1*2^1020"]
     for p, t in ((EXAMPLE1, 2.0 ** 44), (EXAMPLE1, 1e17), (EXAMPLE1, -1e300),
                  (huge, 1e300)):
         with pytest.raises(TimeUnresolved,
@@ -363,6 +360,6 @@ def test_point_guard_refuses_times_doubles_cannot_resolve():
                     call(p, 0.7, t)
             assert np.isfinite(call(p, 0.7, below)).all()
         with pytest.raises(GaplessPoint):
-            call(GAPLESS_AT_ZERO, 0.0, 1e300)
+            call(DRIVES["gapless0"], 0.0, 1e300)
         with pytest.raises(ValueError):
             call(EXAMPLE1, 0.7, math.nan)

@@ -14,21 +14,20 @@ import numpy as np
 import pytest
 
 from floquet_dqpt import cli
-from floquet_dqpt.dqpt import fisher_tau
+from floquet_dqpt.dqpt import fisher_tau, rate_function, rate_function_grid
 from floquet_dqpt.dynamics import micromotion_overlap, propagator_oracle
 from floquet_dqpt.errors import UndefinedTau
 from floquet_dqpt.lattice import obc_floquet_spectrum
-from floquet_dqpt.model import (ModelParams, band_energy, band_weights,
-                                bloch_components)
+from floquet_dqpt.model import band_energy, band_weights, bloch_components
 
+from api import DRIVES, SUBNORMAL, model_ini
 from conftest import EXAMPLE1
 
 # (1, 1, -1, 1) x 1.7e308: the plus band's w/2 + Delta/2 is past the
 # largest double, the minus band's is not; x 1e308 it is past it at k = pi
 # only
-HUGE = ModelParams(*(x * 1.7e308 for x in (1.0, 1.0, -1.0, 1.0)))
-LARGE = ModelParams(*(x * 1e308 for x in (1.0, 1.0, -1.0, 1.0)))
-PERIOD_INF = (1e-320, 1e-320, 5e-321, 1e-320)
+HUGE, LARGE = DRIVES["mixed*1.7e+308"], DRIVES["mixed*1e+308"]
+PERIOD_INF = SUBNORMAL["1e-320"]
 
 
 def messages(record):
@@ -44,16 +43,15 @@ def test_open_chain_of_a_huge_drive_reads_nan():
     assert np.isnan(spec.quasienergies).sum() == 12
 
 
-@pytest.mark.parametrize("drive, warned", [
-    ((5e-324,) * 4, ["invalid value encountered in multiply"]),
+@pytest.mark.parametrize("params, warned", [
+    (SUBNORMAL["5e-324"], ["invalid value encountered in multiply"]),
     (PERIOD_INF,
      ["invalid value encountered in multiply",
       "invalid value encountered in exp"])], ids=["5e-324", "1e-320"])
-def test_open_chain_of_a_drive_whose_period_overflows_reads_nan(drive,
+def test_open_chain_of_a_drive_whose_period_overflows_reads_nan(params,
                                                                 warned):
     # ROADMAP items 7 and 14: ModelParams accepts a w whose period 2 pi / w
     # is inf, and every quasienergy of its chain is NaN
-    params = ModelParams(*drive)
     assert params.period == math.inf
     with pytest.warns(RuntimeWarning) as record:
         spec = obc_floquet_spectrum(params, 12)
@@ -65,7 +63,7 @@ def test_open_chain_of_a_drive_whose_period_overflows_reads_nan(drive,
 def test_rk4_oracle_of_a_huge_drive_is_all_nan():
     # ROADMAP item 14: the oracle keeps physical units by design, so its
     # H(k, t) overflows at 1e308 and U is NaN, with no typed error
-    params = ModelParams(*(1e308,) * 4)
+    params = DRIVES["one*1e+308"]
     with pytest.warns(RuntimeWarning) as record:
         u = propagator_oracle(params, 0.7, 0.37 * params.period, 256)
     assert any(m.startswith("overflow encountered") for m in messages(record))
@@ -121,13 +119,9 @@ def test_spectrum_command_of_a_drive_whose_period_overflows_prints_nan(
         tmp_path, capsys):
     # ROADMAP items 7 and 14: `fdqpt spectrum` exits 0 with a nan
     # quasienergy in every row, and numpy's two warnings on stderr
-    ini = tmp_path / "model.ini"
-    ini.write_text("[model]\n" + "".join(
-        f"{name} = {value!r}\n" for name, value in zip(
-            ("omega_drive", "delta1", "delta2", "omega_amp"), PERIOD_INF)),
-        encoding="utf-8")
+    ini = model_ini(tmp_path / "model.ini", PERIOD_INF)
     with pytest.warns(RuntimeWarning) as record:
-        code = cli.main(["spectrum", "--config", str(ini), "--sites", "12"])
+        code = cli.main(["spectrum", "--config", ini, "--sites", "12"])
     assert code == 0
     assert messages(record) == ["invalid value encountered in multiply",
                                 "invalid value encountered in exp"]
@@ -135,3 +129,22 @@ def test_spectrum_command_of_a_drive_whose_period_overflows_prints_nan(
     assert header == "index,quasienergy,edge_weight,pi_mode"
     assert len(rows) == 24
     assert all(row.split(",")[1] == "nan" for row in rows)
+
+
+@pytest.mark.filterwarnings("error")
+def test_rate_function_of_the_gapless_drive_reads_nan(tmp_path, capsys):
+    # ROADMAP items 1 and 14: the band weights are 0/0 at the grid point
+    # k = 0, where the gap closes, and the trapezoid sums that NaN with no
+    # warning, though g(t) is a finite integral (g(0) = 0); `fdqpt rate`
+    # exits 0 with a nan column
+    p = DRIVES["gapless0"]
+    for band in ("minus", "plus"):
+        assert math.isnan(rate_function(p, band, 0.0))
+        assert math.isnan(rate_function(p, band, 0.3))
+    assert np.isnan(rate_function_grid(p, "minus", [0.0, 0.3, 1.0], 181)).all()
+    ini = model_ini(tmp_path / "model.ini", p)
+    code = cli.main(["rate", "--config", ini, "--t-points", "3",
+                     "--k-points", "5"])
+    assert code == 0
+    assert capsys.readouterr() == ("t,g\n0,nan\n4.7123889803846897,nan\n"
+                                   "9.4247779607693793,nan\n", "")

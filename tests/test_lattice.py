@@ -9,7 +9,8 @@ from floquet_dqpt.model import MAX_SITES, ModelParams
 from floquet_dqpt.lattice import (PI_MODE_EDGE_WEIGHT, PI_MODE_ENERGY_TOL,
                                   obc_floquet_spectrum)
 
-from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3, random_params
+from api import random_params
+from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3
 from oracles import (bdg_hamiltonian, chiral_block_spectrum,
                      one_period_propagator, rotating_frame_hamiltonian)
 

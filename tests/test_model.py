@@ -24,7 +24,8 @@ from floquet_dqpt.model import (T_GUARD_FRACTION, ModelParams,
                                 require_resolved_time)
 
 import api
-from conftest import EXAMPLE1, random_params
+from api import random_params
+from conftest import EXAMPLE1
 from oracles import (SIGMA_Y, SIGMA_Z, hamiltonian_lab, micromotion,
                      rotating_frame_hamiltonian)
 from test_datasets import load_script
@@ -122,7 +123,7 @@ def test_zone_edge_convention():
 def test_gapless_point_raised():
     # k_c with h_xy(k_c) = 0 happens when |(w - d2)/d1| = 1: gap closes at
     # the zone edge. Build one directly: h_xy(0) = 0, h_z(0) = w/2.
-    p = ModelParams(omega_drive=2.0, delta1=1.0, delta2=1.0, omega_amp=1.0)
+    p = api.DRIVES["gapless0"]
     with pytest.raises(GaplessPoint):
         gap_guard(p, 0.0)
 
@@ -130,7 +131,7 @@ def test_gapless_point_raised():
 def test_gap_guard_is_the_scalar_guard():
     # the scalar phases and return probability take the guard alone; it
     # raises the same error with the same message before any other guard
-    p = ModelParams(omega_drive=2.0, delta1=1.0, delta2=1.0, omega_amp=1.0)
+    p = api.DRIVES["gapless0"]
     with pytest.raises(GaplessPoint) as want:
         gap_guard(p, 0.0)
     for fn in (lambda p, k: return_probability(p, k, 1.0),
@@ -293,7 +294,7 @@ def test_the_api_table_has_one_row_per_public_function():
 def test_bits_ab_calls_every_row_of_the_api_table():
     # its call list is the table's rows expanded, built here without being
     # run: a new public function is in the next record once it has a row
-    calls = load_script("bits_ab").call_list(api, PRESETS, model)
+    calls = load_script("bits_ab").call_list(api)
     assert {row for _, row, _ in calls} == set(api.API)
     assert len({label for label, _, _ in calls}) == len(calls) > 30000
 
@@ -533,8 +534,7 @@ def test_min_half_gap_scales_exactly_with_the_drive():
             p = ModelParams(p.omega_drive, p.delta1, p.delta2,
                             math.copysign(p.delta1, p.omega_amp))
         for e in (-600, 600):
-            scaled = ModelParams(*(math.ldexp(x, e) for x in (
-                p.omega_drive, p.delta1, p.delta2, p.omega_amp)))
+            scaled = api.scaled(p, 2.0 ** e)
             assert min_half_gap(scaled) == math.ldexp(min_half_gap(p), e)
 
 
@@ -542,7 +542,7 @@ def errors_at_scale(s):
     # (s, 0.8 s, 1.1 s, 0) closes its gap at the interior vertex cos k =
     # -1/8, which a square overflowing (s > 1e154) or underflowing
     # (s < 1e-154) would hide
-    p = ModelParams(s, 0.8 * s, 1.1 * s, 0.0)
+    p = api.scaled(api.VERTEX, s)
     out = [min_half_gap(p) < 1e-15 * s]
     for call in (lambda: topology.chiral_winding_numbers(p),
                  lambda: geometry.exact_winding(p, "minus", p.period / 4)):

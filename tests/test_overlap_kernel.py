@@ -18,9 +18,8 @@ from floquet_dqpt import dqpt, dynamics, geometry
 from floquet_dqpt.errors import GaplessPoint
 from floquet_dqpt.model import band_weights
 
-from api import bits
-from conftest import (EXAMPLE1, EXAMPLE2, EXAMPLE3, GAPLESS_AT_ZERO,
-                      random_params)
+from api import DRIVES, bits, random_params
+from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3
 
 DRAWS = [EXAMPLE1, EXAMPLE2, EXAMPLE3] + [
     random_params(np.random.default_rng(seed)) for seed in range(6)]
@@ -111,7 +110,7 @@ def test_scalar_readers_return_python_scalars():
 
 
 def test_nan_weights_at_a_gapless_k_raise_no_warning():
-    p = GAPLESS_AT_ZERO
+    p = DRIVES["gapless0"]
     t = 0.6 * p.period
     ks = np.array([0.0, 0.7])
     with warnings.catch_warnings():

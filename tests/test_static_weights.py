@@ -16,7 +16,8 @@ from floquet_dqpt.geometry import (_phase_and_drift, exact_winding,
                                    principal_branch, winding_number)
 from floquet_dqpt.model import ModelParams, _uniform_band_weights, band_weights
 
-from conftest import EXAMPLE1, random_params
+from api import random_params
+from conftest import EXAMPLE1
 
 
 def uncached_rate(p, band, t, n):

@@ -29,8 +29,7 @@ from floquet_dqpt.errors import GaplessPoint
 from floquet_dqpt.model import ModelParams
 
 import api
-from api import bits
-from conftest import random_params
+from api import bits, random_params, scaled
 
 SCALES = (3, -3, 60, -60, 600, -600, 900, -900)
 
@@ -38,11 +37,6 @@ SCALES = (3, -3, 60, -60, 600, -600, 900, -900)
 def seeded_drives(n, seed):
     rng = np.random.default_rng(seed)
     return [*PRESETS.values(), *(random_params(rng) for _ in range(n))]
-
-
-def scaled(p, s):
-    return ModelParams(s * p.omega_drive, s * p.delta1, s * p.delta2,
-                       s * p.omega_amp)
 
 
 # the ledgers below call every row but these: the outputs that move under

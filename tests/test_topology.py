@@ -12,7 +12,7 @@ from floquet_dqpt.geometry import exact_winding, winding_number
 from floquet_dqpt.lattice import obc_floquet_spectrum
 from floquet_dqpt.topology import chiral_winding_numbers
 
-from conftest import random_params
+from api import CLOSURES, DRIVES, random_params
 from oracles import (SIGMA_Y, brute_winding, su2_exponential,
                      symmetric_frame_operators, winding_integral)
 
@@ -123,9 +123,8 @@ def test_wpi_iff_encircling_iff_transition():
 def test_gap_closure_raised():
     # z and x both vanish at k = 0 when delta1 + delta2 = omega (here also
     # delta1^2 = Omega^2: no vertex)
-    p = ModelParams(omega_drive=2.0, delta1=1.0, delta2=1.0, omega_amp=1.0)
     with pytest.raises(GaplessPoint):
-        chiral_winding_numbers(p)
+        chiral_winding_numbers(DRIVES["gapless0"])
     # Omega = 0 inside the ellipse: the vector crosses the origin at k_c,
     # the vertex of the quadratic in cos k
     p = ModelParams(omega_drive=2.0, delta1=1.0, delta2=1.5, omega_amp=0.0)
@@ -149,7 +148,7 @@ def drives_at_the_floor(rng):
     """A degenerate drive (delta1 = 0, w = delta2), then seeded drives whose
     gap closes at k = 0 or pi, each moved off the closure, inward or outward
     of the ellipse, to min Delta/2 = x scale for x from 0 to 1e-7."""
-    out = [ModelParams(2.0, 0.0, 2.0, 1.0)]
+    out = [CLOSURES["degenerate"]]
     for _ in range(40):
         w, d1, amp = rng.uniform(0.5, 6.0), *rng.uniform(-5.0, 5.0, 2)
         for end in (1.0, -1.0):  # dz = 0 at k = 0 (d2 = w - d1), or at pi
