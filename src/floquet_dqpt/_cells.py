@@ -29,9 +29,8 @@ from ._lazy import np
 CELL = 24
 # Cells the dataset writer formats at a time. It bounds the writer's
 # temporaries, the largest of which hold 24 bytes a cell, below 128 KiB, so
-# that glibc serves them from its heap rather than from fresh mmaps (the
-# limit model.GRID_CHUNK keeps for the t-grid kernels); only the reused
-# block of rows is larger.
+# that glibc serves them from its heap rather than from fresh mmaps; only
+# the reused block of rows is larger.
 FORMAT_BLOCK = 4096
 
 def _split(a):

@@ -45,7 +45,15 @@ def principal_branch(x):
     """Reduce an angle (or array of angles) to (-pi, pi] in real arithmetic,
     bit for bit arg(e^{ix}): numpy's exp(0 + ix) is exactly cos x + i sin x,
     and + 0.0 turns -0.0 into +0.0 as that complex round trip does."""
-    return np.arctan2(np.sin(x), np.cos(x)) + 0.0
+    return _principal_branch(x)
+
+
+def _principal_branch(x, out=None):
+    # principal_branch(x) written into out, which may be x itself: sin x is
+    # taken before cos x overwrites it
+    out = np.arctan2(np.sin(x), np.cos(x, out=out), out=out)
+    out += 0.0
+    return out
 
 
 def total_phase(params: ModelParams, band: str, k: float, t: float) -> float:
@@ -93,14 +101,21 @@ def geometric_phase_grid(params: ModelParams, band: str, k_grid,
 
 def _phase_and_drift(params, wa, wb, t):
     # the geometric phase and its t-linear part (w t/2)<sz> from the band
-    # weights; NaN where |G| < AMP_FLOOR
+    # weights; NaN where |G| < AMP_FLOOR. The phase is built and wrapped in
+    # one buffer, an array even at one point: |G| first, which arctan2
+    # overwrites once the mask is read, and the overlap goes before the
+    # drift is formed
     overlap = micromotion_overlap(params, wa, wb, t)
+    phase = np.abs(overlap, out=np.empty(overlap.shape))
+    undefined = phase < AMP_FLOOR
+    np.arctan2(overlap.imag, overlap.real, out=phase)
+    del overlap
     drift = 0.5 * params.omega_drive * t * (wa - wb)
-    raw = (np.arctan2(overlap.imag, overlap.real) + drift
-           - 0.5 * params.omega_drive * t)
-    out = np.asarray(principal_branch(raw), dtype=float)
-    out[np.abs(overlap) < AMP_FLOOR] = np.nan
-    return out, drift
+    phase += drift
+    phase -= 0.5 * params.omega_drive * t
+    _principal_branch(phase, out=phase)
+    phase[undefined] = np.nan
+    return phase, drift
 
 
 def exact_winding_grid(params: ModelParams, band: str, t) -> np.ndarray:
@@ -234,17 +249,27 @@ def _check_winding_grid(k_grid_size):
 def _winding_rows(params, wa, wb, t):
     # (largest step of (w t/2)<sz> between adjacent k samples, ambiguous,
     # raw) at t (a scalar, or a column of times); raw is NaN where a phase
-    # on the row is undefined
+    # on the row is undefined. One buffer holds the drift's steps, then the
+    # phase's, wrapped in place; the drift and the phase go after their
+    # last readers
     phi, drift = _phase_and_drift(params, wa, wb, t)
-    jump = np.abs(drift[..., 1:] - drift[..., :-1]).max(axis=-1)
-    return (jump, *wrapped_winding(phi))
+    steps = drift[..., 1:] - drift[..., :-1]
+    del drift
+    jump = np.abs(steps, out=steps).max(axis=-1)
+    np.subtract(phi[..., 1:], phi[..., :-1], out=steps)
+    del phi
+    return (jump, *_wrapped_facts(_principal_branch(steps, out=steps)))
 
 
 def wrapped_winding(phi):
     """(ambiguous, raw) of phases sampled along k on the last axis: whether
     two successive wrapped steps fall in the ambiguity band, and the sum of
     the principal-branch-wrapped steps over 2 pi, NaN where a phase is."""
-    steps = principal_branch(phi[..., 1:] - phi[..., :-1])
+    return _wrapped_facts(principal_branch(phi[..., 1:] - phi[..., :-1]))
+
+
+def _wrapped_facts(steps):
+    # wrapped_winding's (ambiguous, raw) from the wrapped steps
     big = np.abs(steps) > math.pi * (1.0 - 1e-6)
     return ((big[..., :-1] & big[..., 1:]).any(axis=-1),
             steps.sum(axis=-1) / (2.0 * math.pi))

@@ -39,10 +39,14 @@ GAP_FLOOR_REL = 1e-9
 # Exclusion window around critical times, as a fraction of the period.
 T_GUARD_FRACTION = 1e-3
 
-# k samples a t-grid kernel evaluates at once: a complex array of them,
-# 16 bytes a sample, stays below 128 KiB, glibc's mmap threshold, so its
-# temporaries come from the heap rather than from fresh mmaps.
-GRID_CHUNK = 8191
+# k samples a t-grid kernel evaluates at once: 16 rows of the 2001-k rate
+# grid, 81 of the 401-k winding grid. A chunk costs about 15 numpy calls
+# whatever its size, and the median `datasets` benchmark op is 10% faster
+# at this size than at 8191 (BENCH_45.json); the traced peak, a chunk's
+# complex overlap and a few float rows, stays below the 1 MB that
+# tests/test_grid_kernels.py holds it to (at 999 t x 2001 k: rate 0.84 MB,
+# winding 0.95 MB).
+GRID_CHUNK = 32767
 
 # Resource limits, checked before any work: `cli.RunConfig` checks all four
 # (values a command holds, k x t points or Fisher lines x k points; Fisher
@@ -195,7 +199,7 @@ def min_half_gap(params: ModelParams) -> float:
         if -1.0 < c < 1.0:
             lengths.append(0.5 * math.hypot(d1 * c + d,
                                             amp * math.sqrt(1.0 - c * c)))
-    return min(lengths) * unit
+    return float(min(lengths) * unit)
 
 
 def zone_gap_guard(params: ModelParams):

@@ -70,6 +70,17 @@ def test_principal_branch_equals_complex_round_trip_bit_for_bit():
                 == round_trip(np.float64(x)).view(np.int64))
 
 
+def test_principal_branch_leaves_its_argument_and_scalar_type():
+    # the grid rows wrap their own buffers in place; principal_branch
+    # writes only a fresh result, a numpy.float64 for a scalar
+    x = np.random.default_rng(30).uniform(-100.0, 100.0, 1000)
+    before = x.copy()
+    principal_branch(x)
+    assert np.array_equal(x.view(np.int64), before.view(np.int64))
+    for scalar in (3.0, np.float64(-7.5), np.array(11.0)):
+        assert type(principal_branch(scalar)) is np.float64
+
+
 def test_phase_decomposition(ex1):
     rng = np.random.default_rng(13)
     for _ in range(20):

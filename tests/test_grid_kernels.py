@@ -285,11 +285,13 @@ def test_winding_reads_coarse_rows_as_nan_and_goes_on(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("kernel, n_k", [(rate_function_grid, 2001),
-                                         (raw_winding_grid, 2001)])
+                                         (raw_winding_grid, 2001),
+                                         (raw_winding_grid, 401)])
 def test_grid_kernels_run_in_bounded_memory(kernel, n_k):
-    # the 2,000,000-value cap of the CLI: 999 t against 2001 k. All rows at
-    # once would take 32 MB of complex overlap; chunks keep the peak below
-    # 1 MB, as for the RK4 oracle
+    # the 2,000,000-value cap of the CLI: 999 t against 2001 k, and the
+    # winding trace's own default grid of 401 k. All rows at once would take
+    # 32 MB of complex overlap; chunks keep the peak below 1 MB, as for the
+    # RK4 oracle
     ts = np.linspace(0.0, 6.0, 999)
     _uniform_band_weights(EXAMPLE2, "minus", n_k)
     tracemalloc.start()

@@ -538,6 +538,19 @@ def test_min_half_gap_scales_exactly_with_the_drive():
             assert min_half_gap(scaled) == math.ldexp(min_half_gap(p), e)
 
 
+def test_min_half_gap_is_a_float_whatever_the_field_types():
+    # a drive built from numpy.float64 fields gets the float the same drive
+    # in Python floats gets, bits and all; the seeded draws reach both the
+    # endpoint and the vertex branch
+    rng = np.random.default_rng(75)
+    for _ in range(20):
+        fields = rng.uniform([0.5, -5.0, -5.0, -5.0], [6.0, 5.0, 5.0, 5.0])
+        gap = min_half_gap(ModelParams(*fields))
+        assert type(gap) is float
+        assert api.bits(gap) == api.bits(
+            min_half_gap(ModelParams(*fields.tolist())))
+
+
 def errors_at_scale(s):
     # (s, 0.8 s, 1.1 s, 0) closes its gap at the interior vertex cos k =
     # -1/8, which a square overflowing (s > 1e154) or underflowing
