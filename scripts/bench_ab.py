@@ -14,16 +14,20 @@ benchmark's `run_seconds`; the parent runs first in even pairs and the
 change first in odd ones. Runs are sequential, in fresh processes.
 
 The record, `BENCH_<N>.json` in the current directory, holds the machine,
-numpy and BLAS as the runs' metadata line reports them, the pair count, and
-per workload and end-to-end metric the median and quartiles of each side,
-every run's value, the pairs the change won, and its median's change
-relative to the parent's against the metric's bound. A gain is shown where
-the change wins at least nine pairs in ten and its median beats the
-parent's by more than the parent's quartile spread. The verdict is
-`unresolved` where the parent's quartile spread exceeds the bound relative
-to its median and not every change run beats every parent run; otherwise
-`within_bound` or `beyond_bound`. Nothing in either tree is written, apart
-from the scratch output the benchmark itself keeps in `.perfbench/`.
+numpy and BLAS as the runs' metadata line reports them, the pair count, per
+side the tree's `src_sha256` (as the runs report it), the commit it has
+checked out (`git -C TREE rev-parse HEAD`) and whether its `src/` differs
+from that commit (`git status --porcelain -- src`), both null where the
+tree is not the top of a git checkout, and per workload and end-to-end
+metric the median and quartiles of each side, every run's value, the pairs
+the change won, and its median's change relative to the parent's against
+the metric's bound. A gain is shown where the change wins at least nine
+pairs in ten and its median beats the parent's by more than the parent's
+quartile spread. The verdict is `unresolved` where the parent's quartile
+spread exceeds the bound relative to its median and not every change run
+beats every parent run; otherwise `within_bound` or `beyond_bound`. Nothing
+in either tree is written, apart from the scratch output the benchmark
+itself keeps in `.perfbench/`.
 
 Bytecode. A tree's own `__pycache__`, stale, missing or full, moves
 `setup_s`: compiling `cli.py` alone takes about 10 ms a launch. So each tree
@@ -78,6 +82,23 @@ def bytecode_envs(caches: Path) -> dict:
         warm = dict(env, PYTHONPYCACHEPREFIX=str(caches / side))
         envs[side] = (warm, dict(warm, PYTHONDONTWRITEBYTECODE="1"))
     return envs
+
+
+def tree_revision(tree: Path) -> dict:
+    """{"git_sha", "src_differs"} of a tree: the commit it has checked out
+    and whether its src/ differs from it; null unless the tree is the top
+    of a git checkout."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tree), *args], check=True,
+                              capture_output=True, text=True).stdout
+    try:
+        top, sha = git("rev-parse", "--show-toplevel", "HEAD").splitlines()
+        differs = bool(git("status", "--porcelain", "--", "src").strip())
+    except (OSError, subprocess.CalledProcessError, ValueError):
+        top = None
+    if top is None or Path(top).resolve() != tree.resolve():
+        return {"git_sha": None, "src_differs": None}
+    return {"git_sha": sha, "src_differs": differs}
 
 
 def run_pairs(command: list, trees: dict, workload: str, seeds: list,
@@ -164,8 +185,9 @@ def main(argv=None) -> int:
               "seconds": seconds,
               "pairs": args.pairs, "seeds": seeds,
               "order": "parent first in even pairs, change first in odd",
-              "bytecode": BYTECODE, "trees": {}, "machine": None,
-              "workloads": {}}
+              "bytecode": BYTECODE,
+              "trees": {side: tree_revision(trees[side]) for side in SIDES},
+              "machine": None, "workloads": {}}
     with tempfile.TemporaryDirectory() as caches:
         envs = bytecode_envs(Path(caches))
         for workload in args.workload or names:
@@ -176,9 +198,8 @@ def main(argv=None) -> int:
                                  ("cpu_model", "nproc", "python", "numpy",
                                   "blas", "blas_threads")}
             for side in SIDES:
-                m = runs[side][0]["meta"]
-                record["trees"][side] = {"git_sha": m["git_sha"],
-                                         "src_sha256": m["src_sha256"]}
+                record["trees"][side]["src_sha256"] = \
+                    runs[side][0]["meta"]["src_sha256"]
             record["workloads"][workload] = {
                 "failed": {side: sum(r["result"]["failed"]
                                      for r in runs[side]) for side in SIDES},

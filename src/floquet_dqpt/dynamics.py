@@ -33,8 +33,8 @@ from ._lazy import np
 from ._record import record
 from .errors import StepCountTooSmall
 from .model import (DEFAULT_ORACLE_STEPS, MIN_ORACLE_STEPS, ModelParams,
-                    _band_sign, band_weights, bloch_components, finite_point,
-                    gap_guard, require_resolved_time)
+                    _band_sign, band_weights, finite_point, gap_guard,
+                    require_resolved_time)
 
 # RK4 steps built at once. At most two blocks of partial products and one
 # block's stage temporaries are held, a peak of 0.37 MB (tracemalloc) for any
@@ -93,7 +93,10 @@ def propagator_oracle(params: ModelParams, k: float, t: float,
         u = np.eye(2, dtype=complex)
         return (u, 0.0) if return_correction else u
 
-    b = bloch_components(params, k)
+    # H's field from the parameters, not the analytic route's; halving each
+    # term first keeps h_z finite wherever it is a double
+    h_xy = 0.5 * params.omega_amp * math.sin(k)
+    h_z = 0.5 * params.delta1 * math.cos(k) + 0.5 * params.delta2
     w = params.omega_drive
     n = max(1, math.ceil(abs(t) / (params.period / steps)))
     h = t / n
@@ -134,9 +137,8 @@ def propagator_oracle(params: ModelParams, k: float, t: float,
     # -i H = (-i hz, -i hxy e^{-i w t}); at half-step j of the block from
     # step `first`, e^{-i w t} = e^{-i w h first} e^{-i w h j/2}: one table
     a = np.empty((2, 2 * min(n, ORACLE_BLOCK) + 1), dtype=complex)
-    a[0] = -1j * float(b.h_z)
-    drive = -1j * float(b.h_xy) * np.exp(-0.5j * w * h
-                                         * np.arange(a.shape[1]))
+    a[0] = -1j * h_z
+    drive = -1j * h_xy * np.exp(-0.5j * w * h * np.arange(a.shape[1]))
     # partial products in time order; a block's steps pair only with each
     # other until they are its product, which folds into the prefix product
     held = np.empty((2, 0), dtype=complex)

@@ -96,26 +96,24 @@ def geometric_phase_grid(params: ModelParams, band: str, k_grid,
     """
     require_resolved_time(params, t)
     wa, wb = band_weights(params, band, np.asarray(k_grid, dtype=float))
-    return _phase_and_drift(params, wa, wb, t)[0]
+    return _phase(params, wa, wb, t)
 
 
-def _phase_and_drift(params, wa, wb, t):
-    # the geometric phase and its t-linear part (w t/2)<sz> from the band
-    # weights; NaN where |G| < AMP_FLOOR. The phase is built and wrapped in
-    # one buffer, an array even at one point: |G| first, which arctan2
-    # overwrites once the mask is read, and the overlap goes before the
-    # drift is formed
+def _phase(params, wa, wb, t):
+    # the geometric phase from the band weights; NaN where |G| < AMP_FLOOR.
+    # It is built and wrapped in one buffer, an array even at one point: |G|
+    # first, which arctan2 overwrites once the mask is read, and the overlap
+    # goes before the drift (w t/2)<sz> is added
     overlap = micromotion_overlap(params, wa, wb, t)
     phase = np.abs(overlap, out=np.empty(overlap.shape))
     undefined = phase < AMP_FLOOR
     np.arctan2(overlap.imag, overlap.real, out=phase)
     del overlap
-    drift = 0.5 * params.omega_drive * t * (wa - wb)
-    phase += drift
+    phase += 0.5 * params.omega_drive * t * (wa - wb)
     phase -= 0.5 * params.omega_drive * t
     _principal_branch(phase, out=phase)
     phase[undefined] = np.nan
-    return phase, drift
+    return phase
 
 
 def exact_winding_grid(params: ModelParams, band: str, t) -> np.ndarray:
@@ -165,9 +163,10 @@ def winding_number(params: ModelParams, band: str, t: float,
     cannot resolve t, NearCriticalTime within T_GUARD_FRACTION T of a
     critical time +-(2n-1) T/2 of a drive that has them; then, from t's row,
     PhaseUndefined, GridTooCoarse where (w t/2)<sz> moves by pi/2 or more
-    between adjacent k samples (the wrapped sum aliases) or two successive
-    wrapped steps fall in the ambiguity band, and WindingNotQuantized for a
-    sum farther than WINDING_INT_TOL from an integer.
+    between adjacent k samples (|w t/2| max_j |<sz>_{j+1} - <sz>_j| >=
+    pi/2: the wrapped sum aliases) or two successive wrapped steps fall in
+    the ambiguity band, and WindingNotQuantized for a sum farther than
+    WINDING_INT_TOL from an integer.
     """
     _check_winding_grid(k_grid_size)
     _time_guard(params, t)  # before the row: w t is noise at a refused t
@@ -193,7 +192,7 @@ def raw_winding_grid(params: ModelParams, band: str, ts,
     n = unresolved.argmax() if unresolved.any() else ts.size
     ts, refused = ts[:n], ts[n:]
     _, wa, wb = _uniform_band_weights(params, band, k_grid_size)
-    rows = (np.concatenate(f).tolist() for f in zip(*(
+    rows = (np.concatenate(f, axis=None).tolist() for f in zip(*(
         _winding_rows(params, wa, wb, ts[c, None])
         for c in _t_chunks(n, k_grid_size))))
     kept, raws = [], []
@@ -248,31 +247,27 @@ def _check_winding_grid(k_grid_size):
 
 def _winding_rows(params, wa, wb, t):
     # (largest step of (w t/2)<sz> between adjacent k samples, ambiguous,
-    # raw) at t (a scalar, or a column of times); raw is NaN where a phase
-    # on the row is undefined. One buffer holds the drift's steps, then the
-    # phase's, wrapped in place; the drift and the phase go after their
-    # last readers
-    phi, drift = _phase_and_drift(params, wa, wb, t)
-    steps = drift[..., 1:] - drift[..., :-1]
-    del drift
-    jump = np.abs(steps, out=steps).max(axis=-1)
-    np.subtract(phi[..., 1:], phi[..., :-1], out=steps)
-    del phi
-    return (jump, *_wrapped_facts(_principal_branch(steps, out=steps)))
+    # raw) at t (a scalar, or a column of times, which gives a column of
+    # steps): |w t/2| times the k row's largest step of <sz> = |a|^2 - |b|^2.
+    # raw is NaN where a phase on the row is undefined
+    sz = wa - wb
+    sz_step = np.abs(sz[1:] - sz[:-1]).max()
+    return (abs(0.5 * params.omega_drive * t) * sz_step,
+            *wrapped_winding(_phase(params, wa, wb, t)))
 
 
 def wrapped_winding(phi):
     """(ambiguous, raw) of phases sampled along k on the last axis: whether
     two successive wrapped steps fall in the ambiguity band, and the sum of
-    the principal-branch-wrapped steps over 2 pi, NaN where a phase is."""
-    return _wrapped_facts(principal_branch(phi[..., 1:] - phi[..., :-1]))
-
-
-def _wrapped_facts(steps):
-    # wrapped_winding's (ambiguous, raw) from the wrapped steps
-    big = np.abs(steps) > math.pi * (1.0 - 1e-6)
-    return ((big[..., :-1] & big[..., 1:]).any(axis=-1),
-            steps.sum(axis=-1) / (2.0 * math.pi))
+    the principal-branch-wrapped steps over 2 pi, NaN where a phase is. The
+    steps are wrapped in place, in phi's float type (float64 for integer
+    phases)."""
+    steps = (phi[..., 1:] - phi[..., :-1]).astype(np.result_type(phi, 0.0),
+                                                  copy=False)
+    _principal_branch(steps, out=steps)
+    raw = steps.sum(axis=-1) / (2.0 * math.pi)
+    big = np.abs(steps, out=steps) > math.pi * (1.0 - 1e-6)
+    return (big[..., :-1] & big[..., 1:]).any(axis=-1), raw
 
 
 def bloch_expectations(params: ModelParams, band: str, k: float, t: float):

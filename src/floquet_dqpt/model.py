@@ -45,7 +45,7 @@ T_GUARD_FRACTION = 1e-3
 # at this size than at 8191 (BENCH_45.json); the traced peak, a chunk's
 # complex overlap and a few float rows, stays below the 1 MB that
 # tests/test_grid_kernels.py holds it to (at 999 t x 2001 k: rate 0.84 MB,
-# winding 0.95 MB).
+# winding 0.87 MB).
 GRID_CHUNK = 32767
 
 # Resource limits, checked before any work: `cli.RunConfig` checks all four

@@ -210,3 +210,32 @@ def test_bench_ab_launches_the_declared_benchmark_command(monkeypatch):
     assert out == {"meta": {"seed": 7}, "result": {"failed": 0}}
     assert launched == [([*command, "--workload", "scan", "--seed", "7",
                           "--seconds", "0.5", "--trace", "0"], ROOT, env)]
+
+
+def test_bench_ab_names_each_tree_by_its_commit(tmp_path):
+    # a record names the commit a tree has checked out and whether its src/
+    # differs from it; a directory that is not the top of a checkout, or not
+    # in one, is named by null
+    script = load_script("bench_ab")
+    tree = tmp_path / "tree"
+    (tree / "src").mkdir(parents=True)
+    (tree / "src" / "a.py").write_text("x = 1\n")
+
+    def git(*args):
+        return subprocess.run(
+            ["git", "-C", str(tree), "-c", "user.name=t",
+             "-c", "user.email=t@t", *args],
+            check=True, capture_output=True, text=True).stdout.strip()
+
+    unnamed = {"git_sha": None, "src_differs": None}
+    assert script.tree_revision(tree) == unnamed
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "a")
+    sha = git("rev-parse", "HEAD")
+    assert script.tree_revision(tree) == {"git_sha": sha,
+                                          "src_differs": False}
+    (tree / "src" / "a.py").write_text("x = 2\n")
+    assert script.tree_revision(tree) == {"git_sha": sha,
+                                          "src_differs": True}
+    assert script.tree_revision(tree / "src") == unnamed

@@ -43,13 +43,30 @@ def test_oracle_refuses_unresolved_t(ex1, monkeypatch):
     # about 4e16 and 2e303 RK4 steps of noise; a negative t is answered
     # (U(k, -t) = conj U(k, t), tests/test_symmetries.py)
 
-    def no_steps(*args):
-        raise AssertionError("the oracle started integrating")
+    class NoArrays:
+        def __getattr__(self, name):
+            raise AssertionError("the oracle started integrating")
 
-    monkeypatch.setattr(dynamics, "bloch_components", no_steps)
+    monkeypatch.setattr(dynamics, "np", NoArrays())
     for t in (ex1.time_limit, 1e300, -1e300):
         with pytest.raises(TimeUnresolved):
             propagator_oracle(ex1, 0.8, t)
+
+
+def test_oracle_reads_no_field_of_the_analytic_route(ex1, monkeypatch):
+    # the oracle checks the analytic route, so it forms H's field from the
+    # parameters itself: with the route's field kernel broken, its bits stay
+    from floquet_dqpt import model
+
+    def broken(*args):
+        raise AssertionError("the oracle read model.normal_field")
+
+    args = [(ex1, k, t) for k in (0.0, 0.8, math.pi) for t in (1.3, -2.1)]
+    want = [propagator_oracle(*a, steps=256) for a in args]
+    monkeypatch.setattr(model, "normal_field", broken)
+    for a, u in zip(args, want):
+        assert np.array_equal(propagator_oracle(*a, steps=256).view(float),
+                              u.view(float))
 
 
 def test_oracle_refuses_non_finite_k(ex1):

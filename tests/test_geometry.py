@@ -81,6 +81,20 @@ def test_principal_branch_leaves_its_argument_and_scalar_type():
         assert type(principal_branch(scalar)) is np.float64
 
 
+def test_wrapped_winding_leaves_its_argument_and_reads_any_real_type():
+    # the steps are wrapped in a buffer of their own: phi keeps its bits,
+    # float32 phases stay float32 and integer ones read as float64
+    phi = np.random.default_rng(31).uniform(-10.0, 10.0, (3, 50))
+    before = phi.copy()
+    ambiguous, raw = wrapped_winding(phi)
+    assert np.array_equal(phi.view(np.int64), before.view(np.int64))
+    steps = principal_branch(np.diff(phi))
+    assert np.array_equal(raw, steps.sum(axis=-1) / (2.0 * math.pi))
+    assert wrapped_winding(phi.astype(np.float32))[1].dtype == np.float32
+    ints = np.array([0, 3, 6, 9, 12, 15])
+    assert wrapped_winding(ints)[1] == wrapped_winding(ints.astype(float))[1]
+
+
 def test_phase_decomposition(ex1):
     rng = np.random.default_rng(13)
     for _ in range(20):

@@ -172,10 +172,11 @@ def test_winding_facts_equal_their_written_out_expressions():
         if n_k < geometry.MIN_WINDING_GRID:
             continue
         _, wa, wb = _uniform_band_weights(p, band, n_k)
-        phi, drift = geometry._phase_and_drift(p, wa, wb, ts[:, None])
+        phi = geometry._phase(p, wa, wb, ts[:, None])
         steps = geometry.principal_branch(phi[:, 1:] - phi[:, :-1])
         big = np.abs(steps) > math.pi * (1.0 - 1e-6)
-        want = (np.abs(drift[:, 1:] - drift[:, :-1]).max(axis=1),
+        want = (np.abs(0.5 * p.omega_drive * ts[:, None])
+                * np.abs((wa - wb)[1:] - (wa - wb)[:-1]).max(),
                 (big[:, :-1] & big[:, 1:]).any(axis=1),
                 steps.sum(axis=1) / (2.0 * math.pi))
         got = geometry._winding_rows(p, wa, wb, ts[:, None])
@@ -184,6 +185,32 @@ def test_winding_facts_equal_their_written_out_expressions():
         assert np.array_equal(np.isnan(got[2]), np.isnan(phi).any(axis=1))
         undefined += np.isnan(phi).sum(axis=1)[np.isnan(got[2])].tolist()
     assert undefined == [1] * 8
+
+
+def test_coarse_grid_guard_refuses_from_its_cutoff():
+    # t* is the least double where |w t/2| max_j |d<sz>_j| reaches pi/2 on
+    # example1's 401-k row: winding_number answers one double below it and
+    # refuses at it, and the trace reads NaN there
+    p = EXAMPLE1
+    _, wa, wb = _uniform_band_weights(p, "minus", 401)
+    sz_step = np.abs((wa - wb)[1:] - (wa - wb)[:-1]).max()
+
+    def coarse(t):
+        return abs(0.5 * p.omega_drive * t) * sz_step >= 0.5 * math.pi
+
+    t_star = 0.5 * math.pi / (0.5 * p.omega_drive * sz_step)
+    while coarse(t_star):
+        t_star = math.nextafter(t_star, 0.0)
+    while not coarse(t_star):
+        t_star = math.nextafter(t_star, math.inf)
+    below = math.nextafter(t_star, 0.0)
+    assert winding_number(p, "minus", below, 401) == exact_winding_grid(
+        p, "minus", below)
+    with pytest.raises(GridTooCoarse, match="changes by"):
+        winding_number(p, "minus", t_star, 401)
+    kept, raws = raw_winding_grid(p, "minus", [below, t_star], 401)
+    assert kept.tolist() == [below, t_star]
+    assert math.isfinite(raws[0]) and math.isnan(raws[1])
 
 
 def first_error(calls):

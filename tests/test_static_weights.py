@@ -12,8 +12,8 @@ import pytest
 from floquet_dqpt import model
 from floquet_dqpt.dqpt import PROB_FLOOR, rate_function
 from floquet_dqpt.errors import NumericalGuardError
-from floquet_dqpt.geometry import (_phase_and_drift, exact_winding,
-                                   principal_branch, winding_number)
+from floquet_dqpt.geometry import (_phase, exact_winding, principal_branch,
+                                   winding_number)
 from floquet_dqpt.model import ModelParams, _uniform_band_weights, band_weights
 
 from api import random_params
@@ -32,7 +32,7 @@ def uncached_rate(p, band, t, n):
 
 def uncached_raw_winding(p, band, t, n):
     k = np.linspace(0.0, math.pi, n)
-    phi, _ = _phase_and_drift(p, *band_weights(p, band, k), t)
+    phi = _phase(p, *band_weights(p, band, k), t)
     return float(principal_branch(np.diff(phi)).sum() / (2.0 * math.pi))
 
 
