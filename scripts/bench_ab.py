@@ -14,7 +14,9 @@ benchmark's `run_seconds`; the parent runs first in even pairs and the
 change first in odd ones. Runs are sequential, in fresh processes.
 
 The record, `BENCH_<N>.json` in the current directory, holds the machine,
-numpy and BLAS as the runs' metadata line reports them, the pair count, per
+numpy and BLAS as the runs' metadata line reports them, with every
+`MALLOC_*` variable the runs inherit (glibc's malloc tunables, which move
+`peak_rss_mb`; `{}` where there is none), the pair count, per
 side the tree's `src_sha256` (as the runs report it), the commit it has
 checked out (`git -C TREE rev-parse HEAD`) and whether its `src/` differs
 from that commit (`git status --porcelain -- src`), both null where the
@@ -82,6 +84,11 @@ def bytecode_envs(caches: Path) -> dict:
         warm = dict(env, PYTHONPYCACHEPREFIX=str(caches / side))
         envs[side] = (warm, dict(warm, PYTHONDONTWRITEBYTECODE="1"))
     return envs
+
+
+def malloc_env(env: dict) -> dict:
+    """The MALLOC_* variables of env, by name."""
+    return {k: v for k, v in sorted(env.items()) if k.startswith("MALLOC_")}
 
 
 def tree_revision(tree: Path) -> dict:
@@ -197,6 +204,7 @@ def main(argv=None) -> int:
             record["machine"] = {key: meta[key] for key in
                                  ("cpu_model", "nproc", "python", "numpy",
                                   "blas", "blas_threads")}
+            record["machine"]["malloc_env"] = malloc_env(envs["change"][1])
             for side in SIDES:
                 record["trees"][side]["src_sha256"] = \
                     runs[side][0]["meta"]["src_sha256"]

@@ -122,28 +122,27 @@ def rate_function(params: ModelParams, band: str, t: float,
     _check_rate_grid(k_grid_size)
     finite_point(t=t)
     require_resolved_time(params, t)
-    k, wa, wb = _uniform_band_weights(params, band, k_grid_size)
-    return float(_trapezoid_rate(params, (k[1:] - k[:-1]) / 2.0, wa, wb, t))
+    return float(_trapezoid_rate(
+        params, _uniform_band_weights(params, band, k_grid_size), t))
 
 
 def rate_function_grid(params: ModelParams, band: str, ts,
                        k_grid_size: int = DEFAULT_K_GRID) -> np.ndarray:
     """rate_function at every t of a 1-D array, bit for bit; NaN at a NaN t.
 
-    The k grid and band weights are computed once per (params, band,
-    k_grid_size), and the times are evaluated against them in chunks of
-    rows of at most model.GRID_CHUNK k samples, so each t costs only |G|^2
-    from `micromotion_overlap` and the sum, and memory does not grow with
-    the number of times.
+    The k grid, band weights and half spacing are computed once per
+    (params, band, k_grid_size), and the times are evaluated against them
+    in chunks of rows of at most model.GRID_CHUNK k samples, so each t costs
+    only |G|^2 from `micromotion_overlap` and the sum, and memory does not
+    grow with the number of times.
     """
     _check_rate_grid(k_grid_size)
     ts = np.asarray(ts, dtype=float)
     require_resolved_time(params, ts)
-    k, wa, wb = _uniform_band_weights(params, band, k_grid_size)
-    half_dk = (k[1:] - k[:-1]) / 2.0
+    row = _uniform_band_weights(params, band, k_grid_size)
     g = np.empty(ts.shape)
     for rows in _t_chunks(ts.size, k_grid_size):
-        g[rows] = _trapezoid_rate(params, half_dk, wa, wb, ts[rows, None])
+        g[rows] = _trapezoid_rate(params, row, ts[rows, None])
     return g
 
 
@@ -152,13 +151,13 @@ def _check_rate_grid(k_grid_size):
         raise ValueError("k_grid_size must be >= 2")
 
 
-def _trapezoid_rate(params, half_dk, wa, wb, t):
+def _trapezoid_rate(params, row, t):
     # numpy's trapezoid over the last axis of |G|^2 at t (a scalar, or a
-    # column of times), written out on the row half_dk = (k[j+1] - k[j])/2:
+    # column of times), written out on the row's half_dk = (k[j+1] - k[j])/2:
     # halving is exact, so (dk/2)(y0+y1) has the bits of dk(y0+y1)/2
-    prob = np.abs(micromotion_overlap(params, wa, wb, t))
+    prob = np.abs(micromotion_overlap(params, row.wa, row.wb, t))
     prob *= prob
     logp = np.log(np.maximum(prob, PROB_FLOOR, out=prob), out=prob)
     area = logp[..., 1:] + logp[..., :-1]
-    area *= half_dk
+    area *= row.half_dk
     return -area.sum(axis=-1) / math.pi

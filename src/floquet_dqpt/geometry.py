@@ -96,20 +96,20 @@ def geometric_phase_grid(params: ModelParams, band: str, k_grid,
     """
     require_resolved_time(params, t)
     wa, wb = band_weights(params, band, np.asarray(k_grid, dtype=float))
-    return _phase(params, wa, wb, t)
+    return _phase(params, wa, wb, wa - wb, t)
 
 
-def _phase(params, wa, wb, t):
-    # the geometric phase from the band weights; NaN where |G| < AMP_FLOOR.
-    # It is built and wrapped in one buffer, an array even at one point: |G|
-    # first, which arctan2 overwrites once the mask is read, and the overlap
-    # goes before the drift (w t/2)<sz> is added
+def _phase(params, wa, wb, sz, t):
+    # the geometric phase from wa, wb and sz = wa - wb; NaN where |G| <
+    # AMP_FLOOR. It is built and wrapped in one buffer, an array even at one
+    # point: |G| first, which arctan2 overwrites once the mask is read, and
+    # the overlap goes before the drift (w t/2)<sz> is added
     overlap = micromotion_overlap(params, wa, wb, t)
     phase = np.abs(overlap, out=np.empty(overlap.shape))
     undefined = phase < AMP_FLOOR
     np.arctan2(overlap.imag, overlap.real, out=phase)
     del overlap
-    phase += 0.5 * params.omega_drive * t * (wa - wb)
+    phase += 0.5 * params.omega_drive * t * sz
     phase -= 0.5 * params.omega_drive * t
     _principal_branch(phase, out=phase)
     phase[undefined] = np.nan
@@ -171,7 +171,7 @@ def winding_number(params: ModelParams, band: str, t: float,
     _check_winding_grid(k_grid_size)
     _time_guard(params, t)  # before the row: w t is noise at a refused t
     raw = _row_verdict(*_winding_rows(
-        params, *_uniform_band_weights(params, band, k_grid_size)[1:], t))
+        params, _uniform_band_weights(params, band, k_grid_size), t))
     nu = int(round(raw))
     return (nu, raw) if return_raw else nu
 
@@ -183,17 +183,17 @@ def raw_winding_grid(params: ModelParams, band: str, ts,
     with a t in a guard window (NearCriticalTime) left out, a too-coarse
     grid (GridTooCoarse) read as NaN, and any other error raised at the
     first t that has one. The rows, bit for bit winding_number's, read the
-    cached k grid and weights in chunks of at most model.GRID_CHUNK k
-    samples, up to the first t that doubles cannot resolve.
+    cached k row in chunks of at most model.GRID_CHUNK k samples, up to the
+    first t that doubles cannot resolve.
     """
     _check_winding_grid(k_grid_size)
     ts = np.asarray(ts, dtype=float)
     unresolved = ~(np.abs(ts) < params.time_limit)
     n = unresolved.argmax() if unresolved.any() else ts.size
     ts, refused = ts[:n], ts[n:]
-    _, wa, wb = _uniform_band_weights(params, band, k_grid_size)
+    k_row = _uniform_band_weights(params, band, k_grid_size)
     rows = (np.concatenate(f, axis=None).tolist() for f in zip(*(
-        _winding_rows(params, wa, wb, ts[c, None])
+        _winding_rows(params, k_row, ts[c, None])
         for c in _t_chunks(n, k_grid_size))))
     kept, raws = [], []
     for t, *row in zip(ts.tolist(), *rows):
@@ -245,15 +245,13 @@ def _check_winding_grid(k_grid_size):
         raise ValueError(f"k_grid_size must be >= {MIN_WINDING_GRID}")
 
 
-def _winding_rows(params, wa, wb, t):
+def _winding_rows(params, row, t):
     # (largest step of (w t/2)<sz> between adjacent k samples, ambiguous,
     # raw) at t (a scalar, or a column of times, which gives a column of
-    # steps): |w t/2| times the k row's largest step of <sz> = |a|^2 - |b|^2.
-    # raw is NaN where a phase on the row is undefined
-    sz = wa - wb
-    sz_step = np.abs(sz[1:] - sz[:-1]).max()
-    return (abs(0.5 * params.omega_drive * t) * sz_step,
-            *wrapped_winding(_phase(params, wa, wb, t)))
+    # steps) on the cached k row: |w t/2| times its sz_step. raw is NaN
+    # where a phase on the row is undefined
+    return (abs(0.5 * params.omega_drive * t) * row.sz_step,
+            *wrapped_winding(_phase(params, row.wa, row.wb, row.sz, t)))
 
 
 def wrapped_winding(phi):

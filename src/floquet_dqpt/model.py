@@ -44,8 +44,8 @@ T_GUARD_FRACTION = 1e-3
 # whatever its size, and the median `datasets` benchmark op is 10% faster
 # at this size than at 8191 (BENCH_45.json); the traced peak, a chunk's
 # complex overlap and a few float rows, stays below the 1 MB that
-# tests/test_grid_kernels.py holds it to (at 999 t x 2001 k: rate 0.84 MB,
-# winding 0.87 MB).
+# tests/test_grid_kernels.py holds it to (at 999 t x 2001 k: rate 0.82 MB,
+# winding 0.85 MB).
 GRID_CHUNK = 32767
 
 # Resource limits, checked before any work: `cli.RunConfig` checks all four
@@ -232,23 +232,37 @@ def band_weights(params: ModelParams, band: str, k):
     return wa, 1.0 - wa
 
 
+@record
+class _KRow:
+    """The t-independent row of a uniform k grid that the t kernels read."""
+
+    k: np.ndarray
+    wa: np.ndarray  # |a|^2
+    wb: np.ndarray  # |b|^2
+    sz: np.ndarray  # <sz> = wa - wb
+    sz_step: float  # max_j |sz[j+1] - sz[j]|, the coarse-grid guard's fact
+    half_dk: np.ndarray  # (k[j+1] - k[j]) / 2, the trapezoid's half spacing
+
+
 # typed: a float n that linspace refuses is not answered from an int entry
 @functools.lru_cache(maxsize=2, typed=True)
-def _uniform_band_weights(params: ModelParams, band: str, n: int):
-    """(k, |a|^2, |b|^2) on n uniform points of [0, pi], all read-only.
+def _uniform_band_weights(params: ModelParams, band: str, n: int) -> _KRow:
+    """The _KRow of n >= 2 uniform points of [0, pi], its arrays read-only.
 
-    H_F is static, so the weights do not depend on t: a trace over t at one
-    (params, band, n) computes them once. Two entries hold both bands of
+    H_F is static, so the row does not depend on t: a trace over t at one
+    (params, band, n) computes it once. Two entries hold both bands of
     one (params, n), so a caller alternating bands, or rate_function and
     winding_number interleaved, hits; the arrays are shared, hence
-    read-only. Parameters equal under == share an entry: those that differ
+    read-only. An entry keeps five arrays of about n doubles, 40 B a k
+    sample. Parameters equal under == share an entry: those that differ
     only in the sign of a zero give the same bits.
     """
     k = np.linspace(0.0, math.pi, n)
     wa, wb = band_weights(params, band, k)
-    for a in (k, wa, wb):
+    sz, half_dk = wa - wb, (k[1:] - k[:-1]) / 2.0
+    for a in (k, wa, wb, sz, half_dk):
         a.flags.writeable = False
-    return k, wa, wb
+    return _KRow(k, wa, wb, sz, np.abs(sz[1:] - sz[:-1]).max(), half_dk)
 
 
 def band_energy(params: ModelParams, band: str, k):

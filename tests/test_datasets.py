@@ -239,3 +239,36 @@ def test_bench_ab_names_each_tree_by_its_commit(tmp_path):
     assert script.tree_revision(tree) == {"git_sha": sha,
                                           "src_differs": True}
     assert script.tree_revision(tree / "src") == unnamed
+
+
+@pytest.mark.parametrize("malloc", [{}, {"MALLOC_MMAP_THRESHOLD_": "65536",
+                                         "MALLOC_ARENA_MAX": "2"}])
+def test_bench_ab_records_the_malloc_environment_of_its_runs(
+        monkeypatch, tmp_path, malloc):
+    # the runs' MALLOC_* variables, which move peak_rss_mb, are written
+    # under the record's machine, {} where there is none; the runs are
+    # stubbed, and each one is launched with those variables
+    script = load_script("bench_ab")
+    for name in [k for k in os.environ if k.startswith("MALLOC_")]:
+        monkeypatch.delenv(name)
+    for name, value in malloc.items():
+        monkeypatch.setenv(name, value)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    meta = {"cpu_model": "cpu", "nproc": 2, "python": "3", "numpy": "2",
+            "blas": "blas", "blas_threads": 1, "src_sha256": "0"}
+    result = {"failed": 0, "metrics": {m["name"]: {"value": 1.0}
+                                       for m in bench["end_to_end"]}}
+    envs = []
+
+    def run_once(command, tree, workload, seed, seconds, env):
+        envs.append(env)
+        return {"meta": meta, "result": result}
+
+    monkeypatch.setattr(script, "run_once", run_once)
+    monkeypatch.chdir(tmp_path)
+    assert script.main([str(ROOT), str(ROOT), "--number", "0",
+                        "--pairs", "2", "--workload", "scan"]) == 0
+    record = json.loads((tmp_path / "BENCH_0.json").read_text())
+    assert record["machine"]["malloc_env"] == malloc
+    assert len(envs) == 6
+    assert all(script.malloc_env(env) == malloc for env in envs)

@@ -171,15 +171,16 @@ def test_winding_facts_equal_their_written_out_expressions():
     for p, n_k, ts, band in seeded_cases() + [partial]:
         if n_k < geometry.MIN_WINDING_GRID:
             continue
-        _, wa, wb = _uniform_band_weights(p, band, n_k)
-        phi = geometry._phase(p, wa, wb, ts[:, None])
+        row = _uniform_band_weights(p, band, n_k)
+        wa, wb = row.wa, row.wb
+        phi = geometry._phase(p, wa, wb, wa - wb, ts[:, None])
         steps = geometry.principal_branch(phi[:, 1:] - phi[:, :-1])
         big = np.abs(steps) > math.pi * (1.0 - 1e-6)
         want = (np.abs(0.5 * p.omega_drive * ts[:, None])
                 * np.abs((wa - wb)[1:] - (wa - wb)[:-1]).max(),
                 (big[:, :-1] & big[:, 1:]).any(axis=1),
                 steps.sum(axis=1) / (2.0 * math.pi))
-        got = geometry._winding_rows(p, wa, wb, ts[:, None])
+        got = geometry._winding_rows(p, row, ts[:, None])
         for fact, expected in zip(got, want, strict=True):
             assert np.array_equal(bits(fact), bits(expected))
         assert np.array_equal(np.isnan(got[2]), np.isnan(phi).any(axis=1))
@@ -192,7 +193,8 @@ def test_coarse_grid_guard_refuses_from_its_cutoff():
     # example1's 401-k row: winding_number answers one double below it and
     # refuses at it, and the trace reads NaN there
     p = EXAMPLE1
-    _, wa, wb = _uniform_band_weights(p, "minus", 401)
+    row = _uniform_band_weights(p, "minus", 401)
+    wa, wb = row.wa, row.wb
     sz_step = np.abs((wa - wb)[1:] - (wa - wb)[:-1]).max()
 
     def coarse(t):
@@ -231,8 +233,8 @@ def test_winding_raises_the_first_error_in_t_order(monkeypatch, capsys,
     # A kernel row failing at t = 0 comes first, as in a loop over t.
     rows = geometry._winding_rows
 
-    def failing_at_zero(params, wa, wb, t):
-        jump, ambiguous, raw = rows(params, wa, wb, t)
+    def failing_at_zero(params, row, t):
+        jump, ambiguous, raw = rows(params, row, t)
         at_zero = np.reshape(t, np.shape(raw)) == 0.0
         raw = np.where(at_zero, math.nan if mark == "undefined" else 0.3, raw)
         return jump, ambiguous, raw
@@ -267,9 +269,9 @@ def test_winding_stops_its_rows_at_the_first_refused_time(
     ts = np.linspace(0.0, float(t_max), 5)
     rows, seen = geometry._winding_rows, []
 
-    def counted(params, wa, wb, t):
+    def counted(params, row, t):
         seen.extend(np.ravel(t).tolist())
-        return rows(params, wa, wb, t)
+        return rows(params, row, t)
 
     monkeypatch.setattr(geometry, "_winding_rows", counted)
     with pytest.raises(TimeUnresolved) as refused:
@@ -290,8 +292,8 @@ def test_winding_reads_coarse_rows_as_nan_and_goes_on(monkeypatch, capsys):
     # raises, as the scalar loop over t does
     rows = geometry._winding_rows
 
-    def marked(params, wa, wb, t):
-        jump, ambiguous, raw = rows(params, wa, wb, t)
+    def marked(params, row, t):
+        jump, ambiguous, raw = rows(params, row, t)
         at = np.reshape(t, np.shape(raw))
         return jump, ambiguous | (at == 2.0), np.where(at == 4.0, math.nan,
                                                        raw)

@@ -1,10 +1,12 @@
-"""The uniform-grid band weights behind rate_function and winding_number.
+"""The uniform k row behind rate_function and winding_number.
 
-H_F is static, so the weights are computed once per (params, band, grid);
+H_F is static, so the row (the k grid, band weights, <sz>, its largest step
+and the trapezoid's half spacing) is computed once per (params, band, grid);
 every result must equal, bit for bit, the route that recomputes them.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +34,8 @@ def uncached_rate(p, band, t, n):
 
 def uncached_raw_winding(p, band, t, n):
     k = np.linspace(0.0, math.pi, n)
-    phi = _phase(p, *band_weights(p, band, k), t)
+    wa, wb = band_weights(p, band, k)
+    phi = _phase(p, wa, wb, wa - wb, t)
     return float(principal_branch(np.diff(phi)).sum() / (2.0 * math.pi))
 
 
@@ -69,25 +72,49 @@ def test_cached_route_equals_recomputed_weights(n):
     assert n < 401 or windings > 50
 
 
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
 def test_cache_holds_both_bands_of_read_only_arrays():
+    # every fact of the row has the bits of its written-out expression
     assert _uniform_band_weights.cache_info().maxsize == 2
     _uniform_band_weights.cache_clear()
-    k, wa, wb = _uniform_band_weights(EXAMPLE1, "minus", 11)
-    fresh = np.linspace(0.0, math.pi, 11)
-    assert np.array_equal(k, fresh)
-    assert all(np.array_equal(a, b) for a, b in
-               zip((wa, wb), band_weights(EXAMPLE1, "minus", fresh)))
-    for a in (k, wa, wb):
+    row = _uniform_band_weights(EXAMPLE1, "minus", 11)
+    k = np.linspace(0.0, math.pi, 11)
+    wa, wb = band_weights(EXAMPLE1, "minus", k)
+    want = {"k": k, "wa": wa, "wb": wb, "sz": wa - wb,
+            "sz_step": np.abs(np.diff(wa - wb)).max(),
+            "half_dk": (k[1:] - k[:-1]) / 2}
+    assert row.__match_args__ == tuple(want)
+    for name, expected in want.items():
+        assert np.array_equal(bits(getattr(row, name)), bits(expected))
+    for a in (row.k, row.wa, row.wb, row.sz, row.half_dk):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 1.0
     plus = _uniform_band_weights(EXAMPLE1, "plus", 11)
     assert _uniform_band_weights.cache_info().currsize == 2
-    # both bands stay: each read again is a hit, the same arrays
+    # both bands stay: each read again is a hit, the same record
     hits = _uniform_band_weights.cache_info().hits
-    assert _uniform_band_weights(EXAMPLE1, "minus", 11)[1] is wa
-    assert _uniform_band_weights(EXAMPLE1, "plus", 11)[1] is plus[1]
+    assert _uniform_band_weights(EXAMPLE1, "minus", 11) is row
+    assert _uniform_band_weights(EXAMPLE1, "plus", 11) is plus
     assert _uniform_band_weights.cache_info().hits == hits + 2
+
+
+def test_a_cold_entry_keeps_40_bytes_a_k_sample():
+    # five arrays of about n doubles: k, wa, wb, sz and half_dk
+    n = 10 ** 5
+    _uniform_band_weights.cache_clear()
+    tracemalloc.start()
+    try:
+        row = _uniform_band_weights(EXAMPLE1, "minus", n)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        _uniform_band_weights.cache_clear()
+    assert row.k.size == n
+    assert 40 * n - 8 <= retained < 40 * n + 4096
 
 
 def test_signed_zero_parameters_give_identical_results():
@@ -113,18 +140,27 @@ def test_signed_zero_parameters_give_identical_results():
 
 
 def test_trace_at_one_key_evaluates_the_weights_once(monkeypatch):
-    calls = []
+    # the weights and the row's facts formed from them, sz, its largest
+    # step and the half spacing, each once for the 121-t trace
+    calls, rows = [], []
 
     def spy(*args):
         calls.append(args[1])
         return band_weights(*args)
 
+    def row_spy(*facts):
+        rows.append(facts)
+        return k_row(*facts)
+
+    k_row = model._KRow
     monkeypatch.setattr(model, "band_weights", spy)
+    monkeypatch.setattr(model, "_KRow", row_spy)
     _uniform_band_weights.cache_clear()
     for t in np.linspace(0.0, 2.0 * EXAMPLE1.period, 121):
         rate_function(EXAMPLE1, "minus", t)
         raw_winding_or_none(EXAMPLE1, "minus", t, 2001)
     assert calls == ["minus"]
+    assert len(rows) == 1 and len(rows[0]) == len(k_row.__match_args__)
     _uniform_band_weights.cache_clear()
 
 
