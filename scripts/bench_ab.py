@@ -13,23 +13,23 @@ runs that file's `command` (`python3 perfbench/run.py`, as found on
 benchmark's `run_seconds`; the parent runs first in even pairs and the
 change first in odd ones. Runs are sequential, in fresh processes.
 
-The record, `BENCH_<N>.json` in the current directory, holds the machine,
-numpy and BLAS as the runs' metadata line reports them, with every
-`MALLOC_*` variable the runs inherit (glibc's malloc tunables, which move
-`peak_rss_mb`; `{}` where there is none), the pair count, per
-side the tree's `src_sha256` (as the runs report it), the commit it has
-checked out (`git -C TREE rev-parse HEAD`) and whether its `src/` differs
-from that commit (`git status --porcelain -- src`), both null where the
-tree is not the top of a git checkout, and per workload and end-to-end
-metric the median and quartiles of each side, every run's value, the pairs
-the change won, and its median's change relative to the parent's against
-the metric's bound. A gain is shown where the change wins at least nine
-pairs in ten and its median beats the parent's by more than the parent's
-quartile spread. The verdict is `unresolved` where the parent's quartile
-spread exceeds the bound relative to its median and not every change run
-beats every parent run; otherwise `within_bound` or `beyond_bound`. Nothing
-in either tree is written, apart from the scratch output the benchmark
-itself keeps in `.perfbench/`.
+The record, `records/BENCH_<N>.json` under the current directory (the
+directory is made if missing), holds the machine, numpy and BLAS as the
+runs' metadata line reports them, with every `MALLOC_*` variable the runs
+inherit (glibc's malloc tunables, which move `peak_rss_mb`; `{}` where
+there is none), the pair count, per side the tree's `src_sha256` (as the
+runs report it), the commit it has checked out (`git -C TREE rev-parse
+HEAD`) and whether its `src/` differs from that commit (`git status
+--porcelain -- src`), both null where the tree is not the top of a git
+checkout, and per workload and end-to-end metric the median and quartiles
+of each side, every run's value, the pairs the change won, and its median's
+change relative to the parent's against the metric's bound. A gain is shown
+where the change wins at least nine pairs in ten and its median beats the
+parent's by more than the parent's quartile spread. The verdict is
+`unresolved` where the parent's quartile spread exceeds the bound relative
+to its median and not every change run beats every parent run; otherwise
+`within_bound` or `beyond_bound`. Nothing in either tree is written, apart
+from the scratch output the benchmark itself keeps in `.perfbench/`.
 
 Bytecode. A tree's own `__pycache__`, stale, missing or full, moves
 `setup_s`: compiling `cli.py` alone takes about 10 ms a launch. So each tree
@@ -214,7 +214,8 @@ def main(argv=None) -> int:
                 "metrics": {metric["name"]: summarize(metric, runs)
                             for metric in bench["end_to_end"]}}
 
-    out = Path(f"BENCH_{args.number}.json")
+    out = Path("records", f"BENCH_{args.number}.json")
+    out.parent.mkdir(exist_ok=True)
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(out)
     return 0

@@ -34,12 +34,13 @@ count), then the category and message of each warning the call raised; for
 `fdqpt`, the exit code and the SHA-256 of standard output and standard
 error. A name missing from a tree raises AttributeError.
 
-`BITS_<N>.json`, written to the current directory, holds the number of
-calls and, per API, the calls that differ, those that differ in the value's
-type alone, and the largest absolute difference, plain and modulo 2 pi,
-over values that are arrays of one shape or sequences of them (else null);
-then each other differing call with both outcomes, a value by its type,
-shape, digest and first values. Nothing in either tree is written.
+`records/BITS_<N>.json`, written under the current directory (the directory
+is made if missing), holds the number of calls and, per API, the calls that
+differ, those that differ in the value's type alone, and the largest
+absolute difference, plain and modulo 2 pi, over values that are arrays of
+one shape or sequences of them (else null); then each other differing call
+with both outcomes, a value by its type, shape, digest and first values.
+Nothing in either tree is written.
 """
 
 from __future__ import annotations
@@ -338,7 +339,8 @@ def main(argv=None) -> int:
     record = {"calls": len(labels),
               "differing_calls": sum(a["differing"] for a in per_api.values()),
               "per_api": per_api, "differing": differing}
-    out = Path(f"BITS_{args.number}.json")
+    out = Path("records", f"BITS_{args.number}.json")
+    out.parent.mkdir(exist_ok=True)
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"{out}: {record['differing_calls']} of {len(labels)} calls "
           "differ", json.dumps(per_api))

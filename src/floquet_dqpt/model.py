@@ -42,8 +42,8 @@ T_GUARD_FRACTION = 1e-3
 # k samples a t-grid kernel evaluates at once: 16 rows of the 2001-k rate
 # grid, 81 of the 401-k winding grid. A chunk costs about 15 numpy calls
 # whatever its size, and the median `datasets` benchmark op is 10% faster
-# at this size than at 8191 (BENCH_45.json); the traced peak, a chunk's
-# complex overlap and a few float rows, stays below the 1 MB that
+# at this size than at 8191 (records/BENCH_45.json); the traced peak, a
+# chunk's complex overlap and a few float rows, stays below the 1 MB that
 # tests/test_grid_kernels.py holds it to (at 999 t x 2001 k: rate 0.82 MB,
 # winding 0.85 MB).
 GRID_CHUNK = 32767
@@ -236,7 +236,6 @@ def band_weights(params: ModelParams, band: str, k):
 class _KRow:
     """The t-independent row of a uniform k grid that the t kernels read."""
 
-    k: np.ndarray
     wa: np.ndarray  # |a|^2
     wb: np.ndarray  # |b|^2
     sz: np.ndarray  # <sz> = wa - wb
@@ -253,16 +252,16 @@ def _uniform_band_weights(params: ModelParams, band: str, n: int) -> _KRow:
     (params, band, n) computes it once. Two entries hold both bands of
     one (params, n), so a caller alternating bands, or rate_function and
     winding_number interleaved, hits; the arrays are shared, hence
-    read-only. An entry keeps five arrays of about n doubles, 40 B a k
-    sample. Parameters equal under == share an entry: those that differ
-    only in the sign of a zero give the same bits.
+    read-only. An entry keeps four arrays of about n doubles, 32 B a k
+    sample, and not k itself. Parameters equal under == share an entry:
+    those that differ only in the sign of a zero give the same bits.
     """
     k = np.linspace(0.0, math.pi, n)
     wa, wb = band_weights(params, band, k)
     sz, half_dk = wa - wb, (k[1:] - k[:-1]) / 2.0
-    for a in (k, wa, wb, sz, half_dk):
+    for a in (wa, wb, sz, half_dk):
         a.flags.writeable = False
-    return _KRow(k, wa, wb, sz, np.abs(sz[1:] - sz[:-1]).max(), half_dk)
+    return _KRow(wa, wb, sz, np.abs(sz[1:] - sz[:-1]).max(), half_dk)
 
 
 def band_energy(params: ModelParams, band: str, k):

@@ -1,0 +1,100 @@
+"""The committed A/B records, each re-derived from its own runs.
+
+`scripts/bench_ab.py` writes `records/BENCH_<N>.json`, a paired benchmark
+record, and `scripts/bits_ab.py` writes `records/BITS_<N>.json`, a call-by-
+call bit comparison. Every field of a BENCH metric entry must be what
+`bench_ab.summarize` derives from that entry's own runs, unit, direction
+and bound, so a hand-edited `change_wins` or `verdict` fails here; every
+BITS record's counts must add up.
+"""
+
+import json
+import re
+
+import numpy as np
+import pytest
+
+from test_datasets import ROOT, load_script
+
+RECORDS = ROOT / "records"
+BENCH = sorted(RECORDS.glob("BENCH_*.json"))
+BITS = sorted(RECORDS.glob("BITS_*.json"))
+# assembled from bench_ab.py's run_once and summarize outside its main (the
+# record's `note`), so it names each tree by its commit, not by src_sha256
+BY_COMMIT = {"BENCH_25_scan.json": {"parent": "a9cbc42", "change": "89512f9"}}
+SHA256 = re.compile("[0-9a-f]{64}")
+bench_ab = load_script("bench_ab")
+
+
+def test_records_lie_in_records_not_the_root():
+    # the tests below pass vacuously on an empty or missing records/
+    assert len(BENCH) >= 36 and len(BITS) >= 22
+    assert not [*ROOT.glob("BENCH_*.json"), *ROOT.glob("BITS_*.json")]
+
+
+@pytest.mark.parametrize("path", BENCH, ids=lambda path: path.name)
+def test_bench_record_rederives_from_its_runs(path):
+    record = json.loads(path.read_text())
+    pairs = record["pairs"]
+    assert len(record["seeds"]) == pairs
+    if path.name in BY_COMMIT:
+        assert record["trees"] == BY_COMMIT[path.name]
+    else:
+        for side in bench_ab.SIDES:
+            assert SHA256.fullmatch(record["trees"][side]["src_sha256"])
+    assert record["workloads"]
+    for workload in record["workloads"].values():
+        for name, entry in workload["metrics"].items():
+            metric = dict(name=name, unit=entry["unit"],
+                          better=entry["better"], bound=entry["bound"])
+            runs = {side: [{"result": {"metrics": {name: {"value": v}}}}
+                           for v in entry[side]["runs"]]
+                    for side in bench_ab.SIDES}
+            assert all(len(runs[side]) == pairs for side in bench_ab.SIDES)
+            assert bench_ab.summarize(metric, runs) == entry, name
+
+
+@pytest.mark.parametrize("path", BITS, ids=lambda path: path.name)
+def test_bits_record_counts_add_up(path):
+    record = json.loads(path.read_text())
+    per_api = record["per_api"].values()
+    assert record["differing_calls"] \
+        == sum(api["differing"] for api in per_api) <= record["calls"]
+    assert len(record["differing"]) == record["differing_calls"] \
+        - sum(api["type_only"] for api in per_api)
+
+
+def test_bits_ab_lists_what_differs_and_counts_the_rest(monkeypatch,
+                                                       tmp_path):
+    # two stubbed trees' outcomes, compared as main compares them; the
+    # record lands under records/ and its counts add up
+    script = load_script("bits_ab")
+
+    def ok(value):
+        return ["ok", script.encode(value), []]
+
+    # equal; 2 pi apart; float64 against float; on one side; two messages
+    parent = {"same #0": ok(1.5), "phase #0": ok(np.array([2 * np.pi, 0.])),
+              "typed #0": ok(np.float64(1.0)), "gone #0": ok(0.0),
+              "error #0": ["ValueError", "a", []]}
+    change = {"same #0": ok(1.5), "phase #0": ok(np.array([0.0, 0.0])),
+              "typed #0": ok(1.0), "error #0": ["ValueError", "b", []]}
+    outcomes = iter([parent, change])
+    monkeypatch.setattr(script, "run_tree", lambda tree, scratch:
+                        next(outcomes))
+    monkeypatch.chdir(tmp_path)
+    assert script.main(["parent", "change", "--number", "0"]) == 0
+    path = tmp_path / "records" / "BITS_0.json"
+    record = json.loads(path.read_text())
+    assert record["calls"] == 5 and record["differing_calls"] == 4
+    assert "same" not in record["per_api"]
+    assert record["per_api"]["typed"] == {"differing": 1, "type_only": 1,
+                                          "max_abs_diff": None}
+    listed = {entry["call"]: entry for entry in record["differing"]}
+    assert list(listed) == ["phase #0", "gone #0", "error #0"]
+    assert listed["phase #0"]["max_abs_diff"] \
+        == pytest.approx([2 * np.pi, 0.0], abs=1e-15)
+    assert listed["gone #0"]["change"] == ["missing"]
+    assert listed["error #0"]["max_abs_diff"] is None
+    assert listed["error #0"]["change"] == ["ValueError", "b", []]
+    test_bits_record_counts_add_up(path)

@@ -268,7 +268,7 @@ def test_bench_ab_records_the_malloc_environment_of_its_runs(
     monkeypatch.chdir(tmp_path)
     assert script.main([str(ROOT), str(ROOT), "--number", "0",
                         "--pairs", "2", "--workload", "scan"]) == 0
-    record = json.loads((tmp_path / "BENCH_0.json").read_text())
+    record = json.loads((tmp_path / "records" / "BENCH_0.json").read_text())
     assert record["machine"]["malloc_env"] == malloc
     assert len(envs) == 6
     assert all(script.malloc_env(env) == malloc for env in envs)

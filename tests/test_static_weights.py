@@ -83,13 +83,13 @@ def test_cache_holds_both_bands_of_read_only_arrays():
     row = _uniform_band_weights(EXAMPLE1, "minus", 11)
     k = np.linspace(0.0, math.pi, 11)
     wa, wb = band_weights(EXAMPLE1, "minus", k)
-    want = {"k": k, "wa": wa, "wb": wb, "sz": wa - wb,
+    want = {"wa": wa, "wb": wb, "sz": wa - wb,
             "sz_step": np.abs(np.diff(wa - wb)).max(),
             "half_dk": (k[1:] - k[:-1]) / 2}
     assert row.__match_args__ == tuple(want)
     for name, expected in want.items():
         assert np.array_equal(bits(getattr(row, name)), bits(expected))
-    for a in (row.k, row.wa, row.wb, row.sz, row.half_dk):
+    for a in (row.wa, row.wb, row.sz, row.half_dk):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 1.0
@@ -102,8 +102,8 @@ def test_cache_holds_both_bands_of_read_only_arrays():
     assert _uniform_band_weights.cache_info().hits == hits + 2
 
 
-def test_a_cold_entry_keeps_40_bytes_a_k_sample():
-    # five arrays of about n doubles: k, wa, wb, sz and half_dk
+def test_a_cold_entry_keeps_32_bytes_a_k_sample():
+    # four arrays of about n doubles: wa, wb, sz and half_dk; not k
     n = 10 ** 5
     _uniform_band_weights.cache_clear()
     tracemalloc.start()
@@ -113,8 +113,8 @@ def test_a_cold_entry_keeps_40_bytes_a_k_sample():
     finally:
         tracemalloc.stop()
         _uniform_band_weights.cache_clear()
-    assert row.k.size == n
-    assert 40 * n - 8 <= retained < 40 * n + 4096
+    assert row.wa.size == n
+    assert 32 * n - 8 <= retained < 32 * n + 4096
 
 
 def test_signed_zero_parameters_give_identical_results():
