@@ -30,9 +30,9 @@ _SOURCE = {
                      "return_probability"), "dynamics"),
     **dict.fromkeys(("CriticalSet", "FisherLine", "dqpt_condition",
                      "fisher_tau", "fisher_lines", "rate_function"), "dqpt"),
-    **dict.fromkeys(("total_phase", "dynamical_phase", "geometric_phase",
-                     "exact_winding", "winding_number", "bloch_expectations",
-                     "geometric_phase_from_tomography"), "geometry"),
+    **dict.fromkeys(("geometric_phase", "exact_winding", "winding_number",
+                     "bloch_expectations", "geometric_phase_from_tomography"),
+                    "geometry"),
     **dict.fromkeys(("ChiralInvariants", "chiral_winding_numbers"),
                     "topology"),
     **dict.fromkeys(("FloquetSpectrum", "obc_floquet_spectrum"), "lattice"),

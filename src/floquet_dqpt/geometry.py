@@ -1,11 +1,13 @@
 """Pancharatnam phases and the dynamical topological invariant.
 
-The total phase is the argument of the return amplitude; subtracting the
-dynamical phase -<chi| H_R |chi> t leaves the non-adiabatic, non-cyclic
-geometric phase. H_R = H_F + (w/2)(sz - I) is static in the rotating frame, so
-the dynamical phase is -(E - (w/2)(1 - <sz>)) t in closed form, with
-<sz> = |a|^2 - |b|^2 from the band weights. Its winding along k in [0, pi] is
-the integer invariant nu(t), which jumps by one at every critical time.
+The non-adiabatic, non-cyclic geometric phase is the total phase, the
+argument of the return amplitude, less the dynamical phase -<chi| H_R |chi> t:
+the definition, which tests/oracles.eigenvector_phases computes from H_F's
+eigenvectors. H_R = H_F + (w/2)(sz - I) is static in the rotating frame, so
+the quasienergy cancels: `geometric_phase_grid` forms arg<chi|U_R|chi> +
+(w/2)<sz> t - w t/2, with <sz> = |a|^2 - |b|^2 from the band weights. Its
+winding along k in [0, pi] is the integer invariant nu(t), which jumps by one
+at every critical time.
 `exact_winding` gives nu in closed form; `winding_number`, the wrapped sum
 over a k grid (`wrapped_winding`), is its numerical oracle, and
 `raw_winding_grid` the trace of that oracle over t that `fdqpt winding`
@@ -21,7 +23,6 @@ All reported phases live on the principal branch (-pi, pi].
 
 from __future__ import annotations
 
-import cmath
 import math
 
 from ._lazy import np
@@ -31,7 +32,7 @@ from .model import (T_GUARD_FRACTION, ModelParams, _band_sign, _t_chunks,
                     _uniform_band_weights, band_weights, finite_point,
                     gap_guard, normal_field, require_resolved_time,
                     zone_gap_guard)
-from .dynamics import micromotion_overlap, return_amplitude
+from .dynamics import micromotion_overlap
 from .dqpt import DEFAULT_K_GRID, dqpt_condition
 
 # Phase of a complex number smaller than this is numerically meaningless.
@@ -56,29 +57,9 @@ def _principal_branch(x, out=None):
     return out
 
 
-def total_phase(params: ModelParams, band: str, k: float, t: float) -> float:
-    """Argument of the return amplitude, principal branch."""
-    z = return_amplitude(params, band, k, t).value
-    if abs(z) < AMP_FLOOR:
-        raise PhaseUndefined(f"|G| = {abs(z):.3e} < {AMP_FLOOR}")
-    return cmath.phase(z)
-
-
-def dynamical_phase(params: ModelParams, band: str, k: float,
-                    t: float) -> float:
-    """-<chi| H_R |chi> t = -(E - (w/2)(1 - <sz>)) t; exact, linear in t.
-
-    In band +-, E = w/2 +- Delta/2 and <sz> = +-(h_z - w/2)/(Delta/2), all
-    read on the normal form and times 2^e t."""
-    _, _, dz, half_gap = gap_guard(params, k, t)
-    unit, w = params.normal_form[:2]
-    return float(-_band_sign(band) * (half_gap + 0.5 * w * (dz / half_gap))
-                 * (unit * t))
-
-
 def geometric_phase(params: ModelParams, band: str, k: float,
                     t: float) -> float:
-    """total - dynamical at one (k, t), reduced to (-pi, pi]: the grid
+    """The geometric phase at one (k, t), reduced to (-pi, pi]: the grid
     kernel at the point, with PhaseUndefined where it reads NaN."""
     gap_guard(params, k, t)
     phi = float(geometric_phase_grid(params, band, k, t))
@@ -92,7 +73,8 @@ def geometric_phase_grid(params: ModelParams, band: str, k_grid,
     """Geometric phase broadcast over k and t; NaN where undefined.
 
     Uses the quasienergy-free form arg<chi|U_R|chi> + (w/2)<sz> t - w t/2,
-    identical (mod 2 pi) to total - dynamical.
+    identical (mod 2 pi) to total - dynamical
+    (tests/oracles.eigenvector_phases).
     """
     require_resolved_time(params, t)
     wa, wb = band_weights(params, band, np.asarray(k_grid, dtype=float))

@@ -113,8 +113,6 @@ API = (
     Row("dqpt", "rate_function_grid", "params band ts k_grid_size:rate_size",
         D, "same"),
     Row("geometry", "principal_branch", "x:angles"),
-    Row("geometry", "total_phase", "params band k t", D, "state"),
-    Row("geometry", "dynamical_phase", "params band k t", D, "state"),
     Row("geometry", "geometric_phase", "params band k t", D, "sign",
         "geometric_phase_grid"),
     Row("geometry", "geometric_phase_grid", "params band k_grid:ks t:ts", D,

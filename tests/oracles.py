@@ -10,7 +10,8 @@ library, whose closed forms never build them.
 `rotating_frame_hamiltonian` builds the static H_F(k) as a matrix; its
 `np.linalg.eigh` gives the reference quasienergies and modes, whose phases
 are arbitrary, so the tests compare only phase-invariant quantities.
-`hamiltonian_lab` is the lab-frame H(k, t).
+`hamiltonian_lab` is the lab-frame H(k, t). `eigenvector_phases` is the
+geometric phase's definition, total - dynamical, read from those modes.
 
 `bdg_hamiltonian` builds the lab-frame chain H_bdg(t) of the `lattice`
 module docstring, open or antiperiodic. `one_period_propagator` is its
@@ -68,6 +69,25 @@ def rotating_frame_hamiltonian(params: ModelParams, k: float) -> np.ndarray:
     b = bloch_components(params, k)
     return (b.h_xy * SIGMA_X + (b.h_z - 0.5 * params.omega_drive) * SIGMA_Z
             + 0.5 * params.omega_drive * SIGMA_0)
+
+
+def eigenvector_phases(params: ModelParams, band: str, k: float,
+                       t: float):
+    """(total, dynamical) phases of the band's mode chi of H_F(k) at t.
+
+    chi is column 0 ("minus") or 1 ("plus") of the eigh of H_F, E its
+    quasienergy; total = arg(<chi| U_R(t) |chi> e^{-i E t}) and dynamical =
+    -<chi| H_R |chi> t with H_R = h_xy sx + h_z sz built as a matrix. Their
+    difference is the geometric phase, modulo 2 pi.
+    """
+    energies, modes = np.linalg.eigh(rotating_frame_hamiltonian(params, k))
+    column = ("minus", "plus").index(band)
+    chi = modes[:, column]
+    b = bloch_components(params, k)
+    h_r = np.array([[b.h_z, b.h_xy], [b.h_xy, -b.h_z]], dtype=complex)
+    overlap = chi.conj() @ micromotion(params, t) @ chi
+    total = cmath.phase(overlap * cmath.exp(-1j * energies[column] * t))
+    return total, -float((chi.conj() @ h_r @ chi).real) * t
 
 
 def hamiltonian_lab(params: ModelParams, k: float, t: float) -> np.ndarray:

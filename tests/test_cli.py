@@ -538,12 +538,11 @@ PACKAGE_ALL = [
     "BlochComponents", "ChiralInvariants", "CriticalSet", "FisherLine",
     "FloquetSpectrum", "ModelParams", "ReturnAmplitude", "bloch_components",
     "bloch_expectations", "chiral_winding_numbers", "dqpt", "dqpt_condition",
-    "dynamical_phase", "dynamics", "errors", "exact_winding", "fisher_lines",
-    "fisher_tau", "geometric_phase", "geometric_phase_from_tomography",
-    "geometry", "lattice", "model", "obc_floquet_spectrum",
-    "propagator_analytic", "propagator_oracle", "rate_function",
-    "return_amplitude", "return_probability", "topology", "total_phase",
-    "winding_number"]
+    "dynamics", "errors", "exact_winding", "fisher_lines", "fisher_tau",
+    "geometric_phase", "geometric_phase_from_tomography", "geometry",
+    "lattice", "model", "obc_floquet_spectrum", "propagator_analytic",
+    "propagator_oracle", "rate_function", "return_amplitude",
+    "return_probability", "topology", "winding_number"]
 
 # In a fresh process: `dir` of the package, README's import line, a star
 # import, `__all__`, then each public name as the module that defines it

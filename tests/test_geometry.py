@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -13,34 +12,17 @@ from floquet_dqpt.cli import PRESETS
 from floquet_dqpt.model import band_energy, bloch_components
 from floquet_dqpt.dynamics import propagator_oracle, return_probability
 from floquet_dqpt.geometry import (bloch_expectations, bloch_vector_grid,
-                                   dynamical_phase, exact_winding,
-                                   exact_winding_grid, geometric_phase,
-                                   geometric_phase_grid,
+                                   exact_winding, exact_winding_grid,
+                                   geometric_phase, geometric_phase_grid,
                                    geometric_phase_from_tomography,
                                    principal_branch, tomography_phase_grid,
-                                   total_phase, winding_number,
-                                   wrapped_winding)
+                                   winding_number, wrapped_winding)
 
 from api import DRIVES, random_params, replaced
-from oracles import micromotion, rotating_frame_hamiltonian
+from oracles import (eigenvector_phases, micromotion,
+                     rotating_frame_hamiltonian)
 
 K_C1 = math.pi / 3  # critical momentum of the first example set
-
-
-def eigenvector_phases(p, k, t):
-    """(total, dynamical) phases of the lower band from its eigenvector.
-
-    total = arg(<chi| U_R(t) |chi> e^{-i E t}) and dynamical =
-    -<chi| H_R |chi> t with H_R = h_xy sx + h_z sz built as a matrix; the
-    reference for the band-weight closed forms of the library.
-    """
-    energies, modes = np.linalg.eigh(rotating_frame_hamiltonian(p, k))
-    chi = modes[:, 0]
-    b = bloch_components(p, k)
-    h_r = np.array([[b.h_z, b.h_xy], [b.h_xy, -b.h_z]], dtype=complex)
-    overlap = chi.conj() @ micromotion(p, t) @ chi
-    total = cmath.phase(overlap * cmath.exp(-1j * energies[0] * t))
-    return total, -float((chi.conj() @ h_r @ chi).real) * t
 
 
 def test_principal_branch():
@@ -102,14 +84,10 @@ def test_phase_decomposition(ex1):
         t = rng.uniform(0.0, 4.0)
         if return_probability(ex1, k, t) < 1e-6:
             continue
-        total = total_phase(ex1, "minus", k, t)
-        dynamical = dynamical_phase(ex1, "minus", k, t)
+        total, dynamical = eigenvector_phases(ex1, "minus", k, t)
         geometric = geometric_phase(ex1, "minus", k, t)
         assert geometric == pytest.approx(
             principal_branch(total - dynamical), abs=1e-12)
-        ref_total, ref_dynamical = eigenvector_phases(ex1, k, t)
-        assert dynamical == pytest.approx(ref_dynamical, abs=1e-12)
-        assert abs(principal_branch(total - ref_total)) < 1e-12
 
 
 def test_total_phase_closed_form_at_critical_momentum(ex1):
@@ -117,16 +95,17 @@ def test_total_phase_closed_form_at_critical_momentum(ex1):
     t = 0.4 * ex1.period
     e = float(band_energy(ex1, "minus", K_C1))
     expected = principal_branch(-e * t + 0.5 * ex1.omega_drive * t)
-    assert total_phase(ex1, "minus", K_C1, t) == pytest.approx(expected,
-                                                              abs=1e-10)
+    total, _ = eigenvector_phases(ex1, "minus", K_C1, t)
+    assert total == pytest.approx(expected, abs=1e-10)
 
 
 def test_dynamical_phase_at_critical_momentum(ex1):
     # <H_R> = E_minus - w/2 exactly at k_c (equal weights, <sz> = 0)
     e = float(band_energy(ex1, "minus", K_C1))
     for t in (0.3, 1.1, 2.6):
-        assert dynamical_phase(ex1, "minus", K_C1, t) == pytest.approx(
-            -e * t + 0.5 * ex1.omega_drive * t, abs=1e-10)
+        _, dynamical = eigenvector_phases(ex1, "minus", K_C1, t)
+        assert dynamical == pytest.approx(-e * t + 0.5 * ex1.omega_drive * t,
+                                          abs=1e-10)
 
 
 def test_dynamical_phase_against_quadrature():
@@ -150,8 +129,8 @@ def test_dynamical_phase_against_quadrature():
             chi_t = micromotion(p, s).conj().T @ psi
             acc += float((chi_t.conj() @ h_r @ chi_t).real)
         quad = -acc * (t / n)
-        assert dynamical_phase(p, "minus", k, t) == pytest.approx(quad,
-                                                                 abs=1e-5)
+        _, dynamical = eigenvector_phases(p, "minus", k, t)
+        assert dynamical == pytest.approx(quad, abs=1e-5)
 
 
 def test_geometric_phase_pi_jump(ex1):
@@ -167,9 +146,7 @@ def test_geometric_phase_pi_jump(ex1):
 
 def test_phase_undefined_at_amplitude_zero(ex1):
     with pytest.raises(PhaseUndefined):
-        total_phase(ex1, "minus", K_C1, 1.0)  # |G| = 0 exactly
-    with pytest.raises(PhaseUndefined):
-        geometric_phase(ex1, "minus", K_C1, 1.0)
+        geometric_phase(ex1, "minus", K_C1, 1.0)  # |G| = 0 exactly
 
 
 def test_geometric_phase_grid_matches_scalar(ex1):
@@ -178,7 +155,7 @@ def test_geometric_phase_grid_matches_scalar(ex1):
     t = 0.8
     grid = geometric_phase_grid(ex1, "minus", ks, t)
     for k, val in zip(ks, grid):
-        total, dynamical = eigenvector_phases(ex1, k, t)
+        total, dynamical = eigenvector_phases(ex1, "minus", k, t)
         assert abs(principal_branch(val - (total - dynamical))) < 1e-10
 
 
@@ -365,10 +342,9 @@ def test_guards_run_once_per_call(ex1, ex2, monkeypatch):
 
 
 def test_angle_routes_form_the_field_once(ex1, monkeypatch):
-    # dynamical_phase and propagator_analytic read the field that the point
-    # guard returns, and form no second one; return_amplitude and
-    # total_phase read its Delta/2 for the quasienergy phase and form one
-    # more, for the band weights
+    # propagator_analytic reads the field that the point guard returns, and
+    # forms no second one; return_amplitude reads its Delta/2 for the
+    # quasienergy phase and forms one more, for the band weights
     calls, field = [], model.normal_field
 
     def counted(*args):
@@ -377,16 +353,11 @@ def test_angle_routes_form_the_field_once(ex1, monkeypatch):
 
     for module in (model, geometry, dynamics):
         monkeypatch.setattr(module, "normal_field", counted, raising=False)
-    for route in (lambda: dynamical_phase(ex1, "minus", 0.7, 0.5),
-                  lambda: dynamics.propagator_analytic(ex1, 0.7, 0.5)):
-        calls.clear()
-        route()
-        assert len(calls) == 1
-    for route in (lambda: dynamics.return_amplitude(ex1, "plus", 0.7, 0.5),
-                  lambda: total_phase(ex1, "minus", 0.7, 0.5)):
-        calls.clear()
-        route()
-        assert len(calls) == 2
+    dynamics.propagator_analytic(ex1, 0.7, 0.5)
+    assert len(calls) == 1
+    calls.clear()
+    dynamics.return_amplitude(ex1, "plus", 0.7, 0.5)
+    assert len(calls) == 2
 
 
 def test_bloch_expectations_unit_norm_and_initial_values(ex1):

@@ -23,11 +23,10 @@ from floquet_dqpt.errors import (GaplessPoint, GridTooCoarse,
                                  NearCriticalTime, NumericalGuardError,
                                  PhaseUndefined, TimeUnresolved)
 from floquet_dqpt.geometry import (bloch_expectations, bloch_vector_grid,
-                                   dynamical_phase, exact_winding_grid,
-                                   geometric_phase, geometric_phase_grid,
+                                   exact_winding_grid, geometric_phase,
+                                   geometric_phase_grid,
                                    geometric_phase_from_tomography,
-                                   raw_winding_grid,
-                                   tomography_phase_grid, total_phase,
+                                   raw_winding_grid, tomography_phase_grid,
                                    winding_number)
 from floquet_dqpt.model import GRID_CHUNK, _uniform_band_weights
 
@@ -379,8 +378,6 @@ def test_point_guard_refuses_times_doubles_cannot_resolve():
     below = math.nextafter(2.0 ** 44, 0.0)
     calls = (lambda p, k, t: return_amplitude(p, "minus", k, t).value,
              lambda p, k, t: propagator_analytic(p, k, t),
-             lambda p, k, t: total_phase(p, "minus", k, t),
-             lambda p, k, t: dynamical_phase(p, "minus", k, t),
              lambda p, k, t: bloch_expectations(p, "minus", k, t),
              lambda p, k, t: geometric_phase_from_tomography(p, k, t))
     for call in calls:

@@ -17,7 +17,7 @@ from floquet_dqpt.dynamics import return_amplitude, return_probability
 from floquet_dqpt.errors import (GaplessPoint, NearCriticalTime,
                                  NumericalGuardError, PhaseUndefined,
                                  TimeUnresolved, UndefinedTau)
-from floquet_dqpt.geometry import dynamical_phase, geometric_phase
+from floquet_dqpt.geometry import geometric_phase
 from floquet_dqpt.model import (T_GUARD_FRACTION, ModelParams,
                                 bloch_components, band_energy, band_weights,
                                 gap_guard, min_half_gap, normal_field,
@@ -129,13 +129,14 @@ def test_gapless_point_raised():
 
 
 def test_gap_guard_is_the_scalar_guard():
-    # the scalar phases and return probability take the guard alone; it
-    # raises the same error with the same message before any other guard
+    # the return amplitude and probability and the geometric phase take the
+    # guard alone; it raises the same error with the same message before
+    # any other guard, on the plus band as on the minus band
     p = api.DRIVES["gapless0"]
     with pytest.raises(GaplessPoint) as want:
         gap_guard(p, 0.0)
     for fn in (lambda p, k: return_probability(p, k, 1.0),
-               lambda p, k: dynamical_phase(p, "plus", k, 1.0),
+               lambda p, k: return_amplitude(p, "plus", k, 1.0),
                lambda p, k: geometric_phase(p, "minus", k, 1.0)):
         with pytest.raises(GaplessPoint) as got:
             fn(p, 0.0)
@@ -296,7 +297,7 @@ def test_bits_ab_calls_every_row_of_the_api_table():
     # run: a new public function is in the next record once it has a row
     calls = load_script("bits_ab").call_list(api)
     assert {row for _, row, _ in calls} == set(api.API)
-    assert len({label for label, _, _ in calls}) == len(calls) > 30000
+    assert len({label for label, _, _ in calls}) == len(calls) > 23000
 
 
 # the guard errors a scalar API may raise where its kernel reads a marker
