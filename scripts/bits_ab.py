@@ -21,9 +21,10 @@ parameters a change edits raises TypeError on the parent's side), on
   drive APIs, and nu at T/4 (and 3T/4);
 - every point API that takes a band, with band = "bogus", at a NaN k, the
   gapless k = 0 and a NaN t: the record shows which error comes first;
-- a subnormal drive's Bloch vectors, the tomography grid on noisy vectors,
-  the open chain at 6 and 20 sites, the phase wrappers on seeded phases,
-  and 3000 seeded draws of the tomography route, with k = 0 and pi;
+- a subnormal drive's Bloch vectors and tomography phase, the tomography
+  grid on noisy vectors, the open chain at 6 and 20 sites, the phase
+  wrappers on seeded phases, and 3000 seeded draws of the
+  `tomography_phase_grid` row on the exact Bloch vector, with k = 0 and pi;
 - `fdqpt` over a fixed list of argument vectors, in process; `winding` and
   `topo` also on the gapless drive `gapless0`, from a [model] INI file
   written to the working directory.
@@ -144,8 +145,10 @@ def call_list(api):
             {"params": api.DRIVES["gapless0"]}, [k], [t], ["bogus"],
             drive="gapless0")
     tiny = api.SUBNORMAL["1e-310"]
-    add([rows["bloch_expectations"], rows["geometric_phase_from_tomography"]],
-        {"params": tiny}, [0.7], [1.0], drive="subnormal")
+    add([rows["bloch_expectations"]], {"params": tiny}, [0.7], [1.0],
+        drive="subnormal")
+    add([rows["tomography_phase_grid"]], {"params": tiny, "ks": 0.7,
+                                          "ts": 1.0}, drive="subnormal")
     add([rows["bloch_vector_grid"]], {"params": tiny, "ks": np.array(
         [0.0, 0.7, math.pi]), "ts": 1.0}, drive="subnormal")
     for drive, p in api.CLOSURES.items():
@@ -167,8 +170,8 @@ def call_list(api):
         k = float(rng.choice([0.0, math.pi, rng.uniform(0.0, math.pi)],
                              p=[0.2, 0.2, 0.6]))
         t = rng.uniform(-3.0 * period, 3.0 * period)
-        add([rows["geometric_phase_from_tomography"]],
-            {"params": p}, [k], [t], drive=f"tomo{i}")
+        add([rows["tomography_phase_grid"]], {"params": p, "ks": k, "ts": t},
+            drive=f"tomo{i}")
     return calls
 
 

@@ -5,7 +5,7 @@ Modules
 model     : drive parameters, normal-form field, guards, band data, limits
 dynamics  : closed-form SU(2) propagator, brute-force oracle, return amplitudes
 dqpt      : rate function, Fisher zeros, critical condition
-geometry  : Pancharatnam phases, dynamical winding number, tomography route
+geometry  : Pancharatnam phases, dynamical winding number, tomography kernels
 topology  : chiral time frames and the closed-form (W0, Wpi) invariants
 lattice   : open-chain BdG Floquet spectrum with pi edge-mode flags
 cli       : dataset-producing command-line front end (`fdqpt`)
@@ -23,16 +23,14 @@ from . import _record  # every module's types; bound as an eager import would
 
 # Each re-exported name and the module that defines it.
 _SOURCE = {
-    **dict.fromkeys(("ModelParams", "BlochComponents", "bloch_components"),
-                    "model"),
+    "ModelParams": "model",
     **dict.fromkeys(("ReturnAmplitude", "propagator_analytic",
                      "propagator_oracle", "return_amplitude",
                      "return_probability"), "dynamics"),
     **dict.fromkeys(("CriticalSet", "FisherLine", "dqpt_condition",
                      "fisher_tau", "fisher_lines", "rate_function"), "dqpt"),
     **dict.fromkeys(("geometric_phase", "exact_winding", "winding_number",
-                     "bloch_expectations", "geometric_phase_from_tomography"),
-                    "geometry"),
+                     "bloch_expectations"), "geometry"),
     **dict.fromkeys(("ChiralInvariants", "chiral_winding_numbers"),
                     "topology"),
     **dict.fromkeys(("FloquetSpectrum", "obc_floquet_spectrum"), "lattice"),

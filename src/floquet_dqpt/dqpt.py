@@ -20,7 +20,7 @@ from ._record import record
 from .dynamics import micromotion_overlap
 from .errors import DegenerateDelta1, UndefinedTau
 from .model import (ModelParams, _t_chunks, _uniform_band_weights,
-                    band_energy, bloch_components, finite_point,
+                    band_energy, finite_point, normal_field,
                     require_resolved_time)
 
 # Clamp on |G|^2 before the log: the integrand has an integrable log
@@ -88,10 +88,11 @@ def fisher_tau(params: ModelParams, band: str, k: float) -> float:
 
 def fisher_tau_grid(params: ModelParams, band: str, k_grid) -> np.ndarray:
     """tau over k (any shape); log 0 = -inf gives its +-inf, NaN markers."""
-    k = np.asarray(k_grid, dtype=float)
-    b, e = bloch_components(params, k), band_energy(params, band, k)
+    k, unit = np.asarray(k_grid, dtype=float), params.normal_form[0]
+    h_xy, h_z = (x * unit for x in normal_field(params, k)[:2])
+    e = band_energy(params, band, k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        tau = np.log(np.abs(b.h_xy)) - np.log(np.abs(e - b.h_z))
+        tau = np.log(np.abs(h_xy)) - np.log(np.abs(e - h_z))
     return np.asarray((2.0 / params.omega_drive) * tau)
 
 

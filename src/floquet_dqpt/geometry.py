@@ -12,8 +12,8 @@ at every critical time.
 over a k grid (`wrapped_winding`), is its numerical oracle, and
 `raw_winding_grid` the trace of that oracle over t that `fdqpt winding`
 prints. The experiment reads that sum over `tomography_phase_grid`, the
-phase rebuilt from a measured Bloch vector (`bloch_vector_grid` gives the
-exact one).
+lower band's phase rebuilt from a measured Bloch vector; on the exact one,
+`bloch_vector_grid`'s, it is the geometric phase again.
 
 Every value computed from w t refuses, with TimeUnresolved, a t that doubles
 cannot resolve, from |t| = ModelParams.time_limit on. The one exception is
@@ -269,18 +269,6 @@ def bloch_vector_grid(params: ModelParams, band: str, k, t) -> np.ndarray:
         r = sign / half_gap
         return np.stack(np.broadcast_arrays(r * xy * np.cos(wt),
                                             r * xy * np.sin(wt), r * dz))
-
-
-def geometric_phase_from_tomography(params: ModelParams, k: float,
-                                    t: float) -> float:
-    """tomography_phase_grid at one (k, t), fed the analytic Bloch vector;
-    PhaseUndefined where it reads NaN. Lower band only: no band argument."""
-    gap_guard(params, k, t)
-    phi = float(tomography_phase_grid(
-        params, k, t, bloch_vector_grid(params, "minus", k, t)))
-    if math.isnan(phi):
-        raise PhaseUndefined(f"|G| < {AMP_FLOOR} at k = {k}, t = {t}")
-    return phi
 
 
 def tomography_phase_grid(params: ModelParams, k, t, bloch) -> np.ndarray:

@@ -20,8 +20,8 @@ reads the drive only as p 2^-e, e the exponent of its largest parameter
 (`ModelParams.normal_form`), exactly so for s = 2^j. The field is formed
 once, there, by `normal_field` in units of 2^e; the guard and every kernel
 read it. Physical units appear only in the values a caller receives
-(`bloch_components`, `band_energy`, `min_half_gap`, the Fisher tau and the
-chain spectrum) and in the RK4 oracle's H(k, t).
+(`band_energy`, `min_half_gap`, the Fisher tau and the chain spectrum) and
+in the RK4 oracle's H(k, t).
 """
 
 from __future__ import annotations
@@ -117,14 +117,6 @@ class ModelParams:
             return math.inf
 
 
-@record
-class BlochComponents:
-    """Field components of the Bloch Hamiltonian at fixed k."""
-
-    h_xy: float
-    h_z: float
-
-
 def normal_field(params: ModelParams, k):
     """(h_xy, h_z, h_z - w/2, Delta/2) at k, broadcast over k: the field of
     H_F - (w/2) I and its length on the normal form, in units of 2^e."""
@@ -132,13 +124,6 @@ def normal_field(params: ModelParams, k):
     h_z = 0.5 * (d1 * np.cos(k) + d2)
     h_xy, dz = 0.5 * amp * np.sin(k), h_z - 0.5 * w
     return h_xy, h_z, dz, np.hypot(h_xy, dz)
-
-
-def bloch_components(params: ModelParams, k):
-    """(h_xy, h_z) at k, scalar or array: normal_field's times 2^e."""
-    unit = params.normal_form[0]
-    h_xy, h_z = normal_field(params, k)[:2]
-    return BlochComponents(h_xy=h_xy * unit, h_z=h_z * unit)
 
 
 def finite_point(k=0.0, t=0.0):

@@ -86,7 +86,6 @@ class Row:
 
 API = (
     Row("model", "normal_field", "params k:ks", "normal"),
-    Row("model", "bloch_components", "params k:ks", "energy"),
     Row("model", "finite_point", "k t", None),
     Row("model", "require_resolved_time", "params t:ts", None),
     Row("model", "gap_guard", "params k t", "normal", kernel="normal_field"),
@@ -127,8 +126,6 @@ API = (
     Row("geometry", "bloch_expectations", "params band k t", D, "state",
         "bloch_vector_grid"),
     Row("geometry", "bloch_vector_grid", "params band k:ks t:ts", D, "state"),
-    Row("geometry", "geometric_phase_from_tomography", "params k t",
-        kernel="tomography_phase_grid"),
     Row("geometry", "tomography_phase_grid", "params k:ks t:ts bloch"),
     Row("topology", "chiral_winding_numbers", "params"),
     Row("lattice", "obc_floquet_spectrum", "params n_sites:sites",

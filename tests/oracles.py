@@ -1,11 +1,14 @@
 """Reference implementations the library's closed forms and oracles are
 checked against. None of them imports `floquet_dqpt.lattice` or calls the
-library's band kernels.
+library's field or band kernels: from the library they take only
+`ModelParams` and `StepCountTooSmall`.
 
 The references own their 2x2 matrices: the Pauli matrices `SIGMA_0`,
 `SIGMA_X`, `SIGMA_Y`, `SIGMA_Z` and the micromotion U_R(t) = diag(1, e^{i w t})
 of the rotating frame, `micromotion`, are defined here and nowhere in the
-library, whose closed forms never build them.
+library, whose closed forms never build them. They own the field too:
+`bloch_field` writes (h_xy, h_z) from the four parameters, so a wrong
+`model.normal_field` moves no reference value.
 
 `rotating_frame_hamiltonian` builds the static H_F(k) as a matrix; its
 `np.linalg.eigh` gives the reference quasienergies and modes, whose phases
@@ -48,7 +51,7 @@ import math
 import numpy as np
 
 from floquet_dqpt.errors import StepCountTooSmall
-from floquet_dqpt.model import ModelParams, bloch_components
+from floquet_dqpt.model import ModelParams
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -64,10 +67,19 @@ def micromotion(params: ModelParams, t: float) -> np.ndarray:
     return np.diag([1.0, cmath.exp(1j * params.omega_drive * t)])
 
 
+def bloch_field(params: ModelParams, k):
+    """(h_xy, h_z) of H(k, t) at k, scalar or array, from the four
+    parameters: h_xy = Omega sin(k)/2 and h_z = delta1 cos(k)/2 + delta2/2,
+    each term halved before the sum, as `dynamics.propagator_oracle` forms
+    them."""
+    return (0.5 * params.omega_amp * np.sin(k),
+            0.5 * params.delta1 * np.cos(k) + 0.5 * params.delta2)
+
+
 def rotating_frame_hamiltonian(params: ModelParams, k: float) -> np.ndarray:
     """Static H_F(k) = h_xy sx + (h_z - w/2) sz + (w/2) I."""
-    b = bloch_components(params, k)
-    return (b.h_xy * SIGMA_X + (b.h_z - 0.5 * params.omega_drive) * SIGMA_Z
+    h_xy, h_z = bloch_field(params, k)
+    return (h_xy * SIGMA_X + (h_z - 0.5 * params.omega_drive) * SIGMA_Z
             + 0.5 * params.omega_drive * SIGMA_0)
 
 
@@ -83,8 +95,8 @@ def eigenvector_phases(params: ModelParams, band: str, k: float,
     energies, modes = np.linalg.eigh(rotating_frame_hamiltonian(params, k))
     column = ("minus", "plus").index(band)
     chi = modes[:, column]
-    b = bloch_components(params, k)
-    h_r = np.array([[b.h_z, b.h_xy], [b.h_xy, -b.h_z]], dtype=complex)
+    h_xy, h_z = bloch_field(params, k)
+    h_r = np.array([[h_z, h_xy], [h_xy, -h_z]], dtype=complex)
     overlap = chi.conj() @ micromotion(params, t) @ chi
     total = cmath.phase(overlap * cmath.exp(-1j * energies[column] * t))
     return total, -float((chi.conj() @ h_r @ chi).real) * t
@@ -92,10 +104,10 @@ def eigenvector_phases(params: ModelParams, band: str, k: float,
 
 def hamiltonian_lab(params: ModelParams, k: float, t: float) -> np.ndarray:
     """Lab-frame Bloch Hamiltonian H(k, t) as a 2x2 Hermitian matrix."""
-    b = bloch_components(params, k)
+    h_xy, h_z = bloch_field(params, k)
     wt = params.omega_drive * t
-    return (b.h_xy * (math.cos(wt) * SIGMA_X + math.sin(wt) * SIGMA_Y)
-            + b.h_z * SIGMA_Z)
+    return (h_xy * (math.cos(wt) * SIGMA_X + math.sin(wt) * SIGMA_Y)
+            + h_z * SIGMA_Z)
 
 
 def bdg_hamiltonian(params: ModelParams, n_sites: int, t: float,
@@ -271,20 +283,20 @@ def su2_exponential(nx: float, nz: float) -> np.ndarray:
 
 def symmetric_frame_operators(params: ModelParams, k: float):
     """(U1(k), U2(k)) Floquet operators in the two symmetric time frames."""
-    b = bloch_components(params, k)
+    h_xy, h_z = bloch_field(params, k)
     tt = params.period
-    dz = (b.h_z - 0.5 * params.omega_drive) * tt
-    u1 = -su2_exponential(b.h_xy * tt, dz)
-    u2 = -su2_exponential(-b.h_xy * tt, dz)
+    dz = (h_z - 0.5 * params.omega_drive) * tt
+    u1 = -su2_exponential(h_xy * tt, dz)
+    u2 = -su2_exponential(-h_xy * tt, dz)
     return u1, u2
 
 
 def brute_winding(params, flip_x=False, n=DEFAULT_WINDING_GRID):
     """Raw W1 (W2 with flip_x) by accumulated atan2 angle over the zone."""
     k = np.linspace(-math.pi, math.pi, n)
-    b = bloch_components(params, k)
-    z = b.h_z - 0.5 * params.omega_drive
-    x = -b.h_xy if flip_x else b.h_xy
+    h_xy, h_z = bloch_field(params, k)
+    z = h_z - 0.5 * params.omega_drive
+    x = -h_xy if flip_x else h_xy
     ang = np.unwrap(np.arctan2(x, z))
     return (ang[-1] - ang[0]) / (2.0 * math.pi)
 
@@ -297,9 +309,8 @@ def winding_integral(params: ModelParams, n_points: int = 10_000) -> float:
     so the two can be compared before rounding.
     """
     k = (np.arange(n_points) + 0.5) * (2.0 * math.pi / n_points) - math.pi
-    b = bloch_components(params, k)
-    z = b.h_z - 0.5 * params.omega_drive
-    x = b.h_xy
+    x, h_z = bloch_field(params, k)
+    z = h_z - 0.5 * params.omega_drive
     dx = 0.5 * params.omega_amp * np.cos(k)
     dz = -0.5 * params.delta1 * np.sin(k)
     integrand = (z * dx - x * dz) / (z * z + x * x)
@@ -315,10 +326,8 @@ def scalar_rk4_propagator(params: ModelParams, k: float, t: float,
     integrated matrix M = V S W^dag, and the correction is the spectral norm
     of M - U.
     """
-    b = bloch_components(params, k)
     # plain floats keep the loop in Python complex arithmetic
-    hz = float(b.h_z)
-    hxy = float(b.h_xy)
+    hxy, hz = map(float, bloch_field(params, k))
     w = params.omega_drive
     n = max(1, math.ceil(abs(t) / (params.period / steps)))
     h = t / n

@@ -15,8 +15,8 @@ from floquet_dqpt.dynamics import (propagator_analytic, propagator_oracle,
                                    return_probability,
                                    return_probability_grid)
 from floquet_dqpt.dqpt import dqpt_condition, rate_function
-from floquet_dqpt.geometry import (geometric_phase, principal_branch,
-                                   geometric_phase_from_tomography,
+from floquet_dqpt.geometry import (bloch_vector_grid, geometric_phase,
+                                   principal_branch, tomography_phase_grid,
                                    winding_number)
 from floquet_dqpt.topology import chiral_winding_numbers
 from floquet_dqpt.lattice import obc_floquet_spectrum
@@ -214,7 +214,8 @@ def test_acceptance_9_tomography():
             if return_probability(p, k, t) <= 0.01:
                 continue
             dev = abs(principal_branch(
-                geometric_phase_from_tomography(p, k, t)
+                tomography_phase_grid(p, k, t,
+                                      bloch_vector_grid(p, "minus", k, t))
                 - geometric_phase(p, "minus", k, t)))
         except GaplessPoint:
             continue

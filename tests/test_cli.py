@@ -535,14 +535,13 @@ def test_missing_numpy_fails_at_import_as_import_numpy_does(hide):
 
 # The package's public names: its re-exports and the modules they come from.
 PACKAGE_ALL = [
-    "BlochComponents", "ChiralInvariants", "CriticalSet", "FisherLine",
-    "FloquetSpectrum", "ModelParams", "ReturnAmplitude", "bloch_components",
-    "bloch_expectations", "chiral_winding_numbers", "dqpt", "dqpt_condition",
-    "dynamics", "errors", "exact_winding", "fisher_lines", "fisher_tau",
-    "geometric_phase", "geometric_phase_from_tomography", "geometry",
-    "lattice", "model", "obc_floquet_spectrum", "propagator_analytic",
-    "propagator_oracle", "rate_function", "return_amplitude",
-    "return_probability", "topology", "winding_number"]
+    "ChiralInvariants", "CriticalSet", "FisherLine", "FloquetSpectrum",
+    "ModelParams", "ReturnAmplitude", "bloch_expectations",
+    "chiral_winding_numbers", "dqpt", "dqpt_condition", "dynamics", "errors",
+    "exact_winding", "fisher_lines", "fisher_tau", "geometric_phase",
+    "geometry", "lattice", "model", "obc_floquet_spectrum",
+    "propagator_analytic", "propagator_oracle", "rate_function",
+    "return_amplitude", "return_probability", "topology", "winding_number"]
 
 # In a fresh process: `dir` of the package, README's import line, a star
 # import, `__all__`, then each public name as the module that defines it

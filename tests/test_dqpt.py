@@ -12,7 +12,8 @@ from floquet_dqpt.dqpt import (dqpt_condition, fisher_lines, fisher_tau,
                                rate_function_grid)
 
 from api import CLOSURES, random_params
-from oracles import open_chain_loschmidt_rate, ring_loschmidt_rate
+from oracles import (bloch_field, open_chain_loschmidt_rate,
+                     ring_loschmidt_rate)
 
 
 def test_condition_examples(ex1, ex2, ex3):
@@ -70,13 +71,13 @@ def test_tau_against_complex_zero_oracle(ex1):
 
 def test_tau_against_bisection_oracle(ex1):
     # solve e^{w tau} (E - h_z)^2 = h_xy^2 for tau by bisection
-    from floquet_dqpt.model import band_energy, bloch_components
+    from floquet_dqpt.model import band_energy
     k = math.pi / 2
-    b = bloch_components(ex1, k)
+    h_xy, h_z = bloch_field(ex1, k)
     e = float(band_energy(ex1, "minus", k))
 
     def f(tau):
-        return math.exp(ex1.omega_drive * tau) * (e - b.h_z) ** 2 - b.h_xy ** 2
+        return math.exp(ex1.omega_drive * tau) * (e - h_z) ** 2 - h_xy ** 2
 
     lo, hi = -50.0, 50.0
     for _ in range(200):

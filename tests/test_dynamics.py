@@ -11,16 +11,16 @@ from hypothesis import given, settings, strategies as st
 from floquet_dqpt import dynamics
 from floquet_dqpt.errors import (GaplessPoint, StepCountTooSmall,
                                  TimeUnresolved)
-from floquet_dqpt.model import bloch_components
 from floquet_dqpt.dynamics import (propagator_analytic, propagator_oracle,
                                    return_amplitude, return_probability,
                                    return_probability_grid)
+from floquet_dqpt.model import normal_field
 
 import oracles
-from api import random_params
+from api import CLOSURES, DRIVES, bits, random_params
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3
-from oracles import (SIGMA_X, micromotion, rotating_frame_hamiltonian,
-                     scalar_rk4_propagator)
+from oracles import (SIGMA_X, bloch_field, micromotion,
+                     rotating_frame_hamiltonian, scalar_rk4_propagator)
 
 
 def test_propagators_identity_at_t0(ex1):
@@ -54,20 +54,67 @@ def test_oracle_refuses_unresolved_t(ex1, monkeypatch):
             propagator_oracle(ex1, 0.8, t)
 
 
+def field_readers(names=("bloch_field",)) -> set:
+    """The functions tests/oracles.py defines that read the field: those
+    that name bloch_field, or a function that reads it."""
+    defined = {fn.__name__: fn for fn in vars(oracles).values()
+               if inspect.isfunction(fn) and fn.__module__ == oracles.__name__}
+    readers = {name for name, fn in defined.items()
+               if code_names(fn.__code__) & set(names)} | set(names)
+    return readers if readers == set(names) else field_readers(readers)
+
+
 def test_oracle_reads_no_field_of_the_analytic_route(ex1, monkeypatch):
-    # the oracle checks the analytic route, so it forms H's field from the
-    # parameters itself: with the route's field kernel broken, its bits stay
+    # the oracles check the analytic route, so they form H's field from the
+    # parameters themselves: with the route's field kernel broken, the
+    # library's RK4 oracle and every reference that reads the field, directly
+    # or through another reference, keep their bits
     from floquet_dqpt import model
 
     def broken(*args):
-        raise AssertionError("the oracle read model.normal_field")
+        raise AssertionError("an oracle read model.normal_field")
 
-    args = [(ex1, k, t) for k in (0.0, 0.8, math.pi) for t in (1.3, -2.1)]
-    want = [propagator_oracle(*a, steps=256) for a in args]
+    ks = np.linspace(0.0, math.pi, 7)
+    calls = [(propagator_oracle, (ex1, k, t, 256))
+             for k in (0.0, 0.8, math.pi) for t in (1.3, -2.1)]
+    references = {
+        "bloch_field": [(ex1, ks), (ex1, 0.8)],
+        "rotating_frame_hamiltonian": [(ex1, 0.8), (ex1, math.pi)],
+        "eigenvector_phases": [(ex1, band, 0.8, -2.1)
+                               for band in ("minus", "plus")],
+        "hamiltonian_lab": [(ex1, 0.8, 1.3), (ex1, 0.0, -2.1)],
+        "momentum_consistency_check": [(ex1, 6)],
+        "symmetric_frame_operators": [(ex1, 0.8), (EXAMPLE3, 0.0)],
+        "brute_winding": [(ex1,), (EXAMPLE3, True, 401)],
+        "winding_integral": [(ex1, 1000)],
+        "scalar_rk4_propagator": [(ex1, 0.8, 1.3, 256),
+                                  (EXAMPLE2, 0.8, -0.3, 256)]}
+    assert set(references) == field_readers()
+    calls += [(getattr(oracles, name), args)
+              for name, arg_list in references.items() for args in arg_list]
+
+    def parts(out):
+        return [bits(x) for x in (out if isinstance(out, tuple) else (out,))]
+
+    want = [parts(fn(*args)) for fn, args in calls]
     monkeypatch.setattr(model, "normal_field", broken)
-    for a, u in zip(args, want):
-        assert np.array_equal(propagator_oracle(*a, steps=256).view(float),
-                              u.view(float))
+    for (fn, args), value in zip(calls, want):
+        assert parts(fn(*args)) == value, fn.__name__
+
+
+def test_oracle_field_is_the_library_field():
+    # the one link between the references and the library: bloch_field is
+    # normal_field's (h_xy, h_z) times 2^e, bit for bit, signed zeros
+    # included, on every drive of the sweep and every closure of the gap
+    rng = np.random.default_rng(52)
+    ks = np.concatenate([[0.0, math.pi], np.linspace(0.0, math.pi, 401),
+                         rng.uniform(0.0, math.pi, 200)])
+    for name, p in {**DRIVES, **CLOSURES}.items():
+        unit = p.normal_form[0]
+        for k in (ks, *ks[[0, 1, 300]].tolist()):
+            want = [x * unit for x in normal_field(p, k)[:2]]
+            assert [bits(x) for x in bloch_field(p, k)] == \
+                [bits(x) for x in want], name
 
 
 def test_oracle_refuses_non_finite_k(ex1):
@@ -80,7 +127,7 @@ def test_oracle_refuses_non_finite_k(ex1):
 
 def test_oracle_diagonal_at_k0(ex1):
     # h_xy(0) = 0 so H is static sz; the oracle must give a diagonal phase
-    hz = bloch_components(ex1, 0.0).h_z
+    hz = bloch_field(ex1, 0.0)[1]
     t = 1.37
     u = propagator_oracle(ex1, 0.0, t, steps=1024)
     expected = np.diag([np.exp(-1j * hz * t), np.exp(1j * hz * t)])
@@ -398,9 +445,9 @@ def test_oracles_share_no_code_with_analytic_route():
     # the scalar RK4 loop checks the oracle with a polar step of its own
     assert not {name for name in sources
                 if name.split(".")[:2] == ["floquet_dqpt", "dynamics"]}
-    # the references own their Pauli matrices and U_R(t)
-    assert not {name for name in library_names
-                if name.startswith("SIGMA_") or name == "micromotion"}
+    # from the library they take the parameters and one error type: they
+    # own their Pauli matrices, U_R(t) and the field
+    assert library_names == {"ModelParams", "StepCountTooSmall"}
 
 
 def test_nv_experiment_values():

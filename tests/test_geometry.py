@@ -9,17 +9,16 @@ from floquet_dqpt.errors import (DegenerateDelta1, GaplessPoint,
                                  TimeUnresolved)
 from floquet_dqpt import dynamics, geometry, model
 from floquet_dqpt.cli import PRESETS
-from floquet_dqpt.model import band_energy, bloch_components
+from floquet_dqpt.model import band_energy
 from floquet_dqpt.dynamics import propagator_oracle, return_probability
 from floquet_dqpt.geometry import (bloch_expectations, bloch_vector_grid,
                                    exact_winding, exact_winding_grid,
                                    geometric_phase, geometric_phase_grid,
-                                   geometric_phase_from_tomography,
                                    principal_branch, tomography_phase_grid,
                                    winding_number, wrapped_winding)
 
 from api import DRIVES, random_params, replaced
-from oracles import (eigenvector_phases, micromotion,
+from oracles import (bloch_field, eigenvector_phases, micromotion,
                      rotating_frame_hamiltonian)
 
 K_C1 = math.pi / 3  # critical momentum of the first example set
@@ -119,8 +118,8 @@ def test_dynamical_phase_against_quadrature():
         t = 0.8 * p.period
         n = 400
         ts = (np.arange(n) + 0.5) * (t / n)
-        b = bloch_components(p, k)
-        h_r = np.array([[b.h_z, b.h_xy], [b.h_xy, -b.h_z]], dtype=complex)
+        h_xy, h_z = bloch_field(p, k)
+        h_r = np.array([[h_z, h_xy], [h_xy, -h_z]], dtype=complex)
         acc = 0.0
         for s in ts:
             u = propagator_oracle(p, k, s, steps=256)
@@ -300,8 +299,7 @@ def test_exact_winding_is_zero_at_every_t_of_a_tiny_period(ex2):
 def test_guards_run_once_per_call(ex1, ex2, monkeypatch):
     # exact_winding reads dqpt_condition once, and once more, through the
     # time rule, only to refuse a t in a guard window; winding_number reads
-    # it only near a critical time and then once, and the tomography route
-    # guards its point once
+    # it only near a critical time and then once
     calls = []
 
     def counting(name, fn):
@@ -329,9 +327,6 @@ def test_guards_run_once_per_call(ex1, ex2, monkeypatch):
     # condition, once
     winding_number(ex2, "minus", 1.0 + 1e-5)
     assert calls == ["dqpt_condition"]
-    calls.clear()
-    geometric_phase_from_tomography(ex1, 0.7, 0.5)
-    assert calls == ["gap_guard"]
     # ValueError, then DegenerateDelta1, ahead of the time guards and the gap
     degenerate = replaced(ex1, delta1=0.0, delta2=ex1.omega_drive)
     with pytest.raises(ValueError):
@@ -409,9 +404,10 @@ def test_tomography_matches_direct_phase():
                 if return_probability(p, k, t) < 0.01:
                     continue
                 direct = geometric_phase(p, "minus", k, t)
-                tomo = geometric_phase_from_tomography(p, k, t)
             except GaplessPoint:
                 continue
+            tomo = tomography_phase_grid(
+                p, k, t, bloch_vector_grid(p, "minus", k, t))
             assert abs(principal_branch(tomo - direct)) < 1e-8
             checked += 1
 
@@ -425,7 +421,8 @@ def test_tomography_at_zone_ends(preset):
     for k in (0.0, math.pi):
         for fraction in (0.3, 0.7, 1.3, 2.4):
             t = fraction * p.period
-            tomo = geometric_phase_from_tomography(p, k, t)
+            tomo = tomography_phase_grid(
+                p, k, t, bloch_vector_grid(p, "minus", k, t))
             direct = geometric_phase(p, "minus", k, t)
             assert abs(principal_branch(tomo - direct)) < 1e-12
 
@@ -496,9 +493,7 @@ def test_tomography_winding_survives_shot_noise(preset, nus):
 
 
 def test_tomography_band_guard(ex1):
-    # the route covers the lower band only and takes no band argument
-    with pytest.raises(TypeError):
-        geometric_phase_from_tomography(ex1, 0.7, 0.5, band="plus")
-    # guarded on the overlap it reconstructs from the Bloch angles
-    with pytest.raises(PhaseUndefined):
-        geometric_phase_from_tomography(ex1, K_C1, 1.0)
+    # the kernel is guarded on the overlap it reconstructs from the Bloch
+    # angles: NaN where |G| = 0 exactly, at example1's (k_c, t_c) = (pi/3, 1)
+    assert np.isnan(tomography_phase_grid(
+        ex1, K_C1, 1.0, bloch_vector_grid(ex1, "minus", K_C1, 1.0)))

@@ -21,11 +21,10 @@ from floquet_dqpt.dynamics import (propagator_analytic, return_amplitude,
                                    return_probability_grid)
 from floquet_dqpt.errors import (GaplessPoint, GridTooCoarse,
                                  NearCriticalTime, NumericalGuardError,
-                                 PhaseUndefined, TimeUnresolved)
+                                 TimeUnresolved)
 from floquet_dqpt.geometry import (bloch_expectations, bloch_vector_grid,
                                    exact_winding_grid, geometric_phase,
                                    geometric_phase_grid,
-                                   geometric_phase_from_tomography,
                                    raw_winding_grid, tomography_phase_grid,
                                    winding_number)
 from floquet_dqpt.model import GRID_CHUNK, _uniform_band_weights
@@ -106,9 +105,10 @@ def seeded_cases():
 
 
 def assert_tomography_kernels_equal_scalar_calls(p, band, ts):
-    """The Bloch vector and tomography phase over a (k, t) grid, the zone
-    ends and example1's k_c = pi/3 included, equal the scalar calls bit for
-    bit, and are NaN where those raise (GaplessPoint, PhaseUndefined)."""
+    """The Bloch vector over a (k, t) grid, the zone ends and example1's
+    k_c = pi/3 included, equals the scalar calls bit for bit, and is NaN
+    where those raise GaplessPoint; the tomography phase on it equals the
+    kernel at each point, bit for bit or both NaN."""
     ks = np.linspace(0.0, math.pi, 4)
     vectors = bloch_vector_grid(p, band, ks[:, None], ts)
     phases = tomography_phase_grid(
@@ -116,15 +116,15 @@ def assert_tomography_kernels_equal_scalar_calls(p, band, ts):
     assert vectors.shape == (3,) + phases.shape == (3, 4, ts.size)
     for (i, j), phase in np.ndenumerate(phases):
         k, t = ks[i].item(), ts[j].item()
-        for got, want in ((vectors[:, i, j],
-                           outcome(bloch_expectations, p, band, k, t)),
-                          (phase, outcome(geometric_phase_from_tomography,
-                                          p, k, t))):
-            if want[0] == "ok":
-                assert np.array_equal(bits(got), bits(want[1]))
-            else:
-                assert want[0] in (GaplessPoint, PhaseUndefined), want
-                assert np.isnan(got).all()
+        want = outcome(bloch_expectations, p, band, k, t)
+        if want[0] == "ok":
+            assert np.array_equal(bits(vectors[:, i, j]), bits(want[1]))
+        else:
+            assert want[0] is GaplessPoint, want
+            assert np.isnan(vectors[:, i, j]).all()
+        want = tomography_phase_grid(p, k, t,
+                                     bloch_vector_grid(p, "minus", k, t))
+        assert bits(phase) == bits(want) or np.isnan([phase, want]).all()
 
 
 def test_grids_equal_scalar_calls_bit_for_bit():
@@ -378,8 +378,7 @@ def test_point_guard_refuses_times_doubles_cannot_resolve():
     below = math.nextafter(2.0 ** 44, 0.0)
     calls = (lambda p, k, t: return_amplitude(p, "minus", k, t).value,
              lambda p, k, t: propagator_analytic(p, k, t),
-             lambda p, k, t: bloch_expectations(p, "minus", k, t),
-             lambda p, k, t: geometric_phase_from_tomography(p, k, t))
+             lambda p, k, t: bloch_expectations(p, "minus", k, t))
     for call in calls:
         for p in (EXAMPLE1, EXAMPLE2):
             for t in (2.0 ** 44, 1e17, 1e300):

@@ -18,16 +18,15 @@ from floquet_dqpt.errors import (GaplessPoint, NearCriticalTime,
                                  NumericalGuardError, PhaseUndefined,
                                  TimeUnresolved, UndefinedTau)
 from floquet_dqpt.geometry import geometric_phase
-from floquet_dqpt.model import (T_GUARD_FRACTION, ModelParams,
-                                bloch_components, band_energy, band_weights,
-                                gap_guard, min_half_gap, normal_field,
-                                require_resolved_time)
+from floquet_dqpt.model import (T_GUARD_FRACTION, ModelParams, band_energy,
+                                band_weights, gap_guard, min_half_gap,
+                                normal_field, require_resolved_time)
 
 import api
 from api import random_params
 from conftest import EXAMPLE1
-from oracles import (SIGMA_Y, SIGMA_Z, hamiltonian_lab, micromotion,
-                     rotating_frame_hamiltonian)
+from oracles import (SIGMA_Y, SIGMA_Z, bloch_field, hamiltonian_lab,
+                     micromotion, rotating_frame_hamiltonian)
 from test_datasets import load_script
 
 param_floats = st.floats(-5.0, 5.0, allow_nan=False)
@@ -47,23 +46,29 @@ def test_params_validation():
     assert EXAMPLE1.period == pytest.approx(2.0)
 
 
+def physical_field(p, k):
+    """The library's (h_xy, h_z) at k: normal_field's, times 2^e."""
+    unit = p.normal_form[0]
+    h_xy, h_z = normal_field(p, k)[:2]
+    return h_xy * unit, h_z * unit
+
+
 def test_bloch_components_example_values(ex1):
-    b = bloch_components(ex1, math.pi / 3)
-    assert b.h_xy == pytest.approx(math.sqrt(3) / 4, abs=1e-15)
-    assert b.h_z == pytest.approx(math.pi / 2, abs=1e-15)
+    h_xy, h_z = physical_field(ex1, math.pi / 3)
+    assert h_xy == pytest.approx(math.sqrt(3) / 4, abs=1e-15)
+    assert h_z == pytest.approx(math.pi / 2, abs=1e-15)
 
 
 def test_bloch_components_endpoints():
     rng = np.random.default_rng(1)
     for _ in range(10):
         p = random_params(rng)
-        assert bloch_components(p, 0.0).h_xy == 0.0
-        assert bloch_components(p, math.pi).h_xy == pytest.approx(0.0,
-                                                                  abs=1e-15)
-        assert bloch_components(p, 0.0).h_z == \
-            pytest.approx(0.5 * (p.delta1 + p.delta2))
-        assert bloch_components(p, math.pi).h_z == \
-            pytest.approx(0.5 * (p.delta2 - p.delta1))
+        (xy0, z0), (xy_pi, z_pi) = (physical_field(p, k)
+                                    for k in (0.0, math.pi))
+        assert xy0 == 0.0
+        assert xy_pi == pytest.approx(0.0, abs=1e-15)
+        assert z0 == pytest.approx(0.5 * (p.delta1 + p.delta2))
+        assert z_pi == pytest.approx(0.5 * (p.delta2 - p.delta1))
 
 
 @given(w=st.floats(0.5, 6.0), d1=param_floats, d2=param_floats,
@@ -85,8 +90,8 @@ def test_hamiltonian_lab_t0_real_and_periodic(ex1):
 def test_hamiltonian_lab_quarter_period(ex1):
     # cos -> 0, sin -> 1 at t = T/4
     h = hamiltonian_lab(ex1, math.pi / 3, ex1.period / 4)
-    b = bloch_components(ex1, math.pi / 3)
-    expected = b.h_xy * SIGMA_Y + b.h_z * SIGMA_Z
+    h_xy, h_z = physical_field(ex1, math.pi / 3)
+    expected = h_xy * SIGMA_Y + h_z * SIGMA_Z
     assert np.abs(h - expected).max() < 1e-14
     # cross-check against the rotating-frame transform
     t = ex1.period / 4
@@ -104,8 +109,8 @@ def test_band_energy_example_point(ex1):
         math.pi / 2 - math.sqrt(3) / 4, abs=1e-14)
     assert float(band_energy(ex1, "plus", k)) == pytest.approx(
         math.pi / 2 + math.sqrt(3) / 4, abs=1e-14)
-    b = bloch_components(ex1, k)
-    assert 2.0 * math.hypot(b.h_xy, b.h_z - 0.5 * ex1.omega_drive) == \
+    h_xy, h_z = physical_field(ex1, k)
+    assert 2.0 * math.hypot(h_xy, h_z - 0.5 * ex1.omega_drive) == \
         pytest.approx(math.sqrt(3) / 2, abs=1e-14)
     # chi_pm = (1, +-1)/sqrt(2) up to global phase: equal weights
     for band in ("minus", "plus"):
@@ -144,13 +149,13 @@ def test_gap_guard_is_the_scalar_guard():
     rng = np.random.default_rng(11)
     for _ in range(50):
         q, k = random_params(rng), rng.uniform(0.0, math.pi)
-        # it returns the normal form's field, 2^-e times the physical one
+        # it returns the normal form's field, 2^-e times the physical one,
+        # which the reference writes from the parameters
         field = gap_guard(q, k)
         assert field == normal_field(q, k)
         unit, w = q.normal_form[:2]
         h_xy, h_z, _, half_gap = (x * unit for x in field)
-        b = bloch_components(q, k)
-        assert (h_xy, h_z) == (b.h_xy, b.h_z)
+        assert (h_xy, h_z) == bloch_field(q, k)
         assert band_energy(q, "plus", k) - band_energy(q, "minus", k) == \
             pytest.approx(2.0 * half_gap)
         assert field[2] == field[1] - 0.5 * w
@@ -301,8 +306,7 @@ def test_bits_ab_calls_every_row_of_the_api_table():
 
 
 # the guard errors a scalar API may raise where its kernel reads a marker
-REFUSALS = {"geometric_phase": PhaseUndefined, "fisher_tau": UndefinedTau,
-            "geometric_phase_from_tomography": PhaseUndefined}
+REFUSALS = {"geometric_phase": PhaseUndefined, "fisher_tau": UndefinedTau}
 
 
 def test_scalar_apis_are_their_public_kernels_at_the_point():
@@ -378,10 +382,10 @@ def test_fisher_tau_grid_equals_the_masked_formula():
     # the +-inf and NaN markers come from log 0 = -inf, not from masks
     seen = set()
     for p, ks in MARKER_GRIDS:
-        b = bloch_components(p, ks)
+        h_xy, h_z = physical_field(p, ks)
         for band in ("minus", "plus"):
-            num = np.abs(b.h_xy)
-            den = np.abs(band_energy(p, band, ks) - b.h_z)
+            num = np.abs(h_xy)
+            den = np.abs(band_energy(p, band, ks) - h_z)
             want = np.full_like(ks, np.nan)
             want[(num == 0) & (den > 0)] = -np.inf
             want[(den == 0) & (num > 0)] = np.inf
@@ -518,8 +522,8 @@ def test_min_half_gap_against_dense_grid():
         if i % 2:
             p = ModelParams(p.omega_drive, p.delta1, p.delta2,
                             math.copysign(p.delta1, p.omega_amp))
-        b = bloch_components(p, k)
-        sampled = np.hypot(b.h_z - 0.5 * p.omega_drive, b.h_xy).min()
+        h_xy, h_z = bloch_field(p, k)
+        sampled = np.hypot(h_z - 0.5 * p.omega_drive, h_xy).min()
         exact = min_half_gap(p)
         assert exact <= sampled + 1e-15
         assert sampled - exact < 1e-8 * p.scale

@@ -15,7 +15,7 @@ from floquet_dqpt.cli import PRESETS, RunConfig, main
 from floquet_dqpt.dqpt import CriticalSet, FisherLine, dqpt_condition
 from floquet_dqpt.dynamics import ReturnAmplitude
 from floquet_dqpt.lattice import FloquetSpectrum
-from floquet_dqpt.model import BlochComponents, ModelParams
+from floquet_dqpt.model import ModelParams
 from floquet_dqpt.topology import ChiralInvariants
 
 from api import fields, replaced
@@ -26,7 +26,6 @@ OPTIONS = ("band", "k_points", "t_points", "t_max", "sites", "steps",
 SIGNATURES = {
     ModelParams: "(omega_drive: 'float', delta1: 'float', delta2: 'float', "
                  "omega_amp: 'float') -> None",
-    BlochComponents: "(h_xy: 'float', h_z: 'float') -> None",
     ReturnAmplitude: "(value: 'complex') -> None",
     FisherLine: "(n: 'int', tau_of_k: 'np.ndarray', t_imag: 'float') -> None",
     CriticalSet: "(has_dqpt: 'bool', k_c: 'float | None', "
@@ -46,7 +45,6 @@ EXAMPLE = PRESETS["example1"]
 # records are (the arrays a FisherLine or FloquetSpectrum holds are not).
 VALUES = {
     ModelParams: (math.pi, math.pi, 0.5 * math.pi, 1.0),
-    BlochComponents: (0.25, -0.5),
     ReturnAmplitude: (0.5 - 0.25j,),
     FisherLine: (2, (0.5, 1.5), 0.75),
     CriticalSet: (True, 1.0, (1.0, 3.0, 5.0)),

@@ -42,11 +42,11 @@ def seeded_drives(n, seed):
 
 # the ledgers below call every row but these: the outputs that move under
 # the scale by rounding, the Fisher lines and the chain spectrum (each held
-# to a bound in test_scale_moves_fisher_lines_and_chain_spectrum_by_rounding)
-# and the physical h_xy, subnormal at k = pi at 2^-1000; and the RK4 oracle,
-# which keeps the physical H(k, t) as the independent check
+# to a bound in test_scale_moves_fisher_lines_and_chain_spectrum_by_rounding);
+# and the RK4 oracle, which keeps the physical H(k, t) as the independent
+# check
 ROUNDED = {"fisher_tau", "fisher_tau_grid", "fisher_lines",
-           "obc_floquet_spectrum", "bloch_components", "propagator_oracle"}
+           "obc_floquet_spectrum", "propagator_oracle"}
 LEDGER_ROWS = [row for row in api.API if row.name not in ROUNDED]
 POWER = {"energy": -1, "time": 1}
 
@@ -160,8 +160,9 @@ def test_drives_near_the_largest_double():
     for s in (1e308, 1.7e308):  # and those with units answer finite numbers
         p = scaled(one, s)
         ks = np.array([0.0, 0.7, math.pi])
-        b = model.bloch_components(p, ks)
-        physical = [b.h_xy, b.h_z, model.min_half_gap(p),
+        h_xy, h_z = model.normal_field(p, ks)[:2]
+        unit = p.normal_form[0]
+        physical = [h_xy * unit, h_z * unit, model.min_half_gap(p),
                     lattice.obc_floquet_spectrum(p, 12).quasienergies]
         for band in ("minus", "plus"):
             physical += [model.band_energy(p, band, ks),
