@@ -1,43 +1,38 @@
 #!/usr/bin/env python3
-"""Compare two source trees on the benchmark, in alternating pairs.
+"""Compare two git revisions on the benchmark, in alternating pairs.
 
 Usage:
     python3 scripts/bench_ab.py PARENT CHANGE --number N
         [--pairs P] [--workload NAME ...]
 
-PARENT and CHANGE are source trees, each with its own `perfbench/run.py`
-and `src/`. For every workload declared in CHANGE's `BENCHMARK.json`, or
-for each one named by `--workload` (repeatable), pair i of P (default 10)
-runs that file's `command` (`python3 perfbench/run.py`, as found on
-`PATH`) with `--trace 0` once in each tree, with seed 2000 + i and the
-benchmark's `run_seconds`; the parent runs first in even pairs and the
-change first in odd ones. Runs are sequential, in fresh processes.
+PARENT and CHANGE are revisions of the git repository this script lives in:
+a sha, a branch, HEAD~1, or `$(git stash create)` for uncommitted changes
+to tracked files (`git add` a new file first; on a clean tree that command
+prints nothing, so pass HEAD). A revision that names no commit exits 2
+before anything runs. Each side runs in its own `git archive` export in a
+temporary directory. For every workload declared in CHANGE's
+`BENCHMARK.json`, or for each one named by `--workload` (repeatable), pair
+i of P (default 10) runs that file's `command` (`python3 perfbench/run.py`,
+as found on `PATH`) with `--trace 0` once in each tree, with seed 2000 + i
+and the benchmark's `run_seconds`; the parent runs first in even pairs and
+the change first in odd ones. Runs are sequential, in fresh processes. Each
+tree's bytecode, which moves `setup_s`, is written by one untimed warm-up
+run per workload and only read by the timed runs.
 
-The record, `records/BENCH_<N>.json` under the current directory (the
-directory is made if missing), holds the machine, numpy and BLAS as the
-runs' metadata line reports them, with every `MALLOC_*` variable the runs
-inherit (glibc's malloc tunables, which move `peak_rss_mb`; `{}` where
-there is none), the pair count, per side the tree's `src_sha256` (as the
-runs report it), the commit it has checked out (`git -C TREE rev-parse
-HEAD`) and whether its `src/` differs from that commit (`git status
---porcelain -- src`), both null where the tree is not the top of a git
-checkout, and per workload and end-to-end metric the median and quartiles
-of each side, every run's value, the pairs the change won, and its median's
-change relative to the parent's against the metric's bound. A gain is shown
-where the change wins at least nine pairs in ten and its median beats the
+The record, `records/BENCH_<N>.json` under the current directory (made if
+missing) and the one file written there, holds the machine, numpy and BLAS
+as the runs' metadata line reports them, with every `MALLOC_*` variable the
+runs inherit (glibc's malloc tunables, which move `peak_rss_mb`; `{}` where
+there is none), the pair count, per side the revision as given, its
+commit's `git_sha` and the tree's `src_sha256` (as the runs report it), and
+per workload and end-to-end metric the median and quartiles of each side,
+every run's value, the pairs the change won, and its median's change
+relative to the parent's against the metric's bound. A gain is shown where
+the change wins at least nine pairs in ten and its median beats the
 parent's by more than the parent's quartile spread. The verdict is
 `unresolved` where the parent's quartile spread exceeds the bound relative
 to its median and not every change run beats every parent run; otherwise
-`within_bound` or `beyond_bound`. Nothing in either tree is written, apart
-from the scratch output the benchmark itself keeps in `.perfbench/`.
-
-Bytecode. A tree's own `__pycache__`, stale, missing or full, moves
-`setup_s`: compiling `cli.py` alone takes about 10 ms a launch. So each tree
-runs with its own fresh `PYTHONPYCACHEPREFIX`, a temporary directory outside
-both trees, filled by one untimed warm-up run per workload that writes
-bytecode. The timed runs read that cache with `PYTHONDONTWRITEBYTECODE=1`,
-and no `__pycache__` in either tree is read or written. The record says so
-under `bytecode`.
+`within_bound` or `beyond_bound`.
 """
 
 from __future__ import annotations
@@ -51,15 +46,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+REPO = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 DEFAULT_PAIRS = 10
 FIRST_SEED = 2000
 # the warm-up run: the fewest passes the benchmark takes, untimed
 WARMUP_SECONDS = 1e-3
-BYTECODE = ("each tree with its own fresh PYTHONPYCACHEPREFIX outside both "
-            "trees, filled by one warm-up run per workload; timed runs read "
-            "it with PYTHONDONTWRITEBYTECODE=1, no tree's __pycache__ is "
-            "read or written")
+BYTECODE = ("each tree a fresh export, its __pycache__ written by one "
+            "warm-up run per workload; timed runs read it with "
+            "PYTHONDONTWRITEBYTECODE=1")
 
 
 def run_once(command: list, tree: Path, workload: str, seed: int,
@@ -74,16 +69,12 @@ def run_once(command: list, tree: Path, workload: str, seed: int,
     return {"meta": json.loads(meta)["meta"], "result": json.loads(result)}
 
 
-def bytecode_envs(caches: Path) -> dict:
-    """Per side, (warm-up, timed) environments: the side's own bytecode
-    cache under `caches`, written by the warm-up and only read when timed."""
-    env = {k: v for k, v in os.environ.items()
-           if k != "PYTHONDONTWRITEBYTECODE"}
-    envs = {}
-    for side in SIDES:
-        warm = dict(env, PYTHONPYCACHEPREFIX=str(caches / side))
-        envs[side] = (warm, dict(warm, PYTHONDONTWRITEBYTECODE="1"))
-    return envs
+def bytecode_envs() -> tuple:
+    """(warm-up, timed) environments: the warm-up writes each tree's
+    bytecode, and the timed runs only read it."""
+    warm = {k: v for k, v in os.environ.items()
+            if k != "PYTHONDONTWRITEBYTECODE"}
+    return warm, dict(warm, PYTHONDONTWRITEBYTECODE="1")
 
 
 def malloc_env(env: dict) -> dict:
@@ -91,36 +82,42 @@ def malloc_env(env: dict) -> dict:
     return {k: v for k, v in sorted(env.items()) if k.startswith("MALLOC_")}
 
 
-def tree_revision(tree: Path) -> dict:
-    """{"git_sha", "src_differs"} of a tree: the commit it has checked out
-    and whether its src/ differs from it; null unless the tree is the top
-    of a git checkout."""
+def export(repo: Path, revisions: dict, into: Path) -> dict:
+    """{side: {"revision", "git_sha"}} of the commit that revisions[side]
+    names in the git repository `repo`, whose tree `git archive` writes
+    into `into / side`, `into` an existing directory. ValueError, before
+    anything is written, where a revision names no commit."""
     def git(*args):
-        return subprocess.run(["git", "-C", str(tree), *args], check=True,
-                              capture_output=True, text=True).stdout
-    try:
-        top, sha = git("rev-parse", "--show-toplevel", "HEAD").splitlines()
-        differs = bool(git("status", "--porcelain", "--", "src").strip())
-    except (OSError, subprocess.CalledProcessError, ValueError):
-        top = None
-    if top is None or Path(top).resolve() != tree.resolve():
-        return {"git_sha": None, "src_differs": None}
-    return {"git_sha": sha, "src_differs": differs}
+        return subprocess.run(["git", "-C", str(repo), *args],
+                              capture_output=True, check=True).stdout
+    trees = {}
+    for side, revision in revisions.items():
+        try:
+            sha = git("rev-parse", "--verify", "--end-of-options",
+                      f"{revision}^{{commit}}").decode().strip()
+        except subprocess.CalledProcessError:
+            raise ValueError(
+                f"{revision!r} names no commit of {repo}") from None
+        trees[side] = {"revision": revision, "git_sha": sha}
+    for side, tree in trees.items():
+        subprocess.run(["tar", "-x", "-C", str(into)], check=True, input=git(
+            "archive", f"--prefix={side}/", tree["git_sha"]))
+    return trees
 
 
 def run_pairs(command: list, trees: dict, workload: str, seeds: list,
               seconds: float, envs: dict) -> dict:
     """Each side's runs of one workload, in pairs, after one untimed warm-up
-    run per side that fills its bytecode cache."""
+    run per side that writes its bytecode."""
     for side in SIDES:
         run_once(command, trees[side], workload, FIRST_SEED, WARMUP_SECONDS,
-                 envs[side][0])
+                 envs[0])
     runs = {side: [] for side in SIDES}
     for i, seed in enumerate(seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
             runs[side].append(run_once(command, trees[side], workload, seed,
-                                       seconds, envs[side][1]))
+                                       seconds, envs[1]))
             r = runs[side][-1]["result"]["metrics"]
             print(f"{workload} pair {i} {side}: " + ", ".join(
                 f"{k} {v['value']:.4g}" for k, v in r.items()),
@@ -165,10 +162,10 @@ def summarize(metric: dict, runs: dict) -> dict:
     return out
 
 
-def main(argv=None) -> int:
+def main(argv=None, repo: Path = REPO) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
+    parser.add_argument("parent", help="a revision of this repository")
+    parser.add_argument("change", help="a revision of this repository")
     parser.add_argument("--number", type=int, required=True,
                         help="N of the record's name, BENCH_<N>.json")
     parser.add_argument("--pairs", type=int, default=DEFAULT_PAIRS,
@@ -176,38 +173,39 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append",
                         help="a workload to run (repeatable; default all)")
     args = parser.parse_args(argv)
-
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in bench["workloads"]]
     if args.pairs < 2:  # quartiles need two runs a side
         parser.error(f"--pairs must be at least 2, got {args.pairs}")
-    for name in args.workload or ():
-        if name not in names:
-            parser.error(f"unknown workload {name!r}; one of {names}")
-    seeds = [FIRST_SEED + i for i in range(args.pairs)]
-    seconds = bench["run_seconds"]
 
-    record = {"command": [*bench["command"], "--trace", "0"],
-              "seconds": seconds,
-              "pairs": args.pairs, "seeds": seeds,
-              "order": "parent first in even pairs, change first in odd",
-              "bytecode": BYTECODE,
-              "trees": {side: tree_revision(trees[side]) for side in SIDES},
-              "machine": None, "workloads": {}}
-    with tempfile.TemporaryDirectory() as caches:
-        envs = bytecode_envs(Path(caches))
-        for workload in args.workload or names:
+    with tempfile.TemporaryDirectory() as scratch:
+        try:
+            names = export(repo, {"parent": args.parent,
+                                  "change": args.change}, Path(scratch))
+        except ValueError as exc:
+            parser.error(str(exc))
+        trees = {side: Path(scratch, side) for side in SIDES}
+        bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+        workloads = [w["name"] for w in bench["workloads"]]
+        for name in args.workload or ():
+            if name not in workloads:
+                parser.error(f"unknown workload {name!r}; one of {workloads}")
+        seeds = [FIRST_SEED + i for i in range(args.pairs)]
+        seconds = bench["run_seconds"]
+        record = {"command": [*bench["command"], "--trace", "0"],
+                  "seconds": seconds, "pairs": args.pairs, "seeds": seeds,
+                  "order": "parent first in even pairs, change first in odd",
+                  "bytecode": BYTECODE, "trees": names,
+                  "machine": None, "workloads": {}}
+        envs = bytecode_envs()
+        for workload in args.workload or workloads:
             runs = run_pairs(bench["command"], trees, workload, seeds,
                              seconds, envs)
             meta = runs["change"][0]["meta"]
             record["machine"] = {key: meta[key] for key in
                                  ("cpu_model", "nproc", "python", "numpy",
                                   "blas", "blas_threads")}
-            record["machine"]["malloc_env"] = malloc_env(envs["change"][1])
+            record["machine"]["malloc_env"] = malloc_env(envs[1])
             for side in SIDES:
-                record["trees"][side]["src_sha256"] = \
-                    runs[side][0]["meta"]["src_sha256"]
+                names[side]["src_sha256"] = runs[side][0]["meta"]["src_sha256"]
             record["workloads"][workload] = {
                 "failed": {side: sum(r["result"]["failed"]
                                      for r in runs[side]) for side in SIDES},

@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Compare two source trees call by call, bit for bit.
+"""Compare two git revisions call by call, bit for bit.
 
 Usage:
     python3 scripts/bits_ab.py PARENT CHANGE --number N
 
-PARENT and CHANGE are source trees, each with its own `src/`. In each tree,
-in a fresh process with that tree's `src/` first on the path, this script
-runs one fixed, seeded list of calls: the rows of the API table,
-`tests/api.py` of this script's checkout, expanded by `api.calls`, each
-row's function looked up by name in the tree that runs it (so a row whose
-parameters a change edits raises TypeError on the parent's side), on
+PARENT and CHANGE are git revisions, as `bench_ab.py` takes them and
+exports them. In each exported tree, in a fresh process with that tree's
+`src/` first on the path, this script runs one fixed, seeded list of calls:
+the rows of the API table, `tests/api.py` of this script's checkout,
+expanded by `api.calls`, each row's function looked up by name in the tree
+that runs it (so a row whose parameters a change edits raises TypeError on
+the parent's side), on
 
 - the drives of `api.DRIVES` (`tests/api.py` names them), at both bands;
   a point API at k = 0, pi and random k and at t = 0, a negative t, t on a
@@ -27,7 +28,7 @@ parameters a change edits raises TypeError on the parent's side), on
   `tomography_phase_grid` row on the exact Bloch vector, with k = 0 and pi;
 - `fdqpt` over a fixed list of argument vectors, in process; `winding` and
   `topo` also on the gapless drive `gapless0`, from a [model] INI file
-  written to the working directory.
+  written into the exported tree.
 
 Each outcome is the error type and message, or the value's type and bits
 (float64 and complex128 as int64 views, so signed zeros and NaN payloads
@@ -35,13 +36,13 @@ count), then the category and message of each warning the call raised; for
 `fdqpt`, the exit code and the SHA-256 of standard output and standard
 error. A name missing from a tree raises AttributeError.
 
-`records/BITS_<N>.json`, written under the current directory (the directory
-is made if missing), holds the number of calls and, per API, the calls that
-differ, those that differ in the value's type alone, and the largest
-absolute difference, plain and modulo 2 pi, over values that are arrays of
-one shape or sequences of them (else null); then each other differing call
-with both outcomes, a value by its type, shape, digest and first values.
-Nothing in either tree is written.
+`records/BITS_<N>.json`, under the current directory (made if missing),
+holds each side's revision as given and its `git_sha`, the number of calls
+and, per API, the calls that differ, those that differ in the value's type
+alone, and the largest absolute difference, plain and modulo 2 pi, over
+values that are arrays of one shape or sequences of them (else null); then
+each other differing call with both outcomes, a value by its type, shape,
+digest and first values. Nothing else in the checkout is written.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+
+from bench_ab import REPO, SIDES, export
 
 TOMOGRAPHY_DRAWS = 3000
 LABELS = {"band": "band", "k": "k", "ks": "k", "t": "t", "ts": "t"}
@@ -217,8 +220,8 @@ def run_cli(cli, argv):
 
 
 def emit(path):
-    """Run the call list in this process's tree and write the outcomes."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+    """Run the call list on the floquet_dqpt and tests/api.py that run_tree
+    puts on the path, and write the outcomes."""
     import api
     from floquet_dqpt import cli
     results = {}
@@ -292,39 +295,37 @@ def summary(outcome):
     return ["ok", out, *outcome[2:]]
 
 
-def run_tree(tree: Path, scratch: Path) -> dict:
-    out = scratch / f"{tree.name}.json"
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+def run_tree(tree: Path) -> dict:
+    """The outcomes of the call list, run in `tree` on its own src/."""
+    here = Path(__file__).resolve().parent
+    # the tree's package; this script, for emit; its checkout's tests/api.py
+    path = [tree / "src", here, here.parent / "tests"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, path)),
                PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1")
-    subprocess.run([sys.executable, str(Path(__file__).resolve()), "--emit",
-                    str(out)], cwd=scratch, env=env, check=True)
-    return json.loads(out.read_text())
+    subprocess.run([sys.executable, "-c", "import bits_ab; bits_ab.emit("
+                    "'outcomes.json')"], cwd=tree, env=env, check=True)
+    return json.loads((tree / "outcomes.json").read_text())
 
 
-def main(argv=None) -> int:
+def main(argv=None, repo: Path = REPO) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path, nargs="?")
-    parser.add_argument("change", type=Path, nargs="?")
-    parser.add_argument("--number", type=int,
+    parser.add_argument("parent", help="a revision of this repository")
+    parser.add_argument("change", help="a revision of this repository")
+    parser.add_argument("--number", type=int, required=True,
                         help="N of the record's name, BITS_<N>.json")
-    parser.add_argument("--emit", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.emit:
-        emit(args.emit)
-        return 0
-    if args.parent is None or args.change is None or args.number is None:
-        parser.error("PARENT, CHANGE and --number are required")
     with tempfile.TemporaryDirectory() as scratch:
-        runs = {}
-        for side, tree in (("parent", args.parent), ("change", args.change)):
-            (Path(scratch) / side).mkdir()
-            runs[side] = run_tree(tree.resolve(), Path(scratch) / side)
+        try:
+            trees = export(repo, {"parent": args.parent,
+                                  "change": args.change}, Path(scratch))
+        except ValueError as exc:
+            parser.error(str(exc))
+        runs = {side: run_tree(Path(scratch, side)) for side in SIDES}
     labels = list(dict.fromkeys([*runs["parent"], *runs["change"]]))
     differing, per_api = [], {}
     for label in labels:
-        a, b = (runs[side].get(label, ["missing"])
-                for side in ("parent", "change"))
+        a, b = (runs[side].get(label, ["missing"]) for side in SIDES)
         if a == b:
             continue
         api = per_api.setdefault(label.split(" #")[0], {
@@ -339,7 +340,7 @@ def main(argv=None) -> int:
                                    zip(api["max_abs_diff"] or diff, diff)]
         differing.append({"call": label, "parent": summary(a),
                           "change": summary(b), "max_abs_diff": diff})
-    record = {"calls": len(labels),
+    record = {"trees": trees, "calls": len(labels),
               "differing_calls": sum(a["differing"] for a in per_api.values()),
               "per_api": per_api, "differing": differing}
     out = Path("records", f"BITS_{args.number}.json")

@@ -104,17 +104,28 @@ def exact_winding_grid(params: ModelParams, band: str, t) -> np.ndarray:
     The overlap |a|^2 + e^{iwt}|b|^2 runs along the chord from 1 to e^{iwt},
     and at k = 0 and pi (h_xy = 0) |a|^2 is 0 or 1. So along k the lift of
     the geometric phase changes by m (wt - principal(wt)) = 2 pi m round(t/T),
-    with m = |a|^2(pi) - |a|^2(0), nonzero iff |w - delta2| < |delta1|;
-    where m = 0, nu is the signed zero m t at every finite t, however small
-    the period, and NaN at a non-finite t, as at a NaN t. Raises
-    GaplessPoint when the gap closes anywhere in the zone
-    (model.zone_gap_guard), then, where m != 0 (the drive has critical
-    times), TimeUnresolved at the largest |t| from params.time_limit on
-    (model.require_resolved_time).
+    with m = |a|^2(pi) - |a|^2(0). The lower band's |a|^2 is 1 where
+    h_z - w/2 = (+-delta1 + delta2 - w)/2 < 0, so m is nonzero iff those
+    two signs differ, |w - delta2| < |delta1|: the DQPT condition, which m
+    reads from its one statement, dqpt.dqpt_condition, as topology's
+    W1 = sign(delta1 Omega) does. Where it holds, m = sign(delta1) for the
+    lower band and -sign(delta1) for the upper one; else m = +0.0, and nu
+    is the signed zero m t at every finite t, however small the period, and
+    NaN at a non-finite t, as at a NaN t. Raises GaplessPoint when the gap
+    closes anywhere in the zone (model.zone_gap_guard), then ValueError
+    for a band other than "minus" or "plus", then, where m != 0 (the drive
+    has critical times), TimeUnresolved at the largest |t| from
+    params.time_limit on (model.require_resolved_time).
     """
     zone_gap_guard(params)
-    wa, _ = band_weights(params, band, np.array([0.0, math.pi]))
-    m = np.rint(wa[1] - wa[0])
+    sign = _band_sign(band)
+    return _winding_line(params, sign, dqpt_condition(params).has_dqpt, t)
+
+
+def _winding_line(params, sign, has_dqpt, t):
+    # exact_winding_grid past its guards: nu = m round(t/T), the slope m
+    # from the band's sign and the drive's DQPT condition
+    m = -sign * math.copysign(1.0, params.delta1) if has_dqpt else 0.0
     t = np.asarray(t, dtype=float)
     if not m:  # no t/T, which overflows on a tiny period, and no 0 inf
         return m * np.where(np.isfinite(t), t, np.nan)
@@ -130,9 +141,11 @@ def exact_winding(params: ModelParams, band: str, t: float) -> int:
     NearCriticalTime) if the drive has critical times (without them nu is
     exactly 0 at every t, so no t is refused), and GaplessPoint."""
     finite_point(t=t)
-    if dqpt_condition(params).has_dqpt:
+    has_dqpt = dqpt_condition(params).has_dqpt
+    if has_dqpt:
         _time_guard(params, t)
-    return int(exact_winding_grid(params, band, t))
+    zone_gap_guard(params)
+    return int(_winding_line(params, _band_sign(band), has_dqpt, t))
 
 
 def winding_number(params: ModelParams, band: str, t: float,

@@ -5,16 +5,18 @@ record, and `scripts/bits_ab.py` writes `records/BITS_<N>.json`, a call-by-
 call bit comparison. Every field of a BENCH metric entry must be what
 `bench_ab.summarize` derives from that entry's own runs, unit, direction
 and bound, so a hand-edited `change_wins` or `verdict` fails here; every
-BITS record's counts must add up.
+BITS record's counts must add up. A record names the trees it compared by
+revision and commit sha, where the script that wrote it took revisions.
 """
 
 import json
 import re
+import subprocess
 
 import numpy as np
 import pytest
 
-from test_datasets import ROOT, load_script
+from test_datasets import ROOT, commit_files, load_script
 
 RECORDS = ROOT / "records"
 BENCH = sorted(RECORDS.glob("BENCH_*.json"))
@@ -23,6 +25,7 @@ BITS = sorted(RECORDS.glob("BITS_*.json"))
 # record's `note`), so it names each tree by its commit, not by src_sha256
 BY_COMMIT = {"BENCH_25_scan.json": {"parent": "a9cbc42", "change": "89512f9"}}
 SHA256 = re.compile("[0-9a-f]{64}")
+GIT_SHA = re.compile("[0-9a-f]{40}")
 bench_ab = load_script("bench_ab")
 
 
@@ -64,6 +67,46 @@ def test_bits_record_counts_add_up(path):
         - sum(api["type_only"] for api in per_api)
 
 
+@pytest.mark.parametrize("path", BENCH + BITS, ids=lambda path: path.name)
+def test_record_names_its_trees(path):
+    # a git_sha is a full sha; a record written from revisions names both
+    # sides by revision and sha
+    trees = json.loads(path.read_text()).get("trees", {})
+    named = [tree for tree in trees.values() if isinstance(tree, dict)]
+    for tree in named:
+        assert tree["git_sha"] is None or GIT_SHA.fullmatch(tree["git_sha"])
+    if any("revision" in tree for tree in named):
+        assert set(trees) == set(bench_ab.SIDES)
+        for tree in trees.values():
+            assert tree["revision"] and GIT_SHA.fullmatch(tree["git_sha"])
+
+
+@pytest.mark.parametrize("name", ["bench_ab", "bits_ab"])
+def test_ab_script_refuses_a_revision_that_names_no_commit(
+        monkeypatch, tmp_path, capsys, name):
+    # the argument parser's exit 2, before any export or run, and no record
+    script = load_script(name)
+    repo = tmp_path / "repo"
+    commit_files(repo, {"BENCHMARK.json": "{}"})
+
+    run, launched = subprocess.run, []
+
+    def logged(argv, **kwargs):
+        launched.append(argv)
+        return run(argv, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", logged)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        script.main(["HEAD", "no-such-revision", "--number", "0"],
+                    repo=repo)
+    assert exit_.value.code == 2
+    assert "'no-such-revision' names no commit" in capsys.readouterr().err
+    assert not (tmp_path / "records").exists()
+    # HEAD resolved, the revision after it did not, and nothing else ran
+    assert [argv[3:5] for argv in launched] == [["rev-parse", "--verify"]] * 2
+
+
 def test_bits_ab_lists_what_differs_and_counts_the_rest(monkeypatch,
                                                        tmp_path):
     # two stubbed trees' outcomes, compared as main compares them; the
@@ -80,12 +123,17 @@ def test_bits_ab_lists_what_differs_and_counts_the_rest(monkeypatch,
     change = {"same #0": ok(1.5), "phase #0": ok(np.array([0.0, 0.0])),
               "typed #0": ok(1.0), "error #0": ["ValueError", "b", []]}
     outcomes = iter([parent, change])
-    monkeypatch.setattr(script, "run_tree", lambda tree, scratch:
-                        next(outcomes))
+    monkeypatch.setattr(script, "run_tree", lambda tree: next(outcomes))
     monkeypatch.chdir(tmp_path)
-    assert script.main(["parent", "change", "--number", "0"]) == 0
+    repo = tmp_path / "repo"
+    first = commit_files(repo, {"a.txt": "a\n"})
+    second = commit_files(repo, {"a.txt": "b\n"})
+    assert script.main(["HEAD~1", "HEAD", "--number", "0"], repo=repo) == 0
     path = tmp_path / "records" / "BITS_0.json"
     record = json.loads(path.read_text())
+    assert record["trees"] == {
+        "parent": {"revision": "HEAD~1", "git_sha": first},
+        "change": {"revision": "HEAD", "git_sha": second}}
     assert record["calls"] == 5 and record["differing_calls"] == 4
     assert "same" not in record["per_api"]
     assert record["per_api"]["typed"] == {"differing": 1, "type_only": 1,
@@ -98,3 +146,4 @@ def test_bits_ab_lists_what_differs_and_counts_the_rest(monkeypatch,
     assert listed["error #0"]["max_abs_diff"] is None
     assert listed["error #0"]["change"] == ["ValueError", "b", []]
     test_bits_record_counts_add_up(path)
+    test_record_names_its_trees(path)

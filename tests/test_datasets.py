@@ -27,11 +27,35 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_datasets.json")
 
 
 def load_script(name):
+    # scripts import each other as the directory they run from puts them
+    # on the path
+    if str(ROOT / "scripts") not in sys.path:
+        sys.path.append(str(ROOT / "scripts"))
     spec = importlib.util.spec_from_file_location(
         name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def commit_files(repo, files):
+    """Write `files` ({path: text}) into the git repository `repo`, made if
+    missing, commit them and return the commit's sha."""
+    def git(*args):
+        return subprocess.run(
+            ["git", "-C", str(repo), "-c", "user.name=t", "-c",
+             "user.email=t@t", "-c", "commit.gpgsign=false", *args],
+            check=True, capture_output=True, text=True).stdout.strip()
+
+    if not repo.exists():
+        repo.mkdir()
+        git("init", "-q")
+    for name, text in files.items():
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(text)
+    git("add", "-A")
+    git("commit", "-q", "-m", "files")
+    return git("rev-parse", "HEAD")
 
 
 def test_datasets_match_golden_hashes(tmp_path, capsys):
@@ -212,33 +236,32 @@ def test_bench_ab_launches_the_declared_benchmark_command(monkeypatch):
                           "--seconds", "0.5", "--trace", "0"], ROOT, env)]
 
 
-def test_bench_ab_names_each_tree_by_its_commit(tmp_path):
-    # a record names the commit a tree has checked out and whether its src/
-    # differs from it; a directory that is not the top of a checkout, or not
-    # in one, is named by null
+def test_bench_ab_exports_each_revision_with_git_archive(tmp_path):
+    # each side is the tree of the commit its revision names, written into
+    # its own directory, and named by the revision and the commit's sha;
+    # `git stash create` names the uncommitted edit of a tracked file
     script = load_script("bench_ab")
-    tree = tmp_path / "tree"
-    (tree / "src").mkdir(parents=True)
-    (tree / "src" / "a.py").write_text("x = 1\n")
-
-    def git(*args):
-        return subprocess.run(
-            ["git", "-C", str(tree), "-c", "user.name=t",
-             "-c", "user.email=t@t", *args],
-            check=True, capture_output=True, text=True).stdout.strip()
-
-    unnamed = {"git_sha": None, "src_differs": None}
-    assert script.tree_revision(tree) == unnamed
-    git("init", "-q")
-    git("add", "-A")
-    git("commit", "-q", "-m", "a")
-    sha = git("rev-parse", "HEAD")
-    assert script.tree_revision(tree) == {"git_sha": sha,
-                                          "src_differs": False}
-    (tree / "src" / "a.py").write_text("x = 2\n")
-    assert script.tree_revision(tree) == {"git_sha": sha,
-                                          "src_differs": True}
-    assert script.tree_revision(tree / "src") == unnamed
+    repo = tmp_path / "repo"
+    first = commit_files(repo, {"src/a.py": "x = 1\n"})
+    second = commit_files(repo, {"src/a.py": "x = 2\n", "b.txt": "b\n"})
+    (repo / "src" / "a.py").write_text("x = 3\n")
+    (repo / "new.txt").write_text("untracked\n")
+    stash = subprocess.run(["git", "-C", str(repo), "stash", "create"],
+                           check=True, capture_output=True,
+                           text=True).stdout.strip()
+    out = tmp_path / "out"
+    out.mkdir()
+    trees = script.export(repo, {"parent": "HEAD~1", "change": second[:7],
+                                 "edit": stash}, out)
+    assert trees == {"parent": {"revision": "HEAD~1", "git_sha": first},
+                     "change": {"revision": second[:7], "git_sha": second},
+                     "edit": {"revision": stash, "git_sha": stash}}
+    files = {side: {str(path.relative_to(out / side)): path.read_bytes()
+                    for path in (out / side).rglob("*") if path.is_file()}
+             for side in trees}
+    assert files == {"parent": {"src/a.py": b"x = 1\n"},
+                     "change": {"src/a.py": b"x = 2\n", "b.txt": b"b\n"},
+                     "edit": {"src/a.py": b"x = 3\n", "b.txt": b"b\n"}}
 
 
 @pytest.mark.parametrize("malloc", [{}, {"MALLOC_MMAP_THRESHOLD_": "65536",
@@ -266,9 +289,14 @@ def test_bench_ab_records_the_malloc_environment_of_its_runs(
 
     monkeypatch.setattr(script, "run_once", run_once)
     monkeypatch.chdir(tmp_path)
-    assert script.main([str(ROOT), str(ROOT), "--number", "0",
-                        "--pairs", "2", "--workload", "scan"]) == 0
+    repo = tmp_path / "repo"
+    sha = commit_files(repo, {"BENCHMARK.json": json.dumps(bench)})
+    assert script.main(["HEAD", sha, "--number", "0", "--pairs", "2",
+                        "--workload", "scan"], repo=repo) == 0
     record = json.loads((tmp_path / "records" / "BENCH_0.json").read_text())
+    assert record["trees"] == {
+        "parent": {"revision": "HEAD", "git_sha": sha, "src_sha256": "0"},
+        "change": {"revision": sha, "git_sha": sha, "src_sha256": "0"}}
     assert record["machine"]["malloc_env"] == malloc
     assert len(envs) == 6
     assert all(script.malloc_env(env) == malloc for env in envs)

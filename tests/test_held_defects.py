@@ -17,6 +17,7 @@ from floquet_dqpt import cli
 from floquet_dqpt.dqpt import fisher_tau, rate_function, rate_function_grid
 from floquet_dqpt.dynamics import micromotion_overlap, propagator_oracle
 from floquet_dqpt.errors import UndefinedTau
+from floquet_dqpt.geometry import bloch_vector_grid, tomography_phase_grid
 from floquet_dqpt.lattice import obc_floquet_spectrum
 from floquet_dqpt.model import band_energy, band_weights, normal_field
 
@@ -148,3 +149,20 @@ def test_rate_function_of_the_gapless_drive_reads_nan(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr() == ("t,g\n0,nan\n4.7123889803846897,nan\n"
                                    "9.4247779607693793,nan\n", "")
+
+
+def test_tomography_phase_at_the_gapless_point_reads_a_nan_of_either_sign():
+    # ROADMAP items 14 and 16: at gapless0's gapless k = 0 the exact Bloch
+    # vector is 0/0, and the rebuilt phase is NaN with no typed error; its
+    # sign bit depends on whether the point is a scalar or a grid cell, so
+    # moving a caller between the two shows as a differing call
+    p, t = DRIVES["gapless0"], 0.3
+    point = tomography_phase_grid(p, 0.0, t,
+                                  bloch_vector_grid(p, "minus", 0.0, t))
+    assert point.shape == ()
+    assert point.view(np.int64) == -2251799813685248  # -NaN
+    ks, ts = np.linspace(0.0, math.pi, 4)[:, None], np.array([t, 0.5])
+    grid = tomography_phase_grid(p, ks, ts,
+                                 bloch_vector_grid(p, "minus", ks, ts))
+    assert grid.shape == (4, 2)
+    assert grid[0, 0].view(np.int64) == 9221120237041090560  # +NaN
