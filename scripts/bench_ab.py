@@ -20,19 +20,19 @@ tree's bytecode, which moves `setup_s`, is written by one untimed warm-up
 run per workload and only read by the timed runs.
 
 The record, `records/BENCH_<N>.json` under the current directory (made if
-missing) and the one file written there, holds the machine, numpy and BLAS
-as the runs' metadata line reports them, with every `MALLOC_*` variable the
-runs inherit (glibc's malloc tunables, which move `peak_rss_mb`; `{}` where
-there is none), the pair count, per side the revision as given, its
-commit's `git_sha` and the tree's `src_sha256` (as the runs report it), and
-per workload and end-to-end metric the median and quartiles of each side,
-every run's value, the pairs the change won, and its median's change
-relative to the parent's against the metric's bound. A gain is shown where
-the change wins at least nine pairs in ten and its median beats the
-parent's by more than the parent's quartile spread. The verdict is
-`unresolved` where the parent's quartile spread exceeds the bound relative
-to its median and not every change run beats every parent run; otherwise
-`within_bound` or `beyond_bound`.
+missing; an existing one exits 2 before anything runs) and the one file
+written there, holds the machine, numpy and BLAS as the runs' metadata line
+reports them, with every `MALLOC_*` variable the runs inherit (glibc's
+malloc tunables, which move `peak_rss_mb`; `{}` where there is none), the
+pair count, per side the revision as given, its commit's `git_sha` and the
+tree's `src_sha256` (as the runs report it), and per workload and end-to-end
+metric the median and quartiles of each side, every run's value, the pairs
+the change won, and its median's change relative to the parent's against the
+metric's bound. A gain is shown where the change wins at least nine pairs in
+ten and its median beats the parent's by more than the parent's quartile
+spread. The verdict is `unresolved` where the parent's quartile spread
+exceeds the bound relative to its median and not every change run beats
+every parent run; otherwise `within_bound` or `beyond_bound`.
 """
 
 from __future__ import annotations
@@ -105,6 +105,13 @@ def export(repo: Path, revisions: dict, into: Path) -> dict:
     return trees
 
 
+def record_path(parser, name: str) -> Path:
+    """records/<name> if no such file exists yet, else the parser's exit 2."""
+    if Path("records", name).exists():
+        parser.error(f"records/{name} exists; a record is never overwritten")
+    return Path("records", name)
+
+
 def run_pairs(command: list, trees: dict, workload: str, seeds: list,
               seconds: float, envs: dict) -> dict:
     """Each side's runs of one workload, in pairs, after one untimed warm-up
@@ -175,6 +182,7 @@ def main(argv=None, repo: Path = REPO) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:  # quartiles need two runs a side
         parser.error(f"--pairs must be at least 2, got {args.pairs}")
+    out = record_path(parser, f"BENCH_{args.number}.json")
 
     with tempfile.TemporaryDirectory() as scratch:
         try:
@@ -212,7 +220,6 @@ def main(argv=None, repo: Path = REPO) -> int:
                 "metrics": {metric["name"]: summarize(metric, runs)
                             for metric in bench["end_to_end"]}}
 
-    out = Path("records", f"BENCH_{args.number}.json")
     out.parent.mkdir(exist_ok=True)
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(out)

@@ -4,13 +4,13 @@
 Usage:
     python3 scripts/bits_ab.py PARENT CHANGE --number N
 
-PARENT and CHANGE are git revisions, as `bench_ab.py` takes them and
-exports them. In each exported tree, in a fresh process with that tree's
-`src/` first on the path, this script runs one fixed, seeded list of calls:
-the rows of the API table, `tests/api.py` of this script's checkout,
-expanded by `api.calls`, each row's function looked up by name in the tree
-that runs it (so a row whose parameters a change edits raises TypeError on
-the parent's side), on
+PARENT and CHANGE are git revisions, as `bench_ab.py` takes them and exports
+them. Each exported tree runs CHANGE's one fixed, seeded list of calls, in a
+fresh process with its own `src/` and CHANGE's `scripts/` (`call_list`,
+`emit`) and `tests/` on the path, so CHANGE's `git_sha` names the list: the
+rows of the API table `tests/api.py`, expanded by `api.calls`, each row's
+function looked up by name in the tree that runs it (so a row whose
+parameters a change edits raises TypeError on the parent's side), on
 
 - the drives of `api.DRIVES` (`tests/api.py` names them), at both bands;
   a point API at k = 0, pi and random k and at t = 0, a negative t, t on a
@@ -36,13 +36,13 @@ count), then the category and message of each warning the call raised; for
 `fdqpt`, the exit code and the SHA-256 of standard output and standard
 error. A name missing from a tree raises AttributeError.
 
-`records/BITS_<N>.json`, under the current directory (made if missing),
-holds each side's revision as given and its `git_sha`, the number of calls
-and, per API, the calls that differ, those that differ in the value's type
-alone, and the largest absolute difference, plain and modulo 2 pi, over
-values that are arrays of one shape or sequences of them (else null); then
-each other differing call with both outcomes, a value by its type, shape,
-digest and first values. Nothing else in the checkout is written.
+`records/BITS_<N>.json`, under the current directory (made if missing; an
+existing one exits 2 first), holds each side's revision as given and its
+`git_sha`, the number of calls and, per API, the calls that differ, those
+that differ in the value's type alone, and the largest absolute difference,
+plain and modulo 2 pi, over values that are arrays of one shape or sequences
+of them (else null); then each other differing call with both outcomes, a
+value by its type, shape, digest and first values. Nothing else is written.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bench_ab import REPO, SIDES, export
+from bench_ab import REPO, SIDES, export, record_path
 
 TOMOGRAPHY_DRAWS = 3000
 LABELS = {"band": "band", "k": "k", "ks": "k", "t": "t", "ts": "t"}
@@ -295,11 +295,9 @@ def summary(outcome):
     return ["ok", out, *outcome[2:]]
 
 
-def run_tree(tree: Path) -> dict:
-    """The outcomes of the call list, run in `tree` on its own src/."""
-    here = Path(__file__).resolve().parent
-    # the tree's package; this script, for emit; its checkout's tests/api.py
-    path = [tree / "src", here, here.parent / "tests"]
+def run_tree(tree: Path, change: Path) -> dict:
+    """The outcomes of the call list of export `change`, run in `tree`."""
+    path = [tree / "src", change / "scripts", change / "tests"]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, path)),
                PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1")
@@ -315,13 +313,15 @@ def main(argv=None, repo: Path = REPO) -> int:
     parser.add_argument("--number", type=int, required=True,
                         help="N of the record's name, BITS_<N>.json")
     args = parser.parse_args(argv)
+    out = record_path(parser, f"BITS_{args.number}.json")
     with tempfile.TemporaryDirectory() as scratch:
         try:
             trees = export(repo, {"parent": args.parent,
                                   "change": args.change}, Path(scratch))
         except ValueError as exc:
             parser.error(str(exc))
-        runs = {side: run_tree(Path(scratch, side)) for side in SIDES}
+        runs = {side: run_tree(Path(scratch, side), Path(scratch, "change"))
+                for side in SIDES}
     labels = list(dict.fromkeys([*runs["parent"], *runs["change"]]))
     differing, per_api = [], {}
     for label in labels:
@@ -343,7 +343,6 @@ def main(argv=None, repo: Path = REPO) -> int:
     record = {"trees": trees, "calls": len(labels),
               "differing_calls": sum(a["differing"] for a in per_api.values()),
               "per_api": per_api, "differing": differing}
-    out = Path("records", f"BITS_{args.number}.json")
     out.parent.mkdir(exist_ok=True)
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"{out}: {record['differing_calls']} of {len(labels)} calls "

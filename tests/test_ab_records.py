@@ -6,12 +6,16 @@ call bit comparison. Every field of a BENCH metric entry must be what
 `bench_ab.summarize` derives from that entry's own runs, unit, direction
 and bound, so a hand-edited `change_wins` or `verdict` fails here; every
 BITS record's counts must add up. A record names the trees it compared by
-revision and commit sha, where the script that wrote it took revisions.
+revision and commit sha, where the script that wrote it took revisions, as
+both scripts have from the records numbered 53 on.
 """
 
 import json
+import os
 import re
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,9 @@ BITS = sorted(RECORDS.glob("BITS_*.json"))
 BY_COMMIT = {"BENCH_25_scan.json": {"parent": "a9cbc42", "change": "89512f9"}}
 SHA256 = re.compile("[0-9a-f]{64}")
 GIT_SHA = re.compile("[0-9a-f]{40}")
+NUMBER = re.compile(r"(?:BENCH|BITS)_(\d+)")
+# the first records of the scripts that take revisions
+FIRST_NAMED = 53
 bench_ab = load_script("bench_ab")
 
 
@@ -69,13 +76,14 @@ def test_bits_record_counts_add_up(path):
 
 @pytest.mark.parametrize("path", BENCH + BITS, ids=lambda path: path.name)
 def test_record_names_its_trees(path):
-    # a git_sha is a full sha; a record written from revisions names both
-    # sides by revision and sha
+    # a git_sha is a full sha; a record written from revisions, as every
+    # record is from FIRST_NAMED on, names both sides by revision and sha
     trees = json.loads(path.read_text()).get("trees", {})
     named = [tree for tree in trees.values() if isinstance(tree, dict)]
     for tree in named:
         assert tree["git_sha"] is None or GIT_SHA.fullmatch(tree["git_sha"])
-    if any("revision" in tree for tree in named):
+    if (any("revision" in tree for tree in named)
+            or int(NUMBER.match(path.name)[1]) >= FIRST_NAMED):
         assert set(trees) == set(bench_ab.SIDES)
         for tree in trees.values():
             assert tree["revision"] and GIT_SHA.fullmatch(tree["git_sha"])
@@ -107,6 +115,61 @@ def test_ab_script_refuses_a_revision_that_names_no_commit(
     assert [argv[3:5] for argv in launched] == [["rev-parse", "--verify"]] * 2
 
 
+@pytest.mark.parametrize("name,kind", [("bench_ab", "BENCH"),
+                                       ("bits_ab", "BITS")])
+def test_ab_script_refuses_to_overwrite_a_record(
+        monkeypatch, tmp_path, capsys, name, kind):
+    # an existing records/<kind>_<N>.json is the parser's exit 2: the file
+    # keeps its bytes, and no git command or export runs
+    script = load_script(name)
+    repo = tmp_path / "repo"
+    commit_files(repo, {"BENCHMARK.json": "{}"})
+    record = tmp_path / "records" / f"{kind}_0.json"
+    record.parent.mkdir()
+    record.write_bytes(b'{"kept": true}\n')
+    launched = []
+    monkeypatch.setattr(subprocess, "run",
+                        lambda argv, **kwargs: launched.append(argv))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        script.main(["HEAD", "HEAD", "--number", "0"], repo=repo)
+    assert exit_.value.code == 2
+    assert f"records/{kind}_0.json exists" in capsys.readouterr().err
+    assert record.read_bytes() == b'{"kept": true}\n'
+    assert launched == []
+
+
+def test_bits_ab_runs_the_change_call_list_in_both_trees(monkeypatch,
+                                                         tmp_path):
+    # each side's process has its own src/ and the change export's scripts/
+    # (call_list, emit) and tests/ (api.py) on its path, and no path of the
+    # checkout that launched it; the emit runs are stubbed
+    script = load_script("bits_ab")
+    repo = tmp_path / "repo"
+    commit_files(repo, {"src/a.py": "x = 1\n"})
+    commit_files(repo, {"src/a.py": "x = 2\n"})
+    run, paths = subprocess.run, {}
+
+    def emit(argv, **kwargs):
+        if argv[0] != sys.executable:  # git and tar
+            return run(argv, **kwargs)
+        tree = Path(kwargs["cwd"])
+        paths[tree] = kwargs["env"]["PYTHONPATH"].split(os.pathsep)
+        (tree / "outcomes.json").write_text("{}")
+
+    monkeypatch.setattr(subprocess, "run", emit)
+    monkeypatch.chdir(tmp_path)
+    assert script.main(["HEAD~1", "HEAD", "--number", "0"], repo=repo) == 0
+    scratch = next(iter(paths)).parent
+    change = scratch / "change"
+    assert paths == {scratch / side: [str(scratch / side / "src"),
+                                      str(change / "scripts"),
+                                      str(change / "tests")]
+                     for side in bench_ab.SIDES}
+    assert not [path for tree in paths.values() for path in tree
+                if Path(path).is_relative_to(ROOT)]
+
+
 def test_bits_ab_lists_what_differs_and_counts_the_rest(monkeypatch,
                                                        tmp_path):
     # two stubbed trees' outcomes, compared as main compares them; the
@@ -123,7 +186,8 @@ def test_bits_ab_lists_what_differs_and_counts_the_rest(monkeypatch,
     change = {"same #0": ok(1.5), "phase #0": ok(np.array([0.0, 0.0])),
               "typed #0": ok(1.0), "error #0": ["ValueError", "b", []]}
     outcomes = iter([parent, change])
-    monkeypatch.setattr(script, "run_tree", lambda tree: next(outcomes))
+    monkeypatch.setattr(script, "run_tree",
+                        lambda tree, change: next(outcomes))
     monkeypatch.chdir(tmp_path)
     repo = tmp_path / "repo"
     first = commit_files(repo, {"a.txt": "a\n"})

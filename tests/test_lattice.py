@@ -11,6 +11,7 @@ from floquet_dqpt.lattice import (PI_MODE_EDGE_WEIGHT, PI_MODE_ENERGY_TOL,
 
 from api import random_params
 from conftest import EXAMPLE1, EXAMPLE2, EXAMPLE3
+from test_datasets import load_script
 from oracles import (bdg_hamiltonian, chiral_block_spectrum,
                      one_period_propagator, rotating_frame_hamiltonian)
 
@@ -172,3 +173,24 @@ def test_bulk_boundary_correspondence(ex1, ex2, ex3):
     assert int(s2.pi_mode.sum()) == 0
     s3 = obc_floquet_spectrum(ex3, 40)
     assert int(s3.pi_mode.sum()) == 2
+
+
+def test_edge_mode_scaling_script_reads_as_the_readme_quotes(capsys):
+    # scripts/edge_mode_scaling.py at N = 20, 40, 80: example1 flags two pi
+    # modes at each size, pinned to +-w/2 ever closer; example2 flags none
+    load_script("edge_mode_scaling").main(["edge_mode_scaling", "20", "40",
+                                           "80"])
+    rows, preset = {}, None
+    for line in capsys.readouterr().out.splitlines():
+        if not line.startswith(" "):
+            preset = line.split(":")[0]
+        elif line.split()[0].isdigit():
+            n, modes, detuning, _ = line.split()
+            rows[preset, int(n)] = (int(modes), detuning)
+    assert set(rows) == {(name, n) for name in ("example1", "example2")
+                         for n in (20, 40, 80)}
+    assert [rows["example1", n][0] for n in (20, 40, 80)] == [2, 2, 2]
+    assert float(rows["example1", 20][1]) == pytest.approx(5.69e-4, rel=0.01)
+    assert float(rows["example1", 40][1]) == pytest.approx(8.83e-7, rel=0.01)
+    assert float(rows["example1", 80][1]) < 1e-11
+    assert [rows["example2", n] for n in (20, 40, 80)] == [(0, "-")] * 3
