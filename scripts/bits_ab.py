@@ -148,8 +148,6 @@ def call_list(api):
             {"params": api.DRIVES["gapless0"]}, [k], [t], ["bogus"],
             drive="gapless0")
     tiny = api.SUBNORMAL["1e-310"]
-    add([rows["bloch_expectations"]], {"params": tiny}, [0.7], [1.0],
-        drive="subnormal")
     add([rows["tomography_phase_grid"]], {"params": tiny, "ks": 0.7,
                                           "ts": 1.0}, drive="subnormal")
     add([rows["bloch_vector_grid"]], {"params": tiny, "ks": np.array(

@@ -25,12 +25,11 @@ from . import _record  # every module's types; bound as an eager import would
 _SOURCE = {
     "ModelParams": "model",
     **dict.fromkeys(("ReturnAmplitude", "propagator_analytic",
-                     "propagator_oracle", "return_amplitude",
-                     "return_probability"), "dynamics"),
+                     "propagator_oracle", "return_amplitude"), "dynamics"),
     **dict.fromkeys(("CriticalSet", "FisherLine", "dqpt_condition",
-                     "fisher_tau", "fisher_lines", "rate_function"), "dqpt"),
-    **dict.fromkeys(("geometric_phase", "exact_winding", "winding_number",
-                     "bloch_expectations"), "geometry"),
+                     "fisher_lines", "rate_function"), "dqpt"),
+    **dict.fromkeys(("geometric_phase", "exact_winding", "winding_number"),
+                    "geometry"),
     **dict.fromkeys(("ChiralInvariants", "chiral_winding_numbers"),
                     "topology"),
     **dict.fromkeys(("FloquetSpectrum", "obc_floquet_spectrum"), "lattice"),

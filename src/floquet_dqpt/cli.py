@@ -118,9 +118,11 @@ def _write_text(cfg: RunConfig, parts):
                 fh.write(part)
         if path != cfg.out:
             os.replace(path, cfg.out)
-    except BaseException:
+    except BaseException as exc:
         if path != cfg.out and os.path.exists(path):
             os.unlink(path)
+        if isinstance(exc, OSError) and exc.filename == path != cfg.out:
+            raise OSError(exc.errno, exc.strerror, cfg.out) from None
         raise
 
 

@@ -18,7 +18,7 @@ import math
 from ._lazy import np
 from ._record import record
 from .dynamics import micromotion_overlap
-from .errors import DegenerateDelta1, UndefinedTau
+from .errors import DegenerateDelta1
 from .model import (ModelParams, _t_chunks, _uniform_band_weights,
                     band_energy, finite_point, normal_field,
                     require_resolved_time)
@@ -67,23 +67,6 @@ def dqpt_condition(params: ModelParams) -> CriticalSet:
     half = 0.5 * params.period
     return CriticalSet(has_dqpt=True, k_c=k_c,
                        critical_times=[(2 * n - 1) * half for n in (1, 2, 3)])
-
-
-def fisher_tau(params: ModelParams, band: str, k: float) -> float:
-    """Real part tau_band(k) of the Fisher-zero line, in time units.
-
-    Raises ValueError for a non-finite k, and UndefinedTau at the two
-    divergent limits: h_xy = 0 (tau -> -inf) and E = h_z (tau -> +inf),
-    read off the markers of fisher_tau_grid, which grid sweeps keep (see
-    fisher_lines).
-    """
-    finite_point(k)
-    tau = float(fisher_tau_grid(params, band, k))
-    if tau == -math.inf or math.isnan(tau):  # NaN: both limits at once
-        raise UndefinedTau("h_xy = 0: tau -> -inf")
-    if tau == math.inf:
-        raise UndefinedTau("E = h_z: tau -> +inf")
-    return tau
 
 
 def fisher_tau_grid(params: ModelParams, band: str, k_grid) -> np.ndarray:

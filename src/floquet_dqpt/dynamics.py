@@ -183,13 +183,6 @@ def return_amplitude(params: ModelParams, band: str, k: float,
     return ReturnAmplitude(value=value)
 
 
-def return_probability(params: ModelParams, k: float, t: float) -> float:
-    """|G(k, t)|^2, the same for both bands: return_probability_grid at the
-    point, past gap_guard's checks."""
-    gap_guard(params, k, t)
-    return float(return_probability_grid(params, k, t))
-
-
 def return_probability_grid(params: ModelParams, k_grid, t) -> np.ndarray:
     """|G|^2 = |<chi| U_R(t) |chi>|^2 of the lower band's mode, broadcast
     over k and t; the upper band's, its weights swapped, differs only in

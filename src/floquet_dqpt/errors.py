@@ -23,10 +23,6 @@ class DegenerateDelta1(NumericalGuardError):
     """delta1 = 0 with omega = delta2: the whole band is critical."""
 
 
-class UndefinedTau(NumericalGuardError):
-    """Fisher-zero real part diverges (h_xy = 0 or E = h_z)."""
-
-
 class PhaseUndefined(NumericalGuardError):
     """Return amplitude too small for its phase to be meaningful."""
 

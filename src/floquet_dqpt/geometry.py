@@ -263,13 +263,6 @@ def wrapped_winding(phi):
     return (big[..., :-1] & big[..., 1:]).any(axis=-1), raw
 
 
-def bloch_expectations(params: ModelParams, band: str, k: float, t: float):
-    """(<sx>, <sy>, <sz>) at (k, t): bloch_vector_grid at the point, past
-    gap_guard's checks."""
-    gap_guard(params, k, t)
-    return tuple(bloch_vector_grid(params, band, k, t).tolist())
-
-
 def bloch_vector_grid(params: ModelParams, band: str, k, t) -> np.ndarray:
     """(<sx>, <sy>, <sz>) of the evolved Floquet state over k and t, stacked
     on a first axis of three: the band's Bloch vector +-(h_xy, 0, h_z -

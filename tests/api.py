@@ -98,12 +98,8 @@ API = (
         "params k t steps return_correction:flag"),
     Row("dynamics", "micromotion_overlap", "params wa wb t:ts"),
     Row("dynamics", "return_amplitude", "params band k t", D, "state"),
-    Row("dynamics", "return_probability", "params k t",
-        kernel="return_probability_grid"),
     Row("dynamics", "return_probability_grid", "params k_grid:ks t:ts"),
     Row("dqpt", "dqpt_condition", "params", (D, D, "time")),
-    Row("dqpt", "fisher_tau", "params band k", "time", "mirror",
-        "fisher_tau_grid"),
     Row("dqpt", "fisher_tau_grid", "params band k_grid:ks", "time", "mirror"),
     Row("dqpt", "fisher_lines", "params band k_grid:ks n_lines:lines",
         (D, "time", "time"), ("same", "mirror", "same")),
@@ -123,8 +119,6 @@ API = (
     Row("geometry", "raw_winding_grid", "params band ts k_grid_size:size",
         ("time", D), ("same", "sign")),
     Row("geometry", "wrapped_winding", "phi:angles"),
-    Row("geometry", "bloch_expectations", "params band k t", D, "state",
-        "bloch_vector_grid"),
     Row("geometry", "bloch_vector_grid", "params band k:ks t:ts", D, "state"),
     Row("geometry", "tomography_phase_grid", "params k:ks t:ts bloch"),
     Row("topology", "chiral_winding_numbers", "params"),

@@ -5,9 +5,9 @@ The upper band's mode is the lower one's with |a|^2 and |b|^2 swapped, so
 change sign, and the Fisher-zero lines mirror: (E+ - h_z)(E- - h_z) = -h_xy^2
 gives tau+ = -tau-; each API's relation is its row's `band` in `api.py`.
 Each band's |G_band|^2, squared from its return amplitude, is held to the
-band-free return_probability. Each relation is held to the bound it meets on
-seeded drives, over interior k (tau diverges where h_xy = 0) and t within
-three periods either side of 0.
+band-free return_probability_grid. Each relation is held to the bound it
+meets on seeded drives, over interior k (tau diverges where h_xy = 0) and t
+within three periods either side of 0.
 """
 
 import math
@@ -62,7 +62,7 @@ def test_band_symmetries_on_seeded_drives():
                 pair[1].append(np.ravel(b))
         for k in KS[::25].tolist():
             for t in ts[:4].tolist():
-                prob = dynamics.return_probability(p, k, t)
+                prob = float(dynamics.return_probability_grid(p, k, t))
                 worst["prob"] = max(worst["prob"], *(abs(abs(
                     dynamics.return_amplitude(p, band, k, t).value) ** 2
                     - prob) for band in api.BANDS))

@@ -219,6 +219,17 @@ def test_failed_write_keeps_earlier_output(tmp_path, monkeypatch, capsys):
     assert os.listdir(tmp_path) == ["r.csv"]
 
 
+def test_output_error_names_the_out_path(tmp_path, capsys):
+    # not the temporary sibling the file is written to first
+    out = tmp_path / "missing" / "r.csv"
+    assert run_cli(["topo", "--preset", "example1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert err.startswith("output error: [Errno 2] ") and repr(str(out)) in err
+    assert ".tmp" not in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_topo_report_text_and_json(tmp_path, capsys):
     assert run_cli(["topo", "--preset", "example1"]) == 0
     text = capsys.readouterr().out
@@ -536,12 +547,11 @@ def test_missing_numpy_fails_at_import_as_import_numpy_does(hide):
 # The package's public names: its re-exports and the modules they come from.
 PACKAGE_ALL = [
     "ChiralInvariants", "CriticalSet", "FisherLine", "FloquetSpectrum",
-    "ModelParams", "ReturnAmplitude", "bloch_expectations",
-    "chiral_winding_numbers", "dqpt", "dqpt_condition", "dynamics", "errors",
-    "exact_winding", "fisher_lines", "fisher_tau", "geometric_phase",
-    "geometry", "lattice", "model", "obc_floquet_spectrum",
+    "ModelParams", "ReturnAmplitude", "chiral_winding_numbers", "dqpt",
+    "dqpt_condition", "dynamics", "errors", "exact_winding", "fisher_lines",
+    "geometric_phase", "geometry", "lattice", "model", "obc_floquet_spectrum",
     "propagator_analytic", "propagator_oracle", "rate_function",
-    "return_amplitude", "return_probability", "topology", "winding_number"]
+    "return_amplitude", "topology", "winding_number"]
 
 # In a fresh process: `dir` of the package, README's import line, a star
 # import, `__all__`, then each public name as the module that defines it

@@ -12,8 +12,7 @@ from floquet_dqpt import dynamics
 from floquet_dqpt.errors import (GaplessPoint, StepCountTooSmall,
                                  TimeUnresolved)
 from floquet_dqpt.dynamics import (propagator_analytic, propagator_oracle,
-                                   return_amplitude, return_probability,
-                                   return_probability_grid)
+                                   return_amplitude, return_probability_grid)
 from floquet_dqpt.model import normal_field
 
 import oracles
@@ -355,7 +354,7 @@ def test_return_amplitude_basics(ex1):
     assert abs(return_amplitude(ex1, "minus", math.pi / 3, 1.0).value) \
         < 1e-14
     # quarter period: |G|^2 = cos^2(pi t / T) = 1/2
-    assert return_probability(ex1, math.pi / 3, 0.5) == \
+    assert float(return_probability_grid(ex1, math.pi / 3, 0.5)) == \
         pytest.approx(0.5, abs=1e-12)
 
 
@@ -366,7 +365,7 @@ def test_return_amplitude_against_oracle(ex1):
         for t in (0.3, 0.9, 2.7):
             u = propagator_oracle(ex1, k, t, steps=2048)
             brute = abs(chi.conj() @ u @ chi) ** 2
-            assert return_probability(ex1, k, t) == \
+            assert float(return_probability_grid(ex1, k, t)) == \
                 pytest.approx(brute, abs=1e-9)
 
 
@@ -393,7 +392,7 @@ def test_micromotion_periodicity_and_band_symmetry(k, t):
     assert abs(g1 - g2) < 1e-12
     for band in ("minus", "plus"):
         assert abs(return_amplitude(p, band, k, t).value) ** 2 == \
-            pytest.approx(return_probability(p, k, t), abs=1e-12)
+            pytest.approx(float(return_probability_grid(p, k, t)), abs=1e-12)
 
 
 def test_return_probability_grid_matches_scalar(ex1):
@@ -455,7 +454,7 @@ def test_nv_experiment_values():
     from floquet_dqpt.cli import PRESETS
     nvp, nvm = PRESETS["nv-plus"], PRESETS["nv-minus"]
     for t in (0.1, 0.3, 0.5):
-        assert return_probability(nvp, math.pi / 2, t) < 1e-10
+        assert float(return_probability_grid(nvp, math.pi / 2, t)) < 1e-10
     ks = np.linspace(0.0, math.pi, 13)
     for t in np.linspace(0.0, 0.6, 49):
         assert return_probability_grid(nvm, ks, t).min() > 0.0

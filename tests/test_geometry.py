@@ -10,12 +10,12 @@ from floquet_dqpt.errors import (DegenerateDelta1, GaplessPoint,
 from floquet_dqpt import dynamics, geometry, model
 from floquet_dqpt.cli import PRESETS
 from floquet_dqpt.model import band_energy
-from floquet_dqpt.dynamics import propagator_oracle, return_probability
-from floquet_dqpt.geometry import (bloch_expectations, bloch_vector_grid,
-                                   exact_winding, exact_winding_grid,
-                                   geometric_phase, geometric_phase_grid,
-                                   principal_branch, tomography_phase_grid,
-                                   winding_number, wrapped_winding)
+from floquet_dqpt.dynamics import propagator_oracle, return_probability_grid
+from floquet_dqpt.geometry import (bloch_vector_grid, exact_winding,
+                                   exact_winding_grid, geometric_phase,
+                                   geometric_phase_grid, principal_branch,
+                                   tomography_phase_grid, winding_number,
+                                   wrapped_winding)
 
 from api import DRIVES, random_params, replaced
 from oracles import (bloch_field, eigenvector_phases, micromotion,
@@ -81,7 +81,7 @@ def test_phase_decomposition(ex1):
     for _ in range(20):
         k = rng.uniform(0.1, math.pi - 0.1)
         t = rng.uniform(0.0, 4.0)
-        if return_probability(ex1, k, t) < 1e-6:
+        if float(return_probability_grid(ex1, k, t)) < 1e-6:
             continue
         total, dynamical = eigenvector_phases(ex1, "minus", k, t)
         geometric = geometric_phase(ex1, "minus", k, t)
@@ -356,12 +356,12 @@ def test_angle_routes_form_the_field_once(ex1, monkeypatch):
 
 
 def test_bloch_expectations_unit_norm_and_initial_values(ex1):
-    sx, sy, sz = bloch_expectations(ex1, "minus", K_C1, 0.0)
+    sx, sy, sz = bloch_vector_grid(ex1, "minus", K_C1, 0.0).tolist()
     assert (sx, sy, sz) == pytest.approx((-1.0, 0.0, 0.0), abs=1e-12)
-    sx, sy, sz = bloch_expectations(ex1, "plus", K_C1, 0.0)
+    sx, sy, sz = bloch_vector_grid(ex1, "plus", K_C1, 0.0).tolist()
     assert (sx, sy, sz) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
     for t in (0.4, 1.3):
-        v = bloch_expectations(ex1, "minus", 0.9, t)
+        v = bloch_vector_grid(ex1, "minus", 0.9, t)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -379,14 +379,14 @@ def test_bloch_expectations_against_oracle():
         for band, chi in zip(("minus", "plus"), modes.T):
             psi = u @ chi
             expected = [float((psi.conj() @ s @ psi).real) for s in paulis]
-            got = bloch_expectations(p, band, k, t)
+            got = bloch_vector_grid(p, band, k, t).tolist()
             assert got == pytest.approx(expected, abs=1e-7)
         checked += 1
 
 
 def test_bloch_expectations_reject_unknown_band(ex1):
     with pytest.raises(ValueError, match="band"):
-        bloch_expectations(ex1, "foo", 0.7, 0.5)
+        bloch_vector_grid(ex1, "foo", 0.7, 0.5)
 
 
 def test_tomography_matches_direct_phase():
@@ -401,7 +401,7 @@ def test_tomography_matches_direct_phase():
             k = rng.uniform(0.05, math.pi - 0.05)
             t = rng.uniform(0.0, 2.0 * p.period)
             try:
-                if return_probability(p, k, t) < 0.01:
+                if float(return_probability_grid(p, k, t)) < 0.01:
                     continue
                 direct = geometric_phase(p, "minus", k, t)
             except GaplessPoint:

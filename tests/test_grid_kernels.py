@@ -17,17 +17,15 @@ import pytest
 from floquet_dqpt import cli, geometry
 from floquet_dqpt.dqpt import rate_function, rate_function_grid
 from floquet_dqpt.dynamics import (propagator_analytic, return_amplitude,
-                                   return_probability,
                                    return_probability_grid)
 from floquet_dqpt.errors import (GaplessPoint, GridTooCoarse,
                                  NearCriticalTime, NumericalGuardError,
                                  TimeUnresolved)
-from floquet_dqpt.geometry import (bloch_expectations, bloch_vector_grid,
-                                   exact_winding_grid, geometric_phase,
-                                   geometric_phase_grid,
+from floquet_dqpt.geometry import (bloch_vector_grid, exact_winding_grid,
+                                   geometric_phase, geometric_phase_grid,
                                    raw_winding_grid, tomography_phase_grid,
                                    winding_number)
-from floquet_dqpt.model import GRID_CHUNK, _uniform_band_weights
+from floquet_dqpt.model import GRID_CHUNK, _uniform_band_weights, gap_guard
 
 from api import DRIVES, bits, random_params
 from conftest import EXAMPLE1, EXAMPLE2
@@ -106,9 +104,9 @@ def seeded_cases():
 
 def assert_tomography_kernels_equal_scalar_calls(p, band, ts):
     """The Bloch vector over a (k, t) grid, the zone ends and example1's
-    k_c = pi/3 included, equals the scalar calls bit for bit, and is NaN
-    where those raise GaplessPoint; the tomography phase on it equals the
-    kernel at each point, bit for bit or both NaN."""
+    k_c = pi/3 included, equals the kernel at each point bit for bit, and is
+    NaN where gap_guard raises GaplessPoint; the tomography phase on it
+    equals the kernel at each point, bit for bit or both NaN."""
     ks = np.linspace(0.0, math.pi, 4)
     vectors = bloch_vector_grid(p, band, ks[:, None], ts)
     phases = tomography_phase_grid(
@@ -116,12 +114,12 @@ def assert_tomography_kernels_equal_scalar_calls(p, band, ts):
     assert vectors.shape == (3,) + phases.shape == (3, 4, ts.size)
     for (i, j), phase in np.ndenumerate(phases):
         k, t = ks[i].item(), ts[j].item()
-        want = outcome(bloch_expectations, p, band, k, t)
-        if want[0] == "ok":
-            assert np.array_equal(bits(vectors[:, i, j]), bits(want[1]))
-        else:
-            assert want[0] is GaplessPoint, want
-            assert np.isnan(vectors[:, i, j]).all()
+        want = bloch_vector_grid(p, band, k, t)
+        assert bits(vectors[:, i, j]) == bits(want)
+        guard = outcome(gap_guard, p, k, t)
+        assert guard[0] in ("ok", GaplessPoint), guard
+        if guard[0] is GaplessPoint:
+            assert np.isnan(want).all()
         want = tomography_phase_grid(p, k, t,
                                      bloch_vector_grid(p, "minus", k, t))
         assert bits(phase) == bits(want) or np.isnan([phase, want]).all()
@@ -344,9 +342,10 @@ def test_library_refuses_times_doubles_cannot_resolve():
                          lambda: geometric_phase(p, "minus", 0.7, t),
                          lambda: geometric_phase_grid(p, "minus", 0.7,
                                                       np.array([t, 1.0])),
-                         lambda: return_probability(p, 0.7, t),
                          lambda: return_probability_grid(p, 0.7,
                                                          [[t], [0.0]]),
+                         lambda: bloch_vector_grid(p, "minus", 0.7,
+                                                   [[t], [0.0]]),
                          lambda: winding_number(p, "minus", t),
                          lambda: raw_winding_grid(p, "minus",
                                                   [1.0, t, 0.5])):
@@ -355,7 +354,6 @@ def test_library_refuses_times_doubles_cannot_resolve():
                     call()
         assert math.isfinite(rate_function(p, "minus", below))
         assert math.isfinite(geometric_phase(p, "minus", 0.7, below))
-        assert math.isfinite(return_probability(p, 0.7, below))
         g = rate_function_grid(p, "minus", [below, math.nan, 1.0])
         assert math.isnan(g[1]) and np.isfinite(g[[0, 2]]).all()
         prob = return_probability_grid(p, 0.7, [math.nan, below])
@@ -377,8 +375,7 @@ def test_point_guard_refuses_times_doubles_cannot_resolve():
     # TimeUnresolved past t = 2^44 for T = 2, and an answer just below
     below = math.nextafter(2.0 ** 44, 0.0)
     calls = (lambda p, k, t: return_amplitude(p, "minus", k, t).value,
-             lambda p, k, t: propagator_analytic(p, k, t),
-             lambda p, k, t: bloch_expectations(p, "minus", k, t))
+             lambda p, k, t: propagator_analytic(p, k, t))
     for call in calls:
         for p in (EXAMPLE1, EXAMPLE2):
             for t in (2.0 ** 44, 1e17, 1e300):

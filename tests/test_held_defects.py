@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from floquet_dqpt import cli
-from floquet_dqpt.dqpt import fisher_tau, rate_function, rate_function_grid
+from floquet_dqpt.dqpt import (fisher_tau_grid, rate_function,
+                               rate_function_grid)
 from floquet_dqpt.dynamics import micromotion_overlap, propagator_oracle
-from floquet_dqpt.errors import UndefinedTau
 from floquet_dqpt.geometry import bloch_vector_grid, tomography_phase_grid
 from floquet_dqpt.lattice import obc_floquet_spectrum
 from floquet_dqpt.model import band_energy, band_weights, normal_field
@@ -86,18 +86,18 @@ def test_plus_band_energy_of_a_huge_drive_overflows(params, k):
 
 
 def test_plus_band_fisher_tau_of_a_huge_drive_blames_h_xy():
-    # ROADMAP item 7: the overflowed E reads as h_xy = 0, though h_xy != 0;
-    # the stable tau held there skips E
+    # ROADMAP item 7: the overflowed E gives tau = -inf, the marker of
+    # h_xy = 0, though h_xy != 0; the stable tau held there skips E
     for params, k in ((HUGE, 0.7), (LARGE, math.pi)):
         assert normal_field(params, k)[0] != 0.0
-        with pytest.warns(RuntimeWarning) as record, pytest.raises(
-                UndefinedTau, match=r"^h_xy = 0: tau -> -inf$"):
-            fisher_tau(params, "plus", k)
+        with pytest.warns(RuntimeWarning) as record:
+            tau = fisher_tau_grid(params, "plus", k)
         assert len(record) == 1
         assert messages(record)[0].startswith("overflow encountered")
+        assert tau == -math.inf
     # x 1e308, the plus band's E and tau are finite, with no warning, off pi
     assert math.isfinite(band_energy(LARGE, "plus", 0.7))
-    assert math.isfinite(fisher_tau(LARGE, "plus", 0.7))
+    assert math.isfinite(fisher_tau_grid(LARGE, "plus", 0.7))
 
 
 def test_overlap_past_the_time_limit_reads_noise_then_nan():

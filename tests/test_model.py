@@ -13,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 from floquet_dqpt import dqpt, dynamics, geometry, model, topology
 from floquet_dqpt.cli import PRESETS
 from floquet_dqpt.dqpt import fisher_tau_grid
-from floquet_dqpt.dynamics import return_amplitude, return_probability
+from floquet_dqpt.dynamics import return_amplitude
 from floquet_dqpt.errors import (GaplessPoint, NearCriticalTime,
                                  NumericalGuardError, PhaseUndefined,
-                                 TimeUnresolved, UndefinedTau)
+                                 TimeUnresolved)
 from floquet_dqpt.geometry import geometric_phase
 from floquet_dqpt.model import (T_GUARD_FRACTION, ModelParams, band_energy,
                                 band_weights, gap_guard, min_half_gap,
@@ -134,14 +134,13 @@ def test_gapless_point_raised():
 
 
 def test_gap_guard_is_the_scalar_guard():
-    # the return amplitude and probability and the geometric phase take the
-    # guard alone; it raises the same error with the same message before
-    # any other guard, on the plus band as on the minus band
+    # the return amplitude and the geometric phase take the guard alone; it
+    # raises the same error with the same message before any other guard,
+    # on the plus band as on the minus band
     p = api.DRIVES["gapless0"]
     with pytest.raises(GaplessPoint) as want:
         gap_guard(p, 0.0)
-    for fn in (lambda p, k: return_probability(p, k, 1.0),
-               lambda p, k: return_amplitude(p, "plus", k, 1.0),
+    for fn in (lambda p, k: return_amplitude(p, "plus", k, 1.0),
                lambda p, k: geometric_phase(p, "minus", k, 1.0)):
         with pytest.raises(GaplessPoint) as got:
             fn(p, 0.0)
@@ -302,20 +301,19 @@ def test_bits_ab_calls_every_row_of_the_api_table():
     # run: a new public function is in the next record once it has a row
     calls = load_script("bits_ab").call_list(api)
     assert {row for _, row, _ in calls} == set(api.API)
-    assert len({label for label, _, _ in calls}) == len(calls) > 23000
+    assert len({label for label, _, _ in calls}) == len(calls) > 17600
 
 
 # the guard errors a scalar API may raise where its kernel reads a marker
-REFUSALS = {"geometric_phase": PhaseUndefined, "fisher_tau": UndefinedTau}
+REFUSALS = {"geometric_phase": PhaseUndefined}
 
 
 def test_scalar_apis_are_their_public_kernels_at_the_point():
     # each scalar API is gap_guard (or its own guard) and then its row's
     # kernel at the point, bit for bit, signed zeros and the point where
-    # |G| = 0 (example1's (k_c, t_c) = (pi/3, 1)) included. Where it refuses,
-    # the kernel reads math.nan (PhaseUndefined) or the limit of tau the
-    # message names (UndefinedTau; NaN: both limits at once). The return
-    # amplitude's kernel is written out
+    # |G| = 0 (example1's (k_c, t_c) = (pi/3, 1)) included. Where it refuses
+    # (PhaseUndefined), the kernel reads math.nan. The return amplitude's
+    # kernel is written out
     def same(got, want):
         got, want = np.asarray(got), np.asarray(want)
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
@@ -333,10 +331,6 @@ def test_scalar_apis_are_their_public_kernels_at_the_point():
                     got = row.call(args)
                 except REFUSALS.get(row.name, ()) as err:
                     refused.add(type(err))
-                    if type(err) is UndefinedTau:  # NaN: both limits at once
-                        limit = float(str(err).rpartition(" ")[2])
-                        assert want == limit or limit < 0 and np.isnan(want)
-                        continue
                     got = math.nan
                 same(got, want)
             for band in api.BANDS:
@@ -345,7 +339,7 @@ def test_scalar_apis_are_their_public_kernels_at_the_point():
                     p, *band_weights(p, band, k), t)
                 same(return_amplitude(p, band, k, t).value,
                      cmath.exp(-1j * e * t) * complex(overlap))
-    assert refused == {PhaseUndefined, UndefinedTau}
+    assert refused == {PhaseUndefined}
 
 
 # k = 0 (h_xy = 0), an interior k and k = pi, where hypot rounds Delta/2

@@ -44,8 +44,6 @@ def readers(p, band, ts):
     return {
         "return_amplitude": [dynamics.return_amplitude(p, band, k, t).value
                              for k, t in points],
-        "return_probability": [dynamics.return_probability(p, k, t)
-                               for k, t in points],
         "return_probability_grid": dynamics.return_probability_grid(
             p, ENDPOINTS[:, None], ts),
         "geometric_phase": [geometry.geometric_phase(p, band, k, t)
@@ -100,8 +98,6 @@ def test_scalar_readers_return_python_scalars():
             t = 0.6 * EXAMPLE1.period
             assert isinstance(dynamics.micromotion_overlap(
                 EXAMPLE1, *band_weights(EXAMPLE1, band, k), t), np.ndarray)
-            assert type(dynamics.return_probability(EXAMPLE1, k, t)) \
-                is float
             assert type(dynamics.return_amplitude(EXAMPLE1, band, k,
                                                   t).value) is complex
             assert type(geometry.geometric_phase(EXAMPLE1, band, k, t)) \
@@ -128,5 +124,3 @@ def test_nan_weights_at_a_gapless_k_raise_no_warning():
                     point(p, band, 0.0, t)
         values = dynamics.return_probability_grid(p, ks, t)
         assert np.isnan(values[0]) and np.isfinite(values[1])
-        with pytest.raises(GaplessPoint):
-            dynamics.return_probability(p, 0.0, t)

@@ -57,7 +57,7 @@ def shipped_subgrid(preset, command="retprob"):
             cli.t_grid(cfg)[::T_STRIDE])
 
 
-def exact_return_probability(p, k, t) -> float:
+def exact_probability(p, k, t) -> float:
     with mpmath.workdps(DIGITS):
         w, d1, d2, amp, k, t = map(mpmath.mpf, (
             p.omega_drive, p.delta1, p.delta2, p.omega_amp, k, t))
@@ -71,7 +71,7 @@ def exact_return_probability(p, k, t) -> float:
 def test_retprob_column_against_mpmath(preset):
     p, ks, ts = shipped_subgrid(preset)
     got = return_probability_grid(p, ks[:, None], ts)
-    exact = np.array([[exact_return_probability(p, k, t) for t in ts]
+    exact = np.array([[exact_probability(p, k, t) for t in ts]
                       for k in ks])
     assert np.abs(got - exact).max() <= RETPROB_BOUND
 

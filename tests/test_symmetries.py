@@ -45,8 +45,8 @@ def seeded_drives(n, seed):
 # to a bound in test_scale_moves_fisher_lines_and_chain_spectrum_by_rounding);
 # and the RK4 oracle, which keeps the physical H(k, t) as the independent
 # check
-ROUNDED = {"fisher_tau", "fisher_tau_grid", "fisher_lines",
-           "obc_floquet_spectrum", "propagator_oracle"}
+ROUNDED = {"fisher_tau_grid", "fisher_lines", "obc_floquet_spectrum",
+           "propagator_oracle"}
 LEDGER_ROWS = [row for row in api.API if row.name not in ROUNDED]
 POWER = {"energy": -1, "time": 1}
 
@@ -166,8 +166,7 @@ def test_drives_near_the_largest_double():
                     lattice.obc_floquet_spectrum(p, 12).quasienergies]
         for band in ("minus", "plus"):
             physical += [model.band_energy(p, band, ks),
-                         dqpt.fisher_lines(p, band, ks)[0].tau_of_k[1],
-                         dqpt.fisher_tau(p, band, 0.7)]
+                         dqpt.fisher_lines(p, band, ks)[0].tau_of_k[1]]
         assert all(np.isfinite(x).all() for x in physical)
 
 
