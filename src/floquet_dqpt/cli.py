@@ -101,7 +101,7 @@ def _write_text(cfg: RunConfig, parts):
 
     A new or regular file is written to a temporary sibling renamed over it,
     so a failed run leaves no partial file; a link, device or pipe is
-    written through.
+    written through. An OSError of the sibling, or of no file, names --out.
     """
     if cfg.out is None:
         for part in parts:
@@ -121,7 +121,8 @@ def _write_text(cfg: RunConfig, parts):
     except BaseException as exc:
         if path != cfg.out and os.path.exists(path):
             os.unlink(path)
-        if isinstance(exc, OSError) and exc.filename == path != cfg.out:
+        if isinstance(exc, OSError) and (exc.filename is None
+                                         or exc.filename == path != cfg.out):
             raise OSError(exc.errno, exc.strerror, cfg.out) from None
         raise
 

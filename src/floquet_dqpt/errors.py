@@ -28,7 +28,7 @@ class PhaseUndefined(NumericalGuardError):
 
 
 class GridTooCoarse(NumericalGuardError):
-    """Adjacent phase differences saturate the wrapping ambiguity band."""
+    """(w t/2)<sz> moves by pi/2 or more between adjacent k samples."""
 
 
 class NearCriticalTime(NumericalGuardError):

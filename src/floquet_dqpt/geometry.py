@@ -157,11 +157,10 @@ def winding_number(params: ModelParams, band: str, t: float,
     in order: ValueError for a non-finite t, TimeUnresolved where doubles
     cannot resolve t, NearCriticalTime within T_GUARD_FRACTION T of a
     critical time +-(2n-1) T/2 of a drive that has them; then, from t's row,
-    PhaseUndefined, GridTooCoarse where (w t/2)<sz> moves by pi/2 or more
-    between adjacent k samples (|w t/2| max_j |<sz>_{j+1} - <sz>_j| >=
-    pi/2: the wrapped sum aliases) or two successive wrapped steps fall in
-    the ambiguity band, and WindingNotQuantized for a sum farther than
-    WINDING_INT_TOL from an integer.
+    PhaseUndefined, GridTooCoarse only where (w t/2)<sz> moves by pi/2 or
+    more between adjacent k samples (|w t/2| max_j |<sz>_{j+1} - <sz>_j| >=
+    pi/2: the wrapped sum aliases), and WindingNotQuantized for a sum
+    farther than WINDING_INT_TOL from an integer.
     """
     _check_winding_grid(k_grid_size)
     _time_guard(params, t)  # before the row: w t is noise at a refused t
@@ -205,17 +204,18 @@ def raw_winding_grid(params: ModelParams, band: str, ts,
     return np.array(kept), np.array(raws)
 
 
-def _row_verdict(jump, ambiguous, raw):
+def _row_verdict(jump, raw):
     # winding_number's checks on one row of _winding_rows, in their order:
-    # the raw winding as a float, or the first error
+    # the raw winding as a float, or the first error. Past the jump guard no
+    # two successive wrapped steps both reach pi (1 - 1e-6): README's proof,
+    # "Why the jump guard suffices", whose bounds tests/test_grid_kernels.py
+    # ::test_guarded_rows_keep_successive_steps_off_pi checks
     raw = float(raw)
     if math.isnan(raw):
         raise PhaseUndefined("geometric phase undefined on the winding grid")
     if jump >= 0.5 * math.pi:
         raise GridTooCoarse(f"(w t/2)<sz> changes by {jump:.3g} rad between "
                             "adjacent k samples")
-    if ambiguous:
-        raise GridTooCoarse("two successive wrapped steps in the ambiguity band")
     if abs(raw - round(raw)) > WINDING_INT_TOL:
         raise WindingNotQuantized(f"raw winding {raw} not within "
                                   f"{WINDING_INT_TOL} of an integer")
@@ -241,26 +241,23 @@ def _check_winding_grid(k_grid_size):
 
 
 def _winding_rows(params, row, t):
-    # (largest step of (w t/2)<sz> between adjacent k samples, ambiguous,
-    # raw) at t (a scalar, or a column of times, which gives a column of
-    # steps) on the cached k row: |w t/2| times its sz_step. raw is NaN
-    # where a phase on the row is undefined
+    # (largest step of (w t/2)<sz> between adjacent k samples, raw) at t (a
+    # scalar, or a column of times, which gives a column of steps) on the
+    # cached k row: |w t/2| times its sz_step. raw is NaN where a phase on
+    # the row is undefined
     return (abs(0.5 * params.omega_drive * t) * row.sz_step,
-            *wrapped_winding(_phase(params, row.wa, row.wb, row.sz, t)))
+            wrapped_winding(_phase(params, row.wa, row.wb, row.sz, t)))
 
 
 def wrapped_winding(phi):
-    """(ambiguous, raw) of phases sampled along k on the last axis: whether
-    two successive wrapped steps fall in the ambiguity band, and the sum of
-    the principal-branch-wrapped steps over 2 pi, NaN where a phase is. The
-    steps are wrapped in place, in phi's float type (float64 for integer
-    phases)."""
+    """The raw winding of phases sampled along k on the last axis: the sum
+    of the principal-branch-wrapped steps over 2 pi, NaN where a phase is.
+    The steps are wrapped in place, in phi's float type (float64 for
+    integer phases)."""
     steps = (phi[..., 1:] - phi[..., :-1]).astype(np.result_type(phi, 0.0),
                                                   copy=False)
     _principal_branch(steps, out=steps)
-    raw = steps.sum(axis=-1) / (2.0 * math.pi)
-    big = np.abs(steps, out=steps) > math.pi * (1.0 - 1e-6)
-    return (big[..., :-1] & big[..., 1:]).any(axis=-1), raw
+    return steps.sum(axis=-1) / (2.0 * math.pi)
 
 
 def bloch_vector_grid(params: ModelParams, band: str, k, t) -> np.ndarray:

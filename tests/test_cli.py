@@ -230,6 +230,31 @@ def test_output_error_names_the_out_path(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+def test_output_error_without_a_filename_names_the_out_path(
+        tmp_path, capsys, monkeypatch):
+    # a full disk: the OSError a write raises carries no filename
+    class FullDisk:
+        def __init__(self, path, mode):
+            builtin_open(path, mode).close()
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def write(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    builtin_open = open
+    monkeypatch.setattr(cli, "open", FullDisk, raising=False)
+    out = tmp_path / "x.txt"
+    assert run_cli(["topo", "--preset", "example1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"output error: [Errno 28] {os.strerror(errno.ENOSPC)}: {str(out)!r}\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_topo_report_text_and_json(tmp_path, capsys):
     assert run_cli(["topo", "--preset", "example1"]) == 0
     text = capsys.readouterr().out

@@ -9,7 +9,7 @@ from floquet_dqpt.errors import (DegenerateDelta1, GaplessPoint,
                                  TimeUnresolved)
 from floquet_dqpt import dynamics, geometry, model
 from floquet_dqpt.cli import PRESETS
-from floquet_dqpt.model import band_energy
+from floquet_dqpt.model import ModelParams, band_energy
 from floquet_dqpt.dynamics import propagator_oracle, return_probability_grid
 from floquet_dqpt.geometry import (bloch_vector_grid, exact_winding,
                                    exact_winding_grid, geometric_phase,
@@ -67,13 +67,13 @@ def test_wrapped_winding_leaves_its_argument_and_reads_any_real_type():
     # float32 phases stay float32 and integer ones read as float64
     phi = np.random.default_rng(31).uniform(-10.0, 10.0, (3, 50))
     before = phi.copy()
-    ambiguous, raw = wrapped_winding(phi)
+    raw = wrapped_winding(phi)
     assert np.array_equal(phi.view(np.int64), before.view(np.int64))
     steps = principal_branch(np.diff(phi))
     assert np.array_equal(raw, steps.sum(axis=-1) / (2.0 * math.pi))
-    assert wrapped_winding(phi.astype(np.float32))[1].dtype == np.float32
+    assert wrapped_winding(phi.astype(np.float32)).dtype == np.float32
     ints = np.array([0, 3, 6, 9, 12, 15])
-    assert wrapped_winding(ints)[1] == wrapped_winding(ints.astype(float))[1]
+    assert wrapped_winding(ints) == wrapped_winding(ints.astype(float))
 
 
 def test_phase_decomposition(ex1):
@@ -196,6 +196,31 @@ def test_winding_quantization(ex1):
     for t in (0.5, 2.0, 4.0):
         nu, raw = winding_number(ex1, "minus", t, return_raw=True)
         assert abs(raw - nu) <= 0.05
+
+
+def test_critical_time_window_keeps_its_edge():
+    # a t whose computed distance to the critical time T/2 is the window
+    # 1e-3 T exactly is kept, and one double nearer is refused. (w is 2 pi
+    # /1.25 stepped up by nextafter until such a double t exists)
+    p = ModelParams(5.0265482457437765, 1.0, 5.0265482457437765, 1.0)
+    t, half = 0.6262499999999867, 0.5 * p.period
+    assert abs(t - half) == 1e-3 * p.period
+    assert exact_winding(p, "minus", t) == 1
+    with pytest.raises(NearCriticalTime):
+        exact_winding(p, "minus", math.nextafter(t, half))
+
+
+def test_phase_floor_stands_at_1e_minus_9(ex1):
+    # at example1's k_c = pi/3, |G| = |sin(w dt/2)| at t = 1 + dt: the phase
+    # reads finite at |G| = 1.2e-9 and NaN at 0.95e-9, either side of the
+    # floor AMP_FLOOR = 1e-9
+    k_c = math.pi / 3
+    for modulus, defined in ((1.2e-9, True), (0.95e-9, False)):
+        t = 1.0 + 2.0 * math.asin(modulus) / ex1.omega_drive
+        g = math.sqrt(float(return_probability_grid(ex1, k_c, t)))
+        assert g == pytest.approx(modulus, rel=1e-6)
+        phase = float(geometric_phase_grid(ex1, "minus", k_c, t))
+        assert math.isfinite(phase) is defined
 
 
 def test_winding_guards(ex1, ex2):
@@ -432,7 +457,7 @@ def tomography_winding(p, t, n_k=401):
     route's phase over n_k uniform k on [0, pi], both ends included."""
     k = np.linspace(0.0, math.pi, n_k)
     bloch = bloch_vector_grid(p, "minus", k, t)
-    return float(wrapped_winding(tomography_phase_grid(p, k, t, bloch))[1])
+    return float(wrapped_winding(tomography_phase_grid(p, k, t, bloch)))
 
 
 @pytest.mark.parametrize("preset, nus", [("example1", (0, 1, 1, 2)),
@@ -484,7 +509,7 @@ def test_tomography_winding_survives_shot_noise(preset, nus):
                        0.0, 1.0)
         for _ in range(20):
             measured = 2.0 * rng.binomial(shots, p_up) / shots - 1.0
-            _, raw = wrapped_winding(tomography_phase_grid(p, k, t, measured))
+            raw = wrapped_winding(tomography_phase_grid(p, k, t, measured))
             assert abs(raw - nu) < geometry.WINDING_INT_TOL
     # a zero vector has no direction: NaN, and no RuntimeWarning (which the
     # suite's warning filter turns into an error)

@@ -15,19 +15,21 @@ import numpy as np
 import pytest
 
 from floquet_dqpt import cli, geometry
-from floquet_dqpt.dqpt import rate_function, rate_function_grid
+from floquet_dqpt.dqpt import (dqpt_condition, rate_function,
+                               rate_function_grid)
 from floquet_dqpt.dynamics import (propagator_analytic, return_amplitude,
                                    return_probability_grid)
 from floquet_dqpt.errors import (GaplessPoint, GridTooCoarse,
                                  NearCriticalTime, NumericalGuardError,
-                                 TimeUnresolved)
+                                 PhaseUndefined, TimeUnresolved)
 from floquet_dqpt.geometry import (bloch_vector_grid, exact_winding_grid,
                                    geometric_phase, geometric_phase_grid,
                                    raw_winding_grid, tomography_phase_grid,
                                    winding_number)
-from floquet_dqpt.model import GRID_CHUNK, _uniform_band_weights, gap_guard
+from floquet_dqpt.model import (GRID_CHUNK, ModelParams, _uniform_band_weights,
+                                gap_guard)
 
-from api import DRIVES, bits, random_params
+from api import BANDS, DRIVES, bits, random_params
 from conftest import EXAMPLE1, EXAMPLE2
 
 K_SIZES = (2, 401, 2001, 4001)
@@ -172,25 +174,21 @@ def test_winding_facts_equal_their_written_out_expressions():
         wa, wb = row.wa, row.wb
         phi = geometry._phase(p, wa, wb, wa - wb, ts[:, None])
         steps = geometry.principal_branch(phi[:, 1:] - phi[:, :-1])
-        big = np.abs(steps) > math.pi * (1.0 - 1e-6)
         want = (np.abs(0.5 * p.omega_drive * ts[:, None])
                 * np.abs((wa - wb)[1:] - (wa - wb)[:-1]).max(),
-                (big[:, :-1] & big[:, 1:]).any(axis=1),
                 steps.sum(axis=1) / (2.0 * math.pi))
         got = geometry._winding_rows(p, row, ts[:, None])
         for fact, expected in zip(got, want, strict=True):
             assert np.array_equal(bits(fact), bits(expected))
-        assert np.array_equal(np.isnan(got[2]), np.isnan(phi).any(axis=1))
-        undefined += np.isnan(phi).sum(axis=1)[np.isnan(got[2])].tolist()
+        assert np.array_equal(np.isnan(got[1]), np.isnan(phi).any(axis=1))
+        undefined += np.isnan(phi).sum(axis=1)[np.isnan(got[1])].tolist()
     assert undefined == [1] * 8
 
 
-def test_coarse_grid_guard_refuses_from_its_cutoff():
-    # t* is the least double where |w t/2| max_j |d<sz>_j| reaches pi/2 on
-    # example1's 401-k row: winding_number answers one double below it and
-    # refuses at it, and the trace reads NaN there
-    p = EXAMPLE1
-    row = _uniform_band_weights(p, "minus", 401)
+def coarse_cutoff(p, n_k):
+    """The least double t* > 0 where |w t/2| max_j |d<sz>_j| reaches pi/2
+    on the drive's n_k-sample lower-band row, the coarse-grid cutoff."""
+    row = _uniform_band_weights(p, "minus", n_k)
     wa, wb = row.wa, row.wb
     sz_step = np.abs((wa - wb)[1:] - (wa - wb)[:-1]).max()
 
@@ -202,6 +200,15 @@ def test_coarse_grid_guard_refuses_from_its_cutoff():
         t_star = math.nextafter(t_star, 0.0)
     while not coarse(t_star):
         t_star = math.nextafter(t_star, math.inf)
+    return t_star
+
+
+def test_coarse_grid_guard_refuses_from_its_cutoff():
+    # t* is the least double where |w t/2| max_j |d<sz>_j| reaches pi/2 on
+    # example1's 401-k row: winding_number answers one double below it and
+    # refuses at it, and the trace reads NaN there
+    p = EXAMPLE1
+    t_star = coarse_cutoff(p, 401)
     below = math.nextafter(t_star, 0.0)
     assert winding_number(p, "minus", below, 401) == exact_winding_grid(
         p, "minus", below)
@@ -210,6 +217,83 @@ def test_coarse_grid_guard_refuses_from_its_cutoff():
     kept, raws = raw_winding_grid(p, "minus", [below, t_star], 401)
     assert kept.tolist() == [below, t_star]
     assert math.isfinite(raws[0]) and math.isnan(raws[1])
+
+
+def successive_step_bound(p, n_k, t):
+    """README's bound on min(|s_j|, |s_j+1|), two successive wrapped steps
+    of a guarded row: pi (1 - f) on a drive with a DQPT, f T the distance
+    of t from its nearest (2n-1) T/2, and pi/2 + atan((r - 1)/(2 sqrt r)),
+    r = 1 + sec(pi/(n_k - 1)), on a drive without one."""
+    if dqpt_condition(p).has_dqpt:
+        x = abs(t) / p.period
+        return math.pi * (1.0 - abs(x - math.floor(x) - 0.5))
+    r = 1.0 + 1.0 / math.cos(math.pi / (n_k - 1))
+    return 0.5 * math.pi + math.atan((r - 1.0) / (2.0 * math.sqrt(r)))
+
+
+def boundary_drive(rng):
+    """A drive within three ulp of delta2 = w -+ delta1, the DQPT boundary;
+    a third of them with delta1 scaled down by 1e-12 to 1e-6."""
+    w, d1 = rng.uniform(0.5, 6.0), rng.uniform(-5.0, 5.0)
+    if rng.random() < 0.3:
+        d1 *= 10.0 ** rng.uniform(-12.0, -6.0)
+    d2 = w - rng.choice([-1.0, 1.0]) * d1
+    for _ in range(rng.integers(0, 4)):
+        d2 = math.nextafter(d2, rng.choice([-math.inf, math.inf]))
+    return ModelParams(w, d1, d2, rng.uniform(-5.0, 5.0))
+
+
+def test_guarded_rows_keep_successive_steps_off_pi():
+    # README's proof that the jump guard suffices, on every row that passes
+    # the time rule, the phase floor and the jump guard: random drives, a
+    # third of them within an ulp of the DQPT boundary and every other one
+    # steep (Omega scaled by 1e-6 to 1), on both bands and 401 or 2001 k.
+    # The times aim at the bound: just past odd multiples of T/2 (outside
+    # the critical-time window where there is one), just under the jump
+    # guard's cutoff, and at random below it and up to twice past it (rows
+    # the guard refuses, so a looser guard fails the test). Each pair is held to its bound
+    # up to 1e-9 rad of rounding; the margins are 3.1e-3 rad (f >= 1e-3)
+    # and 1.23 rad (README)
+    rng = np.random.default_rng(56)
+    worst, rows = {True: 0.0, False: 0.0}, {True: 0, False: 0}
+    for i in range(800):
+        p = boundary_drive(rng) if i % 3 == 0 else random_params(rng)
+        if i % 2:
+            p = ModelParams(p.omega_drive, p.delta1, p.delta2,
+                            p.omega_amp * 10.0 ** rng.uniform(-6.0, 0.0))
+        n_k, band = int(rng.choice([401, 2001])), rng.choice(BANDS)
+        row = _uniform_band_weights(p, band, n_k)
+        cutoff = 0.5 * math.pi / (0.5 * p.omega_drive * row.sz_step)
+        if not math.isfinite(cutoff):  # NaN: the gap closes on the row
+            continue
+        half = 0.5 * p.period
+        odd = 2 * rng.integers(1, 2 + int(min(cutoff, 1e4 * p.period)
+                                          / p.period), 3) - 1
+        ts = np.concatenate([
+            odd * half + rng.choice([-1.0, 1.0], 3) * p.period
+            * 10.0 ** rng.uniform(-9.0, -2.5, 3),
+            cutoff * (1.0 - 10.0 ** rng.uniform(-8.0, -1.0, 3)),
+            rng.uniform(0.0, cutoff, 2), rng.uniform(cutoff, 2.0 * cutoff, 2)])
+        ts = np.array([t for t in ts.tolist()
+                       if outcome(geometry._time_guard, p, t)[0] == "ok"])
+        if not ts.size:
+            continue
+        jump, raw = geometry._winding_rows(p, row, ts[:, None])
+        phi = geometry._phase(p, row.wa, row.wb, row.sz, ts[:, None])
+        steps = np.abs(geometry.principal_branch(np.diff(phi)))
+        pairs = np.minimum(steps[:, :-1], steps[:, 1:]).max(axis=1)
+        has_dqpt = dqpt_condition(p).has_dqpt
+        for t, j, r, pair in zip(ts, jump.ravel(), raw.ravel(), pairs):
+            if outcome(geometry._row_verdict, j, r)[0] in (PhaseUndefined,
+                                                           GridTooCoarse):
+                continue
+            bound = successive_step_bound(p, n_k, t)
+            assert pair <= bound + 1e-9, (p, band, n_k, t)
+            rows[has_dqpt] += 1
+            worst[has_dqpt] = max(worst[has_dqpt], pair / bound)
+    # the search reaches the bounds: with a DQPT to within 0.1% of pi (1 - f)
+    assert min(rows.values()) > 1000
+    assert worst[True] > 0.99 and worst[False] > 0.8
 
 
 def first_error(calls):
@@ -231,10 +315,10 @@ def test_winding_raises_the_first_error_in_t_order(monkeypatch, capsys,
     rows = geometry._winding_rows
 
     def failing_at_zero(params, row, t):
-        jump, ambiguous, raw = rows(params, row, t)
+        jump, raw = rows(params, row, t)
         at_zero = np.reshape(t, np.shape(raw)) == 0.0
-        raw = np.where(at_zero, math.nan if mark == "undefined" else 0.3, raw)
-        return jump, ambiguous, raw
+        return jump, np.where(at_zero, math.nan if mark == "undefined" else 0.3,
+                              raw)
 
     monkeypatch.setattr(geometry, "_winding_rows", failing_at_zero)
     ts = np.linspace(0.0, 1e16, 5).tolist()
@@ -285,29 +369,31 @@ def test_winding_stops_its_rows_at_the_first_refused_time(
 
 
 def test_winding_reads_coarse_rows_as_nan_and_goes_on(monkeypatch, capsys):
-    # an ambiguous row reads as raw = nan; a later undefined one still
-    # raises, as the scalar loop over t does
+    # example1's row at its coarse-grid cutoff t* (401 k, the grid `fdqpt
+    # winding` reads at the default --k-points) reads as raw = nan and the
+    # trace goes on; a later undefined row, at 2 t*, still raises, as the
+    # scalar loop over t does
+    t_star = coarse_cutoff(EXAMPLE1, 401)
+    with pytest.raises(GridTooCoarse, match="changes by"):
+        winding_number(EXAMPLE1, "minus", t_star, 401)
+    assert cli.main(["winding", "--preset", "example1", "--t-max",
+                     repr(t_star), "--t-points", "2"]) == 0
+    rows_out = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows_out) == 2 and rows_out[0].split(",")[0] == "0"
+    assert rows_out[1].split(",")[2] == "nan"
     rows = geometry._winding_rows
 
     def marked(params, row, t):
-        jump, ambiguous, raw = rows(params, row, t)
+        jump, raw = rows(params, row, t)
         at = np.reshape(t, np.shape(raw))
-        return jump, ambiguous | (at == 2.0), np.where(at == 4.0, math.nan,
-                                                       raw)
+        return jump, np.where(at == 2.0 * t_star, math.nan, raw)
 
     monkeypatch.setattr(geometry, "_winding_rows", marked)
-    with pytest.raises(GridTooCoarse, match="ambiguity band"):
-        winding_number(EXAMPLE1, "minus", 2.0, 401)
-    assert cli.main(["winding", "--preset", "example1", "--t-max", "6",
-                     "--t-points", "4"]) == 3
+    assert cli.main(["winding", "--preset", "example1", "--t-max",
+                     repr(2.0 * t_star), "--t-points", "3"]) == 3
     assert capsys.readouterr().err == ("numerical guard: PhaseUndefined: "
                                        "geometric phase undefined on the "
                                        "winding grid\n")
-    assert cli.main(["winding", "--preset", "example1", "--t-max", "3",
-                     "--t-points", "4"]) == 0
-    rows_out = capsys.readouterr().out.splitlines()[1:]
-    assert [r.split(",")[0] for r in rows_out] == ["0", "2"]
-    assert rows_out[1].split(",")[2] == "nan"
 
 
 @pytest.mark.parametrize("kernel, n_k", [(rate_function_grid, 2001),

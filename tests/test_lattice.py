@@ -165,6 +165,18 @@ def test_obc_spectrum_matches_chiral_block(n):
         assert np.abs(got - want).max() <= tol
 
 
+def test_pi_mode_tolerance_leaves_out_a_mode_past_it(ex1):
+    # example1's open chain of 6 sites has two edge modes 0.0221 w from
+    # +-w/2 with edge weight 0.567: past the 0.02 w tolerance, so no pi mode
+    spec = obc_floquet_spectrum(ex1, 6)
+    w = ex1.omega_drive
+    detuning = (0.5 * w - np.abs(spec.quasienergies)) / w
+    edge = (detuning > 0.02) & (detuning < 0.03) & (spec.edge_weights >= 0.5)
+    assert edge.sum() == 2
+    assert np.allclose(detuning[edge], 0.022066, atol=1e-6)
+    assert not spec.pi_mode.any()
+
+
 def test_bulk_boundary_correspondence(ex1, ex2, ex3):
     # nontrivial pi invariant <-> a pair of edge-localized pi modes
     s1 = obc_floquet_spectrum(ex1, 40)

@@ -523,6 +523,19 @@ def test_min_half_gap_against_dense_grid():
         assert sampled - exact < 1e-8 * p.scale
 
 
+def test_zone_gap_guard_refuses_a_gap_equal_to_its_floor():
+    # w = 1e9, delta2 = w - 1.25: the gap closes to 2 min_half_gap =
+    # |delta2 - w + delta1| = 1.0 at k = 0, exactly the floor 1e-9 w = 1.0,
+    # and is refused; one double farther from the boundary it is kept
+    p = ModelParams(1e9, 0.25, 1e9 - 1.25, 1.0)
+    assert 2.0 * min_half_gap(p) == p.gap_floor == 1.0
+    with pytest.raises(GaplessPoint):
+        model.zone_gap_guard(p)
+    farther = ModelParams(1e9, 0.25, math.nextafter(1e9 - 1.25, 0.0), 1.0)
+    model.zone_gap_guard(farther)
+    assert geometry.exact_winding_grid(farther, "minus", 1.0) == 0.0
+
+
 def test_min_half_gap_scales_exactly_with_the_drive():
     # scaling every parameter by 2^+-600 scales Delta/2 by exactly 2^+-600:
     # no square of a parameter overflows or underflows on the way
