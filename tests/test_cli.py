@@ -250,8 +250,9 @@ def test_output_error_without_a_filename_names_the_out_path(
     monkeypatch.setattr(cli, "open", FullDisk, raising=False)
     out = tmp_path / "x.txt"
     assert run_cli(["topo", "--preset", "example1", "--out", str(out)]) == 2
+    full = os.strerror(errno.ENOSPC)
     assert capsys.readouterr().err == (
-        f"output error: [Errno 28] {os.strerror(errno.ENOSPC)}: {str(out)!r}\n")
+        f"output error: [Errno 28] {full}: {str(out)!r}\n")
     assert os.listdir(tmp_path) == []
 
 

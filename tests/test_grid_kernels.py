@@ -26,8 +26,8 @@ from floquet_dqpt.geometry import (bloch_vector_grid, exact_winding_grid,
                                    geometric_phase, geometric_phase_grid,
                                    raw_winding_grid, tomography_phase_grid,
                                    winding_number)
-from floquet_dqpt.model import (GRID_CHUNK, ModelParams, _uniform_band_weights,
-                                gap_guard)
+from floquet_dqpt.model import (GRID_CHUNK, ModelParams,
+                                _uniform_band_weights, gap_guard)
 
 from api import BANDS, DRIVES, bits, random_params
 from conftest import EXAMPLE1, EXAMPLE2
@@ -250,10 +250,10 @@ def test_guarded_rows_keep_successive_steps_off_pi():
     # steep (Omega scaled by 1e-6 to 1), on both bands and 401 or 2001 k.
     # The times aim at the bound: just past odd multiples of T/2 (outside
     # the critical-time window where there is one), just under the jump
-    # guard's cutoff, and at random below it and up to twice past it (rows
-    # the guard refuses, so a looser guard fails the test). Each pair is held to its bound
-    # up to 1e-9 rad of rounding; the margins are 3.1e-3 rad (f >= 1e-3)
-    # and 1.23 rad (README)
+    # guard's cutoff, at random below it, and up to twice past it (rows the
+    # guard refuses, so a looser guard fails the test). Each pair is held to
+    # its bound up to 1e-9 rad of rounding; the margins are 3.1e-3 rad
+    # (f >= 1e-3) and 1.23 rad (README)
     rng = np.random.default_rng(56)
     worst, rows = {True: 0.0, False: 0.0}, {True: 0, False: 0}
     for i in range(800):
@@ -291,7 +291,7 @@ def test_guarded_rows_keep_successive_steps_off_pi():
             assert pair <= bound + 1e-9, (p, band, n_k, t)
             rows[has_dqpt] += 1
             worst[has_dqpt] = max(worst[has_dqpt], pair / bound)
-    # the search reaches the bounds: with a DQPT to within 0.1% of pi (1 - f)
+    # the search reaches the bounds: with a DQPT to within 1% of pi (1 - f)
     assert min(rows.values()) > 1000
     assert worst[True] > 0.99 and worst[False] > 0.8
 
@@ -317,8 +317,8 @@ def test_winding_raises_the_first_error_in_t_order(monkeypatch, capsys,
     def failing_at_zero(params, row, t):
         jump, raw = rows(params, row, t)
         at_zero = np.reshape(t, np.shape(raw)) == 0.0
-        return jump, np.where(at_zero, math.nan if mark == "undefined" else 0.3,
-                              raw)
+        bad = math.nan if mark == "undefined" else 0.3
+        return jump, np.where(at_zero, bad, raw)
 
     monkeypatch.setattr(geometry, "_winding_rows", failing_at_zero)
     ts = np.linspace(0.0, 1e16, 5).tolist()
